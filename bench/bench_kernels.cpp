@@ -64,16 +64,6 @@ void BM_SmithWaterman(benchmark::State& state) {
 }
 BENCHMARK(BM_SmithWaterman)->Arg(200)->Arg(1000);
 
-void BM_SmithWatermanBanded(benchmark::State& state) {
-  const std::string a = random_dna(1000, 3);
-  std::string b = a;
-  b[500] = b[500] == 'A' ? 'C' : 'A';
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sw::align_banded(a, b, 32));
-  }
-}
-BENCHMARK(BM_SmithWatermanBanded);
-
 void BM_WeldHarvest(benchmark::State& state) {
   // One contig pair sharing a region, dense read support.
   const std::string shared = random_dna(120, 4);

@@ -54,8 +54,16 @@
 #      pooled path at 1/2/4/8 ranks while cutting total communication
 #      payload by at least --min-bytes-reduction at >= 4 ranks, recording
 #      the run in BENCH_gff_shard.json.
-#  11. ASan+UBSan build (-DTRINITY_SANITIZE=ON) running the checkpoint, io,
-#      simpi, trace, config, flat-index and serve test binaries — the
+#  11. Smith–Waterman gate (ROADMAP item 2): bench_sw must show the
+#      library's Section-IV validation (score both strands in linear memory,
+#      AVX2 where available, trace back only where a category reads it) at
+#      least 5x faster than the scalar full-traceback baseline on the
+#      Figure 4-6 presets, with identical CategoryCounts and
+#      ReferenceComparison (enforced by the bench itself), recording the run
+#      in BENCH_sw.json.
+#  12. ASan+UBSan build (-DTRINITY_SANITIZE=ON) running the checkpoint, io,
+#      simpi, trace, config, flat-index, serve and Smith–Waterman/validation
+#      test binaries — the
 #      subsystems that throw across thread and collective boundaries (and,
 #      for the trace recorder, publish buffers across threads; for the flat
 #      index, raw-storage placement news; for the transcript index, mmap'd
@@ -63,7 +71,9 @@
 #      and deadline tokens, the journal, and rank leases across
 #      scheduler/watchdog/worker threads; for the metrics layer, relaxed-
 #      atomic instruments hammered by every serve thread while the
-#      exporter thread snapshots them), where sanitizers earn their keep.
+#      exporter thread snapshots them; for the SW kernels, unaligned AVX2
+#      loads and stores past each anti-diagonal's last row), where
+#      sanitizers earn their keep.
 #
 # Usage: scripts/check.sh [--skip-sanitize]
 set -eu
@@ -260,22 +270,28 @@ echo "== gff sharding: owner-computes vs pooled (BENCH_gff_shard.json) =="
 ./build/bench/bench_gff_shard --genes 120 --kernel-repeats 10 --trials 1 \
     --min-bytes-reduction 1.5 --json "$repo_root/BENCH_gff_shard.json"
 
+echo "== smith-waterman: validation path vs scalar baseline (BENCH_sw.json) =="
+./build/bench/bench_sw --genes 60 --repeats 1 --min-speedup 5.0 \
+    --json "$repo_root/BENCH_sw.json"
+
 if [ "${1:-}" = "--skip-sanitize" ]; then
     echo "== sanitizer pass skipped =="
     exit 0
 fi
 
-echo "== ASan+UBSan: checkpoint + io + simpi + trace + config + index + serve + obs tests =="
+echo "== ASan+UBSan: checkpoint + io + simpi + trace + config + index + serve + obs + sw tests =="
 cmake -B build-asan -S . -DTRINITY_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-asan -j "$jobs" --target \
     checkpoint_test simpi_fault_test simpi_test simpi_extensions_test dsu_test \
     pipeline_checkpoint_test io_fault_test seq_parse_policy_test trace_test \
     config_test flat_index_test transcript_index_test serve_test serve_fault_test \
-    serve_recovery_test serve_watchdog_test obs_test serve_metrics_test
+    serve_recovery_test serve_watchdog_test obs_test serve_metrics_test \
+    sw_test sw_kernel_test validate_test
 for t in checkpoint_test simpi_fault_test simpi_test simpi_extensions_test dsu_test \
          pipeline_checkpoint_test io_fault_test seq_parse_policy_test trace_test \
          config_test flat_index_test transcript_index_test serve_test serve_fault_test \
-         serve_recovery_test serve_watchdog_test obs_test serve_metrics_test; do
+         serve_recovery_test serve_watchdog_test obs_test serve_metrics_test \
+         sw_test sw_kernel_test validate_test; do
     echo "-- $t (ASan+UBSan)"
     ./build-asan/tests/"$t"
 done

@@ -1,164 +1,166 @@
 #include "sw/smith_waterman.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "seq/dna.hpp"
+#include "sw/kernels.hpp"
 
 namespace trinity::sw {
+
+namespace kernels {
 
 namespace {
 
 constexpr int kNegInf = std::numeric_limits<int>::min() / 4;
 
-// Traceback codes for the H matrix.
-enum : std::uint8_t {
-  kStop = 0,
-  kDiag = 1,
-  kFromE = 2,  // gap in query (came from the left)
-  kFromF = 3,  // gap in target (came from above)
-};
-
-struct Cell {
-  std::uint8_t h_src : 2;   // H source
-  std::uint8_t e_ext : 1;   // E was an extension (vs fresh open)
-  std::uint8_t f_ext : 1;   // F was an extension
-};
-
-Alignment align_impl(std::string_view query, std::string_view target, int band,
-                     const Scoring& scoring) {
+/// Row-major Gotoh sweep in linear memory: H and F per column, E carried
+/// along the row. With kTrace, also writes each cell's trace byte into the
+/// (n+1) x (m+1) row-major `trace`, whose row and column 0 stay kStop.
+template <bool kTrace>
+ScoreEnd sweep(std::string_view query, std::string_view target, const Scoring& s,
+               std::uint8_t* trace) {
   const std::size_t n = query.size();
   const std::size_t m = target.size();
-  Alignment best;
-  if (n == 0 || m == 0) return best;
-
-  // Row-linear DP with a full traceback matrix. H/E/F follow Gotoh's
-  // affine-gap recurrences; all are clamped at 0 for local alignment.
-  std::vector<int> h_prev(m + 1, 0);
-  std::vector<int> h_curr(m + 1, 0);
-  std::vector<int> e_row(m + 1, kNegInf);
-  std::vector<Cell> trace((n + 1) * (m + 1), Cell{kStop, 0, 0});
-
-  std::size_t best_i = 0;
-  std::size_t best_j = 0;
-
+  ScoreEnd best;
+  std::vector<int> h(m + 1, 0);
+  std::vector<int> f(m + 1, kNegInf);
   for (std::size_t i = 1; i <= n; ++i) {
-    int f = kNegInf;
-    h_curr[0] = 0;
-    std::size_t j_lo = 1;
-    std::size_t j_hi = m;
-    if (band >= 0) {
-      const auto b = static_cast<std::size_t>(band);
-      j_lo = i > b ? i - b : 1;
-      j_hi = std::min(m, i + b);
-      if (j_lo > 1) h_curr[j_lo - 1] = 0;
-      // No E can enter the band from its left edge.
-      e_row[j_lo - 1] = kNegInf;
-    }
-    for (std::size_t j = j_lo; j <= j_hi; ++j) {
-      Cell& cell = trace[i * (m + 1) + j];
+    int diag = 0;  // H(i-1, j-1)
+    int left = 0;  // H(i, j-1)
+    int e = kNegInf;
+    for (std::size_t j = 1; j <= m; ++j) {
+      const int up = h[j];
+      const int e_open = left + s.gap_open;
+      const int e_extend = e + s.gap_extend;
+      e = std::max(e_open, e_extend);
+      const int f_open = up + s.gap_open;
+      const int f_extend = f[j] + s.gap_extend;
+      f[j] = std::max(f_open, f_extend);
+      const int d = diag + (query[i - 1] == target[j - 1] ? s.match : s.mismatch);
 
-      const int e_open = h_curr[j - 1] + scoring.gap_open;
-      const int e_extend = e_row[j - 1] + scoring.gap_extend;
-      const int e = std::max(e_open, e_extend);
-      cell.e_ext = e_extend >= e_open ? 1 : 0;
-      e_row[j] = e;
-
-      const int f_open = h_prev[j] + scoring.gap_open;
-      const int f_extend = f + scoring.gap_extend;
-      f = std::max(f_open, f_extend);
-      cell.f_ext = f_extend >= f_open ? 1 : 0;
-
-      const bool is_match = query[i - 1] == target[j - 1];
-      const int diag = h_prev[j - 1] + (is_match ? scoring.match : scoring.mismatch);
-
-      int h = 0;
-      std::uint8_t src = kStop;
-      if (diag > h) {
-        h = diag;
-        src = kDiag;
+      int cell = 0;
+      std::uint8_t code = kStop;
+      if (d > cell) {
+        cell = d;
+        code = kDiag;
       }
-      if (e > h) {
-        h = e;
-        src = kFromE;
+      if (e > cell) {
+        cell = e;
+        code = kFromE;
       }
-      if (f > h) {
-        h = f;
-        src = kFromF;
+      if (f[j] > cell) {
+        cell = f[j];
+        code = kFromF;
       }
-      cell.h_src = src;
-      h_curr[j] = h;
-
-      if (h > best.score) {
-        best.score = h;
-        best_i = i;
-        best_j = j;
+      if constexpr (kTrace) {
+        if (e_extend >= e_open) code |= kEExtended;
+        if (f_extend >= f_open) code |= kFExtended;
+        trace[i * (m + 1) + j] = code;
       }
-    }
-    if (band >= 0 && j_hi < m) h_curr[j_hi + 1] = 0;
-    std::swap(h_prev, h_curr);
-  }
-
-  if (best.score <= 0) return Alignment{};
-
-  // Traceback from the best cell. E/F runs are unwound with their
-  // extension bits; columns and matches accumulate as we go.
-  std::size_t i = best_i;
-  std::size_t j = best_j;
-  best.query_end = best_i;
-  best.target_end = best_j;
-  enum class State { H, E, F };
-  State state = State::H;
-  for (;;) {
-    const Cell cell = trace[i * (m + 1) + j];
-    if (state == State::H) {
-      if (cell.h_src == kStop) break;
-      if (cell.h_src == kDiag) {
-        ++best.alignment_columns;
-        if (query[i - 1] == target[j - 1]) ++best.matches;
-        --i;
-        --j;
-      } else if (cell.h_src == kFromE) {
-        state = State::E;
-      } else {
-        state = State::F;
-      }
-    } else if (state == State::E) {
-      ++best.alignment_columns;
-      const bool extended = cell.e_ext != 0;
-      --j;
-      state = extended ? State::E : State::H;
-    } else {
-      ++best.alignment_columns;
-      const bool extended = cell.f_ext != 0;
-      --i;
-      state = extended ? State::F : State::H;
+      diag = up;
+      left = cell;
+      h[j] = cell;
+      if (cell > best.score) best = {cell, i, j};
     }
   }
-  best.query_begin = i;
-  best.target_begin = j;
   return best;
 }
 
 }  // namespace
 
-Alignment align(std::string_view query, std::string_view target, const Scoring& scoring) {
-  return align_impl(query, target, -1, scoring);
+bool fits_int16(std::size_t query_length, std::size_t target_length, const Scoring& scoring) {
+  // Parameters small enough that minus infinity (-2^14) plus a gap
+  // extension cannot saturate, gaps that only cost, and a best score --
+  // at most the best column score times the shorter length -- below 2^15.
+  constexpr int kMaxParameter = 4096;
+  for (const int v : {scoring.match, scoring.mismatch, scoring.gap_open, scoring.gap_extend}) {
+    if (v < -kMaxParameter || v > kMaxParameter) return false;
+  }
+  if (scoring.gap_open > 0 || scoring.gap_extend > 0) return false;
+  const auto per_base = static_cast<std::uint64_t>(std::max({scoring.match, scoring.mismatch, 0}));
+  return per_base * std::min(query_length, target_length) <=
+         static_cast<std::uint64_t>(std::numeric_limits<std::int16_t>::max());
 }
 
-Alignment align_banded(std::string_view query, std::string_view target, int band,
-                       const Scoring& scoring) {
-  return align_impl(query, target, band, scoring);
+ScoreEnd score_scalar(std::string_view query, std::string_view target, const Scoring& scoring) {
+  if (query.empty() || target.empty()) return {};
+  return sweep<false>(query, target, scoring, nullptr);
+}
+
+Alignment align_scalar(std::string_view query, std::string_view target, const Scoring& scoring) {
+  if (query.empty() || target.empty()) return {};
+  const std::size_t cols = target.size() + 1;
+  std::vector<std::uint8_t> trace((query.size() + 1) * cols, kStop);
+  const ScoreEnd best = sweep<true>(query, target, scoring, trace.data());
+  return walk(query, target, best,
+              [&](std::size_t i, std::size_t j) { return trace[i * cols + j]; });
+}
+
+}  // namespace kernels
+
+namespace {
+
+bool use_avx2(std::size_t query_length, std::size_t target_length, const Scoring& scoring) {
+  return kernels::avx2_available() && kernels::fits_int16(query_length, target_length, scoring);
+}
+
+}  // namespace
+
+ScoreEnd score(std::string_view query, std::string_view target, const Scoring& scoring) {
+  return use_avx2(query.size(), target.size(), scoring)
+             ? kernels::score_avx2(query, target, scoring)
+             : kernels::score_scalar(query, target, scoring);
+}
+
+Alignment traceback(std::string_view query, std::string_view target, const ScoreEnd& end,
+                    const Scoring& scoring) {
+  if (end.score <= 0) return {};
+  // The end cell is the first maximum of the prefix rectangle as well, so
+  // aligning the prefixes finds it again and walks the same path.
+  const auto q = query.substr(0, end.query_end);
+  const auto t = target.substr(0, end.target_end);
+  return use_avx2(q.size(), t.size(), scoring) ? kernels::align_avx2(q, t, scoring)
+                                               : kernels::align_scalar(q, t, scoring);
+}
+
+Alignment align(std::string_view query, std::string_view target, const Scoring& scoring) {
+  return traceback(query, target, score(query, target, scoring), scoring);
+}
+
+StrandScore score_best_strand(std::string_view query, std::string_view query_rc,
+                              std::string_view target, const Scoring& scoring) {
+  const ScoreEnd fwd = score(query, target, scoring);
+  const ScoreEnd rev = score(query_rc, target, scoring);
+  return fwd.score >= rev.score ? StrandScore{fwd, false} : StrandScore{rev, true};
 }
 
 Alignment align_best_strand(std::string_view query, std::string_view target,
                             const Scoring& scoring) {
-  const Alignment fwd = align(query, target, scoring);
   const std::string rc = seq::reverse_complement(query);
-  const Alignment rev = align(rc, target, scoring);
-  return fwd.score >= rev.score ? fwd : rev;
+  const StrandScore best = score_best_strand(query, rc, target, scoring);
+  return traceback(best.reverse ? std::string_view(rc) : query, target, best.end, scoring);
+}
+
+int min_qualifying_score(std::size_t query_length, double min_coverage, double min_identity,
+                         const Scoring& scoring) {
+  // Such an alignment spans at least min_coverage * query_length query
+  // bases, so it has at least that many columns C. At least
+  // min_identity * C of them match and score `match`; every other column
+  // (mismatch, gap open or gap extension) scores at least `worst`.
+  const double p = std::clamp(min_identity, 0.0, 1.0);
+  const double worst = std::min({scoring.mismatch, scoring.gap_open, scoring.gap_extend});
+  const double per_column =
+      std::min<double>(scoring.match, p * scoring.match + (1.0 - p) * worst);
+  const double bound = per_column * min_coverage * static_cast<double>(query_length);
+  if (!(bound > 0.0)) return 0;
+  // Shaved so rounding in the coverage and identity ratios cannot make the
+  // bound exceed a qualifying score.
+  return static_cast<int>(std::floor(bound * (1.0 - 1e-9)));
 }
 
 }  // namespace trinity::sw

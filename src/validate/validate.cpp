@@ -4,62 +4,46 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "seq/kmer.hpp"
+#include "seq/dna.hpp"
 
 namespace trinity::validate {
 
-namespace {
-
-/// Shared-k-mer candidate filter: maps each query to the target indices
-/// sharing the most canonical k-mers.
-class CandidateFinder {
- public:
-  CandidateFinder(const std::vector<seq::Sequence>& targets, const ValidationOptions& options)
-      : targets_(targets), options_(options), codec_(options.prefilter_k) {
-    for (std::size_t t = 0; t < targets.size(); ++t) {
-      std::unordered_set<seq::KmerCode> seen;
-      for (const auto& occ : codec_.extract_canonical(targets[t].bases)) {
-        if (seen.insert(occ.code).second) {
-          index_[occ.code].push_back(static_cast<std::int32_t>(t));
-        }
+CandidateFinder::CandidateFinder(const std::vector<seq::Sequence>& targets,
+                                 const ValidationOptions& options)
+    : options_(options), codec_(options.prefilter_k) {
+  for (std::size_t t = 0; t < targets.size(); ++t) {
+    std::unordered_set<seq::KmerCode> seen;
+    for (const auto& occ : codec_.extract_canonical(targets[t].bases)) {
+      if (seen.insert(occ.code).second) {
+        index_[occ.code].push_back(static_cast<std::int32_t>(t));
       }
     }
   }
+}
 
-  /// Target indices ordered by decreasing shared-k-mer count, truncated to
-  /// max_candidates; targets below min_shared_kmers are dropped.
-  std::vector<std::int32_t> candidates(const seq::Sequence& query) const {
-    std::unordered_map<std::int32_t, std::size_t> shared;
-    std::unordered_set<seq::KmerCode> seen;
-    for (const auto& occ : codec_.extract_canonical(query.bases)) {
-      if (!seen.insert(occ.code).second) continue;
-      const auto it = index_.find(occ.code);
-      if (it == index_.end()) continue;
-      for (const auto t : it->second) ++shared[t];
-    }
-    std::vector<std::pair<std::int32_t, std::size_t>> ranked;
-    for (const auto& [t, n] : shared) {
-      if (n >= options_.min_shared_kmers) ranked.emplace_back(t, n);
-    }
-    std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
-      if (a.second != b.second) return a.second > b.second;
-      return a.first < b.first;
-    });
-    if (ranked.size() > options_.max_candidates) ranked.resize(options_.max_candidates);
-    std::vector<std::int32_t> out;
-    out.reserve(ranked.size());
-    for (const auto& [t, n] : ranked) out.push_back(t);
-    return out;
+std::vector<std::int32_t> CandidateFinder::candidates(const seq::Sequence& query) const {
+  std::unordered_map<std::int32_t, std::size_t> shared;
+  std::unordered_set<seq::KmerCode> seen;
+  for (const auto& occ : codec_.extract_canonical(query.bases)) {
+    if (!seen.insert(occ.code).second) continue;
+    const auto it = index_.find(occ.code);
+    if (it == index_.end()) continue;
+    for (const auto t : it->second) ++shared[t];
   }
-
- private:
-  const std::vector<seq::Sequence>& targets_;
-  const ValidationOptions& options_;
-  seq::KmerCodec codec_;
-  std::unordered_map<seq::KmerCode, std::vector<std::int32_t>> index_;
-};
-
-}  // namespace
+  std::vector<std::pair<std::int32_t, std::size_t>> ranked;
+  for (const auto& [t, n] : shared) {
+    if (n >= options_.min_shared_kmers) ranked.emplace_back(t, n);
+  }
+  std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
+    if (a.second != b.second) return a.second > b.second;
+    return a.first < b.first;
+  });
+  if (ranked.size() > options_.max_candidates) ranked.resize(options_.max_candidates);
+  std::vector<std::int32_t> out;
+  out.reserve(ranked.size());
+  for (const auto& [t, n] : ranked) out.push_back(t);
+  return out;
+}
 
 CategoryCounts all_to_all_categories(const std::vector<seq::Sequence>& query_set,
                                      const std::vector<seq::Sequence>& target_set,
@@ -68,17 +52,26 @@ CategoryCounts all_to_all_categories(const std::vector<seq::Sequence>& query_set
   const CandidateFinder finder(target_set, options);
 
   for (const auto& query : query_set) {
-    sw::Alignment best;
+    // Score both strands of every candidate; only the winner, the first
+    // candidate with the strictly greatest score, is traced back.
+    const std::string query_rc = seq::reverse_complement(query.bases);
+    sw::StrandScore best;
+    const seq::Sequence* winner = nullptr;
     for (const auto t : finder.candidates(query)) {
-      const auto aln = sw::align_best_strand(query.bases, target_set[static_cast<std::size_t>(t)].bases);
-      if (aln.score > best.score) best = aln;
+      const auto& target = target_set[static_cast<std::size_t>(t)];
+      const auto hit = sw::score_best_strand(query.bases, query_rc, target.bases);
+      if (hit.end.score > best.end.score) {
+        best = hit;
+        winner = &target;
+      }
     }
-    if (best.score <= 0) {
+    if (winner == nullptr) {
       ++counts.unmatched;
       continue;
     }
-    const double coverage = best.query_coverage(query.bases.size());
-    const double identity = best.identity();
+    const auto aln = sw::traceback(best.reverse ? query_rc : query.bases, winner->bases, best.end);
+    const double coverage = aln.query_coverage(query.bases.size());
+    const double identity = aln.identity();
     if (coverage >= options.full_length_coverage) {
       if (identity >= options.identical_threshold) {
         ++counts.full_identical;
@@ -109,10 +102,15 @@ ReferenceComparison compare_to_reference(const std::vector<seq::Sequence>& recon
     // length; two hits from different genes make it a fusion.
     std::vector<std::int32_t> contained;
     for (const auto t : finder.candidates(rec)) {
-      const auto& ref = reference[static_cast<std::size_t>(t)];
-      const auto aln = sw::align_best_strand(ref.bases, rec.bases);
-      if (aln.score <= 0) continue;
-      const double ref_coverage = aln.query_coverage(ref.bases.size());
+      const auto& ref = reference[static_cast<std::size_t>(t)].bases;
+      const std::string ref_rc = seq::reverse_complement(ref);
+      const auto hit = sw::score_best_strand(ref, ref_rc, rec.bases);
+      // Below this floor no alignment can be a full-length hit.
+      const int floor = sw::min_qualifying_score(ref.size(), options.full_length_coverage,
+                                                 options.min_fused_identity);
+      if (hit.end.score <= 0 || hit.end.score < floor) continue;
+      const auto aln = sw::traceback(hit.reverse ? ref_rc : ref, rec.bases, hit.end);
+      const double ref_coverage = aln.query_coverage(ref.size());
       if (ref_coverage >= options.full_length_coverage &&
           aln.identity() >= options.min_fused_identity) {
         contained.push_back(t);

@@ -14,11 +14,17 @@
 // Full SW against every pair would be quadratic in transcripts; a shared-
 // k-mer prefilter picks a handful of candidates per query first, exactly
 // the role the FASTA program's heuristic stages play around its SW kernel.
+// Each candidate is then scored on both strands in linear memory, and the
+// traceback runs only where a category reads it: once per query for
+// Figure 4, and for Figures 5/6 only on candidates whose score clears the
+// lowest score a full-length hit can have.
 
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
+#include "seq/kmer.hpp"
 #include "seq/sequence.hpp"
 #include "sw/smith_waterman.hpp"
 #include "util/stats.hpp"
@@ -36,6 +42,23 @@ struct ValidationOptions {
   double full_length_coverage = 0.95;
   double identical_threshold = 0.999;  ///< identity counted as "100%"
   double min_fused_identity = 0.95;    ///< identity for a fused hit
+};
+
+/// Shared-k-mer candidate filter: maps each query to the target indices
+/// sharing the most distinct canonical k-mers.
+class CandidateFinder {
+ public:
+  CandidateFinder(const std::vector<seq::Sequence>& targets, const ValidationOptions& options);
+
+  /// Target indices ordered by decreasing shared-k-mer count (then by
+  /// index), truncated to max_candidates; targets below min_shared_kmers
+  /// are dropped.
+  [[nodiscard]] std::vector<std::int32_t> candidates(const seq::Sequence& query) const;
+
+ private:
+  ValidationOptions options_;
+  seq::KmerCodec codec_;
+  std::unordered_map<seq::KmerCode, std::vector<std::int32_t>> index_;
 };
 
 /// Figure 4 result: query counts per category plus the (c) identities.

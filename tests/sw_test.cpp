@@ -1,17 +1,46 @@
-// Tests for the Smith–Waterman validator kernel: known alignments, affine
-// gap behaviour, coverage/identity statistics, banded consistency, and
-// strand selection.
+// Tests for the Smith–Waterman validator: known alignments, affine gap
+// behaviour (checked against a brute-force three-matrix Gotoh), coverage/
+// identity statistics, and strand selection.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "seq/dna.hpp"
+#include "sw/kernels.hpp"
 #include "sw/smith_waterman.hpp"
 #include "test_helpers.hpp"
+#include "util/rng.hpp"
 
 namespace trinity::sw {
 namespace {
 
+using trinity::testing::mutate;
 using trinity::testing::random_dna;
+
+/// Textbook three-matrix Gotoh, local: full H, E and F matrices. Returns
+/// the best score and its first end cell in row-major order.
+ScoreEnd brute_force_gotoh(const std::string& q, const std::string& t, const Scoring& s = {}) {
+  constexpr int kNeg = -1000000;
+  const std::size_t n = q.size();
+  const std::size_t m = t.size();
+  std::vector<std::vector<int>> h(n + 1, std::vector<int>(m + 1, 0));
+  std::vector<std::vector<int>> e(n + 1, std::vector<int>(m + 1, kNeg));
+  std::vector<std::vector<int>> f(n + 1, std::vector<int>(m + 1, kNeg));
+  ScoreEnd best;
+  for (std::size_t i = 1; i <= n; ++i) {
+    for (std::size_t j = 1; j <= m; ++j) {
+      e[i][j] = std::max(h[i][j - 1] + s.gap_open, e[i][j - 1] + s.gap_extend);
+      f[i][j] = std::max(h[i - 1][j] + s.gap_open, f[i - 1][j] + s.gap_extend);
+      const int sub = q[i - 1] == t[j - 1] ? s.match : s.mismatch;
+      h[i][j] = std::max({0, h[i - 1][j - 1] + sub, e[i][j], f[i][j]});
+      if (h[i][j] > best.score) best = {h[i][j], i, j};
+    }
+  }
+  return best;
+}
 
 TEST(SwTest, IdenticalSequencesScorePerfect) {
   const std::string s = random_dna(120, 1);
@@ -120,30 +149,6 @@ TEST(SwTest, TracebackBoundsAreConsistent) {
   }
 }
 
-class SwBandTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(SwBandTest, BandedMatchesFullWhenBandCoversAlignment) {
-  const int band = GetParam();
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    std::string a = random_dna(120, seed);
-    std::string b = a;
-    b[40] = 'C';
-    b[90] = 'G';  // mutations only: optimal path stays on the diagonal
-    const auto full = align(a, b);
-    const auto banded = align_banded(a, b, band);
-    EXPECT_EQ(banded.score, full.score) << "band=" << band << " seed=" << seed;
-    EXPECT_EQ(banded.matches, full.matches);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Bands, SwBandTest, ::testing::Values(4, 16, 64));
-
-TEST(SwBandTest2, NegativeBandFallsBackToFull) {
-  const std::string a = random_dna(50, 8);
-  const std::string b = random_dna(70, 9);
-  EXPECT_EQ(align_banded(a, b, -1).score, align(a, b).score);
-}
-
 TEST(SwTest, BestStrandPicksReverseComplement) {
   const std::string target = random_dna(100, 10);
   const std::string query = seq::reverse_complement(target);
@@ -176,6 +181,51 @@ TEST(SwTest, CustomScoringRespected) {
   const std::string a = "ACGTACGT";
   const auto aln = align(a, a, s);
   EXPECT_EQ(aln.score, 8);
+}
+
+TEST(SwTest, InsertionInQueryExtendsOneGap) {
+  // 32 matches (160) less one 3-base gap (open + 2 extensions = 20). A
+  // gap in the target that paid gap_open per base would score 124.
+  const std::string target = random_dna(32, 12);
+  const std::string query = target.substr(0, 16) + "TTT" + target.substr(16);
+  EXPECT_EQ(brute_force_gotoh(query, target).score, 140);
+  for (const auto& aln : {align(query, target), kernels::align_scalar(query, target, {})}) {
+    EXPECT_EQ(aln.score, 140);
+    EXPECT_EQ(aln.matches, 32u);
+    EXPECT_EQ(aln.alignment_columns, 35u);
+  }
+  EXPECT_EQ(align(target, query).score, 140);
+  EXPECT_EQ(kernels::score_scalar(query, target, {}).score, 140);
+}
+
+TEST(SwTest, ScoreSymmetricUnderSwapWithIndels) {
+  util::Rng rng(13);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::string a = random_dna(10 + rng.uniform_below(60), rng());
+    const std::string b = mutate(a, rng.uniform_below(4), rng);
+    EXPECT_EQ(align(a, b).score, align(b, a).score) << a << " " << b;
+    EXPECT_EQ(kernels::score_scalar(a, b, {}).score, kernels::score_scalar(b, a, {}).score)
+        << a << " " << b;
+  }
+}
+
+TEST(SwTest, AgreesWithThreeMatrixGotoh) {
+  util::Rng rng(14);
+  for (int trial = 0; trial < 3000; ++trial) {
+    const std::string target = random_dna(5 + rng.uniform_below(26), rng());
+    const std::string query = mutate(target, rng.uniform_below(4), rng);
+    const ScoreEnd want = brute_force_gotoh(query, target);
+    for (const ScoreEnd& got : {score(query, target), kernels::score_scalar(query, target, {})}) {
+      ASSERT_EQ(got.score, want.score) << query << " " << target;
+      ASSERT_EQ(got.query_end, want.query_end) << query << " " << target;
+      ASSERT_EQ(got.target_end, want.target_end) << query << " " << target;
+    }
+    for (const auto& aln : {align(query, target), kernels::align_scalar(query, target, {})}) {
+      ASSERT_EQ(aln.score, want.score) << query << " " << target;
+      ASSERT_EQ(aln.query_end, want.query_end) << query << " " << target;
+      ASSERT_EQ(aln.target_end, want.target_end) << query << " " << target;
+    }
+  }
 }
 
 }  // namespace

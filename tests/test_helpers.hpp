@@ -47,6 +47,27 @@ inline std::string random_dna(std::size_t length, std::uint64_t seed) {
   return out;
 }
 
+/// `source` with `edits` random substitutions, insertions and deletions of
+/// 1-4 bases.
+inline std::string mutate(std::string out, std::size_t edits, util::Rng& rng) {
+  for (std::size_t k = 0; k < edits && !out.empty(); ++k) {
+    const auto pos = rng.uniform_below(out.size());
+    const auto len = 1 + rng.uniform_below(4);
+    switch (rng.uniform_below(3)) {
+      case 0:
+        out[pos] = "ACGT"[rng.uniform_below(4)];
+        break;
+      case 1:
+        out.insert(pos, random_dna(len, rng()));
+        break;
+      default:
+        out.erase(pos, len);
+        break;
+    }
+  }
+  return out;
+}
+
 /// Chops `source` into overlapping error-free reads covering it end to end.
 inline std::vector<seq::Sequence> tile_reads(const std::string& source,
                                              std::size_t read_length, std::size_t stride,

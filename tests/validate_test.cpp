@@ -3,9 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "seq/dna.hpp"
+#include "sw/kernels.hpp"
 #include "validate/validate.hpp"
 #include "test_helpers.hpp"
+#include "util/rng.hpp"
 
 namespace trinity::validate {
 namespace {
@@ -150,6 +154,164 @@ TEST(ReferenceTest, EmptyInputsYieldZeroCounts) {
   const auto cmp = compare_to_reference({}, {}, {});
   EXPECT_EQ(cmp.full_length_genes, 0u);
   EXPECT_EQ(cmp.fused_isoforms, 0u);
+}
+
+// --- oracle: naive scalar loops ------------------------------------------------------
+
+/// Scalar full-matrix alignment of both strands; forward wins ties.
+sw::Alignment naive_best_strand(const std::string& query, const std::string& target) {
+  const auto fwd = sw::kernels::align_scalar(query, target, {});
+  const auto rev = sw::kernels::align_scalar(seq::reverse_complement(query), target, {});
+  return fwd.score >= rev.score ? fwd : rev;
+}
+
+CategoryCounts naive_categories(const std::vector<seq::Sequence>& queries,
+                                const std::vector<seq::Sequence>& targets) {
+  const ValidationOptions options;
+  const CandidateFinder finder(targets, options);
+  CategoryCounts counts;
+  for (const auto& query : queries) {
+    sw::Alignment best;
+    for (const auto t : finder.candidates(query)) {
+      const auto aln = naive_best_strand(query.bases, targets[static_cast<std::size_t>(t)].bases);
+      if (aln.score > best.score) best = aln;
+    }
+    if (best.score <= 0) {
+      ++counts.unmatched;
+    } else if (best.query_coverage(query.bases.size()) < options.full_length_coverage) {
+      ++counts.partial;
+      counts.partial_identities.push_back(best.identity());
+    } else if (best.identity() >= options.identical_threshold) {
+      ++counts.full_identical;
+    } else {
+      ++counts.full_diverged;
+    }
+  }
+  return counts;
+}
+
+ReferenceComparison naive_reference(const std::vector<seq::Sequence>& reconstructed,
+                                    const std::vector<seq::Sequence>& reference,
+                                    const std::vector<std::int32_t>& gene_of) {
+  const ValidationOptions options;
+  const CandidateFinder finder(reference, options);
+  std::set<std::int32_t> refs, genes, fused_genes;
+  ReferenceComparison out;
+  for (const auto& rec : reconstructed) {
+    std::set<std::int32_t> hit_genes;
+    for (const auto t : finder.candidates(rec)) {
+      const auto& ref = reference[static_cast<std::size_t>(t)].bases;
+      const auto aln = naive_best_strand(ref, rec.bases);
+      if (aln.score > 0 && aln.query_coverage(ref.size()) >= options.full_length_coverage &&
+          aln.identity() >= options.min_fused_identity) {
+        refs.insert(t);
+        genes.insert(gene_of[static_cast<std::size_t>(t)]);
+        hit_genes.insert(gene_of[static_cast<std::size_t>(t)]);
+      }
+    }
+    if (hit_genes.size() >= 2) {
+      ++out.fused_isoforms;
+      fused_genes.insert(hit_genes.begin(), hit_genes.end());
+    }
+  }
+  out.full_length_isoforms = refs.size();
+  out.full_length_genes = genes.size();
+  out.fused_genes = fused_genes.size();
+  return out;
+}
+
+/// A small simulated study: genes of 1-3 isoforms built from shared exons,
+/// an "original" run that recovers most isoforms with a few errors, and a
+/// "parallel" run mixing exact, reverse-complemented, mutated, truncated,
+/// fused, chimeric and foreign transcripts.
+struct Study {
+  std::vector<seq::Sequence> reference;
+  std::vector<std::int32_t> gene_of;
+  std::vector<seq::Sequence> original;
+  std::vector<seq::Sequence> parallel;
+};
+
+std::string point_mutations(std::string s, std::size_t count, util::Rng& rng) {
+  for (std::size_t k = 0; k < count && !s.empty(); ++k) {
+    const auto pos = rng.uniform_below(s.size());
+    s[pos] = s[pos] == 'A' ? 'G' : 'A';
+  }
+  return s;
+}
+
+Study simulate_study(std::uint64_t seed) {
+  util::Rng rng(seed);
+  Study study;
+  for (std::int32_t gene = 0; gene < 12; ++gene) {
+    std::vector<std::string> exons;
+    for (int e = 0; e < 3; ++e) exons.push_back(random_dna(60 + rng.uniform_below(100), rng()));
+    const std::vector<std::string> isoforms{exons[0] + exons[1] + exons[2], exons[0] + exons[2],
+                                            exons[1] + exons[2]};
+    const auto count = 1 + rng.uniform_below(3);
+    for (std::size_t k = 0; k < count; ++k) {
+      study.reference.push_back({"g" + std::to_string(gene) + "i" + std::to_string(k), isoforms[k]});
+      study.gene_of.push_back(gene);
+    }
+  }
+  for (std::size_t r = 0; r < study.reference.size(); ++r) {
+    const std::string& ref = study.reference[r].bases;
+    const std::string name = "t" + std::to_string(r);
+    if (rng.bernoulli(0.85)) {
+      study.original.push_back({name, point_mutations(ref, rng.uniform_below(3), rng)});
+    }
+    std::string rec;
+    switch (rng.uniform_below(8)) {
+      case 0: rec = ref; break;
+      case 1: rec = seq::reverse_complement(ref); break;
+      case 2: rec = point_mutations(ref, 1 + rng.uniform_below(8), rng); break;
+      case 3: rec = ref.substr(0, ref.size() * (5 + rng.uniform_below(4)) / 10); break;
+      case 4: {
+        // A fusion with the next reference, often from another gene.
+        const auto& next = study.reference[(r + 1) % study.reference.size()].bases;
+        rec = ref + random_dna(rng.uniform_below(20), rng()) + seq::reverse_complement(next);
+        break;
+      }
+      case 5: rec = ref.substr(0, ref.size() / 2) + random_dna(150, rng()); break;
+      case 6: rec = random_dna(300, rng()); break;
+      default: rec = ref.substr(10) + ref.substr(0, 10); break;
+    }
+    study.parallel.push_back({name, rec});
+  }
+  return study;
+}
+
+void expect_same_counts(const CategoryCounts& got, const CategoryCounts& want) {
+  EXPECT_EQ(got.full_identical, want.full_identical);
+  EXPECT_EQ(got.full_diverged, want.full_diverged);
+  EXPECT_EQ(got.partial, want.partial);
+  EXPECT_EQ(got.unmatched, want.unmatched);
+  EXPECT_EQ(got.partial_identities, want.partial_identities);
+}
+
+TEST(ValidateOracleTest, MatchesNaiveScalarLoops) {
+  std::size_t fused = 0;
+  std::size_t partial = 0;
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const auto study = simulate_study(seed);
+    const auto counts = all_to_all_categories(study.parallel, study.original);
+    expect_same_counts(counts, naive_categories(study.parallel, study.original));
+    expect_same_counts(all_to_all_categories(study.original, study.parallel),
+                       naive_categories(study.original, study.parallel));
+
+    const auto cmp = compare_to_reference(study.parallel, study.reference, study.gene_of);
+    const auto want = naive_reference(study.parallel, study.reference, study.gene_of);
+    EXPECT_EQ(cmp.full_length_genes, want.full_length_genes);
+    EXPECT_EQ(cmp.full_length_isoforms, want.full_length_isoforms);
+    EXPECT_EQ(cmp.fused_genes, want.fused_genes);
+    EXPECT_EQ(cmp.fused_isoforms, want.fused_isoforms);
+    fused += cmp.fused_isoforms;
+    partial += counts.partial;
+  }
+  // The studies exercise the categories the pruning and the single
+  // traceback could get wrong.
+  EXPECT_GT(fused, 0u);
+  EXPECT_GT(partial, 0u);
 }
 
 TEST(TTestBridge, ForwardsToWelch) {
