@@ -43,6 +43,9 @@ int main(int argc, char** argv) {
       options.kernel_repeats = 80;
       options.model_threads_per_rank = 1;
       options.distribution = dist;
+      // Pooled: owner mode's loop 2 scans every contig on every rank, so
+      // only the paper's scheme distributes loop 2 by contig.
+      options.sharding = chrysalis::ShardingStrategy::kPooled;
       chrysalis::GffTiming timing;
       simpi::run(nranks, [&](simpi::Context& ctx) {
         const auto r = chrysalis::run_hybrid(ctx, w.contigs, w.counter, options);

@@ -10,13 +10,13 @@
 // imbalance at high rank counts; total time speeds up less than the loops
 // because the non-parallel regions grow in share (Figure 8).
 //
-// Each rank count is measured once per ShardingStrategy — pooled (blocking
-// weld Allgatherv), overlap (nonblocking, loop-2 extraction hidden behind
-// it), and owner (alltoallv weld routing + distributed union-find) — and
-// all modes must produce identical components (asserted; exit 1 on
-// mismatch). The JSON series carries every mode with the Allgatherv and
-// Alltoallv waits and the overlap counters, so both the overlap's wait
-// reduction and the owner mode's traffic reduction are directly diffable.
+// Each rank count is measured once per ShardingStrategy — pooled (the
+// paper's blocking weld Allgatherv) and owner (alltoallv weld routing with
+// loop-2 extraction hidden behind it, then a distributed union-find) — and
+// both modes must produce identical components (asserted; exit 1 on
+// mismatch). The JSON series carries both modes with the Allgatherv and
+// Alltoallv waits and the overlap counters, so the owner mode's traffic
+// reduction is directly diffable.
 
 #include <cstdint>
 #include <vector>
@@ -73,8 +73,7 @@ int main(int argc, char** argv) {
   for (const int nranks : {1, 2, 4, 8, 16, 24}) {
     std::vector<std::int32_t> reference_components;  // from the pooled run
     for (const auto sharding :
-         {chrysalis::ShardingStrategy::kPooled, chrysalis::ShardingStrategy::kPooledOverlap,
-          chrysalis::ShardingStrategy::kOwner}) {
+         {chrysalis::ShardingStrategy::kPooled, chrysalis::ShardingStrategy::kOwner}) {
       options.sharding = sharding;
       const char* mode = chrysalis::to_string(sharding);
       // Best of N trials: rank threads oversubscribe the 2-core host, and a
@@ -103,9 +102,9 @@ int main(int argc, char** argv) {
         }
         components = std::move(c);
       }
-      // Neither overlapping the weld pooling nor owner-sharding it may
-      // change the clustering: every mode is asserted bit-identical on the
-      // contig -> component table.
+      // Owner-sharding the weld exchange may not change the clustering:
+      // both modes are asserted bit-identical on the contig -> component
+      // table.
       if (sharding == chrysalis::ShardingStrategy::kPooled) {
         reference_components = components;
       } else if (components != reference_components) {
@@ -150,8 +149,7 @@ int main(int argc, char** argv) {
   }
   std::printf("\npaper: loops speed up ~8-12x over the node range; total GraphFromFasta\n"
               "4.5x@16 -> 20.7x@192 nodes vs the 1-node OpenMP baseline; load imbalance\n"
-              "(max vs min rank) grows with node count, worst in loop 2. sharding=overlap\n"
-              "hides loop-2 extraction behind the weld Allgatherv; sharding=owner routes\n"
-              "welds point-to-point instead of pooling (identical output either way).\n");
+              "(max vs min rank) grows with node count, worst in loop 2. sharding=owner\n"
+              "routes welds point-to-point instead of pooling (identical output).\n");
   return 0;
 }

@@ -33,6 +33,9 @@ int main(int argc, char** argv) {
   // loop-to-serial time ratio consistent (the serial regions are not
   // divided by a thread count either).
   options.model_threads_per_rank = 1;
+  // The paper's weld pooling (Section III.B), whose dedup and pairing are
+  // part of the non-parallel share plotted here.
+  options.sharding = chrysalis::ShardingStrategy::kPooled;
 
   bench::JsonSink json(cfg, "fig08_gff_breakdown");
   std::printf("%6s | %9s %9s %14s | %9s | %6s\n", "nodes", "loop1(%)", "loop2(%)",

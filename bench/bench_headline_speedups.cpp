@@ -33,6 +33,7 @@ int main(int argc, char** argv) {
   gff.k = bench::kK;
   gff.kernel_repeats = 200;
   gff.model_threads_per_rank = 1;
+  gff.sharding = chrysalis::ShardingStrategy::kPooled;  // the paper's scheme
   double gff_base = 0.0;
   double gff_par = 0.0;
   chrysalis::ComponentSet components;

@@ -9,7 +9,7 @@
 //   trinity_stages inchworm  <kmers.bin>             --out inchworm.fa [--k 25]
 //   trinity_stages chrysalis <inchworm.fa> <reads.fa> --out-dir DIR
 //                            [--nprocs N] [--k 25] [--sam bowtie.sam]
-//                            [--gff-sharding pooled|overlap|owner]
+//                            [--gff-sharding pooled|owner]
 //                            [--resume] [--fault-rank R [--fault-op OP
 //                            --fault-at N]] [--max-attempts M]
 //   trinity_stages butterfly <inchworm.fa> <DIR> <reads.fa> --out Trinity.fa
@@ -109,7 +109,7 @@ int stage_chrysalis(const Config& cfg, int k) {
   const std::string sharding = cfg.get_string("gff-sharding");
   if (!chrysalis::sharding_from_string(sharding, &gff.sharding)) {
     throw ConfigError("gff-sharding",
-                      "must be one of pooled, overlap, owner (got '" + sharding + "')");
+                      "must be one of pooled, owner (got '" + sharding + "')");
   }
   chrysalis::ReadsToTranscriptsOptions r2t;
   r2t.k = k;
@@ -273,11 +273,9 @@ int main(int argc, char** argv) {
       .flag_int("ranks", 1, "hybrid Chrysalis rank count (1 = shared-memory)")
       .flag_string("sam", "", "existing Bowtie SAM to consume instead of realigning")
       .flag_bool("resume", false, "skip chrysalis when its checkpoint validates")
-      .flag_string("gff-sharding", "overlap",
-                   "hybrid Chrysalis weld movement: pooled, overlap, or owner")
+      .flag_string("gff-sharding", "owner", "hybrid Chrysalis weld movement: pooled or owner")
       .with_fault_flags();
   cfg.alias("nprocs", "ranks");
-  cfg.alias("overlap-pooling", "gff-sharding");
   try {
     cfg.parse_cli(argc, argv);
   } catch (const ConfigError& e) {

@@ -7,7 +7,9 @@
 #      kReportSchemaVersion in src/pipeline/run_report.hpp (the emitted
 #      report's version is asserted against the same constant by
 #      run_report_test in step 2); likewise "Metrics schema version" must
-#      match kMetricsSchemaVersion in src/obs/exposition.hpp.
+#      match kMetricsSchemaVersion in src/obs/exposition.hpp. The gate
+#      also prints the src/ line count (*.cpp + *.hpp), the size
+#      bookkeeping ROADMAP item 4 asks every subtraction PR to report.
 #   2. Tier-1 verify (ROADMAP.md): full build + complete ctest suite.
 #   3. Fault-matrix gate (docs/ROBUSTNESS.md): the injected-storage-failure
 #      matrix — ENOSPC and a torn rename at the manifest commit recovering
@@ -146,6 +148,8 @@ done
 [ "$docs_failed" -eq 0 ] || exit 1
 echo "docs ok (schema version $header_version, metrics schema $metrics_header_version," \
      "index format version $index_header_version)"
+src_lines=$(find src \( -name '*.cpp' -o -name '*.hpp' \) -exec cat {} + | wc -l)
+echo "src/ size: $src_lines lines (*.cpp + *.hpp)"
 
 echo "== tier-1: build + full test suite =="
 cmake -B build -S . >/dev/null

@@ -34,18 +34,14 @@ double PerRankTimes::min() const {
 const char* to_string(ShardingStrategy strategy) {
   switch (strategy) {
     case ShardingStrategy::kPooled: return "pooled";
-    case ShardingStrategy::kPooledOverlap: return "overlap";
     case ShardingStrategy::kOwner: return "owner";
   }
   return "pooled";
 }
 
 bool sharding_from_string(const std::string& text, ShardingStrategy* out) {
-  if (text == "pooled" || text == "false" || text == "0" || text == "no" || text == "off") {
+  if (text == "pooled") {
     *out = ShardingStrategy::kPooled;
-  } else if (text == "overlap" || text == "true" || text == "1" || text == "yes" ||
-             text == "on") {
-    *out = ShardingStrategy::kPooledOverlap;
   } else if (text == "owner") {
     *out = ShardingStrategy::kOwner;
   } else {
@@ -331,14 +327,13 @@ struct ExchangeResult {
 /// The one data-movement step of the hybrid drivers, dispatched over the
 /// ShardingStrategy (both pooling call sites used to spell this idiom out
 /// by hand). `parts[d]` is the payload destined for rank d under kOwner;
-/// the pooled strategies replicate, so there `parts` is just an arbitrary
-/// partition of this rank's payload (flattened before pooling, every rank
-/// receives everything). `overlap_fn`, when given, is compute that is legal
-/// to run while the transfer is in flight; it returns its modeled seconds,
+/// kPooled replicates, so there `parts` is just an arbitrary partition of
+/// this rank's payload (flattened before pooling, every rank receives
+/// everything). `overlap_fn`, when given, is compute that is legal to run
+/// while the owner routing is in flight; it returns its modeled seconds,
 /// which are credited against the modeled collective cost. kPooled ignores
 /// it by contract (the blocking paper path) — callers run that work inside
-/// the consuming loop instead. Channels `channel` and `channel + 1` are
-/// used by the nonblocking variants.
+/// the consuming loop instead. `channel` names the IAlltoallv channel.
 template <typename T>
 ExchangeResult<T> exchange(simpi::Context& ctx, ShardingStrategy strategy,
                            std::vector<std::vector<T>> parts, int channel,
@@ -368,26 +363,13 @@ ExchangeResult<T> exchange(simpi::Context& ctx, ShardingStrategy strategy,
     mine.insert(mine.end(), std::make_move_iterator(part.begin()),
                 std::make_move_iterator(part.end()));
   }
-  if (strategy == ShardingStrategy::kPooledOverlap) {
-    simpi::IAllgatherv<T> pool(ctx, mine, channel);
-    simpi::IAllgatherv<std::uint64_t> sizes(ctx, {mine.size() * sizeof(T)}, channel + 1);
-    if (overlap_fn) out.overlap_compute = overlap_fn();
-    util::Timer wait_wall;
-    out.data = pool.wait(out.overlap_compute);
-    out.bytes_contributed = sizes.wait();
-    out.wait = wait_wall.seconds();
-  } else {
-    // Blocking path: record the same wall-blocked quantity the overlap path
-    // reports, so pool_wait compares the modes directly (the CommStats
-    // allgatherv row grows by exactly this delta).
-    const double wait_before =
-        ctx.comm_stats().of(simpi::CommOp::kAllgatherv).wait_seconds;
-    out.data = ctx.allgatherv(mine);
-    out.bytes_contributed =
-        ctx.allgatherv(std::vector<std::uint64_t>{mine.size() * sizeof(T)});
-    out.wait =
-        ctx.comm_stats().of(simpi::CommOp::kAllgatherv).wait_seconds - wait_before;
-  }
+  // Blocking pool: record the same wall-blocked quantity owner mode
+  // reports, so pool_wait compares the modes directly (the CommStats
+  // allgatherv row grows by exactly this delta).
+  const double wait_before = ctx.comm_stats().of(simpi::CommOp::kAllgatherv).wait_seconds;
+  out.data = ctx.allgatherv(mine);
+  out.bytes_contributed = ctx.allgatherv(std::vector<std::uint64_t>{mine.size() * sizeof(T)});
+  out.wait = ctx.comm_stats().of(simpi::CommOp::kAllgatherv).wait_seconds - wait_before;
   return out;
 }
 
@@ -505,16 +487,7 @@ GffResult run_hybrid(simpi::Context& ctx, const std::vector<seq::Sequence>& cont
           : timed_parallel_loop(my_ranges, threads, options.model_threads_per_rank,
                                 loop1_body, "gff.loop1");
 
-  // Effective strategy. Overlapped pooling needs each rank to know its
-  // loop-2 items before the collective starts (to pre-extract their codes),
-  // so Distribution::kDynamic degrades it to the blocking pool; so does a
-  // single-rank world, which has no transfer to hide compute behind. Owner
-  // mode has neither constraint — its loop 2 scans every contig.
-  ShardingStrategy sharding = options.sharding;
-  if (sharding == ShardingStrategy::kPooledOverlap &&
-      (options.distribution == Distribution::kDynamic || ctx.size() <= 1)) {
-    sharding = ShardingStrategy::kPooled;
-  }
+  const bool owner_mode = options.sharding == ShardingStrategy::kOwner;
 
   std::vector<std::string> my_welds;
   for (auto& part : weld_parts) {
@@ -522,25 +495,22 @@ GffResult run_hybrid(simpi::Context& ctx, const std::vector<seq::Sequence>& cont
                     std::make_move_iterator(part.end()));
   }
 
-  // The compute that may legally run while the weld exchange is in flight:
-  // extracting contigs' canonical (k-1)-mer codes, the part of loop 2's
-  // scan that reads only the contigs. Pooled-overlap covers this rank's own
-  // loop-2 items; owner mode covers every contig, because the owner scan
-  // visits them all. Returns modeled seconds for the overlap credit.
+  // The compute that may legally run while owner mode's weld routing is
+  // in flight: extracting every contig's canonical (k-1)-mer codes, the
+  // part of the owner loop-2 scan that reads only the contigs. Returns
+  // modeled seconds for the overlap credit.
   std::vector<std::vector<seq::KmerCode>> contig_codes;
   const std::vector<IndexRange> all_ranges{IndexRange{0, contigs.size()}};
-  const auto extract_codes = [&](const std::vector<IndexRange>& ranges) {
+  const auto extract_codes = [&] {
     trace::SpanScope span("gff.overlap_extract", trace::kCatLoop);
     util::ThreadCpuTimer cpu;
     const seq::KmerCodec codec(options.k - 1);
     contig_codes.resize(contigs.size());
-    for (const auto& range : ranges) {
-      for (std::size_t i = range.begin; i < range.end; ++i) {
-        const auto occurrences = codec.extract_canonical(contigs[i].bases);
-        auto& codes = contig_codes[i];
-        codes.reserve(occurrences.size());
-        for (const auto& occ : occurrences) codes.push_back(occ.code);
-      }
+    for (std::size_t i = 0; i < contigs.size(); ++i) {
+      const auto occurrences = codec.extract_canonical(contigs[i].bases);
+      auto& codes = contig_codes[i];
+      codes.reserve(occurrences.size());
+      for (const auto& occ : occurrences) codes.push_back(occ.code);
     }
     return cpu.seconds() /
            static_cast<double>(std::max(options.model_threads_per_rank, 1));
@@ -551,7 +521,7 @@ GffResult run_hybrid(simpi::Context& ctx, const std::vector<seq::Sequence>& cont
   // packed-strings wire format survives concatenation, so owner receipts —
   // one packed buffer per source rank — unpack with the same pool reader.
   std::vector<std::vector<std::byte>> dest_parts;
-  if (sharding == ShardingStrategy::kOwner) {
+  if (owner_mode) {
     std::vector<std::vector<std::string>> by_owner(static_cast<std::size_t>(ctx.size()));
     for (auto& weld : my_welds) {
       const int owner = detail::weld_owner(weld, options.k, ctx.size());
@@ -563,16 +533,12 @@ GffResult run_hybrid(simpi::Context& ctx, const std::vector<seq::Sequence>& cont
     dest_parts.push_back(simpi::pack_strings(my_welds));
   }
   std::function<double()> overlap_fn;
-  if (sharding == ShardingStrategy::kPooledOverlap) {
-    overlap_fn = [&] { return extract_codes(my_ranges); };
-  } else if (sharding == ShardingStrategy::kOwner) {
-    overlap_fn = [&] { return extract_codes(all_ranges); };
-  }
-  auto weld_moved = exchange(ctx, sharding, std::move(dest_parts), 0, overlap_fn);
+  if (owner_mode) overlap_fn = extract_codes;
+  auto weld_moved = exchange(ctx, options.sharding, std::move(dest_parts), 0, overlap_fn);
   const double my_overlap = weld_moved.overlap_compute;
   const double my_pool_wait = weld_moved.wait;
   timing.weld_bytes_contributed = std::move(weld_moved.bytes_contributed);
-  if (sharding == ShardingStrategy::kOwner) {
+  if (owner_mode) {
     for (const std::uint64_t b : timing.weld_bytes_contributed) {
       timing.weld_bytes_routed += b;
     }
@@ -580,25 +546,23 @@ GffResult run_hybrid(simpi::Context& ctx, const std::vector<seq::Sequence>& cont
     timing.weld_bytes_pooled = weld_moved.data.size();
   }
 
-  // Pooled modes: `welds` is the global deduplicated pool, identical on
+  // Pooled mode: `welds` is the global deduplicated pool, identical on
   // every rank. Owner mode: only this rank's owned shard — the dedup is
   // still global, because identical welds always land on the same owner.
   auto welds = detail::dedup_welds(simpi::unpack_string_pool(weld_moved.data));
   const auto weld_cores = detail::index_weld_cores(welds, options.k);
 
-  // Loop 2. Pooled strategies scan this rank's chunks against the full
-  // pool; owner mode scans EVERY contig against only the owned welds (the
+  // Loop 2. Pooled mode scans this rank's chunks against the full pool;
+  // owner mode scans EVERY contig against only the owned welds (the
   // partition is by weld, not by contig — per-rank work is the owned share
-  // of the match volume). The cached-codes kernel runs wherever the
-  // extraction already happened behind the exchange.
-  const bool cached = sharding != ShardingStrategy::kPooled;
+  // of the match volume), using the codes extracted behind the routing.
   std::vector<std::vector<std::pair<std::int32_t, std::int32_t>>> match_parts(
       static_cast<std::size_t>(std::max(threads, 1)));
   auto loop2_body = [&](std::size_t i) {
     auto& sink = match_parts[static_cast<std::size_t>(omp_get_thread_num())];
     run_calibrated(options.kernel_repeats, sink,
                    [&](std::vector<std::pair<std::int32_t, std::int32_t>>& out) {
-                     if (cached) {
+                     if (owner_mode) {
                        detail::find_weld_matches(contig_codes[i],
                                                  static_cast<std::int32_t>(i), weld_cores,
                                                  out);
@@ -609,7 +573,7 @@ GffResult run_hybrid(simpi::Context& ctx, const std::vector<seq::Sequence>& cont
                    });
   };
   double my_loop2 = 0.0;
-  if (sharding == ShardingStrategy::kOwner) {
+  if (owner_mode) {
     my_loop2 = timed_parallel_loop(all_ranges, threads, options.model_threads_per_rank,
                                    loop2_body, "gff.loop2");
   } else if (options.distribution == Distribution::kDynamic) {
@@ -637,7 +601,7 @@ GffResult run_hybrid(simpi::Context& ctx, const std::vector<seq::Sequence>& cont
     timing.comm_seconds = ctx.allreduce_max(ctx.comm_seconds() - comm_before);
   };
 
-  if (sharding == ShardingStrategy::kOwner) {
+  if (owner_mode) {
     // Matches are complete per owned weld (every contig was scanned here),
     // so pair derivation is purely local, and the pairs never leave their
     // owner: components are agreed through the distributed union-find.

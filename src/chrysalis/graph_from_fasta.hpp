@@ -56,32 +56,28 @@ enum class Distribution {
 
 /// How the hybrid driver moves weld data between ranks after loop 1.
 ///
-/// The pooled strategies are the paper's scheme: every rank's welds are
-/// replicated onto every rank with Allgatherv (O(total welds) received per
-/// rank), and loop 2's (weld, contig) matches are pooled the same way.
+/// kPooled is the paper's scheme: every rank's welds are replicated onto
+/// every rank with Allgatherv (O(total welds) received per rank), and loop
+/// 2's (weld, contig) matches are pooled the same way.
 /// kOwner is the owner-computes redesign: welds are hash-partitioned by
 /// their smallest canonical (k-1)-mer code (splitmix64(code) % nranks) and
 /// routed point-to-point to their owner with Context::alltoallv
 /// (O(total/nranks) per rank); each owner dedups its shard, matches ALL
 /// contigs against only its own welds, derives contig pairs locally, and
 /// the component labels are agreed through the distributed union-find in
-/// dsu.hpp — no pooled collective carries weld or match payloads.
-/// All three produce byte-identical components.
+/// dsu.hpp — no pooled collective carries weld or match payloads. The
+/// canonical-code extraction of every contig runs while the weld routing is
+/// in flight. Both produce byte-identical components.
 enum class ShardingStrategy {
-  kPooled,         ///< blocking Allgatherv replication (paper, Section III.B)
-  kPooledOverlap,  ///< same pool, nonblocking + loop-2 prefix overlapped.
-                   ///< Requires each rank to know its loop-2 items up front,
-                   ///< so Distribution::kDynamic degrades it to kPooled.
-  kOwner,          ///< owner-computes: alltoallv routing + distributed DSU
+  kPooled,  ///< blocking Allgatherv replication (paper, Section III.B)
+  kOwner,   ///< owner-computes: alltoallv routing + distributed DSU
 };
 
-/// "pooled", "overlap" or "owner" — the --gff-sharding spellings.
+/// "pooled" or "owner" — the --gff-sharding spellings.
 [[nodiscard]] const char* to_string(ShardingStrategy strategy);
 
-/// Parses a --gff-sharding spelling into *out. Accepts the canonical
-/// "pooled"/"overlap"/"owner" plus the boolean spellings the deprecated
-/// --overlap-pooling alias used (true/1/yes/on -> overlap,
-/// false/0/no/off -> pooled). Returns false on any other text.
+/// Parses a --gff-sharding spelling ("pooled" or "owner") into *out.
+/// Returns false on any other text.
 [[nodiscard]] bool sharding_from_string(const std::string& text, ShardingStrategy* out);
 
 /// GraphFromFasta parameters.
@@ -107,7 +103,7 @@ struct GraphFromFastaOptions {
   int kernel_repeats = 1;
   /// How loop-1 welds and loop-2 pairs move between ranks (hybrid runs
   /// only; run_shared ignores it). See ShardingStrategy.
-  ShardingStrategy sharding = ShardingStrategy::kPooledOverlap;
+  ShardingStrategy sharding = ShardingStrategy::kOwner;
 };
 
 /// Per-rank loop times (virtual seconds). Size 1 for shared-memory runs.
@@ -137,18 +133,18 @@ struct GffTiming {
   std::vector<std::uint64_t> match_bytes_contributed;  ///< per rank, loop 2
   std::uint64_t match_bytes_pooled = 0;                ///< pooled match-int array size
 
-  // Owner-computes accounting (ShardingStrategy::kOwner only; zero for the
-  // pooled strategies and shared-memory runs). docs/OBSERVABILITY.md
-  // "sharding counters" documents all three.
+  // Owner-computes accounting (ShardingStrategy::kOwner only; zero for
+  // kPooled and shared-memory runs). docs/OBSERVABILITY.md "sharding
+  // counters" documents all three.
   std::uint64_t weld_bytes_routed = 0;     ///< total alltoallv-routed weld bytes
   int dsu_rounds = 0;                      ///< max boundary-exchange rounds over ranks
   std::uint64_t dsu_edge_bytes_routed = 0; ///< total DSU boundary-edge bytes
 
   // Overlapped-exchange accounting (overlap_compute is zero under
-  // ShardingStrategy::kPooled; pool_wait is recorded for EVERY hybrid
-  // strategy so sharding modes compare the weld-exchange blocked wall
-  // directly; both zero for shared-memory runs). docs/OBSERVABILITY.md
-  // "overlap counters" documents both.
+  // ShardingStrategy::kPooled; pool_wait is recorded for both hybrid
+  // strategies so they compare the weld-exchange blocked wall directly;
+  // both zero for shared-memory runs). docs/OBSERVABILITY.md "overlap
+  // counters" documents both.
   double overlap_compute_seconds = 0.0;  ///< max modeled compute hidden behind the weld pool
   double pool_wait_seconds = 0.0;        ///< max wall time blocked in the weld-pool wait
   /// Total modeled time: serial parts + slowest rank per loop + comm.
@@ -163,8 +159,8 @@ struct GffTiming {
 ///
 /// Under ShardingStrategy::kOwner, `welds` and `pairs` are empty: the weld
 /// shards and their pairs live only on their owner ranks by design, and
-/// the pipeline consumes only `components` and `timing`. The pooled
-/// strategies (and run_shared) fill both.
+/// the pipeline consumes only `components` and `timing`. kPooled (and
+/// run_shared) fill both.
 struct GffResult {
   ComponentSet components;
   std::vector<std::string> welds;   ///< pooled, deduplicated weld sequences
@@ -220,10 +216,10 @@ void find_weld_matches(const seq::Sequence& contig, std::int32_t contig_id,
                        std::vector<std::pair<std::int32_t, std::int32_t>>& out);
 
 /// Same kernel over a precomputed list of the contig's canonical (k-1)-mer
-/// codes — the form the overlap-pooling path uses after caching extraction
-/// while the weld Allgatherv is in flight (extraction reads only the contig,
-/// never the pooled welds, so it is the legally overlappable prefix of the
-/// loop-2 scan).
+/// codes — the form owner mode uses after caching extraction while the weld
+/// alltoallv is in flight (extraction reads only the contig, never the
+/// routed welds, so it is the legally overlappable prefix of the loop-2
+/// scan).
 void find_weld_matches(const std::vector<seq::KmerCode>& contig_codes, std::int32_t contig_id,
                        const WeldCoreIndex& weld_cores,
                        std::vector<std::pair<std::int32_t, std::int32_t>>& out);

@@ -147,11 +147,8 @@ Config& Config::with_pipeline(const pipeline::PipelineOptions& defaults) {
                                                                                : "crr",
               "GraphFromFasta contig distribution (crr, block, dynamic)");
   flag_string("gff-sharding", chrysalis::to_string(defaults.gff_sharding),
-              "GraphFromFasta weld movement (pooled, overlap, owner); components "
-              "are identical across all three");
-  // The pre-ShardingStrategy boolean spelling; its true/false values map to
-  // overlap/pooled in pipeline_options().
-  alias("overlap-pooling", "gff-sharding");
+              "GraphFromFasta weld movement (pooled, owner); components are "
+              "identical across both");
   flag_bool("gff-hybrid-setup", defaults.gff_hybrid_setup,
             "cooperative GraphFromFasta setup (the paper's future work)");
   flag_string("r2t-strategy",
@@ -177,9 +174,6 @@ Config& Config::with_pipeline(const pipeline::PipelineOptions& defaults) {
            "Butterfly read-reconciliation threshold");
   flag_bool("require-paired-support", defaults.butterfly_require_paired_support,
             "Butterfly paired-end reconciliation");
-  flag_bool("overlap", defaults.overlap,
-            "overlap Chrysalis communication with compute (--no-overlap for fully "
-            "blocking collectives; outputs are identical either way)");
   flag_int("bowtie-repeats", defaults.bowtie_kernel_repeats,
            "Bowtie kernel repeats (cost-model calibration)");
   flag_int("gff-repeats", defaults.gff_kernel_repeats,
@@ -527,12 +521,10 @@ pipeline::PipelineOptions Config::pipeline_options() const {
   }
   options.gff_hybrid_setup = get_bool("gff-hybrid-setup");
 
-  // Boolean spellings are accepted for the deprecated --overlap-pooling
-  // alias: its old true/false values mean overlap/pooled.
   const std::string sharding = get_string("gff-sharding");
   if (!chrysalis::sharding_from_string(sharding, &options.gff_sharding)) {
     throw ConfigError("gff-sharding",
-                      "must be one of pooled, overlap, owner (got '" + sharding + "')");
+                      "must be one of pooled, owner (got '" + sharding + "')");
   }
 
   const std::string strategy = get_string("r2t-strategy");
@@ -584,7 +576,6 @@ pipeline::PipelineOptions Config::pipeline_options() const {
   options.butterfly_min_node_support =
       static_cast<std::uint32_t>(int_at_least("min-node-support", 0));
   options.butterfly_require_paired_support = get_bool("require-paired-support");
-  options.overlap = get_bool("overlap");
   options.bowtie_kernel_repeats = static_cast<int>(int_at_least("bowtie-repeats", 1));
   options.gff_kernel_repeats = static_cast<int>(int_at_least("gff-repeats", 1));
   options.r2t_kernel_repeats = static_cast<int>(int_at_least("r2t-repeats", 1));

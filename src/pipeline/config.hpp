@@ -1,7 +1,7 @@
 #pragma once
 // trinity::Config — the one flag/JSON parsing path for every binary.
 //
-// Before this existed each example and bench hand-rolled a util::CliArgs
+// Before this existed each example and bench hand-rolled its own argv
 // loop, so flag spellings drifted (--nprocs vs --ranks, --trace vs
 // trace_path) and a typo silently fell through to a default. Config closes
 // both holes: a binary *declares* its flags (name, type, default, help),

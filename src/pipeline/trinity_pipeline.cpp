@@ -599,13 +599,6 @@ PipelineResult run_pipeline_impl(const std::vector<seq::Sequence>& reads,
   gff.distribution = options.gff_distribution;
   gff.hybrid_setup = options.gff_hybrid_setup;
   gff.sharding = options.gff_sharding;
-  // Legacy knob: --no-overlap blocks the Chrysalis overlap paths, which for
-  // GFF means degrading the default overlapped pool to the blocking one.
-  // Explicit pooled/owner selections are already non-overlapped or manage
-  // their own overlap, so they pass through.
-  if (gff.sharding == chrysalis::ShardingStrategy::kPooledOverlap && !options.overlap) {
-    gff.sharding = chrysalis::ShardingStrategy::kPooled;
-  }
 
   driver.stage(
       "chrysalis.graph_from_fasta", {kContigsFile, kKmersFile, kSamFile}, {kComponentsFile},
@@ -643,7 +636,6 @@ PipelineResult run_pipeline_impl(const std::vector<seq::Sequence>& reads,
   r2t.strategy = options.r2t_strategy;
   r2t.output_mode = options.r2t_output_mode;
   r2t.parse_policy = options.parse_policy;
-  r2t.overlap_io = options.overlap;
   r2t.mode = options.r2t_mode;
   r2t.index_lifecycle = options.r2t_index;
   if (options.r2t_mode == chrysalis::R2TMode::kIndex) {

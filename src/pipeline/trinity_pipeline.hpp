@@ -108,12 +108,12 @@ struct PipelineOptions {
   // all implemented — see DESIGN.md).
   chrysalis::Distribution gff_distribution = chrysalis::Distribution::kChunkedRoundRobin;
   /// How GraphFromFasta moves weld data between ranks (--gff-sharding).
-  /// Scheduling-only — all strategies produce byte-identical components
-  /// (the pipeline tests and bench_gff_shard assert it), so it is excluded
-  /// from the options fingerprint like the other strategy selections.
-  /// `overlap = false` degrades kPooledOverlap to kPooled (the legacy
-  /// --no-overlap behavior) but leaves kOwner and explicit kPooled alone.
-  chrysalis::ShardingStrategy gff_sharding = chrysalis::ShardingStrategy::kPooledOverlap;
+  /// Owner-computes by default: it moves fewer bytes and holds less per
+  /// rank than the paper's pooled scheme. Scheduling-only — both strategies
+  /// produce byte-identical components (the pipeline tests and
+  /// bench_gff_shard assert it), so it is excluded from the options
+  /// fingerprint like the other strategy selections.
+  chrysalis::ShardingStrategy gff_sharding = chrysalis::ShardingStrategy::kOwner;
   bool gff_hybrid_setup = false;  ///< cooperative setup (future work)
   chrysalis::R2TStrategy r2t_strategy = chrysalis::R2TStrategy::kRedundantStreaming;
   chrysalis::R2TOutputMode r2t_output_mode = chrysalis::R2TOutputMode::kPerRankConcat;
@@ -134,14 +134,6 @@ struct PipelineOptions {
   align::BowtieSplit bowtie_split = align::BowtieSplit::kTargets;
   std::uint32_t butterfly_min_node_support = 0;  ///< read reconciliation
   bool butterfly_require_paired_support = false; ///< paired reconciliation
-  /// Communication/computation overlap in the Chrysalis hot paths: the
-  /// GraphFromFasta weld pooling runs as a nonblocking Allgatherv hidden
-  /// behind loop 2's extraction prefix, and ReadsToTranscripts
-  /// double-buffers chunk parsing against classification. Scheduling-only:
-  /// outputs are bit-identical with it on or off (the fig07/fig09 benches
-  /// assert this), so it is excluded from the options fingerprint.
-  bool overlap = true;
-
   /// Cost-model calibration for the trace benches (Figures 2 and 11):
   /// per-item kernel repeats for the three Chrysalis sub-steps, restoring
   /// the production tools' much heavier per-item costs so the stage *shape*

@@ -186,7 +186,7 @@ class Context {
   [[nodiscard]] bool has_message(int source, int tag);
 
   /// Library-extension transfers (simpi/nonblocking.hpp collectives,
-  /// SubComm, collective file output): uncosted raw send/recv that may use
+  /// collective file output): uncosted raw send/recv that may use
   /// reserved negative tags. The extension charges its own modeled
   /// collective cost; the transfers are counted under CommOp::kExtension.
   /// Not for application code.
@@ -202,7 +202,7 @@ class Context {
   }
 
   /// internal_recv variant for extension collectives that *implement* a
-  /// built-in op (e.g. nonblocking allgatherv): the transfer still counts
+  /// built-in op (e.g. nonblocking alltoallv): the transfer still counts
   /// as an extension call, but the blocked wait, received bytes and
   /// "<op>.wait" trace span are attributed to `op`'s row, so an overlapped
   /// collective reports its residual wait exactly where the blocking one
@@ -235,9 +235,8 @@ class Context {
   /// Scoped wait re-attribution for layered collectives: the blocking
   /// allgatherv runs on gatherv + bcast, whose transport rows must keep
   /// their calls/bytes (comm_stats.hpp documents the layering), but the
-  /// blocked wall belongs to the collective the caller issued — the same
-  /// row the nonblocking IAllgatherv charges its residual wait to, so the
-  /// two paths' "<op>.wait" numbers compare directly.
+  /// blocked wall belongs to the collective the caller issued, where
+  /// GraphFromFasta's pool_wait accounting reads it.
   class WaitAttribution {
    public:
     WaitAttribution(Context& ctx, CommOp op) : ctx_(ctx), saved_(ctx.wait_override_) {
@@ -337,10 +336,10 @@ namespace detail {
 inline constexpr int kTagBcast = -2;
 inline constexpr int kTagGather = -3;
 inline constexpr int kTagReduce = -4;
-/// -5/-6 belong to the scatterv/alltoallv extensions and -7-and-down to the
-/// IAllgatherv channels (simpi/nonblocking.hpp). The first-class alltoallv
-/// collective lives far below that range, with the nonblocking IAlltoallv
-/// channels extending downward from kTagIalltoallv.
+/// -5/-6 belong to the scatterv/alltoallv extensions (simpi/nonblocking.hpp).
+/// The first-class alltoallv collective lives far below that range, with
+/// the nonblocking IAlltoallv channels extending downward from
+/// kTagIalltoallv.
 inline constexpr int kTagAlltoallv = -40;
 inline constexpr int kTagIalltoallv = -41;
 }  // namespace detail
@@ -412,8 +411,8 @@ std::vector<T> Context::allgatherv(const std::vector<T>& local,
   // The modeled cost is charged inside gatherv/bcast; the kAllgatherv row
   // records the LOGICAL payload (contribution sent, pooled result
   // received), with transport counted by the inner ops. Blocked wall is
-  // re-attributed to the allgatherv row (WaitAttribution) so it compares
-  // one-to-one with the nonblocking IAllgatherv's residual wait.
+  // re-attributed to the allgatherv row (WaitAttribution), where
+  // GraphFromFasta's pool_wait accounting reads it.
   trace::SpanScope span("allgatherv", trace::kCatSimpi);
   if (span) span.arg("bytes", static_cast<double>(local.size() * sizeof(T)));
   fault_point(FaultOp::kAllgatherv);

@@ -25,7 +25,8 @@ void unpack_frame(const std::vector<std::byte>& buf, std::size_t& pos,
   const std::uint64_t count = read_u64(buf, pos);
   for (std::uint64_t i = 0; i < count; ++i) {
     const std::uint64_t len = read_u64(buf, pos);
-    if (pos + len > buf.size()) throw std::runtime_error("pack: truncated string payload");
+    // pos <= buf.size() after read_u64, so the subtraction cannot wrap.
+    if (len > buf.size() - pos) throw std::runtime_error("pack: truncated string payload");
     out.emplace_back(reinterpret_cast<const char*>(buf.data() + pos),
                      static_cast<std::size_t>(len));
     pos += len;

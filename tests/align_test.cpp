@@ -1,6 +1,6 @@
 // Tests for the Bowtie substitute: placement correctness, mismatch budget,
-// strand handling, SAM output, and the distributed split-targets driver
-// against the serial oracle.
+// strand handling, SAM output and parsing, and the distributed
+// split-targets driver against the serial oracle.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +8,7 @@
 
 #include "align/aligner.hpp"
 #include "align/mpi_bowtie.hpp"
+#include "align/sam_io.hpp"
 #include "seq/dna.hpp"
 #include "seq/fasta.hpp"
 #include "simpi/context.hpp"
@@ -180,6 +181,59 @@ TEST(SamTest, MergeDropsPartHeaders) {
   }
   EXPECT_EQ(headers, 2);  // @HD + one @SQ, once
   EXPECT_EQ(records, 2);
+}
+
+TEST(SamIoTest, RoundTripsThroughWriteSam) {
+  const TempDir dir("samio");
+  const auto contigs = make_contigs(3, 400, 50);
+  const ContigIndex index(contigs, AlignerOptions{});
+  const SeedExtendAligner aligner(index);
+
+  std::vector<seq::Sequence> reads{
+      {"hit1", contigs[0].bases.substr(10, 70)},
+      {"hit2", seq::reverse_complement(contigs[2].bases.substr(100, 70))},
+      {"miss", random_dna(70, 777)}};
+  const auto records = aligner.align_all(reads);
+  write_sam(dir.file("x.sam"), records, contigs);
+
+  const auto parsed = read_sam(dir.file("x.sam"));
+  ASSERT_EQ(parsed.references.size(), 3u);
+  EXPECT_EQ(parsed.references[1].name, "contig1");
+  ASSERT_EQ(parsed.records.size(), records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(parsed.records[i].read_name, records[i].read_name);
+    EXPECT_EQ(parsed.records[i].aligned(), records[i].aligned());
+    if (!records[i].aligned()) continue;
+    EXPECT_EQ(parsed.records[i].target_name, records[i].target_name);
+    EXPECT_EQ(parsed.records[i].pos, records[i].pos);
+    EXPECT_EQ(parsed.records[i].reverse_strand, records[i].reverse_strand);
+    EXPECT_EQ(parsed.records[i].mismatches, records[i].mismatches);
+    EXPECT_EQ(parsed.records[i].read_length, records[i].read_length);
+  }
+}
+
+TEST(SamIoTest, UnknownReferenceThrows) {
+  const TempDir dir("sambad");
+  std::ofstream(dir.file("bad.sam"))
+      << "@HD\tVN:1.6\n@SQ\tSN:known\tLN:100\nr1\t0\tmystery\t1\t255\t50M\t*\t0\t0\t*\t*\n";
+  EXPECT_THROW(read_sam(dir.file("bad.sam")), std::runtime_error);
+}
+
+TEST(SamIoTest, AlignmentBeyondReferenceEndThrows) {
+  const TempDir dir("samlong");
+  std::ofstream(dir.file("bad.sam"))
+      << "@SQ\tSN:c\tLN:60\nr1\t0\tc\t40\t255\t50M\t*\t0\t0\t*\t*\n";
+  EXPECT_THROW(read_sam(dir.file("bad.sam")), std::runtime_error);
+}
+
+TEST(SamIoTest, MalformedRowThrows) {
+  const TempDir dir("samrow");
+  std::ofstream(dir.file("bad.sam")) << "@SQ\tSN:c\tLN:60\nr1\tnot_a_flag\n";
+  EXPECT_THROW(read_sam(dir.file("bad.sam")), std::runtime_error);
+}
+
+TEST(SamIoTest, MissingFileThrows) {
+  EXPECT_THROW(read_sam("/no/such/file.sam"), std::runtime_error);
 }
 
 // --- distributed driver ------------------------------------------------------------

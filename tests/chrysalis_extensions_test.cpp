@@ -62,10 +62,13 @@ kmer::KmerCounter make_counter(const std::vector<seq::Sequence>& reads) {
   return counter;
 }
 
+/// Pooled sharding: the paper's scheme fills GffResult::welds and pairs,
+/// which these tests compare against the shared-memory run.
 GraphFromFastaOptions gff_options() {
   GraphFromFastaOptions o;
   o.k = kTestK;
   o.model_threads_per_rank = 4;
+  o.sharding = ShardingStrategy::kPooled;
   return o;
 }
 

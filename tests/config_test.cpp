@@ -77,15 +77,17 @@ TEST(ConfigCli, UnderscoreSpellingIsTheDashFlag) {
 }
 
 TEST(ConfigCli, NoPrefixClearsBooleans) {
-  auto cfg = parse(pipeline_cfg(), {"--no-checkpoint", "--no-overlap"});
+  auto cfg = parse(pipeline_cfg(), {"--no-checkpoint", "--no-bowtie-scaffolding"});
   EXPECT_FALSE(cfg.get_bool("checkpoint"));
-  EXPECT_FALSE(cfg.get_bool("overlap"));
+  EXPECT_FALSE(cfg.get_bool("bowtie-scaffolding"));
   // --no-X on a non-bool is unknown, not a negation.
   EXPECT_CONFIG_ERROR(parse(pipeline_cfg(), {"--no-work-dir", "x"}), "no-work-dir");
 }
 
 TEST(ConfigCli, UnknownFlagIsATypedError) {
   EXPECT_CONFIG_ERROR(parse(pipeline_cfg(), {"--bogus-flag", "1"}), "bogus-flag");
+  // A removed boolean is an unknown flag, not a negation.
+  EXPECT_CONFIG_ERROR(parse(pipeline_cfg(), {"--no-overlap"}), "no-overlap");
 }
 
 TEST(ConfigCli, MissingAndMalformedValues) {
@@ -127,15 +129,6 @@ TEST(ConfigSharding, EverySpellingParsesToItsStrategy) {
   using chrysalis::ShardingStrategy;
   const std::vector<std::pair<std::string, ShardingStrategy>> cases = {
       {"pooled", ShardingStrategy::kPooled},
-      {"false", ShardingStrategy::kPooled},
-      {"0", ShardingStrategy::kPooled},
-      {"no", ShardingStrategy::kPooled},
-      {"off", ShardingStrategy::kPooled},
-      {"overlap", ShardingStrategy::kPooledOverlap},
-      {"true", ShardingStrategy::kPooledOverlap},
-      {"1", ShardingStrategy::kPooledOverlap},
-      {"yes", ShardingStrategy::kPooledOverlap},
-      {"on", ShardingStrategy::kPooledOverlap},
       {"owner", ShardingStrategy::kOwner},
   };
   for (const auto& [spelling, want] : cases) {
@@ -143,26 +136,18 @@ TEST(ConfigSharding, EverySpellingParsesToItsStrategy) {
         parse(pipeline_cfg(), {"--gff-sharding", spelling}).pipeline_options();
     EXPECT_EQ(options.gff_sharding, want) << "--gff-sharding " << spelling;
   }
-  // Default: the overlapped pooled path, as before the flag existed.
+  // Default: owner-computes.
   EXPECT_EQ(parse(pipeline_cfg(), {}).pipeline_options().gff_sharding,
-            ShardingStrategy::kPooledOverlap);
+            ShardingStrategy::kOwner);
 }
 
 TEST(ConfigSharding, BadValueIsATypedError) {
-  EXPECT_CONFIG_ERROR(
-      parse(pipeline_cfg(), {"--gff-sharding", "banana"}).pipeline_options(),
-      "gff-sharding");
-}
-
-TEST(ConfigSharding, DeprecatedOverlapPoolingAliasParsesAndAnnounces) {
-  auto cfg = parse(pipeline_cfg(), {"--overlap-pooling", "false"});
-  EXPECT_EQ(cfg.get_string("gff-sharding"), "false");
-  EXPECT_EQ(cfg.pipeline_options().gff_sharding, chrysalis::ShardingStrategy::kPooled);
-  ASSERT_EQ(cfg.deprecation_notes().size(), 1u);
-  EXPECT_EQ(cfg.deprecation_notes()[0],
-            "--overlap-pooling is deprecated; use --gff-sharding");
-  EXPECT_NE(pipeline_cfg().help_text().find("--overlap-pooling -> use --gff-sharding"),
-            std::string::npos);
+  // "overlap" and the boolean spellings named a removed strategy.
+  for (const char* spelling : {"banana", "overlap", "true"}) {
+    EXPECT_CONFIG_ERROR(
+        parse(pipeline_cfg(), {"--gff-sharding", spelling}).pipeline_options(),
+        "gff-sharding");
+  }
 }
 
 TEST(ConfigSharding, RoundTripsThroughToJson) {
@@ -189,15 +174,15 @@ TEST(ConfigJson, RoundTripsThroughToJson) {
   EXPECT_EQ(a.trace_path, b.trace_path);
   EXPECT_EQ(a.work_dir, b.work_dir);
   EXPECT_EQ(a.max_mem_reads, b.max_mem_reads);
-  EXPECT_EQ(a.overlap, b.overlap);
 }
 
 TEST(ConfigJson, AcceptsUnderscoreKeysAndScalarTypes) {
   Config cfg = pipeline_cfg();
-  cfg.parse_json_text(R"({"work_dir": "/tmp/j", "ranks": 3, "overlap": false})", "<test>");
+  cfg.parse_json_text(R"({"work_dir": "/tmp/j", "ranks": 3, "checkpoint": false})",
+                      "<test>");
   EXPECT_EQ(cfg.get_string("work-dir"), "/tmp/j");
   EXPECT_EQ(cfg.get_int("ranks"), 3);
-  EXPECT_FALSE(cfg.get_bool("overlap"));
+  EXPECT_FALSE(cfg.get_bool("checkpoint"));
 }
 
 TEST(ConfigJson, RejectsUnknownKeysNonScalarsAndMalformedText) {

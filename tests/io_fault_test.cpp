@@ -1,8 +1,8 @@
 // Unit tests for the fault-injecting I/O layer: the typed error taxonomy,
 // glob/plan matching and parsing, the IoFile fault semantics (ENOSPC, EIO,
 // short write, torn rename), atomic-commit behavior under injected
-// failures, manifest truncation tolerance, DiskCounter spill retries, and
-// rank attribution in the collective file writer.
+// failures, manifest truncation tolerance, and rank attribution in the
+// collective file writer.
 
 #include <gtest/gtest.h>
 
@@ -11,13 +11,11 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "checkpoint/manifest.hpp"
 #include "io/error.hpp"
 #include "io/fault_plan.hpp"
 #include "io/io_file.hpp"
-#include "kmer/disk_counter.hpp"
 #include "simpi/context.hpp"
 #include "simpi/file_io.hpp"
 #include "test_helpers.hpp"
@@ -286,43 +284,6 @@ TEST(ManifestFaults, TruncationCorpusNeverCrashesTheLoader) {
     }
   }
   EXPECT_EQ(line_boundaries, 3u);
-}
-
-TEST(DiskCounterFaults, EioMidSpillIsTransientAndARetrySucceeds) {
-  const TempDir dir("spill_eio");
-  std::vector<seq::Sequence> reads;
-  for (int i = 0; i < 50; ++i) {
-    seq::Sequence r;
-    r.name = "r" + std::to_string(i);
-    r.bases = trinity::testing::random_dna(60, static_cast<std::uint64_t>(i) + 1);
-    reads.push_back(std::move(r));
-  }
-  kmer::DiskCounterOptions options;
-  options.k = 15;
-  options.tmp_dir = dir.file("spill");
-  options.num_partitions = 4;
-
-  const auto expected = kmer::disk_count_reads(reads, options);
-
-  ScopedFaultInjection fault(IoFaultPlan::parse("write:*kmer_part_*.bin:1:eio"));
-  std::vector<kmer::KmerCount> counts;
-  int attempts = 0;
-  for (;;) {
-    ++attempts;
-    try {
-      counts = kmer::disk_count_reads(reads, options);
-      break;
-    } catch (const IoError& e) {
-      ASSERT_TRUE(e.transient()) << e.what();
-      ASSERT_LT(attempts, 3);
-    }
-  }
-  EXPECT_EQ(attempts, 2);  // one injected failure, one clean retry
-  ASSERT_EQ(counts.size(), expected.size());
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    EXPECT_EQ(counts[i].code, expected[i].code);
-    EXPECT_EQ(counts[i].count, expected[i].count);
-  }
 }
 
 TEST(CollectiveWriteFaults, FailureNamesTheRankAndSlice) {

@@ -346,15 +346,11 @@ TEST(PipelineSharding, EveryStrategyProducesIdenticalTranscripts) {
   run_pipeline(data.reads.reads, pooled_options);
   const std::string want = slurp(pooled_dir.file("Trinity.fa"));
 
-  for (const auto sharding : {chrysalis::ShardingStrategy::kPooledOverlap,
-                              chrysalis::ShardingStrategy::kOwner}) {
-    const TempDir dir(std::string("shard_") + chrysalis::to_string(sharding));
-    auto options = small_options(dir.str(), /*nranks=*/3);
-    options.gff_sharding = sharding;
-    run_pipeline(data.reads.reads, options);
-    EXPECT_EQ(slurp(dir.file("Trinity.fa")), want)
-        << "sharding=" << chrysalis::to_string(sharding);
-  }
+  const TempDir owner_dir("shard_owner");
+  auto owner_options = small_options(owner_dir.str(), /*nranks=*/3);
+  owner_options.gff_sharding = chrysalis::ShardingStrategy::kOwner;
+  run_pipeline(data.reads.reads, owner_options);
+  EXPECT_EQ(slurp(owner_dir.file("Trinity.fa")), want);
 }
 
 TEST(PipelineSharding, ShardingIsSchedulingOnlyForCheckpoints) {

@@ -42,14 +42,17 @@ sim::Dataset tiny_dataset() {
 }
 
 /// One hybrid run shared by the assertions below (the pipeline dominates
-/// this binary's runtime, so run it once).
+/// this binary's runtime, so run it once). It pools welds the paper's way,
+/// so the Allgatherv byte counts have a pool to agree with; owner mode is
+/// covered by RunReportStandalone2.
 class RunReportTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     dir_ = new TempDir("run_report");
     const auto data = tiny_dataset();
-    result_ = new PipelineResult(
-        run_pipeline(data.reads.reads, small_options(dir_->str(), kRanks)));
+    auto options = small_options(dir_->str(), kRanks);
+    options.gff_sharding = chrysalis::ShardingStrategy::kPooled;
+    result_ = new PipelineResult(run_pipeline(data.reads.reads, options));
     report_ = new util::Json(load_run_report(result_->report_path));
   }
   static void TearDownTestSuite() {
@@ -162,9 +165,9 @@ TEST_F(RunReportTest, AllgathervBytesMatchChrysalisPooling) {
 }
 
 TEST_F(RunReportTest, GffShardingIsRecordedAdditively) {
-  // Default run: the overlap strategy, no owner-mode counters.
+  // Pooled run: the strategy is named, but no owner-mode counters.
   const auto& gff = report_->at("chrysalis").at("graph_from_fasta");
-  EXPECT_EQ(gff.at("gff_sharding").as_string(), "overlap");
+  EXPECT_EQ(gff.at("gff_sharding").as_string(), "pooled");
   EXPECT_EQ(gff.find("weld_bytes_routed"), nullptr);
   EXPECT_EQ(gff.find("dsu_rounds"), nullptr);
 }

@@ -13,6 +13,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "io/error.hpp"
@@ -555,26 +556,37 @@ TEST(ServeRecovery, CrashLoopingJobIsQuarantinedAtRecovery) {
 }
 
 TEST(ServeRecovery, UnreplayableSpecRegistersAsFailedNotSilentlyNew) {
-  const TempDir root("serve_rec_bad_spec");
-  {
-    JobJournal journal(root.str() + "/journal.jsonl");
-    JournalEvent submit = event("submit", "drifted", "t", 1);
-    submit.spec = util::Json::object();
-    submit.spec.set("no-such-key", true);  // schema drift: rejected by parse
-    journal.append(submit);
+  // Schema drift, both ways: a key no parser ever knew, and a full spec
+  // journaled before the --overlap knob and the "overlap" sharding were
+  // removed.
+  util::Json unknown_key = util::Json::object();
+  unknown_key.set("no-such-key", true);
+  util::Json removed_knobs = job_spec_to_json(make_spec("t", "removed"));
+  removed_knobs.set("overlap", true);
+  removed_knobs.set("gff-sharding", "overlap");
+  const std::vector<std::pair<std::string, util::Json>> cases = {
+      {"drifted", unknown_key}, {"removed", removed_knobs}};
+  for (const auto& [job_id, spec] : cases) {
+    const TempDir root("serve_rec_bad_spec_" + job_id);
+    {
+      JobJournal journal(root.str() + "/journal.jsonl");
+      JournalEvent submit = event("submit", job_id, "t", 1);
+      submit.spec = spec;
+      journal.append(submit);
+    }
+    ServerOptions options;
+    options.total_ranks = 4;
+    options.root_dir = root.str();
+    JobServer server(options);
+    server.drain();
+
+    const JobStatus status = status_of(server, job_id);
+    EXPECT_EQ(status.state, JobState::kFailed) << job_id;
+    EXPECT_NE(status.error.find("unreplayable journal spec"), std::string::npos) << job_id;
+
+    // The id stays taken: resubmitting cannot silently reuse the dirty dir.
+    EXPECT_EQ(server.submit(make_spec("t", job_id)).code, AdmitCode::kInvalidSpec) << job_id;
   }
-  ServerOptions options;
-  options.total_ranks = 4;
-  options.root_dir = root.str();
-  JobServer server(options);
-  server.drain();
-
-  const JobStatus status = status_of(server, "drifted");
-  EXPECT_EQ(status.state, JobState::kFailed);
-  EXPECT_NE(status.error.find("unreplayable journal spec"), std::string::npos);
-
-  // The id stays taken: resubmitting cannot silently reuse the dirty dir.
-  EXPECT_EQ(server.submit(make_spec("t", "drifted")).code, AdmitCode::kInvalidSpec);
 }
 
 TEST(ServeRecovery, PermanentJournalFaultDegradesButServesOn) {

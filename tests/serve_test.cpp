@@ -85,7 +85,7 @@ JobStatus status_of(const JobServer& server, const std::string& job_id) {
 TEST(JobSpec, ParsesFullSpec) {
   const JobSpec spec = parse_job_spec_text(
       R"({"tenant": "alice", "job-id": "j1", "priority": 7, "reads": "/data/reads.fa",
-          "rss-estimate-mb": 128, "ranks": 4, "k": 21, "overlap": false})",
+          "rss-estimate-mb": 128, "ranks": 4, "k": 21})",
       "<test>");
   EXPECT_EQ(spec.tenant, "alice");
   EXPECT_EQ(spec.job_id, "j1");
@@ -94,7 +94,6 @@ TEST(JobSpec, ParsesFullSpec) {
   EXPECT_EQ(spec.rss_estimate_bytes, 128u * 1024 * 1024);
   EXPECT_EQ(spec.options.nranks, 4);
   EXPECT_EQ(spec.options.k, 21);
-  EXPECT_FALSE(spec.options.overlap);
 }
 
 TEST(JobSpec, UnderscoreSpellingsWork) {

@@ -12,7 +12,6 @@
 #include "simpi/file_io.hpp"
 #include "simpi/nonblocking.hpp"
 #include "simpi/rma.hpp"
-#include "simpi/subcomm.hpp"
 #include "test_helpers.hpp"
 
 namespace trinity::simpi {
@@ -427,82 +426,6 @@ TEST(IAlltoallvTest, WrongPartCountThrows) {
   run(2, [](Context& ctx) {
     EXPECT_THROW(IAlltoallv<int>(ctx, std::vector<std::vector<int>>(3)),
                  std::invalid_argument);
-  });
-}
-
-// --- SubComm (MPI_Comm_split) -------------------------------------------------------
-
-class SubCommWorlds : public ::testing::TestWithParam<int> {};
-
-TEST_P(SubCommWorlds, SplitByParityPartitionsTheWorld) {
-  const int nranks = GetParam();
-  run(nranks, [&](Context& ctx) {
-    const auto sub = SubComm::split(ctx, ctx.rank() % 2);
-    const int expected_size = nranks / 2 + (ctx.rank() % 2 == 0 ? nranks % 2 : 0);
-    EXPECT_EQ(sub.size(), expected_size);
-    EXPECT_EQ(sub.color(), ctx.rank() % 2);
-    // Group order by world rank: this rank's position among same-parity ranks.
-    EXPECT_EQ(sub.world_rank_of(sub.rank()), ctx.rank());
-    EXPECT_EQ(sub.rank(), ctx.rank() / 2);
-  });
-}
-
-TEST_P(SubCommWorlds, GroupAllgathervStaysWithinTheGroup) {
-  const int nranks = GetParam();
-  run(nranks, [&](Context& ctx) {
-    auto sub = SubComm::split(ctx, ctx.rank() % 2);
-    const auto all = sub.allgatherv(std::vector<int>{ctx.rank()});
-    ASSERT_EQ(all.size(), static_cast<std::size_t>(sub.size()));
-    for (const int r : all) {
-      EXPECT_EQ(r % 2, ctx.rank() % 2) << "value leaked across groups";
-    }
-    // Values appear in group order.
-    for (std::size_t i = 1; i < all.size(); ++i) EXPECT_LT(all[i - 1], all[i]);
-  });
-}
-
-TEST_P(SubCommWorlds, GroupBcastReachesAllMembers) {
-  const int nranks = GetParam();
-  run(nranks, [&](Context& ctx) {
-    auto sub = SubComm::split(ctx, ctx.rank() % 2);
-    std::vector<int> data;
-    if (sub.rank() == 0) data = {sub.color() * 100};
-    sub.bcast(data, 0);
-    ASSERT_EQ(data.size(), 1u);
-    EXPECT_EQ(data[0], (ctx.rank() % 2) * 100);
-  });
-}
-
-INSTANTIATE_TEST_SUITE_P(WorldSizes, SubCommWorlds, ::testing::Values(1, 2, 3, 5, 8));
-
-TEST(SubCommTest, KeyReordersGroupRanks) {
-  run(4, [](Context& ctx) {
-    // All ranks in one group; key = -world_rank reverses the order.
-    auto sub = SubComm::split(ctx, 0, -ctx.rank());
-    EXPECT_EQ(sub.rank(), 3 - ctx.rank());
-    EXPECT_EQ(sub.world_rank_of(0), 3);
-  });
-}
-
-TEST(SubCommTest, SingletonGroupsWork) {
-  run(3, [](Context& ctx) {
-    auto sub = SubComm::split(ctx, ctx.rank());  // every rank its own group
-    EXPECT_EQ(sub.size(), 1);
-    EXPECT_EQ(sub.rank(), 0);
-    sub.barrier();  // must not deadlock
-    const auto all = sub.allgatherv(std::vector<int>{ctx.rank()});
-    EXPECT_EQ(all, std::vector<int>{ctx.rank()});
-  });
-}
-
-TEST(SubCommTest, GroupBarrierSynchronizesMembers) {
-  run(4, [](Context& ctx) {
-    auto sub = SubComm::split(ctx, ctx.rank() % 2);
-    for (int round = 0; round < 5; ++round) {
-      sub.barrier();
-      const auto all = sub.allgatherv(std::vector<int>{round});
-      for (const int v : all) EXPECT_EQ(v, round);
-    }
   });
 }
 

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <cstring>
 #include <numeric>
 #include <string>
 
@@ -354,6 +356,13 @@ TEST(SimpiPack, TruncatedBufferThrows) {
   auto bytes = pack_strings({"ACGTACGT"});
   bytes.resize(bytes.size() - 3);
   EXPECT_THROW(unpack_strings(bytes), std::runtime_error);
+
+  // A length prefix so large that pos + len wraps past zero must still
+  // read as truncated, not reach the string constructor.
+  auto huge = pack_strings({"ACGTACGT"});
+  const std::uint64_t len = UINT64_MAX - 7;
+  std::memcpy(huge.data() + sizeof(std::uint64_t), &len, sizeof(len));
+  EXPECT_THROW(unpack_strings(huge), std::runtime_error);
 }
 
 TEST(SimpiPack, TrailingGarbageThrows) {

@@ -1,4 +1,4 @@
-// Tests for trinity::util — RNG, statistics, CLI parsing, timers,
+// Tests for trinity::util — RNG, statistics, timers,
 // memory probes, and the ResourceTrace phase recorder.
 
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 #include <thread>
 #include <vector>
 
-#include "util/cli.hpp"
 #include "util/json.hpp"
 #include "util/log.hpp"
 #include "util/resource_trace.hpp"
@@ -180,63 +179,6 @@ TEST(StatsTest, N50KnownValue) {
 TEST(StatsTest, N50SingleContig) { EXPECT_EQ(n50({42}), 42u); }
 
 TEST(StatsTest, N50Empty) { EXPECT_EQ(n50({}), 0u); }
-
-// --- CLI -----------------------------------------------------------------------
-
-CliArgs parse_args(std::initializer_list<const char*> args) {
-  std::vector<const char*> argv{"prog"};
-  argv.insert(argv.end(), args.begin(), args.end());
-  return CliArgs::parse(static_cast<int>(argv.size()), argv.data());
-}
-
-TEST(CliTest, ParsesEqualsForm) {
-  const auto args = parse_args({"--genes=250", "--name=foo"});
-  EXPECT_EQ(args.get_int("genes", 0), 250);
-  EXPECT_EQ(args.get_string("name", ""), "foo");
-}
-
-TEST(CliTest, ParsesSpaceForm) {
-  const auto args = parse_args({"--genes", "250"});
-  EXPECT_EQ(args.get_int("genes", 0), 250);
-}
-
-TEST(CliTest, BareFlagIsTrue) {
-  const auto args = parse_args({"--verbose"});
-  EXPECT_TRUE(args.get_bool("verbose", false));
-}
-
-TEST(CliTest, MissingOptionFallsBack) {
-  const auto args = parse_args({});
-  EXPECT_EQ(args.get_int("genes", 7), 7);
-  EXPECT_FALSE(args.has("genes"));
-}
-
-TEST(CliTest, PositionalArgumentsPreserved) {
-  const auto args = parse_args({"input.fa", "--k", "25", "output.fa"});
-  ASSERT_EQ(args.positional().size(), 2u);
-  EXPECT_EQ(args.positional()[0], "input.fa");
-  EXPECT_EQ(args.positional()[1], "output.fa");
-}
-
-TEST(CliTest, MalformedIntegerThrows) {
-  const auto args = parse_args({"--k", "banana"});
-  EXPECT_THROW((void)args.get_int("k", 0), std::invalid_argument);
-}
-
-TEST(CliTest, MalformedBoolThrows) {
-  const auto args = parse_args({"--flag=maybe"});
-  EXPECT_THROW((void)args.get_bool("flag", false), std::invalid_argument);
-}
-
-TEST(CliTest, BareDoubleDashThrows) {
-  std::vector<const char*> argv{"prog", "--"};
-  EXPECT_THROW(CliArgs::parse(2, argv.data()), std::invalid_argument);
-}
-
-TEST(CliTest, DoubleValueParses) {
-  const auto args = parse_args({"--rate", "0.25"});
-  EXPECT_DOUBLE_EQ(args.get_double("rate", 0.0), 0.25);
-}
 
 // --- timers & memory -------------------------------------------------------------
 
