@@ -1,25 +1,36 @@
-// Microbenchmark behind the flat-index tentpole: FlatKmerIndex vs the
-// std::unordered_map<KmerCode, V> it replaced, on the exact access patterns
-// of the fig07 workload — the contig_kmer_multiplicity build (one insert
-// per contig (k-1)-mer) and the weld-harvest / assign_read probe loop (one
-// lookup per k-mer, hit-heavy for contigs, miss-heavy for reads).
+// Microbenchmark behind the one-k-mer-table design, in two series.
 //
-// Both containers consume the same pre-extracted canonical code lists, so
-// the measured difference is pure hash-table work (host wall time; best of
-// --repeats). The checksum/size cross-check pins behavioural parity, and
-// --min-speedup (default 1.0) makes the binary fail when the flat index
-// stops beating the baseline — the scripts/check.sh perf gate.
+// Lookup series: FlatKmerIndex vs the std::unordered_map<KmerCode, V> it
+// replaced, on the exact access patterns of the fig07 workload — the
+// contig_kmer_multiplicity build (one insert per contig (k-1)-mer) and the
+// weld-harvest / assign_read probe loop (one lookup per k-mer, hit-heavy
+// for contigs, miss-heavy for reads). Both containers consume the same
+// pre-extracted canonical code lists, so the measured difference is pure
+// hash-table work. The checksum/size cross-check pins behavioural parity.
+//
+// Counting series: KmerCounter (partition-then-build over FlatKmerIndex)
+// vs the counter it replaced, kept here as the baseline: 64 mutex-striped
+// unordered_map shards filled from one OpenMP loop. Both count the
+// workload's reads at --threads threads; the timed unit is add_sequences
+// plus dump, and the sorted dumps must be identical.
+//
+// Host wall time, best of --repeats. --min-speedup and --min-count-speedup
+// (default 1.0 each) make the binary fail when the new code stops beating
+// its baseline by that factor — the scripts/check.sh perf gate.
 //
 // By default the series is written to BENCH_kmer_index.json in the working
 // directory ({"bench":"kmer_index","series":[...]}) so repeated runs leave
 // a comparable before/after trail.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <mutex>
 #include <unordered_map>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "kmer/counter.hpp"
 #include "kmer/flat_index.hpp"
 #include "seq/kmer.hpp"
 
@@ -82,6 +93,65 @@ PassResult run_pass(const std::vector<std::vector<KmerCode>>& contig_codes,
   return r;
 }
 
+/// The lock-striped counter KmerCounter replaced: the counting baseline.
+class StripedCounter {
+ public:
+  explicit StripedCounter(int k) : codec_(k), shards_(kShards) {}
+
+  void add_sequences(const std::vector<trinity::seq::Sequence>& seqs, int threads) {
+    const auto n = static_cast<std::int64_t>(seqs.size());
+#pragma omp parallel for schedule(dynamic, 64) num_threads(threads)
+    for (std::int64_t i = 0; i < n; ++i) {
+      for (const auto& occ : codec_.extract_canonical(seqs[static_cast<std::size_t>(i)].bases)) {
+        Shard& shard = shards_[static_cast<std::size_t>(occ.code) & (kShards - 1)];
+        std::scoped_lock lock(shard.mu);
+        ++shard.map[occ.code];
+      }
+    }
+  }
+
+  [[nodiscard]] std::vector<trinity::kmer::KmerCount> dump() const {
+    std::vector<trinity::kmer::KmerCount> out;
+    for (const auto& shard : shards_) {
+      for (const auto& [code, count] : shard.map) out.push_back({code, count});
+    }
+    return out;
+  }
+
+ private:
+  static constexpr std::size_t kShards = 64;
+  struct Shard {
+    std::mutex mu;
+    std::unordered_map<KmerCode, std::uint32_t> map;
+  };
+  trinity::seq::KmerCodec codec_;
+  std::vector<Shard> shards_;
+};
+
+/// One timed count + dump; `records` is the dump sorted by code.
+struct CountResult {
+  double count_s = 0.0;
+  std::vector<trinity::kmer::KmerCount> records;
+};
+
+template <typename Count>
+CountResult time_count(Count&& count) {
+  CountResult r;
+  const double t0 = now_seconds();
+  r.records = count();
+  r.count_s = now_seconds() - t0;
+  std::sort(r.records.begin(), r.records.end(),
+            [](const auto& a, const auto& b) { return a.code < b.code; });
+  return r;
+}
+
+bool same_records(const std::vector<trinity::kmer::KmerCount>& a,
+                  const std::vector<trinity::kmer::KmerCount>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(), [](const auto& x, const auto& y) {
+    return x.code == y.code && x.count == y.count;
+  });
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -93,13 +163,18 @@ int main(int argc, char** argv) {
       .flag_double("min-speedup", 1.0,
                    "fail (exit 1) unless the flat index's combined speedup reaches this; "
                    "0 disables the gate")
+      .flag_int("threads", 4, "threads of both counters in the counting series")
+      .flag_double("min-count-speedup", 1.0,
+                   "fail (exit 1) unless KmerCounter's count+dump speedup over the "
+                   "striped counter reaches this; 0 disables the gate")
       .flag_string("csv", "", "also write the measured series as CSV to this path")
       .flag_string("json", "BENCH_kmer_index.json",
                    "write the series as one JSON document to this path");
   int parse_exit = 0;
   if (!bench::parse_or_exit(cfg, argc, argv, &parse_exit)) return parse_exit;
 
-  bench::banner("kmer-index", "flat open-addressing index vs std::unordered_map");
+  bench::banner("kmer-index",
+                "flat open-addressing index vs std::unordered_map; partitioned vs striped counting");
   const auto genes = static_cast<std::size_t>(cfg.get_int("genes"));
   const int repeats = static_cast<int>(cfg.get_int("repeats"));
   const auto w = bench::make_workload("sugarbeet_like", genes, "kmer_index");
@@ -140,12 +215,41 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // Counting series: the same reads through both counters.
+  const auto& reads = w.dataset.reads.reads;
+  const int threads = static_cast<int>(cfg.get_int("threads"));
+  CountResult partitioned, striped;
+  for (int rep = 0; rep < repeats; ++rep) {
+    const auto p = time_count([&] {
+      kmer::CounterOptions o;
+      o.k = bench::kK;
+      o.num_threads = threads;
+      kmer::KmerCounter counter(o);
+      counter.add_sequences(reads);
+      return counter.dump();
+    });
+    const auto b = time_count([&] {
+      StripedCounter counter(bench::kK);
+      counter.add_sequences(reads, threads);
+      return counter.dump();
+    });
+    if (rep == 0 || p.count_s < partitioned.count_s) partitioned = p;
+    if (rep == 0 || b.count_s < striped.count_s) striped = b;
+  }
+  if (!same_records(partitioned.records, striped.records)) {
+    std::fprintf(stderr, "bench_kmer_index: counters disagree (partitioned %zu records, "
+                         "striped %zu)\n",
+                 partitioned.records.size(), striped.records.size());
+    return 1;
+  }
+  const double count_speedup = striped.count_s / partitioned.count_s;
+
   const double build_speedup = baseline.build_s / flat.build_s;
   const double probe_speedup = baseline.probe_s / flat.probe_s;
   const double combined_speedup =
       (baseline.build_s + baseline.probe_s) / (flat.build_s + flat.probe_s);
 
-  bench::CsvSink csv(cfg, "impl,build_s,probe_s,entries,probes,checksum");
+  bench::CsvSink csv(cfg, "impl,build_s,probe_s,entries,probes,checksum,count_s");
   bench::JsonSink json(cfg, "kmer_index");
   std::printf("%14s | %10s %10s | %10s %12s\n", "impl", "build(s)", "probe(s)", "entries",
               "probes");
@@ -157,7 +261,7 @@ int main(int argc, char** argv) {
     std::printf("%14s | %10.4f %10.4f | %10zu %12zu\n", row.impl, row.r->build_s,
                 row.r->probe_s, row.r->entries, probes);
     csv.row(row.impl, row.r->build_s, row.r->probe_s, row.r->entries, probes,
-            row.r->checksum);
+            row.r->checksum, 0.0);
     json.begin_entry();
     json.field("impl", std::string(row.impl));
     json.field("build_s", row.r->build_s);
@@ -172,11 +276,33 @@ int main(int argc, char** argv) {
   std::printf("\nflat vs unordered_map: build %.2fx, probe %.2fx, combined %.2fx\n",
               build_speedup, probe_speedup, combined_speedup);
 
+  std::printf("\n%14s | %10s | %10s %8s\n", "counter", "count(s)", "distinct", "threads");
+  for (const auto& [impl, r] : {std::pair{"partitioned", &partitioned},
+                                std::pair{"striped", &striped}}) {
+    std::printf("%14s | %10.4f | %10zu %8d\n", impl, r->count_s, r->records.size(), threads);
+    csv.row(impl, 0.0, 0.0, r->records.size(), 0, 0, r->count_s);
+    json.begin_entry();
+    json.field("impl", std::string(impl));
+    json.field("count_s", r->count_s);
+    json.field("distinct", static_cast<std::int64_t>(r->records.size()));
+    json.field("threads", static_cast<std::int64_t>(threads));
+    json.field("count_speedup", r == &partitioned ? count_speedup : 1.0);
+  }
+  std::printf("\npartitioned vs striped counting (add_sequences + dump): %.2fx\n",
+              count_speedup);
+
   const double min_speedup = cfg.get_double("min-speedup");
   if (min_speedup > 0.0 && combined_speedup < min_speedup) {
     std::fprintf(stderr,
                  "bench_kmer_index: combined speedup %.2fx is below --min-speedup %.2f\n",
                  combined_speedup, min_speedup);
+    return 1;
+  }
+  const double min_count_speedup = cfg.get_double("min-count-speedup");
+  if (min_count_speedup > 0.0 && count_speedup < min_count_speedup) {
+    std::fprintf(stderr,
+                 "bench_kmer_index: counting speedup %.2fx is below --min-count-speedup %.2f\n",
+                 count_speedup, min_count_speedup);
     return 1;
   }
   return 0;

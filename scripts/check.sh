@@ -27,7 +27,10 @@
 #   6. K-mer index gate: bench_kmer_index must show the flat open-addressing
 #      index no slower than std::unordered_map on the Figure 7 workload
 #      shape (--min-speedup 1.0, identical entries/checksum enforced by the
-#      bench itself) and record the run in BENCH_kmer_index.json.
+#      bench itself), and the partition-then-build KmerCounter at least
+#      1.5x faster than the lock-striped counter it replaced on count +
+#      dump at 4 threads (--min-count-speedup 1.5, identical sorted dumps
+#      enforced by the bench), recording the run in BENCH_kmer_index.json.
 #   7. Serve gate (docs/SERVING.md): a two-tenant batch where one tenant's
 #      job carries an injected rank crash — both jobs must complete through
 #      admission + scheduling with a clean drain, the clean tenant's
@@ -64,11 +67,13 @@
 #      ReferenceComparison (enforced by the bench itself), recording the run
 #      in BENCH_sw.json.
 #  12. ASan+UBSan build (-DTRINITY_SANITIZE=ON) running the checkpoint, io,
-#      simpi, trace, config, flat-index, serve and Smith–Waterman/validation
-#      test binaries — the
+#      simpi, trace, config, flat-index, k-mer (counter, Inchworm, de
+#      Bruijn, aligner), serve and Smith–Waterman/validation test
+#      binaries — the
 #      subsystems that throw across thread and collective boundaries (and,
 #      for the trace recorder, publish buffers across threads; for the flat
-#      index, raw-storage placement news; for the transcript index, mmap'd
+#      index, raw-storage placement news; for the k-mer counter, OpenMP
+#      threads filling per-partition buffers; for the transcript index, mmap'd
 #      read-only images shared across jobs; for the serve layer, preempt
 #      and deadline tokens, the journal, and rank leases across
 #      scheduler/watchdog/worker threads; for the metrics layer, relaxed-
@@ -193,9 +198,9 @@ fi
 grep -q "config error: --ranks: expected an integer, got 'banana'" "$cfg_dir/err"
 echo "config ok"
 
-echo "== k-mer index: flat index vs unordered_map (BENCH_kmer_index.json) =="
+echo "== k-mer index: flat index vs unordered_map, partitioned vs striped counting (BENCH_kmer_index.json) =="
 ./build/bench/bench_kmer_index --genes 200 --repeats 3 --min-speedup 1.0 \
-    --json "$repo_root/BENCH_kmer_index.json"
+    --threads 4 --min-count-speedup 1.5 --json "$repo_root/BENCH_kmer_index.json"
 
 echo "== serve: multi-tenant isolation under an injected fault =="
 serve_dir=/tmp/trinity_check_serve
@@ -283,17 +288,19 @@ if [ "${1:-}" = "--skip-sanitize" ]; then
     exit 0
 fi
 
-echo "== ASan+UBSan: checkpoint + io + simpi + trace + config + index + serve + obs + sw tests =="
+echo "== ASan+UBSan: checkpoint + io + simpi + trace + config + index + k-mer + serve + obs + sw tests =="
 cmake -B build-asan -S . -DTRINITY_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-asan -j "$jobs" --target \
     checkpoint_test simpi_fault_test simpi_test simpi_extensions_test dsu_test \
     pipeline_checkpoint_test io_fault_test seq_parse_policy_test trace_test \
-    config_test flat_index_test transcript_index_test serve_test serve_fault_test \
+    config_test flat_index_test kmer_test inchworm_test debruijn_test align_test \
+    transcript_index_test serve_test serve_fault_test \
     serve_recovery_test serve_watchdog_test obs_test serve_metrics_test \
     sw_test sw_kernel_test validate_test
 for t in checkpoint_test simpi_fault_test simpi_test simpi_extensions_test dsu_test \
          pipeline_checkpoint_test io_fault_test seq_parse_policy_test trace_test \
-         config_test flat_index_test transcript_index_test serve_test serve_fault_test \
+         config_test flat_index_test kmer_test inchworm_test debruijn_test align_test \
+         transcript_index_test serve_test serve_fault_test \
          serve_recovery_test serve_watchdog_test obs_test serve_metrics_test \
          sw_test sw_kernel_test validate_test; do
     echo "-- $t (ASan+UBSan)"

@@ -14,23 +14,32 @@ namespace trinity::align {
 ContigIndex::ContigIndex(std::vector<seq::Sequence> contigs, const AlignerOptions& options)
     : contigs_(std::move(contigs)), options_(options) {
   const seq::KmerCodec codec(options_.seed_length);
+  // CSR layout in three passes: count each seed's hits, give each seed its
+  // slice of hits_, then fill the slices in (contig, position) order.
+  for (const auto& contig : contigs_) {
+    for (const auto& occ : codec.extract(contig.bases)) ++seeds_[occ.code].end;
+  }
+  std::uint32_t offset = 0;
+  for (auto&& [code, range] : seeds_) {
+    const std::uint32_t n = range.end;
+    range = {offset, offset};
+    offset += n;
+  }
+  hits_.resize(offset);
   for (std::size_t c = 0; c < contigs_.size(); ++c) {
     for (const auto& occ : codec.extract(contigs_[c].bases)) {
-      seeds_[occ.code].push_back(
-          {static_cast<std::int32_t>(c), static_cast<std::uint32_t>(occ.position)});
+      hits_[seeds_.find(occ.code)->second.end++] = {static_cast<std::int32_t>(c),
+                                                    static_cast<std::uint32_t>(occ.position)};
     }
-  }
-  // Suppress hyper-repetitive seeds: they explode verification cost without
-  // adding placements Bowtie would report uniquely anyway.
-  for (auto& [code, hits] : seeds_) {
-    if (hits.size() > options_.max_hits_per_seed) hits.clear();
   }
 }
 
-const std::vector<ContigIndex::SeedHit>* ContigIndex::lookup(seq::KmerCode code) const {
-  const auto it = seeds_.find(code);
-  if (it == seeds_.end() || it->second.empty()) return nullptr;
-  return &it->second;
+std::span<const ContigIndex::SeedHit> ContigIndex::lookup(seq::KmerCode code) const {
+  const SeedRange* range = seeds_.lookup(code);
+  // Hyper-repetitive seeds are suppressed: they explode verification cost
+  // without adding placements Bowtie would report uniquely anyway.
+  if (range == nullptr || range->end - range->begin > options_.max_hits_per_seed) return {};
+  return {hits_.data() + range->begin, range->end - range->begin};
 }
 
 namespace {
@@ -75,9 +84,7 @@ void SeedExtendAligner::align_strand(const std::string& bases, bool reverse,
     const std::size_t off = tried_offsets[oi];
     const auto code = codec.encode(std::string_view(bases).substr(off, s));
     if (!code) continue;
-    const auto* hits = index_.lookup(*code);
-    if (!hits) continue;
-    for (const auto& hit : *hits) {
+    for (const auto& hit : index_.lookup(*code)) {
       if (hit.position < off) continue;
       const std::size_t placement = hit.position - off;
       const auto& target = index_.contigs()[static_cast<std::size_t>(hit.contig_id)].bases;

@@ -10,10 +10,11 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "kmer/flat_index.hpp"
 #include "seq/kmer.hpp"
 #include "seq/sequence.hpp"
 
@@ -63,9 +64,9 @@ class ContigIndex {
     std::uint32_t position;
   };
 
-  /// All occurrences of `code` among the contigs (empty when the seed was
-  /// suppressed as hyper-repetitive).
-  [[nodiscard]] const std::vector<SeedHit>* lookup(seq::KmerCode code) const;
+  /// All occurrences of `code` among the contigs in (contig, position)
+  /// order; empty when absent or suppressed as hyper-repetitive.
+  [[nodiscard]] std::span<const SeedHit> lookup(seq::KmerCode code) const;
 
   [[nodiscard]] const std::vector<seq::Sequence>& contigs() const { return contigs_; }
   [[nodiscard]] const AlignerOptions& options() const { return options_; }
@@ -73,7 +74,13 @@ class ContigIndex {
  private:
   std::vector<seq::Sequence> contigs_;
   AlignerOptions options_;
-  std::unordered_map<seq::KmerCode, std::vector<SeedHit>> seeds_;
+  /// A seed's hits: hits_[begin, end).
+  struct SeedRange {
+    std::uint32_t begin = 0;
+    std::uint32_t end = 0;
+  };
+  std::vector<SeedHit> hits_;  ///< every hit, grouped by seed
+  kmer::FlatKmerIndex<SeedRange> seeds_;
 };
 
 /// The aligner proper.

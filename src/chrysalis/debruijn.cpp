@@ -150,10 +150,6 @@ void DeBruijnGraph::quantify(const seq::Sequence& read) {
   bump(seq::reverse_complement(read.bases));
 }
 
-void DeBruijnGraph::quantify_all(const std::vector<seq::Sequence>& reads) {
-  for (const auto& read : reads) quantify(read);
-}
-
 std::vector<std::int32_t> DeBruijnGraph::source_nodes() const {
   std::vector<std::int32_t> out;
   for (std::size_t i = 0; i < nodes_.size(); ++i) {

@@ -14,9 +14,9 @@
 #include <istream>
 #include <ostream>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "kmer/flat_index.hpp"
 #include "seq/kmer.hpp"
 #include "seq/sequence.hpp"
 
@@ -61,9 +61,6 @@ class DeBruijnGraph {
   /// `read` on either strand.
   void quantify(const seq::Sequence& read);
 
-  /// Convenience over a batch of reads.
-  void quantify_all(const std::vector<seq::Sequence>& reads);
-
   /// Nodes with in-degree 0, in id order — Butterfly's path start points.
   [[nodiscard]] std::vector<std::int32_t> source_nodes() const;
 
@@ -89,7 +86,7 @@ class DeBruijnGraph {
 
   int k_;
   std::vector<seq::KmerCode> nodes_;
-  std::unordered_map<seq::KmerCode, std::int32_t> ids_;
+  kmer::FlatKmerIndex<std::int32_t> ids_;
   std::vector<std::array<std::int32_t, 4>> out_;
   std::vector<int> in_degree_;
   std::vector<std::uint32_t> support_;

@@ -62,10 +62,7 @@ namespace {
 // Accumulates one contig's distinct canonical (k-1)-mers into the index.
 void accumulate_contig(const seq::Sequence& contig, const seq::KmerCodec& codec,
                        kmer::FlatKmerIndex<std::uint32_t>& multiplicity) {
-  std::unordered_set<seq::KmerCode> seen_in_contig;
-  for (const auto& occ : codec.extract_canonical(contig.bases)) {
-    if (seen_in_contig.insert(occ.code).second) ++multiplicity[occ.code];
-  }
+  for (const auto code : codec.distinct_canonical(contig.bases)) ++multiplicity[code];
 }
 }  // namespace
 
@@ -161,11 +158,8 @@ WeldCoreIndex index_weld_cores(const std::vector<std::string>& welds, int k) {
   for (const auto& weld : welds) bases += weld.size();
   index.reserve(bases);
   for (std::size_t w = 0; w < welds.size(); ++w) {
-    std::unordered_set<seq::KmerCode> seen;
-    for (const auto& occ : codec.extract_canonical(welds[w])) {
-      if (seen.insert(occ.code).second) {
-        index[occ.code].push_back(static_cast<std::int32_t>(w));
-      }
+    for (const auto code : codec.distinct_canonical(welds[w])) {
+      index[code].push_back(static_cast<std::int32_t>(w));
     }
   }
   return index;

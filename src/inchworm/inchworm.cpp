@@ -10,11 +10,12 @@ namespace trinity::inchworm {
 Inchworm::Inchworm(InchwormOptions options) : options_(options), codec_(options.k) {}
 
 void Inchworm::load_counts(const std::vector<kmer::KmerCount>& counts) {
-  dict_.clear();
-  dict_.reserve(counts.size());
+  const auto survivors = std::count_if(counts.begin(), counts.end(), [&](const auto& kc) {
+    return kc.count >= options_.min_kmer_count;  // error prune
+  });
+  dict_ = kmer::FlatKmerIndex<Entry>(static_cast<std::size_t>(survivors));
   for (const auto& kc : counts) {
-    if (kc.count < options_.min_kmer_count) continue;  // error prune
-    dict_[kc.code].count += kc.count;
+    if (kc.count >= options_.min_kmer_count) dict_[kc.code].count += kc.count;
   }
 }
 

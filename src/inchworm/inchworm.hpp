@@ -17,10 +17,10 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "kmer/counter.hpp"
+#include "kmer/flat_index.hpp"
 #include "seq/kmer.hpp"
 #include "seq/sequence.hpp"
 
@@ -82,7 +82,7 @@ class Inchworm {
 
   InchwormOptions options_;
   seq::KmerCodec codec_;
-  std::unordered_map<seq::KmerCode, Entry> dict_;
+  kmer::FlatKmerIndex<Entry> dict_;
   InchwormStats stats_;
 };
 

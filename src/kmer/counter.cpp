@@ -4,85 +4,108 @@
 
 #include <omp.h>
 
+#include <algorithm>
 #include <fstream>
+#include <numeric>
 #include <stdexcept>
 
 namespace trinity::kmer {
 
 namespace {
-bool is_power_of_two(int n) { return n > 0 && (n & (n - 1)) == 0; }
+// Reads per counting block: bounds the per-thread partition buffers, which
+// would otherwise hold every k-mer occurrence of the input.
+constexpr std::size_t kBlockReads = 16384;
 }  // namespace
 
 KmerCounter::KmerCounter(CounterOptions options)
-    : options_(options), codec_(options.k) {
-  if (!is_power_of_two(options_.num_shards)) {
-    throw std::invalid_argument("KmerCounter: num_shards must be a power of two");
-  }
-  shards_ = std::vector<Shard>(static_cast<std::size_t>(options_.num_shards));
-  shard_mask_ = static_cast<std::size_t>(options_.num_shards) - 1;
-}
+    : options_(options), codec_(options.k), partitions_(std::size_t{1} << kPartitionBits) {}
 
-void KmerCounter::add_sequence(const seq::Sequence& s) {
-  const auto occurrences =
-      options_.canonical ? codec_.extract_canonical(s.bases) : codec_.extract(s.bases);
-  for (const auto& occ : occurrences) {
-    Shard& shard = shard_for(occ.code);
-    std::scoped_lock lock(shard.mu);
-    ++shard.map[occ.code];
-  }
+int KmerCounter::thread_count() const {
+  return options_.num_threads > 0 ? options_.num_threads : omp_get_max_threads();
 }
 
 void KmerCounter::add_counts(const std::vector<KmerCount>& counts) {
-  for (const auto& kc : counts) {
-    Shard& shard = shard_for(kc.code);
-    std::scoped_lock lock(shard.mu);
-    shard.map[kc.code] += kc.count;
-  }
+  for (const auto& kc : counts) partitions_[partition_of(kc.code)][kc.code] += kc.count;
 }
 
 void KmerCounter::add_sequences(const std::vector<seq::Sequence>& seqs) {
-  const int requested = options_.num_threads;
-  const auto n = static_cast<std::int64_t>(seqs.size());
-#pragma omp parallel for schedule(dynamic, 64) num_threads(requested > 0 ? requested \
-                                                                         : omp_get_max_threads())
-  for (std::int64_t i = 0; i < n; ++i) {
-    add_sequence(seqs[static_cast<std::size_t>(i)]);
+  const int threads = thread_count();
+  const std::size_t nparts = partitions_.size();
+  // buffers[t * nparts + p]: the codes thread t found for partition p in
+  // the current block.
+  std::vector<std::vector<seq::KmerCode>> buffers(static_cast<std::size_t>(threads) * nparts);
+  for (std::size_t first = 0; first < seqs.size(); first += kBlockReads) {
+    const std::size_t last = std::min(seqs.size(), first + kBlockReads);
+#pragma omp parallel num_threads(threads)
+    {
+      auto* mine = &buffers[static_cast<std::size_t>(omp_get_thread_num()) * nparts];
+#pragma omp for schedule(dynamic, 64)
+      for (std::size_t i = first; i < last; ++i) {
+        const auto& bases = seqs[i].bases;
+        for (const auto& occ : options_.canonical ? codec_.extract_canonical(bases)
+                                                  : codec_.extract(bases)) {
+          mine[partition_of(occ.code)].push_back(occ.code);
+        }
+      }
+      // The loop's implicit barrier completes the block's buffers; each
+      // partition is then folded by exactly one thread.
+#pragma omp for schedule(dynamic, 1)
+      for (std::size_t p = 0; p < nparts; ++p) {
+        for (int t = 0; t < threads; ++t) {
+          auto& buffer = buffers[static_cast<std::size_t>(t) * nparts + p];
+          for (const seq::KmerCode code : buffer) ++partitions_[p][code];
+          buffer.clear();
+        }
+      }
+    }
   }
 }
 
 std::uint32_t KmerCounter::count_of(seq::KmerCode code) const {
   const seq::KmerCode key = options_.canonical ? codec_.canonical(code) : code;
-  // Unlocked read; see the header contract (no concurrent inserts).
-  const Shard& shard = shard_for(key);
-  const auto it = shard.map.find(key);
-  return it == shard.map.end() ? 0u : it->second;
+  const std::uint32_t* hit = partitions_[partition_of(key)].lookup(key);
+  return hit != nullptr ? *hit : 0u;
 }
 
 std::size_t KmerCounter::distinct() const {
   std::size_t total = 0;
-  for (const auto& shard : shards_) {
-    std::scoped_lock lock(shard.mu);
-    total += shard.map.size();
-  }
+  for (const auto& partition : partitions_) total += partition.size();
   return total;
 }
 
 std::uint64_t KmerCounter::total() const {
   std::uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    std::scoped_lock lock(shard.mu);
-    for (const auto& [code, count] : shard.map) total += count;
+  for (const auto& partition : partitions_) {
+    for (const auto& [code, count] : partition) total += count;
   }
   return total;
 }
 
 std::vector<KmerCount> KmerCounter::dump(std::uint32_t min_count) const {
+  const std::size_t nparts = partitions_.size();
+  // starts[p + 1] first counts partition p's records; the prefix sum then
+  // turns starts[p] into the offset where they begin.
+  std::vector<std::size_t> starts(nparts + 1, 0);
   std::vector<KmerCount> out;
-  out.reserve(distinct());
-  for (const auto& shard : shards_) {
-    std::scoped_lock lock(shard.mu);
-    for (const auto& [code, count] : shard.map) {
-      if (count >= min_count) out.push_back({code, count});
+#pragma omp parallel num_threads(thread_count())
+  {
+#pragma omp for schedule(dynamic, 1)
+    for (std::size_t p = 0; p < nparts; ++p) {
+      for (const auto& [code, count] : partitions_[p]) starts[p + 1] += count >= min_count;
+    }
+#pragma omp single
+    {
+      std::partial_sum(starts.begin(), starts.end(), starts.begin());
+      out.resize(starts.back());
+    }
+#pragma omp for schedule(dynamic, 1)
+    for (std::size_t p = 0; p < nparts; ++p) {
+      const auto begin = out.begin() + static_cast<std::ptrdiff_t>(starts[p]);
+      auto slot = begin;
+      for (const auto& [code, count] : partitions_[p]) {
+        if (count >= min_count) *slot++ = {code, count};
+      }
+      std::sort(begin, slot, [](const auto& a, const auto& b) { return a.code < b.code; });
     }
   }
   return out;

@@ -3,18 +3,19 @@
 //
 // In the Trinity workflow, `jellyfish count` + `jellyfish dump` produce the
 // k-mer/count stream that Inchworm consumes. This module reproduces that
-// role: an OpenMP-parallel counter over a lock-striped hash table
-// (Jellyfish's own claim to fame is a lock-free hash; striping exercises
-// the same concurrent-insert path at our scale), plus text and binary dump
-// formats and a loader. Counts are over canonical k-mers by default, with
-// a non-canonical mode used by stages that are strand-aware.
+// role with HipMer-style partition-then-build counting over 256 hash
+// partitions, each a FlatKmerIndex: per block of reads, threads append
+// codes to per-thread, per-partition buffers, then each partition is folded
+// by exactly one thread. No locks; the block size bounds the buffers. Text
+// and binary dump formats and a loader complete it. Counts are over
+// canonical k-mers by default, with a non-canonical mode used by stages
+// that are strand-aware.
 
 #include <cstdint>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "kmer/flat_index.hpp"
 #include "seq/kmer.hpp"
 #include "seq/sequence.hpp"
 
@@ -30,7 +31,6 @@ struct KmerCount {
 struct CounterOptions {
   int k = 25;                 ///< Trinity's default k-mer size
   bool canonical = true;      ///< count strand-neutral (min of kmer, revcomp)
-  int num_shards = 64;        ///< lock stripes; must be a power of two
   int num_threads = 0;        ///< 0 = OpenMP default
 };
 
@@ -39,12 +39,10 @@ class KmerCounter {
  public:
   explicit KmerCounter(CounterOptions options);
 
-  /// Adds every k-mer of every sequence. Thread-safe via shard locks;
-  /// callable repeatedly (counts accumulate).
+  /// Adds every k-mer of every sequence with num_threads threads; callable
+  /// repeatedly (counts accumulate). The result does not depend on the
+  /// thread count. Not safe to call concurrently with any other method.
   void add_sequences(const std::vector<seq::Sequence>& seqs);
-
-  /// Adds every k-mer of one sequence (single-threaded helper).
-  void add_sequence(const seq::Sequence& s);
 
   /// Merges pre-counted (k-mer, count) records — rebuilding a counter from
   /// a dump file, e.g. when a checkpointed pipeline resumes past its
@@ -56,10 +54,10 @@ class KmerCounter {
   /// canonical); 0 when absent.
   ///
   /// Lock-free: safe to call concurrently with other lookups, but NOT
-  /// concurrently with add_sequence(s). The pipeline's phases respect this
-  /// (counting completes before Chrysalis starts querying); a locked
-  /// lookup here would otherwise serialize the weld-support checks, which
-  /// issue tens of lookups per candidate across every rank.
+  /// concurrently with add_sequences/add_counts. The pipeline's phases
+  /// respect this (counting completes before Chrysalis starts querying);
+  /// the weld-support checks issue tens of lookups per candidate across
+  /// every rank.
   [[nodiscard]] std::uint32_t count_of(seq::KmerCode code) const;
 
   /// Number of distinct k-mers seen.
@@ -68,30 +66,22 @@ class KmerCounter {
   /// Sum of all counts (total k-mer occurrences).
   [[nodiscard]] std::uint64_t total() const;
 
-  /// Extracts all (k-mer, count) pairs with count >= min_count, in
-  /// unspecified order.
+  /// Extracts all (k-mer, count) pairs with count >= min_count. The order
+  /// depends only on the k-mer set: partitions in index order, codes
+  /// ascending within each partition.
   [[nodiscard]] std::vector<KmerCount> dump(std::uint32_t min_count = 1) const;
 
-  [[nodiscard]] const CounterOptions& options() const { return options_; }
-  [[nodiscard]] const seq::KmerCodec& codec() const { return codec_; }
-
  private:
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<seq::KmerCode, std::uint32_t> map;
-  };
+  static constexpr int kPartitionBits = 8;  ///< 256 partitions
 
-  Shard& shard_for(seq::KmerCode code) {
-    return shards_[static_cast<std::size_t>(code) & shard_mask_];
+  [[nodiscard]] static std::size_t partition_of(seq::KmerCode code) {
+    return static_cast<std::size_t>(mix_kmer_code(code) >> (64 - kPartitionBits));
   }
-  const Shard& shard_for(seq::KmerCode code) const {
-    return shards_[static_cast<std::size_t>(code) & shard_mask_];
-  }
+  [[nodiscard]] int thread_count() const;
 
   CounterOptions options_;
   seq::KmerCodec codec_;
-  std::vector<Shard> shards_;
-  std::size_t shard_mask_;
+  std::vector<FlatKmerIndex<std::uint32_t>> partitions_;
 };
 
 /// Writes counts in the `jellyfish dump` text format: one record per k-mer,

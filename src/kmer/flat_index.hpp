@@ -23,8 +23,9 @@
 // call sites and their tests read identically against either container —
 // flat_index_test pins exact parity on random corpora.
 //
-// Not thread-safe for writes; concurrent read-only lookups are safe, the
-// same contract KmerCounter::count_of documents.
+// Every k-mer map uses it. One writer at a time and no reader during a
+// write; concurrent read-only lookups are safe. KmerCounter folds each of
+// its partitions on exactly one thread, and count_of() is a plain lookup.
 
 #include <cstddef>
 #include <cstdint>

@@ -1,5 +1,6 @@
 #include "seq/kmer.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace trinity::seq {
@@ -64,6 +65,14 @@ std::vector<KmerCodec::Occurrence> KmerCodec::extract_canonical(std::string_view
   auto occ = extract(s);
   for (auto& o : occ) o.code = canonical(o.code);
   return occ;
+}
+
+std::vector<KmerCode> KmerCodec::distinct_canonical(std::string_view s) const {
+  std::vector<KmerCode> codes;
+  for (const auto& o : extract(s)) codes.push_back(canonical(o.code));
+  std::sort(codes.begin(), codes.end());
+  codes.erase(std::unique(codes.begin(), codes.end()), codes.end());
+  return codes;
 }
 
 }  // namespace trinity::seq

@@ -50,11 +50,6 @@ class KmerCodec {
     return code < rc ? code : rc;
   }
 
-  /// First (leftmost) base code of a packed k-mer.
-  [[nodiscard]] std::uint8_t first_base(KmerCode code) const {
-    return static_cast<std::uint8_t>((code >> (2 * (k_ - 1))) & 3u);
-  }
-
   /// Last (rightmost) base code of a packed k-mer.
   [[nodiscard]] static std::uint8_t last_base(KmerCode code) {
     return static_cast<std::uint8_t>(code & 3u);
@@ -77,6 +72,9 @@ class KmerCodec {
 
   /// As extract(), but each code is canonicalized.
   [[nodiscard]] std::vector<Occurrence> extract_canonical(std::string_view s) const;
+
+  /// The distinct canonical k-mers of `s`, ascending.
+  [[nodiscard]] std::vector<KmerCode> distinct_canonical(std::string_view s) const;
 
  private:
   int k_;

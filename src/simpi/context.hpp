@@ -26,6 +26,7 @@
 #include <optional>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -48,6 +49,21 @@ class AbortedError : public std::runtime_error {
 };
 
 class World;
+
+namespace detail {
+/// Copies a received payload into `out` as T elements. Throws when the
+/// payload is not a whole number of T; an empty payload copies nothing
+/// (its data pointer may be null, which memcpy must not see).
+template <typename T>
+void unpack_payload(const Message& msg, std::vector<T>& out, const char* op) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  if (msg.payload.size() % sizeof(T) != 0) {
+    throw std::runtime_error(std::string("simpi: ") + op + " typed size mismatch");
+  }
+  out.resize(msg.payload.size() / sizeof(T));
+  if (!msg.payload.empty()) std::memcpy(out.data(), msg.payload.data(), msg.payload.size());
+}
+}  // namespace detail
 
 /// Per-rank communication endpoint handed to the rank function.
 /// All members must be called from the rank's own thread.
@@ -88,14 +104,8 @@ class Context {
   template <typename T>
   std::vector<T> recv(int source, int tag) {
     static_assert(std::is_trivially_copyable_v<T>);
-    const Message msg = recv_bytes(source, tag);
-    if (msg.payload.size() % sizeof(T) != 0) {
-      throw std::runtime_error("simpi: typed recv size mismatch");
-    }
-    std::vector<T> out(msg.payload.size() / sizeof(T));
-    if (!msg.payload.empty()) {
-      std::memcpy(out.data(), msg.payload.data(), msg.payload.size());
-    }
+    std::vector<T> out;
+    detail::unpack_payload(recv_bytes(source, tag), out, "recv");
     return out;
   }
 
@@ -362,11 +372,7 @@ void Context::bcast(std::vector<T>& data, int root) {
     stats_.of(CommOp::kBcast).bytes_sent +=
         data.size() * sizeof(T) * static_cast<std::size_t>(size() - 1);
   } else {
-    const Message msg = waited_recv(root, detail::kTagBcast, CommOp::kBcast);
-    data.resize(msg.payload.size() / sizeof(T));
-    if (!msg.payload.empty()) {
-      std::memcpy(data.data(), msg.payload.data(), msg.payload.size());
-    }
+    detail::unpack_payload(waited_recv(root, detail::kTagBcast, CommOp::kBcast), data, "bcast");
   }
   comm_seconds_ += cost_model().collective_cost(size(), data.size() * sizeof(T));
 }
@@ -389,11 +395,7 @@ std::vector<std::vector<T>> Context::gatherv(const std::vector<T>& local, int ro
     for (int r = 0; r < size(); ++r) {
       if (r == root) continue;
       const Message msg = waited_recv(r, detail::kTagGather, CommOp::kGatherv);
-      auto& slot = out[static_cast<std::size_t>(r)];
-      slot.resize(msg.payload.size() / sizeof(T));
-      if (!msg.payload.empty()) {
-        std::memcpy(slot.data(), msg.payload.data(), msg.payload.size());
-      }
+      detail::unpack_payload(msg, out[static_cast<std::size_t>(r)], "gatherv");
       total_bytes += msg.payload.size();
     }
   } else {
@@ -475,14 +477,7 @@ std::vector<std::vector<T>> Context::alltoallv(
   for (int r = 0; r < size(); ++r) {
     if (r == rank_) continue;
     const Message msg = waited_recv(r, detail::kTagAlltoallv, CommOp::kAlltoallv);
-    if (msg.payload.size() % sizeof(T) != 0) {
-      throw std::runtime_error("simpi: alltoallv typed size mismatch");
-    }
-    auto& slot = received[static_cast<std::size_t>(r)];
-    slot.resize(msg.payload.size() / sizeof(T));
-    if (!msg.payload.empty()) {
-      std::memcpy(slot.data(), msg.payload.data(), msg.payload.size());
-    }
+    detail::unpack_payload(msg, received[static_cast<std::size_t>(r)], "alltoallv");
     recv_bytes += msg.payload.size();
   }
   comm_seconds_ += cost_model().collective_cost(size(), sent_bytes + recv_bytes);

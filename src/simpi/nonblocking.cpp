@@ -17,8 +17,4 @@ Message RecvRequest::wait() {
 
 RecvRequest irecv(Context& ctx, int source, int tag) { return RecvRequest(ctx, source, tag); }
 
-void isend_bytes(Context& ctx, int dest, int tag, std::span<const std::byte> bytes) {
-  ctx.send_bytes(dest, tag, bytes);
-}
-
 }  // namespace trinity::simpi

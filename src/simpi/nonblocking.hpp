@@ -43,11 +43,6 @@ class RecvRequest {
 /// Posts a nonblocking receive for (source, tag).
 RecvRequest irecv(Context& ctx, int source, int tag);
 
-/// Buffered "nonblocking" send: identical to Context::send_bytes (which
-/// already returns after buffering), provided for symmetry so ported MPI
-/// code reads naturally.
-void isend_bytes(Context& ctx, int dest, int tag, std::span<const std::byte> bytes);
-
 /// Nonblocking alltoallv, the communication/computation-overlap primitive
 /// of owner-computes GraphFromFasta: construction posts every destination
 /// part immediately (buffered sends, never blocks) and the caller computes
@@ -137,11 +132,7 @@ std::vector<std::vector<T>> IAlltoallv<T>::wait(double overlapped_seconds) {
   for (int r = 0; r < ctx.size(); ++r) {
     if (r == ctx.rank()) continue;
     const Message msg = ctx.internal_recv_as(CommOp::kAlltoallv, r, tag_);
-    auto& slot = received[static_cast<std::size_t>(r)];
-    slot.resize(msg.payload.size() / sizeof(T));
-    if (!msg.payload.empty()) {
-      std::memcpy(slot.data(), msg.payload.data(), msg.payload.size());
-    }
+    detail::unpack_payload(msg, received[static_cast<std::size_t>(r)], "ialltoallv");
     recv_bytes += msg.payload.size();
   }
   // Remote bytes were counted by internal_recv_as; add the own part so the
@@ -174,8 +165,7 @@ std::vector<T> scatterv(Context& ctx, const std::vector<std::vector<T>>& parts, 
     }
   } else {
     const Message msg = ctx.internal_recv(root, detail::kTagScatter);
-    mine.resize(msg.payload.size() / sizeof(T));
-    std::memcpy(mine.data(), msg.payload.data(), msg.payload.size());
+    detail::unpack_payload(msg, mine, "scatterv");
     total_bytes = msg.payload.size();
   }
   ctx.charge(ctx.cost_model().collective_cost(ctx.size(), total_bytes));
@@ -203,9 +193,7 @@ std::vector<std::vector<T>> alltoallv(Context& ctx,
   for (int r = 0; r < ctx.size(); ++r) {
     if (r == ctx.rank()) continue;
     const Message msg = ctx.internal_recv(r, detail::kTagAlltoall);
-    auto& slot = received[static_cast<std::size_t>(r)];
-    slot.resize(msg.payload.size() / sizeof(T));
-    std::memcpy(slot.data(), msg.payload.data(), msg.payload.size());
+    detail::unpack_payload(msg, received[static_cast<std::size_t>(r)], "alltoallv");
     recv_bytes += msg.payload.size();
   }
   ctx.charge(ctx.cost_model().collective_cost(ctx.size(), sent_bytes + recv_bytes));

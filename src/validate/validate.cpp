@@ -12,23 +12,18 @@ CandidateFinder::CandidateFinder(const std::vector<seq::Sequence>& targets,
                                  const ValidationOptions& options)
     : options_(options), codec_(options.prefilter_k) {
   for (std::size_t t = 0; t < targets.size(); ++t) {
-    std::unordered_set<seq::KmerCode> seen;
-    for (const auto& occ : codec_.extract_canonical(targets[t].bases)) {
-      if (seen.insert(occ.code).second) {
-        index_[occ.code].push_back(static_cast<std::int32_t>(t));
-      }
+    for (const auto code : codec_.distinct_canonical(targets[t].bases)) {
+      index_[code].push_back(static_cast<std::int32_t>(t));
     }
   }
 }
 
 std::vector<std::int32_t> CandidateFinder::candidates(const seq::Sequence& query) const {
   std::unordered_map<std::int32_t, std::size_t> shared;
-  std::unordered_set<seq::KmerCode> seen;
-  for (const auto& occ : codec_.extract_canonical(query.bases)) {
-    if (!seen.insert(occ.code).second) continue;
-    const auto it = index_.find(occ.code);
-    if (it == index_.end()) continue;
-    for (const auto t : it->second) ++shared[t];
+  for (const auto code : codec_.distinct_canonical(query.bases)) {
+    const auto* targets = index_.lookup(code);
+    if (targets == nullptr) continue;
+    for (const auto t : *targets) ++shared[t];
   }
   std::vector<std::pair<std::int32_t, std::size_t>> ranked;
   for (const auto& [t, n] : shared) {

@@ -21,9 +21,9 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "kmer/flat_index.hpp"
 #include "seq/kmer.hpp"
 #include "seq/sequence.hpp"
 #include "sw/smith_waterman.hpp"
@@ -58,7 +58,7 @@ class CandidateFinder {
  private:
   ValidationOptions options_;
   seq::KmerCodec codec_;
-  std::unordered_map<seq::KmerCode, std::vector<std::int32_t>> index_;
+  kmer::FlatKmerIndex<std::vector<std::int32_t>> index_;
 };
 
 /// Figure 4 result: query counts per category plus the (c) identities.

@@ -1,11 +1,12 @@
 // Tests for the Jellyfish substitute: counting correctness against a brute
-// force oracle, canonical semantics, dump formats, and concurrent inserts.
+// force oracle, canonical semantics, dump formats, and results (dump order
+// included) that do not depend on the thread count.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <map>
-#include <thread>
 
 #include "kmer/counter.hpp"
 #include "seq/dna.hpp"
@@ -74,7 +75,7 @@ TEST(KmerCounterTest, CanonicalMergesStrands) {
 
 TEST(KmerCounterTest, NonCanonicalKeepsStrandsApart) {
   KmerCounter counter(opts(4, /*canonical=*/false));
-  counter.add_sequence({"s", "AAAA"});
+  counter.add_sequences({{"s", "AAAA"}});
   const seq::KmerCodec codec(4);
   EXPECT_EQ(counter.count_of(*codec.encode("AAAA")), 1u);
   EXPECT_EQ(counter.count_of(*codec.encode("TTTT")), 0u);
@@ -82,7 +83,7 @@ TEST(KmerCounterTest, NonCanonicalKeepsStrandsApart) {
 
 TEST(KmerCounterTest, CountOfCanonicalizesQueries) {
   KmerCounter counter(opts(5));
-  counter.add_sequence({"s", "ACGTC"});
+  counter.add_sequences({{"s", "ACGTC"}});
   const seq::KmerCodec codec(5);
   // Query by the reverse complement; the canonical counter must find it.
   EXPECT_EQ(counter.count_of(*codec.encode("GACGT")), 1u);
@@ -90,55 +91,172 @@ TEST(KmerCounterTest, CountOfCanonicalizesQueries) {
 
 TEST(KmerCounterTest, SequencesWithNsSkipThoseWindows) {
   KmerCounter counter(opts(3));
-  counter.add_sequence({"s", "ACGNACG"});
+  counter.add_sequences({{"s", "ACGNACG"}});
   EXPECT_EQ(counter.total(), 2u);  // "ACG" twice, nothing across the N
 }
 
 TEST(KmerCounterTest, AccumulatesAcrossCalls) {
   KmerCounter counter(opts(3));
-  counter.add_sequence({"a", "AAAA"});
-  counter.add_sequence({"b", "AAAA"});
+  counter.add_sequences({{"a", "AAAA"}});
+  counter.add_sequences({{"b", "AAAA"}});
   const seq::KmerCodec codec(3);
   EXPECT_EQ(counter.count_of(*codec.encode("AAA")), 4u);
 }
 
 TEST(KmerCounterTest, MinCountFiltersDump) {
   KmerCounter counter(opts(3));
-  counter.add_sequence({"s", "AAAAACG"});  // AAA x3, AAC, ACG once each
+  counter.add_sequences({{"s", "AAAAACG"}});  // AAA x3, AAC, ACG once each
   const auto all = counter.dump(1);
   const auto frequent = counter.dump(2);
   EXPECT_GT(all.size(), frequent.size());
   for (const auto& kc : frequent) EXPECT_GE(kc.count, 2u);
 }
 
-TEST(KmerCounterTest, RejectsNonPowerOfTwoShards) {
-  CounterOptions o;
-  o.num_shards = 7;
-  EXPECT_THROW(KmerCounter{o}, std::invalid_argument);
+/// Random reads of 20-120 bases in which about one base in eight is an N,
+/// so many windows are skipped.
+std::vector<seq::Sequence> n_rich_reads(std::size_t n, std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<seq::Sequence> reads;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::string bases = random_dna(20 + rng.uniform_below(101), rng());
+    for (auto& c : bases) {
+      if (rng.uniform_below(8) == 0) c = 'N';
+    }
+    reads.push_back({"r" + std::to_string(i), std::move(bases)});
+  }
+  return reads;
 }
 
-TEST(KmerCounterTest, ConcurrentInsertsAreExact) {
-  // Hammer the striped hash from explicit threads; total must be exact.
-  KmerCounter counter(opts(15));
-  const std::string seed_seq = random_dna(5000, 321);
-  constexpr int kThreads = 4;
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&counter, &seed_seq] {
-      counter.add_sequence({"s", seed_seq});
-    });
+CounterOptions opts_threads(int k, int threads) {
+  CounterOptions o = opts(k);
+  o.num_threads = threads;
+  return o;
+}
+
+/// The dump of `reads` counted at k = 21 with `threads` threads.
+std::vector<KmerCount> dump_with_threads(const std::vector<seq::Sequence>& reads, int threads) {
+  KmerCounter counter(opts_threads(21, threads));
+  counter.add_sequences(reads);
+  return counter.dump();
+}
+
+bool same_records(const std::vector<KmerCount>& a, const std::vector<KmerCount>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const KmerCount& x, const KmerCount& y) {
+                      return x.code == y.code && x.count == y.count;
+                    });
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+TEST(KmerCounterTest, ThreadCountDoesNotChangeTheResult) {
+  // More reads than one counting block, so the block loop runs twice.
+  const auto reads = n_rich_reads(20000, 7);
+  KmerCounter reference(opts_threads(21, 1));
+  reference.add_sequences(reads);
+  const auto expected = reference.dump();
+  for (const int threads : {2, 4, 8}) {
+    KmerCounter counter(opts_threads(21, threads));
+    counter.add_sequences(reads);
+    EXPECT_EQ(counter.total(), reference.total()) << threads << " threads";
+    EXPECT_TRUE(same_records(counter.dump(), expected)) << threads << " threads";
   }
-  for (auto& w : workers) w.join();
-  const auto expected = oracle_counts({{"s", seed_seq}}, 15, true);
-  std::uint64_t expected_total = 0;
-  for (const auto& [code, count] : expected) expected_total += count;
-  EXPECT_EQ(counter.total(), expected_total * kThreads);
+}
+
+TEST(KmerCounterTest, BinaryDumpIsByteIdenticalAcrossThreadsRunsAndResume) {
+  const TempDir dir("order");
+  const auto reads = n_rich_reads(3000, 11);
+  const std::string reference_path = dir.file("ref.bin");
+  write_dump_binary(reference_path, dump_with_threads(reads, 1), 21);
+  const std::string expected = read_bytes(reference_path);
+  for (const int threads : {1, 2, 4, 8}) {
+    for (int run = 0; run < 2; ++run) {
+      const std::string path = dir.file("t" + std::to_string(threads) + ".bin");
+      write_dump_binary(path, dump_with_threads(reads, threads), 21);
+      EXPECT_EQ(read_bytes(path), expected) << threads << " threads, run " << run;
+    }
+  }
+  // A resume rebuilds the counter from the dump file, records shuffled
+  // here; its dump must still be the same bytes.
+  auto records = read_dump_binary(reference_path, 21);
+  std::reverse(records.begin(), records.end());
+  KmerCounter resumed(opts_threads(21, 4));
+  resumed.add_counts(records);
+  write_dump_binary(dir.file("resumed.bin"), resumed.dump(), 21);
+  EXPECT_EQ(read_bytes(dir.file("resumed.bin")), expected);
+}
+
+TEST(KmerCounterTest, DumpOrderDependsOnlyOnTheKmerSet) {
+  auto reads = n_rich_reads(500, 5);
+  const auto forward = dump_with_threads(reads, 4);
+  std::reverse(reads.begin(), reads.end());
+  EXPECT_TRUE(same_records(dump_with_threads(reads, 4), forward));
+}
+
+TEST(KmerCounterTest, ParityAgainstMapOnRandomCorpora) {
+  for (const int k : {1, 25, 31, 32}) {
+    for (const bool canonical : {true, false}) {
+      SCOPED_TRACE("k=" + std::to_string(k) + (canonical ? " canonical" : " strand-aware"));
+      const auto reads = n_rich_reads(400, static_cast<std::uint64_t>(k) * 2 + canonical);
+      const auto expected = oracle_counts(reads, k, canonical);
+      CounterOptions o = opts(k, canonical);
+      o.num_threads = 3;
+      KmerCounter counter(o);
+      counter.add_sequences(reads);
+
+      std::map<seq::KmerCode, std::uint32_t> dumped;
+      for (const auto& kc : counter.dump()) {
+        EXPECT_TRUE(dumped.emplace(kc.code, kc.count).second) << "duplicate record";
+      }
+      EXPECT_EQ(dumped, expected);
+      std::uint64_t expected_total = 0;
+      for (const auto& [code, count] : expected) expected_total += count;
+      EXPECT_EQ(counter.total(), expected_total);
+      EXPECT_EQ(counter.distinct(), expected.size());
+
+      const seq::KmerCodec codec(k);
+      for (const auto& [code, count] : expected) {
+        ASSERT_EQ(counter.count_of(code), count);
+        // A reverse-complement query finds the same canonical k-mer; a
+        // strand-aware counter looks up the other strand.
+        const seq::KmerCode rc = codec.reverse_complement(code);
+        const auto other = expected.find(rc);
+        const std::uint32_t rc_count =
+            canonical ? count : (other == expected.end() ? 0u : other->second);
+        ASSERT_EQ(counter.count_of(rc), rc_count);
+      }
+      // Absent k-mers count 0.
+      util::Rng rng(99);
+      const seq::KmerCode mask = k == 32 ? ~0ULL : (1ULL << (2 * k)) - 1;
+      for (int i = 0; i < 200; ++i) {
+        const seq::KmerCode code = rng() & mask;
+        const seq::KmerCode key = canonical ? codec.canonical(code) : code;
+        if (expected.count(key) == 0) {
+          EXPECT_EQ(counter.count_of(code), 0u);
+        }
+      }
+    }
+  }
+}
+
+TEST(KmerCounterTest, RepeatedAddsAndAddCountsAccumulate) {
+  const auto reads = n_rich_reads(300, 13);
+  KmerCounter counter(opts_threads(25, 2));
+  counter.add_sequences(reads);
+  const auto once = counter.dump();
+  counter.add_sequences(reads);
+  counter.add_counts(once);
+  EXPECT_EQ(counter.distinct(), once.size());
+  for (const auto& kc : once) EXPECT_EQ(counter.count_of(kc.code), 3 * kc.count);
 }
 
 TEST(KmerDumpTest, TextRoundTrip) {
   const TempDir dir("dump");
   KmerCounter counter(opts(7));
-  counter.add_sequence({"s", random_dna(200, 9)});
+  counter.add_sequences({{"s", random_dna(200, 9)}});
   const auto counts = counter.dump();
   const seq::KmerCodec codec(7);
   write_dump_text(dir.file("k.txt"), counts, codec);
@@ -154,7 +272,7 @@ TEST(KmerDumpTest, TextRoundTrip) {
 TEST(KmerDumpTest, BinaryRoundTrip) {
   const TempDir dir("bdump");
   KmerCounter counter(opts(25));
-  counter.add_sequence({"s", random_dna(400, 10)});
+  counter.add_sequences({{"s", random_dna(400, 10)}});
   const auto counts = counter.dump();
   write_dump_binary(dir.file("k.bin"), counts, 25);
   const auto got = read_dump_binary(dir.file("k.bin"), 25);
@@ -174,7 +292,7 @@ TEST(KmerDumpTest, BinaryKMismatchThrows) {
 TEST(KmerDumpTest, TruncatedBinaryThrows) {
   const TempDir dir("trunc");
   KmerCounter counter(opts(11));
-  counter.add_sequence({"s", random_dna(100, 2)});
+  counter.add_sequences({{"s", random_dna(100, 2)}});
   write_dump_binary(dir.file("k.bin"), counter.dump(), 11);
   // Chop the file.
   const auto path = dir.file("k.bin");

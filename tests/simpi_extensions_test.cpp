@@ -234,7 +234,29 @@ TEST_P(ScattervWorlds, EachRankGetsItsPart) {
   });
 }
 
+TEST_P(ScattervWorlds, EmptyPartsAreFine) {
+  const int nranks = GetParam();
+  run(nranks, [&](Context& ctx) {
+    std::vector<std::vector<double>> parts;
+    if (ctx.rank() == 0) parts.resize(static_cast<std::size_t>(nranks));
+    EXPECT_TRUE(scatterv(ctx, parts, 0).empty());
+  });
+}
+
 INSTANTIATE_TEST_SUITE_P(WorldSizes, ScattervWorlds, ::testing::Values(1, 2, 4, 6));
+
+TEST(ScattervTest, TypedSizeMismatchThrows) {
+  // The root sends 4-byte ints; the receiver expects 8-byte doubles.
+  EXPECT_THROW(run(2,
+                   [](Context& ctx) {
+                     if (ctx.rank() == 0) {
+                       (void)scatterv(ctx, std::vector<std::vector<int>>{{1}, {2}}, 0);
+                     } else {
+                       (void)scatterv(ctx, std::vector<std::vector<double>>{}, 0);
+                     }
+                   }),
+               std::runtime_error);
+}
 
 TEST(ScattervTest, RootWithWrongPartCountThrows) {
   EXPECT_THROW(run(2,
