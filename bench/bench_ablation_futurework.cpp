@@ -3,12 +3,9 @@
 //
 //  1. "a dynamic partitioning strategy to reduce this load imbalance":
 //     self-scheduling via an RMA work counter vs chunked round-robin.
-//  2. "parallelizing other parts of GraphFromFasta": cooperative
-//     (block-partitioned + Allgatherv-pooled) setup vs the redundant
-//     per-rank scan.
-//  3. "exploring MPI-I/O for RNA-Seq data": collective ordered write of
+//  2. "exploring MPI-I/O for RNA-Seq data": collective ordered write of
 //     the ReadsToTranscripts output vs per-rank files + master cat.
-//  4. The read-split alternative of Bozdag et al. (the paper's Bowtie
+//  3. The read-split alternative of Bozdag et al. (the paper's Bowtie
 //     partitioning is "a special case of their more general study"):
 //     split reads + replicate index vs split targets + PyFasta.
 
@@ -59,31 +56,11 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- 2: cooperative vs redundant setup ---------------------------------------
-  std::printf("\n2) GraphFromFasta setup (the serial region of Figure 8):\n");
-  std::printf("%6s | %-20s %11s %9s\n", "nodes", "setup scheme", "setup(s)", "comm(s)");
-  for (const int nranks : {4, 8, 16}) {
-    for (const bool hybrid_setup : {false, true}) {
-      chrysalis::GraphFromFastaOptions options;
-      options.k = bench::kK;
-      options.model_threads_per_rank = 1;
-      options.hybrid_setup = hybrid_setup;
-      chrysalis::GffTiming timing;
-      simpi::run(nranks, [&](simpi::Context& ctx) {
-        const auto r = chrysalis::run_hybrid(ctx, w.contigs, w.counter, options);
-        if (ctx.rank() == 0) timing = r.timing;
-      });
-      std::printf("%6d | %-20s %11.3f %9.4f\n", nranks,
-                  hybrid_setup ? "cooperative (future)" : "redundant (paper)",
-                  timing.setup_seconds, timing.comm_seconds);
-    }
-  }
-
-  // --- 3: collective output vs per-rank files + cat -----------------------------
+  // --- 2: collective output vs per-rank files + cat -----------------------------
   chrysalis::GraphFromFastaOptions gff;
   gff.k = bench::kK;
   const auto components = chrysalis::run_shared(w.contigs, w.counter, gff).components;
-  std::printf("\n3) ReadsToTranscripts output path:\n");
+  std::printf("\n2) ReadsToTranscripts output path:\n");
   std::printf("%6s | %-22s %12s\n", "nodes", "output scheme", "finalize(s)");
   for (const int nranks : {4, 8, 16}) {
     for (const auto mode :
@@ -106,8 +83,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- 4: target-split vs read-split Bowtie --------------------------------------
-  std::printf("\n4) Distributed Bowtie partitioning:\n");
+  // --- 3: target-split vs read-split Bowtie --------------------------------------
+  std::printf("\n3) Distributed Bowtie partitioning:\n");
   std::printf("%6s | %-22s %11s %11s %9s\n", "nodes", "split", "align_max", "align_min",
               "total(s)");
   align::AlignerOptions aopt;
@@ -132,8 +109,7 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\nexpected shapes: dynamic narrows the max/min gap at a small RMA cost;\n"
-              "cooperative setup turns the constant serial region into a shrinking one\n"
-              "plus communication; collective output removes the cat step; read-split\n"
-              "avoids the PyFasta overhead but pays the replicated index build.\n");
+              "collective output removes the cat step; read-split avoids the PyFasta\n"
+              "overhead but pays the replicated index build.\n");
   return 0;
 }

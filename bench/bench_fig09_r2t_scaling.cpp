@@ -12,9 +12,9 @@
 // Each rank count is measured three times — vote mode with overlap_io off
 // (synchronous chunk parsing), vote mode with overlap on (double-buffered
 // prefetch hiding the redundant-streaming I/O behind classification), and
-// the quasi-mapping index engine (--r2t-mode index; the first index run
-// cold-builds and persists the TranscriptIndex, later rank counts warm
-// mmap-load it — docs/INDEXING.md). All three must produce byte-identical
+// index mode (--r2t-mode index; the first index run cold-builds and
+// persists the TranscriptIndex image of the vote map, later rank counts
+// warm mmap-load it — docs/INDEXING.md). All three must produce byte-identical
 // read assignments (asserted; exit 1 on mismatch). The JSON series carries
 // the mode, the prefetch counters, and the index build/load split.
 
@@ -161,7 +161,7 @@ int main(int argc, char** argv) {
               "dominates the high-node end; concatenation constant and negligible;\n"
               "max/min rank imbalance much lower than in GraphFromFasta. overlap=on\n"
               "double-buffers chunk parsing against classification (identical output).\n"
-              "mode=index replaces the per-run voting-map setup with the persistent\n"
-              "quasi-mapping TranscriptIndex (first run builds it, later ones mmap it).\n");
+              "mode=index replaces the per-run voting-map setup with an mmapped image\n"
+              "of the same map (first run builds it, later ones mmap it).\n");
   return 0;
 }

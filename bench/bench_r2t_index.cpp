@@ -1,6 +1,6 @@
-// Microbenchmark behind the quasi-mapping tentpole: the persistent
-// TranscriptIndex vs the per-run k-mer -> bundle voting map on the fig09
-// workload. Three setup costs are measured (host wall time, best of
+// Microbenchmark for index mode: the persistent TranscriptIndex (an mmap
+// image of the k-mer -> bundle vote map) vs building that map per run, on
+// the fig09 workload. Three setup costs are measured (host wall time, best of
 // --repeats): the voting map built from scratch (what every vote-mode run
 // pays), a cold index build (+ serialize to disk), and a warm mmap load of
 // the serialized index (what every later index-mode run pays instead).
@@ -47,7 +47,7 @@ bool same_assignments(const std::vector<trinity::chrysalis::ReadAssignment>& a,
 int main(int argc, char** argv) {
   using namespace trinity;
   Config cfg("bench_r2t_index",
-             "persistent quasi-mapping TranscriptIndex vs per-run voting-map setup");
+             "mmapped TranscriptIndex vs per-run voting-map setup");
   cfg.flag_int("genes", 400, "genes to simulate (scales the dataset)")
       .flag_int("repeats", 5, "timed repetitions per setup path (minimum kept)")
       .flag_double("min-speedup", 1.0,
@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
   int parse_exit = 0;
   if (!bench::parse_or_exit(cfg, argc, argv, &parse_exit)) return parse_exit;
 
-  bench::banner("r2t-index", "persistent TranscriptIndex vs per-run voting-map setup");
+  bench::banner("r2t-index", "mmapped TranscriptIndex vs per-run voting-map setup");
   const auto genes = static_cast<std::size_t>(cfg.get_int("genes"));
   const int repeats = static_cast<int>(cfg.get_int("repeats"));
   const auto w = bench::make_workload("sugarbeet_like", genes, "r2t_index");
@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
 
   // --- setup-cost passes (best of N) ---------------------------------------
   double t_vote_setup = 0.0, t_build = 0.0, t_load = 0.0;
-  std::size_t map_entries = 0, index_entries = 0, index_intervals = 0, image_bytes = 0;
+  std::size_t map_entries = 0, index_entries = 0, image_bytes = 0;
   for (int rep = 0; rep < repeats; ++rep) {
     double t0 = now_seconds();
     const auto map = chrysalis::build_bundle_kmer_map(w.contigs, components, bench::kK);
@@ -88,7 +88,6 @@ int main(int argc, char** argv) {
     const auto loaded = chrysalis::TranscriptIndex::load(index_path);
     const double load = now_seconds() - t0;
     index_entries = loaded.num_kmers();
-    index_intervals = loaded.num_intervals();
     image_bytes = loaded.image_bytes();
 
     if (rep == 0 || vote < t_vote_setup) t_vote_setup = vote;
@@ -123,18 +122,6 @@ int main(int argc, char** argv) {
                  index_run.timing.index_build_seconds);
     return 1;
   }
-  std::uint64_t classified = 0;
-  for (const auto& eq : index_run.eq_classes) classified += eq.count;
-  std::uint64_t assigned = 0;
-  for (const auto& a : index_run.assignments) assigned += a.component >= 0 ? 1 : 0;
-  if (classified != assigned) {
-    std::fprintf(stderr,
-                 "bench_r2t_index: eq classes count %llu reads, assignments %llu\n",
-                 static_cast<unsigned long long>(classified),
-                 static_cast<unsigned long long>(assigned));
-    return 1;
-  }
-
   const double cold_speedup = t_vote_setup / std::max(t_build, 1e-9);
   const double warm_speedup = t_vote_setup / std::max(t_load, 1e-9);
 
@@ -156,15 +143,13 @@ int main(int argc, char** argv) {
     json.field("path", std::string(row.path));
     json.field("setup_s", row.seconds);
     json.field("entries", static_cast<std::int64_t>(index_entries));
-    json.field("intervals", static_cast<std::int64_t>(index_intervals));
     json.field("image_bytes", static_cast<std::int64_t>(image_bytes));
     json.field("speedup_vs_vote", row.speedup);
-    json.field("eq_classes", static_cast<std::int64_t>(index_run.eq_classes.size()));
   }
   std::printf("\nvote setup %.4fs | cold build+save %.4fs (%.2fx) | warm mmap load %.4fs "
-              "(%.2fx); %zu k-mers in %zu path intervals, %.1f MiB on disk\n",
+              "(%.2fx); %zu k-mers, %.1f MiB on disk\n",
               t_vote_setup, t_build, cold_speedup, t_load, warm_speedup, index_entries,
-              index_intervals, static_cast<double>(image_bytes) / (1024.0 * 1024.0));
+              static_cast<double>(image_bytes) / (1024.0 * 1024.0));
 
   const double min_speedup = cfg.get_double("min-speedup");
   if (min_speedup > 0.0 && warm_speedup < min_speedup) {

@@ -7,7 +7,7 @@
 //                  [--ranks N] [--k 25] [--min-kmer-count 2]
 //                  [--work-dir DIR]
 //                  [--gff-distribution crr|block|dynamic]
-//                  [--gff-hybrid-setup] [--r2t-strategy redundant|master-slave]
+//                  [--r2t-strategy redundant|master-slave]
 //                  [--r2t-output concat|collective] [--bowtie-split targets|reads]
 //                  [--min-node-support N] [--require-paired-support]
 //

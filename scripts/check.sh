@@ -13,7 +13,8 @@
 #   2. Tier-1 verify (ROADMAP.md): full build + complete ctest suite.
 #   3. Fault-matrix gate (docs/ROBUSTNESS.md): the injected-storage-failure
 #      matrix — ENOSPC and a torn rename at the manifest commit recovering
-#      via resume to byte-identical transcripts, EIO mid-dump and a short
+#      via resume to byte-identical transcripts, EIO mid-dump, EIO on
+#      bowtie.sam, components.txt and readsToComponents.out.tsv, and a short
 #      write on the final transcripts retried in process — plus the io-layer
 #      unit tests and the malformed-input corpus.
 #   4. Trace gate (docs/OBSERVABILITY.md "Distributed trace"): a small
@@ -74,7 +75,7 @@
 #      for the trace recorder, publish buffers across threads; for the flat
 #      index, raw-storage placement news; for the k-mer counter, OpenMP
 #      threads filling per-partition buffers; for the transcript index, mmap'd
-#      read-only images shared across jobs; for the serve layer, preempt
+#      read-only images cut and flipped at every byte; for the serve layer, preempt
 #      and deadline tokens, the journal, and rank leases across
 #      scheduler/watchdog/worker threads; for the metrics layer, relaxed-
 #      atomic instruments hammered by every serve thread while the

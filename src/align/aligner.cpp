@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <tuple>
 
+#include "io/io_file.hpp"
 #include "seq/dna.hpp"
 
 namespace trinity::align {
@@ -134,14 +135,14 @@ std::vector<SamRecord> SeedExtendAligner::align_all(
 }
 
 namespace {
-void write_sam_header(std::ofstream& out, const std::vector<seq::Sequence>& contigs) {
+void write_sam_header(io::BufferedWriter& out, const std::vector<seq::Sequence>& contigs) {
   out << "@HD\tVN:1.6\tSO:unsorted\n";
   for (const auto& c : contigs) {
     out << "@SQ\tSN:" << c.name << "\tLN:" << c.bases.size() << '\n';
   }
 }
 
-void write_sam_record(std::ofstream& out, const SamRecord& r) {
+void write_sam_record(io::BufferedWriter& out, const SamRecord& r) {
   if (r.aligned()) {
     const int flag = r.reverse_strand ? 16 : 0;
     out << r.read_name << '\t' << flag << '\t' << r.target_name << '\t' << (r.pos + 1)
@@ -154,17 +155,15 @@ void write_sam_record(std::ofstream& out, const SamRecord& r) {
 
 void write_sam(const std::string& path, const std::vector<SamRecord>& records,
                const std::vector<seq::Sequence>& contigs) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("write_sam: cannot open '" + path + "'");
+  io::BufferedWriter out(path);
   write_sam_header(out, contigs);
   for (const auto& r : records) write_sam_record(out, r);
-  if (!out) throw std::runtime_error("write_sam: write failure on '" + path + "'");
+  out.close();
 }
 
 void merge_sam_files(const std::vector<std::string>& inputs, const std::string& output,
                      const std::vector<seq::Sequence>& contigs) {
-  std::ofstream out(output);
-  if (!out) throw std::runtime_error("merge_sam_files: cannot open '" + output + "'");
+  io::BufferedWriter out(output);
   write_sam_header(out, contigs);
   for (const auto& path : inputs) {
     std::ifstream in(path);
@@ -175,7 +174,7 @@ void merge_sam_files(const std::vector<std::string>& inputs, const std::string& 
       out << line << '\n';
     }
   }
-  if (!out) throw std::runtime_error("merge_sam_files: write failure on '" + output + "'");
+  out.close();
 }
 
 }  // namespace trinity::align

@@ -105,7 +105,8 @@ class SeedExtendAligner {
 };
 
 /// Writes records as a SAM file with @HD/@SQ headers over the index's
-/// contigs. Unaligned records get the 0x4 flag.
+/// contigs. Unaligned records get the 0x4 flag. Writes through
+/// io::BufferedWriter, so failures are typed io::IoErrors.
 void write_sam(const std::string& path, const std::vector<SamRecord>& records,
                const std::vector<seq::Sequence>& contigs);
 

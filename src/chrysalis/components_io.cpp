@@ -4,6 +4,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "io/io_file.hpp"
+
 namespace trinity::chrysalis {
 
 namespace {
@@ -11,8 +13,7 @@ constexpr const char* kHeaderTag = "#trinity-components";
 }
 
 void write_components(const std::string& path, const ComponentSet& components) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("write_components: cannot open '" + path + "'");
+  io::BufferedWriter out(path);
   out << kHeaderTag << ' ' << components.components.size() << ' '
       << components.component_of.size() << '\n';
   for (const auto& comp : components.components) {
@@ -20,7 +21,7 @@ void write_components(const std::string& path, const ComponentSet& components) {
     for (const auto id : comp.contig_ids) out << ' ' << id;
     out << '\n';
   }
-  if (!out) throw std::runtime_error("write_components: write failure on '" + path + "'");
+  out.close();
 }
 
 ComponentSet read_components(const std::string& path) {

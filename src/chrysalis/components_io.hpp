@@ -19,6 +19,7 @@ namespace trinity::chrysalis {
 /// Writes a ComponentSet as text:
 ///   #trinity-components <num_components> <num_contigs>
 ///   <component_id>: <contig_id> <contig_id> ...
+/// through io::BufferedWriter (failures are typed io::IoErrors).
 void write_components(const std::string& path, const ComponentSet& components);
 
 /// Reads a ComponentSet written by write_components. Validates the header,

@@ -58,14 +58,6 @@ double GffTiming::nonparallel_fraction() const {
 
 namespace detail {
 
-namespace {
-// Accumulates one contig's distinct canonical (k-1)-mers into the index.
-void accumulate_contig(const seq::Sequence& contig, const seq::KmerCodec& codec,
-                       kmer::FlatKmerIndex<std::uint32_t>& multiplicity) {
-  for (const auto code : codec.distinct_canonical(contig.bases)) ++multiplicity[code];
-}
-}  // namespace
-
 kmer::FlatKmerIndex<std::uint32_t> contig_kmer_multiplicity(
     const std::vector<seq::Sequence>& contigs, int k) {
   // (k-1)-mers: the overlap length at Inchworm branch points. Reserve from
@@ -73,34 +65,8 @@ kmer::FlatKmerIndex<std::uint32_t> contig_kmer_multiplicity(
   // can produce — so the build loop never rehashes.
   const seq::KmerCodec codec(k - 1);
   kmer::FlatKmerIndex<std::uint32_t> multiplicity(seq::total_bases(contigs));
-  for (const auto& contig : contigs) accumulate_contig(contig, codec, multiplicity);
-  return multiplicity;
-}
-
-kmer::FlatKmerIndex<std::uint32_t> hybrid_contig_kmer_multiplicity(
-    simpi::Context& ctx, const std::vector<seq::Sequence>& contigs, int k) {
-  // Each rank scans a contiguous block; since contigs are disjoint across
-  // ranks and per-contig dedup is contig-local, summing the pooled partial
-  // counts reproduces the serial map exactly.
-  const seq::KmerCodec codec(k - 1);
-  const BlockDistribution dist(contigs.size(), ctx.size());
-  const IndexRange mine = dist.block_for(ctx.rank());
-  kmer::FlatKmerIndex<std::uint32_t> partial;
-  for (std::size_t i = mine.begin; i < mine.end; ++i) {
-    accumulate_contig(contigs[i], codec, partial);
-  }
-
-  // Pool (code, count) pairs with Allgatherv, then merge by summation.
-  std::vector<std::uint64_t> wire;
-  wire.reserve(partial.size() * 2);
-  for (const auto& [code, count] : partial) {
-    wire.push_back(code);
-    wire.push_back(count);
-  }
-  const auto pooled = ctx.allgatherv(wire);
-  kmer::FlatKmerIndex<std::uint32_t> multiplicity(pooled.size() / 2);
-  for (std::size_t i = 0; i + 1 < pooled.size(); i += 2) {
-    multiplicity[pooled[i]] += static_cast<std::uint32_t>(pooled[i + 1]);
+  for (const auto& contig : contigs) {
+    for (const auto code : codec.distinct_canonical(contig.bases)) ++multiplicity[code];
   }
   return multiplicity;
 }
@@ -453,14 +419,11 @@ GffResult run_hybrid(simpi::Context& ctx, const std::vector<seq::Sequence>& cont
   const double comm_before = ctx.comm_seconds();
   GffTiming timing;
 
-  // Setup: redundant per-rank scan (the paper's code), or the cooperative
-  // future-work variant that block-partitions the scan and pools partial
-  // maps with Allgatherv.
+  // Setup: every rank scans all contigs (the paper's code). Pooling
+  // block-partitioned partial maps with Allgatherv measured slower at 4-16
+  // ranks: the merge and the communication cost more than the scan saves.
   util::ThreadCpuTimer setup_cpu;
-  const auto multiplicity =
-      options.hybrid_setup
-          ? detail::hybrid_contig_kmer_multiplicity(ctx, contigs, options.k)
-          : detail::contig_kmer_multiplicity(contigs, options.k);
+  const auto multiplicity = detail::contig_kmer_multiplicity(contigs, options.k);
   const double my_setup = setup_cpu.seconds();
 
   // Loop 1 over this rank's chunks (chunked round robin or dynamic

@@ -88,12 +88,6 @@ struct GraphFromFastaOptions {
   int omp_threads = 0;               ///< real OpenMP threads (0 = auto)
   int model_threads_per_rank = 16;   ///< simulated threads per node
   Distribution distribution = Distribution::kChunkedRoundRobin;
-  /// Future-work option ("Our future work will also involve parallelizing
-  /// other parts of GraphFromFasta"): build the shared-(k-1)-mer setup map
-  /// cooperatively — each rank scans a block of the contigs and the
-  /// partial multiplicity tables are pooled with Allgatherv — instead of
-  /// every rank redundantly scanning all contigs. Hybrid runs only.
-  bool hybrid_setup = false;
   /// Cost-model calibration for benchmarks: repeat each per-contig kernel
   /// this many times. The production GraphFromFasta kernel (full pairwise
   /// contig comparison) is far heavier per contig than this reproduction's
@@ -228,11 +222,6 @@ void find_weld_matches(const std::vector<seq::KmerCode>& contig_codes, std::int3
 /// setup region of Figure 8).
 kmer::FlatKmerIndex<std::uint32_t> contig_kmer_multiplicity(
     const std::vector<seq::Sequence>& contigs, int k);
-
-/// Cooperative (hybrid_setup) variant: block-partitioned scan + Allgatherv
-/// pooling. Collective; produces exactly the serial map on every rank.
-kmer::FlatKmerIndex<std::uint32_t> hybrid_contig_kmer_multiplicity(
-    simpi::Context& ctx, const std::vector<seq::Sequence>& contigs, int k);
 
 /// Canonical form of a weld: lexicographic min of the sequence and its
 /// reverse complement, so both strands hash identically.

@@ -4,13 +4,15 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <fstream>
 #include <future>
-#include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
 #include "chrysalis/parallel_loop.hpp"
+#include "chrysalis/transcript_index.hpp"
 #include "io/io_file.hpp"
 #include "seq/fasta.hpp"
 #include "seq/kmer.hpp"
@@ -41,10 +43,23 @@ kmer::FlatKmerIndex<std::int32_t> build_bundle_kmer_map(
   return bundle_of;
 }
 
+namespace {
+
+/// The one spelling of a readsToComponents.out.tsv line, for every sink
+/// the rows go to (a BufferedWriter file or a collective-write slice).
+template <typename Sink>
+void put_assignment(Sink& out, const ReadAssignment& a) {
+  out << a.read_index << '\t' << a.component << '\t' << a.shared_kmers << '\t'
+      << a.region_begin << '\t' << a.region_end << '\n';
+}
+
+}  // namespace
+
 namespace detail {
 
+template <typename Map>
 ReadAssignment assign_read(const seq::Sequence& read, std::int64_t read_index,
-                           const kmer::FlatKmerIndex<std::int32_t>& bundle_of, int k) {
+                           const Map& bundle_of, int k) {
   ReadAssignment out;
   out.read_index = read_index;
 
@@ -62,7 +77,7 @@ ReadAssignment assign_read(const seq::Sequence& read, std::int64_t read_index,
   };
   std::vector<Tally> tallies;
   for (const auto& occ : occurrences) {
-    const auto* component = bundle_of.lookup(occ.code);
+    const std::int32_t* component = bundle_of.lookup(occ.code);
     if (component == nullptr) continue;
     bool found = false;
     for (auto& t : tallies) {
@@ -89,83 +104,21 @@ ReadAssignment assign_read(const seq::Sequence& read, std::int64_t read_index,
   return out;
 }
 
-ReadAssignment assign_read_indexed(const seq::Sequence& read, std::int64_t read_index,
-                                   const TranscriptIndex& index, int k,
-                                   std::vector<std::int32_t>* labels_out) {
-  ReadAssignment out;
-  out.read_index = read_index;
-  if (labels_out != nullptr) labels_out->clear();
-
-  const seq::KmerCodec codec(k);
-  const auto occurrences = codec.extract_canonical(read.bases);
-  if (occurrences.empty()) return out;
-
-  // Interval-intersection consensus: each hit interval carries its
-  // component, so the tally loop is byte-for-byte the voting one with the
-  // map probe swapped for the index probe — which is what makes the two
-  // modes bit-identical.
-  struct Tally {
-    std::int32_t component;
-    std::uint32_t count;
-    std::size_t first;
-    std::size_t last;  // last k-mer start position
-  };
-  std::vector<Tally> tallies;
-  for (const auto& occ : occurrences) {
-    const PathInterval* hit = index.lookup(occ.code);
-    if (hit == nullptr) continue;
-    bool found = false;
-    for (auto& t : tallies) {
-      if (t.component == hit->component) {
-        ++t.count;
-        t.last = occ.position;
-        found = true;
-        break;
-      }
-    }
-    if (!found) tallies.push_back({hit->component, 1, occ.position, occ.position});
-  }
-  if (tallies.empty()) return out;
-
-  if (labels_out != nullptr) {
-    labels_out->reserve(tallies.size());
-    for (const auto& t : tallies) labels_out->push_back(t.component);
-    std::sort(labels_out->begin(), labels_out->end());
-  }
-
-  const auto best = std::min_element(
-      tallies.begin(), tallies.end(), [](const Tally& a, const Tally& b) {
-        if (a.count != b.count) return a.count > b.count;  // most shared k-mers
-        return a.component < b.component;                  // deterministic tie
-      });
-  out.component = best->component;
-  out.shared_kmers = best->count;
-  out.region_begin = static_cast<std::uint32_t>(best->first);
-  out.region_end = static_cast<std::uint32_t>(best->last + static_cast<std::size_t>(k));
-  return out;
-}
+template ReadAssignment assign_read(const seq::Sequence&, std::int64_t,
+                                    const kmer::FlatKmerIndex<std::int32_t>&, int);
+template ReadAssignment assign_read(const seq::Sequence&, std::int64_t, const TranscriptIndex&,
+                                    int);
 
 void write_assignments(const std::string& path,
                        const std::vector<ReadAssignment>& assignments) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("write_assignments: cannot open '" + path + "'");
-  for (const auto& a : assignments) {
-    out << a.read_index << '\t' << a.component << '\t' << a.shared_kmers << '\t'
-        << a.region_begin << '\t' << a.region_end << '\n';
-  }
-  if (!out) throw std::runtime_error("write_assignments: write failure on '" + path + "'");
+  io::BufferedWriter out(path);
+  for (const auto& a : assignments) put_assignment(out, a);
+  out.close();
 }
 
 }  // namespace detail
 
 namespace {
-
-/// The assignment engine a run classifies with: exactly one of the two
-/// pointers is set (R2TMode::kVote -> vote, kIndex -> index).
-struct Assigner {
-  const kmer::FlatKmerIndex<std::int32_t>* vote = nullptr;
-  const TranscriptIndex* index = nullptr;
-};
 
 /// Whether an existing index file should be mmapped instead of building.
 bool index_file_present(const ReadsToTranscriptsOptions& options) {
@@ -174,60 +127,85 @@ bool index_file_present(const ReadsToTranscriptsOptions& options) {
          ::access(options.index_path.c_str(), F_OK) == 0;
 }
 
-/// Resolves the index for an R2TMode::kIndex run: the serve layer's shared
-/// copy, an mmap of the persisted file, or a fresh build (persisted when
-/// `persist` — in hybrid runs only rank 0 saves, so concurrent ranks never
-/// race on the atomic-write tmp file). Fills the timing fields the run
-/// report surfaces. `load_existing` is the (collectively agreed, for
-/// hybrid) result of index_file_present().
-std::shared_ptr<const TranscriptIndex> acquire_index(
-    const std::vector<seq::Sequence>& contigs, const ComponentSet& components,
-    const ReadsToTranscriptsOptions& options, bool load_existing, bool persist,
-    R2TTiming& timing) {
-  if (options.shared_index != nullptr && options.shared_index->k() == options.k) {
-    timing.index_source = "shared-cache";
-    return options.shared_index;
-  }
+/// Resolves the vote-map image for an R2TMode::kIndex run: an mmap of the
+/// persisted file or a fresh build (persisted when `persist` — in hybrid
+/// runs only rank 0 saves, so concurrent ranks never race on the
+/// atomic-write tmp file). Fills the timing fields the run report
+/// surfaces. `load_existing` is the (collectively agreed, for hybrid)
+/// result of index_file_present().
+TranscriptIndex acquire_index(const std::vector<seq::Sequence>& contigs,
+                              const ComponentSet& components,
+                              const ReadsToTranscriptsOptions& options, bool load_existing,
+                              bool persist, R2TTiming& timing) {
   if (options.index_lifecycle == IndexLifecycle::kLoad && options.index_path.empty()) {
     throw std::runtime_error(
         "ReadsToTranscripts: index lifecycle 'load' requires an index path");
   }
-  if (options.index_lifecycle == IndexLifecycle::kLoad || load_existing) {
+  if (options.index_lifecycle == IndexLifecycle::kLoad) {
     util::Timer wall;
-    auto loaded =
-        std::make_shared<TranscriptIndex>(TranscriptIndex::load(options.index_path));
+    auto loaded = TranscriptIndex::load(options.index_path);
     timing.index_load_seconds = wall.seconds();
-    if (loaded->k() == options.k) {
-      timing.index_source = "mmap";
-      return loaded;
-    }
-    if (options.index_lifecycle == IndexLifecycle::kLoad) {
+    if (loaded.k() != options.k) {
       throw std::runtime_error("ReadsToTranscripts: index '" + options.index_path +
-                               "' was built with k=" + std::to_string(loaded->k()) +
+                               "' was built with k=" + std::to_string(loaded.k()) +
                                ", this run requires k=" + std::to_string(options.k) +
                                " (rebuild with --r2t-index build)");
     }
-    timing.index_load_seconds = 0.0;  // kAuto: stale k, fall through and rebuild
+    timing.index_source = "mmap";
+    return loaded;
+  }
+  if (load_existing) {
+    // kAuto: a file of another k or format version, or a corrupt one, is
+    // rebuilt and overwritten rather than failing the run.
+    try {
+      util::Timer wall;
+      auto loaded = TranscriptIndex::load(options.index_path);
+      if (loaded.k() == options.k) {
+        timing.index_load_seconds = wall.seconds();
+        timing.index_source = "mmap";
+        return loaded;
+      }
+    } catch (const io::ParseError&) {
+    }
   }
   util::Timer wall;
-  auto built = std::make_shared<TranscriptIndex>(
-      TranscriptIndex::build(contigs, components, options.k));
+  auto built = TranscriptIndex::build(contigs, components, options.k);
   timing.index_build_seconds = wall.seconds();
   timing.index_source = "built";
-  if (persist && !options.index_path.empty()) built->save(options.index_path);
+  if (persist && !options.index_path.empty()) built.save(options.index_path);
   return built;
 }
 
+/// Obtains the run's vote map — built here, or the TranscriptIndex image
+/// in index mode — and hands it to `classify` while it is alive. Returns
+/// this rank's setup seconds (in index mode, build plus load wall time,
+/// so Figure 9's setup column stays comparable across modes).
+template <typename Classify>
+double with_vote_map(const std::vector<seq::Sequence>& contigs,
+                     const ComponentSet& components, const ReadsToTranscriptsOptions& options,
+                     bool load_existing, bool persist, R2TTiming& timing,
+                     Classify&& classify) {
+  if (options.mode == R2TMode::kIndex) {
+    const auto index =
+        acquire_index(contigs, components, options, load_existing, persist, timing);
+    classify(index);
+    return timing.index_build_seconds + timing.index_load_seconds;
+  }
+  util::ThreadCpuTimer setup_cpu;
+  const auto bundle_of = build_bundle_kmer_map(contigs, components, options.k);
+  const double setup_seconds = setup_cpu.seconds();
+  classify(bundle_of);
+  return setup_seconds;
+}
+
 /// Processes one in-memory chunk with an OpenMP team; returns the modeled
-/// loop seconds and appends to `assignments`. In index mode `chunk_labels`
-/// (when non-null) receives each read's equivalence-class label set.
+/// loop seconds and appends to `assignments`.
+template <typename Map>
 double process_chunk(const std::vector<seq::Sequence>& chunk, std::int64_t base_index,
-                     const Assigner& assigner, const ReadsToTranscriptsOptions& options,
-                     int real_threads, std::vector<ReadAssignment>& assignments,
-                     std::vector<std::vector<std::int32_t>>* chunk_labels = nullptr) {
+                     const Map& bundle_of, const ReadsToTranscriptsOptions& options,
+                     int real_threads, std::vector<ReadAssignment>& assignments) {
   const std::size_t offset = assignments.size();
   assignments.resize(offset + chunk.size());
-  if (chunk_labels != nullptr) chunk_labels->assign(chunk.size(), {});
   const std::vector<IndexRange> all{IndexRange{0, chunk.size()}};
   return timed_parallel_loop(
       all, real_threads, options.model_threads_per_rank,
@@ -235,21 +213,10 @@ double process_chunk(const std::vector<seq::Sequence>& chunk, std::int64_t base_
         const std::int64_t read_index = base_index + static_cast<std::int64_t>(i);
         // kernel_repeats: see the options doc; extra iterations are discarded.
         for (int rep = 1; rep < options.kernel_repeats; ++rep) {
-          if (assigner.index != nullptr) {
-            (void)detail::assign_read_indexed(chunk[i], read_index, *assigner.index,
-                                              options.k);
-          } else {
-            (void)detail::assign_read(chunk[i], read_index, *assigner.vote, options.k);
-          }
+          (void)detail::assign_read(chunk[i], read_index, bundle_of, options.k);
         }
-        if (assigner.index != nullptr) {
-          assignments[offset + i] = detail::assign_read_indexed(
-              chunk[i], read_index, *assigner.index, options.k,
-              chunk_labels != nullptr ? &(*chunk_labels)[i] : nullptr);
-        } else {
-          assignments[offset + i] =
-              detail::assign_read(chunk[i], read_index, *assigner.vote, options.k);
-        }
+        assignments[offset + i] =
+            detail::assign_read(chunk[i], read_index, bundle_of, options.k);
       },
       "r2t.chunk");
 }
@@ -296,26 +263,124 @@ class PrefetchingChunkSource {
   std::future<std::vector<seq::Sequence>> pending_;
 };
 
+/// What one rank's pass over the reads measured.
+struct StreamStats {
+  double loop_seconds = 0.0;  ///< modeled classification + unhidden read time
+  std::uint64_t chunks = 0;   ///< chunks this rank classified
+  double prefetch_hidden_seconds = 0.0;
+  double prefetch_wait_seconds = 0.0;
+  io::ParseDiagnostics parse;  ///< empty on ranks that never read the file
+};
+
+/// The chunk loop: streams the whole reads file and classifies the chunks
+/// whose index is congruent to `offset` modulo `stride` — (1, 0) for
+/// run_shared, (size, rank) for redundant streaming, where discarded chunks
+/// still cost the read. With overlap_io the next chunk parses on a helper
+/// thread while this one classifies, so the read mostly hides behind
+/// compute and only the residual blocked wall time is charged.
+template <typename Map>
+StreamStats stream_chunks(const std::string& reads_path, const Map& bundle_of,
+                          const ReadsToTranscriptsOptions& options, int threads, int stride,
+                          int offset, std::vector<ReadAssignment>& assignments) {
+  StreamStats stats;
+  seq::FastaReader reader(reads_path, options.parse_policy);
+  std::optional<PrefetchingChunkSource> prefetch;
+  if (options.overlap_io) prefetch.emplace(reader, options.max_mem_reads);
+  std::int64_t base_index = 0;
+  for (std::int64_t chunk_index = 0;; ++chunk_index) {
+    std::vector<seq::Sequence> chunk;
+    if (prefetch) {
+      double blocked = 0.0;
+      chunk = prefetch->next(blocked);
+      stats.loop_seconds += blocked;
+      stats.prefetch_wait_seconds += blocked;
+    } else {
+      util::ThreadCpuTimer read_cpu;
+      chunk = reader.read_chunk(options.max_mem_reads);
+      stats.loop_seconds += read_cpu.seconds();
+    }
+    if (chunk.empty()) break;
+    if (chunk_index % stride == offset) {
+      stats.loop_seconds +=
+          process_chunk(chunk, base_index, bundle_of, options, threads, assignments);
+      ++stats.chunks;
+    }
+    base_index += static_cast<std::int64_t>(chunk.size());
+  }
+  if (prefetch) stats.prefetch_hidden_seconds = prefetch->hidden_seconds();
+  stats.parse = reader.diagnostics();
+  return stats;
+}
+
+/// Master/slave ablation: rank 0 reads and ships chunks round-robin; an
+/// empty payload is the end-of-stream sentinel.
+template <typename Map>
+StreamStats master_slave_chunks(simpi::Context& ctx, const std::string& reads_path,
+                                const Map& bundle_of, const ReadsToTranscriptsOptions& options,
+                                int threads, std::vector<ReadAssignment>& assignments) {
+  constexpr int kChunkTag = 7;
+  StreamStats stats;
+  if (ctx.rank() != 0) {
+    for (;;) {
+      const auto msg = ctx.recv_bytes(0, kChunkTag);
+      const auto wire = simpi::unpack_strings(msg.payload);
+      if (wire.empty()) break;
+      const std::int64_t base_index = std::stoll(wire.front());
+      std::vector<seq::Sequence> chunk(wire.size() - 1);
+      for (std::size_t i = 1; i < wire.size(); ++i) chunk[i - 1].bases = wire[i];
+      stats.loop_seconds +=
+          process_chunk(chunk, base_index, bundle_of, options, threads, assignments);
+      ++stats.chunks;
+    }
+    return stats;
+  }
+  seq::FastaReader reader(reads_path, options.parse_policy);
+  std::int64_t base_index = 0;
+  for (std::int64_t chunk_index = 0;; ++chunk_index) {
+    util::ThreadCpuTimer read_cpu;
+    const auto chunk = reader.read_chunk(options.max_mem_reads);
+    stats.loop_seconds += read_cpu.seconds();
+    if (chunk.empty()) break;
+    const int dest = static_cast<int>(chunk_index % ctx.size());
+    if (dest == 0) {
+      stats.loop_seconds +=
+          process_chunk(chunk, base_index, bundle_of, options, threads, assignments);
+      ++stats.chunks;
+    } else {
+      std::vector<std::string> wire;
+      wire.reserve(chunk.size() + 1);
+      wire.push_back(std::to_string(base_index));
+      for (const auto& read : chunk) wire.push_back(read.bases);
+      ctx.send_bytes(dest, kChunkTag, simpi::pack_strings(wire));
+    }
+    base_index += static_cast<std::int64_t>(chunk.size());
+  }
+  for (int r = 1; r < ctx.size(); ++r) ctx.send_bytes(r, kChunkTag, simpi::pack_strings({}));
+  stats.parse = reader.diagnostics();
+  return stats;
+}
+
 std::string rank_output_path(const std::string& output_dir, int rank) {
   return output_dir + "/readsToComponents.rank" + std::to_string(rank) + ".tsv";
 }
 
 /// Concatenates per-rank files into the final output — the paper's "simple
-/// cat command" by the master process. Returns wall seconds.
+/// cat command" by the master process — in 64 KiB pieces through the io
+/// layer. Returns wall seconds.
 double concatenate_outputs(const std::vector<std::string>& inputs, const std::string& output) {
   util::Timer wall;
-  std::ofstream out(output, std::ios::binary);
-  if (!out) throw std::runtime_error("ReadsToTranscripts: cannot open '" + output + "'");
+  io::IoFile out = io::IoFile::create(output);
+  std::vector<char> buffer(std::size_t{1} << 16);
   for (const auto& path : inputs) {
     std::ifstream in(path, std::ios::binary);
-    if (!in) throw std::runtime_error("ReadsToTranscripts: cannot open '" + path + "'");
-    // operator<<(streambuf*) sets failbit on an empty input; copy manually.
-    char buffer[1 << 16];
-    while (in.read(buffer, sizeof(buffer)) || in.gcount() > 0) {
-      out.write(buffer, in.gcount());
+    if (!in) throw io::IoError(io::IoErrorKind::kPermanent, "open", path, errno,
+                               "cannot open rank part");
+    while (in.read(buffer.data(), static_cast<std::streamsize>(buffer.size())) ||
+           in.gcount() > 0) {
+      out.write_all(std::string_view(buffer.data(), static_cast<std::size_t>(in.gcount())));
     }
   }
-  if (!out) throw std::runtime_error("ReadsToTranscripts: write failure on '" + output + "'");
+  out.close();
   return wall.seconds();
 }
 
@@ -333,77 +398,23 @@ R2TResult run_shared(const std::vector<seq::Sequence>& contigs, const ComponentS
                      const std::string& output_dir) {
   const int threads = resolve_omp_threads(options.omp_threads, /*hybrid=*/false);
   R2TResult result;
-
-  kmer::FlatKmerIndex<std::int32_t> bundle_of;
-  Assigner assigner;
-  if (options.mode == R2TMode::kIndex) {
-    result.index = acquire_index(contigs, components, options, index_file_present(options),
-                                 /*persist=*/true, result.timing);
-    assigner.index = result.index.get();
-    result.timing.setup_seconds =
-        result.timing.index_build_seconds + result.timing.index_load_seconds;
-  } else {
-    util::ThreadCpuTimer setup_cpu;
-    bundle_of = build_bundle_kmer_map(contigs, components, options.k);
-    result.timing.setup_seconds = setup_cpu.seconds();
-    assigner.vote = &bundle_of;
-  }
-
-  EquivalenceClassCounter eq_counter;
-  std::vector<std::vector<std::int32_t>> chunk_labels;
-  auto* labels = assigner.index != nullptr ? &chunk_labels : nullptr;
-  const auto run_chunk = [&](const std::vector<seq::Sequence>& chunk,
-                             std::int64_t base_index) {
-    const double seconds = process_chunk(chunk, base_index, assigner, options, threads,
-                                         result.assignments, labels);
-    if (labels != nullptr) {
-      for (const auto& set : chunk_labels) eq_counter.add(set);
-    }
-    return seconds;
-  };
-
-  double loop_seconds = 0.0;
-  std::uint64_t chunks = 0;
-  seq::FastaReader reader(reads_path, options.parse_policy);
-  std::int64_t base_index = 0;
-  if (options.overlap_io) {
-    // Double-buffered: the next chunk parses on a helper thread while this
-    // one classifies; only the residual blocked wall time costs the loop.
-    PrefetchingChunkSource source(reader, options.max_mem_reads);
-    for (;;) {
-      double blocked = 0.0;
-      const auto chunk = source.next(blocked);
-      loop_seconds += blocked;
-      result.timing.prefetch_wait_seconds += blocked;
-      if (chunk.empty()) break;
-      loop_seconds += run_chunk(chunk, base_index);
-      base_index += static_cast<std::int64_t>(chunk.size());
-      ++chunks;
-    }
-    result.timing.prefetch_hidden_seconds = source.hidden_seconds();
-  } else {
-    for (;;) {
-      util::ThreadCpuTimer read_cpu;
-      const auto chunk = reader.read_chunk(options.max_mem_reads);
-      loop_seconds += read_cpu.seconds();
-      if (chunk.empty()) break;
-      loop_seconds += run_chunk(chunk, base_index);
-      base_index += static_cast<std::int64_t>(chunk.size());
-      ++chunks;
-    }
-  }
-  result.parse = reader.diagnostics();
-  result.timing.main_loop.seconds = {loop_seconds};
-  result.timing.rank_chunks = {chunks};
+  StreamStats stream;
+  result.timing.setup_seconds = with_vote_map(
+      contigs, components, options, index_file_present(options), /*persist=*/true,
+      result.timing, [&](const auto& bundle_of) {
+        stream = stream_chunks(reads_path, bundle_of, options, threads, /*stride=*/1,
+                               /*offset=*/0, result.assignments);
+      });
+  result.parse = stream.parse;
+  result.timing.main_loop.seconds = {stream.loop_seconds};
+  result.timing.rank_chunks = {stream.chunks};
   result.timing.rank_reads = {result.assignments.size()};
-  if (assigner.index != nullptr) result.eq_classes = eq_counter.classes();
+  result.timing.prefetch_hidden_seconds = stream.prefetch_hidden_seconds;
+  result.timing.prefetch_wait_seconds = stream.prefetch_wait_seconds;
 
   if (!output_dir.empty()) {
     result.merged_output_path = output_dir + "/readsToComponents.out.tsv";
     detail::write_assignments(result.merged_output_path, result.assignments);
-    if (assigner.index != nullptr) {
-      io::write_file(output_dir + "/eq_classes.tsv", eq_counter.serialize());
-    }
   }
   return result;
 }
@@ -418,131 +429,30 @@ R2TResult run_hybrid(simpi::Context& ctx, const std::vector<seq::Sequence>& cont
   // Setup stays OpenMP-only and runs redundantly per rank ("we have not
   // converted this to a hybrid implementation yet" — paper, Section V.B).
   // Index mode breaks the redundancy on the warm path: every rank mmaps
-  // the same file, and cold builds persist from rank 0 only.
-  kmer::FlatKmerIndex<std::int32_t> bundle_of;
-  Assigner assigner;
-  double my_setup = 0.0;
+  // the same file, and cold builds persist from rank 0 only. Load-vs-build
+  // is decided once at rank 0 and broadcast: a per-rank existence check
+  // could race with rank 0's save under kAuto, leaving ranks disagreeing
+  // on index_source.
+  bool load_existing = false;
   if (options.mode == R2TMode::kIndex) {
-    // Load-vs-build is decided once at rank 0 and broadcast: a per-rank
-    // existence check could race with rank 0's save under kAuto, leaving
-    // ranks disagreeing on index_source.
     std::vector<std::uint8_t> flag{
         static_cast<std::uint8_t>(ctx.rank() == 0 && index_file_present(options) ? 1 : 0)};
     ctx.bcast(flag, 0);
-    result.index = acquire_index(contigs, components, options, flag[0] != 0,
-                                 /*persist=*/ctx.rank() == 0, result.timing);
-    assigner.index = result.index.get();
-    my_setup = result.timing.index_build_seconds + result.timing.index_load_seconds;
-  } else {
-    util::ThreadCpuTimer setup_cpu;
-    bundle_of = build_bundle_kmer_map(contigs, components, options.k);
-    my_setup = setup_cpu.seconds();
-    assigner.vote = &bundle_of;
+    load_existing = flag[0] != 0;
   }
 
   std::vector<ReadAssignment> my_assignments;
-  EquivalenceClassCounter my_eq;
-  std::vector<std::vector<std::int32_t>> chunk_labels;
-  auto* labels = assigner.index != nullptr ? &chunk_labels : nullptr;
-  const auto run_chunk = [&](const std::vector<seq::Sequence>& chunk,
-                             std::int64_t base_index) {
-    const double seconds = process_chunk(chunk, base_index, assigner, options, threads,
-                                         my_assignments, labels);
-    if (labels != nullptr) {
-      for (const auto& set : chunk_labels) my_eq.add(set);
-    }
-    return seconds;
-  };
-  double my_loop = 0.0;
-  std::uint64_t my_chunks = 0;
-  constexpr int kChunkTag = 7;
-
-  double my_prefetch_hidden = 0.0;
-  double my_prefetch_wait = 0.0;
-
-  if (options.strategy == R2TStrategy::kRedundantStreaming) {
-    // Every rank streams the whole file and keeps chunks where
-    // chunk_index mod size == rank; discarded chunks still cost the read.
-    // With overlap_io the next chunk parses on a helper thread while this
-    // rank classifies its owned chunk, so the redundant read mostly hides
-    // behind compute and only the residual blocked wall time is charged.
-    seq::FastaReader reader(reads_path, options.parse_policy);
-    std::int64_t base_index = 0;
-    std::int64_t chunk_index = 0;
-    if (options.overlap_io) {
-      PrefetchingChunkSource source(reader, options.max_mem_reads);
-      for (;;) {
-        double blocked = 0.0;
-        const auto chunk = source.next(blocked);
-        my_loop += blocked;
-        my_prefetch_wait += blocked;
-        if (chunk.empty()) break;
-        if (chunk_index % ctx.size() == ctx.rank()) {
-          my_loop += run_chunk(chunk, base_index);
-          ++my_chunks;
-        }
-        base_index += static_cast<std::int64_t>(chunk.size());
-        ++chunk_index;
-      }
-      my_prefetch_hidden = source.hidden_seconds();
-    } else {
-      for (;;) {
-        util::ThreadCpuTimer read_cpu;
-        const auto chunk = reader.read_chunk(options.max_mem_reads);
-        my_loop += read_cpu.seconds();
-        if (chunk.empty()) break;
-        if (chunk_index % ctx.size() == ctx.rank()) {
-          my_loop += run_chunk(chunk, base_index);
-          ++my_chunks;
-        }
-        base_index += static_cast<std::int64_t>(chunk.size());
-        ++chunk_index;
-      }
-    }
-    result.parse = reader.diagnostics();
-  } else {
-    // Master/slave ablation: rank 0 reads and ships chunks round-robin;
-    // an empty payload is the end-of-stream sentinel.
-    if (ctx.rank() == 0) {
-      seq::FastaReader reader(reads_path, options.parse_policy);
-      std::int64_t base_index = 0;
-      std::int64_t chunk_index = 0;
-      for (;;) {
-        util::ThreadCpuTimer read_cpu;
-        const auto chunk = reader.read_chunk(options.max_mem_reads);
-        my_loop += read_cpu.seconds();
-        if (chunk.empty()) break;
-        const int dest = static_cast<int>(chunk_index % ctx.size());
-        if (dest == 0) {
-          my_loop += run_chunk(chunk, base_index);
-          ++my_chunks;
-        } else {
-          std::vector<std::string> wire;
-          wire.reserve(chunk.size() + 1);
-          wire.push_back(std::to_string(base_index));
-          for (const auto& read : chunk) wire.push_back(read.bases);
-          ctx.send_bytes(dest, kChunkTag, simpi::pack_strings(wire));
-        }
-        base_index += static_cast<std::int64_t>(chunk.size());
-        ++chunk_index;
-      }
-      for (int r = 1; r < ctx.size(); ++r) {
-        ctx.send_bytes(r, kChunkTag, simpi::pack_strings({}));
-      }
-      result.parse = reader.diagnostics();
-    } else {
-      for (;;) {
-        const auto msg = ctx.recv_bytes(0, kChunkTag);
-        const auto wire = simpi::unpack_strings(msg.payload);
-        if (wire.empty()) break;
-        const std::int64_t base_index = std::stoll(wire.front());
-        std::vector<seq::Sequence> chunk(wire.size() - 1);
-        for (std::size_t i = 1; i < wire.size(); ++i) chunk[i - 1].bases = wire[i];
-        my_loop += run_chunk(chunk, base_index);
-        ++my_chunks;
-      }
-    }
-  }
+  StreamStats stream;
+  const double my_setup = with_vote_map(
+      contigs, components, options, load_existing, /*persist=*/ctx.rank() == 0,
+      result.timing, [&](const auto& bundle_of) {
+        stream = options.strategy == R2TStrategy::kRedundantStreaming
+                     ? stream_chunks(reads_path, bundle_of, options, threads, ctx.size(),
+                                     ctx.rank(), my_assignments)
+                     : master_slave_chunks(ctx, reads_path, bundle_of, options, threads,
+                                           my_assignments);
+      });
+  result.parse = stream.parse;
 
   // Output: per-rank files + master concatenation (the paper's scheme) or
   // a collective ordered write (its MPI-I/O future work).
@@ -571,12 +481,8 @@ R2TResult run_hybrid(simpi::Context& ctx, const std::vector<seq::Sequence>& cont
       ctx.barrier();
       util::Timer wall;
       std::ostringstream body;
-      for (const auto& a : my_assignments) {
-        body << a.read_index << '\t' << a.component << '\t' << a.shared_kmers << '\t'
-             << a.region_begin << '\t' << a.region_end << '\n';
-      }
-      const std::string data = body.str();
-      simpi::write_file_ordered(ctx, result.merged_output_path, data);
+      for (const auto& a : my_assignments) put_assignment(body, a);
+      simpi::write_file_ordered(ctx, result.merged_output_path, body.str());
       concat_seconds = ctx.allreduce_max(wall.seconds());
     }
   }
@@ -586,40 +492,19 @@ R2TResult run_hybrid(simpi::Context& ctx, const std::vector<seq::Sequence>& cont
   result.assignments = ctx.allgatherv(my_assignments);
   sort_by_read_index(result.assignments);
 
-  // Pool equivalence-class counters the same way (variable-length TSV wire
-  // over an Allgatherv, split by the per-rank counts): every rank ends up
-  // with the identical global class table.
-  if (assigner.index != nullptr) {
-    const std::string wire = my_eq.serialize();
-    const std::vector<char> wire_bytes(wire.begin(), wire.end());
-    std::vector<std::size_t> counts;
-    const auto pooled = ctx.allgatherv(wire_bytes, &counts);
-    EquivalenceClassCounter global;
-    std::size_t offset = 0;
-    for (const auto count : counts) {
-      global.merge(
-          EquivalenceClassCounter::deserialize(std::string(pooled.data() + offset, count)));
-      offset += count;
-    }
-    result.eq_classes = global.classes();
-    if (!output_dir.empty() && ctx.rank() == 0) {
-      io::write_file(output_dir + "/eq_classes.tsv", global.serialize());
-    }
-  }
-
   result.timing.setup_seconds = ctx.allreduce_max(my_setup);
   result.timing.index_build_seconds = ctx.allreduce_max(result.timing.index_build_seconds);
   result.timing.index_load_seconds = ctx.allreduce_max(result.timing.index_load_seconds);
-  result.timing.main_loop.seconds = ctx.allgatherv(std::vector<double>{my_loop});
-  result.timing.rank_chunks = ctx.allgatherv(std::vector<std::uint64_t>{my_chunks});
+  result.timing.main_loop.seconds = ctx.allgatherv(std::vector<double>{stream.loop_seconds});
+  result.timing.rank_chunks = ctx.allgatherv(std::vector<std::uint64_t>{stream.chunks});
   result.timing.rank_reads =
       ctx.allgatherv(std::vector<std::uint64_t>{my_assignment_bytes / sizeof(ReadAssignment)});
   result.timing.assignment_bytes_contributed =
       ctx.allgatherv(std::vector<std::uint64_t>{my_assignment_bytes});
   result.timing.assignment_bytes_pooled =
       result.assignments.size() * sizeof(ReadAssignment);
-  result.timing.prefetch_hidden_seconds = ctx.allreduce_max(my_prefetch_hidden);
-  result.timing.prefetch_wait_seconds = ctx.allreduce_max(my_prefetch_wait);
+  result.timing.prefetch_hidden_seconds = ctx.allreduce_max(stream.prefetch_hidden_seconds);
+  result.timing.prefetch_wait_seconds = ctx.allreduce_max(stream.prefetch_wait_seconds);
   result.timing.concat_seconds = concat_seconds;
   result.timing.comm_seconds = ctx.allreduce_max(ctx.comm_seconds() - comm_before);
   return result;

@@ -18,15 +18,17 @@
 //
 // The first, discarded design — a master rank reading and distributing
 // chunks to slaves — is kept as an ablation (Strategy::kMasterSlave).
+//
+// One engine classifies reads: the k-mer -> bundle vote map, either built
+// for the run or mmapped from a TranscriptIndex image saved by an earlier
+// run (R2TMode). Both feed the same tally kernel and chunk loop.
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "chrysalis/components.hpp"
 #include "chrysalis/graph_from_fasta.hpp"
-#include "chrysalis/transcript_index.hpp"
 #include "io/error.hpp"
 #include "kmer/flat_index.hpp"
 #include "simpi/context.hpp"
@@ -35,19 +37,19 @@
 
 namespace trinity::chrysalis {
 
-/// Which assignment engine classifies reads. Both produce bit-identical
-/// assignments (transcript_index_test pins this); they differ in what the
-/// setup region costs and whether it persists across runs.
+/// Where the vote map comes from. Both produce bit-identical assignments
+/// (transcript_index_test pins this); they differ in what the setup region
+/// costs and whether it persists across runs.
 enum class R2TMode {
-  kVote,   ///< per-run k-mer -> bundle voting map (the paper's scheme)
-  kIndex,  ///< persistent quasi-mapping TranscriptIndex (+ eq classes)
+  kVote,   ///< built for this run (the paper's scheme)
+  kIndex,  ///< an mmapped TranscriptIndex image of the map
 };
 
 /// Lifecycle of the on-disk index in R2TMode::kIndex.
 enum class IndexLifecycle {
   kBuild,  ///< always rebuild (and persist when an index_path is set)
-  kLoad,   ///< mmap an existing index file; error when absent
-  kAuto,   ///< mmap when present and compatible, otherwise build + persist
+  kLoad,   ///< mmap an existing index file; error when absent or unusable
+  kAuto,   ///< mmap when present, valid and of this k; otherwise build + persist
 };
 
 /// Hybrid chunk-distribution strategy (ablation knob).
@@ -92,7 +94,7 @@ struct ReadsToTranscriptsOptions {
   /// its synchronous producer loop.
   bool overlap_io = true;
 
-  // --- quasi-mapping index (R2TMode::kIndex) ---------------------------------
+  // --- vote-map image (R2TMode::kIndex) --------------------------------------
   // Scheduling-only knobs: assignments are bit-identical across modes, so
   // none of these participate in the pipeline options fingerprint.
   R2TMode mode = R2TMode::kVote;
@@ -100,9 +102,6 @@ struct ReadsToTranscriptsOptions {
   /// Where the serialized index lives (docs/INDEXING.md). Empty: the index
   /// is built in memory and never persisted (kLoad then errors).
   std::string index_path;
-  /// A pre-loaded index to map against (the serve layer's shared cache).
-  /// When set (and built with the same k) it wins over every lifecycle.
-  std::shared_ptr<const TranscriptIndex> shared_index;
 };
 
 /// One read's bundle assignment.
@@ -137,13 +136,13 @@ struct R2TTiming {
   double prefetch_hidden_seconds = 0.0;  ///< chunk-parse CPU hidden behind compute
   double prefetch_wait_seconds = 0.0;    ///< residual wall time blocked on the parser
 
-  // Quasi-mapping index accounting (R2TMode::kIndex only; max over ranks
+  // Vote-map image accounting (R2TMode::kIndex only; max over ranks
   // for hybrid runs). In index mode setup_seconds mirrors their sum, so
   // Figure 9's setup column stays comparable across modes; a warm
   // mmap-load reports index_build_seconds == 0.
   double index_build_seconds = 0.0;  ///< wall seconds building (0 when loaded)
   double index_load_seconds = 0.0;   ///< wall seconds mmap-loading (0 when built)
-  std::string index_source;          ///< "built" | "mmap" | "shared-cache"; "" in vote mode
+  std::string index_source;          ///< "built" | "mmap"; "" in vote mode
 
   [[nodiscard]] double total_seconds() const {
     return setup_seconds + main_loop.max() + concat_seconds + comm_seconds;
@@ -160,12 +159,6 @@ struct R2TResult {
   /// that read the file; under redundant streaming every rank sees the
   /// same file, so the counts are identical on all readers).
   io::ParseDiagnostics parse;
-  /// The index the run mapped against (R2TMode::kIndex only) — callers
-  /// publish it to a TranscriptIndexCache so later jobs skip the build.
-  std::shared_ptr<const TranscriptIndex> index;
-  /// Fragment equivalence classes (R2TMode::kIndex only), pooled over all
-  /// ranks and identical on every rank after a hybrid run.
-  std::vector<EquivalenceClass> eq_classes;
 };
 
 /// Builds the canonical k-mer -> component map from each component's
@@ -190,19 +183,16 @@ R2TResult run_hybrid(simpi::Context& ctx, const std::vector<seq::Sequence>& cont
 
 namespace detail {
 
-/// Assignment kernel for one read.
+/// Assignment kernel for one read: the component sharing the most k-mers
+/// with it (smallest id on ties). `Map` is the vote map
+/// (kmer::FlatKmerIndex<std::int32_t>) or its TranscriptIndex image; both
+/// are instantiated in reads_to_transcripts.cpp.
+template <typename Map>
 ReadAssignment assign_read(const seq::Sequence& read, std::int64_t read_index,
-                           const kmer::FlatKmerIndex<std::int32_t>& bundle_of, int k);
+                           const Map& bundle_of, int k);
 
-/// Index-mode assignment kernel: same tally loop over the quasi-mapping
-/// index (bit-identical result to assign_read). When `labels_out` is
-/// non-null it receives the read's sorted distinct component label set —
-/// the fragment-equivalence-class key (empty when nothing matched).
-ReadAssignment assign_read_indexed(const seq::Sequence& read, std::int64_t read_index,
-                                   const TranscriptIndex& index, int k,
-                                   std::vector<std::int32_t>* labels_out = nullptr);
-
-/// Writes assignments as TSV (read_index, component, shared, begin, end).
+/// Writes assignments as TSV (read_index, component, shared, begin, end)
+/// through io::BufferedWriter (failures are typed io::IoErrors).
 void write_assignments(const std::string& path, const std::vector<ReadAssignment>& assignments);
 
 }  // namespace detail

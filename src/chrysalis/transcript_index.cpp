@@ -5,16 +5,16 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <cstddef>
 #include <cstring>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
 #include "chrysalis/reads_to_transcripts.hpp"
 #include "io/error.hpp"
 #include "io/io_file.hpp"
-#include "kmer/flat_index.hpp"
 #include "util/hash.hpp"
 
 namespace trinity::chrysalis {
@@ -31,92 +31,35 @@ struct FileHeader {
   std::uint32_t k = 0;
   std::uint64_t slot_count = 0;
   std::uint64_t entry_count = 0;
-  std::uint64_t interval_count = 0;
   std::uint64_t component_count = 0;
-  std::uint64_t payload_checksum = 0;  ///< FNV-1a over everything after the header
-  std::uint64_t reserved = 0;
+  std::uint64_t reserved[2] = {0, 0};
+  std::uint64_t checksum = 0;  ///< FNV-1a over every other byte of the file
 };
 static_assert(sizeof(FileHeader) == 64 && std::is_trivially_copyable_v<FileHeader>);
 
+constexpr std::size_t kChecksumOffset = offsetof(FileHeader, checksum);
+static_assert(kChecksumOffset + sizeof(std::uint64_t) == sizeof(FileHeader));
+
 /// Slot count for `entries` distinct keys: the next power of two keeping
-/// the load factor under FlatKmerIndex's 0.7 ceiling (same probe-chain
-/// behaviour as the voting map it replaces), never below 16.
+/// the load factor under FlatKmerIndex's 0.7 ceiling, never below 16.
 std::uint64_t slot_count_for(std::uint64_t entries) {
   std::uint64_t want = 16;
   while (static_cast<double>(entries) >= 0.7 * static_cast<double>(want)) want *= 2;
   return want;
 }
 
-std::size_t image_bytes_for(std::uint64_t slots, std::uint64_t intervals) {
-  return sizeof(FileHeader) + slots * (sizeof(std::uint64_t) + sizeof(std::uint32_t)) +
-         intervals * sizeof(PathInterval);
+std::size_t image_bytes_for(std::uint64_t slots) {
+  return sizeof(FileHeader) + slots * (sizeof(std::uint64_t) + sizeof(std::int32_t));
+}
+
+/// FNV-1a over the whole image except the checksum field itself, so a
+/// flipped header byte is caught as surely as a flipped slot.
+std::uint64_t image_checksum(const char* image, std::size_t size) {
+  return util::fnv1a_append(util::fnv1a(image, kChecksumOffset), image + sizeof(FileHeader),
+                            size - sizeof(FileHeader));
 }
 
 }  // namespace
-
-// --- EquivalenceClassCounter -------------------------------------------------
-
-void EquivalenceClassCounter::add(const std::vector<std::int32_t>& labels) {
-  if (labels.empty()) return;
-  ++counts_[labels];
-}
-
-void EquivalenceClassCounter::merge(const EquivalenceClassCounter& other) {
-  for (const auto& [labels, count] : other.counts_) counts_[labels] += count;
-}
-
-std::vector<EquivalenceClass> EquivalenceClassCounter::classes() const {
-  std::vector<EquivalenceClass> out;
-  out.reserve(counts_.size());
-  for (const auto& [labels, count] : counts_) out.push_back({labels, count});
-  return out;
-}
-
-std::uint64_t EquivalenceClassCounter::total_reads() const {
-  std::uint64_t total = 0;
-  for (const auto& [labels, count] : counts_) total += count;
-  return total;
-}
-
-std::string EquivalenceClassCounter::serialize() const {
-  std::ostringstream out;
-  for (const auto& [labels, count] : counts_) {
-    out << count << '\t';
-    for (std::size_t i = 0; i < labels.size(); ++i) {
-      if (i > 0) out << ',';
-      out << labels[i];
-    }
-    out << '\n';
-  }
-  return out.str();
-}
-
-EquivalenceClassCounter EquivalenceClassCounter::deserialize(const std::string& text) {
-  EquivalenceClassCounter out;
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    const auto tab = line.find('\t');
-    if (tab == std::string::npos) {
-      throw std::runtime_error("EquivalenceClassCounter: malformed line '" + line + "'");
-    }
-    const std::uint64_t count = std::stoull(line.substr(0, tab));
-    std::vector<std::int32_t> labels;
-    std::size_t start = tab + 1;
-    while (start <= line.size()) {
-      const auto comma = line.find(',', start);
-      const auto end = comma == std::string::npos ? line.size() : comma;
-      labels.push_back(static_cast<std::int32_t>(std::stol(line.substr(start, end - start))));
-      if (comma == std::string::npos) break;
-      start = comma + 1;
-    }
-    out.counts_[labels] += count;
-  }
-  return out;
-}
-
-// --- TranscriptIndex ---------------------------------------------------------
 
 TranscriptIndex::TranscriptIndex(TranscriptIndex&& other) noexcept {
   *this = std::move(other);
@@ -126,9 +69,8 @@ TranscriptIndex& TranscriptIndex::operator=(TranscriptIndex&& other) noexcept {
   if (this == &other) return *this;
   if (map_base_ != nullptr) ::munmap(map_base_, map_length_);
   k_ = other.k_;
-  slot_count_ = other.slot_count_;
-  entry_count_ = other.entry_count_;
-  interval_count_ = other.interval_count_;
+  slot_count_ = std::exchange(other.slot_count_, 0);
+  entry_count_ = std::exchange(other.entry_count_, 0);
   component_count_ = other.component_count_;
   owned_ = std::move(other.owned_);
   map_base_ = std::exchange(other.map_base_, nullptr);
@@ -136,9 +78,7 @@ TranscriptIndex& TranscriptIndex::operator=(TranscriptIndex&& other) noexcept {
   image_size_ = std::exchange(other.image_size_, 0);
   attach_sections();
   other.keys_ = nullptr;
-  other.slots_ = nullptr;
-  other.intervals_ = nullptr;
-  other.slot_count_ = other.entry_count_ = other.interval_count_ = 0;
+  other.components_ = nullptr;
   return *this;
 }
 
@@ -154,111 +94,49 @@ const char* TranscriptIndex::image_data() const {
 void TranscriptIndex::attach_sections() {
   if (image_size_ == 0) {
     keys_ = nullptr;
-    slots_ = nullptr;
-    intervals_ = nullptr;
+    components_ = nullptr;
     return;
   }
   const char* base = image_data() + sizeof(FileHeader);
   keys_ = reinterpret_cast<const std::uint64_t*>(base);
-  slots_ = reinterpret_cast<const std::uint32_t*>(base + slot_count_ * sizeof(std::uint64_t));
-  intervals_ = reinterpret_cast<const PathInterval*>(
-      base + slot_count_ * (sizeof(std::uint64_t) + sizeof(std::uint32_t)));
-}
-
-const PathInterval* TranscriptIndex::lookup(seq::KmerCode code) const {
-  if (slot_count_ == 0) return nullptr;
-  const std::uint64_t mask = slot_count_ - 1;
-  std::uint64_t slot = kmer::mix_kmer_code(code) & mask;
-  // Linear probe, same scheme as the voting map's FlatKmerIndex; slot
-  // value 0 marks a free slot (interval ids are stored off by one).
-  while (slots_[slot] != 0) {
-    if (keys_[slot] == code) return &intervals_[slots_[slot] - 1];
-    slot = (slot + 1) & mask;
-  }
-  return nullptr;
+  components_ =
+      reinterpret_cast<const std::int32_t*>(base + slot_count_ * sizeof(std::uint64_t));
 }
 
 TranscriptIndex TranscriptIndex::build(const std::vector<seq::Sequence>& contigs,
                                        const ComponentSet& components, int k) {
-  // Resolve every k-mer's component with the exact voting-map semantics
-  // (smallest component id on cross-component collisions) — the source of
-  // the bit-identical-assignments guarantee.
   const auto bundle_of = build_bundle_kmer_map(contigs, components, k);
 
   TranscriptIndex index;
   index.k_ = static_cast<std::uint32_t>(k);
   index.slot_count_ = slot_count_for(bundle_of.size());
+  index.entry_count_ = bundle_of.size();
   index.component_count_ = components.num_components();
-
-  // The final slot arrays double as the build-time dedupe structure, so
-  // the layout is a pure function of the walk below (deterministic, and
-  // what save() serializes verbatim).
-  std::vector<std::uint64_t> keys(index.slot_count_, 0);
-  std::vector<std::uint32_t> slots(index.slot_count_, 0);
-  std::vector<PathInterval> intervals;
-  const std::uint64_t mask = index.slot_count_ - 1;
-
-  const auto locate = [&](seq::KmerCode code) {
-    std::uint64_t slot = kmer::mix_kmer_code(code) & mask;
-    while (slots[slot] != 0 && keys[slot] != code) slot = (slot + 1) & mask;
-    return slot;
-  };
-
-  const seq::KmerCodec codec(k);
-  for (const auto& comp : components.components) {
-    for (const auto contig_id : comp.contig_ids) {
-      const auto& contig = contigs.at(static_cast<std::size_t>(contig_id));
-      // Chain consecutive new k-mer starts that resolve to one component
-      // into a unique-path interval; a repeated k-mer, a component switch
-      // or a position gap (non-ACGT window) breaks the chain.
-      bool open = false;
-      std::size_t prev_position = 0;
-      for (const auto& occ : codec.extract_canonical(contig.bases)) {
-        const std::uint64_t slot = locate(occ.code);
-        if (slots[slot] != 0) {  // seen in an earlier contig or earlier here
-          open = false;
-          continue;
-        }
-        const std::int32_t component = *bundle_of.lookup(occ.code);
-        if (!open || intervals.back().component != component ||
-            occ.position != prev_position + 1) {
-          intervals.push_back({component, contig_id,
-                               static_cast<std::uint32_t>(occ.position), 0});
-          open = true;
-        }
-        ++intervals.back().length;
-        keys[slot] = occ.code;
-        slots[slot] = static_cast<std::uint32_t>(intervals.size());  // id + 1
-        ++index.entry_count_;
-        prev_position = occ.position;
-      }
-    }
-  }
-  index.interval_count_ = intervals.size();
-
-  // Assemble the serialized image: header + keys + slots + intervals. The
-  // buffer is u64-backed so every section meets its alignment.
-  index.image_size_ = image_bytes_for(index.slot_count_, index.interval_count_);
+  index.image_size_ = image_bytes_for(index.slot_count_);
   index.owned_.assign((index.image_size_ + sizeof(std::uint64_t) - 1) / sizeof(std::uint64_t),
                       0);
   char* base = reinterpret_cast<char*>(index.owned_.data());
-  char* cursor = base + sizeof(FileHeader);
-  std::memcpy(cursor, keys.data(), keys.size() * sizeof(std::uint64_t));
-  cursor += keys.size() * sizeof(std::uint64_t);
-  std::memcpy(cursor, slots.data(), slots.size() * sizeof(std::uint32_t));
-  cursor += slots.size() * sizeof(std::uint32_t);
-  if (!intervals.empty()) {
-    std::memcpy(cursor, intervals.data(), intervals.size() * sizeof(PathInterval));
+  auto* keys = reinterpret_cast<std::uint64_t*>(base + sizeof(FileHeader));
+  auto* slots = reinterpret_cast<std::int32_t*>(keys + index.slot_count_);
+  std::fill(slots, slots + index.slot_count_, kFreeSlot);
+
+  // Copy the map slot by slot; its iteration order is deterministic, so
+  // the image is a pure function of the inputs.
+  const std::uint64_t mask = index.slot_count_ - 1;
+  for (const auto& [code, component] : bundle_of) {
+    std::uint64_t slot = kmer::mix_kmer_code(code) & mask;
+    while (slots[slot] != kFreeSlot) slot = (slot + 1) & mask;
+    keys[slot] = code;
+    slots[slot] = component;
   }
 
   FileHeader header;
   header.k = index.k_;
   header.slot_count = index.slot_count_;
   header.entry_count = index.entry_count_;
-  header.interval_count = index.interval_count_;
   header.component_count = index.component_count_;
-  header.payload_checksum =
-      util::fnv1a(base + sizeof(FileHeader), index.image_size_ - sizeof(FileHeader));
+  std::memcpy(base, &header, sizeof(FileHeader));
+  header.checksum = image_checksum(base, index.image_size_);
   std::memcpy(base, &header, sizeof(FileHeader));
 
   index.attach_sections();
@@ -302,7 +180,7 @@ TranscriptIndex TranscriptIndex::load(const std::string& path) {
                       "cannot map transcript index");
   }
 
-  TranscriptIndex index;
+  TranscriptIndex index;  // owns the mapping from here, so throws unmap it
   index.map_base_ = base;
   index.map_length_ = size;
 
@@ -321,52 +199,53 @@ TranscriptIndex TranscriptIndex::load(const std::string& path) {
   }
   if (header.k < 1 || header.k > 32 || header.slot_count < 16 ||
       (header.slot_count & (header.slot_count - 1)) != 0 ||
-      header.entry_count > header.slot_count) {
+      header.slot_count > (std::uint64_t{1} << 58) ||  // image_bytes_for cannot wrap
+      header.entry_count >= header.slot_count) {
     throw io::ParseError(io::ParseCategory::kMissingHeader, path, 1, 0,
                          "header invariants violated (k=" + std::to_string(header.k) +
                              ", slots=" + std::to_string(header.slot_count) + ")");
   }
-  const std::uint64_t expected = image_bytes_for(header.slot_count, header.interval_count);
+  const std::uint64_t expected = image_bytes_for(header.slot_count);
   if (size != expected) {
     throw io::ParseError(io::ParseCategory::kTruncatedRecord, path, 1, expected,
                          "file is " + std::to_string(size) + " bytes, header implies " +
                              std::to_string(expected));
   }
-  const std::uint64_t checksum = util::fnv1a(static_cast<const char*>(base) + sizeof(FileHeader),
-                                             size - sizeof(FileHeader));
-  if (checksum != header.payload_checksum) {
-    throw io::ParseError(io::ParseCategory::kInvalidCharacter, path, 1, sizeof(FileHeader),
-                         "payload checksum mismatch: index file is corrupt");
+  if (image_checksum(static_cast<const char*>(base), size) != header.checksum) {
+    throw io::ParseError(io::ParseCategory::kInvalidCharacter, path, 1, 0,
+                         "checksum mismatch: index file is corrupt");
   }
 
   index.k_ = header.k;
   index.slot_count_ = header.slot_count;
   index.entry_count_ = header.entry_count;
-  index.interval_count_ = header.interval_count;
   index.component_count_ = header.component_count;
   index.image_size_ = size;
   index.attach_sections();
+
+  // The slot table must agree with the header: every component in range
+  // and exactly entry_count slots used, which leaves lookup() a free slot
+  // to stop at even on a file whose checksum was forged.
+  std::uint64_t used = 0;
+  for (std::uint64_t slot = 0; slot < index.slot_count_; ++slot) {
+    const std::int32_t component = index.components_[slot];
+    if (component == kFreeSlot) continue;
+    if (component < 0 || static_cast<std::uint64_t>(component) >= index.component_count_) {
+      throw io::ParseError(io::ParseCategory::kInvalidCharacter, path, 1,
+                           sizeof(FileHeader) + index.slot_count_ * sizeof(std::uint64_t) +
+                               slot * sizeof(std::int32_t),
+                           "slot " + std::to_string(slot) + " holds component " +
+                               std::to_string(component) + " outside [0, " +
+                               std::to_string(index.component_count_) + ")");
+    }
+    ++used;
+  }
+  if (used != index.entry_count_) {
+    throw io::ParseError(io::ParseCategory::kInvalidCharacter, path, 1, 0,
+                         "slot table holds " + std::to_string(used) +
+                             " k-mers, header says " + std::to_string(index.entry_count_));
+  }
   return index;
-}
-
-// --- TranscriptIndexCache ----------------------------------------------------
-
-std::shared_ptr<const TranscriptIndex> TranscriptIndexCache::find(std::uint64_t key) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = entries_.find(key);
-  return it != entries_.end() ? it->second : nullptr;
-}
-
-std::shared_ptr<const TranscriptIndex> TranscriptIndexCache::put(
-    std::uint64_t key, std::shared_ptr<const TranscriptIndex> index) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto [it, inserted] = entries_.emplace(key, std::move(index));
-  return it->second;
-}
-
-std::size_t TranscriptIndexCache::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
 }
 
 }  // namespace trinity::chrysalis

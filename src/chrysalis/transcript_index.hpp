@@ -1,105 +1,46 @@
 #pragma once
-// TranscriptIndex: a persistent quasi-mapping index over all component
-// contigs, replacing the per-run k-mer -> bundle voting map.
+// TranscriptIndex: the k-mer -> bundle vote map of ReadsToTranscripts,
+// saved as an image that later runs mmap instead of rebuilding.
 //
 // The voting path (reads_to_transcripts.hpp) rebuilds its FlatKmerIndex on
 // every run — the "assignment of k-mers to Inchworm bundles" setup region
 // the paper leaves serial and which dominates the high-node end of
-// Figure 9. RapMap-style quasi-mapping (Srivastava et al., the fragment
-// equivalence-class paper in PAPERS.md) shows the alternative this header
-// implements:
+// Figure 9. build() copies that same map into an open-addressing image in
+// which each slot holds its k-mer and its component directly; lookup()
+// has the FlatKmerIndex<std::int32_t>::lookup shape, so both engines run
+// one tally kernel (detail::assign_read) and assignments are bit-identical.
 //
-//  * contig k-mers are chained into *unique-path intervals* — maximal runs
-//    of consecutive k-mer starts within one contig that resolve to the
-//    same component — so the hash table maps each k-mer to one interval
-//    id and the interval table carries the component label once;
-//  * a read's hits are resolved by interval intersection: tallying the
-//    hit intervals' components reproduces the voting consensus exactly
-//    (most shared k-mers, smallest component id on ties), so index-mode
-//    assignments are bit-identical to vote-mode assignments;
-//  * the label set of each read (the distinct components its k-mers hit)
-//    keys a *fragment equivalence class*; per-class read counts are the
-//    compact quantification summary docs/INDEXING.md specifies.
-//
-// The index is serializable with a versioned header and mmap-loadable:
-// build() lays the hash slots and interval table out exactly as they are
-// stored on disk, save() commits that image atomically through the io
-// layer, and load() maps the file read-only and validates magic, version,
-// section sizes and a payload checksum — corrupt or truncated files are
-// rejected with a typed io::ParseError, never a crash. A loaded index is
-// immutable and safe for concurrent lookups, which is what lets
-// trinity_serve share one copy across jobs (TranscriptIndexCache below).
+// save() commits the image atomically through the io layer, and load()
+// maps the file read-only and validates magic, version, size, a checksum
+// over every byte but its own field, and the slot table itself — corrupt
+// or truncated files are rejected with a typed io::ParseError, never a
+// crash. A loaded index is immutable and safe for concurrent lookups.
 //
 // On-disk format: docs/INDEXING.md. The format version documented there
 // must match kTranscriptIndexFormatVersion (scripts/check.sh enforces it).
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "chrysalis/components.hpp"
+#include "kmer/flat_index.hpp"
 #include "seq/kmer.hpp"
 #include "seq/sequence.hpp"
 
 namespace trinity::chrysalis {
 
 /// On-disk format version. Bump on any layout change; load() refuses a
-/// mismatched file with a clear message (stale caches rebuild instead of
+/// mismatched file with a clear message (stale files rebuild instead of
 /// misreading). Documented as "Format version: N" in docs/INDEXING.md.
-inline constexpr std::uint32_t kTranscriptIndexFormatVersion = 1;
+inline constexpr std::uint32_t kTranscriptIndexFormatVersion = 2;
 
 /// File magic: "TRIR2TIX" as a little-endian u64.
 inline constexpr std::uint64_t kTranscriptIndexMagic = 0x5849543252495254ULL;
 
-/// One unique-path interval: a maximal run of consecutive k-mer start
-/// positions within one contig whose k-mers all resolve to the same
-/// component. The unit a k-mer hit points at.
-struct PathInterval {
-  std::int32_t component = -1;  ///< owning component (bundle) id
-  std::int32_t contig = -1;     ///< contig the run was chained from
-  std::uint32_t begin = 0;      ///< first k-mer start offset in the contig
-  std::uint32_t length = 0;     ///< number of chained k-mer starts
-};
-static_assert(std::is_trivially_copyable_v<PathInterval> && sizeof(PathInterval) == 16);
-
-/// One fragment equivalence class: the sorted distinct set of components a
-/// read's k-mers hit, plus how many reads produced exactly that set.
-struct EquivalenceClass {
-  std::vector<std::int32_t> components;
-  std::uint64_t count = 0;
-};
-
-/// Accumulates equivalence-class counts; mergeable across chunks and ranks
-/// (the hybrid run pools per-rank counters over an Allgatherv).
-class EquivalenceClassCounter {
- public:
-  /// Adds one read whose sorted distinct label set is `labels` (reads with
-  /// no hit carry an empty set and are not counted in any class).
-  void add(const std::vector<std::int32_t>& labels);
-
-  void merge(const EquivalenceClassCounter& other);
-
-  /// Classes in label-set lexicographic order (deterministic output).
-  [[nodiscard]] std::vector<EquivalenceClass> classes() const;
-
-  [[nodiscard]] std::uint64_t total_reads() const;
-  [[nodiscard]] bool empty() const { return counts_.empty(); }
-
-  /// TSV wire/file form, one class per line: "count<TAB>c1,c2,...\n" in
-  /// label-set order (the schema docs/INDEXING.md documents).
-  [[nodiscard]] std::string serialize() const;
-  static EquivalenceClassCounter deserialize(const std::string& text);
-
- private:
-  std::map<std::vector<std::int32_t>, std::uint64_t> counts_;
-};
-
-/// The persistent quasi-mapping index. Move-only: it owns either the built
-/// in-memory image or a read-only mmap of the index file.
+/// The mmap-able image of the vote map. Move-only: it owns either the
+/// built in-memory image or a read-only mmap of the index file.
 class TranscriptIndex {
  public:
   TranscriptIndex() = default;
@@ -109,19 +50,17 @@ class TranscriptIndex {
   TranscriptIndex& operator=(const TranscriptIndex&) = delete;
   ~TranscriptIndex();
 
-  /// Builds the index over every component's contigs. A k-mer occurring in
-  /// several components resolves to the smallest component id — the same
-  /// deterministic collision rule as build_bundle_kmer_map, which is what
-  /// makes index-mode assignments bit-identical to vote-mode ones.
+  /// Builds the vote map (build_bundle_kmer_map) and copies it into the
+  /// image, so every lookup answers exactly as the map does.
   static TranscriptIndex build(const std::vector<seq::Sequence>& contigs,
                                const ComponentSet& components, int k);
 
   /// Maps `path` read-only and validates it. Throws io::ParseError on a
   /// bad magic (kMissingHeader), a format-version mismatch
-  /// (kMissingHeader, message names both versions), truncated sections
-  /// (kTruncatedRecord, byte_offset = expected size) or a payload
-  /// checksum mismatch (kInvalidCharacter); io::IoError when the file
-  /// cannot be opened or mapped.
+  /// (kMissingHeader, message names both versions), a size that does not
+  /// match the header (kTruncatedRecord, byte_offset = expected size), a
+  /// checksum mismatch or an inconsistent slot table (kInvalidCharacter);
+  /// io::IoError when the file cannot be opened or mapped.
   static TranscriptIndex load(const std::string& path);
 
   /// Commits the serialized image to `path` atomically (tmp + fsync +
@@ -129,19 +68,21 @@ class TranscriptIndex {
   /// save(load(p)) writes a byte-identical file.
   void save(const std::string& path) const;
 
-  /// The interval `code` (a canonical k-mer) belongs to, or nullptr.
-  [[nodiscard]] const PathInterval* lookup(seq::KmerCode code) const;
-
-  /// Convenience: the component of `code`, or -1 on a miss.
-  [[nodiscard]] std::int32_t component_of(seq::KmerCode code) const {
-    const PathInterval* hit = lookup(code);
-    return hit != nullptr ? hit->component : -1;
+  /// The component of `code` (a canonical k-mer), or nullptr on a miss.
+  [[nodiscard]] const std::int32_t* lookup(seq::KmerCode code) const {
+    if (slot_count_ == 0) return nullptr;
+    const std::uint64_t mask = slot_count_ - 1;
+    // Linear probe over the same mix as FlatKmerIndex; component -1 marks
+    // a free slot, and load() guarantees at least one exists.
+    for (std::uint64_t slot = kmer::mix_kmer_code(code) & mask;
+         components_[slot] != kFreeSlot; slot = (slot + 1) & mask) {
+      if (keys_[slot] == code) return &components_[slot];
+    }
+    return nullptr;
   }
 
-  [[nodiscard]] bool empty() const { return entry_count_ == 0; }
   [[nodiscard]] int k() const { return static_cast<int>(k_); }
   [[nodiscard]] std::size_t num_kmers() const { return entry_count_; }
-  [[nodiscard]] std::size_t num_intervals() const { return interval_count_; }
   [[nodiscard]] std::size_t num_components() const { return component_count_; }
   /// True when the arrays live in a read-only mmap of the index file.
   [[nodiscard]] bool mmap_backed() const { return map_base_ != nullptr; }
@@ -149,13 +90,14 @@ class TranscriptIndex {
   [[nodiscard]] std::size_t image_bytes() const { return image_size_; }
 
  private:
-  void attach_sections();  ///< points keys_/slots_/intervals_ into the image
+  static constexpr std::int32_t kFreeSlot = -1;
+
+  void attach_sections();  ///< points keys_/components_ into the image
   [[nodiscard]] const char* image_data() const;
 
   std::uint32_t k_ = 0;
   std::uint64_t slot_count_ = 0;  ///< hash slots (power of two; 0 when empty)
   std::uint64_t entry_count_ = 0;
-  std::uint64_t interval_count_ = 0;
   std::uint64_t component_count_ = 0;
 
   // The serialized image: exactly one of owned_ / map_base_ holds it.
@@ -166,32 +108,8 @@ class TranscriptIndex {
   std::size_t image_size_ = 0;
 
   // Section pointers into the image (null for an empty index).
-  const std::uint64_t* keys_ = nullptr;      ///< slot_count_ packed k-mers
-  const std::uint32_t* slots_ = nullptr;     ///< interval id + 1; 0 = free
-  const PathInterval* intervals_ = nullptr;  ///< interval_count_ entries
-};
-
-/// Process-wide read-only index cache for the serve layer: concurrent jobs
-/// whose runs share an options fingerprint (same reads, same
-/// output-affecting options => same components) map against one loaded
-/// copy instead of each building or mapping their own. First writer wins;
-/// entries are immutable shared_ptrs, so a job keeps its copy alive even
-/// if the cache is cleared under it.
-class TranscriptIndexCache {
- public:
-  /// The cached index for `key`, or nullptr.
-  [[nodiscard]] std::shared_ptr<const TranscriptIndex> find(std::uint64_t key) const;
-
-  /// Publishes `index` under `key` unless one is already resident; returns
-  /// the resident copy either way (callers adopt the winner).
-  std::shared_ptr<const TranscriptIndex> put(std::uint64_t key,
-                                             std::shared_ptr<const TranscriptIndex> index);
-
-  [[nodiscard]] std::size_t size() const;
-
- private:
-  mutable std::mutex mutex_;
-  std::map<std::uint64_t, std::shared_ptr<const TranscriptIndex>> entries_;
+  const std::uint64_t* keys_ = nullptr;       ///< slot_count_ packed k-mers
+  const std::int32_t* components_ = nullptr;  ///< per slot; kFreeSlot = free
 };
 
 }  // namespace trinity::chrysalis

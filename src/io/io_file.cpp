@@ -224,6 +224,21 @@ void IoFile::close() {
   if (::close(fd) < 0) throw_errno("close", path_, errno, "close failure");
 }
 
+BufferedWriter::BufferedWriter(const std::string& path) : file_(IoFile::create(path)) {
+  buffer_.reserve(kCapacity);
+}
+
+void BufferedWriter::flush() {
+  if (buffer_.empty()) return;
+  file_.write_all(buffer_);
+  buffer_.clear();
+}
+
+void BufferedWriter::close() {
+  flush();
+  file_.close();
+}
+
 void rename_file(const std::string& from, const std::string& to) {
   trace::SpanScope span("io.rename", trace::kCatIo);
   if (span) span.set_detail(to);

@@ -22,9 +22,11 @@
 // except under an injected torn rename, which is exactly the failure the
 // manifest loader's corrupt-line tolerance exists to absorb.
 
+#include <charconv>
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 #include "io/error.hpp"
 #include "io/fault_plan.hpp"
@@ -105,6 +107,41 @@ class IoFile {
   int fd_ = -1;
   std::string path_;
   std::uint64_t bytes_written_ = 0;
+};
+
+/// Text output to a fresh file through IoFile in bounded pieces: `<<`
+/// appends to a buffer that is handed to write_all whenever it reaches
+/// kCapacity, so a large artifact never sits in memory whole and every
+/// flush is an io-layer write (typed errors, fault injection). close()
+/// flushes the tail and must be called; a writer destroyed while an
+/// exception unwinds drops its unflushed bytes.
+class BufferedWriter {
+ public:
+  static constexpr std::size_t kCapacity = std::size_t{1} << 20;
+
+  explicit BufferedWriter(const std::string& path);
+
+  BufferedWriter& operator<<(std::string_view text) {
+    buffer_.append(text);
+    if (buffer_.size() >= kCapacity) flush();
+    return *this;
+  }
+  BufferedWriter& operator<<(char c) { return *this << std::string_view(&c, 1); }
+  template <typename Int, std::enable_if_t<std::is_integral_v<Int>, int> = 0>
+  BufferedWriter& operator<<(Int value) {
+    char digits[24];
+    const auto end = std::to_chars(digits, digits + sizeof(digits), value).ptr;
+    return *this << std::string_view(digits, static_cast<std::size_t>(end - digits));
+  }
+
+  /// Flushes the buffer and closes the file, reporting errors.
+  void close();
+
+ private:
+  void flush();
+
+  IoFile file_;
+  std::string buffer_;
 };
 
 /// Renames `from` over `to` (atomic on POSIX), honoring rename faults: a

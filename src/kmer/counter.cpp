@@ -5,6 +5,7 @@
 #include <omp.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <fstream>
 #include <numeric>
 #include <stdexcept>
@@ -164,20 +165,41 @@ void write_dump_binary(const std::string& path, const std::vector<KmerCount>& co
 std::vector<KmerCount> read_dump_binary(const std::string& path, int expected_k) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("read_dump_binary: cannot open '" + path + "'");
+  constexpr std::uint64_t kHeaderBytes = sizeof(std::uint32_t) + sizeof(std::uint64_t);
+  constexpr std::uint64_t kRecordBytes = sizeof(seq::KmerCode) + sizeof(std::uint32_t);
+  const std::uint64_t size = io::file_size(path);
   std::uint32_t k32 = 0;
   std::uint64_t n = 0;
   in.read(reinterpret_cast<char*>(&k32), sizeof(k32));
   in.read(reinterpret_cast<char*>(&n), sizeof(n));
-  if (!in) throw std::runtime_error("read_dump_binary: truncated header in '" + path + "'");
+  if (!in) {
+    throw io::ParseError(io::ParseCategory::kMissingHeader, path, 1, 0,
+                         "file is " + std::to_string(size) + " bytes, smaller than the " +
+                             std::to_string(kHeaderBytes) + "-byte k-mer dump header");
+  }
   if (static_cast<int>(k32) != expected_k) {
-    throw std::runtime_error("read_dump_binary: k mismatch in '" + path + "'");
+    throw io::ParseError(io::ParseCategory::kMissingHeader, path, 1, 0,
+                         "k-mer dump has k=" + std::to_string(k32) + ", expected k=" +
+                             std::to_string(expected_k));
+  }
+  // Bound the header's record count by what the file holds before
+  // allocating anything for it.
+  const std::uint64_t whole_records = (size - kHeaderBytes) / kRecordBytes;
+  if (n > whole_records) {
+    throw io::ParseError(io::ParseCategory::kTruncatedRecord, path, 1,
+                         kHeaderBytes + whole_records * kRecordBytes,
+                         "header claims " + std::to_string(n) + " records, file holds " +
+                             std::to_string(whole_records));
   }
   std::vector<KmerCount> out(n);
   for (auto& kc : out) {
     in.read(reinterpret_cast<char*>(&kc.code), sizeof(kc.code));
     in.read(reinterpret_cast<char*>(&kc.count), sizeof(kc.count));
   }
-  if (!in) throw std::runtime_error("read_dump_binary: truncated records in '" + path + "'");
+  if (!in) {
+    throw io::IoError(io::IoErrorKind::kTransient, "read", path, EIO,
+                      "short read of a k-mer dump the size check admitted");
+  }
   return out;
 }
 

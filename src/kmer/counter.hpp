@@ -95,8 +95,10 @@ std::vector<KmerCount> read_dump_text(const std::string& path, const seq::KmerCo
 /// Binary dump: u32 k, u64 record count, then (u64 code, u32 count) pairs.
 void write_dump_binary(const std::string& path, const std::vector<KmerCount>& counts, int k);
 
-/// Reads the binary dump; throws std::runtime_error on a k mismatch or a
-/// truncated file.
+/// Reads the binary dump. Throws io::ParseError on a short header or a k
+/// mismatch (kMissingHeader) and when the header's record count exceeds
+/// what the file holds (kTruncatedRecord, byte_offset = first incomplete
+/// record); nothing is allocated for records the file does not contain.
 std::vector<KmerCount> read_dump_binary(const std::string& path, int expected_k);
 
 }  // namespace trinity::kmer

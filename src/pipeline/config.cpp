@@ -149,8 +149,6 @@ Config& Config::with_pipeline(const pipeline::PipelineOptions& defaults) {
   flag_string("gff-sharding", chrysalis::to_string(defaults.gff_sharding),
               "GraphFromFasta weld movement (pooled, owner); components are "
               "identical across both");
-  flag_bool("gff-hybrid-setup", defaults.gff_hybrid_setup,
-            "cooperative GraphFromFasta setup (the paper's future work)");
   flag_string("r2t-strategy",
               defaults.r2t_strategy == chrysalis::R2TStrategy::kMasterSlave ? "master-slave"
                                                                             : "redundant",
@@ -366,13 +364,6 @@ Config& Config::parse_json_text(std::string_view text, const std::string& origin
   return *this;
 }
 
-Config Config::from_cli(int argc, const char* const* argv) {
-  Config cfg(argc > 0 ? argv[0] : "trinity", "Trinity pipeline configuration");
-  cfg.with_pipeline();
-  cfg.parse_cli(argc, argv);
-  return cfg;
-}
-
 Config Config::from_json(const std::string& path) {
   Config cfg("trinity", "Trinity pipeline configuration");
   cfg.with_pipeline();
@@ -519,7 +510,6 @@ pipeline::PipelineOptions Config::pipeline_options() const {
     throw ConfigError("gff-distribution",
                       "must be one of crr, block, dynamic (got '" + dist + "')");
   }
-  options.gff_hybrid_setup = get_bool("gff-hybrid-setup");
 
   const std::string sharding = get_string("gff-sharding");
   if (!chrysalis::sharding_from_string(sharding, &options.gff_sharding)) {

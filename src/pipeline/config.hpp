@@ -104,9 +104,7 @@ class Config {
   /// Same, from in-memory text; `origin` labels errors (a path or "<cli>").
   Config& parse_json_text(std::string_view text, const std::string& origin);
 
-  /// One-call forms with the full pipeline flag set — the common case for
-  /// a pipeline-driving binary with no extra flags.
-  [[nodiscard]] static Config from_cli(int argc, const char* const* argv);
+  /// One-call form with the full pipeline flag set, read from a JSON file.
   [[nodiscard]] static Config from_json(const std::string& path);
 
   // --- results -------------------------------------------------------------

@@ -156,8 +156,7 @@ util::Json r2t_json(const PipelineOptions& options, const chrysalis::R2TTiming& 
   // Additive fields (schema stays 3, readers ignore unknown keys):
   // r2t_mode always; index accounting only in index mode, so vote-mode
   // documents are unchanged. index_source distinguishes cold builds
-  // ("built") from warm loads ("mmap") and serve cache hits
-  // ("shared-cache") in the --aggregate roll-up.
+  // ("built") from warm loads ("mmap") in the --aggregate roll-up.
   out.set("r2t_mode",
           options.r2t_mode == chrysalis::R2TMode::kIndex ? "index" : "vote");
   if (options.r2t_mode == chrysalis::R2TMode::kIndex) {
@@ -384,8 +383,8 @@ util::Json aggregate_run_reports(const std::vector<util::Json>& reports) {
     std::int64_t io_retries = 0;
     std::int64_t preemptions = 0;
     double max_skew = 1.0;
-    // Index-mode job split: cold builds vs. warm loads (mmap or the serve
-    // layer's shared cache). Both stay 0 for vote-mode jobs.
+    // Index-mode job split: cold builds vs. warm mmap loads. Both stay 0
+    // for vote-mode jobs.
     std::int64_t index_cold_builds = 0;
     std::int64_t index_warm_loads = 0;
     // Schema v4 reliability rollup: total dispatches, job-level retries

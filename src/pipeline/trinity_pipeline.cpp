@@ -597,7 +597,6 @@ PipelineResult run_pipeline_impl(const std::vector<seq::Sequence>& reads,
   gff.model_threads_per_rank = options.model_threads_per_rank;
   gff.kernel_repeats = options.gff_kernel_repeats;
   gff.distribution = options.gff_distribution;
-  gff.hybrid_setup = options.gff_hybrid_setup;
   gff.sharding = options.gff_sharding;
 
   driver.stage(
@@ -640,12 +639,6 @@ PipelineResult run_pipeline_impl(const std::vector<seq::Sequence>& reads,
   r2t.index_lifecycle = options.r2t_index;
   if (options.r2t_mode == chrysalis::R2TMode::kIndex) {
     r2t.index_path = work_dir + "/" + kIndexFile;
-    // The fingerprint covers the reads and every output-affecting option,
-    // so equal fingerprints imply equal components — exactly the safety
-    // condition for reusing a cached index across serve jobs.
-    if (options.index_cache != nullptr) {
-      r2t.shared_index = options.index_cache->find(result.options_fingerprint);
-    }
   }
 
   // Assigned (not merged) in the stage body: idempotent across retries.
@@ -660,9 +653,6 @@ PipelineResult run_pipeline_impl(const std::vector<seq::Sequence>& reads,
           result.assignments = std::move(r.assignments);
           result.r2t_timing = r.timing;
           r2t_parse = r.parse;
-          if (options.index_cache != nullptr && r.index != nullptr) {
-            options.index_cache->put(result.options_fingerprint, r.index);
-          }
         } else {
           auto rank_results = simpi::run(
               options.nranks,
@@ -673,9 +663,6 @@ PipelineResult run_pipeline_impl(const std::vector<seq::Sequence>& reads,
                   result.assignments = std::move(r.assignments);
                   result.r2t_timing = r.timing;
                   r2t_parse = r.parse;
-                  if (options.index_cache != nullptr && r.index != nullptr) {
-                    options.index_cache->put(result.options_fingerprint, r.index);
-                  }
                 }
               },
               options.comm, driver.fault_for("chrysalis.reads_to_transcripts"));

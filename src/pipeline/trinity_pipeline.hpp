@@ -114,11 +114,10 @@ struct PipelineOptions {
   /// bench_gff_shard assert it), so it is excluded from the options
   /// fingerprint like the other strategy selections.
   chrysalis::ShardingStrategy gff_sharding = chrysalis::ShardingStrategy::kOwner;
-  bool gff_hybrid_setup = false;  ///< cooperative setup (future work)
   chrysalis::R2TStrategy r2t_strategy = chrysalis::R2TStrategy::kRedundantStreaming;
   chrysalis::R2TOutputMode r2t_output_mode = chrysalis::R2TOutputMode::kPerRankConcat;
-  /// ReadsToTranscripts engine: voting (the paper's scheme) or the
-  /// persistent quasi-mapping TranscriptIndex. Assignments are
+  /// ReadsToTranscripts engine: voting (the paper's scheme) or an mmap
+  /// image of the same vote map (TranscriptIndex). Assignments are
   /// bit-identical across modes (the benches assert it), so mode and
   /// lifecycle are scheduling-only and excluded from the fingerprint.
   chrysalis::R2TMode r2t_mode = chrysalis::R2TMode::kVote;
@@ -126,11 +125,6 @@ struct PipelineOptions {
   /// index file lives at <work_dir>/transcript_index.bin, so `auto` makes
   /// repeat runs over the same work dir skip the build via mmap.
   chrysalis::IndexLifecycle r2t_index = chrysalis::IndexLifecycle::kAuto;
-  /// Read-only shared index cache (the serve layer's; see
-  /// docs/INDEXING.md). When set, an index cached under this run's options
-  /// fingerprint is reused directly, and a freshly built one is published
-  /// back. Scheduling-only; null for standalone runs.
-  std::shared_ptr<chrysalis::TranscriptIndexCache> index_cache;
   align::BowtieSplit bowtie_split = align::BowtieSplit::kTargets;
   std::uint32_t butterfly_min_node_support = 0;  ///< read reconciliation
   bool butterfly_require_paired_support = false; ///< paired reconciliation

@@ -74,9 +74,6 @@ JobServer::JobServer(ServerOptions options)
                     : options_.root_dir),
       metrics_(options_.metrics ? std::make_unique<LiveMetrics>() : nullptr),
       pool_(options_.total_ranks),
-      index_cache_(options_.share_index_cache
-                       ? std::make_shared<chrysalis::TranscriptIndexCache>()
-                       : nullptr),
       admission_(options_.total_ranks, options_.max_queue_depth, options_.default_quota,
                  options_.tenant_quotas, options_.min_plausible_runtime_s) {
   std::filesystem::create_directories(root_dir_);
@@ -750,10 +747,6 @@ void JobServer::run_job(Job* job, simpi::RankLease lease) {
   options.preemptions = job->preemptions;
   options.attempts = job->attempts + 1;  // 1-based dispatch count (schema v4)
   options.recovered = job->recovered;
-  // Shared read-only index cache: index-mode jobs over identical inputs
-  // map against one loaded TranscriptIndex instead of each building or
-  // mmapping their own (keyed by the run's options fingerprint).
-  options.index_cache = index_cache_;
   // Live metrics: the run publishes stage heartbeats, stage durations and
   // per-rank comm counters into the server's registry.
   options.metrics = metrics_ ? &metrics_->registry : nullptr;

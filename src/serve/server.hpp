@@ -74,7 +74,6 @@
 #include <vector>
 
 #include "checkpoint/retry.hpp"
-#include "chrysalis/transcript_index.hpp"
 #include "obs/exporter.hpp"
 #include "obs/metrics.hpp"
 #include "serve/accounting.hpp"
@@ -94,12 +93,6 @@ struct ServerOptions {
   std::string root_dir;  ///< job work dirs live at <root>/<tenant>/<job_id>;
                          ///< empty = <tmp>/trinity_serve
   bool preemption = true;  ///< priority preemption (off = strict FIFO by priority)
-  /// Share one read-only TranscriptIndex across jobs whose runs have the
-  /// same options fingerprint (same reads + output-affecting options):
-  /// the first index-mode job builds or mmaps it, later ones map against
-  /// the cached copy (run reports show index_source "shared-cache"). See
-  /// docs/INDEXING.md. Only affects jobs running --r2t-mode index.
-  bool share_index_cache = true;
   /// Defaults seeded into submit_text's job-spec parse, exactly like a
   /// binary's with_pipeline(defaults).
   pipeline::PipelineOptions job_defaults;
@@ -290,10 +283,6 @@ class JobServer {
   std::unique_ptr<LiveMetrics> metrics_;
   std::unique_ptr<obs::MetricsExporter> exporter_;
   simpi::RankPool pool_;
-  /// Process-wide read-only index cache handed to every dispatch (null
-  /// when share_index_cache is off). Entries are immutable shared_ptrs,
-  /// so concurrent jobs map against one loaded copy safely.
-  std::shared_ptr<chrysalis::TranscriptIndexCache> index_cache_;
 
   mutable std::mutex mutex_;
   std::condition_variable scheduler_cv_;

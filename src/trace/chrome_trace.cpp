@@ -148,16 +148,6 @@ std::string chrome_trace_text(const std::vector<TraceEvent>& events,
   return chrome_trace_json(events, meta).dump(1) + "\n";
 }
 
-void write_chrome_trace(const std::string& path,
-                        const std::vector<TraceEvent>& events,
-                        const ChromeTraceMeta& meta) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw std::runtime_error("trace: cannot open " + path);
-  out << chrome_trace_text(events, meta);
-  out.flush();
-  if (!out) throw std::runtime_error("trace: write failed: " + path);
-}
-
 std::vector<TraceEvent> events_from_chrome_trace(const util::Json& doc) {
   TraceShapeReport shape = validate_chrome_trace(doc);
   if (!shape.ok()) {

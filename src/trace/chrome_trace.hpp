@@ -35,12 +35,6 @@ struct ChromeTraceMeta {
 [[nodiscard]] std::string chrome_trace_text(const std::vector<TraceEvent>& events,
                                             const ChromeTraceMeta& meta = {});
 
-/// Writes the document to `path` (plain ofstream; the pipeline goes through
-/// the io layer instead so the write itself is fault-injectable).
-void write_chrome_trace(const std::string& path,
-                        const std::vector<TraceEvent>& events,
-                        const ChromeTraceMeta& meta = {});
-
 /// Inverse of chrome_trace_json: reconstructs TraceEvents from a parsed
 /// document ("M" metadata events are skipped). Throws std::runtime_error
 /// on documents the validator would reject.

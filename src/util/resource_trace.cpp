@@ -1,7 +1,6 @@
 #include "util/resource_trace.hpp"
 
 #include <algorithm>
-#include <iomanip>
 #include <stdexcept>
 
 #include "util/rss.hpp"
@@ -79,17 +78,6 @@ double ResourceTrace::total_wall_seconds() const {
   double total = 0.0;
   for (const auto& r : records_) total += r.wall_seconds;
   return total;
-}
-
-void ResourceTrace::print_table(std::ostream& out) const {
-  out << std::left << std::setw(28) << "phase" << std::right << std::setw(12) << "wall(s)"
-      << std::setw(12) << "cpu(s)" << std::setw(14) << "rss_peak(MB)" << '\n';
-  for (const auto& r : records_) {
-    out << std::left << std::setw(28) << r.name << std::right << std::fixed
-        << std::setprecision(3) << std::setw(12) << r.wall_seconds << std::setw(12)
-        << r.cpu_seconds << std::setprecision(1) << std::setw(14)
-        << static_cast<double>(r.rss_peak) / (1024.0 * 1024.0) << '\n';
-  }
 }
 
 void ResourceTrace::write_csv(std::ostream& out) const {

@@ -77,9 +77,6 @@ class ResourceTrace {
   /// Total wall time covered by completed phases.
   [[nodiscard]] double total_wall_seconds() const;
 
-  /// Writes a human-readable table (one row per phase) to `out`.
-  void print_table(std::ostream& out) const;
-
   /// Writes the trace as CSV with a header row.
   void write_csv(std::ostream& out) const;
 

@@ -59,8 +59,6 @@ double Rng::uniform01() {
   return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
 }
 
-double Rng::uniform_real(double lo, double hi) { return lo + (hi - lo) * uniform01(); }
-
 double Rng::normal() {
   if (have_cached_normal_) {
     have_cached_normal_ = false;

@@ -37,9 +37,6 @@ class Rng {
   /// Uniform real in [0, 1).
   double uniform01();
 
-  /// Uniform real in [lo, hi).
-  double uniform_real(double lo, double hi);
-
   /// Standard normal via Box–Muller.
   double normal();
 

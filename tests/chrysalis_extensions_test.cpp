@@ -1,6 +1,6 @@
 // Tests for the future-work extensions of Chrysalis: dynamic
-// (self-scheduled) distribution, cooperative hybrid setup, collective R2T
-// output, and the read-split Bowtie mode.
+// (self-scheduled) distribution, collective R2T output, and the read-split
+// Bowtie mode.
 
 #include <gtest/gtest.h>
 
@@ -121,40 +121,6 @@ TEST(GffDynamic2, ChargesRmaCommunication) {
   simpi::run(2, [&](simpi::Context& ctx) {
     const auto result = run_hybrid(ctx, s.contigs, counter, options);
     EXPECT_GT(result.timing.comm_seconds, 0.0);
-  });
-}
-
-// --- cooperative hybrid setup --------------------------------------------------------
-
-class GffHybridSetup : public ::testing::TestWithParam<int> {};
-
-TEST_P(GffHybridSetup, ProducesIdenticalComponents) {
-  const int nranks = GetParam();
-  const auto s = build_scenario(3, 3, 83);
-  const auto counter = make_counter(s.reads);
-  const auto expected = run_shared(s.contigs, counter, gff_options());
-  auto options = gff_options();
-  options.hybrid_setup = true;
-  simpi::run(nranks, [&](simpi::Context& ctx) {
-    const auto result = run_hybrid(ctx, s.contigs, counter, options);
-    EXPECT_EQ(result.welds, expected.welds);
-    EXPECT_EQ(result.components.component_of, expected.components.component_of);
-  });
-}
-
-INSTANTIATE_TEST_SUITE_P(WorldSizes, GffHybridSetup, ::testing::Values(1, 2, 4, 6));
-
-TEST(GffHybridSetupDetail, PartialMapsMergeToSerialMap) {
-  const auto s = build_scenario(2, 3, 89);
-  const auto serial = detail::contig_kmer_multiplicity(s.contigs, kTestK);
-  simpi::run(4, [&](simpi::Context& ctx) {
-    const auto merged = detail::hybrid_contig_kmer_multiplicity(ctx, s.contigs, kTestK);
-    EXPECT_EQ(merged.size(), serial.size());
-    for (const auto& [code, count] : serial) {
-      const auto it = merged.find(code);
-      ASSERT_NE(it, merged.end());
-      EXPECT_EQ(it->second, count);
-    }
   });
 }
 

@@ -106,6 +106,32 @@ TEST(IoFaultMatrix, ShortWriteOnTranscriptsIsRetriedAndRewritesWhole) {
   EXPECT_EQ(slurp(dir.file("Trinity.fa")), baseline_transcripts());
 }
 
+/// One transient EIO on the first write of `file`: `stage`, which writes
+/// it, must retry in process and the run must end byte-identical.
+void expect_eio_retried(const std::string& file, const std::string& stage) {
+  const TempDir dir("matrix_eio_" + stage);
+  auto options = small_options(dir.str());
+  options.io_fault = io::IoFaultPlan::parse("write:*" + file + ":1:eio");
+  const auto result = run_pipeline(shared_dataset().reads.reads, options);
+
+  EXPECT_EQ(result.io_retries, 1);
+  EXPECT_EQ(result.stage_retries, 1);
+  EXPECT_TRUE(trace_has_phase(result, stage + ".retry2"));
+  EXPECT_EQ(slurp(dir.file("Trinity.fa")), baseline_transcripts());
+}
+
+TEST(IoFaultMatrix, EioOnSamIsRetriedInProcess) {
+  expect_eio_retried("bowtie.sam", "chrysalis.bowtie");
+}
+
+TEST(IoFaultMatrix, EioOnComponentsIsRetriedInProcess) {
+  expect_eio_retried("components.txt", "chrysalis.graph_from_fasta");
+}
+
+TEST(IoFaultMatrix, EioOnAssignmentsIsRetriedInProcess) {
+  expect_eio_retried("readsToComponents.out.tsv", "chrysalis.reads_to_transcripts");
+}
+
 TEST(IoFaultMatrix, ExhaustedRetryBudgetSurfacesTheTypedError) {
   const TempDir dir("matrix_budget");
   auto options = small_options(dir.str());

@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <map>
 
+#include "io/error.hpp"
 #include "kmer/counter.hpp"
 #include "seq/dna.hpp"
 #include "test_helpers.hpp"
@@ -286,18 +288,54 @@ TEST(KmerDumpTest, BinaryRoundTrip) {
 TEST(KmerDumpTest, BinaryKMismatchThrows) {
   const TempDir dir("kmis");
   write_dump_binary(dir.file("k.bin"), {}, 25);
-  EXPECT_THROW(read_dump_binary(dir.file("k.bin"), 21), std::runtime_error);
+  try {
+    read_dump_binary(dir.file("k.bin"), 21);
+    FAIL() << "k-mismatched dump loaded";
+  } catch (const io::ParseError& e) {
+    EXPECT_EQ(e.category(), io::ParseCategory::kMissingHeader);
+    EXPECT_EQ(e.path(), dir.file("k.bin"));
+    EXPECT_NE(std::string(e.what()).find("k=25"), std::string::npos) << e.what();
+  }
 }
 
 TEST(KmerDumpTest, TruncatedBinaryThrows) {
   const TempDir dir("trunc");
   KmerCounter counter(opts(11));
   counter.add_sequences({{"s", random_dna(100, 2)}});
-  write_dump_binary(dir.file("k.bin"), counter.dump(), 11);
-  // Chop the file.
+  const auto counts = counter.dump();
+  write_dump_binary(dir.file("k.bin"), counts, 11);
+  // Chop the file mid-record: the last record loses 5 of its 12 bytes.
   const auto path = dir.file("k.bin");
   std::filesystem::resize_file(path, std::filesystem::file_size(path) - 5);
-  EXPECT_THROW(read_dump_binary(path, 11), std::runtime_error);
+  try {
+    read_dump_binary(path, 11);
+    FAIL() << "truncated dump loaded";
+  } catch (const io::ParseError& e) {
+    EXPECT_EQ(e.category(), io::ParseCategory::kTruncatedRecord);
+    EXPECT_EQ(e.path(), path);
+    EXPECT_EQ(e.byte_offset(), 12 + (counts.size() - 1) * 12);  // the torn record
+  }
+}
+
+TEST(KmerDumpTest, HugeRecordCountIsBoundedByFileSize) {
+  // A header claiming 2^60 records over a one-record file must fail typed
+  // before anything is allocated for the claim.
+  const TempDir dir("huge");
+  const auto path = dir.file("k.bin");
+  write_dump_binary(path, {KmerCount{7, 3}}, 11);
+  const std::uint64_t claimed = std::uint64_t{1} << 60;
+  {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(4);
+    f.write(reinterpret_cast<const char*>(&claimed), sizeof(claimed));
+  }
+  try {
+    read_dump_binary(path, 11);
+    FAIL() << "over-claiming dump loaded";
+  } catch (const io::ParseError& e) {
+    EXPECT_EQ(e.category(), io::ParseCategory::kTruncatedRecord);
+    EXPECT_EQ(e.byte_offset(), 24u);  // header + the one whole record
+  }
 }
 
 TEST(KmerDumpTest, MalformedTextThrows) {

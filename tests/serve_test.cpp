@@ -372,37 +372,30 @@ TEST(JobServer, ReportCarriesJobAttribution) {
   EXPECT_EQ(report.at("preemptions").as_int(), 0);
 }
 
-TEST(JobServer, SharedIndexCacheServesWarmJobs) {
-  // Two identical index-mode jobs, each needing the whole pool so they run
-  // one after the other. The first builds the TranscriptIndex and publishes
-  // it to the server's shared cache; the second maps against the cached
-  // copy instead of building its own (its work dir has no index file).
-  const TempDir root("serve_index_cache");
+TEST(JobServer, IndexModeJobMatchesVoteModeJob) {
+  // The same assembly submitted once per R2T engine: the index-mode job
+  // builds its vote-map image, the vote-mode job builds the map itself, and
+  // both must write the same transcripts.
+  const TempDir root("serve_index_mode");
   ServerOptions options;
   options.total_ranks = 2;
   options.root_dir = root.str();
   JobServer server(options);
-  JobSpec first = make_spec("alice", "cold");
-  first.options.r2t_mode = chrysalis::R2TMode::kIndex;
-  JobSpec second = make_spec("alice", "warm");
-  second.options.r2t_mode = chrysalis::R2TMode::kIndex;
-  ASSERT_TRUE(server.submit(std::move(first)).accepted());
-  ASSERT_TRUE(server.submit(std::move(second)).accepted());
+  JobSpec indexed = make_spec("alice", "index");
+  indexed.options.r2t_mode = chrysalis::R2TMode::kIndex;
+  ASSERT_TRUE(server.submit(std::move(indexed)).accepted());
+  ASSERT_TRUE(server.submit(make_spec("alice", "vote")).accepted());
   server.drain();
-  EXPECT_EQ(status_of(server, "cold").state, JobState::kCompleted);
-  EXPECT_EQ(status_of(server, "warm").state, JobState::kCompleted);
+  EXPECT_EQ(status_of(server, "index").state, JobState::kCompleted);
+  EXPECT_EQ(status_of(server, "vote").state, JobState::kCompleted);
 
-  const auto index_source = [&](const std::string& job) {
-    const util::Json report =
-        pipeline::load_run_report(root.str() + "/alice/" + job + "/run_report.json");
-    return report.at("chrysalis").at("reads_to_transcripts").at("index_source").as_string();
-  };
-  EXPECT_EQ(index_source("cold"), "built");
-  EXPECT_EQ(index_source("warm"), "shared-cache");
-
-  // Identical transcripts either way — the index is read-only shared state.
-  EXPECT_EQ(slurp(root.str() + "/alice/cold/Trinity.fa"),
-            slurp(root.str() + "/alice/warm/Trinity.fa"));
+  const util::Json report =
+      pipeline::load_run_report(root.str() + "/alice/index/run_report.json");
+  EXPECT_EQ(report.at("chrysalis").at("reads_to_transcripts").at("index_source").as_string(),
+            "built");
+  const std::string transcripts = slurp(root.str() + "/alice/vote/Trinity.fa");
+  EXPECT_FALSE(transcripts.empty());
+  EXPECT_EQ(slurp(root.str() + "/alice/index/Trinity.fa"), transcripts);
 }
 
 // --- preemption -------------------------------------------------------------------

@@ -1,8 +1,8 @@
-// Tests for the quasi-mapping TranscriptIndex: vote-parity of index-mode
-// assignments, serialize -> mmap-load round-trips (byte-identical files
-// and assignments), typed rejection of truncated/corrupted/mismatched
-// index files, the build/load/auto lifecycle, fragment equivalence
-// classes, and the serve-layer shared cache.
+// Tests for TranscriptIndex, the mmap image of the vote map: vote-parity
+// of index-mode assignments across the whole R2T scheduling matrix,
+// serialize -> mmap-load round-trips (byte-identical files and
+// assignments), typed rejection of every truncation and byte flip of an
+// index file, and the build/load/auto lifecycle.
 
 #include <gtest/gtest.h>
 
@@ -85,20 +85,42 @@ void patch_file(const std::string& path, std::streamoff offset, const void* byte
   f.write(static_cast<const char*>(bytes), static_cast<std::streamsize>(len));
 }
 
+/// Every contig k-mer (hits) and a sample of random codes (mostly misses)
+/// answer the same in `got` as in `want`.
+void expect_same_lookups(const TranscriptIndex& got, const TranscriptIndex& want,
+                         const std::vector<seq::Sequence>& contigs) {
+  const auto same = [&](seq::KmerCode code) {
+    const std::int32_t* a = got.lookup(code);
+    const std::int32_t* b = want.lookup(code);
+    return (a == nullptr) == (b == nullptr) && (a == nullptr || *a == *b);
+  };
+  const seq::KmerCodec codec(kTestK);
+  for (const auto& contig : contigs) {
+    for (const auto& occ : codec.extract_canonical(contig.bases)) {
+      EXPECT_TRUE(same(occ.code)) << "k-mer " << occ.code;
+    }
+  }
+  util::Rng rng(3);
+  for (int i = 0; i < 64; ++i) EXPECT_TRUE(same(rng() & ((1ULL << (2 * kTestK)) - 1)));
+}
+
 TEST(TranscriptIndex, LookupMatchesVotingMap) {
   Fixture f = build_fixture(4, 0, 5);
   const auto map = build_bundle_kmer_map(f.contigs, f.components, kTestK);
   const auto index = TranscriptIndex::build(f.contigs, f.components, kTestK);
   EXPECT_EQ(index.num_kmers(), map.size());
   EXPECT_EQ(index.k(), kTestK);
-  EXPECT_GT(index.num_intervals(), 0u);
-  const seq::KmerCodec codec(kTestK);
-  for (const auto& contig : f.contigs) {
-    for (const auto& occ : codec.extract_canonical(contig.bases)) {
-      const auto it = map.find(occ.code);
-      ASSERT_NE(it, map.end());
-      EXPECT_EQ(index.component_of(occ.code), it->second);
-    }
+  EXPECT_EQ(index.num_components(), f.components.num_components());
+  for (const auto& [code, component] : map) {
+    const std::int32_t* hit = index.lookup(code);
+    ASSERT_NE(hit, nullptr);
+    EXPECT_EQ(*hit, component);
+  }
+  // Random codes miss in both.
+  util::Rng rng(11);
+  for (int i = 0; i < 1000; ++i) {
+    const seq::KmerCode code = rng() & ((seq::KmerCode{1} << (2 * kTestK)) - 1);
+    EXPECT_EQ(index.lookup(code) == nullptr, map.lookup(code) == nullptr);
   }
 }
 
@@ -117,10 +139,8 @@ TEST(TranscriptIndex, IndexModeAssignmentsIdenticalToVote) {
   EXPECT_EQ(indexed.timing.index_source, "built");
   EXPECT_GT(indexed.timing.index_build_seconds, 0.0);
   EXPECT_EQ(indexed.timing.index_load_seconds, 0.0);
-  ASSERT_NE(indexed.index, nullptr);
-  // Vote mode reports no index accounting and no classes.
+  // Vote mode reports no index accounting.
   EXPECT_EQ(vote.timing.index_source, "");
-  EXPECT_TRUE(vote.eq_classes.empty());
 }
 
 TEST(TranscriptIndex, SaveLoadRoundTripIsByteIdentical) {
@@ -134,20 +154,14 @@ TEST(TranscriptIndex, SaveLoadRoundTripIsByteIdentical) {
   EXPECT_FALSE(built.mmap_backed());
   EXPECT_EQ(loaded.k(), built.k());
   EXPECT_EQ(loaded.num_kmers(), built.num_kmers());
-  EXPECT_EQ(loaded.num_intervals(), built.num_intervals());
+  EXPECT_EQ(loaded.num_components(), built.num_components());
   EXPECT_EQ(loaded.image_bytes(), built.image_bytes());
 
   // save(load(p)) writes a byte-identical file.
   loaded.save(dir.file("b.bin"));
   EXPECT_EQ(read_file(dir.file("a.bin")), read_file(dir.file("b.bin")));
 
-  // Identical lookups over every contig k-mer.
-  const seq::KmerCodec codec(kTestK);
-  for (const auto& contig : f.contigs) {
-    for (const auto& occ : codec.extract_canonical(contig.bases)) {
-      EXPECT_EQ(loaded.component_of(occ.code), built.component_of(occ.code));
-    }
-  }
+  expect_same_lookups(loaded, built, f.contigs);
 }
 
 TEST(TranscriptIndex, WarmAutoRunLoadsViaMmapAndSkipsBuild) {
@@ -189,13 +203,6 @@ TEST(TranscriptIndex, HybridIndexModeMatchesVote) {
         run_hybrid(ctx, f.contigs, f.components, dir.file("reads.fa"), options, dir.str());
     EXPECT_TRUE(same_assignments(vote.assignments, result.assignments));
     EXPECT_EQ(result.timing.index_source, "built");
-    // Equivalence classes pooled over ranks: class counts sum to the
-    // number of reads with at least one hit, on every rank.
-    std::uint64_t classified = 0;
-    for (const auto& eq : result.eq_classes) classified += eq.count;
-    std::uint64_t assigned = 0;
-    for (const auto& a : result.assignments) assigned += a.component >= 0 ? 1 : 0;
-    EXPECT_EQ(classified, assigned);
   });
 
   // Second hybrid run over the same work dir warm-loads on every rank.
@@ -206,52 +213,6 @@ TEST(TranscriptIndex, HybridIndexModeMatchesVote) {
     EXPECT_EQ(result.timing.index_source, "mmap");
     EXPECT_EQ(result.timing.index_build_seconds, 0.0);
   });
-}
-
-TEST(TranscriptIndex, EquivalenceClassesCountClassifiedReads) {
-  const TempDir dir("tix_eq");
-  Fixture f = build_fixture(3, 10, 23);
-  seq::write_fasta(dir.file("reads.fa"), f.reads);
-  auto options = test_options(R2TMode::kIndex);
-  const auto result =
-      run_shared(f.contigs, f.components, dir.file("reads.fa"), options, dir.str());
-  ASSERT_FALSE(result.eq_classes.empty());
-  std::uint64_t classified = 0;
-  for (const auto& eq : result.eq_classes) {
-    EXPECT_FALSE(eq.components.empty());
-    EXPECT_GT(eq.count, 0u);
-    classified += eq.count;
-  }
-  std::uint64_t assigned = 0;
-  for (const auto& a : result.assignments) assigned += a.component >= 0 ? 1 : 0;
-  EXPECT_EQ(classified, assigned);
-  // The TSV artifact exists and round-trips through the counter.
-  const std::string tsv = read_file(dir.str() + "/eq_classes.tsv");
-  const auto counter = EquivalenceClassCounter::deserialize(tsv);
-  EXPECT_EQ(counter.total_reads(), classified);
-  EXPECT_EQ(counter.serialize(), tsv);
-}
-
-TEST(EquivalenceClassCounter, MergeAndSerializeRoundTrip) {
-  EquivalenceClassCounter a;
-  a.add({0});
-  a.add({0, 2});
-  a.add({0});
-  EquivalenceClassCounter b;
-  b.add({0, 2});
-  b.add({1});
-  a.merge(b);
-  EXPECT_EQ(a.total_reads(), 5u);
-  const auto classes = a.classes();
-  ASSERT_EQ(classes.size(), 3u);  // {0}, {0,2}, {1} in label-set order
-  EXPECT_EQ(classes[0].components, (std::vector<std::int32_t>{0}));
-  EXPECT_EQ(classes[0].count, 2u);
-  EXPECT_EQ(classes[1].components, (std::vector<std::int32_t>{0, 2}));
-  EXPECT_EQ(classes[1].count, 2u);
-  const auto round = EquivalenceClassCounter::deserialize(a.serialize());
-  EXPECT_EQ(round.serialize(), a.serialize());
-  a.add({});  // no-hit reads are not counted
-  EXPECT_EQ(a.total_reads(), 5u);
 }
 
 TEST(TranscriptIndexErrors, TruncatedFileIsTypedParseError) {
@@ -331,6 +292,48 @@ TEST(TranscriptIndexErrors, CorruptedPayloadFailsChecksum) {
   }
 }
 
+TEST(TranscriptIndexErrors, EveryTruncationIsTypedParseError) {
+  // A tiny index (two 24-base contigs: 20 k-mers in 32 slots) keeps the
+  // sweep over every prefix length cheap, also under ASan.
+  const TempDir dir("tix_trunc_sweep");
+  std::vector<seq::Sequence> contigs{{"a", random_dna(24, 61)}, {"b", random_dna(24, 62)}};
+  TranscriptIndex::build(contigs, cluster_contigs(2, {}), kTestK).save(dir.file("ix.bin"));
+  const std::string full = read_file(dir.file("ix.bin"));
+  for (std::size_t length = 0; length < full.size(); ++length) {
+    std::ofstream(dir.file("cut.bin"), std::ios::binary | std::ios::trunc)
+        .write(full.data(), static_cast<std::streamsize>(length));
+    try {
+      TranscriptIndex::load(dir.file("cut.bin"));
+      ADD_FAILURE() << "index cut to " << length << " bytes loaded";
+    } catch (const io::ParseError& e) {
+      EXPECT_EQ(e.category(), length < 64 ? io::ParseCategory::kMissingHeader
+                                          : io::ParseCategory::kTruncatedRecord)
+          << "length " << length;
+    }
+  }
+}
+
+TEST(TranscriptIndexErrors, EveryByteFlipIsRejectedOrHarmless) {
+  const TempDir dir("tix_flip_sweep");
+  std::vector<seq::Sequence> contigs{{"a", random_dna(24, 63)}, {"b", random_dna(24, 64)}};
+  const auto original = TranscriptIndex::build(contigs, cluster_contigs(2, {}), kTestK);
+  original.save(dir.file("ix.bin"));
+  const std::string full = read_file(dir.file("ix.bin"));
+  for (std::size_t i = 0; i < full.size(); ++i) {
+    std::string flipped = full;
+    flipped[i] = static_cast<char>(flipped[i] ^ 0xff);
+    std::ofstream(dir.file("flip.bin"), std::ios::binary | std::ios::trunc)
+        .write(flipped.data(), static_cast<std::streamsize>(flipped.size()));
+    try {
+      const auto loaded = TranscriptIndex::load(dir.file("flip.bin"));
+      SCOPED_TRACE("byte " + std::to_string(i) + " flipped and loaded");
+      expect_same_lookups(loaded, original, contigs);
+    } catch (const io::ParseError&) {
+      // Rejected with the typed error: fine.
+    }
+  }
+}
+
 TEST(TranscriptIndexErrors, MissingFileIsTypedIoError) {
   EXPECT_THROW(TranscriptIndex::load("/no/such/transcript_index.bin"), io::IoError);
   // Lifecycle kLoad surfaces the same typed error through the run.
@@ -370,29 +373,80 @@ TEST(TranscriptIndexErrors, StaleKRebuildsUnderAutoAndRefusesUnderLoad) {
   }
 }
 
-TEST(TranscriptIndexCacheTest, FirstWriterWinsAndSharedCopyIsUsed) {
+TEST(TranscriptIndexErrors, OtherVersionRebuildsUnderAutoAndRefusesUnderLoad) {
+  const TempDir dir("tix_old_version");
   Fixture f = build_fixture(2, 4, 53);
-  auto first = std::make_shared<const TranscriptIndex>(
-      TranscriptIndex::build(f.contigs, f.components, kTestK));
-  auto second = std::make_shared<const TranscriptIndex>(
-      TranscriptIndex::build(f.contigs, f.components, kTestK));
-
-  TranscriptIndexCache cache;
-  EXPECT_EQ(cache.find(1), nullptr);
-  EXPECT_EQ(cache.put(1, first), first);
-  EXPECT_EQ(cache.put(1, second), first);  // first writer wins
-  EXPECT_EQ(cache.find(1), first);
-  EXPECT_EQ(cache.size(), 1u);
-
-  // A run handed the shared copy maps against it without building.
-  const TempDir dir("tix_cache");
   seq::write_fasta(dir.file("reads.fa"), f.reads);
+  TranscriptIndex::build(f.contigs, f.components, kTestK).save(dir.file("ix.bin"));
+  const std::uint32_t old_version = 1;
+  patch_file(dir.file("ix.bin"), 8, &old_version, sizeof(old_version));
+
   auto options = test_options(R2TMode::kIndex);
-  options.shared_index = first;
-  const auto result = run_shared(f.contigs, f.components, dir.file("reads.fa"), options);
-  EXPECT_EQ(result.timing.index_source, "shared-cache");
-  EXPECT_EQ(result.timing.index_build_seconds, 0.0);
-  EXPECT_EQ(result.index, first);
+  options.index_path = dir.file("ix.bin");
+  options.index_lifecycle = IndexLifecycle::kLoad;
+  EXPECT_THROW(run_shared(f.contigs, f.components, dir.file("reads.fa"), options),
+               io::ParseError);
+
+  // kAuto: the unreadable file is rebuilt and overwritten with a valid one.
+  options.index_lifecycle = IndexLifecycle::kAuto;
+  const auto rebuilt = run_shared(f.contigs, f.components, dir.file("reads.fa"), options);
+  EXPECT_EQ(rebuilt.timing.index_source, "built");
+  EXPECT_EQ(rebuilt.timing.index_load_seconds, 0.0);
+  EXPECT_EQ(TranscriptIndex::load(dir.file("ix.bin")).num_kmers(),
+            build_bundle_kmer_map(f.contigs, f.components, kTestK).size());
+}
+
+// --- the R2T scheduling matrix ------------------------------------------------------
+
+TEST(R2TEngineParity, EveryScheduleWritesTheVoteOutput) {
+  // Vote mode, a cold index build and a warm mmap load, over ranks 1-4,
+  // both chunk strategies, both output merges and overlap_io on and off:
+  // every run must return the shared-memory assignments. The merged file
+  // lists each rank's chunks in rank order, so it depends on the rank
+  // count only: every run at one rank count must write the same bytes as
+  // the first, and at one rank the bytes run_shared writes.
+  const TempDir dir("tix_matrix");
+  Fixture f = build_fixture(4, 9, 67);
+  const std::string reads = dir.file("reads.fa");
+  seq::write_fasta(reads, f.reads);
+  const auto reference = run_shared(f.contigs, f.components, reads, test_options(), dir.str());
+  const std::string shared_tsv = read_file(reference.merged_output_path);
+  ASSERT_FALSE(shared_tsv.empty());
+
+  int case_id = 0;
+  for (const int nranks : {1, 2, 3, 4}) {
+    std::string rank_tsv = nranks == 1 ? shared_tsv : "";
+    for (const auto strategy : {R2TStrategy::kRedundantStreaming, R2TStrategy::kMasterSlave}) {
+      for (const auto output : {R2TOutputMode::kPerRankConcat, R2TOutputMode::kCollective}) {
+        for (const bool overlap : {true, false}) {
+          const std::string index_path = dir.file("ix" + std::to_string(case_id++) + ".bin");
+          for (const std::string engine : {"vote", "cold", "warm"}) {
+            SCOPED_TRACE(std::to_string(nranks) + " ranks, " +
+                         (strategy == R2TStrategy::kMasterSlave ? "master/slave" : "redundant") +
+                         ", " + (output == R2TOutputMode::kCollective ? "collective" : "concat") +
+                         ", overlap_io " + (overlap ? "on" : "off") + ", " + engine);
+            auto options = test_options(engine == "vote" ? R2TMode::kVote : R2TMode::kIndex);
+            options.strategy = strategy;
+            options.output_mode = output;
+            options.overlap_io = overlap;
+            options.index_path = index_path;
+            const TempDir out("tix_matrix_out");
+            simpi::run(nranks, [&](simpi::Context& ctx) {
+              const auto result = run_hybrid(ctx, f.contigs, f.components, reads, options,
+                                             out.str());
+              EXPECT_TRUE(same_assignments(result.assignments, reference.assignments));
+              if (engine == "cold") EXPECT_EQ(result.timing.index_source, "built");
+              if (engine == "warm") EXPECT_EQ(result.timing.index_source, "mmap");
+            });
+            const std::string tsv = read_file(out.file("readsToComponents.out.tsv"));
+            if (rank_tsv.empty()) rank_tsv = tsv;
+            EXPECT_EQ(tsv, rank_tsv);
+          }
+        }
+      }
+    }
+    EXPECT_EQ(rank_tsv.size(), shared_tsv.size());  // the same rows, rank-ordered
+  }
 }
 
 }  // namespace
