@@ -16,7 +16,10 @@
 #      via resume to byte-identical transcripts, EIO mid-dump, EIO on
 #      bowtie.sam, components.txt and readsToComponents.out.tsv, and a short
 #      write on the final transcripts retried in process — plus the io-layer
-#      unit tests and the malformed-input corpus.
+#      unit tests, the malformed-input corpus, and a probe that
+#      trinity_stages butterfly over an assignments file naming an
+#      out-of-range component exits 1 with the typed message (it used to
+#      die on SIGSEGV).
 #   4. Trace gate (docs/OBSERVABILITY.md "Distributed trace"): a small
 #      traced pipeline run must leave a trace.json that passes the Chrome
 #      trace-event shape checker and yields a critical-path analysis, and
@@ -69,8 +72,8 @@
 #      in BENCH_sw.json.
 #  12. ASan+UBSan build (-DTRINITY_SANITIZE=ON) running the checkpoint, io,
 #      simpi, trace, config, flat-index, k-mer (counter, Inchworm, de
-#      Bruijn, aligner), serve and Smith–Waterman/validation test
-#      binaries — the
+#      Bruijn, aligner), stage-file loader (components, Butterfly), serve
+#      and Smith–Waterman/validation test binaries — the
 #      subsystems that throw across thread and collective boundaries (and,
 #      for the trace recorder, publish buffers across threads; for the flat
 #      index, raw-storage placement news; for the k-mer counter, OpenMP
@@ -80,7 +83,9 @@
 #      scheduler/watchdog/worker threads; for the metrics layer, relaxed-
 #      atomic instruments hammered by every serve thread while the
 #      exporter thread snapshots them; for the SW kernels, unaligned AVX2
-#      loads and stores past each anti-diagonal's last row), where
+#      loads and stores past each anti-diagonal's last row; for the
+#      stage-file loaders, corrupt headers and ids that used to index out
+#      of bounds), where
 #      sanitizers earn their keep.
 #
 # Usage: scripts/check.sh [--skip-sanitize]
@@ -169,6 +174,24 @@ echo "== fault matrix: injected storage failures + malformed input =="
 ./build/tests/io_fault_test
 ./build/tests/seq_parse_policy_test
 ./build/tests/io_fault_matrix_test
+probe_dir=/tmp/trinity_check_stage_probe
+rm -rf "$probe_dir"
+mkdir -p "$probe_dir/chrysalis"
+printf '>c0\nACGTACGTTAGCATCGATCGATCGGATCGATTACGATCGATCGAT\n' > "$probe_dir/contigs.fa"
+printf '>r0\nACGTACGTTAGCATCGATCGATCGG\n' > "$probe_dir/reads.fa"
+printf '#trinity-components 1 1\n0: 0\n' > "$probe_dir/chrysalis/components.txt"
+printf '0\t50000000\t3\t0\t25\n' > "$probe_dir/chrysalis/readsToComponents.out.tsv"
+probe_status=0
+./build/examples/trinity_stages butterfly "$probe_dir/contigs.fa" "$probe_dir/chrysalis" \
+    "$probe_dir/reads.fa" --out "$probe_dir/Trinity.fa" >/dev/null 2>"$probe_dir/err" ||
+    probe_status=$?
+if [ "$probe_status" -ne 1 ] ||
+    ! grep -q "read 0 ('r0') is assigned to component 50000000, outside \[-1, 1)" \
+        "$probe_dir/err"; then
+    echo "corrupt assignments: expected exit 1 with the typed message, got" \
+         "$probe_status: $(cat "$probe_dir/err")" >&2
+    exit 1
+fi
 
 echo "== trace: traced run + shape check + overhead budget =="
 trace_dir=/tmp/trinity_check_trace
@@ -289,7 +312,7 @@ if [ "${1:-}" = "--skip-sanitize" ]; then
     exit 0
 fi
 
-echo "== ASan+UBSan: checkpoint + io + simpi + trace + config + index + k-mer + serve + obs + sw tests =="
+echo "== ASan+UBSan: checkpoint + io + simpi + trace + config + index + k-mer + serve + obs + sw + stage-file tests =="
 cmake -B build-asan -S . -DTRINITY_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-asan -j "$jobs" --target \
     checkpoint_test simpi_fault_test simpi_test simpi_extensions_test dsu_test \
@@ -297,13 +320,13 @@ cmake --build build-asan -j "$jobs" --target \
     config_test flat_index_test kmer_test inchworm_test debruijn_test align_test \
     transcript_index_test serve_test serve_fault_test \
     serve_recovery_test serve_watchdog_test obs_test serve_metrics_test \
-    sw_test sw_kernel_test validate_test
+    sw_test sw_kernel_test validate_test components_io_test butterfly_test
 for t in checkpoint_test simpi_fault_test simpi_test simpi_extensions_test dsu_test \
          pipeline_checkpoint_test io_fault_test seq_parse_policy_test trace_test \
          config_test flat_index_test kmer_test inchworm_test debruijn_test align_test \
          transcript_index_test serve_test serve_fault_test \
          serve_recovery_test serve_watchdog_test obs_test serve_metrics_test \
-         sw_test sw_kernel_test validate_test; do
+         sw_test sw_kernel_test validate_test components_io_test butterfly_test; do
     echo "-- $t (ASan+UBSan)"
     ./build-asan/tests/"$t"
 done

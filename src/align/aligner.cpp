@@ -3,8 +3,6 @@
 #include <omp.h>
 
 #include <algorithm>
-#include <fstream>
-#include <stdexcept>
 #include <tuple>
 
 #include "io/io_file.hpp"
@@ -158,22 +156,6 @@ void write_sam(const std::string& path, const std::vector<SamRecord>& records,
   io::BufferedWriter out(path);
   write_sam_header(out, contigs);
   for (const auto& r : records) write_sam_record(out, r);
-  out.close();
-}
-
-void merge_sam_files(const std::vector<std::string>& inputs, const std::string& output,
-                     const std::vector<seq::Sequence>& contigs) {
-  io::BufferedWriter out(output);
-  write_sam_header(out, contigs);
-  for (const auto& path : inputs) {
-    std::ifstream in(path);
-    if (!in) throw std::runtime_error("merge_sam_files: cannot open '" + path + "'");
-    std::string line;
-    while (std::getline(in, line)) {
-      if (!line.empty() && line[0] == '@') continue;  // drop per-part headers
-      out << line << '\n';
-    }
-  }
   out.close();
 }
 

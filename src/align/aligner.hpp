@@ -110,10 +110,4 @@ class SeedExtendAligner {
 void write_sam(const std::string& path, const std::vector<SamRecord>& records,
                const std::vector<seq::Sequence>& contigs);
 
-/// Concatenates the record sections of several SAM files under one header —
-/// the paper's final merge of per-node Bowtie outputs. Headers of the
-/// inputs are dropped; `contigs` provides the merged header.
-void merge_sam_files(const std::vector<std::string>& inputs, const std::string& output,
-                     const std::vector<seq::Sequence>& contigs);
-
 }  // namespace trinity::align

@@ -1,22 +1,21 @@
 #include "align/sam_io.hpp"
 
-#include <fstream>
 #include <sstream>
-#include <stdexcept>
 #include <unordered_map>
+
+#include "io/io_file.hpp"
 
 namespace trinity::align {
 
 SamFile read_sam(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("read_sam: cannot open '" + path + "'");
+  io::LineCursor cursor(path, "read_sam");
 
   SamFile out;
   std::unordered_map<std::string, std::int32_t> ref_ids;
   std::unordered_map<std::string, std::size_t> ref_lengths;
 
-  std::string line;
-  while (std::getline(in, line)) {
+  while (cursor.next()) {
+    const std::string& line = cursor.line();
     if (line.empty()) continue;
     if (line[0] == '@') {
       if (line.rfind("@SQ", 0) == 0) {
@@ -27,9 +26,11 @@ SamFile read_sam(const std::string& path) {
         std::size_t length = 0;
         while (std::getline(row, field, '\t')) {
           if (field.rfind("SN:", 0) == 0) name = field.substr(3);
-          if (field.rfind("LN:", 0) == 0) length = std::stoul(field.substr(3));
+          if (field.rfind("LN:", 0) == 0) {
+            length = cursor.number<std::size_t>(std::string_view(field).substr(3), "LN");
+          }
         }
-        if (name.empty()) throw std::runtime_error("read_sam: @SQ without SN in '" + path + "'");
+        if (name.empty()) cursor.fail(io::ParseCategory::kMissingHeader, "@SQ without SN");
         ref_ids.emplace(name, static_cast<std::int32_t>(out.references.size()));
         ref_lengths.emplace(name, length);
         out.references.push_back({name, ""});
@@ -39,20 +40,23 @@ SamFile read_sam(const std::string& path) {
 
     std::istringstream row(line);
     SamRecord rec;
-    int flag = 0;
-    std::string rname;
-    std::size_t pos1 = 0;  // SAM is 1-based
-    std::string mapq, cigar;
-    if (!(row >> rec.read_name >> flag >> rname >> pos1 >> mapq >> cigar)) {
-      throw std::runtime_error("read_sam: malformed record in '" + path + "'");
+    std::string flag_text, rname, pos_text, mapq, cigar;
+    if (!(row >> rec.read_name >> flag_text >> rname >> pos_text >> mapq >> cigar)) {
+      cursor.fail(io::ParseCategory::kTruncatedRecord,
+                  "expected QNAME FLAG RNAME POS MAPQ CIGAR");
     }
+    const int flag = cursor.number<int>(flag_text, "FLAG");
+    const auto pos1 = cursor.number<std::size_t>(pos_text, "POS");  // SAM is 1-based
     if ((flag & 0x4) != 0 || rname == "*") {
       out.records.push_back(std::move(rec));  // unmapped
       continue;
     }
     const auto it = ref_ids.find(rname);
     if (it == ref_ids.end()) {
-      throw std::runtime_error("read_sam: unknown reference '" + rname + "' in '" + path + "'");
+      cursor.fail(io::ParseCategory::kInvalidCharacter, "unknown reference '" + rname + "'");
+    }
+    if (pos1 == 0) {
+      cursor.fail(io::ParseCategory::kInvalidCharacter, "mapped record at POS 0 (SAM is 1-based)");
     }
     rec.target_id = it->second;
     rec.target_name = rname;
@@ -60,16 +64,19 @@ SamFile read_sam(const std::string& path) {
     rec.reverse_strand = (flag & 0x10) != 0;
     // Our writer emits "<len>M" cigars; recover the read length from it.
     if (!cigar.empty() && cigar.back() == 'M') {
-      rec.read_length = std::stoul(cigar.substr(0, cigar.size() - 1));
+      rec.read_length = cursor.number<std::size_t>(
+          std::string_view(cigar).substr(0, cigar.size() - 1), "CIGAR length");
     }
     const std::size_t ref_len = ref_lengths.at(rname);
-    if (ref_len > 0 && rec.pos + rec.read_length > ref_len) {
-      throw std::runtime_error("read_sam: alignment beyond reference end in '" + path + "'");
+    if (ref_len > 0 && (rec.read_length > ref_len || rec.pos > ref_len - rec.read_length)) {
+      cursor.fail(io::ParseCategory::kInvalidCharacter, "alignment beyond reference end");
     }
     // Optional NM:i:<n> tag carries the mismatch count.
     std::string tag;
     while (row >> tag) {
-      if (tag.rfind("NM:i:", 0) == 0) rec.mismatches = std::stoi(tag.substr(5));
+      if (tag.rfind("NM:i:", 0) == 0) {
+        rec.mismatches = cursor.number<int>(std::string_view(tag).substr(5), "NM");
+      }
     }
     out.records.push_back(std::move(rec));
   }

@@ -17,11 +17,12 @@ struct SamFile {
   std::vector<SamRecord> records;
 };
 
-/// Parses a SAM file produced by write_sam / merge_sam_files (and any SAM
-/// restricted to the same columns). Unmapped records (flag 0x4) come back
-/// with target_id == -1. target_id indexes `references`. Throws
-/// std::runtime_error on malformed rows, unknown reference names, or
-/// coordinates outside the reference length.
+/// Parses a SAM file produced by write_sam (and any SAM restricted to the
+/// same columns). Unmapped records (flag 0x4) come back with
+/// target_id == -1. target_id indexes `references`. Throws io::ParseError
+/// (path, line, byte offset) on a short row, a non-numeric LN, FLAG, POS,
+/// CIGAR length or NM, a mapped record at POS 0, an unknown reference
+/// name, or coordinates outside the reference length.
 SamFile read_sam(const std::string& path);
 
 }  // namespace trinity::align

@@ -1,6 +1,8 @@
 #include "butterfly/butterfly.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -191,10 +193,19 @@ std::vector<seq::Sequence> run_butterfly(
     const std::vector<chrysalis::ReadAssignment>& assignments,
     const std::vector<seq::Sequence>& reads, const ButterflyOptions& options) {
   // Bucket assigned reads per component.
+  const auto num_components = static_cast<std::int64_t>(components.num_components());
   std::vector<std::vector<const seq::Sequence*>> reads_of(components.num_components());
   for (const auto& a : assignments) {
-    if (a.component < 0) continue;
-    if (a.read_index < 0 || static_cast<std::size_t>(a.read_index) >= reads.size()) continue;
+    const bool known_read =
+        a.read_index >= 0 && static_cast<std::size_t>(a.read_index) < reads.size();
+    if (a.component < -1 || a.component >= num_components) {
+      throw std::invalid_argument(
+          "run_butterfly: read " + std::to_string(a.read_index) +
+          (known_read ? " ('" + reads[static_cast<std::size_t>(a.read_index)].name + "')" : "") +
+          " is assigned to component " + std::to_string(a.component) + ", outside [-1, " +
+          std::to_string(num_components) + ")");
+    }
+    if (a.component < 0 || !known_read) continue;
     reads_of[static_cast<std::size_t>(a.component)].push_back(
         &reads[static_cast<std::size_t>(a.read_index)]);
   }
@@ -207,12 +218,10 @@ std::vector<seq::Sequence> run_butterfly(
       comp_contigs.push_back(contigs.at(static_cast<std::size_t>(id)));
     }
     chrysalis::DeBruijnGraph graph(comp_contigs, options.k);
-    for (const auto* read : reads_of[static_cast<std::size_t>(comp.id)]) {
-      graph.quantify(*read);
-    }
+    const auto& comp_reads = reads_of.at(static_cast<std::size_t>(comp.id));
+    for (const auto* read : comp_reads) graph.quantify(*read);
     auto comp_transcripts = reconstruct_component(graph, comp.id, options);
     if (options.require_paired_support) {
-      const auto& comp_reads = reads_of[static_cast<std::size_t>(comp.id)];
       std::erase_if(comp_transcripts, [&](const seq::Sequence& t) {
         if (t.bases.size() <= options.paired_check_length) return false;
         return paired_support(t, comp_reads) == 0;

@@ -1,246 +1,118 @@
 #include "checkpoint/manifest.hpp"
 
-#include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 #include "io/io_file.hpp"
 #include "util/hash.hpp"
+#include "util/json.hpp"
 
 namespace trinity::checkpoint {
 
 namespace {
 
-// --- JSON writing ------------------------------------------------------------
-// The manifest schema is flat (strings, bools, numbers, and arrays of
-// artifact objects), so a hand-rolled writer/parser keeps the library
-// dependency-free. Hashes are emitted as hex strings: JSON numbers are
-// doubles and cannot carry a full 64-bit hash.
-
-void append_escaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
+// Hashes and fingerprints travel as 16-digit hex strings: a JSON number is
+// a double and cannot carry 64 bits.
 std::string hex64(std::uint64_t v) {
   char buf[20];
   std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(v));
   return buf;
 }
 
-void append_artifacts(std::string& out, const std::vector<ArtifactRecord>& artifacts) {
-  out += '[';
-  bool first = true;
-  for (const auto& a : artifacts) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"path\":";
-    append_escaped(out, a.path);
-    out += ",\"bytes\":" + std::to_string(a.bytes);
-    out += ",\"hash\":\"" + hex64(a.hash) + "\"}";
+std::uint64_t parse_hex64(const util::Json& value) {
+  const std::string& s = value.as_string();
+  std::uint64_t v = 0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v, 16);
+  if (s.empty() || s.size() > 16 || ec != std::errc() || end != s.data() + s.size()) {
+    throw std::runtime_error("manifest line: bad hex '" + s + "'");
   }
-  out += ']';
+  return v;
 }
 
-// --- JSON parsing ------------------------------------------------------------
+util::Json artifacts_to_json(const std::vector<ArtifactRecord>& artifacts) {
+  util::Json out = util::Json::array();
+  for (const auto& a : artifacts) {
+    util::Json artifact = util::Json::object();
+    artifact.set("path", a.path);
+    artifact.set("bytes", a.bytes);
+    artifact.set("hash", hex64(a.hash));
+    out.push_back(std::move(artifact));
+  }
+  return out;
+}
 
-/// Recursive-descent parser over the manifest's JSON subset. Any deviation
-/// raises std::runtime_error, which parse_json_line maps to std::nullopt.
-class Parser {
- public:
-  explicit Parser(const std::string& text) : text_(text) {}
-
-  StageRecord parse_record() {
-    StageRecord record;
-    bool saw_stage = false, saw_fingerprint = false;
-    skip_ws();
-    expect('{');
-    bool first = true;
-    while (true) {
-      skip_ws();
-      if (peek() == '}') { ++pos_; break; }
-      if (!first) { expect(','); skip_ws(); }
-      first = false;
-      const std::string key = parse_string();
-      skip_ws();
-      expect(':');
-      skip_ws();
-      if (key == "stage") { record.stage = parse_string(); saw_stage = true; }
-      else if (key == "fingerprint") { record.fingerprint = parse_hex64(); saw_fingerprint = true; }
-      else if (key == "complete") record.complete = parse_bool();
-      else if (key == "attempt") record.attempt = static_cast<int>(parse_number());
-      else if (key == "wall_seconds") record.wall_seconds = parse_number();
-      else if (key == "checkpoint_seconds") record.checkpoint_seconds = parse_number();
-      else if (key == "trace") record.trace = parse_string();
-      else if (key == "inputs") record.inputs = parse_artifacts();
-      else if (key == "outputs") record.outputs = parse_artifacts();
-      else fail("unknown key " + key);
-    }
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing characters");
-    if (!saw_stage || !saw_fingerprint) fail("missing required field");
-    return record;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& why) const {
-    throw std::runtime_error("manifest line: " + why);
-  }
-  char peek() const {
-    if (pos_ >= text_.size()) fail("unexpected end");
-    return text_[pos_];
-  }
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + '\'');
-    ++pos_;
-  }
-  void skip_ws() {
-    while (pos_ < text_.size() && std::isspace(static_cast<unsigned char>(text_[pos_]))) ++pos_;
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      const char c = peek();
-      ++pos_;
-      if (c == '"') return out;
-      if (c == '\\') {
-        const char e = peek();
-        ++pos_;
-        switch (e) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) fail("bad \\u escape");
-            out += static_cast<char>(std::stoi(text_.substr(pos_, 4), nullptr, 16));
-            pos_ += 4;
-            break;
-          }
-          default: fail("bad escape");
-        }
+std::vector<ArtifactRecord> artifacts_from_json(const util::Json& value) {
+  std::vector<ArtifactRecord> out;
+  for (const auto& item : value.items()) {
+    ArtifactRecord a;
+    for (const auto& [key, field] : item.members()) {
+      if (key == "path") {
+        a.path = field.as_string();
+      } else if (key == "bytes") {
+        const std::int64_t bytes = field.as_int();
+        if (bytes < 0) throw std::runtime_error("manifest line: negative size");
+        a.bytes = static_cast<std::uint64_t>(bytes);
+      } else if (key == "hash") {
+        a.hash = parse_hex64(field);
       } else {
-        out += c;
+        throw std::runtime_error("manifest line: unknown artifact key " + key);
       }
     }
+    out.push_back(std::move(a));
   }
-
-  bool parse_bool() {
-    if (text_.compare(pos_, 4, "true") == 0) { pos_ += 4; return true; }
-    if (text_.compare(pos_, 5, "false") == 0) { pos_ += 5; return false; }
-    fail("expected bool");
-  }
-
-  double parse_number() {
-    std::size_t end = pos_;
-    while (end < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[end])) || text_[end] == '-' ||
-            text_[end] == '+' || text_[end] == '.' || text_[end] == 'e' || text_[end] == 'E')) {
-      ++end;
-    }
-    if (end == pos_) fail("expected number");
-    const double v = std::stod(text_.substr(pos_, end - pos_));
-    pos_ = end;
-    return v;
-  }
-
-  std::uint64_t parse_hex64() {
-    const std::string s = parse_string();
-    if (s.empty() || s.size() > 16) fail("bad hash");
-    std::size_t used = 0;
-    const std::uint64_t v = std::stoull(s, &used, 16);
-    if (used != s.size()) fail("bad hash");
-    return v;
-  }
-
-  std::vector<ArtifactRecord> parse_artifacts() {
-    std::vector<ArtifactRecord> out;
-    expect('[');
-    skip_ws();
-    if (peek() == ']') { ++pos_; return out; }
-    while (true) {
-      skip_ws();
-      expect('{');
-      ArtifactRecord a;
-      bool first = true;
-      while (true) {
-        skip_ws();
-        if (peek() == '}') { ++pos_; break; }
-        if (!first) { expect(','); skip_ws(); }
-        first = false;
-        const std::string key = parse_string();
-        skip_ws();
-        expect(':');
-        skip_ws();
-        if (key == "path") a.path = parse_string();
-        else if (key == "bytes") a.bytes = static_cast<std::uint64_t>(parse_number());
-        else if (key == "hash") a.hash = parse_hex64();
-        else fail("unknown artifact key " + key);
-      }
-      out.push_back(std::move(a));
-      skip_ws();
-      if (peek() == ']') { ++pos_; return out; }
-      expect(',');
-    }
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
+  return out;
+}
 
 }  // namespace
 
 std::string to_json_line(const StageRecord& record) {
-  std::string out = "{\"stage\":";
-  append_escaped(out, record.stage);
-  out += ",\"fingerprint\":\"" + hex64(record.fingerprint) + '"';
-  out += ",\"complete\":";
-  out += record.complete ? "true" : "false";
-  out += ",\"attempt\":" + std::to_string(record.attempt);
-  std::ostringstream num;
-  num << ",\"wall_seconds\":" << record.wall_seconds
-      << ",\"checkpoint_seconds\":" << record.checkpoint_seconds;
-  out += num.str();
-  if (!record.trace.empty()) {
-    out += ",\"trace\":";
-    append_escaped(out, record.trace);
-  }
-  out += ",\"inputs\":";
-  append_artifacts(out, record.inputs);
-  out += ",\"outputs\":";
-  append_artifacts(out, record.outputs);
-  out += '}';
-  return out;
+  util::Json line = util::Json::object();
+  line.set("stage", record.stage);
+  line.set("fingerprint", hex64(record.fingerprint));
+  line.set("complete", record.complete);
+  line.set("attempt", record.attempt);
+  line.set("wall_seconds", record.wall_seconds);
+  line.set("checkpoint_seconds", record.checkpoint_seconds);
+  if (!record.trace.empty()) line.set("trace", record.trace);
+  line.set("inputs", artifacts_to_json(record.inputs));
+  line.set("outputs", artifacts_to_json(record.outputs));
+  return line.dump();
 }
 
 std::optional<StageRecord> parse_json_line(const std::string& line) {
   try {
-    return Parser(line).parse_record();
+    const util::Json doc = util::Json::parse(line);
+    if (!doc.find("stage") || !doc.find("fingerprint")) return std::nullopt;
+    StageRecord record;
+    for (const auto& [key, value] : doc.members()) {
+      if (key == "stage") {
+        record.stage = value.as_string();
+      } else if (key == "fingerprint") {
+        record.fingerprint = parse_hex64(value);
+      } else if (key == "complete") {
+        record.complete = value.as_bool();
+      } else if (key == "attempt") {
+        record.attempt = static_cast<int>(value.as_int());
+      } else if (key == "wall_seconds") {
+        record.wall_seconds = value.as_double();
+      } else if (key == "checkpoint_seconds") {
+        record.checkpoint_seconds = value.as_double();
+      } else if (key == "trace") {
+        record.trace = value.as_string();
+      } else if (key == "inputs") {
+        record.inputs = artifacts_from_json(value);
+      } else if (key == "outputs") {
+        record.outputs = artifacts_from_json(value);
+      } else {
+        return std::nullopt;  // unknown key
+      }
+    }
+    return record;
   } catch (const std::exception&) {
-    return std::nullopt;
+    return std::nullopt;  // malformed JSON, wrong value kind or bad hex
   }
 }
 

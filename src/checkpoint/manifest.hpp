@@ -9,7 +9,9 @@
 // manifest records, per stage: the options fingerprint the stage ran
 // under, the input and output artifacts with content hashes, and
 // completion status — one JSON object per line, committed atomically by
-// writing a temporary file and renaming it over the manifest path.
+// writing a temporary file and renaming it over the manifest path. Lines
+// are built and read through util::Json, the codec the run report and the
+// serve journal use; hashes and fingerprints are 16-digit hex strings.
 //
 // Loading is deliberately tolerant: a truncated or corrupt line (the
 // signature of a crash mid-write on a filesystem without atomic rename)
@@ -54,7 +56,8 @@ struct StageRecord {
 [[nodiscard]] std::string to_json_line(const StageRecord& record);
 
 /// Parses one manifest line; std::nullopt on any malformed input
-/// (truncation, bad escape, missing field, trailing garbage).
+/// (truncation, bad escape, trailing garbage, a missing `stage` or
+/// `fingerprint`, an unknown key, or a hash that is not hex).
 [[nodiscard]] std::optional<StageRecord> parse_json_line(const std::string& line);
 
 /// The ordered collection of stage records, persisted as JSON lines.

@@ -22,14 +22,19 @@ namespace trinity::chrysalis {
 /// through io::BufferedWriter (failures are typed io::IoErrors).
 void write_components(const std::string& path, const ComponentSet& components);
 
-/// Reads a ComponentSet written by write_components. Validates the header,
-/// membership consistency, and contig-id bounds; throws std::runtime_error
-/// on malformed input.
+/// Reads a ComponentSet written by write_components. Throws io::ParseError
+/// (path, line, byte offset): kMissingHeader for a bad header line;
+/// kTruncatedRecord when the header's counts exceed what the file size can
+/// hold (checked before allocating) or the file ends before every
+/// component and contig is listed; kInvalidCharacter for a non-numeric
+/// field, a row j whose id is not j, or a contig id that is out of range
+/// or repeated.
 ComponentSet read_components(const std::string& path);
 
 /// Reads assignments written by detail::write_assignments (the
-/// readsToComponents.out.tsv format). Throws std::runtime_error on
-/// malformed rows.
+/// readsToComponents.out.tsv format). Throws io::ParseError
+/// (kInvalidCharacter, with path, line and byte offset) on a row that is
+/// not five decimal fields.
 std::vector<ReadAssignment> read_assignments(const std::string& path);
 
 }  // namespace trinity::chrysalis

@@ -286,4 +286,20 @@ std::uint64_t file_size(const std::string& path) {
   return static_cast<std::uint64_t>(size);
 }
 
+LineCursor::LineCursor(const std::string& path, const char* who) : in_(path), path_(path) {
+  if (!in_) throw std::runtime_error(std::string(who) + ": cannot open '" + path + "'");
+}
+
+bool LineCursor::next() {
+  offset_ = next_offset_;
+  ++line_no_;
+  if (!std::getline(in_, line_)) return false;
+  next_offset_ += line_.size() + (in_.eof() ? 0 : 1);
+  return true;
+}
+
+void LineCursor::fail(ParseCategory category, const std::string& detail) const {
+  throw ParseError(category, path_, line_no_, offset_, detail);
+}
+
 }  // namespace trinity::io

@@ -24,6 +24,7 @@
 
 #include <charconv>
 #include <cstdint>
+#include <fstream>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -159,5 +160,45 @@ void write_file_atomic(const std::string& path, std::string_view contents);
 
 /// Size of `path` in bytes; throws IoError (permanent) when unreadable.
 [[nodiscard]] std::uint64_t file_size(const std::string& path);
+
+/// Line-by-line reader for the text stage files (components.txt,
+/// readsToComponents.out.tsv, bowtie.sam). It tracks the 1-based line
+/// number and the byte offset of each line's start, so every reject is a
+/// ParseError located at the offending line.
+class LineCursor {
+ public:
+  /// Opens `path`; throws std::runtime_error naming `who` when it cannot.
+  LineCursor(const std::string& path, const char* who);
+
+  /// Advances to the next line; false at end of file, where the cursor
+  /// points one past the last line, at the file's end.
+  bool next();
+
+  [[nodiscard]] const std::string& line() const { return line_; }
+
+  /// Throws a ParseError at the current line.
+  [[noreturn]] void fail(ParseCategory category, const std::string& detail) const;
+
+  /// The whole of `text` as a decimal T; otherwise fails with
+  /// kInvalidCharacter naming `field`.
+  template <typename T>
+  [[nodiscard]] T number(std::string_view text, const char* field) const {
+    T value{};
+    const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
+    if (text.empty() || ec != std::errc() || end != text.data() + text.size()) {
+      fail(ParseCategory::kInvalidCharacter,
+           std::string(field) + " '" + std::string(text) + "' is not a number in range");
+    }
+    return value;
+  }
+
+ private:
+  std::ifstream in_;
+  std::string path_;
+  std::string line_;
+  std::size_t line_no_ = 0;
+  std::uint64_t offset_ = 0;
+  std::uint64_t next_offset_ = 0;
+};
 
 }  // namespace trinity::io

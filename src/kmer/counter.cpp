@@ -112,42 +112,6 @@ std::vector<KmerCount> KmerCounter::dump(std::uint32_t min_count) const {
   return out;
 }
 
-void write_dump_text(const std::string& path, const std::vector<KmerCount>& counts,
-                     const seq::KmerCodec& codec) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("write_dump_text: cannot open '" + path + "'");
-  for (const auto& kc : counts) {
-    out << '>' << kc.count << '\n' << codec.decode(kc.code) << '\n';
-  }
-  if (!out) throw std::runtime_error("write_dump_text: write failure on '" + path + "'");
-}
-
-std::vector<KmerCount> read_dump_text(const std::string& path, const seq::KmerCodec& codec) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("read_dump_text: cannot open '" + path + "'");
-  std::vector<KmerCount> out;
-  std::string header;
-  std::string bases;
-  while (std::getline(in, header)) {
-    if (header.empty()) continue;
-    if (header[0] != '>') {
-      throw std::runtime_error("read_dump_text: malformed record in '" + path + "'");
-    }
-    if (!std::getline(in, bases)) {
-      throw std::runtime_error("read_dump_text: truncated record in '" + path + "'");
-    }
-    const auto code = codec.encode(bases);
-    if (!code || bases.size() != static_cast<std::size_t>(codec.k())) {
-      throw std::runtime_error("read_dump_text: bad k-mer '" + bases + "' in '" + path + "'");
-    }
-    KmerCount kc;
-    kc.code = *code;
-    kc.count = static_cast<std::uint32_t>(std::stoul(header.substr(1)));
-    out.push_back(kc);
-  }
-  return out;
-}
-
 void write_dump_binary(const std::string& path, const std::vector<KmerCount>& counts, int k) {
   const auto k32 = static_cast<std::uint32_t>(k);
   const auto n = static_cast<std::uint64_t>(counts.size());

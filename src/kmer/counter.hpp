@@ -84,14 +84,6 @@ class KmerCounter {
   std::vector<FlatKmerIndex<std::uint32_t>> partitions_;
 };
 
-/// Writes counts in the `jellyfish dump` text format: one record per k-mer,
-/// a ">count" line followed by the k-mer string.
-void write_dump_text(const std::string& path, const std::vector<KmerCount>& counts,
-                     const seq::KmerCodec& codec);
-
-/// Reads the text dump format back.
-std::vector<KmerCount> read_dump_text(const std::string& path, const seq::KmerCodec& codec);
-
 /// Binary dump: u32 k, u64 record count, then (u64 code, u32 count) pairs.
 void write_dump_binary(const std::string& path, const std::vector<KmerCount>& counts, int k);
 

@@ -58,6 +58,71 @@ double parse_double_text(const std::string& text, const std::string& field) {
   }
 }
 
+/// One spelling of a strategy flag. Each flag has one table listing its
+/// spellings in --help order; the table renders the default, parses the
+/// value, and spells the --help list and the "must be one of" error.
+template <typename E>
+struct Choice {
+  const char* name;
+  E value;
+};
+
+using align::BowtieSplit;
+using chrysalis::Distribution;
+using chrysalis::IndexLifecycle;
+using chrysalis::R2TMode;
+using chrysalis::R2TOutputMode;
+using chrysalis::R2TStrategy;
+using chrysalis::ShardingStrategy;
+using seq::ParsePolicy;
+
+constexpr Choice<Distribution> kGffDistributions[] = {{"crr", Distribution::kChunkedRoundRobin},
+                                                      {"block", Distribution::kBlock},
+                                                      {"dynamic", Distribution::kDynamic}};
+constexpr Choice<R2TStrategy> kR2TStrategies[] = {
+    {"redundant", R2TStrategy::kRedundantStreaming}, {"master-slave", R2TStrategy::kMasterSlave}};
+constexpr Choice<R2TOutputMode> kR2TOutputs[] = {{"concat", R2TOutputMode::kPerRankConcat},
+                                                 {"collective", R2TOutputMode::kCollective}};
+constexpr Choice<R2TMode> kR2TModes[] = {{"vote", R2TMode::kVote}, {"index", R2TMode::kIndex}};
+constexpr Choice<IndexLifecycle> kR2TIndexLifecycles[] = {{"build", IndexLifecycle::kBuild},
+                                                          {"load", IndexLifecycle::kLoad},
+                                                          {"auto", IndexLifecycle::kAuto}};
+constexpr Choice<BowtieSplit> kBowtieSplits[] = {{"targets", BowtieSplit::kTargets},
+                                                 {"reads", BowtieSplit::kReads}};
+// Spelled by their modules, which also parse them.
+const Choice<ShardingStrategy> kGffShardings[] = {
+    {to_string(ShardingStrategy::kPooled), ShardingStrategy::kPooled},
+    {to_string(ShardingStrategy::kOwner), ShardingStrategy::kOwner}};
+const Choice<ParsePolicy> kParsePolicies[] = {
+    {to_string(ParsePolicy::kStrict), ParsePolicy::kStrict},
+    {to_string(ParsePolicy::kTolerant), ParsePolicy::kTolerant},
+    {to_string(ParsePolicy::kRepair), ParsePolicy::kRepair}};
+
+/// "crr, block, dynamic".
+template <typename E, std::size_t N>
+std::string one_of(const Choice<E> (&table)[N]) {
+  std::string out;
+  for (const auto& choice : table) {
+    if (!out.empty()) out += ", ";
+    out += choice.name;
+  }
+  return out;
+}
+
+template <typename E, std::size_t N>
+std::string name_of(const Choice<E> (&table)[N], E value) {
+  for (const auto& choice : table) {
+    if (choice.value == value) return choice.name;
+  }
+  throw std::logic_error("strategy value missing from its flag's table");
+}
+
+template <typename E, std::size_t N>
+ConfigError choice_error(const std::string& flag, const Choice<E> (&table)[N],
+                         const std::string& got) {
+  return ConfigError(flag, "must be one of " + one_of(table) + " (got '" + got + "')");
+}
+
 }  // namespace
 
 ConfigError::ConfigError(std::string field, std::string reason)
@@ -141,33 +206,26 @@ Config& Config::with_pipeline(const pipeline::PipelineOptions& defaults) {
   flag_int("trace-sample-interval-ms", defaults.trace_sample_interval_ms,
            "RSS sampler period (0 disables)");
 
-  flag_string("gff-distribution",
-              defaults.gff_distribution == chrysalis::Distribution::kBlock    ? "block"
-              : defaults.gff_distribution == chrysalis::Distribution::kDynamic ? "dynamic"
-                                                                               : "crr",
-              "GraphFromFasta contig distribution (crr, block, dynamic)");
-  flag_string("gff-sharding", chrysalis::to_string(defaults.gff_sharding),
-              "GraphFromFasta weld movement (pooled, owner); components are "
-              "identical across both");
-  flag_string("r2t-strategy",
-              defaults.r2t_strategy == chrysalis::R2TStrategy::kMasterSlave ? "master-slave"
-                                                                            : "redundant",
-              "ReadsToTranscripts chunk distribution (redundant, master-slave)");
-  flag_string("r2t-output",
-              defaults.r2t_output_mode == chrysalis::R2TOutputMode::kCollective ? "collective"
-                                                                                : "concat",
-              "hybrid ReadsToTranscripts output merge (concat, collective)");
-  flag_string("r2t-mode",
-              defaults.r2t_mode == chrysalis::R2TMode::kIndex ? "index" : "vote",
-              "ReadsToTranscripts engine (vote, index); assignments are identical");
-  flag_string("r2t-index",
-              defaults.r2t_index == chrysalis::IndexLifecycle::kBuild  ? "build"
-              : defaults.r2t_index == chrysalis::IndexLifecycle::kLoad ? "load"
-                                                                       : "auto",
-              "transcript-index lifecycle under --r2t-mode index (build, load, auto)");
-  flag_string("bowtie-split",
-              defaults.bowtie_split == align::BowtieSplit::kReads ? "reads" : "targets",
-              "distributed Bowtie work split (targets, reads)");
+  // A strategy flag: its table's default spelling and --help list.
+  const auto choice = [this](const char* name, const auto& table, auto dflt,
+                             const char* what, const char* tail = "") {
+    flag_string(name, name_of(table, dflt),
+                std::string(what) + " (" + one_of(table) + ")" + tail);
+  };
+  choice("gff-distribution", kGffDistributions, defaults.gff_distribution,
+         "GraphFromFasta contig distribution");
+  choice("gff-sharding", kGffShardings, defaults.gff_sharding, "GraphFromFasta weld movement",
+         "; components are identical across both");
+  choice("r2t-strategy", kR2TStrategies, defaults.r2t_strategy,
+         "ReadsToTranscripts chunk distribution");
+  choice("r2t-output", kR2TOutputs, defaults.r2t_output_mode,
+         "hybrid ReadsToTranscripts output merge");
+  choice("r2t-mode", kR2TModes, defaults.r2t_mode, "ReadsToTranscripts engine",
+         "; assignments are identical");
+  choice("r2t-index", kR2TIndexLifecycles, defaults.r2t_index,
+         "transcript-index lifecycle under --r2t-mode index");
+  choice("bowtie-split", kBowtieSplits, defaults.bowtie_split,
+         "distributed Bowtie work split");
   flag_int("min-node-support", defaults.butterfly_min_node_support,
            "Butterfly read-reconciliation threshold");
   flag_bool("require-paired-support", defaults.butterfly_require_paired_support,
@@ -192,11 +250,7 @@ Config& Config::with_pipeline(const pipeline::PipelineOptions& defaults) {
   flag_double("hang-seconds", defaults.hang_seconds,
               "injected in-stage hang duration, cancellable via the "
               "preempt/deadline tokens");
-  flag_string("parse-policy",
-              defaults.parse_policy == seq::ParsePolicy::kTolerant ? "tolerant"
-              : defaults.parse_policy == seq::ParsePolicy::kRepair ? "repair"
-                                                                   : "strict",
-              "malformed-input handling (strict, tolerant, repair)");
+  choice("parse-policy", kParsePolicies, defaults.parse_policy, "malformed-input handling");
   flag_bool("report", defaults.emit_report, "write <work-dir>/run_report.json");
   flag_string("report-path", defaults.report_path,
               "run-report destination (empty = <work-dir>/run_report.json)");
@@ -499,70 +553,24 @@ pipeline::PipelineOptions Config::pipeline_options() const {
   options.trace_sample_interval_ms =
       static_cast<int>(int_at_least("trace-sample-interval-ms", 0));
 
-  const std::string dist = get_string("gff-distribution");
-  if (dist == "crr") {
-    options.gff_distribution = chrysalis::Distribution::kChunkedRoundRobin;
-  } else if (dist == "block") {
-    options.gff_distribution = chrysalis::Distribution::kBlock;
-  } else if (dist == "dynamic") {
-    options.gff_distribution = chrysalis::Distribution::kDynamic;
-  } else {
-    throw ConfigError("gff-distribution",
-                      "must be one of crr, block, dynamic (got '" + dist + "')");
-  }
-
+  // A strategy flag's value, parsed through its table.
+  const auto chosen = [this](const char* flag, const auto& table) {
+    const std::string text = get_string(flag);
+    for (const auto& choice : table) {
+      if (text == choice.name) return choice.value;
+    }
+    throw choice_error(flag, table, text);
+  };
+  options.gff_distribution = chosen("gff-distribution", kGffDistributions);
   const std::string sharding = get_string("gff-sharding");
   if (!chrysalis::sharding_from_string(sharding, &options.gff_sharding)) {
-    throw ConfigError("gff-sharding",
-                      "must be one of pooled, owner (got '" + sharding + "')");
+    throw choice_error("gff-sharding", kGffShardings, sharding);
   }
-
-  const std::string strategy = get_string("r2t-strategy");
-  if (strategy == "redundant") {
-    options.r2t_strategy = chrysalis::R2TStrategy::kRedundantStreaming;
-  } else if (strategy == "master-slave") {
-    options.r2t_strategy = chrysalis::R2TStrategy::kMasterSlave;
-  } else {
-    throw ConfigError("r2t-strategy",
-                      "must be one of redundant, master-slave (got '" + strategy + "')");
-  }
-  const std::string output = get_string("r2t-output");
-  if (output == "concat") {
-    options.r2t_output_mode = chrysalis::R2TOutputMode::kPerRankConcat;
-  } else if (output == "collective") {
-    options.r2t_output_mode = chrysalis::R2TOutputMode::kCollective;
-  } else {
-    throw ConfigError("r2t-output",
-                      "must be one of concat, collective (got '" + output + "')");
-  }
-  const std::string mode = get_string("r2t-mode");
-  if (mode == "vote") {
-    options.r2t_mode = chrysalis::R2TMode::kVote;
-  } else if (mode == "index") {
-    options.r2t_mode = chrysalis::R2TMode::kIndex;
-  } else {
-    throw ConfigError("r2t-mode", "must be one of vote, index (got '" + mode + "')");
-  }
-  const std::string lifecycle = get_string("r2t-index");
-  if (lifecycle == "build") {
-    options.r2t_index = chrysalis::IndexLifecycle::kBuild;
-  } else if (lifecycle == "load") {
-    options.r2t_index = chrysalis::IndexLifecycle::kLoad;
-  } else if (lifecycle == "auto") {
-    options.r2t_index = chrysalis::IndexLifecycle::kAuto;
-  } else {
-    throw ConfigError("r2t-index",
-                      "must be one of build, load, auto (got '" + lifecycle + "')");
-  }
-  const std::string split = get_string("bowtie-split");
-  if (split == "targets") {
-    options.bowtie_split = align::BowtieSplit::kTargets;
-  } else if (split == "reads") {
-    options.bowtie_split = align::BowtieSplit::kReads;
-  } else {
-    throw ConfigError("bowtie-split",
-                      "must be one of targets, reads (got '" + split + "')");
-  }
+  options.r2t_strategy = chosen("r2t-strategy", kR2TStrategies);
+  options.r2t_output_mode = chosen("r2t-output", kR2TOutputs);
+  options.r2t_mode = chosen("r2t-mode", kR2TModes);
+  options.r2t_index = chosen("r2t-index", kR2TIndexLifecycles);
+  options.bowtie_split = chosen("bowtie-split", kBowtieSplits);
   options.butterfly_min_node_support =
       static_cast<std::uint32_t>(int_at_least("min-node-support", 0));
   options.butterfly_require_paired_support = get_bool("require-paired-support");
@@ -582,15 +590,10 @@ pipeline::PipelineOptions Config::pipeline_options() const {
   }
 
   const std::string policy = get_string("parse-policy");
-  if (policy == "strict") {
-    options.parse_policy = seq::ParsePolicy::kStrict;
-  } else if (policy == "tolerant") {
-    options.parse_policy = seq::ParsePolicy::kTolerant;
-  } else if (policy == "repair") {
-    options.parse_policy = seq::ParsePolicy::kRepair;
-  } else {
-    throw ConfigError("parse-policy",
-                      "must be one of strict, tolerant, repair (got '" + policy + "')");
+  try {
+    options.parse_policy = seq::parse_policy_from_string(policy);
+  } catch (const std::invalid_argument&) {
+    throw choice_error("parse-policy", kParsePolicies, policy);
   }
   options.emit_report = get_bool("report");
   options.report_path = get_string("report-path");

@@ -46,9 +46,8 @@ const StageCommMetrics* PipelineResult::find_stage_comm(const std::string& stage
 }
 
 double PipelineResult::chrysalis_virtual_seconds() const {
-  const double bowtie =
-      bowtie_shared_seconds > 0.0 ? bowtie_shared_seconds : bowtie_timing.total_seconds();
-  return bowtie + gff_timing.total_seconds() + r2t_timing.total_seconds();
+  return bowtie_timing.total_seconds() + gff_timing.total_seconds() +
+         r2t_timing.total_seconds();
 }
 
 std::uint64_t options_fingerprint(const PipelineOptions& options,
@@ -544,7 +543,7 @@ PipelineResult run_pipeline_impl(const std::vector<seq::Sequence>& reads,
           sam = aligner.align_all(reads);
           // One node with model_threads_per_rank threads: the aligner loop is
           // embarrassingly parallel, so model the division directly.
-          result.bowtie_shared_seconds =
+          result.bowtie_timing.align_seconds_max = result.bowtie_timing.align_seconds_min =
               cpu.seconds() / static_cast<double>(std::max(options.model_threads_per_rank, 1));
           align::write_sam(work_dir + "/" + kSamFile, sam, result.contigs);
         } else {

@@ -284,8 +284,9 @@ struct PipelineResult {
   std::vector<chrysalis::ReadAssignment> assignments; ///< ReadsToTranscripts
   std::vector<seq::Sequence> transcripts;             ///< Butterfly output
 
-  align::DistributedBowtieTiming bowtie_timing;  ///< zeros for nranks == 1
-  double bowtie_shared_seconds = 0.0;            ///< serial Bowtie time (nranks == 1)
+  /// Distributed Bowtie timing; at nranks == 1 the modeled one-node
+  /// alignment time fills align_seconds_{max,min}.
+  align::DistributedBowtieTiming bowtie_timing;
   chrysalis::GffTiming gff_timing;
   chrysalis::R2TTiming r2t_timing;
 

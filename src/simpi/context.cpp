@@ -128,10 +128,6 @@ void Context::fault_point(FaultOp op) {
 
 std::atomic<std::uint64_t>& Context::world_counter(int id) { return world_.counter(id); }
 
-bool Context::has_message(int source, int tag) {
-  return world_.mailbox(rank_).has_match(source, tag);
-}
-
 // --- World ---------------------------------------------------------------------
 
 World::World(int nranks, CommCostModel model, FaultPlan fault)

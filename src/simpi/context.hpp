@@ -191,32 +191,20 @@ class Context {
   /// SharedCounter; prefer that wrapper, which charges RMA costs).
   std::atomic<std::uint64_t>& world_counter(int id);
 
-  /// Non-blocking probe: true when recv_bytes(source, tag) would return
-  /// immediately (the MPI_Iprobe analogue).
-  [[nodiscard]] bool has_message(int source, int tag);
-
-  /// Library-extension transfers (simpi/nonblocking.hpp collectives,
-  /// collective file output): uncosted raw send/recv that may use
-  /// reserved negative tags. The extension charges its own modeled
-  /// collective cost; the transfers are counted under CommOp::kExtension.
-  /// Not for application code.
+  /// Library-extension transfers (simpi/nonblocking.hpp's IAlltoallv):
+  /// uncosted raw send/recv that may use reserved negative tags. The
+  /// extension charges its own modeled collective cost; each transfer is
+  /// counted as a CommOp::kExtension call. internal_recv_as attributes the
+  /// blocked wait, received bytes and "<op>.wait" trace span to `op`'s row,
+  /// so an extension that implements a built-in op (the nonblocking
+  /// alltoallv) reports its residual wait exactly where the blocking one
+  /// would. Not for application code.
   void internal_send(int dest, int tag, std::span<const std::byte> bytes) {
     auto& ext = stats_.of(CommOp::kExtension);
     ++ext.calls;
     ext.bytes_sent += bytes.size();
     raw_send(dest, tag, bytes);
   }
-  Message internal_recv(int source, int tag) {
-    ++stats_.of(CommOp::kExtension).calls;
-    return waited_recv(source, tag, CommOp::kExtension);
-  }
-
-  /// internal_recv variant for extension collectives that *implement* a
-  /// built-in op (e.g. nonblocking alltoallv): the transfer still counts
-  /// as an extension call, but the blocked wait, received bytes and
-  /// "<op>.wait" trace span are attributed to `op`'s row, so an overlapped
-  /// collective reports its residual wait exactly where the blocking one
-  /// would. Not for application code.
   Message internal_recv_as(CommOp op, int source, int tag) {
     ++stats_.of(CommOp::kExtension).calls;
     return waited_recv(source, tag, op);
@@ -346,10 +334,9 @@ namespace detail {
 inline constexpr int kTagBcast = -2;
 inline constexpr int kTagGather = -3;
 inline constexpr int kTagReduce = -4;
-/// -5/-6 belong to the scatterv/alltoallv extensions (simpi/nonblocking.hpp).
-/// The first-class alltoallv collective lives far below that range, with
-/// the nonblocking IAlltoallv channels extending downward from
-/// kTagIalltoallv.
+/// The alltoallv collective lives far below that range, with the
+/// nonblocking IAlltoallv channels (simpi/nonblocking.hpp) extending
+/// downward from kTagIalltoallv.
 inline constexpr int kTagAlltoallv = -40;
 inline constexpr int kTagIalltoallv = -41;
 }  // namespace detail

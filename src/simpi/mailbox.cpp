@@ -27,12 +27,6 @@ Message Mailbox::receive(int source, int tag) {
   }
 }
 
-bool Mailbox::has_match(int source, int tag) {
-  std::scoped_lock lock(mu_);
-  return std::any_of(queue_.begin(), queue_.end(),
-                     [&](const Message& m) { return matches(m, source, tag); });
-}
-
 std::size_t Mailbox::pending() {
   std::scoped_lock lock(mu_);
   return queue_.size();

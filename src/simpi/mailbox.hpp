@@ -50,9 +50,6 @@ class Mailbox {
   /// raised while waiting.
   Message receive(int source, int tag);
 
-  /// Non-blocking probe: true when receive(source, tag) would not block.
-  [[nodiscard]] bool has_match(int source, int tag);
-
   /// Number of queued (undelivered) messages; used by shutdown sanity checks.
   [[nodiscard]] std::size_t pending();
 

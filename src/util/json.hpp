@@ -1,11 +1,10 @@
 #pragma once
 // A minimal JSON document tree with a parser and a serializer.
 //
-// The observability layer writes a versioned machine-readable run report
-// (docs/OBSERVABILITY.md) and the trinity_report summarizer plus the tests
-// read it back; both sides need real JSON, not the manifest's line-oriented
-// subset. This is the smallest dependency-free implementation that closes
-// that loop: a value tree (null/bool/number/string/array/object), a strict
+// The run report (docs/OBSERVABILITY.md), the checkpoint manifest, the
+// serve journal and --config files are all written and read back through
+// this one codec. It is the smallest dependency-free implementation that
+// closes that loop: a value tree (null/bool/number/string/array/object), a strict
 // recursive-descent parser, and a deterministic serializer (object members
 // keep insertion order, so dump(parse(dump(x))) == dump(x)).
 //

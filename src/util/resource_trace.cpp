@@ -74,25 +74,4 @@ void ResourceTrace::counter(const std::string& name, double value) {
   open_record_.counters.push_back(PhaseCounter{name, value});
 }
 
-double ResourceTrace::total_wall_seconds() const {
-  double total = 0.0;
-  for (const auto& r : records_) total += r.wall_seconds;
-  return total;
-}
-
-void ResourceTrace::write_csv(std::ostream& out) const {
-  // Counters vary per phase, so they share one free-form column:
-  // semicolon-joined name=value pairs (docs/OBSERVABILITY.md, "Trace CSV").
-  out << "phase,start_s,wall_s,cpu_s,rss_before_b,rss_after_b,rss_peak_b,counters\n";
-  for (const auto& r : records_) {
-    out << r.name << ',' << r.start_seconds << ',' << r.wall_seconds << ',' << r.cpu_seconds
-        << ',' << r.rss_before << ',' << r.rss_after << ',' << r.rss_peak << ',';
-    for (std::size_t i = 0; i < r.counters.size(); ++i) {
-      if (i > 0) out << ';';
-      out << r.counters[i].name << '=' << r.counters[i].value;
-    }
-    out << '\n';
-  }
-}
-
 }  // namespace trinity::util

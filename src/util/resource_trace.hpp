@@ -8,7 +8,6 @@
 #include <atomic>
 #include <cstdint>
 #include <mutex>
-#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -73,12 +72,6 @@ class ResourceTrace {
 
   /// All completed phases, in execution order.
   [[nodiscard]] const std::vector<PhaseRecord>& records() const { return records_; }
-
-  /// Total wall time covered by completed phases.
-  [[nodiscard]] double total_wall_seconds() const;
-
-  /// Writes the trace as CSV with a header row.
-  void write_csv(std::ostream& out) const;
 
  private:
   void sampler_loop(int interval_ms);

@@ -1,11 +1,8 @@
 #include "util/rss.hpp"
 
-#include <sys/resource.h>
 #include <unistd.h>
 
 #include <fstream>
-#include <sstream>
-#include <string>
 
 namespace trinity::util {
 
@@ -17,27 +14,6 @@ std::uint64_t current_rss_bytes() {
   statm >> size_pages >> rss_pages;
   if (!statm) return 0;
   return rss_pages * static_cast<std::uint64_t>(sysconf(_SC_PAGESIZE));
-}
-
-std::uint64_t peak_rss_bytes() {
-  std::ifstream status("/proc/self/status");
-  if (status) {
-    std::string line;
-    while (std::getline(status, line)) {
-      if (line.rfind("VmHWM:", 0) == 0) {
-        std::istringstream in(line.substr(6));
-        std::uint64_t kib = 0;
-        in >> kib;
-        return kib * 1024;
-      }
-    }
-  }
-  // Some kernels/sandboxes omit VmHWM; getrusage reports peak RSS in KiB.
-  rusage ru{};
-  if (getrusage(RUSAGE_SELF, &ru) == 0 && ru.ru_maxrss > 0) {
-    return static_cast<std::uint64_t>(ru.ru_maxrss) * 1024;
-  }
-  return 0;
 }
 
 }  // namespace trinity::util

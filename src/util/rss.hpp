@@ -1,5 +1,5 @@
 #pragma once
-// Resident-set-size probes, the Collectl substitute's memory source.
+// Resident-set-size probe, the Collectl substitute's memory source.
 
 #include <cstdint>
 
@@ -8,9 +8,5 @@ namespace trinity::util {
 /// Current resident set size of this process in bytes, read from
 /// /proc/self/statm. Returns 0 if the proc file is unavailable.
 std::uint64_t current_rss_bytes();
-
-/// Peak resident set size in bytes, read from /proc/self/status (VmHWM).
-/// Returns 0 if unavailable.
-std::uint64_t peak_rss_bytes();
 
 }  // namespace trinity::util

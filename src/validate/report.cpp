@@ -6,24 +6,6 @@
 
 namespace trinity::validate {
 
-void write_categories_csv(std::ostream& out, const std::vector<CategorySeries>& series) {
-  out << "series,full_identical,full_diverged,partial,unmatched,partial_identity_mean\n";
-  for (const auto& s : series) {
-    const auto id_stats = util::summarize(s.counts.partial_identities);
-    out << s.label << ',' << s.counts.full_identical << ',' << s.counts.full_diverged << ','
-        << s.counts.partial << ',' << s.counts.unmatched << ',' << id_stats.mean << '\n';
-  }
-}
-
-void write_reference_csv(std::ostream& out, const std::vector<ReferenceSeries>& series) {
-  out << "series,full_length_genes,full_length_isoforms,fused_genes,fused_isoforms\n";
-  for (const auto& s : series) {
-    out << s.label << ',' << s.comparison.full_length_genes << ','
-        << s.comparison.full_length_isoforms << ',' << s.comparison.fused_genes << ','
-        << s.comparison.fused_isoforms << '\n';
-  }
-}
-
 void write_markdown_report(std::ostream& out, const std::string& dataset_description,
                            const std::vector<CategorySeries>& categories,
                            const std::vector<ReferenceSeries>& references,

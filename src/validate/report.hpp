@@ -1,7 +1,6 @@
 #pragma once
-// Report writers for the validation harness: the Section-IV results as a
-// human-readable markdown document and as machine-readable CSV series
-// (what you would feed a plotting script to redraw Figures 4-6).
+// Report writer for the validation harness: the Section-IV results as a
+// human-readable markdown document.
 
 #include <ostream>
 #include <string>
@@ -22,14 +21,6 @@ struct ReferenceSeries {
   std::string label;
   ReferenceComparison comparison;
 };
-
-/// Writes the Figure-4-style category table as CSV:
-///   series,full_identical,full_diverged,partial,unmatched,partial_identity_mean
-void write_categories_csv(std::ostream& out, const std::vector<CategorySeries>& series);
-
-/// Writes the Figure-5/6-style reference table as CSV:
-///   series,full_length_genes,full_length_isoforms,fused_genes,fused_isoforms
-void write_reference_csv(std::ostream& out, const std::vector<ReferenceSeries>& series);
 
 /// Writes a complete markdown validation report: dataset line, category
 /// table, reference table (either may be empty), and the t-test verdict.

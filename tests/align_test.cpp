@@ -9,6 +9,7 @@
 #include "align/aligner.hpp"
 #include "align/mpi_bowtie.hpp"
 #include "align/sam_io.hpp"
+#include "io/error.hpp"
 #include "seq/dna.hpp"
 #include "seq/fasta.hpp"
 #include "simpi/context.hpp"
@@ -154,35 +155,6 @@ TEST(SamTest, WriteContainsHeaderAndRecords) {
   EXPECT_NE(text.find("bad\t4\t*"), std::string::npos);               // unmapped flag
 }
 
-TEST(SamTest, MergeDropsPartHeaders) {
-  const TempDir dir("merge");
-  const auto contigs = make_contigs(1, 200, 900);
-  std::vector<SamRecord> recs(1);
-  recs[0].read_name = "r0";
-  recs[0].target_id = 0;
-  recs[0].target_name = "contig0";
-  recs[0].read_length = 50;
-  write_sam(dir.file("a.sam"), recs, contigs);
-  recs[0].read_name = "r1";
-  write_sam(dir.file("b.sam"), recs, contigs);
-
-  merge_sam_files({dir.file("a.sam"), dir.file("b.sam")}, dir.file("m.sam"), contigs);
-  std::ifstream in(dir.file("m.sam"));
-  std::string line;
-  int headers = 0;
-  int records = 0;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    if (line[0] == '@') {
-      ++headers;
-    } else {
-      ++records;
-    }
-  }
-  EXPECT_EQ(headers, 2);  // @HD + one @SQ, once
-  EXPECT_EQ(records, 2);
-}
-
 TEST(SamIoTest, RoundTripsThroughWriteSam) {
   const TempDir dir("samio");
   const auto contigs = make_contigs(3, 400, 50);
@@ -229,7 +201,30 @@ TEST(SamIoTest, AlignmentBeyondReferenceEndThrows) {
 TEST(SamIoTest, MalformedRowThrows) {
   const TempDir dir("samrow");
   std::ofstream(dir.file("bad.sam")) << "@SQ\tSN:c\tLN:60\nr1\tnot_a_flag\n";
-  EXPECT_THROW(read_sam(dir.file("bad.sam")), std::runtime_error);
+  EXPECT_THROW(read_sam(dir.file("bad.sam")), io::ParseError);
+  // Each of these used to escape as a bare std::invalid_argument from
+  // stoul/stoi, or (POS 0) wrap pos - 1 around.
+  const std::string header = "@SQ\tSN:c\tLN:60\n";
+  const std::vector<std::pair<std::string, std::size_t>> cases = {
+      {"@SQ\tSN:c\tLN:abc\n", 1},
+      {header + "r1\tx\tc\t1\t255\t50M\n", 2},
+      {header + "r1\t0\tc\tabc\t255\t50M\n", 2},
+      {header + "r1\t0\tc\t0\t255\t50M\n", 2},
+      {header + "r1\t0\tc\t1\t255\txM\n", 2},
+      {header + "r1\t0\tc\t1\t255\t50M\t*\t0\t0\t*\t*\tNM:i:z\n", 2},
+  };
+  for (const auto& [text, line] : cases) {
+    std::ofstream(dir.file("bad.sam")) << text;
+    try {
+      (void)read_sam(dir.file("bad.sam"));
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const io::ParseError& e) {
+      EXPECT_EQ(e.category(), io::ParseCategory::kInvalidCharacter) << e.what();
+      EXPECT_EQ(e.path(), dir.file("bad.sam"));
+      EXPECT_EQ(e.line(), line) << e.what();
+      EXPECT_EQ(e.byte_offset(), line == 1 ? 0u : header.size()) << e.what();
+    }
+  }
 }
 
 TEST(SamIoTest, MissingFileThrows) {

@@ -154,6 +154,28 @@ TEST(ButterflyTest, UnassignedReadsAreIgnored) {
   ASSERT_EQ(transcripts.size(), 1u);  // structure still reconstructed
 }
 
+TEST(ButterflyTest, OutOfRangeComponentIsInvalidArgument) {
+  // A corrupt assignments file used to index past the per-component read
+  // buckets (SIGSEGV); now the offending read is named.
+  const std::string t0 = random_dna(150, 14);
+  std::vector<seq::Sequence> contigs{{"c0", t0}};
+  const auto components = chrysalis::cluster_contigs(1, {});
+  std::vector<seq::Sequence> reads{{"r0", t0.substr(0, 50)}};
+  for (const std::int32_t component : {50000000, 1, -2}) {
+    std::vector<chrysalis::ReadAssignment> assignments(1);
+    assignments[0].read_index = 0;
+    assignments[0].component = component;
+    try {
+      (void)run_butterfly(contigs, components, assignments, reads, test_options());
+      ADD_FAILURE() << "component " << component << " accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("read 0 ('r0')"), std::string::npos) << what;
+      EXPECT_NE(what.find("component " + std::to_string(component)), std::string::npos) << what;
+    }
+  }
+}
+
 TEST(ButterflyReconcile, MinNodeSupportBlocksUnsupportedBranch) {
   // Two isoforms share a prefix; only one branch is covered by reads.
   const std::string common = random_dna(40, 21);

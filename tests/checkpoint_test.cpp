@@ -109,6 +109,56 @@ TEST(ManifestJson, RejectsMalformedLines) {
   EXPECT_FALSE(parse_json_line("not json at all").has_value());
   EXPECT_FALSE(parse_json_line("{}").has_value());  // missing required fields
   EXPECT_FALSE(parse_json_line("{\"stage\":\"x\"}").has_value());  // no fingerprint
+  EXPECT_FALSE(parse_json_line("{\"fingerprint\":\"01\"}").has_value());  // no stage
+  EXPECT_FALSE(parse_json_line(R"({"stage":"x","fingerprint":"01","retries":2})").has_value());
+  EXPECT_FALSE(parse_json_line(
+                   R"({"stage":"x","fingerprint":"01","inputs":[{"path":"a","mode":1}]})")
+                   .has_value());  // unknown artifact key
+  for (const char* hex : {"", "0x1f", "-1", "+1", " 1", "12345678901234567", "xyz"}) {
+    EXPECT_FALSE(parse_json_line(std::string(R"({"stage":"x","fingerprint":")") + hex + "\"}")
+                     .has_value())
+        << "fingerprint '" << hex << "' parsed";
+  }
+  EXPECT_FALSE(parse_json_line(R"({"stage":"x","fingerprint":1})").has_value());  // not a string
+}
+
+TEST(ManifestJson, LinesFromTheHandRolledWriterStillParse) {
+  // Verbatim output of the writer that predates the util::Json codec:
+  // manifests already on disk must resume unchanged.
+  const std::string golden =
+      R"json({"stage":"chrysalis.graph_from_fasta","fingerprint":"9e3779b97f4a7c15",)json"
+      R"json("complete":true,"attempt":2,"wall_seconds":1.23457,"checkpoint_seconds":0.000125,)json"
+      R"json("trace":"run_report.json","inputs":[{"path":"inchworm.fa","bytes":123456,)json"
+      R"json("hash":"cbf29ce484222325"},{"path":"dir \"q\"\\x\t.fa","bytes":0,)json"
+      R"json("hash":"0000000000000000"}],"outputs":[{"path":"components.txt","bytes":42,)json"
+      R"json("hash":"00000000000000ff"}]})json";
+  const auto parsed = parse_json_line(golden);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->stage, "chrysalis.graph_from_fasta");
+  EXPECT_EQ(parsed->fingerprint, 0x9e3779b97f4a7c15ULL);
+  EXPECT_TRUE(parsed->complete);
+  EXPECT_EQ(parsed->attempt, 2);
+  EXPECT_DOUBLE_EQ(parsed->wall_seconds, 1.23457);
+  EXPECT_DOUBLE_EQ(parsed->checkpoint_seconds, 0.000125);
+  EXPECT_EQ(parsed->trace, "run_report.json");
+  const std::vector<ArtifactRecord> inputs = {{"inchworm.fa", 123456, 0xcbf29ce484222325ULL},
+                                              {"dir \"q\"\\x\t.fa", 0, 0}};
+  EXPECT_EQ(parsed->inputs, inputs);
+  EXPECT_EQ(parsed->outputs,
+            (std::vector<ArtifactRecord>{{"components.txt", 42, 0xffULL}}));
+  // Values with at most six significant digits re-serialize byte-identically.
+  EXPECT_EQ(to_json_line(*parsed), golden);
+
+  const std::string bare =
+      R"({"stage":"jellyfish","fingerprint":"0000000000000001","complete":false,)"
+      R"("attempt":1,"wall_seconds":3,"checkpoint_seconds":0,"inputs":[],"outputs":[]})";
+  const auto minimal = parse_json_line(bare);
+  ASSERT_TRUE(minimal.has_value());
+  EXPECT_EQ(minimal->fingerprint, 1u);
+  EXPECT_FALSE(minimal->complete);
+  EXPECT_DOUBLE_EQ(minimal->wall_seconds, 3.0);
+  EXPECT_TRUE(minimal->trace.empty());
+  EXPECT_EQ(to_json_line(*minimal), bare);
 }
 
 // --- RunManifest load/commit -----------------------------------------------------

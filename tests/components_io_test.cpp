@@ -6,12 +6,28 @@
 #include <fstream>
 
 #include "chrysalis/components_io.hpp"
+#include "io/error.hpp"
 #include "test_helpers.hpp"
 
 namespace trinity::chrysalis {
 namespace {
 
 using trinity::testing::TempDir;
+
+/// Expects `load(path)` to throw io::ParseError at (line, byte offset).
+template <typename Load>
+void expect_parse_error(Load load, const std::string& path, io::ParseCategory category,
+                        std::size_t line, std::uint64_t byte_offset) {
+  try {
+    (void)load(path);
+    ADD_FAILURE() << "expected ParseError from " << path;
+  } catch (const io::ParseError& e) {
+    EXPECT_EQ(e.category(), category) << e.what();
+    EXPECT_EQ(e.path(), path);
+    EXPECT_EQ(e.line(), line) << e.what();
+    EXPECT_EQ(e.byte_offset(), byte_offset) << e.what();
+  }
+}
 
 TEST(ComponentsIoTest, RoundTripsClusters) {
   const TempDir dir("cio1");
@@ -50,7 +66,44 @@ TEST(ComponentsIoTest, MissingFileThrows) {
 TEST(ComponentsIoTest, BadHeaderThrows) {
   const TempDir dir("cio4");
   std::ofstream(dir.file("c.txt")) << "#something-else 1 1\n0: 0\n";
-  EXPECT_THROW(read_components(dir.file("c.txt")), std::runtime_error);
+  expect_parse_error(read_components, dir.file("c.txt"), io::ParseCategory::kMissingHeader, 1,
+                     0);
+}
+
+TEST(ComponentsIoTest, HeaderCountsAreBoundedByFileSize) {
+  // A header claiming 2^60 contigs must fail before anything is allocated.
+  const TempDir dir("cio9");
+  std::ofstream(dir.file("c.txt")) << "#trinity-components 1 1152921504606846976\n0: 0\n";
+  expect_parse_error(read_components, dir.file("c.txt"), io::ParseCategory::kTruncatedRecord,
+                     1, 0);
+  std::ofstream(dir.file("d.txt")) << "#trinity-components 1152921504606846976 1\n0: 0\n";
+  expect_parse_error(read_components, dir.file("d.txt"), io::ParseCategory::kTruncatedRecord,
+                     1, 0);
+}
+
+TEST(ComponentsIoTest, RowMustCarryItsIndexAsId) {
+  // cluster_contigs numbers components densely: a lone row with id 7 used
+  // to index past Butterfly's per-component buckets.
+  const TempDir dir("cio10");
+  std::ofstream(dir.file("c.txt")) << "#trinity-components 1 1\n7: 0\n";
+  expect_parse_error(read_components, dir.file("c.txt"), io::ParseCategory::kInvalidCharacter,
+                     2, 24);
+  std::ofstream(dir.file("d.txt")) << "#trinity-components 2 2\n1: 0\n0: 1\n";
+  expect_parse_error(read_components, dir.file("d.txt"), io::ParseCategory::kInvalidCharacter,
+                     2, 24);
+}
+
+TEST(ComponentsIoTest, NonNumericFieldsAreTypedErrors) {
+  const TempDir dir("cio11");
+  std::ofstream(dir.file("a.txt")) << "#trinity-components 1 1\nx: 0\n";
+  expect_parse_error(read_components, dir.file("a.txt"), io::ParseCategory::kInvalidCharacter,
+                     2, 24);
+  std::ofstream(dir.file("b.txt")) << "#trinity-components 1 2\n0: 0 1y\n";
+  expect_parse_error(read_components, dir.file("b.txt"), io::ParseCategory::kInvalidCharacter,
+                     2, 24);
+  std::ofstream(dir.file("c.txt")) << "#trinity-components one 1\n0: 0\n";
+  expect_parse_error(read_components, dir.file("c.txt"), io::ParseCategory::kInvalidCharacter,
+                     1, 0);
 }
 
 TEST(ComponentsIoTest, OutOfRangeContigThrows) {
@@ -68,7 +121,14 @@ TEST(ComponentsIoTest, DuplicateMembershipThrows) {
 TEST(ComponentsIoTest, UnassignedContigThrows) {
   const TempDir dir("cio7");
   std::ofstream(dir.file("c.txt")) << "#trinity-components 1 3\n0: 0 1\n";
-  EXPECT_THROW(read_components(dir.file("c.txt")), std::runtime_error);
+  // Three contigs and a component need at least 8 body bytes; this has 7.
+  expect_parse_error(read_components, dir.file("c.txt"), io::ParseCategory::kTruncatedRecord,
+                     1, 0);
+  // Padded past the size bound, the missing contig is reported at the end
+  // of the file: line 3, byte 24 + 9.
+  std::ofstream(dir.file("d.txt")) << "#trinity-components 1 3\n0: 0   1\n";
+  expect_parse_error(read_components, dir.file("d.txt"), io::ParseCategory::kTruncatedRecord,
+                     3, 33);
 }
 
 TEST(ComponentsIoTest, CountMismatchThrows) {
@@ -101,8 +161,16 @@ TEST(AssignmentsIoTest, RoundTripsThroughTsv) {
 
 TEST(AssignmentsIoTest, MalformedRowThrows) {
   const TempDir dir("aio2");
-  std::ofstream(dir.file("a.tsv")) << "0\t1\tnot_a_number\t0\t60\n";
-  EXPECT_THROW(read_assignments(dir.file("a.tsv")), std::runtime_error);
+  std::ofstream(dir.file("a.tsv")) << "0\t1\t5\t0\t60\n0\t1\tnot_a_number\t0\t60\n";
+  expect_parse_error(read_assignments, dir.file("a.tsv"), io::ParseCategory::kInvalidCharacter,
+                     2, 11);
+  // A non-numeric component used to escape as a bare std::stol error.
+  std::ofstream(dir.file("b.tsv")) << "0\tabc\t3\t0\t25\n";
+  expect_parse_error(read_assignments, dir.file("b.tsv"), io::ParseCategory::kInvalidCharacter,
+                     1, 0);
+  std::ofstream(dir.file("c.tsv")) << "0\t1\t3\t0\n";  // four fields
+  expect_parse_error(read_assignments, dir.file("c.tsv"), io::ParseCategory::kInvalidCharacter,
+                     1, 0);
 }
 
 TEST(AssignmentsIoTest, EmptyFileYieldsEmptyVector) {

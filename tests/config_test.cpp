@@ -13,6 +13,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -223,6 +224,9 @@ TEST(ConfigPipeline, EveryValidationErrorNamesItsField) {
       {{"--r2t-strategy", "master"}, "r2t-strategy"},
       {{"--r2t-output", "mpiio"}, "r2t-output"},
       {{"--bowtie-split", "contigs"}, "bowtie-split"},
+      {{"--r2t-mode", "hybrid"}, "r2t-mode"},
+      {{"--r2t-index", "mmap"}, "r2t-index"},
+      {{"--gff-sharding", "overlap"}, "gff-sharding"},
       {{"--min-node-support", "-1"}, "min-node-support"},
       {{"--bowtie-repeats", "0"}, "bowtie-repeats"},
       {{"--gff-repeats", "0"}, "gff-repeats"},
@@ -239,16 +243,96 @@ TEST(ConfigPipeline, EveryValidationErrorNamesItsField) {
 }
 
 TEST(ConfigPipeline, EnumAndTraceFlagsMapToOptions) {
-  const auto options =
-      parse(pipeline_cfg(), {"--gff-distribution", "block", "--r2t-strategy",
-                             "master-slave", "--r2t-output", "collective",
-                             "--bowtie-split", "reads", "--parse-policy", "repair"})
-          .pipeline_options();
-  EXPECT_EQ(options.gff_distribution, chrysalis::Distribution::kBlock);
-  EXPECT_EQ(options.r2t_strategy, chrysalis::R2TStrategy::kMasterSlave);
-  EXPECT_EQ(options.r2t_output_mode, chrysalis::R2TOutputMode::kCollective);
-  EXPECT_EQ(options.bowtie_split, align::BowtieSplit::kReads);
-  EXPECT_EQ(options.parse_policy, seq::ParsePolicy::kRepair);
+  // One row per strategy flag: its spellings in --help order with the enum
+  // value each selects, and accessors for the PipelineOptions field.
+  struct ChoiceFlag {
+    std::string flag;
+    std::vector<std::pair<std::string, int>> spellings;
+    std::string default_spelling;
+    std::function<int(const pipeline::PipelineOptions&)> get;
+    std::function<void(pipeline::PipelineOptions&, int)> set;
+  };
+#define CHOICE_FIELD(field)                                                        \
+  [](const pipeline::PipelineOptions& o) { return static_cast<int>(o.field); },    \
+      [](pipeline::PipelineOptions& o, int v) {                                    \
+        o.field = static_cast<decltype(pipeline::PipelineOptions::field)>(v);      \
+      }
+  using chrysalis::Distribution;
+  using chrysalis::IndexLifecycle;
+  using chrysalis::R2TMode;
+  using chrysalis::R2TOutputMode;
+  using chrysalis::R2TStrategy;
+  using chrysalis::ShardingStrategy;
+  const auto v = [](auto e) { return static_cast<int>(e); };
+  const std::vector<ChoiceFlag> flags = {
+      {"gff-distribution",
+       {{"crr", v(Distribution::kChunkedRoundRobin)},
+        {"block", v(Distribution::kBlock)},
+        {"dynamic", v(Distribution::kDynamic)}},
+       "crr",
+       CHOICE_FIELD(gff_distribution)},
+      {"gff-sharding",
+       {{"pooled", v(ShardingStrategy::kPooled)}, {"owner", v(ShardingStrategy::kOwner)}},
+       "owner",
+       CHOICE_FIELD(gff_sharding)},
+      {"r2t-strategy",
+       {{"redundant", v(R2TStrategy::kRedundantStreaming)},
+        {"master-slave", v(R2TStrategy::kMasterSlave)}},
+       "redundant",
+       CHOICE_FIELD(r2t_strategy)},
+      {"r2t-output",
+       {{"concat", v(R2TOutputMode::kPerRankConcat)},
+        {"collective", v(R2TOutputMode::kCollective)}},
+       "concat",
+       CHOICE_FIELD(r2t_output_mode)},
+      {"r2t-mode", {{"vote", v(R2TMode::kVote)}, {"index", v(R2TMode::kIndex)}}, "vote",
+       CHOICE_FIELD(r2t_mode)},
+      {"r2t-index",
+       {{"build", v(IndexLifecycle::kBuild)},
+        {"load", v(IndexLifecycle::kLoad)},
+        {"auto", v(IndexLifecycle::kAuto)}},
+       "auto",
+       CHOICE_FIELD(r2t_index)},
+      {"bowtie-split",
+       {{"targets", v(align::BowtieSplit::kTargets)}, {"reads", v(align::BowtieSplit::kReads)}},
+       "targets",
+       CHOICE_FIELD(bowtie_split)},
+      {"parse-policy",
+       {{"strict", v(seq::ParsePolicy::kStrict)},
+        {"tolerant", v(seq::ParsePolicy::kTolerant)},
+        {"repair", v(seq::ParsePolicy::kRepair)}},
+       "strict",
+       CHOICE_FIELD(parse_policy)},
+  };
+#undef CHOICE_FIELD
+  const std::string help = pipeline_cfg().help_text();
+  for (const auto& f : flags) {
+    SCOPED_TRACE("--" + f.flag);
+    std::string list;
+    for (const auto& [spelling, value] : f.spellings) {
+      list += (list.empty() ? "" : ", ") + spelling;
+      // The spelling parses to its value ...
+      EXPECT_EQ(f.get(parse(pipeline_cfg(), {"--" + f.flag, spelling}).pipeline_options()),
+                value);
+      // ... and is what a binary whose default is that value renders.
+      pipeline::PipelineOptions defaults;
+      f.set(defaults, value);
+      Config seeded("t", "t");
+      seeded.with_pipeline(defaults);
+      EXPECT_EQ(seeded.get_string(f.flag), spelling);
+      EXPECT_EQ(f.get(seeded.pipeline_options()), value);
+    }
+    EXPECT_EQ(pipeline_cfg().get_string(f.flag), f.default_spelling);
+    EXPECT_NE(help.find("(" + list + ")"), std::string::npos);
+    EXPECT_NE(help.find("(default: " + f.default_spelling + ")"), std::string::npos);
+    try {
+      (void)parse(pipeline_cfg(), {"--" + f.flag, "bogus"}).pipeline_options();
+      ADD_FAILURE() << "bogus spelling parsed";
+    } catch (const ConfigError& e) {
+      EXPECT_EQ(std::string(e.what()), "config error: --" + f.flag + ": must be one of " +
+                                           list + " (got 'bogus')");
+    }
+  }
 
   // --trace alone turns on the default path; --trace-path implies tracing;
   // neither leaves it empty.

@@ -255,22 +255,6 @@ TEST(KmerCounterTest, RepeatedAddsAndAddCountsAccumulate) {
   for (const auto& kc : once) EXPECT_EQ(counter.count_of(kc.code), 3 * kc.count);
 }
 
-TEST(KmerDumpTest, TextRoundTrip) {
-  const TempDir dir("dump");
-  KmerCounter counter(opts(7));
-  counter.add_sequences({{"s", random_dna(200, 9)}});
-  const auto counts = counter.dump();
-  const seq::KmerCodec codec(7);
-  write_dump_text(dir.file("k.txt"), counts, codec);
-  const auto got = read_dump_text(dir.file("k.txt"), codec);
-  ASSERT_EQ(got.size(), counts.size());
-  std::map<seq::KmerCode, std::uint32_t> a;
-  std::map<seq::KmerCode, std::uint32_t> b;
-  for (const auto& kc : counts) a[kc.code] = kc.count;
-  for (const auto& kc : got) b[kc.code] = kc.count;
-  EXPECT_EQ(a, b);
-}
-
 TEST(KmerDumpTest, BinaryRoundTrip) {
   const TempDir dir("bdump");
   KmerCounter counter(opts(25));
@@ -336,15 +320,6 @@ TEST(KmerDumpTest, HugeRecordCountIsBoundedByFileSize) {
     EXPECT_EQ(e.category(), io::ParseCategory::kTruncatedRecord);
     EXPECT_EQ(e.byte_offset(), 24u);  // header + the one whole record
   }
-}
-
-TEST(KmerDumpTest, MalformedTextThrows) {
-  const TempDir dir("badtext");
-  std::ofstream out(dir.file("bad.txt"));
-  out << "5\nACGTACG\n";  // missing '>' prefix
-  out.close();
-  const seq::KmerCodec codec(7);
-  EXPECT_THROW(read_dump_text(dir.file("bad.txt"), codec), std::runtime_error);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Tests for the validation report writers.
+// Tests for the validation report writer.
 
 #include <gtest/gtest.h>
 
@@ -17,28 +17,6 @@ CategoryCounts sample_counts() {
   c.unmatched = 1;
   c.partial_identities = {0.9, 0.95};
   return c;
-}
-
-TEST(ReportTest, CategoriesCsvHasHeaderAndRows) {
-  std::ostringstream out;
-  write_categories_csv(out, {{"parallel", sample_counts()}, {"original", sample_counts()}});
-  const std::string csv = out.str();
-  EXPECT_NE(csv.find("series,full_identical"), std::string::npos);
-  EXPECT_NE(csv.find("parallel,90,5,4,1,"), std::string::npos);
-  EXPECT_NE(csv.find("original,90,5,4,1,"), std::string::npos);
-  // Mean of the partial identities appears.
-  EXPECT_NE(csv.find("0.925"), std::string::npos);
-}
-
-TEST(ReportTest, ReferenceCsvHasHeaderAndRows) {
-  ReferenceComparison cmp;
-  cmp.full_length_genes = 10;
-  cmp.full_length_isoforms = 14;
-  cmp.fused_genes = 2;
-  cmp.fused_isoforms = 1;
-  std::ostringstream out;
-  write_reference_csv(out, {{"parallel", cmp}});
-  EXPECT_NE(out.str().find("parallel,10,14,2,1"), std::string::npos);
 }
 
 TEST(ReportTest, MarkdownContainsAllSections) {

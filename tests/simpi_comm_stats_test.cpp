@@ -160,7 +160,7 @@ TEST(CommStats, ExtensionTransfersCounted) {
     if (ctx.rank() == 0) {
       ctx.internal_send(1, 3, payload);
     } else {
-      const auto msg = ctx.internal_recv(0, 3);
+      const auto msg = ctx.internal_recv_as(CommOp::kExtension, 0, 3);
       EXPECT_EQ(msg.payload.size(), 10u);
     }
   });

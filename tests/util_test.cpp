@@ -211,7 +211,6 @@ TEST(TimerTest, ThreadCpuTimeCountsOwnWorkOnly) {
 
 TEST(RssTest, ProbesReturnPlausibleValues) {
   EXPECT_GT(current_rss_bytes(), 1u << 20);  // > 1 MiB resident
-  EXPECT_GE(peak_rss_bytes(), current_rss_bytes() / 2);
 }
 
 // --- ResourceTrace ----------------------------------------------------------------
@@ -224,7 +223,7 @@ TEST(ResourceTraceTest, RecordsPhasesInOrder) {
   EXPECT_EQ(trace.records()[0].name, "alpha");
   EXPECT_EQ(trace.records()[1].name, "beta");
   EXPECT_GE(trace.records()[1].wall_seconds, 0.004);
-  EXPECT_GE(trace.total_wall_seconds(), trace.records()[1].wall_seconds);
+  EXPECT_GE(trace.records()[1].start_seconds, trace.records()[0].start_seconds);
 }
 
 TEST(ResourceTraceTest, NestedPhaseThrows) {
@@ -245,16 +244,6 @@ TEST(ResourceTraceTest, PeakCoversBeforeAndAfter) {
   const auto& r = trace.records().front();
   EXPECT_GE(r.rss_peak, r.rss_before);
   EXPECT_GE(r.rss_peak, r.rss_after);
-}
-
-TEST(ResourceTraceTest, CsvHasHeaderAndRows) {
-  ResourceTrace trace(0);
-  trace.phase("x", [] {});
-  std::ostringstream out;
-  trace.write_csv(out);
-  const std::string csv = out.str();
-  EXPECT_NE(csv.find("phase,start_s"), std::string::npos);
-  EXPECT_NE(csv.find("x,"), std::string::npos);
 }
 
 TEST(ResourceTraceTest, ZeroIntervalFallsBackToBeforeAfterMax) {
@@ -307,19 +296,6 @@ TEST(ResourceTraceTest, CounterAttachesToOpenPhase) {
 TEST(ResourceTraceTest, CounterOutsidePhaseThrows) {
   ResourceTrace trace(0);
   EXPECT_THROW(trace.counter("x", 1.0), std::logic_error);
-}
-
-TEST(ResourceTraceTest, CsvIncludesCountersColumn) {
-  ResourceTrace trace(0);
-  trace.phase("x", [&] {
-    trace.counter("a", 1.0);
-    trace.counter("b", 2.5);
-  });
-  std::ostringstream out;
-  trace.write_csv(out);
-  const std::string csv = out.str();
-  EXPECT_NE(csv.find(",counters"), std::string::npos);
-  EXPECT_NE(csv.find("a=1;b=2.5"), std::string::npos);
 }
 
 // --- Json -------------------------------------------------------------------------
