@@ -1,4 +1,4 @@
-// Microbenchmark behind the one-k-mer-table design, in two series.
+// Microbenchmark behind the one-k-mer-table design, in three series.
 //
 // Lookup series: FlatKmerIndex vs the std::unordered_map<KmerCode, V> it
 // replaced, on the exact access patterns of the fig07 workload — the
@@ -14,9 +14,16 @@
 // workload's reads at --threads threads; the timed unit is add_sequences
 // plus dump, and the sorted dumps must be identical.
 //
-// Host wall time, best of --repeats. --min-speedup and --min-count-speedup
-// (default 1.0 each) make the binary fail when the new code stops beating
-// its baseline by that factor — the scripts/check.sh perf gate.
+// Walk series: one canonical pass over the workload's reads through
+// KmerCodec::for_each (both strands rolled together, no allocation) vs the
+// walk it replaced, kept here as the baseline: extract() materialises each
+// read's windows, then a k-step loop reverse-complements every code. Both
+// sum the canonical codes on one thread; the checksums must be equal.
+//
+// Host wall time, best of --repeats. --min-speedup, --min-count-speedup and
+// --min-walk-speedup (default 1.0 each) make the binary fail when the new
+// code stops beating its baseline by that factor — the scripts/check.sh
+// perf gate.
 //
 // By default the series is written to BENCH_kmer_index.json in the working
 // directory ({"bench":"kmer_index","series":[...]}) so repeated runs leave
@@ -37,6 +44,7 @@
 namespace {
 
 using trinity::seq::KmerCode;
+using trinity::seq::KmerCodec;
 
 double now_seconds() {
   return std::chrono::duration<double>(
@@ -44,19 +52,56 @@ double now_seconds() {
       .count();
 }
 
+/// The reverse complement the loop-free KmerCodec::reverse_complement
+/// replaced: one loop step per base.
+KmerCode loop_reverse_complement(KmerCode code, int k) {
+  KmerCode rc = 0;
+  for (int i = 0; i < k; ++i) {
+    rc = (rc << 2) | ((code & 3u) ^ 3u);
+    code >>= 2;
+  }
+  return rc;
+}
+
+/// The canonical walk for_each replaced: materialise every window, then
+/// canonicalise each code with the loop reverse complement.
+std::vector<KmerCodec::Occurrence> baseline_canonical(const KmerCodec& codec,
+                                                      std::string_view s) {
+  auto occ = codec.extract(s);
+  for (auto& o : occ) o.code = std::min(o.code, loop_reverse_complement(o.code, codec.k()));
+  return occ;
+}
+
 /// Extracts canonical (k-1)-mer codes per sequence — the shared preprocessing
 /// both containers consume (mirrors the cached-extraction overlap path).
 std::vector<std::vector<KmerCode>> extract_codes(
     const std::vector<trinity::seq::Sequence>& seqs, int k) {
-  const trinity::seq::KmerCodec codec(k - 1);
+  const KmerCodec codec(k - 1);
   std::vector<std::vector<KmerCode>> out;
   out.reserve(seqs.size());
   for (const auto& s : seqs) {
     std::vector<KmerCode> codes;
-    for (const auto& occ : codec.extract_canonical(s.bases)) codes.push_back(occ.code);
+    codec.for_each(s.bases, [&](const KmerCodec::Window& w) { codes.push_back(w.canonical()); });
     out.push_back(std::move(codes));
   }
   return out;
+}
+
+/// One timed canonical pass over `seqs`: windows seen and the sum of their
+/// canonical codes.
+struct WalkResult {
+  double walk_s = 0.0;
+  std::size_t windows = 0;
+  std::uint64_t checksum = 0;
+};
+
+template <typename Walk>
+WalkResult time_walk(const std::vector<trinity::seq::Sequence>& seqs, Walk&& walk) {
+  WalkResult r;
+  const double t0 = now_seconds();
+  for (const auto& s : seqs) walk(s.bases, r);
+  r.walk_s = now_seconds() - t0;
+  return r;
 }
 
 /// One measured build+probe pass: `Index` is either container. The build is
@@ -102,7 +147,7 @@ class StripedCounter {
     const auto n = static_cast<std::int64_t>(seqs.size());
 #pragma omp parallel for schedule(dynamic, 64) num_threads(threads)
     for (std::int64_t i = 0; i < n; ++i) {
-      for (const auto& occ : codec_.extract_canonical(seqs[static_cast<std::size_t>(i)].bases)) {
+      for (const auto& occ : baseline_canonical(codec_, seqs[static_cast<std::size_t>(i)].bases)) {
         Shard& shard = shards_[static_cast<std::size_t>(occ.code) & (kShards - 1)];
         std::scoped_lock lock(shard.mu);
         ++shard.map[occ.code];
@@ -124,7 +169,7 @@ class StripedCounter {
     std::mutex mu;
     std::unordered_map<KmerCode, std::uint32_t> map;
   };
-  trinity::seq::KmerCodec codec_;
+  KmerCodec codec_;
   std::vector<Shard> shards_;
 };
 
@@ -167,6 +212,9 @@ int main(int argc, char** argv) {
       .flag_double("min-count-speedup", 1.0,
                    "fail (exit 1) unless KmerCounter's count+dump speedup over the "
                    "striped counter reaches this; 0 disables the gate")
+      .flag_double("min-walk-speedup", 1.0,
+                   "fail (exit 1) unless the for_each canonical walk's speedup over "
+                   "extract + loop reverse complement reaches this; 0 disables the gate")
       .flag_string("csv", "", "also write the measured series as CSV to this path")
       .flag_string("json", "BENCH_kmer_index.json",
                    "write the series as one JSON document to this path");
@@ -244,12 +292,41 @@ int main(int argc, char** argv) {
   }
   const double count_speedup = striped.count_s / partitioned.count_s;
 
+  // Walk series: one canonical pass over the reads, one thread.
+  const KmerCodec codec(bench::kK);
+  WalkResult walk, materialised;
+  for (int rep = 0; rep < repeats; ++rep) {
+    const auto f = time_walk(reads, [&](const std::string& bases, WalkResult& r) {
+      codec.for_each(bases, [&](const KmerCodec::Window& w) {
+        ++r.windows;
+        r.checksum += w.canonical();
+      });
+    });
+    const auto b = time_walk(reads, [&](const std::string& bases, WalkResult& r) {
+      for (const auto& occ : baseline_canonical(codec, bases)) {
+        ++r.windows;
+        r.checksum += occ.code;
+      }
+    });
+    if (rep == 0 || f.walk_s < walk.walk_s) walk = f;
+    if (rep == 0 || b.walk_s < materialised.walk_s) materialised = b;
+  }
+  if (walk.windows != materialised.windows || walk.checksum != materialised.checksum) {
+    std::fprintf(stderr,
+                 "bench_kmer_index: walks disagree (for_each %zu windows / checksum %llu, "
+                 "extract %zu / %llu)\n",
+                 walk.windows, static_cast<unsigned long long>(walk.checksum),
+                 materialised.windows, static_cast<unsigned long long>(materialised.checksum));
+    return 1;
+  }
+  const double walk_speedup = materialised.walk_s / walk.walk_s;
+
   const double build_speedup = baseline.build_s / flat.build_s;
   const double probe_speedup = baseline.probe_s / flat.probe_s;
   const double combined_speedup =
       (baseline.build_s + baseline.probe_s) / (flat.build_s + flat.probe_s);
 
-  bench::CsvSink csv(cfg, "impl,build_s,probe_s,entries,probes,checksum,count_s");
+  bench::CsvSink csv(cfg, "impl,build_s,probe_s,entries,probes,checksum,count_s,walk_s");
   bench::JsonSink json(cfg, "kmer_index");
   std::printf("%14s | %10s %10s | %10s %12s\n", "impl", "build(s)", "probe(s)", "entries",
               "probes");
@@ -261,7 +338,7 @@ int main(int argc, char** argv) {
     std::printf("%14s | %10.4f %10.4f | %10zu %12zu\n", row.impl, row.r->build_s,
                 row.r->probe_s, row.r->entries, probes);
     csv.row(row.impl, row.r->build_s, row.r->probe_s, row.r->entries, probes,
-            row.r->checksum, 0.0);
+            row.r->checksum, 0.0, 0.0);
     json.begin_entry();
     json.field("impl", std::string(row.impl));
     json.field("build_s", row.r->build_s);
@@ -280,7 +357,7 @@ int main(int argc, char** argv) {
   for (const auto& [impl, r] : {std::pair{"partitioned", &partitioned},
                                 std::pair{"striped", &striped}}) {
     std::printf("%14s | %10.4f | %10zu %8d\n", impl, r->count_s, r->records.size(), threads);
-    csv.row(impl, 0.0, 0.0, r->records.size(), 0, 0, r->count_s);
+    csv.row(impl, 0.0, 0.0, r->records.size(), 0, 0, r->count_s, 0.0);
     json.begin_entry();
     json.field("impl", std::string(impl));
     json.field("count_s", r->count_s);
@@ -290,6 +367,22 @@ int main(int argc, char** argv) {
   }
   std::printf("\npartitioned vs striped counting (add_sequences + dump): %.2fx\n",
               count_speedup);
+
+  std::printf("\n%15s | %10s | %10s %20s\n", "walk", "walk(s)", "windows", "checksum");
+  for (const auto& [impl, r] : {std::pair{"for_each", &walk},
+                                std::pair{"extract+loop_rc", &materialised}}) {
+    std::printf("%15s | %10.4f | %10zu %20llu\n", impl, r->walk_s, r->windows,
+                static_cast<unsigned long long>(r->checksum));
+    csv.row(impl, 0.0, 0.0, r->windows, 0, r->checksum, 0.0, r->walk_s);
+    json.begin_entry();
+    json.field("impl", std::string(impl));
+    json.field("walk_s", r->walk_s);
+    json.field("windows", static_cast<std::int64_t>(r->windows));
+    json.field("checksum", static_cast<std::int64_t>(r->checksum));
+    json.field("walk_speedup", r == &walk ? walk_speedup : 1.0);
+  }
+  std::printf("\nfor_each vs extract + loop reverse complement (canonical walk): %.2fx\n",
+              walk_speedup);
 
   const double min_speedup = cfg.get_double("min-speedup");
   if (min_speedup > 0.0 && combined_speedup < min_speedup) {
@@ -303,6 +396,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "bench_kmer_index: counting speedup %.2fx is below --min-count-speedup %.2f\n",
                  count_speedup, min_count_speedup);
+    return 1;
+  }
+  const double min_walk_speedup = cfg.get_double("min-walk-speedup");
+  if (min_walk_speedup > 0.0 && walk_speedup < min_walk_speedup) {
+    std::fprintf(stderr,
+                 "bench_kmer_index: walk speedup %.2fx is below --min-walk-speedup %.2f\n",
+                 walk_speedup, min_walk_speedup);
     return 1;
   }
   return 0;

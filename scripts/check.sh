@@ -34,7 +34,11 @@
 #      bench itself), and the partition-then-build KmerCounter at least
 #      1.5x faster than the lock-striped counter it replaced on count +
 #      dump at 4 threads (--min-count-speedup 1.5, identical sorted dumps
-#      enforced by the bench), recording the run in BENCH_kmer_index.json.
+#      enforced by the bench), and KmerCodec::for_each's two-strand rolling
+#      walk at least 2x faster than the materialising extract() + k-step
+#      reverse complement it replaced on one canonical pass over the reads
+#      (--min-walk-speedup 2.0, equal window counts and checksums enforced
+#      by the bench), recording the run in BENCH_kmer_index.json.
 #   7. Serve gate (docs/SERVING.md): a two-tenant batch where one tenant's
 #      job carries an injected rank crash — both jobs must complete through
 #      admission + scheduling with a clean drain, the clean tenant's
@@ -222,9 +226,10 @@ fi
 grep -q "config error: --ranks: expected an integer, got 'banana'" "$cfg_dir/err"
 echo "config ok"
 
-echo "== k-mer index: flat index vs unordered_map, partitioned vs striped counting (BENCH_kmer_index.json) =="
+echo "== k-mer index: flat index vs unordered_map, partitioned vs striped counting, rolling walk (BENCH_kmer_index.json) =="
 ./build/bench/bench_kmer_index --genes 200 --repeats 3 --min-speedup 1.0 \
-    --threads 4 --min-count-speedup 1.5 --json "$repo_root/BENCH_kmer_index.json"
+    --threads 4 --min-count-speedup 1.5 --min-walk-speedup 2.0 \
+    --json "$repo_root/BENCH_kmer_index.json"
 
 echo "== serve: multi-tenant isolation under an injected fault =="
 serve_dir=/tmp/trinity_check_serve

@@ -16,7 +16,7 @@ ContigIndex::ContigIndex(std::vector<seq::Sequence> contigs, const AlignerOption
   // CSR layout in three passes: count each seed's hits, give each seed its
   // slice of hits_, then fill the slices in (contig, position) order.
   for (const auto& contig : contigs_) {
-    for (const auto& occ : codec.extract(contig.bases)) ++seeds_[occ.code].end;
+    codec.for_each(contig.bases, [&](const seq::KmerCodec::Window& w) { ++seeds_[w.code].end; });
   }
   std::uint32_t offset = 0;
   for (auto&& [code, range] : seeds_) {
@@ -26,10 +26,10 @@ ContigIndex::ContigIndex(std::vector<seq::Sequence> contigs, const AlignerOption
   }
   hits_.resize(offset);
   for (std::size_t c = 0; c < contigs_.size(); ++c) {
-    for (const auto& occ : codec.extract(contigs_[c].bases)) {
-      hits_[seeds_.find(occ.code)->second.end++] = {static_cast<std::int32_t>(c),
-                                                    static_cast<std::uint32_t>(occ.position)};
-    }
+    codec.for_each(contigs_[c].bases, [&](const seq::KmerCodec::Window& w) {
+      hits_[seeds_.find(w.code)->second.end++] = {static_cast<std::int32_t>(c),
+                                                  static_cast<std::uint32_t>(w.position)};
+    });
   }
 }
 

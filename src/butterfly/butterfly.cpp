@@ -9,6 +9,7 @@
 #include "chrysalis/scaffold.hpp"
 #include "seq/dna.hpp"
 #include "seq/kmer.hpp"
+#include "util/hash.hpp"
 
 namespace trinity::butterfly {
 
@@ -26,10 +27,7 @@ std::string path_to_sequence(const chrysalis::DeBruijnGraph& graph,
 }
 
 std::uint64_t mix_tie(std::int32_t node, std::uint64_t salt) {
-  std::uint64_t z = static_cast<std::uint64_t>(node) ^ (salt * 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+  return util::mix64(static_cast<std::uint64_t>(node) ^ (salt * util::kGoldenGamma));
 }
 
 /// Depth-first enumeration of support-ranked linear paths from `start`.

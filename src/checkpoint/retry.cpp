@@ -3,6 +3,8 @@
 #include <chrono>
 #include <thread>
 
+#include "util/hash.hpp"
+
 namespace trinity::checkpoint {
 
 double RetryPolicy::jittered_backoff_for(int failed_attempts, std::uint64_t seed) const {
@@ -10,10 +12,7 @@ double RetryPolicy::jittered_backoff_for(int failed_attempts, std::uint64_t seed
   if (base <= 0.0 || jitter_fraction <= 0.0) return base;
   // splitmix64 finalizer: a full-avalanche hash of the seed gives a
   // uniform point in [0, 1) without any global RNG state.
-  std::uint64_t z = seed + 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  z ^= z >> 31;
+  const std::uint64_t z = util::mix64(seed + util::kGoldenGamma);
   const double unit = static_cast<double>(z >> 11) * 0x1.0p-53;  // [0, 1)
   const double spread = std::min(jitter_fraction, 1.0);
   const double factor = 1.0 - spread + 2.0 * spread * unit;

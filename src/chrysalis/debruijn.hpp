@@ -11,8 +11,6 @@
 
 #include <array>
 #include <cstdint>
-#include <istream>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -29,7 +27,7 @@ class DeBruijnGraph {
   /// contribute nothing.
   DeBruijnGraph(const std::vector<seq::Sequence>& contigs, int k);
 
-  [[nodiscard]] int k() const { return k_; }
+  [[nodiscard]] int k() const { return codec_.k(); }
   [[nodiscard]] std::size_t num_nodes() const { return nodes_.size(); }
   [[nodiscard]] std::size_t num_edges() const { return num_edges_; }
 
@@ -46,8 +44,7 @@ class DeBruijnGraph {
     return out_[static_cast<std::size_t>(id)][b];
   }
 
-  /// Number of outgoing / incoming edges of a node.
-  [[nodiscard]] int out_degree(std::int32_t id) const;
+  /// Number of incoming edges of a node.
   [[nodiscard]] int in_degree(std::int32_t id) const {
     return in_degree_[static_cast<std::size_t>(id)];
   }
@@ -64,19 +61,7 @@ class DeBruijnGraph {
   /// Nodes with in-degree 0, in id order — Butterfly's path start points.
   [[nodiscard]] std::vector<std::int32_t> source_nodes() const;
 
-  /// Serializes the graph (FastaToDebruijn's output file in Trinity):
-  ///   #trinity-debruijn k=<k> nodes=<n> edges=<m>
-  ///   N <kmer> <support>     one per node, in id order
-  ///   E <from> <to>          one per edge
-  void write(std::ostream& out) const;
-
-  /// Reads a graph written by write(). Throws std::runtime_error on
-  /// malformed input (bad header, dangling edge, non-(k-1)-overlap edge).
-  static DeBruijnGraph read(std::istream& in);
-
  private:
-  DeBruijnGraph() : k_(1) {}  // for read()
-
   /// Inserts a node if absent; returns its id.
   std::int32_t intern_node(seq::KmerCode code);
   /// Adds the edge from -> to (to = roll of from); no-op when present.
@@ -84,7 +69,7 @@ class DeBruijnGraph {
 
   void add_contig(const std::string& bases);
 
-  int k_;
+  seq::KmerCodec codec_;
   std::vector<seq::KmerCode> nodes_;
   kmer::FlatKmerIndex<std::int32_t> ids_;
   std::vector<std::array<std::int32_t, 4>> out_;

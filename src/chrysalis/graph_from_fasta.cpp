@@ -87,34 +87,32 @@ void harvest_welds(const seq::Sequence& contig,
   const seq::KmerCodec kmer_codec(k);
   if (contig.bases.size() < static_cast<std::size_t>(k)) return;
 
-  for (const auto& occ : seed_codec.extract(contig.bases)) {
+  seed_codec.for_each(contig.bases, [&](const seq::KmerCodec::Window& seed) {
     // Seed must be a (k-1)-overlap shared with at least one other contig.
-    const auto it = overlap_multiplicity.find(seed_codec.canonical(occ.code));
-    if (it == overlap_multiplicity.end() || it->second < 2) continue;
+    const auto it = overlap_multiplicity.find(seed.canonical());
+    if (it == overlap_multiplicity.end() || it->second < 2) return;
 
     // The weld window is the seed plus k/2 flanks on each side (~2k bases),
     // clamped at the contig ends — branch points often sit at an end.
-    const std::size_t begin = occ.position > flank ? occ.position - flank : 0;
+    const std::size_t begin = seed.position > flank ? seed.position - flank : 0;
     const std::size_t end =
-        std::min(contig.bases.size(), occ.position + seed_len + flank);
-    if (end - begin < static_cast<std::size_t>(k)) continue;
+        std::min(contig.bases.size(), seed.position + seed_len + flank);
+    if (end - begin < static_cast<std::size_t>(k)) return;
     const std::string_view weld(contig.bases.data() + begin, end - begin);
 
     // Read support: every k-mer across the weld must clear the threshold.
     // A window count short of weld_len - k + 1 means an invalid base hid
     // some windows from the check; treat that as unsupported too.
-    const auto windows = kmer_codec.extract(weld);
-    bool supported = windows.size() == weld.size() - static_cast<std::size_t>(k) + 1;
-    for (const auto& window : windows) {
-      if (!supported) break;
-      if (read_counter.count_of(kmer_codec.canonical(window.code)) <
-          options.min_weld_support) {
-        supported = false;
-      }
+    std::size_t windows = 0;
+    bool supported = true;
+    kmer_codec.for_each(weld, [&](const seq::KmerCodec::Window& w) {
+      ++windows;
+      supported = supported && read_counter.count_of(w.canonical()) >= options.min_weld_support;
+    });
+    if (supported && windows == kmer_codec.window_count(weld)) {
+      out.push_back(canonical_weld(std::string(weld)));
     }
-    if (!supported) continue;
-    out.push_back(canonical_weld(std::string(weld)));
-  }
+  });
 }
 
 WeldCoreIndex index_weld_cores(const std::vector<std::string>& welds, int k) {
@@ -131,29 +129,34 @@ WeldCoreIndex index_weld_cores(const std::vector<std::string>& welds, int k) {
   return index;
 }
 
+namespace {
+/// Appends (weld_id, contig_id) for every weld indexed under `code` that
+/// `hit` has not seen yet: each weld is reported once per contig.
+void match_code(seq::KmerCode code, std::int32_t contig_id, const WeldCoreIndex& weld_cores,
+                std::unordered_set<std::int32_t>& hit,
+                std::vector<std::pair<std::int32_t, std::int32_t>>& out) {
+  const auto* weld_ids = weld_cores.lookup(code);
+  if (weld_ids == nullptr) return;
+  for (const auto weld_id : *weld_ids) {
+    if (hit.insert(weld_id).second) out.emplace_back(weld_id, contig_id);
+  }
+}
+}  // namespace
+
 void find_weld_matches(const seq::Sequence& contig, std::int32_t contig_id,
                        const WeldCoreIndex& weld_cores, const GraphFromFastaOptions& options,
                        std::vector<std::pair<std::int32_t, std::int32_t>>& out) {
-  const seq::KmerCodec codec(options.k - 1);
-  if (contig.bases.size() < static_cast<std::size_t>(options.k - 1)) return;
-  std::vector<seq::KmerCode> codes;
-  const auto occurrences = codec.extract_canonical(contig.bases);
-  codes.reserve(occurrences.size());
-  for (const auto& occ : occurrences) codes.push_back(occ.code);
-  find_weld_matches(codes, contig_id, weld_cores, out);
+  std::unordered_set<std::int32_t> hit;
+  seq::KmerCodec(options.k - 1).for_each(contig.bases, [&](const seq::KmerCodec::Window& w) {
+    match_code(w.canonical(), contig_id, weld_cores, hit, out);
+  });
 }
 
 void find_weld_matches(const std::vector<seq::KmerCode>& contig_codes, std::int32_t contig_id,
                        const WeldCoreIndex& weld_cores,
                        std::vector<std::pair<std::int32_t, std::int32_t>>& out) {
-  std::unordered_set<std::int32_t> hit;  // report each weld once per contig
-  for (const seq::KmerCode code : contig_codes) {
-    const auto* weld_ids = weld_cores.lookup(code);
-    if (weld_ids == nullptr) continue;
-    for (const auto weld_id : *weld_ids) {
-      if (hit.insert(weld_id).second) out.emplace_back(weld_id, contig_id);
-    }
-  }
+  std::unordered_set<std::int32_t> hit;
+  for (const seq::KmerCode code : contig_codes) match_code(code, contig_id, weld_cores, hit, out);
 }
 
 std::vector<std::string> dedup_welds(std::vector<std::string> welds) {
@@ -166,17 +169,15 @@ int weld_owner(const std::string& weld, int k, int nranks) {
   // Smallest canonical (k-1)-mer code — a strand-symmetric property of the
   // weld *sequence*, so every copy of a weld hashes to the same owner.
   // Welds always pass the read-support check, which requires every window
-  // to be valid, so the extraction below cannot come up empty; the 0
-  // fallback is pure defence.
-  const seq::KmerCodec codec(k - 1);
+  // to be valid, so the walk below cannot come up empty; the 0 fallback
+  // is pure defence.
   bool found = false;
   seq::KmerCode min_code = 0;
-  for (const auto& occ : codec.extract_canonical(weld)) {
-    if (!found || occ.code < min_code) {
-      min_code = occ.code;
-      found = true;
-    }
-  }
+  seq::KmerCodec(k - 1).for_each(weld, [&](const seq::KmerCodec::Window& w) {
+    const seq::KmerCode code = w.canonical();
+    if (!found || code < min_code) min_code = code;
+    found = true;
+  });
   if (!found) return 0;
   return static_cast<int>(kmer::mix_kmer_code(min_code) % static_cast<std::uint64_t>(nranks));
 }
@@ -464,10 +465,12 @@ GffResult run_hybrid(simpi::Context& ctx, const std::vector<seq::Sequence>& cont
     const seq::KmerCodec codec(options.k - 1);
     contig_codes.resize(contigs.size());
     for (std::size_t i = 0; i < contigs.size(); ++i) {
-      const auto occurrences = codec.extract_canonical(contigs[i].bases);
+      // Reserved to the window count, exact for ACGT-only contigs, so the
+      // cache holds no growth slack across the whole contig set.
       auto& codes = contig_codes[i];
-      codes.reserve(occurrences.size());
-      for (const auto& occ : occurrences) codes.push_back(occ.code);
+      codes.reserve(codec.window_count(contigs[i].bases));
+      codec.for_each(contigs[i].bases,
+                     [&](const seq::KmerCodec::Window& w) { codes.push_back(w.canonical()); });
     }
     return cpu.seconds() /
            static_cast<double>(std::max(options.model_threads_per_rank, 1));

@@ -34,10 +34,10 @@ kmer::FlatKmerIndex<std::int32_t> build_bundle_kmer_map(
   for (const auto& comp : components.components) {
     for (const auto contig_id : comp.contig_ids) {
       const auto& contig = contigs.at(static_cast<std::size_t>(contig_id));
-      for (const auto& occ : codec.extract_canonical(contig.bases)) {
-        const auto [it, inserted] = bundle_of.emplace(occ.code, comp.id);
+      codec.for_each(contig.bases, [&](const seq::KmerCodec::Window& w) {
+        const auto [it, inserted] = bundle_of.emplace(w.canonical(), comp.id);
         if (!inserted && comp.id < it->second) it->second = comp.id;
-      }
+      });
     }
   }
   return bundle_of;
@@ -63,10 +63,6 @@ ReadAssignment assign_read(const seq::Sequence& read, std::int64_t read_index,
   ReadAssignment out;
   out.read_index = read_index;
 
-  const seq::KmerCodec codec(k);
-  const auto occurrences = codec.extract_canonical(read.bases);
-  if (occurrences.empty()) return out;
-
   // Tally shared k-mers per component; components are few per read, so a
   // small flat vector beats a hash map here.
   struct Tally {
@@ -76,20 +72,19 @@ ReadAssignment assign_read(const seq::Sequence& read, std::int64_t read_index,
     std::size_t last;  // last k-mer start position
   };
   std::vector<Tally> tallies;
-  for (const auto& occ : occurrences) {
-    const std::int32_t* component = bundle_of.lookup(occ.code);
-    if (component == nullptr) continue;
-    bool found = false;
+  const seq::KmerCodec codec(k);
+  codec.for_each(read.bases, [&](const seq::KmerCodec::Window& w) {
+    const std::int32_t* component = bundle_of.lookup(w.canonical());
+    if (component == nullptr) return;
     for (auto& t : tallies) {
       if (t.component == *component) {
         ++t.count;
-        t.last = occ.position;
-        found = true;
-        break;
+        t.last = w.position;
+        return;
       }
     }
-    if (!found) tallies.push_back({*component, 1, occ.position, occ.position});
-  }
+    tallies.push_back({*component, 1, w.position, w.position});
+  });
   if (tallies.empty()) return out;
 
   const auto best = std::min_element(

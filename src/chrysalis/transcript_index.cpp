@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <cstddef>
 #include <cstring>
@@ -33,12 +34,11 @@ struct FileHeader {
   std::uint64_t entry_count = 0;
   std::uint64_t component_count = 0;
   std::uint64_t reserved[2] = {0, 0};
-  std::uint64_t checksum = 0;  ///< FNV-1a over every other byte of the file
+  std::uint64_t checksum = 0;  ///< image_checksum() of the file, this field read as 0
 };
 static_assert(sizeof(FileHeader) == 64 && std::is_trivially_copyable_v<FileHeader>);
 
-constexpr std::size_t kChecksumOffset = offsetof(FileHeader, checksum);
-static_assert(kChecksumOffset + sizeof(std::uint64_t) == sizeof(FileHeader));
+static_assert(offsetof(FileHeader, checksum) + sizeof(std::uint64_t) == sizeof(FileHeader));
 
 /// Slot count for `entries` distinct keys: the next power of two keeping
 /// the load factor under FlatKmerIndex's 0.7 ceiling, never below 16.
@@ -52,11 +52,26 @@ std::size_t image_bytes_for(std::uint64_t slots) {
   return sizeof(FileHeader) + slots * (sizeof(std::uint64_t) + sizeof(std::int32_t));
 }
 
-/// FNV-1a over the whole image except the checksum field itself, so a
-/// flipped header byte is caught as surely as a flipped slot.
+/// Checksum of the whole image with the checksum field read as zero, so a
+/// flipped header byte is caught as surely as a flipped slot. Four
+/// independent multiply-rotate lanes (xxHash64's round) take a 32-byte
+/// stripe of words per step; a byte-serial hash would cost more than the
+/// rest of a warm load. A change to any one word changes the result: each
+/// round and the final fold are bijections in it. `size` is a multiple of
+/// 64 (image_bytes_for), so the stripes tile the image exactly.
 std::uint64_t image_checksum(const char* image, std::size_t size) {
-  return util::fnv1a_append(util::fnv1a(image, kChecksumOffset), image + sizeof(FileHeader),
-                            size - sizeof(FileHeader));
+  constexpr std::uint64_t kP1 = 0x9e3779b185ebca87ULL;
+  constexpr std::uint64_t kP2 = 0xc2b2ae3d27d4eb4fULL;
+  std::uint64_t lanes[4] = {0, 1, 2, 3};
+  for (std::size_t off = 0; off < size; off += sizeof(lanes)) {
+    std::uint64_t words[4];
+    std::memcpy(words, image + off, sizeof(words));
+    if (off + sizeof(words) == sizeof(FileHeader)) words[3] = 0;  // the checksum field
+    for (int i = 0; i < 4; ++i) lanes[i] = std::rotl(lanes[i] + words[i] * kP2, 31) * kP1;
+  }
+  std::uint64_t h = size;
+  for (const std::uint64_t lane : lanes) h = util::mix64(h ^ lane);
+  return h;
 }
 
 }  // namespace

@@ -34,7 +34,7 @@ namespace trinity::chrysalis {
 /// On-disk format version. Bump on any layout change; load() refuses a
 /// mismatched file with a clear message (stale files rebuild instead of
 /// misreading). Documented as "Format version: N" in docs/INDEXING.md.
-inline constexpr std::uint32_t kTranscriptIndexFormatVersion = 2;
+inline constexpr std::uint32_t kTranscriptIndexFormatVersion = 3;
 
 /// File magic: "TRIR2TIX" as a little-endian u64.
 inline constexpr std::uint64_t kTranscriptIndexMagic = 0x5849543252495254ULL;

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "seq/dna.hpp"
+#include "util/hash.hpp"
 
 namespace trinity::inchworm {
 
@@ -40,13 +41,11 @@ void Inchworm::mark_used(seq::KmerCode literal) {
 }
 
 namespace {
-// splitmix64-style mix used for salted tie-breaking; salt 0 never reaches
-// this path.
+// splitmix64 mix of (code, salt) for salted tie-breaking: a different salt
+// permutes equal-abundance choices, modeling Trinity's run-to-run
+// nondeterminism. Salt 0 never reaches it.
 std::uint64_t mix_tie(seq::KmerCode code, std::uint64_t salt) {
-  std::uint64_t z = code ^ (salt * 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+  return util::mix64(code ^ (salt * util::kGoldenGamma));
 }
 }  // namespace
 
@@ -92,14 +91,7 @@ std::vector<seq::Sequence> Inchworm::assemble() {
   for (const auto& [code, entry] : dict_) seeds.emplace_back(code, entry.count);
   const std::uint64_t salt = options_.tie_break_seed;
   auto tie_key = [salt](seq::KmerCode code) {
-    if (salt == 0) return static_cast<std::uint64_t>(code);
-    // splitmix64-style mix of (code, salt): a different salt permutes the
-    // order of equally abundant seeds, modeling Trinity's run-to-run
-    // nondeterminism.
-    std::uint64_t z = code ^ (salt * 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
+    return salt == 0 ? static_cast<std::uint64_t>(code) : mix_tie(code, salt);
   };
   std::sort(seeds.begin(), seeds.end(), [&](const auto& a, const auto& b) {
     if (a.second != b.second) return a.second > b.second;

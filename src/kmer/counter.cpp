@@ -42,11 +42,10 @@ void KmerCounter::add_sequences(const std::vector<seq::Sequence>& seqs) {
       auto* mine = &buffers[static_cast<std::size_t>(omp_get_thread_num()) * nparts];
 #pragma omp for schedule(dynamic, 64)
       for (std::size_t i = first; i < last; ++i) {
-        const auto& bases = seqs[i].bases;
-        for (const auto& occ : options_.canonical ? codec_.extract_canonical(bases)
-                                                  : codec_.extract(bases)) {
-          mine[partition_of(occ.code)].push_back(occ.code);
-        }
+        codec_.for_each(seqs[i].bases, [&](const seq::KmerCodec::Window& w) {
+          const seq::KmerCode code = options_.canonical ? w.canonical() : w.code;
+          mine[partition_of(code)].push_back(code);
+        });
       }
       // The loop's implicit barrier completes the block's buffers; each
       // partition is then folded by exactly one thread.
@@ -155,14 +154,25 @@ std::vector<KmerCount> read_dump_binary(const std::string& path, int expected_k)
                          "header claims " + std::to_string(n) + " records, file holds " +
                              std::to_string(whole_records));
   }
+  // A code above the mask is not a k-mer of this k: Inchworm would decode
+  // its low 2k bits into a contig of garbage.
+  const seq::KmerCode mask = seq::KmerCodec(expected_k).mask();
   std::vector<KmerCount> out(n);
-  for (auto& kc : out) {
+  for (std::uint64_t i = 0; i < n; ++i) {
+    auto& kc = out[i];
     in.read(reinterpret_cast<char*>(&kc.code), sizeof(kc.code));
     in.read(reinterpret_cast<char*>(&kc.count), sizeof(kc.count));
-  }
-  if (!in) {
-    throw io::IoError(io::IoErrorKind::kTransient, "read", path, EIO,
-                      "short read of a k-mer dump the size check admitted");
+    if (!in) {
+      throw io::IoError(io::IoErrorKind::kTransient, "read", path, EIO,
+                        "short read of a k-mer dump the size check admitted");
+    }
+    if (kc.code > mask) {
+      throw io::ParseError(io::ParseCategory::kInvalidCharacter, path, 1,
+                           kHeaderBytes + i * kRecordBytes,
+                           "record " + std::to_string(i) + " holds code " +
+                               std::to_string(kc.code) + ", not a k-mer of k=" +
+                               std::to_string(expected_k));
+    }
   }
   return out;
 }

@@ -6,10 +6,10 @@
 // role with HipMer-style partition-then-build counting over 256 hash
 // partitions, each a FlatKmerIndex: per block of reads, threads append
 // codes to per-thread, per-partition buffers, then each partition is folded
-// by exactly one thread. No locks; the block size bounds the buffers. Text
-// and binary dump formats and a loader complete it. Counts are over
-// canonical k-mers by default, with a non-canonical mode used by stages
-// that are strand-aware.
+// by exactly one thread. No locks; the block size bounds the buffers. A
+// binary dump format and its loader complete it. Counts are over canonical
+// k-mers (min of a k-mer and its reverse complement); CounterOptions can
+// switch that off to count literal strands.
 
 #include <cstdint>
 #include <string>
@@ -88,9 +88,11 @@ class KmerCounter {
 void write_dump_binary(const std::string& path, const std::vector<KmerCount>& counts, int k);
 
 /// Reads the binary dump. Throws io::ParseError on a short header or a k
-/// mismatch (kMissingHeader) and when the header's record count exceeds
+/// mismatch (kMissingHeader), when the header's record count exceeds
 /// what the file holds (kTruncatedRecord, byte_offset = first incomplete
-/// record); nothing is allocated for records the file does not contain.
+/// record), and on a record whose code is not a k-mer of that k
+/// (kInvalidCharacter, byte_offset = the record); nothing is allocated for
+/// records the file does not contain.
 std::vector<KmerCount> read_dump_binary(const std::string& path, int expected_k);
 
 }  // namespace trinity::kmer

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "seq/kmer.hpp"
+#include "util/hash.hpp"
 
 namespace trinity::kmer {
 
@@ -42,10 +43,7 @@ namespace trinity::kmer {
 /// identity hash a std::unordered_map would often get away with clusters
 /// badly under linear probing; full-width mixing keeps probe chains short.
 [[nodiscard]] inline std::uint64_t mix_kmer_code(seq::KmerCode code) {
-  std::uint64_t x = code + 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
+  return util::mix64(code + util::kGoldenGamma);
 }
 
 /// Open-addressing k-mer -> V table with linear probing. V must be cheap to

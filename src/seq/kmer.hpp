@@ -4,7 +4,9 @@
 // lexicographic comparison of the base string. A KmerCodec carries k and
 // performs encode/decode, rolling extension, reverse complement and
 // canonicalization (min of a k-mer and its reverse complement) — the
-// standard strand-neutral key used by k-mer counters.
+// standard strand-neutral key used by k-mer counters. for_each() is the one
+// walk over a sequence's k-mers: forward and reverse-complement codes
+// rolled together, HipMer-style.
 
 #include <cstdint>
 #include <optional>
@@ -28,6 +30,9 @@ class KmerCodec {
 
   [[nodiscard]] int k() const { return k_; }
 
+  /// The low 2k bits: every k-mer code of this k is at most mask().
+  [[nodiscard]] KmerCode mask() const { return mask_; }
+
   /// Encodes exactly the first k characters of `s` (s.size() must be >= k,
   /// all ACGT). Returns std::nullopt when any base is invalid.
   [[nodiscard]] std::optional<KmerCode> encode(std::string_view s) const;
@@ -41,8 +46,15 @@ class KmerCodec {
     return ((code << 2) | next) & mask_;
   }
 
-  /// Reverse complement of a packed k-mer.
-  [[nodiscard]] KmerCode reverse_complement(KmerCode code) const;
+  /// Reverse complement of a packed k-mer, without a per-base loop:
+  /// complement every pair, reverse the pairs of the whole word, and shift
+  /// the k reversed pairs back down.
+  [[nodiscard]] KmerCode reverse_complement(KmerCode code) const {
+    KmerCode x = ~code;
+    x = ((x >> 2) & 0x3333333333333333ULL) | ((x & 0x3333333333333333ULL) << 2);
+    x = ((x >> 4) & 0x0F0F0F0F0F0F0F0FULL) | ((x & 0x0F0F0F0F0F0F0F0FULL) << 4);
+    return __builtin_bswap64(x) >> (64 - 2 * k_);
+  }
 
   /// Canonical form: min(code, reverse_complement(code)).
   [[nodiscard]] KmerCode canonical(KmerCode code) const {
@@ -55,23 +67,49 @@ class KmerCodec {
     return static_cast<std::uint8_t>(code & 3u);
   }
 
-  /// The (k-1)-length suffix of the k-mer, as a (k-1)-mer code. This is the
-  /// overlap key used by Inchworm's greedy extension.
-  [[nodiscard]] KmerCode suffix(KmerCode code) const { return code & (mask_ >> 2); }
+  /// One valid window of a sequence: its forward code, the code of its
+  /// reverse complement, and its start offset.
+  struct Window {
+    KmerCode code;
+    KmerCode rc;
+    std::size_t position;
+    [[nodiscard]] KmerCode canonical() const { return code < rc ? code : rc; }
+  };
 
-  /// The (k-1)-length prefix of the k-mer, as a (k-1)-mer code.
-  [[nodiscard]] KmerCode prefix(KmerCode code) const { return code >> 2; }
+  /// Calls f(Window) for every valid k-mer of `s` in order, skipping
+  /// windows that contain a non-ACGT character. Both strands roll one base
+  /// at a time, so the walk allocates nothing and never re-reverses a code.
+  template <typename F>
+  void for_each(std::string_view s, F&& f) const {
+    const int rc_shift = 2 * (k_ - 1);
+    KmerCode code = 0;
+    KmerCode rc = 0;
+    int valid = 0;  // consecutive valid bases ending at position i
+    for (std::size_t i = 0; i < s.size(); ++i) {
+      const std::uint8_t b = base_to_code(s[i]);
+      if (b == kInvalidBase) {
+        valid = 0;  // the next k valid bases shift both codes clean
+        continue;
+      }
+      code = ((code << 2) | b) & mask_;
+      rc = (rc >> 2) | (KmerCode{3u - b} << rc_shift);
+      if (++valid >= k_) f(Window{code, rc, i + 1 - static_cast<std::size_t>(k_)});
+    }
+  }
 
-  /// Enumerates every valid k-mer of `s` in order, skipping windows that
-  /// contain a non-ACGT character. Positions are window start offsets.
+  /// Number of k-length windows of `s`, valid or not.
+  [[nodiscard]] std::size_t window_count(std::string_view s) const {
+    const auto k = static_cast<std::size_t>(k_);
+    return s.size() < k ? 0 : s.size() - k + 1;
+  }
+
+  /// Every valid k-mer of `s` in order, as for_each() visits them.
+  /// Positions are window start offsets.
   struct Occurrence {
     KmerCode code;
     std::size_t position;
   };
   [[nodiscard]] std::vector<Occurrence> extract(std::string_view s) const;
-
-  /// As extract(), but each code is canonicalized.
-  [[nodiscard]] std::vector<Occurrence> extract_canonical(std::string_view s) const;
 
   /// The distinct canonical k-mers of `s`, ascending.
   [[nodiscard]] std::vector<KmerCode> distinct_canonical(std::string_view s) const;

@@ -374,9 +374,8 @@ TEST(GffOracle, ComponentsMatchBruteForceOverlapClustering) {
   const seq::KmerCodec seed_codec(kTestK - 1);
   const seq::KmerCodec kmer_codec(kTestK);
   auto canonical_set = [&](const std::string& bases) {
-    std::set<seq::KmerCode> out;
-    for (const auto& occ : seed_codec.extract_canonical(bases)) out.insert(occ.code);
-    return out;
+    const auto codes = seed_codec.distinct_canonical(bases);
+    return std::set<seq::KmerCode>(codes.begin(), codes.end());
   };
   std::vector<std::set<seq::KmerCode>> seeds;
   for (const auto& c : s.contigs) seeds.push_back(canonical_set(c.bases));

@@ -69,8 +69,8 @@ TEST(BundleKmerMap, MapsKmersToSmallestComponent) {
   const seq::KmerCodec codec(kTestK);
   // Every k-mer of contig 1 maps to component 1 (no sharing across random
   // contigs w.h.p.).
-  for (const auto& occ : codec.extract_canonical(f.contigs[1].bases)) {
-    const auto it = map.find(occ.code);
+  for (const auto code : codec.distinct_canonical(f.contigs[1].bases)) {
+    const auto it = map.find(code);
     ASSERT_NE(it, map.end());
     EXPECT_EQ(it->second, 1);
   }

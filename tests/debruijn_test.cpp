@@ -3,8 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "chrysalis/debruijn.hpp"
 #include "seq/dna.hpp"
 #include "test_helpers.hpp"
@@ -60,7 +58,9 @@ TEST(DeBruijnTest, BranchingContigsShareNodes) {
   const auto fork = g.node_id(*codec.encode(
       std::string_view(common).substr(common.size() - kTestK)));
   ASSERT_GE(fork, 0);
-  EXPECT_EQ(g.out_degree(fork), 2);
+  int successors = 0;
+  for (std::uint8_t b = 0; b < 4; ++b) successors += g.successor(fork, b) >= 0 ? 1 : 0;
+  EXPECT_EQ(successors, 2);
 }
 
 TEST(DeBruijnTest, DuplicateContigAddsNothing) {
@@ -119,63 +119,30 @@ TEST(DeBruijnTest, CyclicGraphHasNoSources) {
   EXPECT_TRUE(g.source_nodes().empty());
 }
 
-TEST(DeBruijnIoTest, RoundTripsStructureAndSupport) {
-  const std::string common = random_dna(30, 20);
-  const std::string a = common + random_dna(20, 21);
-  const std::string b = common + random_dna(20, 22);
-  DeBruijnGraph g({{"a", a}, {"b", b}}, kTestK);
-  g.quantify({"r", a});
-  g.quantify({"r", a});
-  g.quantify({"r", b});
+TEST(DeBruijnTest, QuantifyWithNMatchesBothStrandsSeparately) {
+  // quantify() takes the reverse strand from the forward walk's rc codes.
+  // For a read split by an N that must equal walking the read and its
+  // string reverse complement separately.
+  const std::string bases = random_dna(80, 12);
+  std::string read = bases.substr(5, 60);
+  read[27] = 'N';
+  DeBruijnGraph g({{"c", bases}}, kTestK);
+  g.quantify({"r", read});
 
-  std::stringstream buffer;
-  g.write(buffer);
-  const auto loaded = DeBruijnGraph::read(buffer);
-
-  ASSERT_EQ(loaded.num_nodes(), g.num_nodes());
-  EXPECT_EQ(loaded.num_edges(), g.num_edges());
-  EXPECT_EQ(loaded.k(), g.k());
-  for (std::size_t i = 0; i < g.num_nodes(); ++i) {
-    const auto id = static_cast<std::int32_t>(i);
-    EXPECT_EQ(loaded.node_kmer(id), g.node_kmer(id));
-    EXPECT_EQ(loaded.support(id), g.support(id));
-    EXPECT_EQ(loaded.in_degree(id), g.in_degree(id));
-    for (std::uint8_t base = 0; base < 4; ++base) {
-      EXPECT_EQ(loaded.successor(id, base), g.successor(id, base));
+  const seq::KmerCodec codec(kTestK);
+  std::vector<std::uint32_t> expected(g.num_nodes(), 0);
+  for (const auto& strand : {read, seq::reverse_complement(read)}) {
+    for (const auto& occ : codec.extract(strand)) {
+      const auto id = g.node_id(occ.code);
+      if (id >= 0) ++expected[static_cast<std::size_t>(id)];
     }
   }
-  EXPECT_EQ(loaded.source_nodes(), g.source_nodes());
-}
-
-TEST(DeBruijnIoTest, EmptyGraphRoundTrips) {
-  const DeBruijnGraph g({}, kTestK);
-  std::stringstream buffer;
-  g.write(buffer);
-  const auto loaded = DeBruijnGraph::read(buffer);
-  EXPECT_EQ(loaded.num_nodes(), 0u);
-  EXPECT_EQ(loaded.num_edges(), 0u);
-}
-
-TEST(DeBruijnIoTest, BadHeaderThrows) {
-  std::stringstream buffer("#something k=8 nodes=0 edges=0\n");
-  EXPECT_THROW(DeBruijnGraph::read(buffer), std::runtime_error);
-}
-
-TEST(DeBruijnIoTest, DanglingEdgeThrows) {
-  std::stringstream buffer("#trinity-debruijn k=3 nodes=1 edges=1\nN ACG 0\nE 0 5\n");
-  EXPECT_THROW(DeBruijnGraph::read(buffer), std::runtime_error);
-}
-
-TEST(DeBruijnIoTest, NonOverlapEdgeThrows) {
-  // CGT does not follow TTT by a (k-1) overlap.
-  std::stringstream buffer(
-      "#trinity-debruijn k=3 nodes=2 edges=1\nN TTT 0\nN CGT 0\nE 0 1\n");
-  EXPECT_THROW(DeBruijnGraph::read(buffer), std::runtime_error);
-}
-
-TEST(DeBruijnIoTest, CountMismatchThrows) {
-  std::stringstream buffer("#trinity-debruijn k=3 nodes=2 edges=0\nN ACG 0\n");
-  EXPECT_THROW(DeBruijnGraph::read(buffer), std::runtime_error);
+  std::uint32_t total = 0;
+  for (std::size_t i = 0; i < g.num_nodes(); ++i) {
+    EXPECT_EQ(g.support(static_cast<std::int32_t>(i)), expected[i]) << "node " << i;
+    total += expected[i];
+  }
+  EXPECT_GE(total, codec.extract(read).size());  // every forward window is a node
 }
 
 }  // namespace

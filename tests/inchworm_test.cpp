@@ -209,10 +209,10 @@ TEST(InchwormTest, ContigsNeverReuseAKmer) {
   const seq::KmerCodec codec(k);
   std::set<seq::KmerCode> used;
   for (const auto& contig : contigs) {
-    for (const auto& occ : codec.extract_canonical(contig.bases)) {
-      EXPECT_TRUE(used.insert(occ.code).second)
+    codec.for_each(contig.bases, [&](const seq::KmerCodec::Window& w) {
+      EXPECT_TRUE(used.insert(w.canonical()).second)
           << "canonical k-mer appears in two contigs (or twice in one)";
-    }
+    });
   }
 }
 

@@ -322,5 +322,27 @@ TEST(KmerDumpTest, HugeRecordCountIsBoundedByFileSize) {
   }
 }
 
+TEST(KmerDumpTest, CodeWiderThanKIsRejected) {
+  // Codes above the k=25 mask are no k-mer of that k, and Inchworm would
+  // decode their low bits into contigs. Each fails at its own record.
+  const TempDir dir("wide");
+  const auto path = dir.file("k.bin");
+  for (const seq::KmerCode bad : {(seq::KmerCode{1} << 60) | 12345u, ~seq::KmerCode{0}}) {
+    write_dump_binary(path, {KmerCount{7, 3}, KmerCount{bad, 2}}, 25);
+    try {
+      read_dump_binary(path, 25);
+      FAIL() << "code " << bad << " loaded";
+    } catch (const io::ParseError& e) {
+      EXPECT_EQ(e.category(), io::ParseCategory::kInvalidCharacter);
+      EXPECT_EQ(e.path(), path);
+      EXPECT_EQ(e.byte_offset(), 24u);  // header + the one good record
+    }
+  }
+  // The widest valid code of k=25 still loads.
+  const seq::KmerCode top = (seq::KmerCode{1} << 50) - 1;
+  write_dump_binary(path, {KmerCount{top, 1}}, 25);
+  EXPECT_EQ(read_dump_binary(path, 25).front().code, top);
+}
+
 }  // namespace
 }  // namespace trinity::kmer

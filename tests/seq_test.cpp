@@ -4,11 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <optional>
+#include <vector>
 
 #include "seq/dna.hpp"
 #include "seq/fasta.hpp"
 #include "seq/kmer.hpp"
 #include "test_helpers.hpp"
+#include "util/rng.hpp"
 
 namespace trinity::seq {
 namespace {
@@ -121,14 +124,50 @@ TEST_P(KmerCodecTest, PrefixSuffixOverlapInvariant) {
   if (k < 2) return;
   const KmerCodec codec(k);
   const std::string s = random_dna(static_cast<std::size_t>(k) + 1, 77);
-  const auto a = codec.encode(s);
-  const auto b = codec.encode(std::string_view(s).substr(1));
-  ASSERT_TRUE(a && b);
-  // Consecutive k-mers overlap by k-1: suffix(a) == prefix(b).
-  EXPECT_EQ(codec.suffix(*a), codec.prefix(*b));
+  std::vector<KmerCodec::Window> w;
+  codec.for_each(s, [&](const KmerCodec::Window& window) { w.push_back(window); });
+  ASSERT_EQ(w.size(), 2u);
+  // Consecutive k-mers overlap by k-1 bases: the forward suffix of the
+  // first is the forward prefix of the second, and on the reverse strand
+  // the second's suffix is the first's prefix.
+  const KmerCode low = (KmerCode{1} << (2 * (k - 1))) - 1;
+  EXPECT_EQ(w[0].code & low, w[1].code >> 2);
+  EXPECT_EQ(w[1].rc & low, w[0].rc >> 2);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllK, KmerCodecTest, ::testing::Values(1, 2, 5, 15, 16, 25, 31, 32));
+// for_each on random ACGT/N strings: every window it reports is exactly
+// encode() of its substring on the forward strand and of the substring's
+// string reverse complement on the other, at exactly the positions
+// encode() accepts, and the loop-free reverse_complement(code) agrees
+// with the rolled rc.
+TEST_P(KmerCodecTest, ForEachMatchesEncodeOnBothStrands) {
+  const int k = GetParam();
+  const auto ku = static_cast<std::size_t>(k);
+  const KmerCodec codec(k);
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    std::string s = random_dna(3 * ku + seed * 7, seed * 1009 + static_cast<std::uint64_t>(k));
+    util::Rng rng(seed);
+    for (char& c : s) {
+      if (rng.uniform_below(4 * ku) == 0) c = 'N';
+    }
+    std::vector<std::size_t> valid;  // every window encode() accepts
+    for (std::size_t i = 0; i + ku <= s.size(); ++i) {
+      if (codec.encode(std::string_view(s).substr(i, ku))) valid.push_back(i);
+    }
+    std::vector<std::size_t> seen;
+    codec.for_each(s, [&](const KmerCodec::Window& w) {
+      seen.push_back(w.position);
+      const std::string_view sub = std::string_view(s).substr(w.position, ku);
+      EXPECT_EQ(codec.encode(sub), std::optional<KmerCode>(w.code));
+      EXPECT_EQ(codec.encode(reverse_complement(sub)), std::optional<KmerCode>(w.rc));
+      EXPECT_EQ(codec.reverse_complement(w.code), w.rc);
+      EXPECT_EQ(w.canonical(), codec.canonical(w.code));
+    });
+    EXPECT_EQ(seen, valid) << "seed " << seed;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllK, KmerCodecTest, ::testing::Range(1, 33));
 
 TEST(KmerCodecEdge, RejectsBadK) {
   EXPECT_THROW(KmerCodec(0), std::invalid_argument);
