@@ -120,15 +120,15 @@ int stage_chrysalis(const Config& cfg, int k) {
   const std::uint64_t fp = checkpoint::FingerprintBuilder()
                                .add("stage", std::string_view("chrysalis"))
                                .add("k", static_cast<std::int64_t>(k))
-                               .add("inchworm", util::fnv1a_file(cfg.positional()[1]))
-                               .add("reads", util::fnv1a_file(reads_path))
+                               .add("inchworm", util::hash_file(cfg.positional()[1]))
+                               .add("reads", util::hash_file(reads_path))
                                .digest();
   const std::string manifest_path = out_dir + "/run_manifest.jsonl";
   auto manifest = checkpoint::RunManifest::load(manifest_path);
   if (cfg.get_bool("resume")) {
     const auto* rec = manifest.find("chrysalis");
     if (rec != nullptr &&
-        checkpoint::validate_stage(*rec, out_dir, fp) == checkpoint::StageCheck::kValid) {
+        checkpoint::validate_stage(*rec, out_dir, fp, {}) == checkpoint::StageCheck::kValid) {
       std::cout << "chrysalis: checkpoint valid; skipping (outputs in " << out_dir << ")\n";
       return 0;
     }

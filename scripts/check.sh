@@ -74,7 +74,14 @@
 #      Figure 4-6 presets, with identical CategoryCounts and
 #      ReferenceComparison (enforced by the bench itself), recording the run
 #      in BENCH_sw.json.
-#  12. ASan+UBSan build (-DTRINITY_SANITIZE=ON) running the checkpoint, io,
+#  12. Checkpoint hashing gate (docs/OBSERVABILITY.md checkpoint_bytes):
+#      on a fresh checkpointed run, bench_checkpoint_overhead must find the
+#      summed checkpoint_bytes phase counters equal to the distinct
+#      artifact bytes (each artifact hashed once, enforced by the bench
+#      itself), and the run's hashing at least 5x faster than byte-serial
+#      FNV-1a over every manifest record's inputs and outputs, the scheme
+#      it replaced (--min-hash-speedup 5).
+#  13. ASan+UBSan build (-DTRINITY_SANITIZE=ON) running the checkpoint, io,
 #      simpi, trace, config, flat-index, k-mer (counter, Inchworm, de
 #      Bruijn, aligner), stage-file loader (components, Butterfly), serve
 #      and Smith–Waterman/validation test binaries — the
@@ -311,6 +318,9 @@ echo "== gff sharding: owner-computes vs pooled (BENCH_gff_shard.json) =="
 echo "== smith-waterman: validation path vs scalar baseline (BENCH_sw.json) =="
 ./build/bench/bench_sw --genes 60 --repeats 1 --min-speedup 5.0 \
     --json "$repo_root/BENCH_sw.json"
+
+echo "== checkpoint hashing: each artifact once, vs FNV-1a per record =="
+./build/bench/bench_checkpoint_overhead --genes 120 --min-hash-speedup 5
 
 if [ "${1:-}" = "--skip-sanitize" ]; then
     echo "== sanitizer pass skipped =="

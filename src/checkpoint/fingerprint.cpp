@@ -9,10 +9,7 @@ FingerprintBuilder& FingerprintBuilder::fold(std::string_view name, const void* 
   // Field names are part of the digest, so swapping two same-typed values
   // between fields changes the fingerprint; separators keep (ab, c) and
   // (a, bc) distinct.
-  state_ = util::fnv1a_append(state_, name.data(), name.size());
-  state_ = util::fnv1a_append(state_, "=", 1);
-  state_ = util::fnv1a_append(state_, data, len);
-  state_ = util::fnv1a_append(state_, ";", 1);
+  state_.update(name).update("=").update(data, len).update(";");
   return *this;
 }
 

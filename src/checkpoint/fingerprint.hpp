@@ -16,7 +16,7 @@
 
 namespace trinity::checkpoint {
 
-/// Accumulates (name, value) pairs into an FNV-1a digest. Both the field
+/// Accumulates (name, value) pairs into a util::ContentHash digest. Both the field
 /// name and the order of add() calls are significant: renaming or
 /// reordering a field changes the fingerprint, which is the desired
 /// invalidation behavior when an option's meaning changes.
@@ -32,12 +32,12 @@ class FingerprintBuilder {
 
   /// The digest of everything added so far (a running value: more fields
   /// can be folded in afterwards).
-  [[nodiscard]] std::uint64_t digest() const { return state_; }
+  [[nodiscard]] std::uint64_t digest() const { return state_.digest(); }
 
  private:
   FingerprintBuilder& fold(std::string_view name, const void* data, std::size_t len);
 
-  std::uint64_t state_ = util::kFnvOffsetBasis;
+  util::ContentHash state_;
 };
 
 }  // namespace trinity::checkpoint

@@ -178,38 +178,32 @@ ArtifactRecord capture_artifact(const std::string& work_dir, const std::string& 
   ArtifactRecord a;
   a.path = rel_path;
   a.bytes = static_cast<std::uint64_t>(std::filesystem::file_size(full));
-  a.hash = util::fnv1a_file(full);
+  a.hash = util::hash_file(full);
   return a;
 }
 
-namespace {
-
-StageCheck check_artifacts(const std::vector<ArtifactRecord>& artifacts,
-                           const std::string& work_dir) {
-  for (const auto& a : artifacts) {
+StageCheck validate_stage(const StageRecord& record, const std::string& work_dir,
+                          std::uint64_t fingerprint, const ArtifactTable& hashed) {
+  if (!record.complete) return StageCheck::kIncomplete;
+  if (record.fingerprint != fingerprint) return StageCheck::kFingerprintMismatch;
+  for (const auto& a : record.inputs) {
+    const auto it = hashed.find(a.path);
+    if (it == hashed.end()) return StageCheck::kArtifactMissing;
+    if (it->second != a) return StageCheck::kArtifactModified;
+  }
+  for (const auto& a : record.outputs) {
     const std::string full = work_dir + "/" + a.path;
     std::error_code ec;
     const auto size = std::filesystem::file_size(full, ec);
     if (ec) return StageCheck::kArtifactMissing;
     if (size != a.bytes) return StageCheck::kArtifactModified;
     try {
-      if (util::fnv1a_file(full) != a.hash) return StageCheck::kArtifactModified;
+      if (util::hash_file(full) != a.hash) return StageCheck::kArtifactModified;
     } catch (const std::exception&) {
       return StageCheck::kArtifactMissing;
     }
   }
   return StageCheck::kValid;
-}
-
-}  // namespace
-
-StageCheck validate_stage(const StageRecord& record, const std::string& work_dir,
-                          std::uint64_t fingerprint) {
-  if (!record.complete) return StageCheck::kIncomplete;
-  if (record.fingerprint != fingerprint) return StageCheck::kFingerprintMismatch;
-  const StageCheck inputs = check_artifacts(record.inputs, work_dir);
-  if (inputs != StageCheck::kValid) return inputs;
-  return check_artifacts(record.outputs, work_dir);
 }
 
 }  // namespace trinity::checkpoint

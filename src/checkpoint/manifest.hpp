@@ -22,16 +22,17 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace trinity::checkpoint {
 
 /// One stage input or output file, identified by its work-dir-relative
-/// path plus size and FNV-1a content hash.
+/// path plus size and content hash.
 struct ArtifactRecord {
   std::string path;          ///< relative to the work directory
   std::uint64_t bytes = 0;   ///< file size when recorded
-  std::uint64_t hash = 0;    ///< FNV-1a 64 of the file contents
+  std::uint64_t hash = 0;    ///< util::hash_file of the file contents
   friend bool operator==(const ArtifactRecord&, const ArtifactRecord&) = default;
 };
 
@@ -42,7 +43,7 @@ struct StageRecord {
   bool complete = false;                ///< stage finished and outputs committed
   int attempt = 1;                      ///< attempt number that succeeded
   double wall_seconds = 0.0;            ///< stage execution wall time
-  double checkpoint_seconds = 0.0;      ///< hashing + manifest commit overhead
+  double checkpoint_seconds = 0.0;      ///< hashing the outputs (not the manifest commit)
   /// Work-dir-relative path of the run report carrying this stage's
   /// observability metrics (docs/OBSERVABILITY.md). Optional: empty when
   /// the run emitted no report, and omitted from the JSON line then, so
@@ -109,11 +110,17 @@ enum class StageCheck {
 [[nodiscard]] ArtifactRecord capture_artifact(const std::string& work_dir,
                                               const std::string& rel_path);
 
-/// Validates a recorded stage against the current options fingerprint and
-/// the on-disk artifacts. Never throws: unreadable or altered files map to
-/// the corresponding StageCheck reason.
+/// The artifacts a run has hashed, by path: outputs it captured or
+/// validated. Stage inputs are earlier outputs, so each is hashed once.
+using ArtifactTable = std::unordered_map<std::string, ArtifactRecord>;
+
+/// Validates a recorded stage against the current options fingerprint, the
+/// run's table (each recorded input must equal its producer's current
+/// output there) and the outputs on disk, the only files it reads. Never
+/// throws: unreadable or altered files map to the StageCheck reason.
 [[nodiscard]] StageCheck validate_stage(const StageRecord& record,
                                         const std::string& work_dir,
-                                        std::uint64_t fingerprint);
+                                        std::uint64_t fingerprint,
+                                        const ArtifactTable& hashed);
 
 }  // namespace trinity::checkpoint

@@ -44,11 +44,6 @@ class DeBruijnGraph {
     return out_[static_cast<std::size_t>(id)][b];
   }
 
-  /// Number of incoming edges of a node.
-  [[nodiscard]] int in_degree(std::int32_t id) const {
-    return in_degree_[static_cast<std::size_t>(id)];
-  }
-
   /// Read support of a node (0 until quantify() ran).
   [[nodiscard]] std::uint32_t support(std::int32_t id) const {
     return support_[static_cast<std::size_t>(id)];

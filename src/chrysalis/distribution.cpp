@@ -27,11 +27,6 @@ std::vector<IndexRange> ChunkedRoundRobin::chunks_for(int rank) const {
   return out;
 }
 
-int ChunkedRoundRobin::owner_of(std::size_t index) const {
-  const std::size_t chunk = index / chunk_size_;
-  return static_cast<int>(chunk % static_cast<std::size_t>(nranks_));
-}
-
 std::size_t ChunkedRoundRobin::default_chunk_size(std::size_t num_items, int nranks,
                                                   int threads) {
   const std::size_t workers =
@@ -58,14 +53,6 @@ IndexRange BlockDistribution::block_for(int rank) const {
   r.begin = p * base + std::min(p, extra);
   r.end = r.begin + base + (p < extra ? 1 : 0);
   return r;
-}
-
-int BlockDistribution::owner_of(std::size_t index) const {
-  for (int p = 0; p < nranks_; ++p) {
-    const IndexRange r = block_for(p);
-    if (index >= r.begin && index < r.end) return p;
-  }
-  return nranks_ - 1;
 }
 
 }  // namespace trinity::chrysalis

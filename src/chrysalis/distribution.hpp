@@ -40,9 +40,6 @@ class ChunkedRoundRobin {
   /// The chunks owned by `rank`, in increasing index order.
   [[nodiscard]] std::vector<IndexRange> chunks_for(int rank) const;
 
-  /// Owner rank of item `index`.
-  [[nodiscard]] int owner_of(std::size_t index) const;
-
   /// Total number of chunks (including the possibly short tail chunk).
   [[nodiscard]] std::size_t num_chunks() const;
 
@@ -65,8 +62,6 @@ class BlockDistribution {
 
   /// The single contiguous range owned by `rank`.
   [[nodiscard]] IndexRange block_for(int rank) const;
-
-  [[nodiscard]] int owner_of(std::size_t index) const;
 
  private:
   std::size_t num_items_;

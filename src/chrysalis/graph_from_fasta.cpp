@@ -50,12 +50,6 @@ bool sharding_from_string(const std::string& text, ShardingStrategy* out) {
   return true;
 }
 
-double GffTiming::nonparallel_fraction() const {
-  const double total = total_seconds();
-  if (total <= 0.0) return 0.0;
-  return (setup_seconds + finalize_seconds) / total;
-}
-
 namespace detail {
 
 kmer::FlatKmerIndex<std::uint32_t> contig_kmer_multiplicity(

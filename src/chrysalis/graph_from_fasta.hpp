@@ -145,8 +145,6 @@ struct GffTiming {
   [[nodiscard]] double total_seconds() const {
     return setup_seconds + loop1.max() + loop2.max() + finalize_seconds + comm_seconds;
   }
-  /// Fraction of total spent outside the two parallel loops (Figure 8).
-  [[nodiscard]] double nonparallel_fraction() const;
 };
 
 /// Output of GraphFromFasta.

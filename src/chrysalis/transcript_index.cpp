@@ -6,7 +6,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <bit>
 #include <cerrno>
 #include <cstddef>
 #include <cstring>
@@ -34,7 +33,7 @@ struct FileHeader {
   std::uint64_t entry_count = 0;
   std::uint64_t component_count = 0;
   std::uint64_t reserved[2] = {0, 0};
-  std::uint64_t checksum = 0;  ///< image_checksum() of the file, this field read as 0
+  std::uint64_t checksum = 0;  ///< image_digest() of the file, this field read as 0
 };
 static_assert(sizeof(FileHeader) == 64 && std::is_trivially_copyable_v<FileHeader>);
 
@@ -52,26 +51,15 @@ std::size_t image_bytes_for(std::uint64_t slots) {
   return sizeof(FileHeader) + slots * (sizeof(std::uint64_t) + sizeof(std::int32_t));
 }
 
-/// Checksum of the whole image with the checksum field read as zero, so a
-/// flipped header byte is caught as surely as a flipped slot. Four
-/// independent multiply-rotate lanes (xxHash64's round) take a 32-byte
-/// stripe of words per step; a byte-serial hash would cost more than the
-/// rest of a warm load. A change to any one word changes the result: each
-/// round and the final fold are bijections in it. `size` is a multiple of
-/// 64 (image_bytes_for), so the stripes tile the image exactly.
-std::uint64_t image_checksum(const char* image, std::size_t size) {
-  constexpr std::uint64_t kP1 = 0x9e3779b185ebca87ULL;
-  constexpr std::uint64_t kP2 = 0xc2b2ae3d27d4eb4fULL;
-  std::uint64_t lanes[4] = {0, 1, 2, 3};
-  for (std::size_t off = 0; off < size; off += sizeof(lanes)) {
-    std::uint64_t words[4];
-    std::memcpy(words, image + off, sizeof(words));
-    if (off + sizeof(words) == sizeof(FileHeader)) words[3] = 0;  // the checksum field
-    for (int i = 0; i < 4; ++i) lanes[i] = std::rotl(lanes[i] + words[i] * kP2, 31) * kP1;
-  }
-  std::uint64_t h = size;
-  for (const std::uint64_t lane : lanes) h = util::mix64(h ^ lane);
-  return h;
+/// Checksum of the whole image: util::ContentHash of `header` with its
+/// checksum field read as zero, then the sections after it, so a flipped
+/// header byte is caught as surely as a flipped slot.
+std::uint64_t image_digest(FileHeader header, const char* image, std::size_t size) {
+  header.checksum = 0;
+  return util::ContentHash()
+      .update(&header, sizeof(header))
+      .update(image + sizeof(FileHeader), size - sizeof(FileHeader))
+      .digest();
 }
 
 }  // namespace
@@ -150,8 +138,7 @@ TranscriptIndex TranscriptIndex::build(const std::vector<seq::Sequence>& contigs
   header.slot_count = index.slot_count_;
   header.entry_count = index.entry_count_;
   header.component_count = index.component_count_;
-  std::memcpy(base, &header, sizeof(FileHeader));
-  header.checksum = image_checksum(base, index.image_size_);
+  header.checksum = image_digest(header, base, index.image_size_);
   std::memcpy(base, &header, sizeof(FileHeader));
 
   index.attach_sections();
@@ -226,7 +213,7 @@ TranscriptIndex TranscriptIndex::load(const std::string& path) {
                          "file is " + std::to_string(size) + " bytes, header implies " +
                              std::to_string(expected));
   }
-  if (image_checksum(static_cast<const char*>(base), size) != header.checksum) {
+  if (image_digest(header, static_cast<const char*>(base), size) != header.checksum) {
     throw io::ParseError(io::ParseCategory::kInvalidCharacter, path, 1, 0,
                          "checksum mismatch: index file is corrupt");
   }

@@ -69,9 +69,6 @@ class FlatKmerIndex {
   [[nodiscard]] bool empty() const { return size_ == 0; }
   /// Number of slots (a power of two once non-empty).
   [[nodiscard]] std::size_t capacity() const { return keys_.size(); }
-  [[nodiscard]] double load_factor() const {
-    return keys_.empty() ? 0.0 : static_cast<double>(size_) / static_cast<double>(keys_.size());
-  }
 
   /// Value for `code`, inserting a value-initialized V when absent.
   V& operator[](seq::KmerCode code) {

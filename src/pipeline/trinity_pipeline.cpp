@@ -1,5 +1,6 @@
 #include "pipeline/trinity_pipeline.hpp"
 
+#include <algorithm>
 #include <exception>
 #include <filesystem>
 #include <functional>
@@ -26,23 +27,10 @@
 
 namespace trinity::pipeline {
 
-std::uint64_t StageCommMetrics::total_bytes_sent(simpi::CommOp op) const {
-  std::uint64_t total = 0;
-  for (const auto& r : ranks) total += r.comm.of(op).bytes_sent;
-  return total;
-}
-
 std::uint64_t StageCommMetrics::total_bytes_received(simpi::CommOp op) const {
   std::uint64_t total = 0;
   for (const auto& r : ranks) total += r.comm.of(op).bytes_received;
   return total;
-}
-
-const StageCommMetrics* PipelineResult::find_stage_comm(const std::string& stage) const {
-  for (const auto& m : stage_comm) {
-    if (m.stage == stage) return &m;
-  }
-  return nullptr;
 }
 
 double PipelineResult::chrysalis_virtual_seconds() const {
@@ -52,12 +40,9 @@ double PipelineResult::chrysalis_virtual_seconds() const {
 
 std::uint64_t options_fingerprint(const PipelineOptions& options,
                                   const std::vector<seq::Sequence>& reads) {
-  std::uint64_t reads_digest = util::kFnvOffsetBasis;
+  util::ContentHash reads_digest;
   for (const auto& r : reads) {
-    reads_digest = util::fnv1a_append(reads_digest, r.name.data(), r.name.size());
-    reads_digest = util::fnv1a_append(reads_digest, "\n", 1);
-    reads_digest = util::fnv1a_append(reads_digest, r.bases.data(), r.bases.size());
-    reads_digest = util::fnv1a_append(reads_digest, "\n", 1);
+    reads_digest.update(r.name).update("\n").update(r.bases).update("\n");
   }
   return checkpoint::FingerprintBuilder()
       .add("k", static_cast<std::int64_t>(options.k))
@@ -69,7 +54,7 @@ std::uint64_t options_fingerprint(const PipelineOptions& options,
       .add("butterfly_min_node_support",
            static_cast<std::uint64_t>(options.butterfly_min_node_support))
       .add("butterfly_require_paired_support", options.butterfly_require_paired_support)
-      .add("reads", reads_digest)
+      .add("reads", reads_digest.digest())
       .digest();
 }
 
@@ -162,7 +147,9 @@ void record_stage_comm(const PipelineOptions& options, PipelineResult& result,
 /// (run the stage, writing its outputs) and load (rebuild the in-memory
 /// products from the outputs of a previous run). The driver decides per
 /// stage whether to resume or execute, retries aborted simpi worlds, and
-/// commits a manifest record after each completed stage.
+/// commits a manifest record after each completed stage. It hashes each
+/// artifact once per run: a stage's outputs when it executes or resumes,
+/// its inputs never, since they are earlier outputs already in hashed_.
 class StageDriver {
  public:
   StageDriver(const PipelineOptions& options, std::string work_dir,
@@ -206,7 +193,7 @@ class StageDriver {
       throw PreemptedError(name);
     }
     publish_heartbeat(name);
-    if (can_resume(name)) {
+    if (can_resume(name, outputs)) {
       trace_.phase(name + ".resumed", load);
       result_.stages_resumed.push_back(name);
       sync_trace();
@@ -315,13 +302,22 @@ class StageDriver {
     }
   }
 
-  bool can_resume(const std::string& name) {
+  bool can_resume(const std::string& name, const std::vector<std::string>& outputs) {
     if (!options_.resume || !chain_valid_) return false;
     const checkpoint::StageRecord* record = manifest_.find(name);
     if (record == nullptr) return false;
-    const auto check =
-        checkpoint::validate_stage(*record, work_dir_, result_.options_fingerprint);
-    if (check == checkpoint::StageCheck::kValid) return true;
+    auto check =
+        checkpoint::validate_stage(*record, work_dir_, result_.options_fingerprint, hashed_);
+    if (check == checkpoint::StageCheck::kValid) {
+      for (const auto& a : record->outputs) hashed_[a.path] = a;
+      // A record that omits a declared output (a hand-edited line) would
+      // resume without that file ever being checked.
+      if (std::all_of(outputs.begin(), outputs.end(),
+                      [&](const std::string& p) { return hashed_.count(p) > 0; })) {
+        return true;
+      }
+      check = checkpoint::StageCheck::kArtifactMissing;
+    }
     LOG_INFO() << "pipeline: stage " << name << " not resumable (" << to_string(check)
                << "); re-running from here";
     return false;
@@ -385,11 +381,12 @@ class StageDriver {
 
   void record(const std::string& name, const std::vector<std::string>& inputs,
               const std::vector<std::string>& outputs, const Execution& exec) {
-    // Hashing the artifacts and committing the manifest is the checkpoint
+    // Hashing the outputs and committing the manifest is the checkpoint
     // overhead; it gets its own trace phase so Fig-2/11-style traces (and
     // bench_checkpoint_overhead) can show it per stage.
     trace_.phase(name + ".checkpoint", [&] {
       util::Timer timer;
+      std::uint64_t bytes = 0;
       checkpoint::StageRecord record;
       record.stage = name;
       record.fingerprint = result_.options_fingerprint;
@@ -397,11 +394,15 @@ class StageDriver {
       record.attempt = exec.attempts;
       record.wall_seconds = exec.wall_seconds;
       record.trace = trace_ref_;
-      for (const auto& p : inputs) record.inputs.push_back(checkpoint::capture_artifact(work_dir_, p));
       for (const auto& p : outputs) {
-        record.outputs.push_back(checkpoint::capture_artifact(work_dir_, p));
+        const auto& a = hashed_[p] = checkpoint::capture_artifact(work_dir_, p);
+        bytes += a.bytes;
+        record.outputs.push_back(a);
       }
+      // Inputs are earlier stages' outputs, hashed when those ran or resumed.
+      for (const auto& p : inputs) record.inputs.push_back(hashed_.at(p));
       record.checkpoint_seconds = timer.seconds();
+      trace_.counter("checkpoint_bytes", static_cast<double>(bytes));
       manifest_.upsert(std::move(record));
       manifest_.commit();
     });
@@ -413,6 +414,7 @@ class StageDriver {
   util::ResourceTrace& trace_;
   PipelineResult& result_;
   checkpoint::RunManifest manifest_;
+  checkpoint::ArtifactTable hashed_;  ///< artifacts hashed this run, by path
   simpi::FaultPlan fault_;
   std::string trace_ref_;  ///< run-report path stamped into stage records
   bool chain_valid_ = true;  ///< false after the first recomputed stage

@@ -271,8 +271,7 @@ struct StageCommMetrics {
 
   /// Max-over-mean rank virtual time: 1.0 = perfectly balanced.
   [[nodiscard]] double skew_ratio() const { return simpi::skew_ratio(ranks); }
-  /// Byte totals for one operation, summed over ranks.
-  [[nodiscard]] std::uint64_t total_bytes_sent(simpi::CommOp op) const;
+  /// Bytes received by one operation, summed over ranks.
   [[nodiscard]] std::uint64_t total_bytes_received(simpi::CommOp op) const;
 };
 
@@ -299,10 +298,6 @@ struct PipelineResult {
   std::string report_path;
   /// Path of the emitted Chrome trace; empty when tracing was disabled.
   std::string trace_file;
-
-  /// The comm metrics for `stage`, or nullptr when the stage ran without
-  /// a simpi world (nranks == 1) or was resumed from a checkpoint.
-  [[nodiscard]] const StageCommMetrics* find_stage_comm(const std::string& stage) const;
 
   /// Stage execution log: stages recomputed this run, in pipeline order.
   std::vector<std::string> stages_executed;

@@ -1,12 +1,12 @@
 #pragma once
-// FNV-1a 64-bit hashing over bytes, strings, and files, and the
-// splitmix64 finalizer over one 64-bit word.
+// The one content hash, over bytes, strings and files, and the splitmix64
+// finalizer over one 64-bit word.
 //
-// The checkpoint subsystem fingerprints pipeline options and stage
-// artifacts so a resumed run can prove the on-disk state still matches
-// what the manifest recorded. FNV-1a is deliberate: a fast, dependency-free
-// content hash (the xxhash role in production assemblers) — not a
-// cryptographic digest, which artifact validation does not need.
+// ContentHash fingerprints pipeline options, hashes checkpoint artifacts
+// so a resumed run can prove the on-disk state still matches its manifest,
+// and checksums the transcript index image: a fast, dependency-free hash
+// (the xxhash role in production assemblers), not a cryptographic digest,
+// which artifact validation does not need.
 
 #include <cstddef>
 #include <cstdint>
@@ -14,9 +14,6 @@
 #include <string_view>
 
 namespace trinity::util {
-
-inline constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ULL;
-inline constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
 
 /// splitmix64's increment (2^64 / golden ratio), which callers add to or
 /// multiply into the word they mix.
@@ -31,22 +28,31 @@ inline constexpr std::uint64_t kGoldenGamma = 0x9e3779b97f4a7c15ULL;
   return z ^ (z >> 31);
 }
 
-/// Folds `len` bytes into a running FNV-1a state.
-[[nodiscard]] std::uint64_t fnv1a_append(std::uint64_t state, const void* data,
-                                         std::size_t len);
+/// Streaming 64-bit content hash: four lanes (seeded 0..3) each take one
+/// 8-byte word of every 32-byte stripe through xxHash64's multiply-rotate
+/// round. A short final stripe is zero-padded and digest() folds the lanes
+/// with the total length through mix64, so trailing zeros still count. A
+/// change to any one word changes the digest (each round and fold is a
+/// bijection in it); how update() split the bytes never does.
+class ContentHash {
+ public:
+  ContentHash& update(const void* data, std::size_t len);
+  ContentHash& update(std::string_view s) { return update(s.data(), s.size()); }
 
-/// FNV-1a 64 of a byte range.
-[[nodiscard]] inline std::uint64_t fnv1a(const void* data, std::size_t len) {
-  return fnv1a_append(kFnvOffsetBasis, data, len);
-}
+  /// The digest of everything so far; more bytes may follow.
+  [[nodiscard]] std::uint64_t digest() const;
 
-/// FNV-1a 64 of a string.
-[[nodiscard]] inline std::uint64_t fnv1a(std::string_view s) {
-  return fnv1a(s.data(), s.size());
-}
+ private:
+  static constexpr std::size_t kStripe = 32;
 
-/// Streaming FNV-1a 64 over a file's contents. Throws std::runtime_error
-/// when the file cannot be opened.
-[[nodiscard]] std::uint64_t fnv1a_file(const std::string& path);
+  std::uint64_t lanes_[4] = {0, 1, 2, 3};
+  unsigned char pending_[kStripe] = {};  ///< a partial stripe awaiting bytes
+  std::size_t pending_len_ = 0;
+  std::uint64_t length_ = 0;
+};
+
+/// ContentHash of a file's contents, read in 64 KiB blocks. Throws
+/// std::runtime_error when the file cannot be opened or read.
+[[nodiscard]] std::uint64_t hash_file(const std::string& path);
 
 }  // namespace trinity::util

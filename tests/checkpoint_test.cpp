@@ -1,10 +1,12 @@
 // Tests for the checkpoint subsystem: manifest JSON-line round-trips,
 // tolerant loading of damaged manifests, atomic commits, stage validation
-// against on-disk artifacts, the options fingerprint builder, and the
-// retry/backoff policy.
+// against the run's artifact table and the on-disk outputs, the options
+// fingerprint builder, the retry/backoff policy, and the content hash all
+// of them rest on.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -233,7 +235,29 @@ TEST(ValidateStage, ValidRecordPasses) {
   r.complete = true;
   r.inputs.push_back(capture_artifact(dir.str(), "a.fa"));
   r.outputs.push_back(capture_artifact(dir.str(), "b.sam"));
-  EXPECT_EQ(validate_stage(r, dir.str(), 42), StageCheck::kValid);
+  const ArtifactTable hashed{{"a.fa", r.inputs[0]}};
+  EXPECT_EQ(validate_stage(r, dir.str(), 42, hashed), StageCheck::kValid);
+}
+
+TEST(ValidateStage, InputsAreCheckedAgainstTheTableNotTheDisk) {
+  TempDir dir("validate_inputs");
+  write_file(dir.file("a.fa"), ">r0\nACGT\n");
+  StageRecord r;
+  r.stage = "s";
+  r.fingerprint = 42;
+  r.complete = true;
+  r.inputs.push_back(capture_artifact(dir.str(), "a.fa"));
+
+  // The input's file is gone, but the run already holds its record.
+  std::filesystem::remove(dir.file("a.fa"));
+  EXPECT_EQ(validate_stage(r, dir.str(), 42, {{"a.fa", r.inputs[0]}}), StageCheck::kValid);
+  // An input no earlier stage produced this run cannot be vouched for.
+  EXPECT_EQ(validate_stage(r, dir.str(), 42, {}), StageCheck::kArtifactMissing);
+  // The producer's current output differs from what this stage consumed.
+  ArtifactRecord changed = r.inputs[0];
+  changed.hash ^= 1;
+  EXPECT_EQ(validate_stage(r, dir.str(), 42, {{"a.fa", changed}}),
+            StageCheck::kArtifactModified);
 }
 
 TEST(ValidateStage, ReportsEveryFailureReason) {
@@ -245,18 +269,18 @@ TEST(ValidateStage, ReportsEveryFailureReason) {
   r.complete = true;
   r.outputs.push_back(capture_artifact(dir.str(), "a.fa"));
 
-  EXPECT_EQ(validate_stage(r, dir.str(), 43), StageCheck::kFingerprintMismatch);
+  EXPECT_EQ(validate_stage(r, dir.str(), 43, {}), StageCheck::kFingerprintMismatch);
 
   StageRecord incomplete = r;
   incomplete.complete = false;
-  EXPECT_EQ(validate_stage(incomplete, dir.str(), 42), StageCheck::kIncomplete);
+  EXPECT_EQ(validate_stage(incomplete, dir.str(), 42, {}), StageCheck::kIncomplete);
 
   // Same size, different bytes: only the hash catches it.
   write_file(dir.file("a.fa"), ">r0\nACGA\n");
-  EXPECT_EQ(validate_stage(r, dir.str(), 42), StageCheck::kArtifactModified);
+  EXPECT_EQ(validate_stage(r, dir.str(), 42, {}), StageCheck::kArtifactModified);
 
   std::filesystem::remove(dir.file("a.fa"));
-  EXPECT_EQ(validate_stage(r, dir.str(), 42), StageCheck::kArtifactMissing);
+  EXPECT_EQ(validate_stage(r, dir.str(), 42, {}), StageCheck::kArtifactMissing);
 }
 
 TEST(ValidateStage, CaptureOfMissingFileThrows) {
@@ -264,13 +288,13 @@ TEST(ValidateStage, CaptureOfMissingFileThrows) {
   EXPECT_THROW((void)capture_artifact(dir.str(), "ghost.fa"), std::runtime_error);
 }
 
-TEST(ValidateStage, CaptureMatchesFnvOfContents) {
+TEST(ValidateStage, CaptureMatchesContentHash) {
   TempDir dir("capture_hash");
   const std::string content = "some stage artifact bytes";
   write_file(dir.file("x"), content);
   const ArtifactRecord a = capture_artifact(dir.str(), "x");
   EXPECT_EQ(a.bytes, content.size());
-  EXPECT_EQ(a.hash, util::fnv1a(content));
+  EXPECT_EQ(a.hash, util::ContentHash().update(content).digest());
 }
 
 // --- fingerprint -----------------------------------------------------------------
@@ -310,27 +334,91 @@ TEST(RetryPolicy, DefaultBackoffIsZero) {
   EXPECT_DOUBLE_EQ(p.backoff_for(10), 0.0);
 }
 
-// --- hashing utility -------------------------------------------------------------
+// --- content hash ----------------------------------------------------------------
 
-TEST(Fnv1a, KnownVectorsAndStreaming) {
-  // Published FNV-1a test vectors.
-  EXPECT_EQ(util::fnv1a(std::string_view{""}), 0xcbf29ce484222325ULL);
-  EXPECT_EQ(util::fnv1a(std::string_view{"a"}), 0xaf63dc4c8601ec8cULL);
-  // Streaming in pieces equals hashing the whole.
-  auto state = util::kFnvOffsetBasis;
-  state = util::fnv1a_append(state, "foo", 3);
-  state = util::fnv1a_append(state, "bar", 3);
-  EXPECT_EQ(state, util::fnv1a(std::string_view{"foobar"}));
+std::string random_bytes(std::size_t n, std::uint64_t seed) {
+  std::string out(n, '\0');
+  for (auto& c : out) {
+    seed = util::mix64(seed + util::kGoldenGamma);
+    c = static_cast<char>(seed);
+  }
+  return out;
 }
 
-TEST(Fnv1a, FileHashMatchesInMemory) {
-  TempDir dir("fnv_file");
-  // Larger than the streaming buffer so multiple reads are exercised.
-  std::string content;
-  for (int i = 0; i < 10000; ++i) content += "block " + std::to_string(i) + "\n";
+std::uint64_t content_hash(std::string_view s) { return util::ContentHash().update(s).digest(); }
+
+TEST(ContentHash, EverySplitPointGivesTheSameDigest) {
+  const std::string buf = random_bytes(203, 1);
+  const std::uint64_t whole = content_hash(buf);
+  for (std::size_t cut = 0; cut <= buf.size(); ++cut) {
+    util::ContentHash h;
+    h.update(buf.data(), cut).update(buf.data() + cut, buf.size() - cut);
+    EXPECT_EQ(h.digest(), whole) << "cut at " << cut;
+  }
+  // Byte-at-a-time streaming too, with digest() read midway (it is const).
+  util::ContentHash h;
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    h.update(buf.data() + i, 1);
+    if (i == 100) {
+      EXPECT_EQ(h.digest(), content_hash(std::string_view(buf).substr(0, 101)));
+    }
+  }
+  EXPECT_EQ(h.digest(), whole);
+}
+
+TEST(ContentHash, TailLengthsAndTrailingZerosAreDistinct) {
+  // Lengths 0-64 cover every tail a stripe can leave; the zero-padding of
+  // a short stripe must not make "x" and "x\0" collide.
+  const std::string zeros(64, '\0');
+  std::vector<std::uint64_t> seen;
+  for (std::size_t n = 0; n <= 64; ++n) {
+    const std::uint64_t d = content_hash(std::string_view(zeros).substr(0, n));
+    EXPECT_EQ(std::count(seen.begin(), seen.end(), d), 0) << "length " << n;
+    seen.push_back(d);
+    const std::string buf = random_bytes(n, n);
+    for (std::size_t cut = 0; cut <= n; ++cut) {
+      util::ContentHash split;
+      split.update(buf.data(), cut).update(buf.data() + cut, n - cut);
+      EXPECT_EQ(split.digest(), content_hash(buf)) << "length " << n << " cut " << cut;
+    }
+  }
+}
+
+TEST(ContentHash, OneFlippedByteAnywhereChangesTheDigest) {
+  std::string buf = random_bytes(131, 7);
+  const std::uint64_t base = content_hash(buf);
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    for (const unsigned char bit : {0x01, 0x80}) {
+      buf[i] = static_cast<char>(buf[i] ^ bit);
+      EXPECT_NE(content_hash(buf), base) << "byte " << i << " bit " << int{bit};
+      buf[i] = static_cast<char>(buf[i] ^ bit);
+    }
+  }
+}
+
+TEST(ContentHash, MatchesTheTranscriptIndexVersion3Checksum) {
+  // The lane checksum transcript index format version 3 shipped with, over
+  // 64-byte-multiple images whose bytes 56-63 (the checksum field) read
+  // as zero. The pinned digests keep existing index files loading.
+  const auto image = [](std::size_t n) {
+    std::string buf(n, '\0');
+    for (std::size_t i = 0; i < n; ++i) buf[i] = static_cast<char>((i * 131 + 7) & 0xff);
+    std::fill(buf.begin() + 56, buf.begin() + 64, '\0');
+    return buf;
+  };
+  EXPECT_EQ(content_hash(image(64)), 0xdd7243a0ea5d7f10ULL);
+  EXPECT_EQ(content_hash(image(192)), 0x1390fa61aea44204ULL);
+  EXPECT_EQ(content_hash(image(4096)), 0xd695f3bb87e82c6eULL);
+}
+
+TEST(ContentHash, FileHashMatchesInMemory) {
+  TempDir dir("hash_file");
+  // Larger than the 64 KiB read block, and not a multiple of it or of a
+  // stripe, so block and stripe boundaries both fall mid-stream.
+  const std::string content = random_bytes((1 << 16) * 2 + 77, 3);
   write_file(dir.file("big"), content);
-  EXPECT_EQ(util::fnv1a_file(dir.file("big")), util::fnv1a(content));
-  EXPECT_THROW((void)util::fnv1a_file(dir.file("ghost")), std::runtime_error);
+  EXPECT_EQ(util::hash_file(dir.file("big")), content_hash(content));
+  EXPECT_THROW((void)util::hash_file(dir.file("ghost")), std::runtime_error);
 }
 
 }  // namespace

@@ -133,7 +133,7 @@ TEST(FlatKmerIndex, GrowsWithoutReserveAndKeepsEntries) {
   const int n = 5000;
   for (int i = 0; i < n; ++i) index[static_cast<KmerCode>(i) * 2654435761u] = i;
   EXPECT_EQ(index.size(), static_cast<std::size_t>(n));
-  EXPECT_LE(index.load_factor(), 0.7);
+  EXPECT_LE(static_cast<double>(index.size()), 0.7 * static_cast<double>(index.capacity()));
   for (int i = 0; i < n; ++i) {
     const auto* hit = index.lookup(static_cast<KmerCode>(i) * 2654435761u);
     ASSERT_NE(hit, nullptr) << i;

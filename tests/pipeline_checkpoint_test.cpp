@@ -115,6 +115,24 @@ TEST(PipelineCheckpoint, FreshRunRecordsEveryStage) {
   }
 }
 
+TEST(PipelineCheckpoint, EachArtifactIsHashedOnce) {
+  const TempDir dir("ckpt_bytes");
+  const auto result = run_pipeline(shared_dataset().reads.reads, small_options(dir.str()));
+
+  // Every stage input is an earlier stage's output, so the bytes hashed
+  // across the .checkpoint phases are exactly the seven artifacts' sizes.
+  double hashed = 0.0;
+  for (const auto& phase : result.trace) {
+    if (const auto* c = phase.counter("checkpoint_bytes")) hashed += c->value;
+  }
+  std::uintmax_t artifacts = 0;
+  for (const char* name : {"reads.fa", "kmers.bin", "inchworm.fa", "bowtie.sam",
+                           "components.txt", "readsToComponents.out.tsv", "Trinity.fa"}) {
+    artifacts += std::filesystem::file_size(dir.file(name));
+  }
+  EXPECT_EQ(hashed, static_cast<double>(artifacts));
+}
+
 TEST(PipelineCheckpoint, CheckpointOffWritesNoManifest) {
   const TempDir dir("ckpt_off");
   auto options = small_options(dir.str());
@@ -197,6 +215,57 @@ TEST(PipelineCheckpoint, MissingArtifactRerunsFromThatStage) {
   EXPECT_EQ(result.stages_resumed, stages_until(kAllStages, 3));
   EXPECT_EQ(result.stages_executed, stages_from(kAllStages, 3));
   EXPECT_TRUE(std::filesystem::exists(dir.file("bowtie.sam")));
+}
+
+TEST(PipelineCheckpoint, ConsumerInputDriftRerunsFromTheConsumer) {
+  const TempDir dir("ckpt_input_drift");
+  const auto& data = shared_dataset();
+  auto options = small_options(dir.str());
+  run_pipeline(data.reads.reads, options);
+
+  // GraphFromFasta's record says it consumed a bowtie.sam other than the
+  // one chrysalis.bowtie's record (and the disk) now hold: its stored
+  // input record is what catches the drift.
+  auto manifest = checkpoint::RunManifest::load(dir.file(kManifestFileName));
+  auto record = *manifest.find("chrysalis.graph_from_fasta");
+  const auto sam = std::find_if(record.inputs.begin(), record.inputs.end(),
+                                [](const auto& a) { return a.path == "bowtie.sam"; });
+  ASSERT_NE(sam, record.inputs.end());
+  sam->hash ^= 1;
+  manifest.upsert(record);
+  manifest.commit();
+
+  options.resume = true;
+  const auto result = run_pipeline(data.reads.reads, options);
+  EXPECT_EQ(result.stages_resumed, stages_until(kAllStages, 4));
+  EXPECT_EQ(result.stages_executed, stages_from(kAllStages, 4));
+}
+
+TEST(PipelineCheckpoint, RecordOmittingAnOutputRerunsThatStage) {
+  const TempDir dir("ckpt_omitted_output");
+  const auto& data = shared_dataset();
+  auto options = small_options(dir.str());
+  run_pipeline(data.reads.reads, options);
+  const std::string transcripts = slurp(dir.file("Trinity.fa"));
+
+  // Inchworm's record lists no outputs, and its output is corrupt: the
+  // record vouches for nothing, so the stage must not resume.
+  auto manifest = checkpoint::RunManifest::load(dir.file(kManifestFileName));
+  auto record = *manifest.find("inchworm");
+  record.outputs.clear();
+  manifest.upsert(record);
+  manifest.commit();
+  {
+    std::fstream f(dir.file("inchworm.fa"), std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(3);
+    f.put('X');
+  }
+
+  options.resume = true;
+  const auto result = run_pipeline(data.reads.reads, options);
+  EXPECT_EQ(result.stages_resumed, stages_until(kAllStages, 2));
+  EXPECT_EQ(result.stages_executed, stages_from(kAllStages, 2));
+  EXPECT_EQ(slurp(dir.file("Trinity.fa")), transcripts);
 }
 
 TEST(PipelineCheckpoint, StaleOptionsFingerprintForcesFullRerun) {

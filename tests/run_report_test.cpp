@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -152,8 +153,10 @@ TEST_F(RunReportTest, AllgathervBytesMatchChrysalisPooling) {
   }
 
   // The in-memory accessors agree with the document.
-  const StageCommMetrics* metrics = result_->find_stage_comm("chrysalis.graph_from_fasta");
-  ASSERT_NE(metrics, nullptr);
+  const auto metrics =
+      std::find_if(result_->stage_comm.begin(), result_->stage_comm.end(),
+                   [](const auto& m) { return m.stage == "chrysalis.graph_from_fasta"; });
+  ASSERT_NE(metrics, result_->stage_comm.end());
   std::int64_t json_received = 0;
   for (const auto& rank : gff_stage->at("ranks").items()) {
     json_received += rank.at("ops").at("allgatherv").at("bytes_received").as_int();
