@@ -119,7 +119,7 @@ int main(int argc, char** argv) {
   using namespace trinity;
   auto cfg = bench::bench_config("bench_checkpoint_overhead", "Checkpoint overhead: pipeline cost with checkpointing off / on / resume-after-fault");
   cfg.flag_int("genes", 120, "genes to simulate (scales the dataset)");
-  cfg.flag_int("ranks", 4, "rank count for the measured world(s)")
+  cfg.flag_int("ranks", 4, "rank count for the measured world(s); at least 2")
       .flag_double("min-hash-speedup", 0.0,
                    "fail (exit 1) unless FNV-1a over every record's inputs and outputs "
                    "takes this many times the run's checkpoint_seconds; 0 disables the gate");
@@ -127,6 +127,16 @@ int main(int argc, char** argv) {
   if (!bench::parse_or_exit(cfg, argc, argv, &parse_exit)) return parse_exit;
   const auto genes = static_cast<std::size_t>(cfg.get_int("genes"));
   const int nranks = static_cast<int>(cfg.get_int("ranks"));
+  if (nranks < 2) {
+    // The resume series kills rank 1 inside the hybrid GraphFromFasta; a
+    // 1-rank run takes the shared-memory path, where no rank can die.
+    std::fprintf(stderr, "%s\n",
+                 ConfigError("ranks", "must be >= 2: the resume series kills rank 1 inside "
+                                      "the hybrid GraphFromFasta, which a 1-rank run never "
+                                      "enters")
+                     .what());
+    return 2;
+  }
 
   bench::banner("Checkpoint overhead",
                 "pipeline cost with checkpointing off / on / resume-after-fault");

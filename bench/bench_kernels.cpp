@@ -84,11 +84,11 @@ void BM_WeldHarvest(benchmark::State& state) {
   counter.add_sequences(reads);
   chrysalis::GraphFromFastaOptions options;
   options.k = 25;
-  const auto multiplicity = chrysalis::detail::contig_kmer_multiplicity(contigs, 25);
+  const auto shared_overlaps = chrysalis::detail::shared_overlap_kmers(contigs, 25);
 
   for (auto _ : state) {
     std::vector<std::string> welds;
-    chrysalis::detail::harvest_welds(contigs[0], multiplicity, counter, options, welds);
+    chrysalis::detail::harvest_welds(contigs[0], shared_overlaps, counter, options, welds);
     benchmark::DoNotOptimize(welds);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));

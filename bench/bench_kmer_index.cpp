@@ -1,9 +1,9 @@
 // Microbenchmark behind the one-k-mer-table design, in three series.
 //
 // Lookup series: FlatKmerIndex vs the std::unordered_map<KmerCode, V> it
-// replaced, on the exact access patterns of the fig07 workload — the
-// contig_kmer_multiplicity build (one insert per contig (k-1)-mer) and the
-// weld-harvest / assign_read probe loop (one lookup per k-mer, hit-heavy
+// replaced, on the exact access patterns of the fig07 workload — a count
+// build with one insert per contig k-mer (the vote-map build's shape) and
+// the weld-harvest / assign_read probe loop (one lookup per k-mer, hit-heavy
 // for contigs, miss-heavy for reads). Both containers consume the same
 // pre-extracted canonical code lists, so the measured difference is pure
 // hash-table work. The checksum/size cross-check pins behavioural parity.
@@ -104,8 +104,8 @@ WalkResult time_walk(const std::vector<trinity::seq::Sequence>& seqs, Walk&& wal
   return r;
 }
 
-/// One measured build+probe pass: `Index` is either container. The build is
-/// contig_kmer_multiplicity's loop (count each contig code); the probe sums
+/// One measured build+probe pass: `Index` is either container. The build
+/// counts each contig code; the probe sums
 /// hits over the read codes, like assign_read's bundle-map scan.
 struct PassResult {
   double build_s = 0.0;

@@ -81,7 +81,14 @@
 #      itself), and the run's hashing at least 5x faster than byte-serial
 #      FNV-1a over every manifest record's inputs and outputs, the scheme
 #      it replaced (--min-hash-speedup 5).
-#  13. ASan+UBSan build (-DTRINITY_SANITIZE=ON) running the checkpoint, io,
+#  13. Memory gate (ROADMAP item 3): sugarbeet_like at its own 400 genes is
+#      assembled by assemble_fasta at 1 and at 4 ranks, each in a fresh
+#      process; the largest phase rss_peak_b in each run_report.json must
+#      stay within 1.3x (1 rank) and 1.9x (4 ranks) of the jellyfish
+#      phase's. Every later stage's table is then sized to what it reads
+#      and each stage's data is gone once its last reader is done; the
+#      tables sized to total bases failed both bounds (1.55x / 2.93x).
+#  14. ASan+UBSan build (-DTRINITY_SANITIZE=ON) running the checkpoint, io,
 #      simpi, trace, config, flat-index, k-mer (counter, Inchworm, de
 #      Bruijn, aligner), stage-file loader (components, Butterfly), serve
 #      and Smith–Waterman/validation test binaries — the
@@ -321,6 +328,33 @@ echo "== smith-waterman: validation path vs scalar baseline (BENCH_sw.json) =="
 
 echo "== checkpoint hashing: each artifact once, vs FNV-1a per record =="
 ./build/bench/bench_checkpoint_overhead --genes 120 --min-hash-speedup 5
+
+echo "== memory: largest stage peak vs the jellyfish phase, 1 and 4 ranks =="
+# Figure 2's bench leaves the sugarbeet_like reads in its work dir
+# (calibration repeats off: only the file is used here).
+mem_dir=/tmp/trinity_check_memory
+rm -rf "$mem_dir"
+./build/bench/bench_fig02_baseline_trace --genes 400 --bowtie-repeats 1 \
+    --gff-repeats 1 --r2t-repeats 1 >/dev/null
+for ranks in 1 4; do
+    ./build/examples/assemble_fasta /tmp/trinity_bench_fig02/reads.fa --ranks "$ranks" \
+        --work-dir "$mem_dir/r$ranks" --out "$mem_dir/r$ranks.fa" >/dev/null
+done
+python3 - "$mem_dir" <<'PY'
+import json
+import sys
+
+failed = False
+for ranks, bound in ((1, 1.3), (4, 1.9)):
+    with open(f"{sys.argv[1]}/r{ranks}/run_report.json") as f:
+        peak = {p["name"]: p["rss_peak_b"] for p in json.load(f)["phases"]}
+    top = max(peak, key=peak.get)
+    ratio = peak[top] / peak["jellyfish"]
+    print(f"{ranks} rank(s): {top} peaks at {peak[top] / 2**20:.0f} MB, "
+          f"{ratio:.2f}x jellyfish's {peak['jellyfish'] / 2**20:.0f} MB (bound {bound}x)")
+    failed = failed or ratio > bound
+sys.exit(1 if failed else 0)
+PY
 
 if [ "${1:-}" = "--skip-sanitize" ]; then
     echo "== sanitizer pass skipped =="

@@ -13,32 +13,22 @@ namespace trinity::align {
 ContigIndex::ContigIndex(std::vector<seq::Sequence> contigs, const AlignerOptions& options)
     : contigs_(std::move(contigs)), options_(options) {
   const seq::KmerCodec codec(options_.seed_length);
-  // CSR layout in three passes: count each seed's hits, give each seed its
-  // slice of hits_, then fill the slices in (contig, position) order.
-  for (const auto& contig : contigs_) {
-    codec.for_each(contig.bases, [&](const seq::KmerCodec::Window& w) { ++seeds_[w.code].end; });
-  }
-  std::uint32_t offset = 0;
-  for (auto&& [code, range] : seeds_) {
-    const std::uint32_t n = range.end;
-    range = {offset, offset};
-    offset += n;
-  }
-  hits_.resize(offset);
-  for (std::size_t c = 0; c < contigs_.size(); ++c) {
-    codec.for_each(contigs_[c].bases, [&](const seq::KmerCodec::Window& w) {
-      hits_[seeds_.find(w.code)->second.end++] = {static_cast<std::int32_t>(c),
-                                                  static_cast<std::uint32_t>(w.position)};
-    });
-  }
+  seeds_ = kmer::KmerPostings<SeedHit>::build([&](auto&& emit) {
+    for (std::size_t c = 0; c < contigs_.size(); ++c) {
+      codec.for_each(contigs_[c].bases, [&](const seq::KmerCodec::Window& w) {
+        emit(w.code,
+             SeedHit{static_cast<std::int32_t>(c), static_cast<std::uint32_t>(w.position)});
+      });
+    }
+  });
 }
 
 std::span<const ContigIndex::SeedHit> ContigIndex::lookup(seq::KmerCode code) const {
-  const SeedRange* range = seeds_.lookup(code);
+  const auto hits = seeds_.lookup(code);
   // Hyper-repetitive seeds are suppressed: they explode verification cost
   // without adding placements Bowtie would report uniquely anyway.
-  if (range == nullptr || range->end - range->begin > options_.max_hits_per_seed) return {};
-  return {hits_.data() + range->begin, range->end - range->begin};
+  if (hits.size() > options_.max_hits_per_seed) return {};
+  return hits;
 }
 
 namespace {
@@ -61,7 +51,7 @@ int mismatches_at(const std::string& target, const std::string& read, std::size_
 }  // namespace
 
 void SeedExtendAligner::align_strand(const std::string& bases, bool reverse,
-                                     SamRecord& best) const {
+                                     Placement& best) const {
   const auto& opts = index_.options();
   const auto s = static_cast<std::size_t>(opts.seed_length);
   if (bases.size() < s) return;
@@ -94,41 +84,61 @@ void SeedExtendAligner::align_strand(const std::string& bases, bool reverse,
           (mm == best.mismatches &&
            std::tie(hit.contig_id, placement, reverse) <
                std::tie(best.target_id, best.pos, best.reverse_strand));
-      if (better) {
-        best.target_id = hit.contig_id;
-        best.target_name = index_.contigs()[static_cast<std::size_t>(hit.contig_id)].name;
-        best.pos = placement;
-        best.reverse_strand = reverse;
-        best.mismatches = mm;
-      }
+      if (better) best = {hit.contig_id, mm, placement, reverse};
     }
   }
 }
 
-SamRecord SeedExtendAligner::align_read(const seq::Sequence& read) const {
-  SamRecord best;
-  best.read_name = read.name;
-  best.read_length = read.bases.size();
-  align_strand(read.bases, /*reverse=*/false, best);
-  const std::string rc = seq::reverse_complement(read.bases);
+Placement SeedExtendAligner::place(const std::string& bases) const {
+  Placement best;
+  align_strand(bases, /*reverse=*/false, best);
+  const std::string rc = seq::reverse_complement(bases);
   align_strand(rc, /*reverse=*/true, best);
   return best;
+}
+
+SamRecord SeedExtendAligner::record_of(const seq::Sequence& read, const Placement& p) const {
+  SamRecord out;
+  out.read_name = read.name;
+  out.read_length = read.bases.size();
+  if (p.aligned()) {
+    out.target_id = p.target_id;
+    out.target_name = index_.contigs()[static_cast<std::size_t>(p.target_id)].name;
+    out.pos = p.pos;
+    out.reverse_strand = p.reverse_strand;
+    out.mismatches = p.mismatches;
+  }
+  return out;
+}
+
+SamRecord SeedExtendAligner::align_read(const seq::Sequence& read) const {
+  return record_of(read, place(read.bases));
+}
+
+int SeedExtendAligner::team_size() const {
+  const int requested = index_.options().num_threads;
+  return requested > 0 ? requested : omp_get_max_threads();
+}
+
+void SeedExtendAligner::place_all(const std::vector<seq::Sequence>& reads, std::size_t begin,
+                                  std::size_t end, const PlacementSink& sink) const {
+  const auto first = static_cast<std::int64_t>(begin);
+  const auto last = static_cast<std::int64_t>(end);
+#pragma omp parallel for schedule(dynamic, 256) num_threads(team_size())
+  for (std::int64_t i = first; i < last; ++i) {
+    const auto& bases = reads[static_cast<std::size_t>(i)].bases;
+    // kernel_repeats: see the options doc; extra iterations are discarded.
+    for (int rep = 1; rep < index_.options().kernel_repeats; ++rep) (void)place(bases);
+    sink(omp_get_thread_num(), static_cast<std::size_t>(i), place(bases));
+  }
 }
 
 std::vector<SamRecord> SeedExtendAligner::align_all(
     const std::vector<seq::Sequence>& reads) const {
   std::vector<SamRecord> out(reads.size());
-  const int requested = index_.options().num_threads;
-  const auto n = static_cast<std::int64_t>(reads.size());
-#pragma omp parallel for schedule(dynamic, 256) \
-    num_threads(requested > 0 ? requested : omp_get_max_threads())
-  for (std::int64_t i = 0; i < n; ++i) {
-    // kernel_repeats: see the options doc; extra iterations are discarded.
-    for (int rep = 1; rep < index_.options().kernel_repeats; ++rep) {
-      (void)align_read(reads[static_cast<std::size_t>(i)]);
-    }
-    out[static_cast<std::size_t>(i)] = align_read(reads[static_cast<std::size_t>(i)]);
-  }
+  place_all(reads, 0, reads.size(), [&](int, std::size_t i, const Placement& p) {
+    out[i] = record_of(reads[i], p);
+  });
   return out;
 }
 

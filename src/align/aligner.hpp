@@ -9,12 +9,13 @@
 // aligner (split targets with fasplit, align on every rank, merge SAM).
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "kmer/flat_index.hpp"
+#include "kmer/postings.hpp"
 #include "seq/kmer.hpp"
 #include "seq/sequence.hpp"
 
@@ -25,7 +26,7 @@ struct AlignerOptions {
   int seed_length = 16;             ///< k of the seed index
   int max_mismatches = 2;           ///< Bowtie-style -v budget
   std::size_t max_hits_per_seed = 64;  ///< skip hyper-repetitive seeds
-  int num_threads = 0;              ///< 0 = OpenMP default
+  int num_threads = 0;              ///< 0 = OpenMP default (1 per rank in distributed_bowtie)
   /// Cost-model calibration for benchmarks: repeat the per-read kernel to
   /// emulate Bowtie's heavier per-read cost (quality-aware backtracking vs
   /// this reproduction's exact-seed check). Outputs unchanged; leave at 1
@@ -53,6 +54,17 @@ struct SamRecord {
   [[nodiscard]] bool aligned() const { return target_id >= 0; }
 };
 
+/// A read's best placement: the fixed-size part of a SamRecord, without
+/// the read and target names.
+struct Placement {
+  std::int32_t target_id = -1;  ///< index into the aligner's contig set
+  int mismatches = 0;
+  std::size_t pos = 0;
+  bool reverse_strand = false;
+
+  [[nodiscard]] bool aligned() const { return target_id >= 0; }
+};
+
 /// K-mer seed index over a set of target contigs.
 class ContigIndex {
  public:
@@ -74,13 +86,7 @@ class ContigIndex {
  private:
   std::vector<seq::Sequence> contigs_;
   AlignerOptions options_;
-  /// A seed's hits: hits_[begin, end).
-  struct SeedRange {
-    std::uint32_t begin = 0;
-    std::uint32_t end = 0;
-  };
-  std::vector<SeedHit> hits_;  ///< every hit, grouped by seed
-  kmer::FlatKmerIndex<SeedRange> seeds_;
+  kmer::KmerPostings<SeedHit> seeds_;
 };
 
 /// The aligner proper.
@@ -97,9 +103,29 @@ class SeedExtendAligner {
   /// Aligns every read (OpenMP-parallel); output order matches input order.
   [[nodiscard]] std::vector<SamRecord> align_all(const std::vector<seq::Sequence>& reads) const;
 
+  /// Receives one read's placement: the OpenMP thread that aligned it
+  /// (0 <= thread < team_size()), the read's index, and the placement.
+  using PlacementSink = std::function<void(int thread, std::size_t read, const Placement&)>;
+
+  /// Places reads[begin, end) on team_size() OpenMP threads, calling
+  /// `sink` once per read — the loop behind align_all, for callers that
+  /// keep less than a SamRecord per read.
+  void place_all(const std::vector<seq::Sequence>& reads, std::size_t begin, std::size_t end,
+                 const PlacementSink& sink) const;
+
+  /// Threads place_all() runs on: AlignerOptions::num_threads, or the
+  /// OpenMP default when that is 0.
+  [[nodiscard]] int team_size() const;
+
  private:
+  /// align_read() without the names: the best placement of `bases`.
+  [[nodiscard]] Placement place(const std::string& bases) const;
+
   /// Tries all seed positions of `bases` on one strand, updating `best`.
-  void align_strand(const std::string& bases, bool reverse, SamRecord& best) const;
+  void align_strand(const std::string& bases, bool reverse, Placement& best) const;
+
+  /// `p` as a SAM record of `read`.
+  [[nodiscard]] SamRecord record_of(const seq::Sequence& read, const Placement& p) const;
 
   const ContigIndex& index_;
 };

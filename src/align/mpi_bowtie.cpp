@@ -1,5 +1,6 @@
 #include "align/mpi_bowtie.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <tuple>
 #include <type_traits>
@@ -22,76 +23,68 @@ struct WireRecord {
 };
 static_assert(std::is_trivially_copyable_v<WireRecord>);
 
-}  // namespace
-
-namespace {
-
-/// Read-split scheme: rank-local block of reads against the full contig
-/// index (replicated per rank).
-DistributedBowtieResult distributed_bowtie_read_split(
-    simpi::Context& ctx, const std::vector<seq::Sequence>& contigs,
-    const std::vector<seq::Sequence>& reads, const AlignerOptions& options) {
-  DistributedBowtieResult result;
-
-  // No serial split phase: the read partition is index arithmetic.
-  const std::size_t n = reads.size();
-  const auto nranks = static_cast<std::size_t>(ctx.size());
-  const auto rank = static_cast<std::size_t>(ctx.rank());
-  const std::size_t base = n / nranks;
-  const std::size_t extra = n % nranks;
-  const std::size_t begin = rank * base + std::min(rank, extra);
-  const std::size_t end = begin + base + (rank < extra ? 1 : 0);
-
-  util::ThreadCpuTimer align_timer;
-  const ContigIndex index(contigs, options);  // replicated full index
+/// Aligns reads[begin, end) against `index` and returns the wire records
+/// of the aligned ones in read order, target ids mapped through
+/// `global_id` (identity when null): the only per-read state a rank keeps.
+std::vector<WireRecord> align_to_wire(const ContigIndex& index,
+                                      const std::vector<seq::Sequence>& reads, std::size_t begin,
+                                      std::size_t end, const std::vector<std::int32_t>* global_id) {
   const SeedExtendAligner aligner(index);
-  const std::vector<seq::Sequence> my_reads(reads.begin() + static_cast<std::ptrdiff_t>(begin),
-                                            reads.begin() + static_cast<std::ptrdiff_t>(end));
-  const auto local_records = aligner.align_all(my_reads);
-  const double align_s =
-      align_timer.seconds() / static_cast<double>(std::max(options.model_threads_per_rank, 1));
-  result.timing.align_seconds_max = ctx.allreduce_max(align_s);
-  result.timing.align_seconds_min = ctx.allreduce_min(align_s);
-
-  // Gather: each read has exactly one owner, so no best-hit merge needed.
-  std::vector<WireRecord> wire;
-  for (std::size_t i = 0; i < local_records.size(); ++i) {
-    const auto& r = local_records[i];
-    if (!r.aligned()) continue;
+  std::vector<std::vector<WireRecord>> parts(static_cast<std::size_t>(aligner.team_size()));
+  aligner.place_all(reads, begin, end, [&](int thread, std::size_t i, const Placement& p) {
+    if (!p.aligned()) return;
     WireRecord w{};
-    w.read_index = begin + i;
-    w.global_contig_id = r.target_id;
-    w.mismatches = r.mismatches;
-    w.pos = r.pos;
-    w.reverse_strand = r.reverse_strand ? 1 : 0;
-    wire.push_back(w);
+    w.read_index = i;
+    w.global_contig_id =
+        global_id == nullptr ? p.target_id : (*global_id)[static_cast<std::size_t>(p.target_id)];
+    w.mismatches = p.mismatches;
+    w.pos = p.pos;
+    w.reverse_strand = p.reverse_strand ? 1 : 0;
+    parts[static_cast<std::size_t>(thread)].push_back(w);
+  });
+  std::vector<WireRecord> wire = std::move(parts[0]);
+  for (std::size_t t = 1; t < parts.size(); ++t) {
+    wire.insert(wire.end(), parts[t].begin(), parts[t].end());
+    std::vector<WireRecord>().swap(parts[t]);
   }
-  const auto gathered = ctx.gatherv(wire, 0);
+  std::sort(wire.begin(), wire.end(), [](const WireRecord& a, const WireRecord& b) {
+    return a.read_index < b.read_index;
+  });
+  return wire;
+}
 
-  std::vector<double> merge_s{0.0};
-  if (ctx.rank() == 0) {
-    util::ThreadCpuTimer merge_timer;
-    std::vector<SamRecord> merged(reads.size());
-    for (std::size_t i = 0; i < reads.size(); ++i) {
-      merged[i].read_name = reads[i].name;
-      merged[i].read_length = reads[i].bases.size();
-    }
-    for (const auto& part : gathered) {
-      for (const auto& w : part) {
-        auto& rec = merged[static_cast<std::size_t>(w.read_index)];
-        rec.target_id = w.global_contig_id;
-        rec.target_name = contigs[static_cast<std::size_t>(w.global_contig_id)].name;
-        rec.pos = w.pos;
-        rec.reverse_strand = w.reverse_strand != 0;
-        rec.mismatches = w.mismatches;
+/// Rank 0's merge: for each read, the best placement across every rank's
+/// records (fewest mismatches, then lowest global contig id / position /
+/// strand), which is what a single-node best-hit Bowtie run would have
+/// reported. Under the read split each read has one record at most.
+std::vector<SamRecord> merge_best_hits(const std::vector<std::vector<WireRecord>>& gathered,
+                                       const std::vector<seq::Sequence>& contigs,
+                                       const std::vector<seq::Sequence>& reads) {
+  std::vector<SamRecord> merged(reads.size());
+  for (std::size_t i = 0; i < reads.size(); ++i) {
+    merged[i].read_name = reads[i].name;
+    merged[i].read_length = reads[i].bases.size();
+  }
+  for (const auto& part : gathered) {
+    for (const auto& w : part) {
+      auto& best = merged[static_cast<std::size_t>(w.read_index)];
+      const bool better =
+          !best.aligned() || w.mismatches < best.mismatches ||
+          (w.mismatches == best.mismatches &&
+           std::tuple<std::int32_t, std::uint64_t, std::uint8_t>(w.global_contig_id, w.pos,
+                                                                 w.reverse_strand) <
+               std::tuple<std::int32_t, std::uint64_t, std::uint8_t>(
+                   best.target_id, best.pos, best.reverse_strand ? 1 : 0));
+      if (better) {
+        best.target_id = w.global_contig_id;
+        best.target_name = contigs[static_cast<std::size_t>(w.global_contig_id)].name;
+        best.pos = w.pos;
+        best.reverse_strand = w.reverse_strand != 0;
+        best.mismatches = w.mismatches;
       }
     }
-    result.records = std::move(merged);
-    merge_s[0] = merge_timer.seconds();
   }
-  ctx.bcast(merge_s, 0);
-  result.timing.merge_seconds = merge_s[0];
-  return result;
+  return merged;
 }
 
 }  // namespace
@@ -99,89 +92,72 @@ DistributedBowtieResult distributed_bowtie_read_split(
 DistributedBowtieResult distributed_bowtie(simpi::Context& ctx,
                                            const std::vector<seq::Sequence>& contigs,
                                            const std::vector<seq::Sequence>& reads,
-                                           const AlignerOptions& options, BowtieSplit split) {
-  if (split == BowtieSplit::kReads) {
-    return distributed_bowtie_read_split(ctx, contigs, reads, options);
-  }
+                                           const AlignerOptions& requested, BowtieSplit split) {
+  // One OpenMP thread per rank unless set, as in the hybrid GraphFromFasta
+  // and ReadsToTranscripts: the ranks already occupy the cores, a rank's
+  // CPU clock then sees all of its alignment work, and no worker thread
+  // holds a buffer of its own.
+  AlignerOptions options = requested;
+  if (options.num_threads <= 0) options.num_threads = 1;
   DistributedBowtieResult result;
+  std::vector<WireRecord> wire;
+  double align_cpu = 0.0;
 
-  // Phase 1 — serial target split on rank 0 (the PyFasta step of Fig 10).
-  std::vector<int> part_of;
-  std::vector<double> split_s{0.0};
-  if (ctx.rank() == 0) {
-    util::ThreadCpuTimer timer;
-    part_of = fasplit::partition_balanced(contigs, ctx.size()).part_of;
-    split_s[0] = timer.seconds();
-  }
-  ctx.bcast(part_of, 0);
-  ctx.bcast(split_s, 0);
-  result.timing.split_seconds = split_s[0];
+  if (split == BowtieSplit::kReads) {
+    // No serial split phase: the read partition is index arithmetic, and
+    // every rank aligns its block against the full (replicated) index.
+    const std::size_t n = reads.size();
+    const auto nranks = static_cast<std::size_t>(ctx.size());
+    const auto rank = static_cast<std::size_t>(ctx.rank());
+    const std::size_t base = n / nranks;
+    const std::size_t extra = n % nranks;
+    const std::size_t begin = rank * base + std::min(rank, extra);
+    const std::size_t end = begin + base + (rank < extra ? 1 : 0);
 
-  // Phase 2 — per-rank index build + alignment of the full read set
-  // against this rank's contig slice.
-  util::ThreadCpuTimer align_timer;
-  std::vector<seq::Sequence> my_contigs;
-  std::vector<std::int32_t> local_to_global;
-  for (std::size_t c = 0; c < contigs.size(); ++c) {
-    if (part_of[c] == ctx.rank()) {
-      my_contigs.push_back(contigs[c]);
-      local_to_global.push_back(static_cast<std::int32_t>(c));
+    util::ThreadCpuTimer align_timer;
+    const ContigIndex index(contigs, options);
+    wire = align_to_wire(index, reads, begin, end, nullptr);
+    align_cpu = align_timer.seconds();
+  } else {
+    // Phase 1 — serial target split on rank 0 (the PyFasta step of Fig 10).
+    std::vector<int> part_of;
+    std::vector<double> split_s{0.0};
+    if (ctx.rank() == 0) {
+      util::ThreadCpuTimer timer;
+      part_of = fasplit::partition_balanced(contigs, ctx.size()).part_of;
+      split_s[0] = timer.seconds();
     }
+    ctx.bcast(part_of, 0);
+    ctx.bcast(split_s, 0);
+    result.timing.split_seconds = split_s[0];
+
+    // Phase 2 — per-rank index build + alignment of the full read set
+    // against this rank's contig slice.
+    util::ThreadCpuTimer align_timer;
+    std::vector<seq::Sequence> my_contigs;
+    std::vector<std::int32_t> local_to_global;
+    for (std::size_t c = 0; c < contigs.size(); ++c) {
+      if (part_of[c] == ctx.rank()) {
+        my_contigs.push_back(contigs[c]);
+        local_to_global.push_back(static_cast<std::int32_t>(c));
+      }
+    }
+    const ContigIndex index(std::move(my_contigs), options);
+    wire = align_to_wire(index, reads, 0, reads.size(), &local_to_global);
+    align_cpu = align_timer.seconds();
   }
-  const ContigIndex index(std::move(my_contigs), options);
-  const SeedExtendAligner aligner(index);
-  const auto local_records = aligner.align_all(reads);
   const double align_s =
-      align_timer.seconds() / static_cast<double>(std::max(options.model_threads_per_rank, 1));
+      align_cpu / static_cast<double>(std::max(options.model_threads_per_rank, 1));
   result.timing.align_seconds_max = ctx.allreduce_max(align_s);
   result.timing.align_seconds_min = ctx.allreduce_min(align_s);
 
-  // Phase 3 — gather aligned records at rank 0 and merge: for each read,
-  // keep the best placement across slices (fewest mismatches, then lowest
-  // global contig id / position / strand), which is what a single-node
-  // best-hit Bowtie run would have reported.
-  std::vector<WireRecord> wire;
-  for (std::size_t i = 0; i < local_records.size(); ++i) {
-    const auto& r = local_records[i];
-    if (!r.aligned()) continue;
-    WireRecord w{};
-    w.read_index = i;
-    w.global_contig_id = local_to_global[static_cast<std::size_t>(r.target_id)];
-    w.mismatches = r.mismatches;
-    w.pos = r.pos;
-    w.reverse_strand = r.reverse_strand ? 1 : 0;
-    wire.push_back(w);
-  }
+  // Phase 3 — gather the aligned records at rank 0 and merge.
   const auto gathered = ctx.gatherv(wire, 0);
-
+  wire = std::vector<WireRecord>();
   std::vector<double> merge_s{0.0};
   if (ctx.rank() == 0) {
     util::ThreadCpuTimer merge_timer;
-    std::vector<SamRecord> merged(reads.size());
-    for (std::size_t i = 0; i < reads.size(); ++i) {
-      merged[i].read_name = reads[i].name;
-      merged[i].read_length = reads[i].bases.size();
-    }
-    for (const auto& part : gathered) {
-      for (const auto& w : part) {
-        auto& best = merged[static_cast<std::size_t>(w.read_index)];
-        const bool better =
-            !best.aligned() || w.mismatches < best.mismatches ||
-            (w.mismatches == best.mismatches &&
-             std::tuple<std::int32_t, std::uint64_t, std::uint8_t>(
-                 w.global_contig_id, w.pos, w.reverse_strand) <
-                 std::tuple<std::int32_t, std::uint64_t, std::uint8_t>(
-                     best.target_id, best.pos, best.reverse_strand ? 1 : 0));
-        if (better) {
-          best.target_id = w.global_contig_id;
-          best.target_name = contigs[static_cast<std::size_t>(w.global_contig_id)].name;
-          best.pos = w.pos;
-          best.reverse_strand = w.reverse_strand != 0;
-          best.mismatches = w.mismatches;
-        }
-      }
-    }
-    result.records = std::move(merged);
+    result.records = merge_best_hits(gathered, contigs, reads);
     merge_s[0] = merge_timer.seconds();
   }
   ctx.bcast(merge_s, 0);

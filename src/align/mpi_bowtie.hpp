@@ -50,6 +50,7 @@ struct DistributedBowtieResult {
 /// Must be called collectively by every rank. `contigs` and `reads` must be
 /// identical on every rank (the paper's nodes all see the shared
 /// filesystem). Alignment time is measured per rank on its CPU clock.
+/// Each rank aligns on options.num_threads OpenMP threads, one when 0.
 DistributedBowtieResult distributed_bowtie(simpi::Context& ctx,
                                            const std::vector<seq::Sequence>& contigs,
                                            const std::vector<seq::Sequence>& reads,

@@ -52,17 +52,33 @@ bool sharding_from_string(const std::string& text, ShardingStrategy* out) {
 
 namespace detail {
 
-kmer::FlatKmerIndex<std::uint32_t> contig_kmer_multiplicity(
-    const std::vector<seq::Sequence>& contigs, int k) {
-  // (k-1)-mers: the overlap length at Inchworm branch points. Reserve from
-  // the total base count — an upper bound on the distinct k-mers the scan
-  // can produce — so the build loop never rehashes.
+kmer::FlatKmerIndex<std::uint32_t> shared_overlap_kmers(const std::vector<seq::Sequence>& contigs,
+                                                        int k) {
+  // (k-1)-mers: the overlap length at Inchworm branch points. Pool every
+  // contig's distinct canonical codes and sort them: a code's run length is
+  // then the number of contigs carrying it. The pool is one code per
+  // window; the table keeps only the runs of two or more.
   const seq::KmerCodec codec(k - 1);
-  kmer::FlatKmerIndex<std::uint32_t> multiplicity(seq::total_bases(contigs));
+  std::vector<seq::KmerCode> codes;
+  std::size_t windows = 0;
+  for (const auto& contig : contigs) windows += codec.window_count(contig.bases);
+  codes.reserve(windows);
   for (const auto& contig : contigs) {
-    for (const auto code : codec.distinct_canonical(contig.bases)) ++multiplicity[code];
+    const auto first = static_cast<std::ptrdiff_t>(codes.size());
+    codec.for_each(contig.bases,
+                   [&](const seq::KmerCodec::Window& w) { codes.push_back(w.canonical()); });
+    std::sort(codes.begin() + first, codes.end());
+    codes.erase(std::unique(codes.begin() + first, codes.end()), codes.end());
   }
-  return multiplicity;
+  std::sort(codes.begin(), codes.end());
+  kmer::FlatKmerIndex<std::uint32_t> shared;
+  for (std::size_t i = 0; i < codes.size();) {
+    std::size_t j = i + 1;
+    while (j < codes.size() && codes[j] == codes[i]) ++j;
+    if (j - i >= 2) shared.emplace(codes[i], static_cast<std::uint32_t>(j - i));
+    i = j;
+  }
+  return shared;
 }
 
 std::string canonical_weld(const std::string& weld) {
@@ -71,7 +87,7 @@ std::string canonical_weld(const std::string& weld) {
 }
 
 void harvest_welds(const seq::Sequence& contig,
-                   const kmer::FlatKmerIndex<std::uint32_t>& overlap_multiplicity,
+                   const kmer::FlatKmerIndex<std::uint32_t>& shared_overlaps,
                    const kmer::KmerCounter& read_counter, const GraphFromFastaOptions& options,
                    std::vector<std::string>& out) {
   const int k = options.k;
@@ -83,8 +99,7 @@ void harvest_welds(const seq::Sequence& contig,
 
   seed_codec.for_each(contig.bases, [&](const seq::KmerCodec::Window& seed) {
     // Seed must be a (k-1)-overlap shared with at least one other contig.
-    const auto it = overlap_multiplicity.find(seed.canonical());
-    if (it == overlap_multiplicity.end() || it->second < 2) return;
+    if (shared_overlaps.lookup(seed.canonical()) == nullptr) return;
 
     // The weld window is the seed plus k/2 flanks on each side (~2k bases),
     // clamped at the contig ends — branch points often sit at an end.
@@ -109,36 +124,33 @@ void harvest_welds(const seq::Sequence& contig,
   });
 }
 
-WeldCoreIndex index_weld_cores(const std::vector<std::string>& welds, int k) {
+kmer::KmerPostings<std::int32_t> index_weld_cores(const std::vector<std::string>& welds, int k) {
   const seq::KmerCodec codec(k - 1);
-  WeldCoreIndex index;
-  std::size_t bases = 0;
-  for (const auto& weld : welds) bases += weld.size();
-  index.reserve(bases);
-  for (std::size_t w = 0; w < welds.size(); ++w) {
-    for (const auto code : codec.distinct_canonical(welds[w])) {
-      index[code].push_back(static_cast<std::int32_t>(w));
+  return kmer::KmerPostings<std::int32_t>::build([&](auto&& emit) {
+    for (std::size_t w = 0; w < welds.size(); ++w) {
+      for (const auto code : codec.distinct_canonical(welds[w])) {
+        emit(code, static_cast<std::int32_t>(w));
+      }
     }
-  }
-  return index;
+  });
 }
 
 namespace {
 /// Appends (weld_id, contig_id) for every weld indexed under `code` that
 /// `hit` has not seen yet: each weld is reported once per contig.
-void match_code(seq::KmerCode code, std::int32_t contig_id, const WeldCoreIndex& weld_cores,
+void match_code(seq::KmerCode code, std::int32_t contig_id,
+                const kmer::KmerPostings<std::int32_t>& weld_cores,
                 std::unordered_set<std::int32_t>& hit,
                 std::vector<std::pair<std::int32_t, std::int32_t>>& out) {
-  const auto* weld_ids = weld_cores.lookup(code);
-  if (weld_ids == nullptr) return;
-  for (const auto weld_id : *weld_ids) {
+  for (const auto weld_id : weld_cores.lookup(code)) {
     if (hit.insert(weld_id).second) out.emplace_back(weld_id, contig_id);
   }
 }
 }  // namespace
 
 void find_weld_matches(const seq::Sequence& contig, std::int32_t contig_id,
-                       const WeldCoreIndex& weld_cores, const GraphFromFastaOptions& options,
+                       const kmer::KmerPostings<std::int32_t>& weld_cores,
+                       const GraphFromFastaOptions& options,
                        std::vector<std::pair<std::int32_t, std::int32_t>>& out) {
   std::unordered_set<std::int32_t> hit;
   seq::KmerCodec(options.k - 1).for_each(contig.bases, [&](const seq::KmerCodec::Window& w) {
@@ -147,7 +159,7 @@ void find_weld_matches(const seq::Sequence& contig, std::int32_t contig_id,
 }
 
 void find_weld_matches(const std::vector<seq::KmerCode>& contig_codes, std::int32_t contig_id,
-                       const WeldCoreIndex& weld_cores,
+                       const kmer::KmerPostings<std::int32_t>& weld_cores,
                        std::vector<std::pair<std::int32_t, std::int32_t>>& out) {
   std::unordered_set<std::int32_t> hit;
   for (const seq::KmerCode code : contig_codes) match_code(code, contig_id, weld_cores, hit, out);
@@ -352,9 +364,9 @@ GffResult run_shared(const std::vector<seq::Sequence>& contigs,
   const int threads = resolve_omp_threads(options.omp_threads, /*hybrid=*/false);
   GffTiming timing;
 
-  // Setup (serial in the original code): shared-k-mer multiplicity map.
+  // Setup (serial in the original code): the shared (k-1)-overlap map.
   util::ThreadCpuTimer setup_cpu;
-  const auto multiplicity = detail::contig_kmer_multiplicity(contigs, options.k);
+  const auto shared_overlaps = detail::shared_overlap_kmers(contigs, options.k);
   timing.setup_seconds = setup_cpu.seconds();
 
   // Loop 1 — weld harvest, OpenMP dynamic over all contigs.
@@ -366,7 +378,7 @@ GffResult run_shared(const std::vector<seq::Sequence>& contigs,
       [&](std::size_t i) {
         auto& sink = weld_parts[static_cast<std::size_t>(omp_get_thread_num())];
         run_calibrated(options.kernel_repeats, sink, [&](std::vector<std::string>& out) {
-          detail::harvest_welds(contigs[i], multiplicity, read_counter, options, out);
+          detail::harvest_welds(contigs[i], shared_overlaps, read_counter, options, out);
         });
       },
       "gff.loop1");
@@ -418,7 +430,7 @@ GffResult run_hybrid(simpi::Context& ctx, const std::vector<seq::Sequence>& cont
   // block-partitioned partial maps with Allgatherv measured slower at 4-16
   // ranks: the merge and the communication cost more than the scan saves.
   util::ThreadCpuTimer setup_cpu;
-  const auto multiplicity = detail::contig_kmer_multiplicity(contigs, options.k);
+  const auto shared_overlaps = detail::shared_overlap_kmers(contigs, options.k);
   const double my_setup = setup_cpu.seconds();
 
   // Loop 1 over this rank's chunks (chunked round robin or dynamic
@@ -429,7 +441,7 @@ GffResult run_hybrid(simpi::Context& ctx, const std::vector<seq::Sequence>& cont
   auto loop1_body = [&](std::size_t i) {
     auto& sink = weld_parts[static_cast<std::size_t>(omp_get_thread_num())];
     run_calibrated(options.kernel_repeats, sink, [&](std::vector<std::string>& out) {
-      detail::harvest_welds(contigs[i], multiplicity, read_counter, options, out);
+      detail::harvest_welds(contigs[i], shared_overlaps, read_counter, options, out);
     });
   };
   const double my_loop1 =

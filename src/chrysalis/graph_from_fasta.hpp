@@ -35,6 +35,7 @@
 #include "chrysalis/distribution.hpp"
 #include "kmer/counter.hpp"
 #include "kmer/flat_index.hpp"
+#include "kmer/postings.hpp"
 #include "simpi/context.hpp"
 #include "seq/sequence.hpp"
 
@@ -111,7 +112,7 @@ struct PerRankTimes {
 struct GffTiming {
   PerRankTimes loop1;
   PerRankTimes loop2;
-  double setup_seconds = 0.0;     ///< non-parallel: shared-k-mer map build
+  double setup_seconds = 0.0;     ///< non-parallel: shared-overlap map build
   double finalize_seconds = 0.0;  ///< non-parallel: dedup, pairing, clustering
   double comm_seconds = 0.0;      ///< max modeled communication over ranks
 
@@ -185,26 +186,27 @@ namespace detail {
 /// Inchworm consumes every k-mer exactly once, so two contigs never share
 /// a full k-mer — what they share at a branch point is the (k-1)-overlap
 /// (contig B's first k-1 bases equal an interior (k-1)-mer of contig A).
-/// A weld seed is therefore a (k-1)-mer present in >= 2 contigs
-/// (`overlap_multiplicity`); the harvested welding subsequence is the seed
+/// A weld seed is therefore a (k-1)-mer present in >= 2 contigs (a key of
+/// `shared_overlaps`); the harvested welding subsequence is the seed
 /// plus k/2 flanks on each side (clamped at the contig ends), ~2k long as
 /// in the paper, and it must have read support: every k-mer across the
 /// window occurs at least `min_weld_support` times in the reads.
 void harvest_welds(const seq::Sequence& contig,
-                   const kmer::FlatKmerIndex<std::uint32_t>& overlap_multiplicity,
+                   const kmer::FlatKmerIndex<std::uint32_t>& shared_overlaps,
                    const kmer::KmerCounter& read_counter, const GraphFromFastaOptions& options,
                    std::vector<std::string>& out);
 
-/// Index over the pooled welds: canonical (k-1)-mer code -> weld ids whose
-/// window contains it. Built identically on every rank before loop 2.
-using WeldCoreIndex = kmer::FlatKmerIndex<std::vector<std::int32_t>>;
-WeldCoreIndex index_weld_cores(const std::vector<std::string>& welds, int k);
+/// Index over the pooled welds: canonical (k-1)-mer code -> ids of the
+/// welds whose window contains it, ascending. Built identically on every
+/// rank before loop 2.
+kmer::KmerPostings<std::int32_t> index_weld_cores(const std::vector<std::string>& welds, int k);
 
 /// Loop-2 kernel for one contig: appends (weld_id, contig_id) matches for
 /// every weld sharing a (k-1)-mer with the contig (either strand), each
 /// weld reported once per contig.
 void find_weld_matches(const seq::Sequence& contig, std::int32_t contig_id,
-                       const WeldCoreIndex& weld_cores, const GraphFromFastaOptions& options,
+                       const kmer::KmerPostings<std::int32_t>& weld_cores,
+                       const GraphFromFastaOptions& options,
                        std::vector<std::pair<std::int32_t, std::int32_t>>& out);
 
 /// Same kernel over a precomputed list of the contig's canonical (k-1)-mer
@@ -213,13 +215,14 @@ void find_weld_matches(const seq::Sequence& contig, std::int32_t contig_id,
 /// routed welds, so it is the legally overlappable prefix of the loop-2
 /// scan).
 void find_weld_matches(const std::vector<seq::KmerCode>& contig_codes, std::int32_t contig_id,
-                       const WeldCoreIndex& weld_cores,
+                       const kmer::KmerPostings<std::int32_t>& weld_cores,
                        std::vector<std::pair<std::int32_t, std::int32_t>>& out);
 
-/// Builds the canonical-(k-1)-mer -> distinct-contig-count map (the serial
-/// setup region of Figure 8).
-kmer::FlatKmerIndex<std::uint32_t> contig_kmer_multiplicity(
-    const std::vector<seq::Sequence>& contigs, int k);
+/// The canonical (k-1)-mers that occur in at least two contigs, each mapped
+/// to the number of contigs carrying it (the serial setup region of
+/// Figure 8). Only these seed welds, so no other (k-1)-mer is kept.
+kmer::FlatKmerIndex<std::uint32_t> shared_overlap_kmers(const std::vector<seq::Sequence>& contigs,
+                                                        int k);
 
 /// Canonical form of a weld: lexicographic min of the sequence and its
 /// reverse complement, so both strands hash identically.

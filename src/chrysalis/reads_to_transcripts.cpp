@@ -26,11 +26,15 @@ namespace trinity::chrysalis {
 kmer::FlatKmerIndex<std::int32_t> build_bundle_kmer_map(
     const std::vector<seq::Sequence>& contigs, const ComponentSet& components, int k) {
   const seq::KmerCodec codec(k);
-  // Reserve-from-count: total contig bases bound the distinct k-mers, so
-  // the build loop never rehashes.
-  std::size_t bases = 0;
-  for (const auto& contig : contigs) bases += contig.bases.size();
-  kmer::FlatKmerIndex<std::int32_t> bundle_of(bases);
+  // Reserve-from-count: the contigs' k-mer windows bound the distinct
+  // k-mers, so the build loop never rehashes.
+  std::size_t windows = 0;
+  for (const auto& comp : components.components) {
+    for (const auto contig_id : comp.contig_ids) {
+      windows += codec.window_count(contigs.at(static_cast<std::size_t>(contig_id)).bases);
+    }
+  }
+  kmer::FlatKmerIndex<std::int32_t> bundle_of(windows);
   for (const auto& comp : components.components) {
     for (const auto contig_id : comp.contig_ids) {
       const auto& contig = contigs.at(static_cast<std::size_t>(contig_id));

@@ -164,7 +164,8 @@ struct R2TResult {
 /// Builds the canonical k-mer -> component map from each component's
 /// contigs (the "assignment of k-mers to Inchworm bundles" setup region).
 /// A k-mer occurring in several components maps to the smallest component
-/// id, deterministically.
+/// id, deterministically. The table is sized once from the contigs' k-mer
+/// window count, an upper bound on its keys, and never rehashes.
 kmer::FlatKmerIndex<std::int32_t> build_bundle_kmer_map(
     const std::vector<seq::Sequence>& contigs, const ComponentSet& components, int k);
 

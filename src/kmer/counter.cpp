@@ -9,6 +9,7 @@
 #include <fstream>
 #include <numeric>
 #include <stdexcept>
+#include <string_view>
 
 namespace trinity::kmer {
 
@@ -114,15 +115,15 @@ std::vector<KmerCount> KmerCounter::dump(std::uint32_t min_count) const {
 void write_dump_binary(const std::string& path, const std::vector<KmerCount>& counts, int k) {
   const auto k32 = static_cast<std::uint32_t>(k);
   const auto n = static_cast<std::uint64_t>(counts.size());
-  std::string body;
-  body.reserve(sizeof(k32) + sizeof(n) + counts.size() * (sizeof(seq::KmerCode) + 4));
-  body.append(reinterpret_cast<const char*>(&k32), sizeof(k32));
-  body.append(reinterpret_cast<const char*>(&n), sizeof(n));
-  for (const auto& kc : counts) {
-    body.append(reinterpret_cast<const char*>(&kc.code), sizeof(kc.code));
-    body.append(reinterpret_cast<const char*>(&kc.count), sizeof(kc.count));
-  }
-  io::write_file(path, body);  // fault-injectable; throws io::IoError
+  const auto bytes = [](const auto& value) {
+    return std::string_view(reinterpret_cast<const char*>(&value), sizeof(value));
+  };
+  // Record by record through the 1 MiB buffer: fault-injectable, throws
+  // io::IoError, and never holds the whole dump in memory.
+  io::BufferedWriter out(path);
+  out << bytes(k32) << bytes(n);
+  for (const auto& kc : counts) out << bytes(kc.code) << bytes(kc.count);
+  out.close();
 }
 
 std::vector<KmerCount> read_dump_binary(const std::string& path, int expected_k) {

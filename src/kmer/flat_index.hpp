@@ -14,17 +14,19 @@
 //    (splitmix64 finalizer) over the packed word;
 //  * open addressing with linear probing over a power-of-two capacity —
 //    probes stay in one or two cache lines, no per-node allocation;
-//  * reserve-from-count: callers size the table once from the known k-mer
-//    volume (total bases is an upper bound on distinct k-mers), so the build
-//    loop never rehashes.
+//  * reserve-from-count: callers size the table once from the k-mer window
+//    count of what they index (sum of len - k + 1 over the sequences, an
+//    upper bound on distinct k-mers), so the build loop never rehashes.
 //
 // The iterator surface is deliberately unordered_map-shaped (find()/end(),
 // ->first/->second, range-for with structured bindings) so the Chrysalis
 // call sites and their tests read identically against either container —
 // flat_index_test pins exact parity on random corpora.
 //
-// Every k-mer map uses it. One writer at a time and no reader during a
-// write; concurrent read-only lookups are safe. KmerCounter folds each of
+// Every k-mer map uses it; a key with a list of items goes through
+// KmerPostings (kmer/postings.hpp), so V is always a small trivial value.
+// One writer at a time and no reader during a write; concurrent read-only
+// lookups are safe. KmerCounter folds each of
 // its partitions on exactly one thread, and count_of() is a plain lookup.
 
 #include <cstddef>
@@ -47,8 +49,9 @@ namespace trinity::kmer {
 }
 
 /// Open-addressing k-mer -> V table with linear probing. V must be cheap to
-/// move; slots are stored in parallel key/value/occupied arrays so probing
-/// touches only the key array until a hit.
+/// move; slots are stored in parallel key/value/occupied arrays, so a probe
+/// reads each slot's occupancy byte and key and touches the value array
+/// only on a hit.
 template <typename V>
 class FlatKmerIndex {
  public:
@@ -57,8 +60,8 @@ class FlatKmerIndex {
   explicit FlatKmerIndex(std::size_t expected) { reserve(expected); }
 
   /// Ensures capacity for `expected` distinct keys without rehashing. An
-  /// upper bound (e.g. total bases scanned) is fine: capacity is the next
-  /// power of two holding `expected` under the max load factor.
+  /// upper bound (e.g. the k-mer windows scanned) is fine: capacity is the
+  /// smallest power of two p >= 16 with expected < 0.7 p.
   void reserve(std::size_t expected) {
     std::size_t want = 16;
     while (static_cast<double>(expected) >= kMaxLoad * static_cast<double>(want)) want *= 2;

@@ -527,6 +527,11 @@ PipelineResult run_pipeline_impl(const std::vector<seq::Sequence>& reads,
         seq::write_fasta(work_dir + "/" + kContigsFile, result.contigs);
       },
       [&] { result.contigs = seq::read_all(work_dir + "/" + kContigsFile); });
+  // Each stage's data is dropped once the last stage reading it is done
+  // (never inside a stage body, which a retry runs again):
+  // the dump after Inchworm, the SAM records after scaffolding, the read
+  // k-mer counter after GraphFromFasta.
+  counts = std::vector<kmer::KmerCount>();
 
   // --- Chrysalis ---------------------------------------------------------------
   align::AlignerOptions aligner_options;
@@ -590,6 +595,7 @@ PipelineResult run_pipeline_impl(const std::vector<seq::Sequence>& reads,
   if (options.bowtie_scaffolding) {
     scaffold = chrysalis::scaffold_pairs(sam, result.contigs, chrysalis::ScaffoldOptions{});
   }
+  sam = std::vector<align::SamRecord>();
 
   chrysalis::GraphFromFastaOptions gff;
   gff.k = options.k;
@@ -626,6 +632,7 @@ PipelineResult run_pipeline_impl(const std::vector<seq::Sequence>& reads,
       [&] {
         result.components = chrysalis::read_components(work_dir + "/" + kComponentsFile);
       });
+  counter = kmer::KmerCounter(counter_options);
 
   chrysalis::ReadsToTranscriptsOptions r2t;
   r2t.k = options.k;

@@ -11,19 +11,19 @@ namespace trinity::validate {
 CandidateFinder::CandidateFinder(const std::vector<seq::Sequence>& targets,
                                  const ValidationOptions& options)
     : options_(options), codec_(options.prefilter_k) {
-  for (std::size_t t = 0; t < targets.size(); ++t) {
-    for (const auto code : codec_.distinct_canonical(targets[t].bases)) {
-      index_[code].push_back(static_cast<std::int32_t>(t));
+  index_ = kmer::KmerPostings<std::int32_t>::build([&](auto&& emit) {
+    for (std::size_t t = 0; t < targets.size(); ++t) {
+      for (const auto code : codec_.distinct_canonical(targets[t].bases)) {
+        emit(code, static_cast<std::int32_t>(t));
+      }
     }
-  }
+  });
 }
 
 std::vector<std::int32_t> CandidateFinder::candidates(const seq::Sequence& query) const {
   std::unordered_map<std::int32_t, std::size_t> shared;
   for (const auto code : codec_.distinct_canonical(query.bases)) {
-    const auto* targets = index_.lookup(code);
-    if (targets == nullptr) continue;
-    for (const auto t : *targets) ++shared[t];
+    for (const auto t : index_.lookup(code)) ++shared[t];
   }
   std::vector<std::pair<std::int32_t, std::size_t>> ranked;
   for (const auto& [t, n] : shared) {

@@ -23,7 +23,7 @@
 #include <string>
 #include <vector>
 
-#include "kmer/flat_index.hpp"
+#include "kmer/postings.hpp"
 #include "seq/kmer.hpp"
 #include "seq/sequence.hpp"
 #include "sw/smith_waterman.hpp"
@@ -58,7 +58,7 @@ class CandidateFinder {
  private:
   ValidationOptions options_;
   seq::KmerCodec codec_;
-  kmer::FlatKmerIndex<std::vector<std::int32_t>> index_;
+  kmer::KmerPostings<std::int32_t> index_;  ///< code -> targets carrying it
 };
 
 /// Figure 4 result: query counts per category plus the (c) identities.

@@ -245,7 +245,10 @@ TEST_P(DistributedBowtie, MatchesSerialBestHits) {
     const auto pos = rng.uniform_below(contigs[c].bases.size() - 80);
     reads.push_back({"r" + std::to_string(i), contigs[c].bases.substr(pos, 80)});
   }
-  // A few unalignable reads exercise the unmapped path.
+  // Reverse-strand reads, and a few unalignable ones for the unmapped path.
+  for (int i = 0; i < 30; ++i) {
+    reads.push_back({"rc" + std::to_string(i), seq::reverse_complement(reads[i].bases)});
+  }
   reads.push_back({"alien1", random_dna(80, 777)});
   reads.push_back({"alien2", random_dna(80, 778)});
 
@@ -254,28 +257,35 @@ TEST_P(DistributedBowtie, MatchesSerialBestHits) {
   const SeedExtendAligner serial(index);
   const auto expected = serial.align_all(reads);
 
-  std::vector<SamRecord> distributed;
-  DistributedBowtieTiming timing;
-  simpi::run(nranks, [&](simpi::Context& ctx) {
-    auto result = distributed_bowtie(ctx, contigs, reads, options);
-    if (ctx.rank() == 0) {
-      distributed = std::move(result.records);
-      timing = result.timing;
-    }
-  });
+  // Both splits: the paper's (slice the contigs, merge best hits) and the
+  // read split. Either way rank 0's merge must be the serial result.
+  for (const BowtieSplit split : {BowtieSplit::kTargets, BowtieSplit::kReads}) {
+    SCOPED_TRACE(split == BowtieSplit::kTargets ? "targets" : "reads");
+    std::vector<SamRecord> distributed;
+    DistributedBowtieTiming timing;
+    simpi::run(nranks, [&](simpi::Context& ctx) {
+      auto result = distributed_bowtie(ctx, contigs, reads, options, split);
+      if (ctx.rank() == 0) {
+        distributed = std::move(result.records);
+        timing = result.timing;
+      }
+    });
 
-  ASSERT_EQ(distributed.size(), expected.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(distributed[i].aligned(), expected[i].aligned()) << "read " << i;
-    if (!expected[i].aligned()) continue;
-    // Placement must be at least as good as the serial best (same
-    // mismatches; position may tie-break differently only at equal cost).
-    EXPECT_EQ(distributed[i].mismatches, expected[i].mismatches) << "read " << i;
-    EXPECT_EQ(distributed[i].target_name, expected[i].target_name) << "read " << i;
-    EXPECT_EQ(distributed[i].pos, expected[i].pos) << "read " << i;
+    ASSERT_EQ(distributed.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(distributed[i].read_name, expected[i].read_name) << "read " << i;
+      EXPECT_EQ(distributed[i].read_length, expected[i].read_length) << "read " << i;
+      EXPECT_EQ(distributed[i].aligned(), expected[i].aligned()) << "read " << i;
+      if (!expected[i].aligned()) continue;
+      EXPECT_EQ(distributed[i].target_id, expected[i].target_id) << "read " << i;
+      EXPECT_EQ(distributed[i].target_name, expected[i].target_name) << "read " << i;
+      EXPECT_EQ(distributed[i].pos, expected[i].pos) << "read " << i;
+      EXPECT_EQ(distributed[i].reverse_strand, expected[i].reverse_strand) << "read " << i;
+      EXPECT_EQ(distributed[i].mismatches, expected[i].mismatches) << "read " << i;
+    }
+    EXPECT_GE(timing.align_seconds_max, timing.align_seconds_min);
+    EXPECT_GE(timing.total_seconds(), timing.align_seconds_max);
   }
-  EXPECT_GE(timing.align_seconds_max, timing.align_seconds_min);
-  EXPECT_GE(timing.total_seconds(), timing.align_seconds_max);
 }
 
 INSTANTIATE_TEST_SUITE_P(WorldSizes, DistributedBowtie, ::testing::Values(1, 2, 3, 4, 6));

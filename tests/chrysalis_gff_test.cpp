@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <set>
+#include <unordered_map>
 
 #include "chrysalis/graph_from_fasta.hpp"
 #include "kmer/counter.hpp"
@@ -428,6 +429,64 @@ TEST(GffOracle, ComponentsMatchBruteForceOverlapClustering) {
       EXPECT_EQ(gff_same, oracle_same) << "contigs " << a << " and " << b;
     }
   }
+}
+
+TEST(GffSetup, SharedOverlapKmersAreExactlyTheMultiplicityTwoCodes) {
+  // Random contig sets with planted shares: the welded pairs' common
+  // region, a reverse-complemented copy, a (k-1)-mer repeated inside one
+  // contig (still one contig), and a run of N that hides windows.
+  // shared_overlap_kmers must return exactly {code : contigs carrying it
+  // >= 2}, with that count, and the weld harvest over it must equal the
+  // harvest over the brute-force map.
+  const seq::KmerCodec codec(kTestK - 1);
+  for (const std::uint64_t seed : {3u, 17u, 29u}) {
+    auto s = build_scenario(3, 4, seed);
+    util::Rng rng(seed + 1000);
+    const std::string repeat = random_dna(kTestK - 1, rng());
+    s.contigs.push_back({"rc", seq::reverse_complement(s.contigs[0].bases.substr(20, 90))});
+    s.contigs.push_back({"twice", repeat + random_dna(40, rng()) + repeat});
+    s.contigs.push_back({"gapped", s.contigs[2].bases.substr(0, 70) + "NNNNN" + repeat});
+
+    std::unordered_map<seq::KmerCode, std::uint32_t> multiplicity;
+    for (const auto& contig : s.contigs) {
+      std::set<seq::KmerCode> distinct;
+      codec.for_each(contig.bases,
+                     [&](const seq::KmerCodec::Window& w) { distinct.insert(w.canonical()); });
+      for (const auto code : distinct) ++multiplicity[code];
+    }
+    kmer::FlatKmerIndex<std::uint32_t> expected;
+    for (const auto& [code, n] : multiplicity) {
+      if (n >= 2) expected[code] = n;
+    }
+
+    const auto shared = detail::shared_overlap_kmers(s.contigs, kTestK);
+    ASSERT_EQ(shared.size(), expected.size()) << "seed " << seed;
+    ASSERT_GT(shared.size(), 0u);
+    for (const auto& [code, n] : expected) {
+      const auto* got = shared.lookup(code);
+      ASSERT_NE(got, nullptr) << "seed " << seed << " code " << code;
+      EXPECT_EQ(*got, n) << "seed " << seed << " code " << code;
+    }
+
+    const auto counter = make_counter(s.reads);
+    const auto options = test_options();
+    std::size_t harvested = 0;
+    for (const auto& contig : s.contigs) {
+      std::vector<std::string> got;
+      std::vector<std::string> want;
+      detail::harvest_welds(contig, shared, counter, options, got);
+      detail::harvest_welds(contig, expected, counter, options, want);
+      EXPECT_EQ(got, want) << "seed " << seed << " contig " << contig.name;
+      harvested += got.size();
+    }
+    EXPECT_GT(harvested, 0u) << "seed " << seed;
+  }
+}
+
+TEST(GffSetup, SharedOverlapKmersOfNoContigsIsEmpty) {
+  EXPECT_EQ(detail::shared_overlap_kmers({}, kTestK).size(), 0u);
+  const std::vector<seq::Sequence> one{{"solo", random_dna(200, 8)}};
+  EXPECT_EQ(detail::shared_overlap_kmers(one, kTestK).size(), 0u);
 }
 
 TEST(GffEdge, EmptyContigSetIsFine) {

@@ -76,6 +76,35 @@ TEST(BundleKmerMap, MapsKmersToSmallestComponent) {
   }
 }
 
+TEST(BundleKmerMap, CapacityComesFromWindowCountAndNeverGrows) {
+  // 100 contigs of 235 bases in 25 four-contig components: 22,100 windows
+  // at k = 15 but 23,500 bases, either side of 0.7 x 32768 — a bound from
+  // bases would double the table. The capacity must be the smallest power
+  // of two p with windows < 0.7 p; a rehash during the build would leave
+  // it larger.
+  util::Rng rng(77);
+  std::vector<seq::Sequence> contigs;
+  std::vector<ContigPair> pairs;
+  for (int c = 0; c < 100; ++c) {
+    contigs.push_back({"c" + std::to_string(c), random_dna(235, rng())});
+    if (c % 4 != 0) pairs.push_back({c - 1, c});
+  }
+  const auto components = cluster_contigs(contigs.size(), pairs);
+  ASSERT_EQ(components.num_components(), 25u);
+  const seq::KmerCodec codec(kTestK);
+  std::size_t windows = 0;
+  for (const auto& contig : contigs) windows += codec.window_count(contig.bases);
+  ASSERT_EQ(windows, 22100u);
+  std::size_t p = 16;
+  while (static_cast<double>(windows) >= 0.7 * static_cast<double>(p)) p *= 2;
+  ASSERT_EQ(p, 32768u);
+
+  const auto map = build_bundle_kmer_map(contigs, components, kTestK);
+  EXPECT_EQ(map.capacity(), p);
+  EXPECT_LE(map.size(), windows);
+  EXPECT_GT(map.size(), windows * 9 / 10);  // random contigs: nearly all distinct
+}
+
 TEST(AssignRead, PicksComponentWithMostSharedKmers) {
   Fixture f = build_fixture(2, 0, 7);
   const auto map = build_bundle_kmer_map(f.contigs, f.components, kTestK);

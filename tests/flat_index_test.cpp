@@ -8,14 +8,20 @@
 // without an up-front reserve, and the unordered_map-shaped surface the
 // call sites depend on (operator[], emplace, find/end, lookup, range-for
 // with structured bindings).
+//
+// kmer::KmerPostings (kmer/postings.hpp), the CSR k-mer -> items table
+// built on it, is pinned the same way against an
+// unordered_map<KmerCode, vector<T>> filled in the same order.
 
 #include "kmer/flat_index.hpp"
+#include "kmer/postings.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <random>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -58,7 +64,7 @@ TEST(FlatKmerIndex, EmplaceReportsInsertionLikeUnorderedMap) {
 }
 
 TEST(FlatKmerIndex, FindAndMutateThroughIterator) {
-  FlatKmerIndex<std::vector<int>> index;  // non-trivial V, like WeldCoreIndex
+  FlatKmerIndex<std::vector<int>> index;  // a non-trivial V
   index[3].push_back(1);
   auto it = index.find(3);
   ASSERT_NE(it, index.end());
@@ -164,6 +170,78 @@ TEST(FlatKmerIndex, ConstIterationAndFind) {
   int sum = 0;
   for (const auto& [key, value] : view) sum += value;
   EXPECT_EQ(sum, 30);
+}
+
+
+// --- KmerPostings ------------------------------------------------------------------
+
+struct Hit {
+  std::int32_t seq;
+  std::uint32_t pos;
+  bool operator==(const Hit& other) const { return seq == other.seq && pos == other.pos; }
+};
+
+std::string random_bases(std::mt19937_64& rng, std::size_t n) {
+  static const char kBases[] = "ACGT";
+  std::string out(n, 'A');
+  for (auto& c : out) c = kBases[rng() % 4];
+  return out;
+}
+
+TEST(KmerPostings, ParityAgainstUnorderedMapOfVectors) {
+  // Every window of a random corpus posts (sequence, position); the table
+  // must hand back exactly the reference's vector for every key, in the
+  // order the walk emitted them. k = 1 makes four keys with huge spans;
+  // k = 32 uses the whole 64-bit word, and a run of T plants the
+  // all-ones code.
+  std::mt19937_64 rng(20261018);
+  for (const int k : {1, 7, 16, 32}) {
+    const seq::KmerCodec codec(k);
+    std::vector<std::string> corpus;
+    for (int i = 0; i < 60; ++i) corpus.push_back(random_bases(rng, 50 + rng() % 200));
+    corpus.push_back(std::string(40, 'T'));
+    corpus.push_back(corpus.front());  // every key of one sequence twice
+
+    const auto walk = [&](auto&& emit) {
+      for (std::size_t s = 0; s < corpus.size(); ++s) {
+        codec.for_each(corpus[s], [&](const seq::KmerCodec::Window& w) {
+          emit(w.code, Hit{static_cast<std::int32_t>(s), static_cast<std::uint32_t>(w.position)});
+        });
+      }
+    };
+    const auto postings = KmerPostings<Hit>::build(walk);
+    std::unordered_map<KmerCode, std::vector<Hit>> reference;
+    std::size_t total = 0;
+    walk([&](KmerCode code, const Hit& hit) {
+      reference[code].push_back(hit);
+      ++total;
+    });
+
+    std::size_t found = 0;
+    for (const auto& [code, hits] : reference) {
+      const auto span = postings.lookup(code);
+      ASSERT_EQ(span.size(), hits.size()) << "k=" << k << " code " << code;
+      EXPECT_TRUE(std::equal(span.begin(), span.end(), hits.begin())) << "k=" << k;
+      found += span.size();
+    }
+    EXPECT_EQ(found, total) << "k=" << k;
+    EXPECT_EQ(postings.lookup(codec.mask()).size(), reference.at(codec.mask()).size());
+    for (int i = 0; i < 500; ++i) {
+      const KmerCode probe = rng() & codec.mask();
+      EXPECT_EQ(postings.lookup(probe).size(),
+                reference.count(probe) != 0 ? reference.at(probe).size() : 0u);
+    }
+  }
+}
+
+TEST(KmerPostings, EmptyTableFindsNothing) {
+  const KmerPostings<std::int32_t> unbuilt;
+  const auto built = KmerPostings<std::int32_t>::build([](auto&&) {});
+  for (const auto* table : {&unbuilt, &built}) {
+    EXPECT_TRUE(table->lookup(0).empty());
+    EXPECT_TRUE(table->lookup(1).empty());
+    EXPECT_TRUE(table->lookup(~KmerCode{0}).empty());
+  }
 }
 
 }  // namespace

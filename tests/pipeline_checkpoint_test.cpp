@@ -405,6 +405,47 @@ TEST(PipelineCheckpoint, KilledRunResumesAndMatchesUninterruptedRun) {
   EXPECT_EQ(slurp(dir.file("Trinity.fa")), slurp(baseline_dir.file("Trinity.fa")));
 }
 
+// The read k-mer counter, the k-mer dump and the SAM records are dropped
+// once GraphFromFasta is done, so a ReadsToTranscripts failure meets a run
+// that no longer holds them. Both recoveries — the in-process retry and a
+// relaunch with resume — must still reproduce the uninterrupted run.
+TEST(PipelineCheckpoint, KilledInReadsToTranscriptsResumesByteIdentical) {
+  const TempDir dir("ckpt_r2t_kill");
+  const TempDir retry_dir("ckpt_r2t_retry");
+  const TempDir baseline_dir("ckpt_r2t_baseline");
+  const auto& data = shared_dataset();
+  (void)run_pipeline(data.reads.reads, small_options(baseline_dir.str(), /*nranks=*/3));
+  const std::vector<std::string> outputs = {"Trinity.fa", "readsToComponents.out.tsv",
+                                            "components.txt", "bowtie.sam", "kmers.bin"};
+
+  auto retried = small_options(retry_dir.str(), /*nranks=*/3);
+  retried.fault = kill_rank(1);
+  retried.fault_stage = "chrysalis.reads_to_transcripts";
+  const auto retry_result = run_pipeline(data.reads.reads, retried);
+  EXPECT_EQ(retry_result.stage_retries, 1);
+  for (const auto& name : outputs) {
+    EXPECT_EQ(slurp(retry_dir.file(name)), slurp(baseline_dir.file(name))) << name;
+  }
+
+  auto options = small_options(dir.str(), /*nranks=*/3);
+  options.fault = kill_rank(1);
+  options.fault_stage = "chrysalis.reads_to_transcripts";
+  options.retry.max_attempts = 1;
+  EXPECT_THROW(run_pipeline(data.reads.reads, options), simpi::RankFaultError);
+  const auto manifest = checkpoint::RunManifest::load(dir.file(kManifestFileName));
+  ASSERT_EQ(manifest.records().size(), 5u);
+  EXPECT_EQ(manifest.records().back().stage, "chrysalis.graph_from_fasta");
+
+  auto relaunch = small_options(dir.str(), /*nranks=*/3);
+  relaunch.resume = true;
+  const auto result = run_pipeline(data.reads.reads, relaunch);
+  EXPECT_EQ(result.stages_resumed, stages_until(kAllStages, 5));
+  EXPECT_EQ(result.stages_executed, stages_from(kAllStages, 5));
+  for (const auto& name : outputs) {
+    EXPECT_EQ(slurp(dir.file(name)), slurp(baseline_dir.file(name))) << name;
+  }
+}
+
 // --- GraphFromFasta sharding strategies ------------------------------------------
 
 TEST(PipelineSharding, EveryStrategyProducesIdenticalTranscripts) {
