@@ -54,9 +54,6 @@ inline bool parse_or_exit(Config& cfg, int argc, const char* const* argv, int* e
     *exit_code = 0;
     return false;
   }
-  for (const auto& note : cfg.deprecation_notes()) {
-    std::fprintf(stderr, "%s: %s\n", "deprecated", note.c_str());
-  }
   return true;
 }
 

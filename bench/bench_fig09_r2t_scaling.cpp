@@ -9,14 +9,12 @@
 // (< 15 s in the paper); load imbalance (max vs min rank) is much lower
 // than GraphFromFasta's.
 //
-// Each rank count is measured three times — vote mode with overlap_io off
-// (synchronous chunk parsing), vote mode with overlap on (double-buffered
-// prefetch hiding the redundant-streaming I/O behind classification), and
-// index mode (--r2t-mode index; the first index run cold-builds and
-// persists the TranscriptIndex image of the vote map, later rank counts
-// warm mmap-load it — docs/INDEXING.md). All three must produce byte-identical
-// read assignments (asserted; exit 1 on mismatch). The JSON series carries
-// the mode, the prefetch counters, and the index build/load split.
+// Each rank count is measured twice — vote mode, and index mode
+// (--r2t-mode index; the first index run cold-builds and persists the
+// TranscriptIndex image of the vote map, later rank counts warm mmap-load
+// it — docs/INDEXING.md). Both must produce byte-identical read
+// assignments (asserted; exit 1 on mismatch). The JSON series carries the
+// mode and the index build/load split.
 
 #include <cstring>
 #include <vector>
@@ -67,29 +65,20 @@ int main(int argc, char** argv) {
   options.model_threads_per_rank = 1;
 
   bench::CsvSink csv(cfg,
-                     "nodes,mode,overlap,loop_max,loop_min,setup,concat,total,speedup,"
+                     "nodes,mode,loop_max,loop_min,setup,concat,total,speedup,"
                      "comm_bytes,skew");
   bench::JsonSink json(cfg, "fig09_r2t_scaling");
-  std::printf("%6s %5s %3s | %10s %10s | %9s %9s | %9s | %8s | %10s %6s\n", "nodes",
-              "mode", "ovl", "loop_max", "loop_min", "setup(s)", "concat(s)", "total(s)",
-              "speedup", "comm(B)", "skew");
+  std::printf("%6s %5s | %10s %10s | %9s %9s | %9s | %8s | %10s %6s\n", "nodes", "mode",
+              "loop_max", "loop_min", "setup(s)", "concat(s)", "total(s)", "speedup",
+              "comm(B)", "skew");
   const int trials = static_cast<int>(cfg.get_int("trials"));
   double base_total = 0.0;
-  struct Sweep {
-    chrysalis::R2TMode mode;
-    bool overlap;
-  };
-  const Sweep sweeps[] = {{chrysalis::R2TMode::kVote, false},
-                          {chrysalis::R2TMode::kVote, true},
-                          {chrysalis::R2TMode::kIndex, true}};
   for (const int nranks : {1, 2, 4, 8, 16}) {
-    std::vector<chrysalis::ReadAssignment> reference;  // from the vote/overlap-off run
-    for (const Sweep& sweep : sweeps) {
-      const bool overlap = sweep.overlap;
-      const bool indexed = sweep.mode == chrysalis::R2TMode::kIndex;
-      options.mode = sweep.mode;
+    std::vector<chrysalis::ReadAssignment> reference;  // from the vote-mode run
+    for (const auto mode : {chrysalis::R2TMode::kVote, chrysalis::R2TMode::kIndex}) {
+      const bool indexed = mode == chrysalis::R2TMode::kIndex;
+      options.mode = mode;
       options.index_path = indexed ? w.work_dir + "/fig09_index.bin" : "";
-      options.overlap_io = overlap;
       // Best of N trials; see bench_fig07 for the rationale.
       chrysalis::R2TTiming timing;
       bench::CommSummary comm;
@@ -111,32 +100,29 @@ int main(int argc, char** argv) {
         }
         assignments = std::move(a);
       }
-      // Neither the prefetch nor the index engine may change what any read
-      // maps to: every configuration is asserted byte-identical against the
-      // vote/overlap-off run over the packed assignment array.
-      if (!overlap && !indexed) {
+      // The index engine may not change what any read maps to: it is
+      // asserted byte-identical against the vote-mode run over the packed
+      // assignment array.
+      if (!indexed) {
         reference = std::move(assignments);
       } else if (!same_assignments(assignments, reference)) {
-        std::fprintf(stderr,
-                     "bench_fig09: %s changed the assignments at %d ranks\n",
-                     indexed ? "index mode" : "overlap_io", nranks);
+        std::fprintf(stderr, "bench_fig09: index mode changed the assignments at %d ranks\n",
+                     nranks);
         return 1;
       }
-      if (nranks == 1 && !overlap && !indexed) base_total = timing.total_seconds();
-      std::printf("%6d %5s %3s | %10.3f %10.3f | %9.3f %9.3f | %9.3f | %7.2fx | %10llu %6.2f\n",
-                  nranks, indexed ? "index" : "vote", overlap ? "on" : "off",
-                  timing.main_loop.max(), timing.main_loop.min(), timing.setup_seconds,
-                  timing.concat_seconds, timing.total_seconds(),
-                  base_total / timing.total_seconds(),
+      if (nranks == 1 && !indexed) base_total = timing.total_seconds();
+      std::printf("%6d %5s | %10.3f %10.3f | %9.3f %9.3f | %9.3f | %7.2fx | %10llu %6.2f\n",
+                  nranks, indexed ? "index" : "vote", timing.main_loop.max(),
+                  timing.main_loop.min(), timing.setup_seconds, timing.concat_seconds,
+                  timing.total_seconds(), base_total / timing.total_seconds(),
                   static_cast<unsigned long long>(comm.bytes_received), comm.skew);
-      csv.row(nranks, indexed ? "index" : "vote", overlap ? 1 : 0, timing.main_loop.max(),
+      csv.row(nranks, indexed ? "index" : "vote", timing.main_loop.max(),
               timing.main_loop.min(), timing.setup_seconds, timing.concat_seconds,
               timing.total_seconds(), base_total / timing.total_seconds(),
               comm.bytes_received, comm.skew);
       json.begin_entry();
       json.field("nodes", static_cast<std::int64_t>(nranks));
       json.field("mode", std::string(indexed ? "index" : "vote"));
-      json.field("overlap", overlap);
       json.field("loop_max", timing.main_loop.max());
       json.field("loop_min", timing.main_loop.min());
       json.field("setup_s", timing.setup_seconds);
@@ -146,8 +132,6 @@ int main(int argc, char** argv) {
       json.field("comm_bytes_sent", static_cast<std::int64_t>(comm.bytes_sent));
       json.field("comm_bytes_received", static_cast<std::int64_t>(comm.bytes_received));
       json.field("comm_wait_s", comm.wait_seconds);
-      json.field("prefetch_hidden_s", timing.prefetch_hidden_seconds);
-      json.field("prefetch_wait_s", timing.prefetch_wait_seconds);
       json.field("index_build_s", timing.index_build_seconds);
       json.field("index_load_s", timing.index_load_seconds);
       json.field("index_source", timing.index_source);
@@ -159,8 +143,7 @@ int main(int argc, char** argv) {
   std::printf("\npaper: near-linear MPI-loop scaling (8.37x from 4 to 32 nodes); overall\n"
               "19.75x at 32 nodes vs 1 node; the serial setup (k-mer -> bundle assignment)\n"
               "dominates the high-node end; concatenation constant and negligible;\n"
-              "max/min rank imbalance much lower than in GraphFromFasta. overlap=on\n"
-              "double-buffers chunk parsing against classification (identical output).\n"
+              "max/min rank imbalance much lower than in GraphFromFasta.\n"
               "mode=index replaces the per-run voting-map setup with an mmapped image\n"
               "of the same map (first run builds it, later ones mmap it).\n");
   return 0;

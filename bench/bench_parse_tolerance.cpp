@@ -39,12 +39,12 @@ std::string write_reads(const std::vector<trinity::seq::Sequence>& reads,
     const auto& r = reads[i];
     std::string header = "@" + r.name;
     std::string bases = r.bases;
-    std::string sep = "+";
+    char sep = '+';
     std::string quality(r.bases.size(), 'F');
     if (corrupt_every > 0 && i % corrupt_every == corrupt_every - 1) {
       switch ((i / corrupt_every) % 4) {
         case 0: header[0] = 'B'; break;                    // missing_header
-        case 1: sep = "x"; break;                          // bad_separator
+        case 1: sep = 'x'; break;                          // bad_separator
         case 2: bases[bases.size() / 2] = '!'; break;      // invalid_character
         case 3: quality.pop_back(); break;                 // quality_length_mismatch
       }

@@ -45,9 +45,6 @@ int main(int argc, char** argv) {
     std::cout << cfg.help_text();
     return cfg.help_requested() ? 0 : 2;
   }
-  for (const auto& note : cfg.deprecation_notes()) {
-    std::cerr << "assemble_fasta: " << note << '\n';
-  }
   const std::string reads_path = cfg.positional().front();
   const std::string out_path = cfg.get_string("out");
 

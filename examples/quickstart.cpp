@@ -46,7 +46,6 @@ int main(int argc, char** argv) {
     std::cout << cfg.help_text();
     return 0;
   }
-  for (const auto& note : cfg.deprecation_notes()) std::cerr << "quickstart: " << note << '\n';
   const auto genes = static_cast<std::size_t>(cfg.get_int("genes"));
 
   // 1. Simulate a transcriptome and an RNA-seq read set.

@@ -49,7 +49,6 @@ int main(int argc, char** argv) {
       .flag_int("k", 25, "k-mer size")
       .flag_int("threads-per-rank", 16, "modeled threads per node")
       .flag_string("ranks", "1,2,4,8,16", "comma-separated rank counts to sweep");
-  cfg.alias("model-threads", "threads-per-rank").alias("nprocs", "ranks");
   std::vector<int> ranks;
   try {
     cfg.parse_cli(argc, argv);

@@ -8,7 +8,7 @@
 //   trinity_stages jellyfish <reads.fa>              --out kmers.bin [--k 25]
 //   trinity_stages inchworm  <kmers.bin>             --out inchworm.fa [--k 25]
 //   trinity_stages chrysalis <inchworm.fa> <reads.fa> --out-dir DIR
-//                            [--nprocs N] [--k 25] [--sam bowtie.sam]
+//                            [--ranks N] [--k 25] [--sam bowtie.sam]
 //                            [--gff-sharding pooled|owner]
 //                            [--resume] [--fault-rank R [--fault-op OP
 //                            --fault-at N]] [--max-attempts M]
@@ -16,8 +16,8 @@
 //                            [--k 25]
 //
 // The chrysalis stage writes <DIR>/components.txt and
-// <DIR>/readsToComponents.out.tsv; butterfly consumes both. --nprocs is
-// the paper's Trinity.pl extension: > 1 runs the hybrid Chrysalis.
+// <DIR>/readsToComponents.out.tsv; butterfly consumes both. --ranks is
+// the paper's Trinity.pl --nprocs extension: > 1 runs the hybrid Chrysalis.
 //
 // Chrysalis also records a checkpoint manifest in DIR: --resume skips the
 // whole stage when the recorded inputs/outputs still validate, and the
@@ -53,7 +53,7 @@ int usage() {
   std::cerr << "usage: trinity_stages <jellyfish|inchworm|chrysalis|butterfly> ...\n"
             << "  jellyfish <reads.fa> --out kmers.bin [--k 25]\n"
             << "  inchworm  <kmers.bin> --out inchworm.fa [--k 25]\n"
-            << "  chrysalis <inchworm.fa> <reads.fa> --out-dir DIR [--nprocs N] [--k 25]\n"
+            << "  chrysalis <inchworm.fa> <reads.fa> --out-dir DIR [--ranks N] [--k 25]\n"
             << "            [--resume] [--fault-rank R [--fault-op OP --fault-at N]]\n"
             << "            [--max-attempts M]\n"
             << "  butterfly <inchworm.fa> <DIR> <reads.fa> --out Trinity.fa [--k 25]\n";
@@ -275,7 +275,6 @@ int main(int argc, char** argv) {
       .flag_bool("resume", false, "skip chrysalis when its checkpoint validates")
       .flag_string("gff-sharding", "owner", "hybrid Chrysalis weld movement: pooled or owner")
       .with_fault_flags();
-  cfg.alias("nprocs", "ranks");
   try {
     cfg.parse_cli(argc, argv);
   } catch (const ConfigError& e) {
@@ -285,9 +284,6 @@ int main(int argc, char** argv) {
   if (cfg.help_requested()) {
     std::cout << cfg.help_text();
     return 0;
-  }
-  for (const auto& note : cfg.deprecation_notes()) {
-    std::cerr << "trinity_stages: " << note << '\n';
   }
   const int k = static_cast<int>(cfg.get_int("k"));
   const auto& pos = cfg.positional();

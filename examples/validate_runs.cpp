@@ -26,7 +26,6 @@ int main(int argc, char** argv) {
       .flag_int("genes", 30, "genes to simulate")
       .flag_int("ranks", 4, "ranks for the hybrid runs")
       .flag_string("report", "/tmp/trinity_validation.md", "markdown report path");
-  cfg.alias("nprocs", "ranks");
   try {
     cfg.parse_cli(argc, argv);
   } catch (const ConfigError& e) {

@@ -26,8 +26,9 @@
 #      the disabled-tracing overhead bench must stay under its 2% budget.
 #   5. Config gate (docs/CONFIG.md): the unified-parsing unit suite verbatim
 #      (round-trip through to_json included), a real binary exercising
-#      --config preload + a deprecated spelling (must warn on stderr), and
-#      a malformed value failing with the typed "config error" shape.
+#      --config preload with a CLI override, the removed --nprocs spelling
+#      and a malformed value each failing with the typed "config error"
+#      shape.
 #   6. K-mer index gate: bench_kmer_index must show the flat open-addressing
 #      index no slower than std::unordered_map on the Figure 7 workload
 #      shape (--min-speedup 1.0, identical entries/checksum enforced by the
@@ -88,7 +89,11 @@
 #      phase's. Every later stage's table is then sized to what it reads
 #      and each stage's data is gone once its last reader is done; the
 #      tables sized to total bases failed both bounds (1.55x / 2.93x).
-#  14. ASan+UBSan build (-DTRINITY_SANITIZE=ON) running the checkpoint, io,
+#  14. Warning gate: every trinity_* library target under src/ builds with
+#      -Werror in a Release build dir of its own (build-werror/), where
+#      GCC's -O3 flow warnings (-Wstringop-overflow, -Wrestrict) fire. Tests
+#      and benches are not built here.
+#  15. ASan+UBSan build (-DTRINITY_SANITIZE=ON) running the checkpoint, io,
 #      simpi, trace, config, flat-index, k-mer (counter, Inchworm, de
 #      Bruijn, aligner), stage-file loader (components, Butterfly), serve
 #      and Smith–Waterman/validation test binaries — the
@@ -222,16 +227,22 @@ rm -rf "$trace_dir"
 
 echo "== config: unified flag parsing (docs/CONFIG.md) =="
 # The unit suite verbatim (includes the to_json round-trip), then a real
-# binary: --config preload with a deprecated spelling overriding it.
+# binary: --config preload with a CLI flag overriding it.
 ./build/tests/config_test
 cfg_dir=/tmp/trinity_check_config
 rm -rf "$cfg_dir"
 mkdir -p "$cfg_dir"
 printf '{"genes": 6, "ranks": 4, "trace_sample_interval_ms": 0}\n' \
     > "$cfg_dir/cfg.json"
-./build/examples/quickstart --config "$cfg_dir/cfg.json" --nprocs 2 \
-    --work-dir "$cfg_dir/run" >/dev/null 2>"$cfg_dir/stderr"
-grep -q -- '--nprocs is deprecated; use --ranks' "$cfg_dir/stderr"
+./build/examples/quickstart --config "$cfg_dir/cfg.json" --ranks 2 \
+    --work-dir "$cfg_dir/run" >/dev/null
+grep -q '"nranks": 2,' "$cfg_dir/run/run_report.json"
+# The old --nprocs spelling is gone: an unknown option, typed like any other.
+if ./build/examples/quickstart --nprocs 2 >/dev/null 2>"$cfg_dir/err"; then
+    echo "expected 'quickstart --nprocs 2' to fail" >&2
+    exit 1
+fi
+grep -q "config error: --nprocs: unknown option" "$cfg_dir/err"
 # Malformed values must fail with the typed error shape, not a crash.
 if ./build/examples/quickstart --ranks banana >/dev/null 2>"$cfg_dir/err"; then
     echo "expected 'quickstart --ranks banana' to fail" >&2
@@ -355,6 +366,13 @@ for ranks, bound in ((1, 1.3), (4, 1.9)):
     failed = failed or ratio > bound
 sys.exit(1 if failed else 0)
 PY
+
+echo "== warnings: src/ libraries build with -Werror (Release, build-werror/) =="
+libs=$(sed -n 's/^add_library(\(trinity_[a-z_]*\).*/\1/p' src/*/CMakeLists.txt)
+cmake -B build-werror -S . -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS=-Werror >/dev/null
+# shellcheck disable=SC2086 # one target name per word
+cmake --build build-werror -j "$jobs" --target $libs
+echo "src/ libraries are warning-free ($(echo "$libs" | wc -l) targets)"
 
 if [ "${1:-}" = "--skip-sanitize" ]; then
     echo "== sanitizer pass skipped =="

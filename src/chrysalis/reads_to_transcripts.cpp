@@ -6,8 +6,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <fstream>
-#include <future>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -18,7 +16,6 @@
 #include "seq/kmer.hpp"
 #include "simpi/file_io.hpp"
 #include "simpi/pack.hpp"
-#include "trace/span_recorder.hpp"
 #include "util/timer.hpp"
 
 namespace trinity::chrysalis {
@@ -197,16 +194,24 @@ double with_vote_map(const std::vector<seq::Sequence>& contigs,
   return setup_seconds;
 }
 
-/// Processes one in-memory chunk with an OpenMP team; returns the modeled
-/// loop seconds and appends to `assignments`.
+/// What one rank's pass over the reads measured.
+struct StreamStats {
+  double loop_seconds = 0.0;   ///< modeled classification + chunk-read CPU
+  std::uint64_t chunks = 0;    ///< chunks this rank classified
+  io::ParseDiagnostics parse;  ///< empty on ranks that never read the file
+};
+
+/// Classifies one in-memory chunk with an OpenMP team, appending to
+/// `assignments` and charging the modeled loop seconds to `stats`.
 template <typename Map>
-double process_chunk(const std::vector<seq::Sequence>& chunk, std::int64_t base_index,
-                     const Map& bundle_of, const ReadsToTranscriptsOptions& options,
-                     int real_threads, std::vector<ReadAssignment>& assignments) {
+void classify_chunk(const std::vector<seq::Sequence>& chunk, std::int64_t base_index,
+                    const Map& bundle_of, const ReadsToTranscriptsOptions& options,
+                    int real_threads, std::vector<ReadAssignment>& assignments,
+                    StreamStats& stats) {
   const std::size_t offset = assignments.size();
   assignments.resize(offset + chunk.size());
   const std::vector<IndexRange> all{IndexRange{0, chunk.size()}};
-  return timed_parallel_loop(
+  stats.loop_seconds += timed_parallel_loop(
       all, real_threads, options.model_threads_per_rank,
       [&](std::size_t i) {
         const std::int64_t read_index = base_index + static_cast<std::int64_t>(i);
@@ -218,101 +223,52 @@ double process_chunk(const std::vector<seq::Sequence>& chunk, std::int64_t base_
             detail::assign_read(chunk[i], read_index, bundle_of, options.k);
       },
       "r2t.chunk");
+  ++stats.chunks;
 }
 
-/// Double-buffered chunk source (options.overlap_io): a helper thread
-/// parses the next chunk while the caller classifies the current one.
-/// next() returns the chunk in file order — identical to calling
-/// read_chunk() directly — plus the wall time the caller still spent
-/// blocked on the parse (the unhidden I/O remainder); hidden_seconds() is
-/// the parse CPU that ran behind compute. The reader is only ever touched
-/// by one thread at a time: the helper finishes (get()) before the next
-/// helper is launched.
-class PrefetchingChunkSource {
- public:
-  PrefetchingChunkSource(seq::FastaReader& reader, std::size_t max_reads)
-      : reader_(reader), max_reads_(max_reads) {
-    launch();
-  }
-
-  std::vector<seq::Sequence> next(double& blocked_wall) {
-    trace::SpanScope span("r2t.prefetch.wait", trace::kCatLoop);
-    util::Timer blocked;
-    auto chunk = pending_.get();
-    blocked_wall = blocked.seconds();
-    if (!chunk.empty()) launch();
-    return chunk;
-  }
-
-  [[nodiscard]] double hidden_seconds() const { return hidden_; }
-
- private:
-  void launch() {
-    pending_ = std::async(std::launch::async, [this] {
-      util::ThreadCpuTimer cpu;
-      auto chunk = reader_.read_chunk(max_reads_);
-      hidden_ += cpu.seconds();
-      return chunk;
-    });
-  }
-
-  seq::FastaReader& reader_;
-  std::size_t max_reads_;
-  double hidden_ = 0.0;  // only written by the helper, read after its get()
-  std::future<std::vector<seq::Sequence>> pending_;
-};
-
-/// What one rank's pass over the reads measured.
-struct StreamStats {
-  double loop_seconds = 0.0;  ///< modeled classification + unhidden read time
-  std::uint64_t chunks = 0;   ///< chunks this rank classified
-  double prefetch_hidden_seconds = 0.0;
-  double prefetch_wait_seconds = 0.0;
-  io::ParseDiagnostics parse;  ///< empty on ranks that never read the file
-};
-
-/// The chunk loop: streams the whole reads file and classifies the chunks
-/// whose index is congruent to `offset` modulo `stride` — (1, 0) for
-/// run_shared, (size, rank) for redundant streaming, where discarded chunks
-/// still cost the read. With overlap_io the next chunk parses on a helper
-/// thread while this one classifies, so the read mostly hides behind
-/// compute and only the residual blocked wall time is charged.
-template <typename Map>
-StreamStats stream_chunks(const std::string& reads_path, const Map& bundle_of,
-                          const ReadsToTranscriptsOptions& options, int threads, int stride,
-                          int offset, std::vector<ReadAssignment>& assignments) {
-  StreamStats stats;
+/// The one reader loop: streams the reads file on the calling thread in
+/// chunks of max_mem_reads and hands each (chunk, chunk_index, base_index)
+/// to `visit`, which classifies the chunks its rank owns and skips or
+/// sends the rest. The read CPU is charged to `stats`, as the paper's
+/// redundant streaming pays it for the whole file on every rank.
+template <typename Visit>
+void for_each_chunk(const std::string& reads_path, const ReadsToTranscriptsOptions& options,
+                    StreamStats& stats, Visit&& visit) {
   seq::FastaReader reader(reads_path, options.parse_policy);
-  std::optional<PrefetchingChunkSource> prefetch;
-  if (options.overlap_io) prefetch.emplace(reader, options.max_mem_reads);
   std::int64_t base_index = 0;
   for (std::int64_t chunk_index = 0;; ++chunk_index) {
-    std::vector<seq::Sequence> chunk;
-    if (prefetch) {
-      double blocked = 0.0;
-      chunk = prefetch->next(blocked);
-      stats.loop_seconds += blocked;
-      stats.prefetch_wait_seconds += blocked;
-    } else {
-      util::ThreadCpuTimer read_cpu;
-      chunk = reader.read_chunk(options.max_mem_reads);
-      stats.loop_seconds += read_cpu.seconds();
-    }
+    util::ThreadCpuTimer read_cpu;
+    const auto chunk = reader.read_chunk(options.max_mem_reads);
+    stats.loop_seconds += read_cpu.seconds();
     if (chunk.empty()) break;
-    if (chunk_index % stride == offset) {
-      stats.loop_seconds +=
-          process_chunk(chunk, base_index, bundle_of, options, threads, assignments);
-      ++stats.chunks;
-    }
+    visit(chunk, chunk_index, base_index);
     base_index += static_cast<std::int64_t>(chunk.size());
   }
-  if (prefetch) stats.prefetch_hidden_seconds = prefetch->hidden_seconds();
   stats.parse = reader.diagnostics();
+}
+
+/// Classifies the chunks whose index is congruent to `offset` modulo
+/// `stride` and skips the rest: (1, 0) for run_shared, (size, rank) for
+/// redundant streaming.
+template <typename Map>
+StreamStats stream_owned_chunks(const std::string& reads_path, const Map& bundle_of,
+                                const ReadsToTranscriptsOptions& options, int threads,
+                                int stride, int offset,
+                                std::vector<ReadAssignment>& assignments) {
+  StreamStats stats;
+  for_each_chunk(reads_path, options, stats,
+                 [&](const std::vector<seq::Sequence>& chunk, std::int64_t chunk_index,
+                     std::int64_t base_index) {
+                   if (chunk_index % stride != offset) return;
+                   classify_chunk(chunk, base_index, bundle_of, options, threads, assignments,
+                                  stats);
+                 });
   return stats;
 }
 
-/// Master/slave ablation: rank 0 reads and ships chunks round-robin; an
-/// empty payload is the end-of-stream sentinel.
+/// Master/slave ablation: rank 0 reads, classifies chunk 0 mod P and
+/// ships the others round-robin; an empty payload is the end-of-stream
+/// sentinel.
 template <typename Map>
 StreamStats master_slave_chunks(simpi::Context& ctx, const std::string& reads_path,
                                 const Map& bundle_of, const ReadsToTranscriptsOptions& options,
@@ -327,35 +283,26 @@ StreamStats master_slave_chunks(simpi::Context& ctx, const std::string& reads_pa
       const std::int64_t base_index = std::stoll(wire.front());
       std::vector<seq::Sequence> chunk(wire.size() - 1);
       for (std::size_t i = 1; i < wire.size(); ++i) chunk[i - 1].bases = wire[i];
-      stats.loop_seconds +=
-          process_chunk(chunk, base_index, bundle_of, options, threads, assignments);
-      ++stats.chunks;
+      classify_chunk(chunk, base_index, bundle_of, options, threads, assignments, stats);
     }
     return stats;
   }
-  seq::FastaReader reader(reads_path, options.parse_policy);
-  std::int64_t base_index = 0;
-  for (std::int64_t chunk_index = 0;; ++chunk_index) {
-    util::ThreadCpuTimer read_cpu;
-    const auto chunk = reader.read_chunk(options.max_mem_reads);
-    stats.loop_seconds += read_cpu.seconds();
-    if (chunk.empty()) break;
-    const int dest = static_cast<int>(chunk_index % ctx.size());
-    if (dest == 0) {
-      stats.loop_seconds +=
-          process_chunk(chunk, base_index, bundle_of, options, threads, assignments);
-      ++stats.chunks;
-    } else {
-      std::vector<std::string> wire;
-      wire.reserve(chunk.size() + 1);
-      wire.push_back(std::to_string(base_index));
-      for (const auto& read : chunk) wire.push_back(read.bases);
-      ctx.send_bytes(dest, kChunkTag, simpi::pack_strings(wire));
-    }
-    base_index += static_cast<std::int64_t>(chunk.size());
-  }
+  for_each_chunk(
+      reads_path, options, stats,
+      [&](const std::vector<seq::Sequence>& chunk, std::int64_t chunk_index,
+          std::int64_t base_index) {
+        const int dest = static_cast<int>(chunk_index % ctx.size());
+        if (dest == 0) {
+          classify_chunk(chunk, base_index, bundle_of, options, threads, assignments, stats);
+          return;
+        }
+        std::vector<std::string> wire;
+        wire.reserve(chunk.size() + 1);
+        wire.push_back(std::to_string(base_index));
+        for (const auto& read : chunk) wire.push_back(read.bases);
+        ctx.send_bytes(dest, kChunkTag, simpi::pack_strings(wire));
+      });
   for (int r = 1; r < ctx.size(); ++r) ctx.send_bytes(r, kChunkTag, simpi::pack_strings({}));
-  stats.parse = reader.diagnostics();
   return stats;
 }
 
@@ -401,15 +348,13 @@ R2TResult run_shared(const std::vector<seq::Sequence>& contigs, const ComponentS
   result.timing.setup_seconds = with_vote_map(
       contigs, components, options, index_file_present(options), /*persist=*/true,
       result.timing, [&](const auto& bundle_of) {
-        stream = stream_chunks(reads_path, bundle_of, options, threads, /*stride=*/1,
-                               /*offset=*/0, result.assignments);
+        stream = stream_owned_chunks(reads_path, bundle_of, options, threads, /*stride=*/1,
+                                     /*offset=*/0, result.assignments);
       });
   result.parse = stream.parse;
   result.timing.main_loop.seconds = {stream.loop_seconds};
   result.timing.rank_chunks = {stream.chunks};
   result.timing.rank_reads = {result.assignments.size()};
-  result.timing.prefetch_hidden_seconds = stream.prefetch_hidden_seconds;
-  result.timing.prefetch_wait_seconds = stream.prefetch_wait_seconds;
 
   if (!output_dir.empty()) {
     result.merged_output_path = output_dir + "/readsToComponents.out.tsv";
@@ -446,8 +391,8 @@ R2TResult run_hybrid(simpi::Context& ctx, const std::vector<seq::Sequence>& cont
       contigs, components, options, load_existing, /*persist=*/ctx.rank() == 0,
       result.timing, [&](const auto& bundle_of) {
         stream = options.strategy == R2TStrategy::kRedundantStreaming
-                     ? stream_chunks(reads_path, bundle_of, options, threads, ctx.size(),
-                                     ctx.rank(), my_assignments)
+                     ? stream_owned_chunks(reads_path, bundle_of, options, threads,
+                                           ctx.size(), ctx.rank(), my_assignments)
                      : master_slave_chunks(ctx, reads_path, bundle_of, options, threads,
                                            my_assignments);
       });
@@ -486,24 +431,31 @@ R2TResult run_hybrid(simpi::Context& ctx, const std::vector<seq::Sequence>& cont
     }
   }
 
-  // Pool assignments so every rank returns the full, sorted result.
-  const std::uint64_t my_assignment_bytes = my_assignments.size() * sizeof(ReadAssignment);
-  result.assignments = ctx.allgatherv(my_assignments);
-  sort_by_read_index(result.assignments);
+  // Gather assignments at rank 0, which returns the full, sorted result;
+  // the other ranks return none (as DistributedBowtieResult::records).
+  const std::uint64_t my_reads = my_assignments.size();
+  {
+    const auto parts = ctx.gatherv(my_assignments, 0);
+    my_assignments = std::vector<ReadAssignment>();
+    std::size_t total = 0;
+    for (const auto& part : parts) total += part.size();
+    result.assignments.reserve(total);
+    for (const auto& part : parts) {
+      result.assignments.insert(result.assignments.end(), part.begin(), part.end());
+    }
+    sort_by_read_index(result.assignments);
+  }
 
   result.timing.setup_seconds = ctx.allreduce_max(my_setup);
   result.timing.index_build_seconds = ctx.allreduce_max(result.timing.index_build_seconds);
   result.timing.index_load_seconds = ctx.allreduce_max(result.timing.index_load_seconds);
   result.timing.main_loop.seconds = ctx.allgatherv(std::vector<double>{stream.loop_seconds});
   result.timing.rank_chunks = ctx.allgatherv(std::vector<std::uint64_t>{stream.chunks});
-  result.timing.rank_reads =
-      ctx.allgatherv(std::vector<std::uint64_t>{my_assignment_bytes / sizeof(ReadAssignment)});
-  result.timing.assignment_bytes_contributed =
-      ctx.allgatherv(std::vector<std::uint64_t>{my_assignment_bytes});
-  result.timing.assignment_bytes_pooled =
-      result.assignments.size() * sizeof(ReadAssignment);
-  result.timing.prefetch_hidden_seconds = ctx.allreduce_max(stream.prefetch_hidden_seconds);
-  result.timing.prefetch_wait_seconds = ctx.allreduce_max(stream.prefetch_wait_seconds);
+  result.timing.rank_reads = ctx.allgatherv(std::vector<std::uint64_t>{my_reads});
+  for (const auto reads : result.timing.rank_reads) {
+    result.timing.assignment_bytes_contributed.push_back(reads * sizeof(ReadAssignment));
+    result.timing.assignment_bytes_pooled += reads * sizeof(ReadAssignment);
+  }
   result.timing.concat_seconds = concat_seconds;
   result.timing.comm_seconds = ctx.allreduce_max(ctx.comm_seconds() - comm_before);
   return result;

@@ -14,14 +14,18 @@
 // make every process read redundant data ... but excludes the necessity of
 // MPI communication." Each rank writes its own output file; rank 0
 // concatenates them at the end (measured: the paper reports this stays
-// under 15 seconds through 32 nodes).
+// under 15 seconds through 32 nodes). The assignments are gathered to
+// rank 0 only.
 //
 // The first, discarded design — a master rank reading and distributing
 // chunks to slaves — is kept as an ablation (Strategy::kMasterSlave).
 //
-// One engine classifies reads: the k-mer -> bundle vote map, either built
-// for the run or mmapped from a TranscriptIndex image saved by an earlier
-// run (R2TMode). Both feed the same tally kernel and chunk loop.
+// One synchronous reader loop streams the file for every strategy: each
+// chunk is parsed on the calling thread and its read CPU is charged to
+// the main loop, as redundant streaming incurs it. One engine classifies
+// reads: the k-mer -> bundle vote map, either built for the run or
+// mmapped from a TranscriptIndex image saved by an earlier run (R2TMode).
+// Both feed the same tally kernel and chunk loop.
 
 #include <cstdint>
 #include <string>
@@ -86,13 +90,6 @@ struct ReadsToTranscriptsOptions {
   /// seq/fasta.hpp). All ranks must use the same policy: quarantining
   /// changes read indices, so a mixed world would disagree on assignments.
   seq::ParsePolicy parse_policy = seq::ParsePolicy::kStrict;
-  /// Double-buffer the streaming read against classification: a helper
-  /// thread parses the next chunk while the OpenMP team classifies the
-  /// current one, hiding the redundant-streaming I/O cost. Chunk order and
-  /// assignments are unchanged. Applies to run_shared and the
-  /// redundant-streaming hybrid strategy; the master/slave ablation keeps
-  /// its synchronous producer loop.
-  bool overlap_io = true;
 
   // --- vote-map image (R2TMode::kIndex) --------------------------------------
   // Scheduling-only knobs: assignments are bit-identical across modes, so
@@ -124,17 +121,11 @@ struct R2TTiming {
   // Work distribution and final-pooling volume (size 1 vectors for
   // shared-memory runs). Chunk counts expose the modulo distribution's
   // remainder imbalance directly; byte fields mirror GffTiming's
-  // contributed/pooled split for the assignment Allgatherv.
+  // contributed/pooled split for the assignment Gatherv to rank 0.
   std::vector<std::uint64_t> rank_chunks;  ///< chunks each rank processed
   std::vector<std::uint64_t> rank_reads;   ///< reads each rank assigned
   std::vector<std::uint64_t> assignment_bytes_contributed;  ///< per rank
-  std::uint64_t assignment_bytes_pooled = 0;  ///< full pooled payload, bytes
-
-  // Double-buffered prefetch accounting (zero when overlap_io is off and
-  // for the master/slave strategy); max over ranks for hybrid runs. See
-  // docs/OBSERVABILITY.md "overlap counters".
-  double prefetch_hidden_seconds = 0.0;  ///< chunk-parse CPU hidden behind compute
-  double prefetch_wait_seconds = 0.0;    ///< residual wall time blocked on the parser
+  std::uint64_t assignment_bytes_pooled = 0;  ///< full payload gathered at rank 0
 
   // Vote-map image accounting (R2TMode::kIndex only; max over ranks
   // for hybrid runs). In index mode setup_seconds mirrors their sum, so
@@ -149,8 +140,9 @@ struct R2TTiming {
   }
 };
 
-/// Result of a run. Assignments are sorted by read_index and identical on
-/// every rank after a hybrid run.
+/// Result of a run. Assignments are sorted by read_index; after a hybrid
+/// run rank 0 holds them all and every other rank returns none. Timing is
+/// the same on every rank.
 struct R2TResult {
   std::vector<ReadAssignment> assignments;
   R2TTiming timing;

@@ -20,15 +20,6 @@ void Inchworm::load_counts(const std::vector<kmer::KmerCount>& counts) {
   }
 }
 
-void Inchworm::load_reads(const std::vector<seq::Sequence>& reads) {
-  kmer::CounterOptions copt;
-  copt.k = options_.k;
-  copt.canonical = true;
-  kmer::KmerCounter counter(copt);
-  counter.add_sequences(reads);
-  load_counts(counter.dump());
-}
-
 std::uint32_t Inchworm::available_count(seq::KmerCode literal) const {
   const auto it = dict_.find(codec_.canonical(literal));
   if (it == dict_.end() || it->second.used) return 0;

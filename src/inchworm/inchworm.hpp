@@ -55,9 +55,6 @@ class Inchworm {
   /// Codes must be canonical for the same k as the options.
   void load_counts(const std::vector<kmer::KmerCount>& counts);
 
-  /// Convenience: counts k-mers of `reads` and loads them.
-  void load_reads(const std::vector<seq::Sequence>& reads);
-
   /// Runs the greedy assembly, returning contigs named "iworm_<n>" in
   /// seed-abundance order.
   std::vector<seq::Sequence> assemble();

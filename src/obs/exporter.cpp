@@ -35,7 +35,6 @@ bool MetricsExporter::export_now() {
     io::write_file_atomic(json_path(), json);
   } catch (const io::IoError& e) {
     if (!e.transient()) degraded_.store(true, std::memory_order_relaxed);
-    skipped_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
   cycles_.fetch_add(1, std::memory_order_relaxed);

@@ -8,7 +8,7 @@
 // (ENOSPC, EIO, short write, torn rename) applies to the publish path.
 //
 // Failure discipline mirrors the job journal: a transient IoError skips the
-// cycle (counted, retried next tick); a permanent IoError marks the exporter
+// cycle (not counted in cycles(), retried next tick); a permanent IoError marks the exporter
 // degraded and stops writing, but the in-memory registry keeps counting —
 // telemetry loss never takes down serving.
 
@@ -52,9 +52,6 @@ class MetricsExporter {
   std::uint64_t cycles() const {
     return cycles_.load(std::memory_order_relaxed);
   }
-  std::uint64_t skipped_cycles() const {
-    return skipped_.load(std::memory_order_relaxed);
-  }
   /// True once a permanent IoError disabled publication.
   bool degraded() const { return degraded_.load(std::memory_order_relaxed); }
 
@@ -67,7 +64,6 @@ class MetricsExporter {
   const MetricsRegistry* registry_;
   ExporterOptions options_;
   std::atomic<std::uint64_t> cycles_{0};
-  std::atomic<std::uint64_t> skipped_{0};
   std::atomic<bool> degraded_{false};
   std::mutex publish_mu_;
   std::mutex stop_mu_;

@@ -164,11 +164,6 @@ Config& Config::flag_bool(const std::string& name, bool dflt, std::string help) 
   return declare(name, Kind::kBool, dflt ? "true" : "false", std::move(help));
 }
 
-Config& Config::alias(const std::string& deprecated, const std::string& canonical) {
-  aliases_[normalize(deprecated)] = normalize(canonical);
-  return *this;
-}
-
 Config& Config::with_fault_flags() {
   if (has_fault_) return *this;
   has_fault_ = true;
@@ -188,10 +183,8 @@ Config& Config::with_pipeline(const pipeline::PipelineOptions& defaults) {
 
   flag_int("ranks", defaults.nranks,
            "simulated MPI ranks (1 = the original shared-memory pipeline)");
-  alias("nprocs", "ranks");
   flag_int("threads-per-rank", defaults.model_threads_per_rank,
            "modeled threads per simulated node");
-  alias("model-threads", "threads-per-rank");
   flag_int("omp-threads", defaults.omp_threads, "real OpenMP threads (0 = auto)");
   flag_int("k", defaults.k, "k-mer size used by every stage");
   flag_int("min-kmer-count", defaults.min_kmer_count, "Inchworm error-pruning threshold");
@@ -259,7 +252,6 @@ Config& Config::with_pipeline(const pipeline::PipelineOptions& defaults) {
   flag_string("trace-path", defaults.trace_path,
               "trace destination, joined to --work-dir when relative "
               "(empty with --trace = trace.json)");
-  alias("trace-file", "trace-path");
   return *this;
 }
 
@@ -270,14 +262,9 @@ const Config::Flag* Config::find_flag(const std::string& canonical_name) const {
   return nullptr;
 }
 
-std::string Config::resolve(const std::string& raw, bool* negated) {
+std::string Config::resolve(const std::string& raw, bool* negated) const {
   if (negated != nullptr) *negated = false;
-  std::string name = normalize(raw);
-  const auto aliased = aliases_.find(name);
-  if (aliased != aliases_.end()) {
-    deprecations_.push_back("--" + name + " is deprecated; use --" + aliased->second);
-    name = aliased->second;
-  }
+  const std::string name = normalize(raw);
   if (find_flag(name) != nullptr) return name;
   // --no-X negation of a declared boolean flag X.
   if (negated != nullptr && name.rfind("no-", 0) == 0) {
@@ -457,17 +444,7 @@ std::string Config::help_text() const {
          "                                 (explicit flags override; see docs/CONFIG.md)\n"
          "  --no-X                         clear boolean flag X (e.g. --no-checkpoint)\n"
          "  --help, -h                     show this text\n";
-  if (!aliases_.empty()) {
-    out << "\ndeprecated spellings (still accepted):\n";
-    for (const auto& [old_name, canon] : aliases_) {
-      out << "  --" << old_name << " -> use --" << canon << '\n';
-    }
-  }
   return out.str();
-}
-
-bool Config::is_set(const std::string& name) const {
-  return values_.count(normalize(name)) != 0;
 }
 
 const Config::Flag& Config::require(const std::string& name, Kind kind) const {

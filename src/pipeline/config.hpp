@@ -25,9 +25,8 @@
 //
 // Every parse also accepts `--config FILE.json` (values preloaded, CLI
 // flags override), underscore spellings of any flag (`--work_dir` ==
-// `--work-dir`), `--no-X` to clear a boolean flag X, and deprecated
-// aliases (`--nprocs` for `--ranks`) which keep working but are flagged
-// in --help and deprecation_notes().
+// `--work-dir`) and `--no-X` to clear a boolean flag X. There is one
+// spelling per flag: old ones such as `--nprocs` are unknown options.
 
 #include <cstdint>
 #include <map>
@@ -75,11 +74,6 @@ class Config {
   /// Boolean: bare `--name` sets true, `--no-name` sets false.
   Config& flag_bool(const std::string& name, bool dflt, std::string help);
 
-  /// Registers `deprecated` as an accepted spelling of `canonical`.
-  /// Parsing through it still works; --help lists it as deprecated and
-  /// deprecation_notes() records each use.
-  Config& alias(const std::string& deprecated, const std::string& canonical);
-
   /// Registers the rank-fault flag group (--fault-rank, --fault-op,
   /// --fault-at, --max-attempts) consumed by fault_plan().
   Config& with_fault_flags();
@@ -112,9 +106,6 @@ class Config {
   [[nodiscard]] bool help_requested() const { return help_requested_; }
   [[nodiscard]] std::string help_text() const;
 
-  /// True when the flag was explicitly set (CLI or JSON), not defaulted.
-  [[nodiscard]] bool is_set(const std::string& name) const;
-
   // Typed accessors return the parsed value or the declared default.
   // Querying an undeclared name throws ConfigError (programmer error).
   [[nodiscard]] std::string get_string(const std::string& name) const;
@@ -124,11 +115,6 @@ class Config {
 
   /// Non-option arguments in order of appearance.
   [[nodiscard]] const std::vector<std::string>& positional() const { return positional_; }
-
-  /// One note per deprecated spelling actually used this parse.
-  [[nodiscard]] const std::vector<std::string>& deprecation_notes() const {
-    return deprecations_;
-  }
 
   /// Validated PipelineOptions (requires with_pipeline()). Throws
   /// ConfigError naming the out-of-range or malformed field.
@@ -153,9 +139,9 @@ class Config {
 
   Config& declare(const std::string& name, Kind kind, std::string dflt, std::string help);
   [[nodiscard]] const Flag* find_flag(const std::string& canonical_name) const;
-  /// Normalizes one raw spelling (underscores -> dashes, alias map,
-  /// --no- negation for bools). Throws ConfigError for unknown names.
-  [[nodiscard]] std::string resolve(const std::string& raw, bool* negated);
+  /// Normalizes one raw spelling (underscores -> dashes, --no- negation
+  /// for bools). Throws ConfigError for unknown names.
+  [[nodiscard]] std::string resolve(const std::string& raw, bool* negated) const;
   /// Type-checks and stores one value. Throws ConfigError on mismatch.
   void set_value(const std::string& canonical_name, const std::string& value,
                  const std::string& origin);
@@ -165,10 +151,8 @@ class Config {
   std::string description_;
   std::string usage_;
   std::vector<Flag> flags_;  ///< declaration order (drives --help)
-  std::map<std::string, std::string> aliases_;
   std::map<std::string, std::string> values_;  ///< canonical name -> raw value
   std::vector<std::string> positional_;
-  std::vector<std::string> deprecations_;
   bool help_requested_ = false;
   bool has_pipeline_ = false;
   bool has_fault_ = false;

@@ -151,8 +151,6 @@ util::Json r2t_json(const PipelineOptions& options, const chrysalis::R2TTiming& 
   out.set("rank_reads", int_array(t.rank_reads));
   out.set("assignment_bytes_contributed", int_array(t.assignment_bytes_contributed));
   out.set("assignment_bytes_pooled", static_cast<std::int64_t>(t.assignment_bytes_pooled));
-  out.set("prefetch_hidden_s", t.prefetch_hidden_seconds);
-  out.set("prefetch_wait_s", t.prefetch_wait_seconds);
   // Additive fields (schema stays 3, readers ignore unknown keys):
   // r2t_mode always; index accounting only in index mode, so vote-mode
   // documents are unchanged. index_source distinguishes cold builds

@@ -34,8 +34,10 @@ namespace trinity::pipeline {
 /// minimal report (empty phases/comm) for jobs that ended without a
 /// pipeline run — quarantined, deadline-killed, hung, or permanently
 /// failed — so the ledger is reconstructible for every terminal job.
-/// v1-v3 reports keep loading unchanged.
-inline constexpr int kReportSchemaVersion = 4;
+/// v5 removes the two ReadsToTranscripts read-prefetch counters (hidden
+/// parse and blocked wait seconds): the chunk loop is synchronous. v1-v4
+/// reports keep loading unchanged.
+inline constexpr int kReportSchemaVersion = 5;
 
 /// Builds the report document from a finished run. Pure: no I/O.
 [[nodiscard]] util::Json build_run_report(const PipelineOptions& options,

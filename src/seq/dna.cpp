@@ -1,7 +1,5 @@
 #include "seq/dna.hpp"
 
-#include <algorithm>
-
 namespace trinity::seq {
 
 std::string reverse_complement(std::string_view s) {
@@ -10,17 +8,6 @@ std::string reverse_complement(std::string_view s) {
     out[s.size() - 1 - i] = complement(s[i]);
   }
   return out;
-}
-
-bool is_acgt(std::string_view s) {
-  return std::all_of(s.begin(), s.end(), [](char c) { return base_to_code(c) != kInvalidBase; });
-}
-
-void normalize_sequence(std::string& s) {
-  for (char& c : s) {
-    const std::uint8_t code = base_to_code(c);
-    c = code == kInvalidBase ? 'N' : code_to_base(code);
-  }
 }
 
 }  // namespace trinity::seq

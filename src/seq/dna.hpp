@@ -45,10 +45,4 @@ constexpr char complement(char c) {
 /// Reverse complement of a DNA string.
 std::string reverse_complement(std::string_view s);
 
-/// True when every character of `s` is one of {A,C,G,T} (either case).
-bool is_acgt(std::string_view s);
-
-/// Uppercases a sequence in place and replaces non-ACGT characters with 'N'.
-void normalize_sequence(std::string& s);
-
 }  // namespace trinity::seq

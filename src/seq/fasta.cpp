@@ -125,7 +125,6 @@ std::optional<Sequence> FastaReader::next() {
     }
     auto rec = is_fastq_ ? next_fastq() : next_fasta();
     if (rec) {
-      ++records_read_;
       ++diagnostics_.records_ok;
       return rec;
     }

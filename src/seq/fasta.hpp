@@ -60,9 +60,6 @@ class FastaReader {
   /// max_mem_reads chunking). Returns an empty vector at end of file.
   std::vector<Sequence> read_chunk(std::size_t max_records);
 
-  /// Number of records returned so far.
-  [[nodiscard]] std::size_t records_read() const { return records_read_; }
-
   /// Per-category quarantine/repair counts accumulated so far.
   [[nodiscard]] const io::ParseDiagnostics& diagnostics() const { return diagnostics_; }
 
@@ -93,7 +90,6 @@ class FastaReader {
   bool is_fastq_ = false;
   bool format_known_ = false;
   bool quarantined_record_ = false;  // set when a record was dropped; next() loops
-  std::size_t records_read_ = 0;
   io::ParseDiagnostics diagnostics_;
 
   std::size_t line_number_ = 0;      // 1-based number of the last line read

@@ -5,8 +5,9 @@ namespace trinity::simpi {
 namespace {
 
 void append_u64(std::vector<std::byte>& buf, std::uint64_t v) {
-  const auto* p = reinterpret_cast<const std::byte*>(&v);
-  buf.insert(buf.end(), p, p + sizeof(v));
+  const std::size_t at = buf.size();
+  buf.resize(at + sizeof(v));
+  std::memcpy(buf.data() + at, &v, sizeof(v));
 }
 
 std::uint64_t read_u64(const std::vector<std::byte>& buf, std::size_t& pos) {

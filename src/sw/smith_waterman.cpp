@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "seq/dna.hpp"
 #include "sw/kernels.hpp"
 
 namespace trinity::sw {
@@ -137,13 +136,6 @@ StrandScore score_best_strand(std::string_view query, std::string_view query_rc,
   const ScoreEnd fwd = score(query, target, scoring);
   const ScoreEnd rev = score(query_rc, target, scoring);
   return fwd.score >= rev.score ? StrandScore{fwd, false} : StrandScore{rev, true};
-}
-
-Alignment align_best_strand(std::string_view query, std::string_view target,
-                            const Scoring& scoring) {
-  const std::string rc = seq::reverse_complement(query);
-  const StrandScore best = score_best_strand(query, rc, target, scoring);
-  return traceback(best.reverse ? std::string_view(rc) : query, target, best.end, scoring);
 }
 
 int min_qualifying_score(std::size_t query_length, double min_coverage, double min_identity,

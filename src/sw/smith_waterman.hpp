@@ -83,11 +83,6 @@ struct StrandScore {
 StrandScore score_best_strand(std::string_view query, std::string_view query_rc,
                               std::string_view target, const Scoring& scoring = {});
 
-/// Strand-aware best alignment: max score over query and its reverse
-/// complement (transcripts from independent runs may differ in strand).
-Alignment align_best_strand(std::string_view query, std::string_view target,
-                            const Scoring& scoring = {});
-
 /// A lower bound on the score of any alignment that covers at least
 /// `min_coverage` of a query of `query_length` bases at identity at least
 /// `min_identity`; 0 when the scoring gives no positive bound. A pair

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <fstream>
+#include <iterator>
 
 #include "chrysalis/components.hpp"
 #include "chrysalis/reads_to_transcripts.hpp"
@@ -167,6 +169,35 @@ TEST(R2TShared, ChunkSizeDoesNotChangeResult) {
   }
 }
 
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+bool same_assignments(const std::vector<ReadAssignment>& a,
+                      const std::vector<ReadAssignment>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(ReadAssignment)) == 0);
+}
+
+/// The merged readsToComponents.out.tsv of a `nranks` world: each rank's
+/// chunks (chunk c belongs to rank c mod nranks) in rank order, written
+/// from the shared-memory run's assignments.
+std::string rank_ordered_tsv(const std::vector<ReadAssignment>& shared, std::size_t chunk,
+                             int nranks, const TempDir& dir) {
+  std::vector<ReadAssignment> ordered;
+  for (int r = 0; r < nranks; ++r) {
+    for (const auto& a : shared) {
+      if ((static_cast<std::size_t>(a.read_index) / chunk) % static_cast<std::size_t>(nranks) ==
+          static_cast<std::size_t>(r)) {
+        ordered.push_back(a);
+      }
+    }
+  }
+  detail::write_assignments(dir.file("expected.tsv"), ordered);
+  return read_file(dir.file("expected.tsv"));
+}
+
 struct HybridCase {
   int nranks;
   R2TStrategy strategy;
@@ -175,29 +206,79 @@ struct HybridCase {
 class R2THybrid : public ::testing::TestWithParam<HybridCase> {};
 
 TEST_P(R2THybrid, MatchesSharedMemoryRun) {
+  // The one chunk loop over every chunk size that matters: one read per
+  // chunk, a remainder chunk (51 = 7 x 7 + 2), an exact multiple (3 x 17),
+  // the whole file in one chunk, and one more than the file. Rank 0 must
+  // return run_shared's assignments and every other rank none; the merged
+  // file must hold run_shared's rows in rank order, under both outputs.
   const auto [nranks, strategy] = GetParam();
   const TempDir dir("r2t_hybrid");
   Fixture f = build_fixture(4, 12, 19);
   seq::write_fasta(dir.file("reads.fa"), f.reads);
+  const std::size_t n = f.reads.size();
+  ASSERT_EQ(n, 51u);
 
-  auto options = test_options();
-  const auto expected =
-      run_shared(f.contigs, f.components, dir.file("reads.fa"), options);
-  options.strategy = strategy;
-
-  simpi::run(nranks, [&](simpi::Context& ctx) {
-    const auto result =
-        run_hybrid(ctx, f.contigs, f.components, dir.file("reads.fa"), options, dir.str());
-    ASSERT_EQ(result.assignments.size(), expected.assignments.size());
-    for (std::size_t i = 0; i < expected.assignments.size(); ++i) {
-      EXPECT_EQ(result.assignments[i].read_index, expected.assignments[i].read_index);
-      EXPECT_EQ(result.assignments[i].component, expected.assignments[i].component);
-      EXPECT_EQ(result.assignments[i].shared_kmers, expected.assignments[i].shared_kmers);
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}, std::size_t{17}, n, n + 1}) {
+    auto options = test_options(chunk);
+    const TempDir shared_dir("r2t_hybrid_shared");
+    const auto expected =
+        run_shared(f.contigs, f.components, dir.file("reads.fa"), options, shared_dir.str());
+    ASSERT_EQ(expected.assignments.size(), n);
+    const std::string expected_tsv = rank_ordered_tsv(expected.assignments, chunk, nranks, dir);
+    if (nranks == 1) {
+      EXPECT_EQ(expected_tsv, read_file(expected.merged_output_path));
     }
-    EXPECT_EQ(result.timing.main_loop.seconds.size(), static_cast<std::size_t>(nranks));
-  });
+    const std::uint64_t chunks = (n + chunk - 1) / chunk;
+
+    options.strategy = strategy;
+    for (const auto output : {R2TOutputMode::kPerRankConcat, R2TOutputMode::kCollective}) {
+      SCOPED_TRACE("max_mem_reads " + std::to_string(chunk) + ", " +
+                   (output == R2TOutputMode::kCollective ? "collective" : "concat"));
+      options.output_mode = output;
+      const TempDir out("r2t_hybrid_out");
+      simpi::run(nranks, [&](simpi::Context& ctx) {
+        const auto result =
+            run_hybrid(ctx, f.contigs, f.components, dir.file("reads.fa"), options, out.str());
+        if (ctx.rank() == 0) {
+          EXPECT_TRUE(same_assignments(result.assignments, expected.assignments));
+        } else {
+          EXPECT_TRUE(result.assignments.empty());
+        }
+        ASSERT_EQ(result.timing.main_loop.seconds.size(), static_cast<std::size_t>(nranks));
+        std::uint64_t classified = 0;
+        for (const auto c : result.timing.rank_chunks) classified += c;
+        EXPECT_EQ(classified, chunks);
+        EXPECT_EQ(result.timing.assignment_bytes_pooled, n * sizeof(ReadAssignment));
+      });
+      EXPECT_EQ(read_file(out.file("readsToComponents.out.tsv")), expected_tsv);
+    }
+  }
 }
 
+TEST_P(R2THybrid, EmptyReadsFileYieldsNoAssignments) {
+  const auto [nranks, strategy] = GetParam();
+  const TempDir dir("r2t_hybrid_empty");
+  Fixture f = build_fixture(2, 0, 29);
+  std::ofstream(dir.file("reads.fa")).close();
+  auto options = test_options();
+  options.strategy = strategy;
+  for (const auto output : {R2TOutputMode::kPerRankConcat, R2TOutputMode::kCollective}) {
+    options.output_mode = output;
+    const TempDir out("r2t_hybrid_empty_out");
+    simpi::run(nranks, [&](simpi::Context& ctx) {
+      const auto result =
+          run_hybrid(ctx, f.contigs, f.components, dir.file("reads.fa"), options, out.str());
+      EXPECT_TRUE(result.assignments.empty());
+      for (const auto c : result.timing.rank_chunks) EXPECT_EQ(c, 0u);
+    });
+    std::ifstream merged(out.file("readsToComponents.out.tsv"));
+    EXPECT_TRUE(merged.good());
+    EXPECT_EQ(read_file(out.file("readsToComponents.out.tsv")), "");
+  }
+}
+
+// The first six cases keep their original order; ranks 1-5 are covered
+// under both strategies.
 INSTANTIATE_TEST_SUITE_P(
     Cases, R2THybrid,
     ::testing::Values(HybridCase{1, R2TStrategy::kRedundantStreaming},
@@ -205,7 +286,11 @@ INSTANTIATE_TEST_SUITE_P(
                       HybridCase{3, R2TStrategy::kRedundantStreaming},
                       HybridCase{5, R2TStrategy::kRedundantStreaming},
                       HybridCase{2, R2TStrategy::kMasterSlave},
-                      HybridCase{4, R2TStrategy::kMasterSlave}));
+                      HybridCase{4, R2TStrategy::kMasterSlave},
+                      HybridCase{4, R2TStrategy::kRedundantStreaming},
+                      HybridCase{1, R2TStrategy::kMasterSlave},
+                      HybridCase{3, R2TStrategy::kMasterSlave},
+                      HybridCase{5, R2TStrategy::kMasterSlave}));
 
 TEST(R2THybrid2, ConcatenatedFileHoldsAllReads) {
   const TempDir dir("r2t_concat");

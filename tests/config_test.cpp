@@ -3,9 +3,9 @@
 // Pins the API-redesign contract: CLI and JSON land in the same validated
 // values, to_json()/from_json round-trips, every pipeline_options()
 // validation error is a typed ConfigError naming the field, unknown
-// flags/keys are rejected rather than silently defaulted, and the
-// deprecated spellings (--nprocs, --model-threads, --trace-file) keep
-// working while announcing themselves.
+// flags/keys are rejected rather than silently defaulted, and the old
+// spellings (--nprocs, --model-threads, --trace-file) are unknown options
+// like any other.
 
 #include "pipeline/config.hpp"
 
@@ -57,7 +57,6 @@ TEST(ConfigCli, TypedValuesPositionalsAndInlineForm) {
   EXPECT_DOUBLE_EQ(cfg.get_double("rate"), 2.25);
   EXPECT_EQ(cfg.get_string("name"), "y");
   EXPECT_TRUE(cfg.get_bool("fast"));
-  EXPECT_TRUE(cfg.is_set("count"));
 }
 
 TEST(ConfigCli, DefaultsApplyWhenUnset) {
@@ -66,7 +65,6 @@ TEST(ConfigCli, DefaultsApplyWhenUnset) {
   cfg = parse(std::move(cfg), {});
   EXPECT_EQ(cfg.get_int("count"), 7);
   EXPECT_TRUE(cfg.get_bool("fast"));
-  EXPECT_FALSE(cfg.is_set("count"));
 }
 
 TEST(ConfigCli, UnderscoreSpellingIsTheDashFlag) {
@@ -112,18 +110,19 @@ TEST(ConfigCli, HelpShortCircuitsParsing) {
   EXPECT_TRUE(cfg.help_requested());
   const std::string help = cfg.help_text();
   EXPECT_NE(help.find("--ranks"), std::string::npos);
-  EXPECT_NE(help.find("deprecated spellings"), std::string::npos);
-  EXPECT_NE(help.find("--nprocs -> use --ranks"), std::string::npos);
+  EXPECT_EQ(help.find("--nprocs"), std::string::npos);
 }
 
-TEST(ConfigAliases, DeprecatedSpellingsStillParseAndAnnounce) {
-  auto cfg = parse(pipeline_cfg(), {"--nprocs", "6", "--model-threads", "8",
-                                    "--trace-file", "t.json"});
-  EXPECT_EQ(cfg.get_int("ranks"), 6);
-  EXPECT_EQ(cfg.get_int("threads-per-rank"), 8);
-  EXPECT_EQ(cfg.get_string("trace-path"), "t.json");
-  ASSERT_EQ(cfg.deprecation_notes().size(), 3u);
-  EXPECT_EQ(cfg.deprecation_notes()[0], "--nprocs is deprecated; use --ranks");
+TEST(ConfigAliases, DeprecatedSpellingsAreRejected) {
+  EXPECT_CONFIG_ERROR(parse(pipeline_cfg(), {"--nprocs", "6"}), "nprocs");
+  EXPECT_CONFIG_ERROR(parse(pipeline_cfg(), {"--model-threads", "8"}), "model-threads");
+  EXPECT_CONFIG_ERROR(parse(pipeline_cfg(), {"--trace-file", "t.json"}), "trace-file");
+  try {
+    (void)parse(pipeline_cfg(), {"--nprocs", "6"});
+    FAIL() << "expected --nprocs to be rejected";
+  } catch (const ConfigError& e) {
+    EXPECT_EQ(std::string(e.what()), "config error: --nprocs: unknown option (see --help)");
+  }
 }
 
 TEST(ConfigSharding, EverySpellingParsesToItsStrategy) {

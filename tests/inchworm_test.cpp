@@ -25,6 +25,16 @@ InchwormOptions small_opts(int k = 15) {
   return o;
 }
 
+/// Canonical k-mer counts of `reads`, as the Jellyfish stage dumps them.
+std::vector<kmer::KmerCount> count_kmers(const std::vector<seq::Sequence>& reads, int k = 15) {
+  kmer::CounterOptions copt;
+  copt.k = k;
+  copt.canonical = true;
+  kmer::KmerCounter counter(copt);
+  counter.add_sequences(reads);
+  return counter.dump();
+}
+
 /// True when `needle` equals `hay` on either strand.
 bool matches_either_strand(const std::string& needle, const std::string& hay) {
   return needle == hay || needle == seq::reverse_complement(hay);
@@ -35,7 +45,7 @@ TEST(InchwormTest, ReconstructsSingleTranscriptFromPerfectReads) {
   const auto reads = tile_reads(transcript, 60, 10);
 
   Inchworm assembler(small_opts());
-  assembler.load_reads(reads);
+  assembler.load_counts(count_kmers(reads));
   const auto contigs = assembler.assemble();
 
   ASSERT_EQ(contigs.size(), 1u);
@@ -51,7 +61,7 @@ TEST(InchwormTest, ReconstructsMultipleDisjointTranscripts) {
   reads.insert(reads.end(), more.begin(), more.end());
 
   Inchworm assembler(small_opts());
-  assembler.load_reads(reads);
+  assembler.load_counts(count_kmers(reads));
   const auto contigs = assembler.assemble();
 
   ASSERT_EQ(contigs.size(), 2u);
@@ -77,7 +87,7 @@ TEST(InchwormTest, ErrorKmersArePruned) {
   auto options = small_opts();
   options.min_kmer_count = 2;  // prune singletons
   Inchworm assembler(options);
-  assembler.load_reads(reads);
+  assembler.load_counts(count_kmers(reads, options.k));
   const auto contigs = assembler.assemble();
 
   ASSERT_GE(contigs.size(), 1u);
@@ -107,7 +117,7 @@ TEST(InchwormTest, GreedyPrefersMostAbundantExtension) {
 
   auto options = small_opts(k);
   Inchworm assembler(options);
-  assembler.load_reads(reads);
+  assembler.load_counts(count_kmers(reads, options.k));
   const auto contigs = assembler.assemble();
 
   ASSERT_GE(contigs.size(), 1u);
@@ -123,14 +133,14 @@ TEST(InchwormTest, MinContigLengthFilters) {
   auto options = small_opts(15);
   options.min_contig_length = 1000;
   Inchworm assembler(options);
-  assembler.load_reads(tile_reads(random_dna(300, 8), 60, 10));
+  assembler.load_counts(count_kmers(tile_reads(random_dna(300, 8), 60, 10)));
   EXPECT_TRUE(assembler.assemble().empty());
   EXPECT_GT(assembler.stats().contigs_discarded, 0u);
 }
 
 TEST(InchwormTest, StatsAreConsistent) {
   Inchworm assembler(small_opts());
-  assembler.load_reads(tile_reads(random_dna(400, 9), 60, 10));
+  assembler.load_counts(count_kmers(tile_reads(random_dna(400, 9), 60, 10)));
   const auto contigs = assembler.assemble();
   const auto& stats = assembler.stats();
   EXPECT_EQ(stats.contigs_reported, contigs.size());
@@ -147,7 +157,7 @@ TEST(InchwormTest, HandlesCyclicRepeatWithoutHanging) {
   std::string repeat;
   for (int i = 0; i < 20; ++i) repeat += unit;
   Inchworm assembler(small_opts(7));
-  assembler.load_reads(tile_reads(repeat, 40, 4));
+  assembler.load_counts(count_kmers(tile_reads(repeat, 40, 4), 7));
   const auto contigs = assembler.assemble();
   EXPECT_FALSE(contigs.empty());
 }
@@ -155,9 +165,9 @@ TEST(InchwormTest, HandlesCyclicRepeatWithoutHanging) {
 TEST(InchwormTest, DeterministicWithoutTieSeed) {
   const auto reads = tile_reads(random_dna(600, 11), 60, 7);
   Inchworm a(small_opts());
-  a.load_reads(reads);
+  a.load_counts(count_kmers(reads));
   Inchworm b(small_opts());
-  b.load_reads(reads);
+  b.load_counts(count_kmers(reads));
   const auto ca = a.assemble();
   const auto cb = b.assemble();
   ASSERT_EQ(ca.size(), cb.size());
@@ -180,9 +190,9 @@ TEST(InchwormTest, TieSeedModelsRunToRunVariation) {
   auto o2 = small_opts();
   o2.tie_break_seed = 2;
   Inchworm a(o1);
-  a.load_reads(reads);
+  a.load_counts(count_kmers(reads));
   Inchworm b(o2);
-  b.load_reads(reads);
+  b.load_counts(count_kmers(reads));
   const auto ca = a.assemble();
   const auto cb = b.assemble();
   const double bases_a = static_cast<double>(a.stats().bases_assembled);
@@ -203,7 +213,7 @@ TEST(InchwormTest, ContigsNeverReuseAKmer) {
   }
   const int k = 15;
   Inchworm assembler(small_opts(k));
-  assembler.load_reads(reads);
+  assembler.load_counts(count_kmers(reads, k));
   const auto contigs = assembler.assemble();
 
   const seq::KmerCodec codec(k);
@@ -218,7 +228,7 @@ TEST(InchwormTest, ContigsNeverReuseAKmer) {
 
 TEST(InchwormTest, EmptyInputYieldsNothing) {
   Inchworm assembler(small_opts());
-  assembler.load_reads({});
+  assembler.load_counts(count_kmers({}));
   EXPECT_TRUE(assembler.assemble().empty());
 }
 

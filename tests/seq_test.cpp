@@ -51,18 +51,6 @@ TEST(DnaTest, ReverseComplementIsInvolution) {
   }
 }
 
-TEST(DnaTest, IsAcgtDetectsContamination) {
-  EXPECT_TRUE(is_acgt("ACGTacgt"));
-  EXPECT_FALSE(is_acgt("ACGNT"));
-  EXPECT_TRUE(is_acgt(""));
-}
-
-TEST(DnaTest, NormalizeUppercasesAndMasks) {
-  std::string s = "acgtNx";
-  normalize_sequence(s);
-  EXPECT_EQ(s, "ACGTNN");
-}
-
 // --- kmer codec, parameterized over k --------------------------------------------------
 
 class KmerCodecTest : public ::testing::TestWithParam<int> {};
@@ -319,7 +307,7 @@ TEST(FastaIO, ChunkedReadingMatchesWholeFile) {
     EXPECT_EQ(streamed[i].name, seqs[i].name);
     EXPECT_EQ(streamed[i].bases, seqs[i].bases);
   }
-  EXPECT_EQ(reader.records_read(), 25u);
+  EXPECT_EQ(reader.diagnostics().records_ok, 25u);
 }
 
 TEST(FastaIO, CrlfLineEndingsHandled) {

@@ -141,8 +141,8 @@ TEST(SwKernelTest, BestStrandPrefersForwardOnTies) {
     const std::string target = random_dna(30, rng()) + palindrome + random_dna(30, rng());
     const auto hit = score_best_strand(palindrome, palindrome, target);
     EXPECT_FALSE(hit.reverse);
-    expect_same(align_best_strand(palindrome, target), kernels::align_scalar(palindrome, target, {}),
-                {palindrome, target});
+    expect_same(traceback(palindrome, target, hit.end),
+                kernels::align_scalar(palindrome, target, {}), {palindrome, target});
   }
   // Equal scores on different target copies: the forward copy is reported.
   const std::string x = random_dna(40, 23);
@@ -150,7 +150,8 @@ TEST(SwKernelTest, BestStrandPrefersForwardOnTies) {
       random_dna(20, 24) + seq::reverse_complement(x) + random_dna(20, 25) + x + random_dna(20, 26);
   const auto hit = score_best_strand(x, seq::reverse_complement(x), target);
   EXPECT_FALSE(hit.reverse);
-  EXPECT_EQ(align_best_strand(x, target).target_end, target.size() - 20);
+  EXPECT_EQ(hit.end.target_end, target.size() - 20);
+  EXPECT_EQ(traceback(x, target, hit.end).target_end, target.size() - 20);
 }
 
 TEST(SwKernelTest, Int16FallbackIsExactOnBothSides) {

@@ -153,7 +153,9 @@ TEST(SwTest, BestStrandPicksReverseComplement) {
   const std::string target = random_dna(100, 10);
   const std::string query = seq::reverse_complement(target);
   const auto fwd_only = align(query, target);
-  const auto best = align_best_strand(query, target);
+  const auto hit = score_best_strand(query, target, target);
+  ASSERT_TRUE(hit.reverse);
+  const auto best = traceback(target, target, hit.end);
   EXPECT_GT(best.score, fwd_only.score);
   EXPECT_EQ(best.matches, target.size());
 }
@@ -161,8 +163,11 @@ TEST(SwTest, BestStrandPicksReverseComplement) {
 TEST(SwTest, BestStrandPrefersForwardOnTies) {
   // A strand-symmetric palindrome scores equally both ways; forward wins.
   const std::string target = random_dna(60, 11);
-  const auto best = align_best_strand(target, target);
-  EXPECT_EQ(best.matches, target.size());
+  const std::string rc = seq::reverse_complement(target);
+  EXPECT_FALSE(score_best_strand(target, target, target).reverse);  // an exact tie
+  const auto hit = score_best_strand(target, rc, target);
+  ASSERT_FALSE(hit.reverse);
+  EXPECT_EQ(traceback(target, target, hit.end).matches, target.size());
 }
 
 TEST(SwTest, EmptyAlignmentStatisticsAreZero) {
