@@ -11,12 +11,12 @@
 // because the non-parallel regions grow in share (Figure 8).
 //
 // Each rank count is measured once per ShardingStrategy — pooled (the
-// paper's blocking weld Allgatherv) and owner (alltoallv weld routing with
-// loop-2 extraction hidden behind it, then a distributed union-find) — and
-// both modes must produce identical components (asserted; exit 1 on
-// mismatch). The JSON series carries both modes with the Allgatherv and
-// Alltoallv waits and the overlap counters, so the owner mode's traffic
-// reduction is directly diffable.
+// paper's blocking weld Allgatherv) and owner (blocking alltoallv weld
+// routing, then a distributed union-find) — and both modes must produce
+// identical components (asserted; exit 1 on mismatch). The JSON series
+// carries both modes with the Allgatherv and Alltoallv waits and the weld
+// exchange's pool_wait_s, so the owner mode's traffic reduction is directly
+// diffable.
 
 #include <cstdint>
 #include <vector>
@@ -139,7 +139,6 @@ int main(int argc, char** argv) {
       json.field("comm_wait_s", comm.wait_seconds);
       json.field("allgatherv_wait_s", ag_wait);
       json.field("alltoallv_wait_s", a2a_wait);
-      json.field("overlap_compute_s", timing.overlap_compute_seconds);
       json.field("pool_wait_s", timing.pool_wait_seconds);
       json.field("skew_ratio", comm.skew);
       json.field("weld_bytes_pooled", static_cast<std::int64_t>(timing.weld_bytes_pooled));

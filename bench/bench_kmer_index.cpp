@@ -73,7 +73,8 @@ std::vector<KmerCodec::Occurrence> baseline_canonical(const KmerCodec& codec,
 }
 
 /// Extracts canonical (k-1)-mer codes per sequence — the shared preprocessing
-/// both containers consume (mirrors the cached-extraction overlap path).
+/// both containers consume, extracted once so the passes time only the
+/// table operations.
 std::vector<std::vector<KmerCode>> extract_codes(
     const std::vector<trinity::seq::Sequence>& seqs, int k) {
   const KmerCodec codec(k - 1);

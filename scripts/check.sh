@@ -94,9 +94,11 @@
 #      GCC's -O3 flow warnings (-Wstringop-overflow, -Wrestrict) fire. Tests
 #      and benches are not built here.
 #  15. ASan+UBSan build (-DTRINITY_SANITIZE=ON) running the checkpoint, io,
-#      simpi, trace, config, flat-index, k-mer (counter, Inchworm, de
-#      Bruijn, aligner), stage-file loader (components, Butterfly), serve
-#      and Smith–Waterman/validation test binaries — the
+#      simpi (CommStats included), trace, config, flat-index, k-mer
+#      (counter, Inchworm, de Bruijn, aligner), stage-file loader
+#      (components, Butterfly), GraphFromFasta and ReadsToTranscripts
+#      (hybrid drivers over simpi ranks and OpenMP threads), serve and
+#      Smith–Waterman/validation test binaries — the
 #      subsystems that throw across thread and collective boundaries (and,
 #      for the trace recorder, publish buffers across threads; for the flat
 #      index, raw-storage placement news; for the k-mer counter, OpenMP
@@ -379,7 +381,7 @@ if [ "${1:-}" = "--skip-sanitize" ]; then
     exit 0
 fi
 
-echo "== ASan+UBSan: checkpoint + io + simpi + trace + config + index + k-mer + serve + obs + sw + stage-file tests =="
+echo "== ASan+UBSan: checkpoint + io + simpi + trace + config + index + k-mer + serve + obs + sw + stage-file + chrysalis tests =="
 cmake -B build-asan -S . -DTRINITY_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-asan -j "$jobs" --target \
     checkpoint_test simpi_fault_test simpi_test simpi_extensions_test dsu_test \
@@ -387,13 +389,15 @@ cmake --build build-asan -j "$jobs" --target \
     config_test flat_index_test kmer_test inchworm_test debruijn_test align_test \
     transcript_index_test serve_test serve_fault_test \
     serve_recovery_test serve_watchdog_test obs_test serve_metrics_test \
-    sw_test sw_kernel_test validate_test components_io_test butterfly_test
+    sw_test sw_kernel_test validate_test components_io_test butterfly_test \
+    chrysalis_gff_test chrysalis_r2t_test simpi_comm_stats_test
 for t in checkpoint_test simpi_fault_test simpi_test simpi_extensions_test dsu_test \
          pipeline_checkpoint_test io_fault_test seq_parse_policy_test trace_test \
          config_test flat_index_test kmer_test inchworm_test debruijn_test align_test \
          transcript_index_test serve_test serve_fault_test \
          serve_recovery_test serve_watchdog_test obs_test serve_metrics_test \
-         sw_test sw_kernel_test validate_test components_io_test butterfly_test; do
+         sw_test sw_kernel_test validate_test components_io_test butterfly_test \
+         chrysalis_gff_test chrysalis_r2t_test simpi_comm_stats_test; do
     echo "-- $t (ASan+UBSan)"
     ./build-asan/tests/"$t"
 done

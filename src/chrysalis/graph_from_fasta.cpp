@@ -3,14 +3,12 @@
 #include <omp.h>
 
 #include <algorithm>
-#include <functional>
 #include <stdexcept>
 #include <unordered_set>
 
 #include "chrysalis/dsu.hpp"
 #include "chrysalis/parallel_loop.hpp"
 #include "seq/dna.hpp"
-#include "simpi/nonblocking.hpp"
 #include "simpi/rma.hpp"
 #include "seq/kmer.hpp"
 #include "simpi/pack.hpp"
@@ -135,34 +133,17 @@ kmer::KmerPostings<std::int32_t> index_weld_cores(const std::vector<std::string>
   });
 }
 
-namespace {
-/// Appends (weld_id, contig_id) for every weld indexed under `code` that
-/// `hit` has not seen yet: each weld is reported once per contig.
-void match_code(seq::KmerCode code, std::int32_t contig_id,
-                const kmer::KmerPostings<std::int32_t>& weld_cores,
-                std::unordered_set<std::int32_t>& hit,
-                std::vector<std::pair<std::int32_t, std::int32_t>>& out) {
-  for (const auto weld_id : weld_cores.lookup(code)) {
-    if (hit.insert(weld_id).second) out.emplace_back(weld_id, contig_id);
-  }
-}
-}  // namespace
-
 void find_weld_matches(const seq::Sequence& contig, std::int32_t contig_id,
                        const kmer::KmerPostings<std::int32_t>& weld_cores,
                        const GraphFromFastaOptions& options,
                        std::vector<std::pair<std::int32_t, std::int32_t>>& out) {
+  // Each weld is reported once per contig, however many codes it shares.
   std::unordered_set<std::int32_t> hit;
   seq::KmerCodec(options.k - 1).for_each(contig.bases, [&](const seq::KmerCodec::Window& w) {
-    match_code(w.canonical(), contig_id, weld_cores, hit, out);
+    for (const auto weld_id : weld_cores.lookup(w.canonical())) {
+      if (hit.insert(weld_id).second) out.emplace_back(weld_id, contig_id);
+    }
   });
-}
-
-void find_weld_matches(const std::vector<seq::KmerCode>& contig_codes, std::int32_t contig_id,
-                       const kmer::KmerPostings<std::int32_t>& weld_cores,
-                       std::vector<std::pair<std::int32_t, std::int32_t>>& out) {
-  std::unordered_set<std::int32_t> hit;
-  for (const seq::KmerCode code : contig_codes) match_code(code, contig_id, weld_cores, hit, out);
 }
 
 std::vector<std::string> dedup_welds(std::vector<std::string> welds) {
@@ -287,56 +268,40 @@ template <typename T>
 struct ExchangeResult {
   std::vector<T> data;  ///< payload this rank now holds, in source-rank order
   std::vector<std::uint64_t> bytes_contributed;  ///< per-rank bytes entered
-  double overlap_compute = 0.0;  ///< modeled compute hidden behind the transfer
-  double wait = 0.0;             ///< wall blocked waiting for the transfer
+  double wait = 0.0;  ///< wall blocked in the exchange collective
 };
 
 /// The one data-movement step of the hybrid drivers, dispatched over the
-/// ShardingStrategy (both pooling call sites used to spell this idiom out
-/// by hand). `parts[d]` is the payload destined for rank d under kOwner;
-/// kPooled replicates, so there `parts` is just an arbitrary partition of
-/// this rank's payload (flattened before pooling, every rank receives
-/// everything). `overlap_fn`, when given, is compute that is legal to run
-/// while the owner routing is in flight; it returns its modeled seconds,
-/// which are credited against the modeled collective cost. kPooled ignores
-/// it by contract (the blocking paper path) — callers run that work inside
-/// the consuming loop instead. `channel` names the IAlltoallv channel.
+/// ShardingStrategy. `parts[d]` is the payload destined for rank d under
+/// kOwner, routed with the blocking alltoallv; kPooled replicates with
+/// Allgatherv, so there `parts` is just an arbitrary partition of this
+/// rank's payload (flattened before pooling, every rank receives
+/// everything). Either way `wait` is the growth of that collective's
+/// CommStats wait_seconds row, so pool_wait compares the modes directly.
 template <typename T>
 ExchangeResult<T> exchange(simpi::Context& ctx, ShardingStrategy strategy,
-                           std::vector<std::vector<T>> parts, int channel,
-                           const std::function<double()>& overlap_fn = {}) {
+                           std::vector<std::vector<T>> parts) {
+  const bool owner = strategy == ShardingStrategy::kOwner;
+  const simpi::CommOp op = owner ? simpi::CommOp::kAlltoallv : simpi::CommOp::kAllgatherv;
+  const double wait_before = ctx.comm_stats().of(op).wait_seconds;
+  std::uint64_t sent = 0;
+  for (const auto& part : parts) sent += part.size() * sizeof(T);
   ExchangeResult<T> out;
-  if (strategy == ShardingStrategy::kOwner) {
-    if (parts.size() != static_cast<std::size_t>(ctx.size())) {
-      throw std::invalid_argument("gff exchange: owner routing needs one part per rank");
-    }
-    std::uint64_t sent = 0;
-    for (const auto& part : parts) sent += part.size() * sizeof(T);
-    simpi::IAlltoallv<T> route(ctx, std::move(parts), channel);
-    if (overlap_fn) out.overlap_compute = overlap_fn();
-    util::Timer wait_wall;
-    auto received = route.wait(out.overlap_compute);
-    out.wait = wait_wall.seconds();
-    for (auto& part : received) {
+  if (owner) {
+    for (auto& part : ctx.alltoallv(parts)) {
       out.data.insert(out.data.end(), std::make_move_iterator(part.begin()),
                       std::make_move_iterator(part.end()));
     }
-    out.bytes_contributed = ctx.allgatherv(std::vector<std::uint64_t>{sent});
-    return out;
+  } else {
+    std::vector<T> mine;
+    for (auto& part : parts) {
+      mine.insert(mine.end(), std::make_move_iterator(part.begin()),
+                  std::make_move_iterator(part.end()));
+    }
+    out.data = ctx.allgatherv(mine);
   }
-
-  std::vector<T> mine;
-  for (auto& part : parts) {
-    mine.insert(mine.end(), std::make_move_iterator(part.begin()),
-                std::make_move_iterator(part.end()));
-  }
-  // Blocking pool: record the same wall-blocked quantity owner mode
-  // reports, so pool_wait compares the modes directly (the CommStats
-  // allgatherv row grows by exactly this delta).
-  const double wait_before = ctx.comm_stats().of(simpi::CommOp::kAllgatherv).wait_seconds;
-  out.data = ctx.allgatherv(mine);
-  out.bytes_contributed = ctx.allgatherv(std::vector<std::uint64_t>{mine.size() * sizeof(T)});
-  out.wait = ctx.comm_stats().of(simpi::CommOp::kAllgatherv).wait_seconds - wait_before;
+  out.bytes_contributed = ctx.allgatherv(std::vector<std::uint64_t>{sent});
+  out.wait = ctx.comm_stats().of(op).wait_seconds - wait_before;
   return out;
 }
 
@@ -459,29 +424,6 @@ GffResult run_hybrid(simpi::Context& ctx, const std::vector<seq::Sequence>& cont
                     std::make_move_iterator(part.end()));
   }
 
-  // The compute that may legally run while owner mode's weld routing is
-  // in flight: extracting every contig's canonical (k-1)-mer codes, the
-  // part of the owner loop-2 scan that reads only the contigs. Returns
-  // modeled seconds for the overlap credit.
-  std::vector<std::vector<seq::KmerCode>> contig_codes;
-  const std::vector<IndexRange> all_ranges{IndexRange{0, contigs.size()}};
-  const auto extract_codes = [&] {
-    trace::SpanScope span("gff.overlap_extract", trace::kCatLoop);
-    util::ThreadCpuTimer cpu;
-    const seq::KmerCodec codec(options.k - 1);
-    contig_codes.resize(contigs.size());
-    for (std::size_t i = 0; i < contigs.size(); ++i) {
-      // Reserved to the window count, exact for ACGT-only contigs, so the
-      // cache holds no growth slack across the whole contig set.
-      auto& codes = contig_codes[i];
-      codes.reserve(codec.window_count(contigs[i].bases));
-      codec.for_each(contigs[i].bases,
-                     [&](const seq::KmerCodec::Window& w) { codes.push_back(w.canonical()); });
-    }
-    return cpu.seconds() /
-           static_cast<double>(std::max(options.model_threads_per_rank, 1));
-  };
-
   // Weld exchange (paper Section III.B pools with Allgatherv; owner mode
   // hash-routes each weld to the owner of its smallest core k-mer). The
   // packed-strings wire format survives concatenation, so owner receipts —
@@ -498,10 +440,7 @@ GffResult run_hybrid(simpi::Context& ctx, const std::vector<seq::Sequence>& cont
   } else {
     dest_parts.push_back(simpi::pack_strings(my_welds));
   }
-  std::function<double()> overlap_fn;
-  if (owner_mode) overlap_fn = extract_codes;
-  auto weld_moved = exchange(ctx, options.sharding, std::move(dest_parts), 0, overlap_fn);
-  const double my_overlap = weld_moved.overlap_compute;
+  auto weld_moved = exchange(ctx, options.sharding, std::move(dest_parts));
   const double my_pool_wait = weld_moved.wait;
   timing.weld_bytes_contributed = std::move(weld_moved.bytes_contributed);
   if (owner_mode) {
@@ -521,26 +460,21 @@ GffResult run_hybrid(simpi::Context& ctx, const std::vector<seq::Sequence>& cont
   // Loop 2. Pooled mode scans this rank's chunks against the full pool;
   // owner mode scans EVERY contig against only the owned welds (the
   // partition is by weld, not by contig — per-rank work is the owned share
-  // of the match volume), using the codes extracted behind the routing.
+  // of the match volume).
   std::vector<std::vector<std::pair<std::int32_t, std::int32_t>>> match_parts(
       static_cast<std::size_t>(std::max(threads, 1)));
   auto loop2_body = [&](std::size_t i) {
     auto& sink = match_parts[static_cast<std::size_t>(omp_get_thread_num())];
     run_calibrated(options.kernel_repeats, sink,
                    [&](std::vector<std::pair<std::int32_t, std::int32_t>>& out) {
-                     if (owner_mode) {
-                       detail::find_weld_matches(contig_codes[i],
-                                                 static_cast<std::int32_t>(i), weld_cores,
-                                                 out);
-                     } else {
-                       detail::find_weld_matches(contigs[i], static_cast<std::int32_t>(i),
-                                                 weld_cores, options, out);
-                     }
+                     detail::find_weld_matches(contigs[i], static_cast<std::int32_t>(i),
+                                               weld_cores, options, out);
                    });
   };
   double my_loop2 = 0.0;
   if (owner_mode) {
-    my_loop2 = timed_parallel_loop(all_ranges, threads, options.model_threads_per_rank,
+    const std::vector<IndexRange> all{IndexRange{0, contigs.size()}};
+    my_loop2 = timed_parallel_loop(all, threads, options.model_threads_per_rank,
                                    loop2_body, "gff.loop2");
   } else if (options.distribution == Distribution::kDynamic) {
     my_loop2 = timed_dynamic_loop(ctx, kDynamicCounterLoop2, options, contigs.size(),
@@ -562,7 +496,6 @@ GffResult run_hybrid(simpi::Context& ctx, const std::vector<seq::Sequence>& cont
     timing.loop1.seconds = ctx.allgatherv(std::vector<double>{my_loop1});
     timing.loop2.seconds = ctx.allgatherv(std::vector<double>{my_loop2});
     timing.setup_seconds = ctx.allreduce_max(my_setup);
-    timing.overlap_compute_seconds = ctx.allreduce_max(my_overlap);
     timing.pool_wait_seconds = ctx.allreduce_max(my_pool_wait);
     timing.comm_seconds = ctx.allreduce_max(ctx.comm_seconds() - comm_before);
   };
@@ -592,8 +525,7 @@ GffResult run_hybrid(simpi::Context& ctx, const std::vector<seq::Sequence>& cont
   }
 
   // Pool the pairing indices as a flat integer array (substantially less
-  // data than loop 1's strings, as the paper notes). Always the blocking
-  // pool: finalize has no overlappable prefix.
+  // data than loop 1's strings, as the paper notes).
   std::vector<std::int32_t> my_match_ints;
   my_match_ints.reserve(my_matches.size() * 2);
   for (const auto& [weld, contig] : my_matches) {
@@ -602,7 +534,7 @@ GffResult run_hybrid(simpi::Context& ctx, const std::vector<seq::Sequence>& cont
   }
   std::vector<std::vector<std::int32_t>> match_part;
   match_part.push_back(std::move(my_match_ints));
-  auto match_moved = exchange(ctx, ShardingStrategy::kPooled, std::move(match_part), 0);
+  auto match_moved = exchange(ctx, ShardingStrategy::kPooled, std::move(match_part));
   timing.match_bytes_contributed = std::move(match_moved.bytes_contributed);
   timing.match_bytes_pooled = match_moved.data.size() * sizeof(std::int32_t);
   const auto& pooled_ints = match_moved.data;

@@ -66,9 +66,8 @@ enum class Distribution {
 /// (O(total/nranks) per rank); each owner dedups its shard, matches ALL
 /// contigs against only its own welds, derives contig pairs locally, and
 /// the component labels are agreed through the distributed union-find in
-/// dsu.hpp — no pooled collective carries weld or match payloads. The
-/// canonical-code extraction of every contig runs while the weld routing is
-/// in flight. Both produce byte-identical components.
+/// dsu.hpp — no pooled collective carries weld or match payloads. Both
+/// produce byte-identical components.
 enum class ShardingStrategy {
   kPooled,  ///< blocking Allgatherv replication (paper, Section III.B)
   kOwner,   ///< owner-computes: alltoallv routing + distributed DSU
@@ -135,13 +134,11 @@ struct GffTiming {
   int dsu_rounds = 0;                      ///< max boundary-exchange rounds over ranks
   std::uint64_t dsu_edge_bytes_routed = 0; ///< total DSU boundary-edge bytes
 
-  // Overlapped-exchange accounting (overlap_compute is zero under
-  // ShardingStrategy::kPooled; pool_wait is recorded for both hybrid
-  // strategies so they compare the weld-exchange blocked wall directly;
-  // both zero for shared-memory runs). docs/OBSERVABILITY.md "overlap
-  // counters" documents both.
-  double overlap_compute_seconds = 0.0;  ///< max modeled compute hidden behind the weld pool
-  double pool_wait_seconds = 0.0;        ///< max wall time blocked in the weld-pool wait
+  /// Max over ranks of the wall blocked in the weld exchange: the growth of
+  /// the exchange collective's CommStats wait_seconds row (allgatherv under
+  /// kPooled, alltoallv under kOwner), so the strategies compare directly.
+  /// Zero for shared-memory runs; docs/OBSERVABILITY.md documents it.
+  double pool_wait_seconds = 0.0;
   /// Total modeled time: serial parts + slowest rank per loop + comm.
   [[nodiscard]] double total_seconds() const {
     return setup_seconds + loop1.max() + loop2.max() + finalize_seconds + comm_seconds;
@@ -207,15 +204,6 @@ kmer::KmerPostings<std::int32_t> index_weld_cores(const std::vector<std::string>
 void find_weld_matches(const seq::Sequence& contig, std::int32_t contig_id,
                        const kmer::KmerPostings<std::int32_t>& weld_cores,
                        const GraphFromFastaOptions& options,
-                       std::vector<std::pair<std::int32_t, std::int32_t>>& out);
-
-/// Same kernel over a precomputed list of the contig's canonical (k-1)-mer
-/// codes — the form owner mode uses after caching extraction while the weld
-/// alltoallv is in flight (extraction reads only the contig, never the
-/// routed welds, so it is the legally overlappable prefix of the loop-2
-/// scan).
-void find_weld_matches(const std::vector<seq::KmerCode>& contig_codes, std::int32_t contig_id,
-                       const kmer::KmerPostings<std::int32_t>& weld_cores,
                        std::vector<std::pair<std::int32_t, std::int32_t>>& out);
 
 /// The canonical (k-1)-mers that occur in at least two contigs, each mapped

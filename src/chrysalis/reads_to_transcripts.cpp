@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -312,7 +313,8 @@ std::string rank_output_path(const std::string& output_dir, int rank) {
 
 /// Concatenates per-rank files into the final output — the paper's "simple
 /// cat command" by the master process — in 64 KiB pieces through the io
-/// layer. Returns wall seconds.
+/// layer, then removes the parts: nothing reads them once the merged file
+/// is closed. Returns wall seconds.
 double concatenate_outputs(const std::vector<std::string>& inputs, const std::string& output) {
   util::Timer wall;
   io::IoFile out = io::IoFile::create(output);
@@ -327,6 +329,7 @@ double concatenate_outputs(const std::vector<std::string>& inputs, const std::st
     }
   }
   out.close();
+  for (const auto& path : inputs) std::remove(path.c_str());
   return wall.seconds();
 }
 

@@ -107,11 +107,10 @@ util::Json gff_json(const PipelineOptions& options, const chrysalis::GffTiming& 
   out.set("weld_bytes_pooled", static_cast<std::int64_t>(t.weld_bytes_pooled));
   out.set("match_bytes_contributed", int_array(t.match_bytes_contributed));
   out.set("match_bytes_pooled", static_cast<std::int64_t>(t.match_bytes_pooled));
-  out.set("overlap_compute_s", t.overlap_compute_seconds);
   out.set("pool_wait_s", t.pool_wait_seconds);
-  // Additive fields (schema stays 4, readers ignore unknown keys):
-  // gff_sharding always; owner-routing counters only under the owner
-  // strategy, so pooled-mode documents are unchanged.
+  // Additive fields (readers ignore unknown keys): gff_sharding always;
+  // owner-routing counters only under the owner strategy, so pooled-mode
+  // documents are unchanged.
   out.set("gff_sharding", to_string(options.gff_sharding));
   if (options.gff_sharding == chrysalis::ShardingStrategy::kOwner) {
     out.set("weld_bytes_routed", static_cast<std::int64_t>(t.weld_bytes_routed));

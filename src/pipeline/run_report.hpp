@@ -35,9 +35,11 @@ namespace trinity::pipeline {
 /// pipeline run — quarantined, deadline-killed, hung, or permanently
 /// failed — so the ledger is reconstructible for every terminal job.
 /// v5 removes the two ReadsToTranscripts read-prefetch counters (hidden
-/// parse and blocked wait seconds): the chunk loop is synchronous. v1-v4
-/// reports keep loading unchanged.
-inline constexpr int kReportSchemaVersion = 5;
+/// parse and blocked wait seconds): the chunk loop is synchronous. v6
+/// removes GraphFromFasta's overlap-credit seconds: owner sharding routes
+/// welds with the blocking alltoallv, so no compute hides behind the exchange.
+/// v1-v5 reports keep loading unchanged.
+inline constexpr int kReportSchemaVersion = 6;
 
 /// Builds the report document from a finished run. Pure: no I/O.
 [[nodiscard]] util::Json build_run_report(const PipelineOptions& options,

@@ -12,7 +12,6 @@ const char* to_string(CommOp op) {
     case CommOp::kAllgatherv: return "allgatherv";
     case CommOp::kAlltoallv: return "alltoallv";
     case CommOp::kReduce: return "reduce";
-    case CommOp::kExtension: return "extension";
   }
   return "unknown";
 }

@@ -28,9 +28,6 @@
 //    no inner transport rows — the row is both logical and transport.
 //  * kReduce (the allreduce family) likewise counts one element sent and
 //    nranks elements received, with transport in the inner ops.
-//  * kExtension covers the library-extension transfers (the raw sends and
-//    receives under simpi/nonblocking.hpp's IAlltoallv), which move bytes
-//    through Context::internal_send/internal_recv_as.
 //  * wait_seconds is wall-clock time blocked inside the op — waiting on a
 //    barrier, or on a peer's data in a receive — and is the direct per-rank
 //    measure of skew: the earlier a rank arrives, the longer it waits.
@@ -52,10 +49,9 @@ enum class CommOp : int {
   kAllgatherv,  ///< Context::allgatherv/allgather, logical payload bytes
   kAlltoallv,   ///< Context::alltoallv, owner-addressed point-to-point routing
   kReduce,      ///< the allreduce family, logical payload bytes
-  kExtension,   ///< internal_send/internal_recv_as (IAlltoallv transfers)
 };
 
-inline constexpr std::size_t kNumCommOps = 9;
+inline constexpr std::size_t kNumCommOps = 8;
 
 /// Lower-case op name ("send", "allgatherv", ...), as used in the JSON
 /// run report's per-op keys.

@@ -21,7 +21,6 @@ const char* wait_span_name(CommOp op) {
     case CommOp::kAllgatherv: return "allgatherv.wait";
     case CommOp::kAlltoallv: return "alltoallv.wait";
     case CommOp::kReduce: return "reduce.wait";
-    case CommOp::kExtension: return "extension.wait";
     default: return "comm.wait";
   }
 }

@@ -191,30 +191,6 @@ class Context {
   /// SharedCounter; prefer that wrapper, which charges RMA costs).
   std::atomic<std::uint64_t>& world_counter(int id);
 
-  /// Library-extension transfers (simpi/nonblocking.hpp's IAlltoallv):
-  /// uncosted raw send/recv that may use reserved negative tags. The
-  /// extension charges its own modeled collective cost; each transfer is
-  /// counted as a CommOp::kExtension call. internal_recv_as attributes the
-  /// blocked wait, received bytes and "<op>.wait" trace span to `op`'s row,
-  /// so an extension that implements a built-in op (the nonblocking
-  /// alltoallv) reports its residual wait exactly where the blocking one
-  /// would. Not for application code.
-  void internal_send(int dest, int tag, std::span<const std::byte> bytes) {
-    auto& ext = stats_.of(CommOp::kExtension);
-    ++ext.calls;
-    ext.bytes_sent += bytes.size();
-    raw_send(dest, tag, bytes);
-  }
-  Message internal_recv_as(CommOp op, int source, int tag) {
-    ++stats_.of(CommOp::kExtension).calls;
-    return waited_recv(source, tag, op);
-  }
-
-  /// Mutable per-op row for extension collectives' logical accounting
-  /// (call count, contributed/pooled bytes), mirroring the layered counting
-  /// documented in simpi/comm_stats.hpp. Not for application code.
-  OpStats& extension_op_stats(CommOp op) { return stats_.of(op); }
-
  private:
   friend class World;
 
@@ -334,11 +310,7 @@ namespace detail {
 inline constexpr int kTagBcast = -2;
 inline constexpr int kTagGather = -3;
 inline constexpr int kTagReduce = -4;
-/// The alltoallv collective lives far below that range, with the
-/// nonblocking IAlltoallv channels (simpi/nonblocking.hpp) extending
-/// downward from kTagIalltoallv.
 inline constexpr int kTagAlltoallv = -40;
-inline constexpr int kTagIalltoallv = -41;
 }  // namespace detail
 
 template <typename T>

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <set>
 #include <unordered_map>
+#include <utility>
 
 #include "chrysalis/graph_from_fasta.hpp"
 #include "kmer/counter.hpp"
@@ -349,6 +350,50 @@ TEST(GffOwner, WeldOwnerIsDeterministicAndInRange) {
       EXPECT_EQ(owner, detail::weld_owner(seq::reverse_complement(weld), kTestK, nranks));
     }
   }
+}
+
+TEST(GffOwner, EveryCountedAlltoallvIsAFaultPoint) {
+  // Owner mode routes welds with the same alltoallv the union-find uses,
+  // so every entry counted on rank 1's alltoallv row, the last one
+  // included, is a fault point, and the weld bytes are counted only there.
+  constexpr int kRanks = 3;
+  const auto s = build_scenario(6, 4, 61);
+  const auto counter = make_counter(s.reads);
+  auto options = test_options();
+  options.sharding = ShardingStrategy::kOwner;
+  const auto run_owner = [&](simpi::FaultPlan plan) {
+    std::vector<std::uint64_t> weld_bytes;
+    auto ranks = simpi::run(
+        kRanks,
+        [&](simpi::Context& ctx) {
+          const auto result = run_hybrid(ctx, s.contigs, counter, options);
+          if (ctx.rank() == 0) weld_bytes = result.timing.weld_bytes_contributed;
+        },
+        {}, std::move(plan));
+    return std::make_pair(std::move(ranks), std::move(weld_bytes));
+  };
+
+  const auto [ranks, weld_bytes] = run_owner({});
+  ASSERT_EQ(weld_bytes.size(), static_cast<std::size_t>(kRanks));
+  for (const auto& r : ranks) {
+    const std::uint64_t routed = weld_bytes[static_cast<std::size_t>(r.rank)];
+    ASSERT_GT(routed, 0u) << "rank " << r.rank;
+    EXPECT_GE(r.comm.of(simpi::CommOp::kAlltoallv).bytes_sent, routed) << "rank " << r.rank;
+    // Every other row moves only small control payloads (counts, timings,
+    // reductions). A row repeating the routed welds would carry the parts
+    // sent to the two other ranks, about two thirds of the routed bytes.
+    std::uint64_t other = r.comm.total_bytes_sent();
+    other -= r.comm.of(simpi::CommOp::kAlltoallv).bytes_sent;
+    EXPECT_LT(other * 2, routed) << "rank " << r.rank << ": " << other << " other bytes";
+  }
+
+  const auto calls = ranks[1].comm.of(simpi::CommOp::kAlltoallv).calls;
+  ASSERT_GE(calls, 2u);  // the weld routing plus the union-find's exchanges
+  simpi::FaultPlan last_entry;
+  last_entry.rank = 1;
+  last_entry.op = simpi::FaultOp::kAlltoallv;
+  last_entry.at_entry = static_cast<int>(calls);
+  EXPECT_THROW(run_owner(last_entry), simpi::RankFaultError);
 }
 
 TEST(GffHybrid2, ExplicitChunkSizeRespected) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 
@@ -251,6 +252,12 @@ TEST_P(R2THybrid, MatchesSharedMemoryRun) {
         EXPECT_EQ(result.timing.assignment_bytes_pooled, n * sizeof(ReadAssignment));
       });
       EXPECT_EQ(read_file(out.file("readsToComponents.out.tsv")), expected_tsv);
+      // The merged file is the only output: no per-rank part survives it.
+      std::vector<std::string> left;
+      for (const auto& entry : std::filesystem::directory_iterator(out.str())) {
+        left.push_back(entry.path().filename().string());
+      }
+      EXPECT_EQ(left, std::vector<std::string>{"readsToComponents.out.tsv"});
     }
   }
 }

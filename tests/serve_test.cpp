@@ -106,7 +106,7 @@ TEST(JobSpec, UnderscoreSpellingsWork) {
 
 TEST(JobSpec, MissingTenantIsTypedError) {
   try {
-    parse_job_spec_text(R"({"reads": "/r.fa"})", "<test>");
+    static_cast<void>(parse_job_spec_text(R"({"reads": "/r.fa"})", "<test>"));
     FAIL() << "expected ConfigError";
   } catch (const ConfigError& e) {
     EXPECT_EQ(e.field(), "tenant");
@@ -115,7 +115,7 @@ TEST(JobSpec, MissingTenantIsTypedError) {
 
 TEST(JobSpec, MissingReadsIsTypedError) {
   try {
-    parse_job_spec_text(R"({"tenant": "t"})", "<test>");
+    static_cast<void>(parse_job_spec_text(R"({"tenant": "t"})", "<test>"));
     FAIL() << "expected ConfigError";
   } catch (const ConfigError& e) {
     EXPECT_EQ(e.field(), "reads");
@@ -124,7 +124,8 @@ TEST(JobSpec, MissingReadsIsTypedError) {
 
 TEST(JobSpec, UnknownKeyIsTypedError) {
   try {
-    parse_job_spec_text(R"({"tenant": "t", "reads": "/r.fa", "walltime": 3})", "<test>");
+    static_cast<void>(
+        parse_job_spec_text(R"({"tenant": "t", "reads": "/r.fa", "walltime": 3})", "<test>"));
     FAIL() << "expected ConfigError";
   } catch (const ConfigError& e) {
     EXPECT_EQ(e.field(), "walltime");
@@ -133,7 +134,8 @@ TEST(JobSpec, UnknownKeyIsTypedError) {
 
 TEST(JobSpec, OutOfRangePipelineOptionIsTypedError) {
   try {
-    parse_job_spec_text(R"({"tenant": "t", "reads": "/r.fa", "k": 99})", "<test>");
+    static_cast<void>(
+        parse_job_spec_text(R"({"tenant": "t", "reads": "/r.fa", "k": 99})", "<test>"));
     FAIL() << "expected ConfigError";
   } catch (const ConfigError& e) {
     EXPECT_EQ(e.field(), "k");
@@ -142,8 +144,8 @@ TEST(JobSpec, OutOfRangePipelineOptionIsTypedError) {
 
 TEST(JobSpec, MalformedIoFaultIsTypedError) {
   try {
-    parse_job_spec_text(R"({"tenant": "t", "reads": "/r.fa", "io-fault": "bogus"})",
-                        "<test>");
+    static_cast<void>(parse_job_spec_text(
+        R"({"tenant": "t", "reads": "/r.fa", "io-fault": "bogus"})", "<test>"));
     FAIL() << "expected ConfigError";
   } catch (const ConfigError& e) {
     EXPECT_EQ(e.field(), "io-fault");

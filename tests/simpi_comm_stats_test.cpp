@@ -154,22 +154,6 @@ TEST(CommStats, AllreduceCountsLogicalElements) {
   }
 }
 
-TEST(CommStats, ExtensionTransfersCounted) {
-  const auto results = run(2, [](Context& ctx) {
-    const std::vector<std::byte> payload(10);
-    if (ctx.rank() == 0) {
-      ctx.internal_send(1, 3, payload);
-    } else {
-      const auto msg = ctx.internal_recv_as(CommOp::kExtension, 0, 3);
-      EXPECT_EQ(msg.payload.size(), 10u);
-    }
-  });
-  EXPECT_EQ(op(results, 0, CommOp::kExtension).calls, 1u);
-  EXPECT_EQ(op(results, 0, CommOp::kExtension).bytes_sent, 10u);
-  EXPECT_EQ(op(results, 1, CommOp::kExtension).calls, 1u);
-  EXPECT_EQ(op(results, 1, CommOp::kExtension).bytes_received, 10u);
-}
-
 TEST(CommStats, TotalsSumOverOps) {
   CommStats stats;
   stats.of(CommOp::kSend) = {2, 100, 0, 0.0};

@@ -1,6 +1,6 @@
 // Tests for the simpi extensions: one-sided shared counters (the
 // MPI_Fetch_and_op analogue), collective ordered file output (the MPI-I/O
-// analogue), and the alltoallv collective with its nonblocking IAlltoallv.
+// analogue), and the alltoallv collective.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 
 #include "simpi/context.hpp"
 #include "simpi/file_io.hpp"
-#include "simpi/nonblocking.hpp"
 #include "simpi/rma.hpp"
 #include "test_helpers.hpp"
 
@@ -214,7 +213,6 @@ TEST(ContextAlltoallvTest, AccountsOnItsOwnRow) {
     // included, like the blocking allgatherv counts the pooled result.
     EXPECT_EQ(row.bytes_sent, 6 * sizeof(int));
     EXPECT_EQ(row.bytes_received, 6 * sizeof(int));
-    EXPECT_EQ(r.comm.of(CommOp::kExtension).calls, 0u);
     EXPECT_GT(r.comm_seconds, 0.0);  // the modeled collective cost is charged
   }
 }
@@ -239,91 +237,6 @@ TEST(ContextAlltoallvTest, WrongPartCountThrows) {
                      (void)ctx.alltoallv(parts);
                    }),
                std::invalid_argument);
-}
-
-// --- IAlltoallv (nonblocking) ------------------------------------------------------
-
-class IAlltoallvWorlds : public ::testing::TestWithParam<int> {};
-
-TEST_P(IAlltoallvWorlds, WaitMatchesTheBlockingCollective) {
-  const int nranks = GetParam();
-  run(nranks, [&](Context& ctx) {
-    std::vector<std::vector<int>> send_parts;
-    for (int d = 0; d < nranks; ++d) {
-      send_parts.emplace_back(static_cast<std::size_t>(d % 2 + 1), ctx.rank() * 10 + d);
-    }
-    const auto want = ctx.alltoallv(send_parts);
-    IAlltoallv<int> pending(ctx, std::move(send_parts));
-    EXPECT_EQ(pending.wait(), want);
-  });
-}
-
-INSTANTIATE_TEST_SUITE_P(WorldSizes, IAlltoallvWorlds, ::testing::Values(1, 2, 3, 5, 8));
-
-TEST(IAlltoallvTest, AccountsOnTheAlltoallvRow) {
-  const auto ranks = run(2, [](Context& ctx) {
-    std::vector<std::vector<std::int64_t>> parts(2);
-    for (auto& p : parts) p.assign(4, ctx.rank());  // 8 values out per rank
-    IAlltoallv<std::int64_t> pending(ctx, std::move(parts));
-    (void)pending.wait();
-  });
-  for (const auto& r : ranks) {
-    const auto& row = r.comm.of(CommOp::kAlltoallv);
-    EXPECT_EQ(row.calls, 1u);
-    EXPECT_EQ(row.bytes_sent, 8 * sizeof(std::int64_t));
-    EXPECT_EQ(row.bytes_received, 8 * sizeof(std::int64_t));
-  }
-}
-
-TEST(IAlltoallvTest, OverlapCreditReducesTheModeledCost) {
-  double charged_plain = 0.0;
-  double charged_credited = 0.0;
-  run(2, [&](Context& ctx) {
-    std::vector<std::vector<int>> parts(2, std::vector<int>(4096, ctx.rank()));
-    IAlltoallv<int> a(ctx, parts, 0);
-    const double before_a = ctx.comm_seconds();
-    (void)a.wait(0.0);
-    if (ctx.rank() == 0) charged_plain = ctx.comm_seconds() - before_a;
-    IAlltoallv<int> b(ctx, parts, 0);
-    const double before_b = ctx.comm_seconds();
-    (void)b.wait(1e9);  // fully hidden behind (claimed) compute
-    if (ctx.rank() == 0) charged_credited = ctx.comm_seconds() - before_b;
-  });
-  EXPECT_GT(charged_plain, 0.0);
-  EXPECT_LT(charged_credited, charged_plain);
-}
-
-TEST(IAlltoallvTest, DistinctChannelsOverlapSafely) {
-  run(3, [](Context& ctx) {
-    std::vector<std::vector<int>> low(3), high(3);
-    for (int d = 0; d < 3; ++d) {
-      low[static_cast<std::size_t>(d)].assign(2, ctx.rank());
-      high[static_cast<std::size_t>(d)].assign(2, ctx.rank() + 100);
-    }
-    IAlltoallv<int> a(ctx, low, 0);
-    IAlltoallv<int> b(ctx, high, 1);
-    const auto got_b = b.wait();  // out of construction order: tags must not cross
-    const auto got_a = a.wait();
-    for (int src = 0; src < 3; ++src) {
-      EXPECT_EQ(got_a[static_cast<std::size_t>(src)], std::vector<int>(2, src));
-      EXPECT_EQ(got_b[static_cast<std::size_t>(src)], std::vector<int>(2, src + 100));
-    }
-  });
-}
-
-TEST(IAlltoallvTest, WaitTwiceThrows) {
-  run(2, [](Context& ctx) {
-    IAlltoallv<int> pending(ctx, std::vector<std::vector<int>>(2));
-    (void)pending.wait();
-    EXPECT_THROW((void)pending.wait(), std::logic_error);
-  });
-}
-
-TEST(IAlltoallvTest, WrongPartCountThrows) {
-  run(2, [](Context& ctx) {
-    EXPECT_THROW(IAlltoallv<int>(ctx, std::vector<std::vector<int>>(3)),
-                 std::invalid_argument);
-  });
 }
 
 }  // namespace
