@@ -49,51 +49,45 @@
 #      metrics.prom must pass the strict Prometheus parser (trinity_top
 #      --check-prom) and the metrics.json dashboard must agree on the
 #      outcome totals; bench_obs_overhead then gates the metrics-on cost
-#      of the serve batch workload under 2%.
+#      of the serve batch workload under 2% (min of 8 repeats of a 16-job
+#      batch per mode, the modes alternating which runs first).
 #   8. Serve-recovery gate (docs/SERVING.md "Reliability"): a served job is
 #      SIGKILLed mid-run, the server is restarted over the same root with
 #      the same jobs file — the duplicate submission must be rejected, the
 #      journaled job must be recovered and complete with transcripts
 #      byte-identical to the control run, and the journal must hold exactly
 #      one terminal record for it.
-#   9. Transcript-index gate (docs/INDEXING.md): the on-disk format version
-#      stated in the docs must match kTranscriptIndexFormatVersion in
-#      src/chrysalis/transcript_index.hpp, INDEXING.md must be linked from
-#      README.md and docs/SERVING.md, and bench_r2t_index must show the
-#      warm mmap load no slower than the per-run voting-map setup
-#      (--min-speedup 1.0, assignment parity enforced by the bench itself),
-#      recording the run in BENCH_r2t_index.json.
-#  10. GFF sharding gate (docs/CONFIG.md --gff-sharding): bench_gff_shard
+#   9. GFF sharding gate (docs/CONFIG.md --gff-sharding): bench_gff_shard
 #      must show owner-computes producing byte-identical components to the
 #      pooled path at 1/2/4/8 ranks while cutting total communication
 #      payload by at least --min-bytes-reduction at >= 4 ranks, recording
 #      the run in BENCH_gff_shard.json.
-#  11. Smith–Waterman gate (ROADMAP item 2): bench_sw must show the
+#  10. Smith–Waterman gate (ROADMAP item 2): bench_sw must show the
 #      library's Section-IV validation (score both strands in linear memory,
 #      AVX2 where available, trace back only where a category reads it) at
 #      least 5x faster than the scalar full-traceback baseline on the
 #      Figure 4-6 presets, with identical CategoryCounts and
 #      ReferenceComparison (enforced by the bench itself), recording the run
 #      in BENCH_sw.json.
-#  12. Checkpoint hashing gate (docs/OBSERVABILITY.md checkpoint_bytes):
+#  11. Checkpoint hashing gate (docs/OBSERVABILITY.md checkpoint_bytes):
 #      on a fresh checkpointed run, bench_checkpoint_overhead must find the
 #      summed checkpoint_bytes phase counters equal to the distinct
 #      artifact bytes (each artifact hashed once, enforced by the bench
 #      itself), and the run's hashing at least 5x faster than byte-serial
 #      FNV-1a over every manifest record's inputs and outputs, the scheme
 #      it replaced (--min-hash-speedup 5).
-#  13. Memory gate (ROADMAP item 3): sugarbeet_like at its own 400 genes is
+#  12. Memory gate (ROADMAP item 3): sugarbeet_like at its own 400 genes is
 #      assembled by assemble_fasta at 1 and at 4 ranks, each in a fresh
 #      process; the largest phase rss_peak_b in each run_report.json must
 #      stay within 1.3x (1 rank) and 1.9x (4 ranks) of the jellyfish
 #      phase's. Every later stage's table is then sized to what it reads
 #      and each stage's data is gone once its last reader is done; the
 #      tables sized to total bases failed both bounds (1.55x / 2.93x).
-#  14. Warning gate: every trinity_* library target under src/ builds with
+#  13. Warning gate: every trinity_* library target under src/ builds with
 #      -Werror in a Release build dir of its own (build-werror/), where
 #      GCC's -O3 flow warnings (-Wstringop-overflow, -Wrestrict) fire. Tests
 #      and benches are not built here.
-#  15. ASan+UBSan build (-DTRINITY_SANITIZE=ON) running the checkpoint, io,
+#  14. ASan+UBSan build (-DTRINITY_SANITIZE=ON) running the checkpoint, io,
 #      simpi (CommStats included), trace, config, flat-index, k-mer
 #      (counter, Inchworm, de Bruijn, aligner), stage-file loader
 #      (components, Butterfly), GraphFromFasta and ReadsToTranscripts
@@ -102,8 +96,7 @@
 #      subsystems that throw across thread and collective boundaries (and,
 #      for the trace recorder, publish buffers across threads; for the flat
 #      index, raw-storage placement news; for the k-mer counter, OpenMP
-#      threads filling per-partition buffers; for the transcript index, mmap'd
-#      read-only images cut and flipped at every byte; for the serve layer, preempt
+#      threads filling per-partition buffers; for the serve layer, preempt
 #      and deadline tokens, the journal, and rank leases across
 #      scheduler/watchdog/worker threads; for the metrics layer, relaxed-
 #      atomic instruments hammered by every serve thread while the
@@ -163,27 +156,8 @@ elif [ "$metrics_header_version" != "$metrics_docs_version" ]; then
          "docs/OBSERVABILITY.md says $metrics_docs_version" >&2
     docs_failed=1
 fi
-index_header_version=$(sed -n 's/.*kTranscriptIndexFormatVersion = \([0-9][0-9]*\);.*/\1/p' \
-    src/chrysalis/transcript_index.hpp)
-index_docs_version=$(sed -n 's/^Format version: \([0-9][0-9]*\)$/\1/p' docs/INDEXING.md)
-if [ -z "$index_header_version" ] || [ -z "$index_docs_version" ]; then
-    echo "could not extract index format version (header: '$index_header_version'," \
-         "docs: '$index_docs_version')" >&2
-    docs_failed=1
-elif [ "$index_header_version" != "$index_docs_version" ]; then
-    echo "index format version mismatch: transcript_index.hpp says" \
-         "$index_header_version, docs/INDEXING.md says $index_docs_version" >&2
-    docs_failed=1
-fi
-for doc in README.md docs/SERVING.md; do
-    if ! grep -q 'INDEXING.md' "$doc"; then
-        echo "$doc does not link docs/INDEXING.md" >&2
-        docs_failed=1
-    fi
-done
 [ "$docs_failed" -eq 0 ] || exit 1
-echo "docs ok (schema version $header_version, metrics schema $metrics_header_version," \
-     "index format version $index_header_version)"
+echo "docs ok (schema version $header_version, metrics schema $metrics_header_version)"
 src_lines=$(find src \( -name '*.cpp' -o -name '*.hpp' \) -exec cat {} + | wc -l)
 echo "src/ size: $src_lines lines (*.cpp + *.hpp)"
 
@@ -296,7 +270,7 @@ cmp "$serve_dir/control/tenant-b/clean/Trinity.fa" \
 echo "serve ok"
 
 echo "== metrics overhead: serve A/B with exporter on (budget 2%) =="
-./build/bench/bench_obs_overhead --jobs 8 --repeats 2 --genes 8 \
+./build/bench/bench_obs_overhead --jobs 16 --repeats 8 --genes 8 \
     --iters 5000000 --budget 0.02
 
 echo "== serve recovery: SIGKILL mid-job, restart, byte-identical resume =="
@@ -326,10 +300,6 @@ cmp "$serve_dir/control/tenant-b/clean/Trinity.fa" \
 # did not double-complete it.
 [ "$(grep -c '"complete"' "$rec_root/journal.jsonl")" -eq 1 ]
 echo "serve recovery ok"
-
-echo "== transcript index: warm mmap load vs voting-map setup (BENCH_r2t_index.json) =="
-./build/bench/bench_r2t_index --genes 200 --repeats 3 --min-speedup 1.0 \
-    --json "$repo_root/BENCH_r2t_index.json"
 
 echo "== gff sharding: owner-computes vs pooled (BENCH_gff_shard.json) =="
 ./build/bench/bench_gff_shard --genes 120 --kernel-repeats 10 --trials 1 \
@@ -381,20 +351,20 @@ if [ "${1:-}" = "--skip-sanitize" ]; then
     exit 0
 fi
 
-echo "== ASan+UBSan: checkpoint + io + simpi + trace + config + index + k-mer + serve + obs + sw + stage-file + chrysalis tests =="
+echo "== ASan+UBSan: checkpoint + io + simpi + trace + config + flat index + k-mer + serve + obs + sw + stage-file + chrysalis tests =="
 cmake -B build-asan -S . -DTRINITY_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-asan -j "$jobs" --target \
     checkpoint_test simpi_fault_test simpi_test simpi_extensions_test dsu_test \
     pipeline_checkpoint_test io_fault_test seq_parse_policy_test trace_test \
     config_test flat_index_test kmer_test inchworm_test debruijn_test align_test \
-    transcript_index_test serve_test serve_fault_test \
+    serve_test serve_fault_test \
     serve_recovery_test serve_watchdog_test obs_test serve_metrics_test \
     sw_test sw_kernel_test validate_test components_io_test butterfly_test \
     chrysalis_gff_test chrysalis_r2t_test simpi_comm_stats_test
 for t in checkpoint_test simpi_fault_test simpi_test simpi_extensions_test dsu_test \
          pipeline_checkpoint_test io_fault_test seq_parse_policy_test trace_test \
          config_test flat_index_test kmer_test inchworm_test debruijn_test align_test \
-         transcript_index_test serve_test serve_fault_test \
+         serve_test serve_fault_test \
          serve_recovery_test serve_watchdog_test obs_test serve_metrics_test \
          sw_test sw_kernel_test validate_test components_io_test butterfly_test \
          chrysalis_gff_test chrysalis_r2t_test simpi_comm_stats_test; do

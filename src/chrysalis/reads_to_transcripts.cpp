@@ -1,7 +1,6 @@
 #include "chrysalis/reads_to_transcripts.hpp"
 
 #include <omp.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
@@ -11,7 +10,6 @@
 #include <stdexcept>
 
 #include "chrysalis/parallel_loop.hpp"
-#include "chrysalis/transcript_index.hpp"
 #include "io/io_file.hpp"
 #include "seq/fasta.hpp"
 #include "seq/kmer.hpp"
@@ -59,9 +57,8 @@ void put_assignment(Sink& out, const ReadAssignment& a) {
 
 namespace detail {
 
-template <typename Map>
 ReadAssignment assign_read(const seq::Sequence& read, std::int64_t read_index,
-                           const Map& bundle_of, int k) {
+                           const kmer::FlatKmerIndex<std::int32_t>& bundle_of, int k) {
   ReadAssignment out;
   out.read_index = read_index;
 
@@ -101,11 +98,6 @@ ReadAssignment assign_read(const seq::Sequence& read, std::int64_t read_index,
   return out;
 }
 
-template ReadAssignment assign_read(const seq::Sequence&, std::int64_t,
-                                    const kmer::FlatKmerIndex<std::int32_t>&, int);
-template ReadAssignment assign_read(const seq::Sequence&, std::int64_t, const TranscriptIndex&,
-                                    int);
-
 void write_assignments(const std::string& path,
                        const std::vector<ReadAssignment>& assignments) {
   io::BufferedWriter out(path);
@@ -117,82 +109,13 @@ void write_assignments(const std::string& path,
 
 namespace {
 
-/// Whether an existing index file should be mmapped instead of building.
-bool index_file_present(const ReadsToTranscriptsOptions& options) {
-  return !options.index_path.empty() &&
-         options.index_lifecycle != IndexLifecycle::kBuild &&
-         ::access(options.index_path.c_str(), F_OK) == 0;
-}
-
-/// Resolves the vote-map image for an R2TMode::kIndex run: an mmap of the
-/// persisted file or a fresh build (persisted when `persist` — in hybrid
-/// runs only rank 0 saves, so concurrent ranks never race on the
-/// atomic-write tmp file). Fills the timing fields the run report
-/// surfaces. `load_existing` is the (collectively agreed, for hybrid)
-/// result of index_file_present().
-TranscriptIndex acquire_index(const std::vector<seq::Sequence>& contigs,
-                              const ComponentSet& components,
-                              const ReadsToTranscriptsOptions& options, bool load_existing,
-                              bool persist, R2TTiming& timing) {
-  if (options.index_lifecycle == IndexLifecycle::kLoad && options.index_path.empty()) {
-    throw std::runtime_error(
-        "ReadsToTranscripts: index lifecycle 'load' requires an index path");
-  }
-  if (options.index_lifecycle == IndexLifecycle::kLoad) {
-    util::Timer wall;
-    auto loaded = TranscriptIndex::load(options.index_path);
-    timing.index_load_seconds = wall.seconds();
-    if (loaded.k() != options.k) {
-      throw std::runtime_error("ReadsToTranscripts: index '" + options.index_path +
-                               "' was built with k=" + std::to_string(loaded.k()) +
-                               ", this run requires k=" + std::to_string(options.k) +
-                               " (rebuild with --r2t-index build)");
-    }
-    timing.index_source = "mmap";
-    return loaded;
-  }
-  if (load_existing) {
-    // kAuto: a file of another k or format version, or a corrupt one, is
-    // rebuilt and overwritten rather than failing the run.
-    try {
-      util::Timer wall;
-      auto loaded = TranscriptIndex::load(options.index_path);
-      if (loaded.k() == options.k) {
-        timing.index_load_seconds = wall.seconds();
-        timing.index_source = "mmap";
-        return loaded;
-      }
-    } catch (const io::ParseError&) {
-    }
-  }
-  util::Timer wall;
-  auto built = TranscriptIndex::build(contigs, components, options.k);
-  timing.index_build_seconds = wall.seconds();
-  timing.index_source = "built";
-  if (persist && !options.index_path.empty()) built.save(options.index_path);
-  return built;
-}
-
-/// Obtains the run's vote map — built here, or the TranscriptIndex image
-/// in index mode — and hands it to `classify` while it is alive. Returns
-/// this rank's setup seconds (in index mode, build plus load wall time,
-/// so Figure 9's setup column stays comparable across modes).
-template <typename Classify>
-double with_vote_map(const std::vector<seq::Sequence>& contigs,
-                     const ComponentSet& components, const ReadsToTranscriptsOptions& options,
-                     bool load_existing, bool persist, R2TTiming& timing,
-                     Classify&& classify) {
+/// Index mode is gone; a caller that still selects it fails here rather
+/// than silently running the vote map.
+void reject_index_mode(const ReadsToTranscriptsOptions& options) {
   if (options.mode == R2TMode::kIndex) {
-    const auto index =
-        acquire_index(contigs, components, options, load_existing, persist, timing);
-    classify(index);
-    return timing.index_build_seconds + timing.index_load_seconds;
+    throw std::invalid_argument(
+        "ReadsToTranscripts: index mode was removed; the vote map is built for every run");
   }
-  util::ThreadCpuTimer setup_cpu;
-  const auto bundle_of = build_bundle_kmer_map(contigs, components, options.k);
-  const double setup_seconds = setup_cpu.seconds();
-  classify(bundle_of);
-  return setup_seconds;
 }
 
 /// What one rank's pass over the reads measured.
@@ -204,11 +127,10 @@ struct StreamStats {
 
 /// Classifies one in-memory chunk with an OpenMP team, appending to
 /// `assignments` and charging the modeled loop seconds to `stats`.
-template <typename Map>
 void classify_chunk(const std::vector<seq::Sequence>& chunk, std::int64_t base_index,
-                    const Map& bundle_of, const ReadsToTranscriptsOptions& options,
-                    int real_threads, std::vector<ReadAssignment>& assignments,
-                    StreamStats& stats) {
+                    const kmer::FlatKmerIndex<std::int32_t>& bundle_of,
+                    const ReadsToTranscriptsOptions& options, int real_threads,
+                    std::vector<ReadAssignment>& assignments, StreamStats& stats) {
   const std::size_t offset = assignments.size();
   assignments.resize(offset + chunk.size());
   const std::vector<IndexRange> all{IndexRange{0, chunk.size()}};
@@ -251,8 +173,8 @@ void for_each_chunk(const std::string& reads_path, const ReadsToTranscriptsOptio
 /// Classifies the chunks whose index is congruent to `offset` modulo
 /// `stride` and skips the rest: (1, 0) for run_shared, (size, rank) for
 /// redundant streaming.
-template <typename Map>
-StreamStats stream_owned_chunks(const std::string& reads_path, const Map& bundle_of,
+StreamStats stream_owned_chunks(const std::string& reads_path,
+                                const kmer::FlatKmerIndex<std::int32_t>& bundle_of,
                                 const ReadsToTranscriptsOptions& options, int threads,
                                 int stride, int offset,
                                 std::vector<ReadAssignment>& assignments) {
@@ -270,9 +192,9 @@ StreamStats stream_owned_chunks(const std::string& reads_path, const Map& bundle
 /// Master/slave ablation: rank 0 reads, classifies chunk 0 mod P and
 /// ships the others round-robin; an empty payload is the end-of-stream
 /// sentinel.
-template <typename Map>
 StreamStats master_slave_chunks(simpi::Context& ctx, const std::string& reads_path,
-                                const Map& bundle_of, const ReadsToTranscriptsOptions& options,
+                                const kmer::FlatKmerIndex<std::int32_t>& bundle_of,
+                                const ReadsToTranscriptsOptions& options,
                                 int threads, std::vector<ReadAssignment>& assignments) {
   constexpr int kChunkTag = 7;
   StreamStats stats;
@@ -345,15 +267,17 @@ void sort_by_read_index(std::vector<ReadAssignment>& assignments) {
 R2TResult run_shared(const std::vector<seq::Sequence>& contigs, const ComponentSet& components,
                      const std::string& reads_path, const ReadsToTranscriptsOptions& options,
                      const std::string& output_dir) {
+  reject_index_mode(options);
   const int threads = resolve_omp_threads(options.omp_threads, /*hybrid=*/false);
   R2TResult result;
   StreamStats stream;
-  result.timing.setup_seconds = with_vote_map(
-      contigs, components, options, index_file_present(options), /*persist=*/true,
-      result.timing, [&](const auto& bundle_of) {
-        stream = stream_owned_chunks(reads_path, bundle_of, options, threads, /*stride=*/1,
-                                     /*offset=*/0, result.assignments);
-      });
+  {
+    util::ThreadCpuTimer setup_cpu;
+    const auto bundle_of = build_bundle_kmer_map(contigs, components, options.k);
+    result.timing.setup_seconds = setup_cpu.seconds();
+    stream = stream_owned_chunks(reads_path, bundle_of, options, threads, /*stride=*/1,
+                                 /*offset=*/0, result.assignments);
+  }  // the vote map is freed before the output is written
   result.parse = stream.parse;
   result.timing.main_loop.seconds = {stream.loop_seconds};
   result.timing.rank_chunks = {stream.chunks};
@@ -369,36 +293,26 @@ R2TResult run_shared(const std::vector<seq::Sequence>& contigs, const ComponentS
 R2TResult run_hybrid(simpi::Context& ctx, const std::vector<seq::Sequence>& contigs,
                      const ComponentSet& components, const std::string& reads_path,
                      const ReadsToTranscriptsOptions& options, const std::string& output_dir) {
+  reject_index_mode(options);
   const int threads = resolve_omp_threads(options.omp_threads, /*hybrid=*/true);
   const double comm_before = ctx.comm_seconds();
   R2TResult result;
 
   // Setup stays OpenMP-only and runs redundantly per rank ("we have not
   // converted this to a hybrid implementation yet" — paper, Section V.B).
-  // Index mode breaks the redundancy on the warm path: every rank mmaps
-  // the same file, and cold builds persist from rank 0 only. Load-vs-build
-  // is decided once at rank 0 and broadcast: a per-rank existence check
-  // could race with rank 0's save under kAuto, leaving ranks disagreeing
-  // on index_source.
-  bool load_existing = false;
-  if (options.mode == R2TMode::kIndex) {
-    std::vector<std::uint8_t> flag{
-        static_cast<std::uint8_t>(ctx.rank() == 0 && index_file_present(options) ? 1 : 0)};
-    ctx.bcast(flag, 0);
-    load_existing = flag[0] != 0;
-  }
-
   std::vector<ReadAssignment> my_assignments;
   StreamStats stream;
-  const double my_setup = with_vote_map(
-      contigs, components, options, load_existing, /*persist=*/ctx.rank() == 0,
-      result.timing, [&](const auto& bundle_of) {
-        stream = options.strategy == R2TStrategy::kRedundantStreaming
-                     ? stream_owned_chunks(reads_path, bundle_of, options, threads,
-                                           ctx.size(), ctx.rank(), my_assignments)
-                     : master_slave_chunks(ctx, reads_path, bundle_of, options, threads,
-                                           my_assignments);
-      });
+  double my_setup = 0.0;
+  {
+    util::ThreadCpuTimer setup_cpu;
+    const auto bundle_of = build_bundle_kmer_map(contigs, components, options.k);
+    my_setup = setup_cpu.seconds();
+    stream = options.strategy == R2TStrategy::kRedundantStreaming
+                 ? stream_owned_chunks(reads_path, bundle_of, options, threads, ctx.size(),
+                                       ctx.rank(), my_assignments)
+                 : master_slave_chunks(ctx, reads_path, bundle_of, options, threads,
+                                       my_assignments);
+  }  // the vote map is freed before the output is written and gathered
   result.parse = stream.parse;
 
   // Output: per-rank files + master concatenation (the paper's scheme) or
@@ -450,8 +364,6 @@ R2TResult run_hybrid(simpi::Context& ctx, const std::vector<seq::Sequence>& cont
   }
 
   result.timing.setup_seconds = ctx.allreduce_max(my_setup);
-  result.timing.index_build_seconds = ctx.allreduce_max(result.timing.index_build_seconds);
-  result.timing.index_load_seconds = ctx.allreduce_max(result.timing.index_load_seconds);
   result.timing.main_loop.seconds = ctx.allgatherv(std::vector<double>{stream.loop_seconds});
   result.timing.rank_chunks = ctx.allgatherv(std::vector<std::uint64_t>{stream.chunks});
   result.timing.rank_reads = ctx.allgatherv(std::vector<std::uint64_t>{my_reads});

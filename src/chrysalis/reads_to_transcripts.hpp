@@ -23,9 +23,8 @@
 // One synchronous reader loop streams the file for every strategy: each
 // chunk is parsed on the calling thread and its read CPU is charged to
 // the main loop, as redundant streaming incurs it. One engine classifies
-// reads: the k-mer -> bundle vote map, either built for the run or
-// mmapped from a TranscriptIndex image saved by an earlier run (R2TMode).
-// Both feed the same tally kernel and chunk loop.
+// reads: the k-mer -> bundle vote map, built for every run as the paper's
+// serial setup region.
 
 #include <cstdint>
 #include <string>
@@ -41,20 +40,12 @@
 
 namespace trinity::chrysalis {
 
-/// Where the vote map comes from. Both produce bit-identical assignments
-/// (transcript_index_test pins this); they differ in what the setup region
-/// costs and whether it persists across runs.
-enum class R2TMode {
-  kVote,   ///< built for this run (the paper's scheme)
-  kIndex,  ///< an mmapped TranscriptIndex image of the map
-};
-
-/// Lifecycle of the on-disk index in R2TMode::kIndex.
-enum class IndexLifecycle {
-  kBuild,  ///< always rebuild (and persist when an index_path is set)
-  kLoad,   ///< mmap an existing index file; error when absent or unusable
-  kAuto,   ///< mmap when present, valid and of this k; otherwise build + persist
-};
+// perfbench compile shim; the benchmark PR of ROADMAP item 7 deletes it.
+// Index mode is gone: run_shared and run_hybrid reject kIndex with
+// std::invalid_argument.
+enum class R2TMode { kVote, kIndex };
+// perfbench compile shim; the benchmark PR of ROADMAP item 7 deletes it.
+enum class IndexLifecycle { kAuto };
 
 /// Hybrid chunk-distribution strategy (ablation knob).
 enum class R2TStrategy {
@@ -91,14 +82,9 @@ struct ReadsToTranscriptsOptions {
   /// changes read indices, so a mixed world would disagree on assignments.
   seq::ParsePolicy parse_policy = seq::ParsePolicy::kStrict;
 
-  // --- vote-map image (R2TMode::kIndex) --------------------------------------
-  // Scheduling-only knobs: assignments are bit-identical across modes, so
-  // none of these participate in the pipeline options fingerprint.
-  R2TMode mode = R2TMode::kVote;
-  IndexLifecycle index_lifecycle = IndexLifecycle::kAuto;
-  /// Where the serialized index lives (docs/INDEXING.md). Empty: the index
-  /// is built in memory and never persisted (kLoad then errors).
-  std::string index_path;
+  R2TMode mode = R2TMode::kVote;  // shim; the benchmark PR of ROADMAP item 7 deletes it
+  IndexLifecycle index_lifecycle = IndexLifecycle::kAuto;  // shim; ROADMAP item 7 deletes it
+  std::string index_path;  // shim, never read; the benchmark PR of ROADMAP item 7 deletes it
 };
 
 /// One read's bundle assignment.
@@ -126,14 +112,6 @@ struct R2TTiming {
   std::vector<std::uint64_t> rank_reads;   ///< reads each rank assigned
   std::vector<std::uint64_t> assignment_bytes_contributed;  ///< per rank
   std::uint64_t assignment_bytes_pooled = 0;  ///< full payload gathered at rank 0
-
-  // Vote-map image accounting (R2TMode::kIndex only; max over ranks
-  // for hybrid runs). In index mode setup_seconds mirrors their sum, so
-  // Figure 9's setup column stays comparable across modes; a warm
-  // mmap-load reports index_build_seconds == 0.
-  double index_build_seconds = 0.0;  ///< wall seconds building (0 when loaded)
-  double index_load_seconds = 0.0;   ///< wall seconds mmap-loading (0 when built)
-  std::string index_source;          ///< "built" | "mmap"; "" in vote mode
 
   [[nodiscard]] double total_seconds() const {
     return setup_seconds + main_loop.max() + concat_seconds + comm_seconds;
@@ -177,12 +155,9 @@ R2TResult run_hybrid(simpi::Context& ctx, const std::vector<seq::Sequence>& cont
 namespace detail {
 
 /// Assignment kernel for one read: the component sharing the most k-mers
-/// with it (smallest id on ties). `Map` is the vote map
-/// (kmer::FlatKmerIndex<std::int32_t>) or its TranscriptIndex image; both
-/// are instantiated in reads_to_transcripts.cpp.
-template <typename Map>
+/// with it (smallest id on ties).
 ReadAssignment assign_read(const seq::Sequence& read, std::int64_t read_index,
-                           const Map& bundle_of, int k);
+                           const kmer::FlatKmerIndex<std::int32_t>& bundle_of, int k);
 
 /// Writes assignments as TSV (read_index, component, shared, begin, end)
 /// through io::BufferedWriter (failures are typed io::IoErrors).

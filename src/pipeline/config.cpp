@@ -69,8 +69,6 @@ struct Choice {
 
 using align::BowtieSplit;
 using chrysalis::Distribution;
-using chrysalis::IndexLifecycle;
-using chrysalis::R2TMode;
 using chrysalis::R2TOutputMode;
 using chrysalis::R2TStrategy;
 using chrysalis::ShardingStrategy;
@@ -83,10 +81,6 @@ constexpr Choice<R2TStrategy> kR2TStrategies[] = {
     {"redundant", R2TStrategy::kRedundantStreaming}, {"master-slave", R2TStrategy::kMasterSlave}};
 constexpr Choice<R2TOutputMode> kR2TOutputs[] = {{"concat", R2TOutputMode::kPerRankConcat},
                                                  {"collective", R2TOutputMode::kCollective}};
-constexpr Choice<R2TMode> kR2TModes[] = {{"vote", R2TMode::kVote}, {"index", R2TMode::kIndex}};
-constexpr Choice<IndexLifecycle> kR2TIndexLifecycles[] = {{"build", IndexLifecycle::kBuild},
-                                                          {"load", IndexLifecycle::kLoad},
-                                                          {"auto", IndexLifecycle::kAuto}};
 constexpr Choice<BowtieSplit> kBowtieSplits[] = {{"targets", BowtieSplit::kTargets},
                                                  {"reads", BowtieSplit::kReads}};
 // Spelled by their modules, which also parse them.
@@ -213,10 +207,6 @@ Config& Config::with_pipeline(const pipeline::PipelineOptions& defaults) {
          "ReadsToTranscripts chunk distribution");
   choice("r2t-output", kR2TOutputs, defaults.r2t_output_mode,
          "hybrid ReadsToTranscripts output merge");
-  choice("r2t-mode", kR2TModes, defaults.r2t_mode, "ReadsToTranscripts engine",
-         "; assignments are identical");
-  choice("r2t-index", kR2TIndexLifecycles, defaults.r2t_index,
-         "transcript-index lifecycle under --r2t-mode index");
   choice("bowtie-split", kBowtieSplits, defaults.bowtie_split,
          "distributed Bowtie work split");
   flag_int("min-node-support", defaults.butterfly_min_node_support,
@@ -545,8 +535,6 @@ pipeline::PipelineOptions Config::pipeline_options() const {
   }
   options.r2t_strategy = chosen("r2t-strategy", kR2TStrategies);
   options.r2t_output_mode = chosen("r2t-output", kR2TOutputs);
-  options.r2t_mode = chosen("r2t-mode", kR2TModes);
-  options.r2t_index = chosen("r2t-index", kR2TIndexLifecycles);
   options.bowtie_split = chosen("bowtie-split", kBowtieSplits);
   options.butterfly_min_node_support =
       static_cast<std::uint32_t>(int_at_least("min-node-support", 0));

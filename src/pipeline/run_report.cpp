@@ -140,7 +140,7 @@ util::Json parse_json(seq::ParsePolicy policy, const io::ParseDiagnostics& d) {
   return out;
 }
 
-util::Json r2t_json(const PipelineOptions& options, const chrysalis::R2TTiming& t) {
+util::Json r2t_json(const chrysalis::R2TTiming& t) {
   util::Json out = util::Json::object();
   out.set("main_loop_s", double_array(t.main_loop.seconds));
   out.set("setup_s", t.setup_seconds);
@@ -150,17 +150,6 @@ util::Json r2t_json(const PipelineOptions& options, const chrysalis::R2TTiming& 
   out.set("rank_reads", int_array(t.rank_reads));
   out.set("assignment_bytes_contributed", int_array(t.assignment_bytes_contributed));
   out.set("assignment_bytes_pooled", static_cast<std::int64_t>(t.assignment_bytes_pooled));
-  // Additive fields (schema stays 3, readers ignore unknown keys):
-  // r2t_mode always; index accounting only in index mode, so vote-mode
-  // documents are unchanged. index_source distinguishes cold builds
-  // ("built") from warm loads ("mmap") in the --aggregate roll-up.
-  out.set("r2t_mode",
-          options.r2t_mode == chrysalis::R2TMode::kIndex ? "index" : "vote");
-  if (options.r2t_mode == chrysalis::R2TMode::kIndex) {
-    out.set("index_build_s", t.index_build_seconds);
-    out.set("index_load_s", t.index_load_seconds);
-    out.set("index_source", t.index_source);
-  }
   return out;
 }
 
@@ -212,7 +201,7 @@ util::Json build_run_report(const PipelineOptions& options, const PipelineResult
 
   util::Json chrysalis = util::Json::object();
   chrysalis.set("graph_from_fasta", gff_json(options, result.gff_timing));
-  chrysalis.set("reads_to_transcripts", r2t_json(options, result.r2t_timing));
+  chrysalis.set("reads_to_transcripts", r2t_json(result.r2t_timing));
   report.set("chrysalis", std::move(chrysalis));
   return report;
 }
@@ -356,17 +345,6 @@ void summarize_report(const util::Json& report, std::ostream& out) {
     for (const auto& v : r2t.at("rank_chunks").items()) out << ' ' << v.as_int();
     out << '\n';
   }
-  // Additive r2t_mode/index fields; reports from before the quasi-mapping
-  // index simply lack them.
-  if (const util::Json* mode = r2t.find("r2t_mode")) {
-    out << "  reads_to_transcripts mode: " << mode->as_string();
-    if (const util::Json* source = r2t.find("index_source")) {
-      out << " (index " << source->as_string() << ", build "
-          << r2t.at("index_build_s").as_double() << " s, load "
-          << r2t.at("index_load_s").as_double() << " s)";
-    }
-    out << '\n';
-  }
 }
 
 util::Json aggregate_run_reports(const std::vector<util::Json>& reports) {
@@ -380,10 +358,6 @@ util::Json aggregate_run_reports(const std::vector<util::Json>& reports) {
     std::int64_t io_retries = 0;
     std::int64_t preemptions = 0;
     double max_skew = 1.0;
-    // Index-mode job split: cold builds vs. warm mmap loads. Both stay 0
-    // for vote-mode jobs.
-    std::int64_t index_cold_builds = 0;
-    std::int64_t index_warm_loads = 0;
     // Schema v4 reliability rollup: total dispatches, job-level retries
     // (dispatches beyond each job's first), and terminal kill reasons.
     // A tenant with outsized attempts/quarantines relative to its job
@@ -455,14 +429,6 @@ util::Json aggregate_run_reports(const std::vector<util::Json>& reports) {
     if (const util::Json* recovered = report.find("recovered")) {
       if (recovered->as_bool()) ++t.recovered;
     }
-    if (const util::Json* chrysalis = report.find("chrysalis")) {
-      if (const util::Json* r2t = chrysalis->find("reads_to_transcripts")) {
-        if (const util::Json* source = r2t->find("index_source")) {
-          if (source->as_string() == "built") ++t.index_cold_builds;
-          else ++t.index_warm_loads;
-        }
-      }
-    }
   }
 
   util::Json out = util::Json::object();
@@ -484,8 +450,6 @@ util::Json aggregate_run_reports(const std::vector<util::Json>& reports) {
     row.set("io_retries", t.io_retries);
     row.set("preemptions", t.preemptions);
     row.set("max_skew", t.max_skew);
-    row.set("index_cold_builds", t.index_cold_builds);
-    row.set("index_warm_loads", t.index_warm_loads);
     row.set("attempts", t.attempts);
     row.set("job_retries", t.job_retries);
     row.set("quarantined", t.quarantined);
@@ -511,8 +475,7 @@ void summarize_aggregate(const util::Json& aggregate, std::ostream& out) {
       << std::setw(14)
       << "sent(B)" << std::setw(14) << "recv(B)" << std::setw(9) << "retries"
       << std::setw(9) << "io-rtr" << std::setw(9) << "preempt" << std::setw(9)
-      << "skew" << std::setw(9) << "ix-cold" << std::setw(9) << "ix-warm"
-      << std::setw(9) << "att" << std::setw(9) << "job-rtr" << std::setw(9) << "quar"
+      << "skew" << std::setw(9) << "att" << std::setw(9) << "job-rtr" << std::setw(9) << "quar"
       << std::setw(9) << "ddl" << std::setw(9) << "hung" << std::setw(9) << "recov"
       << '\n';
   for (const auto& row : tenants) {
@@ -529,8 +492,6 @@ void summarize_aggregate(const util::Json& aggregate, std::ostream& out) {
         << row.at("io_retries").as_int() << std::setw(9)
         << row.at("preemptions").as_int() << std::setprecision(2) << std::setw(9)
         << row.at("max_skew").as_double() << std::setw(9)
-        << row.at("index_cold_builds").as_int() << std::setw(9)
-        << row.at("index_warm_loads").as_int() << std::setw(9)
         << row.at("attempts").as_int() << std::setw(9)
         << row.at("job_retries").as_int() << std::setw(9)
         << row.at("quarantined").as_int() << std::setw(9)

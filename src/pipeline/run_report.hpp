@@ -38,8 +38,10 @@ namespace trinity::pipeline {
 /// parse and blocked wait seconds): the chunk loop is synchronous. v6
 /// removes GraphFromFasta's overlap-credit seconds: owner sharding routes
 /// welds with the blocking alltoallv, so no compute hides behind the exchange.
-/// v1-v5 reports keep loading unchanged.
-inline constexpr int kReportSchemaVersion = 6;
+/// v7 removes ReadsToTranscripts' `r2t_mode` and `index_*` fields with the
+/// index mode: the vote map is built for every run. v1-v6 reports keep
+/// loading unchanged.
+inline constexpr int kReportSchemaVersion = 7;
 
 /// Builds the report document from a finished run. Pure: no I/O.
 [[nodiscard]] util::Json build_run_report(const PipelineOptions& options,

@@ -77,10 +77,6 @@ constexpr const char* kContigsFile = "inchworm.fa";
 constexpr const char* kSamFile = "bowtie.sam";
 constexpr const char* kComponentsFile = "components.txt";
 constexpr const char* kAssignmentsFile = "readsToComponents.out.tsv";
-// Cache artifacts of the index-mode ReadsToTranscripts (docs/INDEXING.md).
-// Deliberately not stage outputs: a vote-mode resume over the same work
-// dir must not invalidate on their absence.
-constexpr const char* kIndexFile = "transcript_index.bin";
 constexpr const char* kTranscriptsFile = "Trinity.fa";
 
 /// Records a hybrid stage's per-rank results (replacing any earlier
@@ -435,6 +431,9 @@ PipelineResult run_pipeline_impl(const std::vector<seq::Sequence>& reads,
   if (options.retry.max_attempts < 1) {
     throw std::invalid_argument("run_pipeline: retry.max_attempts must be >= 1");
   }
+  if (options.r2t_mode == chrysalis::R2TMode::kIndex) {
+    throw std::invalid_argument("run_pipeline: ReadsToTranscripts index mode was removed");
+  }
   // Install the storage fault plan for the whole run; armed once so a
   // retried stage does not re-trip a consumed transient fault.
   io::ScopedFaultInjection io_fault_guard(options.io_fault);
@@ -643,11 +642,6 @@ PipelineResult run_pipeline_impl(const std::vector<seq::Sequence>& reads,
   r2t.strategy = options.r2t_strategy;
   r2t.output_mode = options.r2t_output_mode;
   r2t.parse_policy = options.parse_policy;
-  r2t.mode = options.r2t_mode;
-  r2t.index_lifecycle = options.r2t_index;
-  if (options.r2t_mode == chrysalis::R2TMode::kIndex) {
-    r2t.index_path = work_dir + "/" + kIndexFile;
-  }
 
   // Assigned (not merged) in the stage body: idempotent across retries.
   io::ParseDiagnostics r2t_parse;

@@ -116,14 +116,10 @@ struct PipelineOptions {
   chrysalis::ShardingStrategy gff_sharding = chrysalis::ShardingStrategy::kOwner;
   chrysalis::R2TStrategy r2t_strategy = chrysalis::R2TStrategy::kRedundantStreaming;
   chrysalis::R2TOutputMode r2t_output_mode = chrysalis::R2TOutputMode::kPerRankConcat;
-  /// ReadsToTranscripts engine: voting (the paper's scheme) or an mmap
-  /// image of the same vote map (TranscriptIndex). Assignments are
-  /// bit-identical across modes (the benches assert it), so mode and
-  /// lifecycle are scheduling-only and excluded from the fingerprint.
+  // perfbench compile shim; the benchmark PR of ROADMAP item 7 deletes it.
+  // run_pipeline rejects kIndex with std::invalid_argument.
   chrysalis::R2TMode r2t_mode = chrysalis::R2TMode::kVote;
-  /// Index lifecycle under r2t_mode == kIndex: build | load | auto. The
-  /// index file lives at <work_dir>/transcript_index.bin, so `auto` makes
-  /// repeat runs over the same work dir skip the build via mmap.
+  // perfbench compile shim; the benchmark PR of ROADMAP item 7 deletes it.
   chrysalis::IndexLifecycle r2t_index = chrysalis::IndexLifecycle::kAuto;
   align::BowtieSplit bowtie_split = align::BowtieSplit::kTargets;
   std::uint32_t butterfly_min_node_support = 0;  ///< read reconciliation

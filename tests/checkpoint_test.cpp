@@ -396,10 +396,11 @@ TEST(ContentHash, OneFlippedByteAnywhereChangesTheDigest) {
   }
 }
 
-TEST(ContentHash, MatchesTheTranscriptIndexVersion3Checksum) {
-  // The lane checksum transcript index format version 3 shipped with, over
-  // 64-byte-multiple images whose bytes 56-63 (the checksum field) read
-  // as zero. The pinned digests keep existing index files loading.
+TEST(ContentHash, ManifestsFromEarlierRunsKeepValidating) {
+  // run_manifest.jsonl records each artifact's content hash, so the digest
+  // of a fixed input may never change: if it did, every manifest an
+  // earlier run wrote would fail validation and --resume would redo its
+  // stages. Three 64-byte-multiple buffers with bytes 56-63 zeroed.
   const auto image = [](std::size_t n) {
     std::string buf(n, '\0');
     for (std::size_t i = 0; i < n; ++i) buf[i] = static_cast<char>((i * 131 + 7) & 0xff);

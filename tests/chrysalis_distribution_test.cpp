@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 
 #include "chrysalis/distribution.hpp"
@@ -15,6 +16,12 @@ struct DistCase {
   int ranks;
   std::size_t chunk;
 };
+
+// Names each case by its fields. gtest's default prints the struct's raw
+// bytes, padding included, so the test names would vary between builds.
+void PrintTo(const DistCase& c, std::ostream* os) {
+  *os << "items=" << c.items << " ranks=" << c.ranks << " chunk=" << c.chunk;
+}
 
 class ChunkedRoundRobinTest : public ::testing::TestWithParam<DistCase> {};
 

@@ -332,6 +332,24 @@ TEST(R2TEdge, MissingReadsFileThrows) {
                std::runtime_error);
 }
 
+TEST(R2TEdge, IndexModeIsRejected) {
+  // The vote map is the only engine: a caller still selecting the removed
+  // index mode gets a typed error from both drivers, not a vote-mode run.
+  const TempDir dir("r2t_index_mode");
+  Fixture f = build_fixture(2, 3, 41);
+  seq::write_fasta(dir.file("reads.fa"), f.reads);
+  auto options = test_options();
+  options.mode = R2TMode::kIndex;
+  EXPECT_THROW(run_shared(f.contigs, f.components, dir.file("reads.fa"), options, dir.str()),
+               std::invalid_argument);
+  simpi::run(2, [&](simpi::Context& ctx) {
+    EXPECT_THROW(run_hybrid(ctx, f.contigs, f.components, dir.file("reads.fa"), options,
+                            dir.str()),
+                 std::invalid_argument);
+  });
+  EXPECT_FALSE(std::filesystem::exists(dir.file("readsToComponents.out.tsv")));
+}
+
 TEST(R2TEdge, MultiContigComponentAttractsReadsFromBothContigs) {
   const TempDir dir("r2t_multi");
   util::Rng rng(37);

@@ -4,8 +4,8 @@
 // values, to_json()/from_json round-trips, every pipeline_options()
 // validation error is a typed ConfigError naming the field, unknown
 // flags/keys are rejected rather than silently defaulted, and the old
-// spellings (--nprocs, --model-threads, --trace-file) are unknown options
-// like any other.
+// spellings (--nprocs, --model-threads, --trace-file, --r2t-mode,
+// --r2t-index) are unknown options like any other.
 
 #include "pipeline/config.hpp"
 
@@ -125,6 +125,25 @@ TEST(ConfigAliases, DeprecatedSpellingsAreRejected) {
   }
 }
 
+TEST(ConfigAliases, IndexModeFlagsAreRejected) {
+  // ReadsToTranscripts index mode is gone: both of its flags are unknown
+  // options on the CLI, in a --config file and in a JSON document.
+  const std::string path = ::testing::TempDir() + "/config_test_index_mode.json";
+  for (const auto& [flag, value] :
+       std::vector<std::pair<std::string, std::string>>{{"r2t-mode", "index"},
+                                                        {"r2t-mode", "vote"},
+                                                        {"r2t-index", "auto"}}) {
+    SCOPED_TRACE("--" + flag + " " + value);
+    EXPECT_CONFIG_ERROR(parse(pipeline_cfg(), {"--" + flag, value}), flag);
+    const std::string json = "{\"" + flag + "\": \"" + value + "\"}";
+    EXPECT_CONFIG_ERROR(pipeline_cfg().parse_json_text(json, "<t>"), flag);
+    std::ofstream(path) << json;
+    EXPECT_CONFIG_ERROR(parse(pipeline_cfg(), {"--config", path}), flag);
+  }
+  std::remove(path.c_str());
+  EXPECT_EQ(pipeline_cfg().help_text().find("r2t-index"), std::string::npos);
+}
+
 TEST(ConfigSharding, EverySpellingParsesToItsStrategy) {
   using chrysalis::ShardingStrategy;
   const std::vector<std::pair<std::string, ShardingStrategy>> cases = {
@@ -223,8 +242,6 @@ TEST(ConfigPipeline, EveryValidationErrorNamesItsField) {
       {{"--r2t-strategy", "master"}, "r2t-strategy"},
       {{"--r2t-output", "mpiio"}, "r2t-output"},
       {{"--bowtie-split", "contigs"}, "bowtie-split"},
-      {{"--r2t-mode", "hybrid"}, "r2t-mode"},
-      {{"--r2t-index", "mmap"}, "r2t-index"},
       {{"--gff-sharding", "overlap"}, "gff-sharding"},
       {{"--min-node-support", "-1"}, "min-node-support"},
       {{"--bowtie-repeats", "0"}, "bowtie-repeats"},
@@ -257,8 +274,6 @@ TEST(ConfigPipeline, EnumAndTraceFlagsMapToOptions) {
         o.field = static_cast<decltype(pipeline::PipelineOptions::field)>(v);      \
       }
   using chrysalis::Distribution;
-  using chrysalis::IndexLifecycle;
-  using chrysalis::R2TMode;
   using chrysalis::R2TOutputMode;
   using chrysalis::R2TStrategy;
   using chrysalis::ShardingStrategy;
@@ -284,14 +299,6 @@ TEST(ConfigPipeline, EnumAndTraceFlagsMapToOptions) {
         {"collective", v(R2TOutputMode::kCollective)}},
        "concat",
        CHOICE_FIELD(r2t_output_mode)},
-      {"r2t-mode", {{"vote", v(R2TMode::kVote)}, {"index", v(R2TMode::kIndex)}}, "vote",
-       CHOICE_FIELD(r2t_mode)},
-      {"r2t-index",
-       {{"build", v(IndexLifecycle::kBuild)},
-        {"load", v(IndexLifecycle::kLoad)},
-        {"auto", v(IndexLifecycle::kAuto)}},
-       "auto",
-       CHOICE_FIELD(r2t_index)},
       {"bowtie-split",
        {{"targets", v(align::BowtieSplit::kTargets)}, {"reads", v(align::BowtieSplit::kReads)}},
        "targets",

@@ -147,6 +147,15 @@ TEST(PipelineIntegration, RejectsBadRankCount) {
                std::invalid_argument);
 }
 
+TEST(PipelineIntegration, RejectsRemovedIndexMode) {
+  // Thrown before any stage runs: no reads file is written.
+  const TempDir dir("pipe_index_mode");
+  auto o = small_options(dir.str());
+  o.r2t_mode = chrysalis::R2TMode::kIndex;
+  EXPECT_THROW(run_pipeline(tiny_dataset().reads.reads, o), std::invalid_argument);
+  EXPECT_FALSE(std::filesystem::exists(dir.file("reads.fa")));
+}
+
 TEST(PipelineIntegration, AlternativeStrategiesMatchDefaultOutput) {
   // Full pipeline with every future-work / alternative knob enabled must
   // reconstruct exactly the same transcripts as the published design —

@@ -374,30 +374,33 @@ TEST(JobServer, ReportCarriesJobAttribution) {
   EXPECT_EQ(report.at("preemptions").as_int(), 0);
 }
 
-TEST(JobServer, IndexModeJobMatchesVoteModeJob) {
-  // The same assembly submitted once per R2T engine: the index-mode job
-  // builds its vote-map image, the vote-mode job builds the map itself, and
-  // both must write the same transcripts.
+TEST(JobServer, IndexModeJobSpecIsRejected) {
+  // ReadsToTranscripts index mode is gone: a job spec naming either of its
+  // keys is an invalid spec whose error names the key, and nothing runs.
   const TempDir root("serve_index_mode");
   ServerOptions options;
   options.total_ranks = 2;
   options.root_dir = root.str();
   JobServer server(options);
-  JobSpec indexed = make_spec("alice", "index");
-  indexed.options.r2t_mode = chrysalis::R2TMode::kIndex;
-  ASSERT_TRUE(server.submit(std::move(indexed)).accepted());
-  ASSERT_TRUE(server.submit(make_spec("alice", "vote")).accepted());
+  const std::vector<std::pair<std::string, std::string>> keys = {
+      {"r2t-mode", "r2t-mode"}, {"r2t-index", "r2t-index"}, {"r2t_mode", "r2t-mode"}};
+  for (const auto& [key, field] : keys) {
+    SCOPED_TRACE(key);
+    const std::string text = R"({"tenant": "alice", "reads": ")" + shared_reads_path() +
+                             R"(", ")" + key + R"(": "index"})";
+    const AdmitResult result = server.submit_text(text, "<test>");
+    EXPECT_EQ(result.code, AdmitCode::kInvalidSpec);
+    EXPECT_NE(result.detail.find("--" + field + ": unknown"), std::string::npos)
+        << result.detail;
+    try {
+      (void)parse_job_spec_text(text, "<test>", pipeline::PipelineOptions{});
+      ADD_FAILURE() << "spec with " << key << " parsed";
+    } catch (const ConfigError& e) {
+      EXPECT_EQ(e.field(), field);
+    }
+  }
   server.drain();
-  EXPECT_EQ(status_of(server, "index").state, JobState::kCompleted);
-  EXPECT_EQ(status_of(server, "vote").state, JobState::kCompleted);
-
-  const util::Json report =
-      pipeline::load_run_report(root.str() + "/alice/index/run_report.json");
-  EXPECT_EQ(report.at("chrysalis").at("reads_to_transcripts").at("index_source").as_string(),
-            "built");
-  const std::string transcripts = slurp(root.str() + "/alice/vote/Trinity.fa");
-  EXPECT_FALSE(transcripts.empty());
-  EXPECT_EQ(slurp(root.str() + "/alice/index/Trinity.fa"), transcripts);
+  EXPECT_TRUE(server.jobs().empty());
 }
 
 // --- preemption -------------------------------------------------------------------
