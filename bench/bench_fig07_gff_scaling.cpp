@@ -141,9 +141,6 @@ int main(int argc, char** argv) {
       json.field("alltoallv_wait_s", a2a_wait);
       json.field("pool_wait_s", timing.pool_wait_seconds);
       json.field("skew_ratio", comm.skew);
-      json.field("weld_bytes_pooled", static_cast<std::int64_t>(timing.weld_bytes_pooled));
-      json.field("weld_bytes_routed", static_cast<std::int64_t>(timing.weld_bytes_routed));
-      json.field("match_bytes_pooled", static_cast<std::int64_t>(timing.match_bytes_pooled));
     }
   }
   std::printf("\npaper: loops speed up ~8-12x over the node range; total GraphFromFasta\n"

@@ -120,8 +120,6 @@ int main(int argc, char** argv) {
     json.field("comm_bytes_received", static_cast<std::int64_t>(comm.bytes_received));
     json.field("comm_wait_s", comm.wait_seconds);
     json.field("skew_ratio", comm.skew);
-    json.field("assignment_bytes_pooled",
-               static_cast<std::int64_t>(timing.assignment_bytes_pooled));
   }
   std::printf("\npaper: near-linear MPI-loop scaling (8.37x from 4 to 32 nodes); overall\n"
               "19.75x at 32 nodes vs 1 node; the serial setup (k-mer -> bundle assignment)\n"

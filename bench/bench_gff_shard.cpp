@@ -37,7 +37,7 @@ struct ModeRun {
   std::uint64_t allgatherv_bytes = 0;
   std::uint64_t alltoallv_bytes = 0;
   double wait_seconds = 0.0;
-  trinity::chrysalis::GffTiming timing;
+  int dsu_rounds = 0;
   std::vector<std::int32_t> components;
 };
 
@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
         const auto ranks = simpi::run(nranks, [&](simpi::Context& ctx) {
           const auto r = chrysalis::run_hybrid(ctx, w.contigs, w.counter, options);
           if (ctx.rank() == 0) {
-            run.timing = r.timing;
+            run.dsu_rounds = r.timing.dsu_rounds;
             run.components = r.components.component_of;
           }
         });
@@ -135,13 +135,7 @@ int main(int argc, char** argv) {
       json.field("alltoallv_bytes", static_cast<std::int64_t>(best.alltoallv_bytes));
       json.field("wait_s", best.wait_seconds);
       json.field("bytes_reduction", reduction);
-      json.field("weld_bytes_pooled",
-                 static_cast<std::int64_t>(best.timing.weld_bytes_pooled));
-      json.field("weld_bytes_routed",
-                 static_cast<std::int64_t>(best.timing.weld_bytes_routed));
-      json.field("dsu_rounds", static_cast<std::int64_t>(best.timing.dsu_rounds));
-      json.field("dsu_edge_bytes_routed",
-                 static_cast<std::int64_t>(best.timing.dsu_edge_bytes_routed));
+      json.field("dsu_rounds", static_cast<std::int64_t>(best.dsu_rounds));
       // The perf gate bites only where replication actually hurts: the
       // pooled strategies' traffic grows with the rank count, so parity at
       // 1-2 ranks is expected and only >= 4 ranks is gated.

@@ -10,6 +10,9 @@
 //      with metrics off and with metrics on (registry + exporter thread at
 //      --metrics-period-s). Interleaved repeats, min makespan per mode —
 //      min-of-N of a deterministic batch is the noise-robust comparison.
+//      The median of the per-repeat paired overhead (on_r / off_r - 1) is
+//      printed beside it; one low outlier moves a minimum but not a
+//      median. The gate reads min-of-N.
 //
 // Exits non-zero when the measured A/B overhead crosses --budget (2% by
 // default), which is how scripts/check.sh gates regressions (e.g. someone
@@ -25,6 +28,7 @@
 #include "bench_common.hpp"
 #include "obs/metrics.hpp"
 #include "serve/server.hpp"
+#include "util/stats.hpp"
 #include "util/timer.hpp"
 
 namespace {
@@ -188,6 +192,13 @@ int main(int argc, char** argv) {
   const double off = *std::min_element(off_walls.begin(), off_walls.end());
   const double on = *std::min_element(on_walls.begin(), on_walls.end());
   const double overhead = off > 0.0 ? std::max(0.0, (on - off) / off) : 0.0;
+  std::vector<double> paired;
+  for (int r = 0; r < repeats; ++r) {
+    const auto i = static_cast<std::size_t>(r);
+    if (off_walls[i] > 0.0) paired.push_back(on_walls[i] / off_walls[i] - 1.0);
+  }
+  std::sort(paired.begin(), paired.end());
+  const double median_paired = util::percentile(paired, 0.5);
 
   std::printf("\nbatch of %d job(s) over %d rank(s), min of %d repeat(s):\n",
               w.jobs, w.total_ranks, repeats);
@@ -195,6 +206,7 @@ int main(int argc, char** argv) {
               off, on, w.metrics_period_s);
   std::printf("measured metrics-on overhead: %.4f%% (budget %.1f%%)\n",
               overhead * 100.0, budget * 100.0);
+  std::printf("median paired overhead (on_r / off_r - 1): %.4f%%\n", median_paired * 100.0);
 
   bench::JsonSink json(cfg, "obs_overhead");
   json.begin_entry();
@@ -207,6 +219,7 @@ int main(int argc, char** argv) {
   json.field("min_wall_off_s", off);
   json.field("min_wall_on_s", on);
   json.field("overhead", overhead);
+  json.field("median_paired_overhead", median_paired);
   json.field("budget", budget);
 
   if (overhead >= budget) {

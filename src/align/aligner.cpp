@@ -111,10 +111,6 @@ SamRecord SeedExtendAligner::record_of(const seq::Sequence& read, const Placemen
   return out;
 }
 
-SamRecord SeedExtendAligner::align_read(const seq::Sequence& read) const {
-  return record_of(read, place(read.bases));
-}
-
 int SeedExtendAligner::team_size() const {
   const int requested = index_.options().num_threads;
   return requested > 0 ? requested : omp_get_max_threads();

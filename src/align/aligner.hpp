@@ -94,13 +94,11 @@ class SeedExtendAligner {
  public:
   explicit SeedExtendAligner(const ContigIndex& index) : index_(index) {}
 
-  /// Best alignment of `read` (forward or reverse strand), or an unaligned
-  /// record when nothing fits within the mismatch budget. Deterministic:
-  /// ties break toward fewer mismatches, then lower contig id, then lower
-  /// position, then forward strand.
-  [[nodiscard]] SamRecord align_read(const seq::Sequence& read) const;
-
   /// Aligns every read (OpenMP-parallel); output order matches input order.
+  /// Each record is the read's best alignment (forward or reverse strand),
+  /// or unaligned when nothing fits within the mismatch budget.
+  /// Deterministic: ties break toward fewer mismatches, then lower contig
+  /// id, then lower position, then forward strand.
   [[nodiscard]] std::vector<SamRecord> align_all(const std::vector<seq::Sequence>& reads) const;
 
   /// Receives one read's placement: the OpenMP thread that aligned it
@@ -118,7 +116,7 @@ class SeedExtendAligner {
   [[nodiscard]] int team_size() const;
 
  private:
-  /// align_read() without the names: the best placement of `bases`.
+  /// The best placement of `bases`, as align_all() reports it.
   [[nodiscard]] Placement place(const std::string& bases) const;
 
   /// Tries all seed positions of `bases` on one strand, updating `best`.

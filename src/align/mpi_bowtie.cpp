@@ -102,6 +102,13 @@ DistributedBowtieResult distributed_bowtie(simpi::Context& ctx,
   DistributedBowtieResult result;
   std::vector<WireRecord> wire;
   double align_cpu = 0.0;
+  // This rank's phase times; split and merge run on rank 0 only, so the
+  // other ranks report 0 for them.
+  struct RankTiming {
+    double split = 0.0;
+    double align = 0.0;
+    double merge = 0.0;
+  } mine;
 
   if (split == BowtieSplit::kReads) {
     // No serial split phase: the read partition is index arithmetic, and
@@ -121,15 +128,12 @@ DistributedBowtieResult distributed_bowtie(simpi::Context& ctx,
   } else {
     // Phase 1 — serial target split on rank 0 (the PyFasta step of Fig 10).
     std::vector<int> part_of;
-    std::vector<double> split_s{0.0};
     if (ctx.rank() == 0) {
       util::ThreadCpuTimer timer;
       part_of = fasplit::partition_balanced(contigs, ctx.size()).part_of;
-      split_s[0] = timer.seconds();
+      mine.split = timer.seconds();
     }
     ctx.bcast(part_of, 0);
-    ctx.bcast(split_s, 0);
-    result.timing.split_seconds = split_s[0];
 
     // Phase 2 — per-rank index build + alignment of the full read set
     // against this rank's contig slice.
@@ -146,22 +150,27 @@ DistributedBowtieResult distributed_bowtie(simpi::Context& ctx,
     wire = align_to_wire(index, reads, 0, reads.size(), &local_to_global);
     align_cpu = align_timer.seconds();
   }
-  const double align_s =
-      align_cpu / static_cast<double>(std::max(options.model_threads_per_rank, 1));
-  result.timing.align_seconds_max = ctx.allreduce_max(align_s);
-  result.timing.align_seconds_min = ctx.allreduce_min(align_s);
+  mine.align = align_cpu / static_cast<double>(std::max(options.model_threads_per_rank, 1));
 
   // Phase 3 — gather the aligned records at rank 0 and merge.
   const auto gathered = ctx.gatherv(wire, 0);
   wire = std::vector<WireRecord>();
-  std::vector<double> merge_s{0.0};
   if (ctx.rank() == 0) {
     util::ThreadCpuTimer merge_timer;
     result.records = merge_best_hits(gathered, contigs, reads);
-    merge_s[0] = merge_timer.seconds();
+    mine.merge = merge_timer.seconds();
   }
-  ctx.bcast(merge_s, 0);
-  result.timing.merge_seconds = merge_s[0];
+
+  // The timing's one collective: every rank's record, reduced locally.
+  const auto all = ctx.allgather(mine);
+  auto& t = result.timing;
+  t.align_seconds_min = all.front().align;
+  for (const RankTiming& r : all) {
+    t.split_seconds = std::max(t.split_seconds, r.split);
+    t.align_seconds_max = std::max(t.align_seconds_max, r.align);
+    t.align_seconds_min = std::min(t.align_seconds_min, r.align);
+    t.merge_seconds = std::max(t.merge_seconds, r.merge);
+  }
   return result;
 }
 

@@ -43,7 +43,7 @@ struct DistributedBowtieTiming {
 /// Result of a distributed alignment.
 struct DistributedBowtieResult {
   std::vector<SamRecord> records;  ///< merged records, only valid on rank 0
-  DistributedBowtieTiming timing;  ///< identical on every rank
+  DistributedBowtieTiming timing;  ///< identical on every rank (one allgather)
 };
 
 /// Runs the split-targets/align/merge scheme inside an open simpi world.

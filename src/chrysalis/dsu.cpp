@@ -105,10 +105,6 @@ ComponentSet distributed_components(simpi::Context& ctx, std::size_t num_contigs
           outbox[static_cast<std::size_t>(hi_owner)].push_back(fresh[i + 1]);
         }
       }
-      for (const auto& part : outbox) {
-        local_stats.edges_routed += part.size() / 2;
-        local_stats.edge_bytes_routed += part.size() * sizeof(std::int32_t);
-      }
       const auto received = ctx.alltoallv(outbox);
       pending.clear();
       for (const auto& part : received) {

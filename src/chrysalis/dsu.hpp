@@ -67,10 +67,9 @@ class MinUnionFind {
 };
 
 /// Per-rank observability counters of one distributed_components call.
+/// The edges' bytes are counted on the rank's CommStats alltoallv row.
 struct DsuStats {
   int rounds = 0;  ///< boundary-exchange rounds until the global fixed point
-  std::uint64_t edges_routed = 0;      ///< contracted edges this rank sent
-  std::uint64_t edge_bytes_routed = 0; ///< bytes of those edges
 };
 
 /// Hash-partition owner of vertex v among nranks ranks (splitmix64

@@ -263,51 +263,23 @@ void run_calibrated(int repeats, Sink& sink, Kernel&& kernel) {
   kernel(sink);
 }
 
-/// What one exchange() moved and what it cost this rank.
-template <typename T>
-struct ExchangeResult {
-  std::vector<T> data;  ///< payload this rank now holds, in source-rank order
-  std::vector<std::uint64_t> bytes_contributed;  ///< per-rank bytes entered
-  double wait = 0.0;  ///< wall blocked in the exchange collective
+/// One rank's share of GffTiming: the record run_hybrid allgathers once,
+/// at the stage's end, and reduces field by field.
+struct RankTiming {
+  double setup = 0.0;
+  double loop1 = 0.0;
+  double loop2 = 0.0;
+  double finalize = 0.0;
+  double pool_wait = 0.0;
+  double comm = 0.0;
+  int dsu_rounds = 0;
 };
 
-/// The one data-movement step of the hybrid drivers, dispatched over the
-/// ShardingStrategy. `parts[d]` is the payload destined for rank d under
-/// kOwner, routed with the blocking alltoallv; kPooled replicates with
-/// Allgatherv, so there `parts` is just an arbitrary partition of this
-/// rank's payload (flattened before pooling, every rank receives
-/// everything). Either way `wait` is the growth of that collective's
-/// CommStats wait_seconds row, so pool_wait compares the modes directly.
-template <typename T>
-ExchangeResult<T> exchange(simpi::Context& ctx, ShardingStrategy strategy,
-                           std::vector<std::vector<T>> parts) {
-  const bool owner = strategy == ShardingStrategy::kOwner;
-  const simpi::CommOp op = owner ? simpi::CommOp::kAlltoallv : simpi::CommOp::kAllgatherv;
-  const double wait_before = ctx.comm_stats().of(op).wait_seconds;
-  std::uint64_t sent = 0;
-  for (const auto& part : parts) sent += part.size() * sizeof(T);
-  ExchangeResult<T> out;
-  if (owner) {
-    for (auto& part : ctx.alltoallv(parts)) {
-      out.data.insert(out.data.end(), std::make_move_iterator(part.begin()),
-                      std::make_move_iterator(part.end()));
-    }
-  } else {
-    std::vector<T> mine;
-    for (auto& part : parts) {
-      mine.insert(mine.end(), std::make_move_iterator(part.begin()),
-                  std::make_move_iterator(part.end()));
-    }
-    out.data = ctx.allgatherv(mine);
-  }
-  out.bytes_contributed = ctx.allgatherv(std::vector<std::uint64_t>{sent});
-  out.wait = ctx.comm_stats().of(op).wait_seconds - wait_before;
-  return out;
-}
-
+/// Pairs the matches and clusters the contigs, adding the CPU it took to
+/// `*seconds`.
 GffResult finalize(const std::vector<seq::Sequence>& contigs, std::vector<std::string> welds,
                    std::vector<std::pair<std::int32_t, std::int32_t>> matches,
-                   const std::vector<ContigPair>& extra_pairs, GffTiming timing) {
+                   const std::vector<ContigPair>& extra_pairs, double* seconds) {
   GffResult result;
   util::ThreadCpuTimer cpu;
   result.pairs = detail::pairs_from_matches(welds.size(), std::move(matches));
@@ -315,8 +287,7 @@ GffResult finalize(const std::vector<seq::Sequence>& contigs, std::vector<std::s
   all_pairs.insert(all_pairs.end(), extra_pairs.begin(), extra_pairs.end());
   result.components = cluster_contigs(contigs.size(), all_pairs);
   result.welds = std::move(welds);
-  timing.finalize_seconds += cpu.seconds();
-  result.timing = std::move(timing);
+  *seconds += cpu.seconds();
   return result;
 }
 
@@ -379,8 +350,10 @@ GffResult run_shared(const std::vector<seq::Sequence>& contigs,
   for (auto& part : match_parts) {
     matches.insert(matches.end(), part.begin(), part.end());
   }
-  return finalize(contigs, std::move(welds), std::move(matches), extra_pairs,
-                  std::move(timing));
+  auto result = finalize(contigs, std::move(welds), std::move(matches), extra_pairs,
+                         &timing.finalize_seconds);
+  result.timing = std::move(timing);
+  return result;
 }
 
 GffResult run_hybrid(simpi::Context& ctx, const std::vector<seq::Sequence>& contigs,
@@ -389,14 +362,14 @@ GffResult run_hybrid(simpi::Context& ctx, const std::vector<seq::Sequence>& cont
                      const std::vector<ContigPair>& extra_pairs) {
   const int threads = resolve_omp_threads(options.omp_threads, /*hybrid=*/true);
   const double comm_before = ctx.comm_seconds();
-  GffTiming timing;
+  RankTiming mine;
 
   // Setup: every rank scans all contigs (the paper's code). Pooling
   // block-partitioned partial maps with Allgatherv measured slower at 4-16
   // ranks: the merge and the communication cost more than the scan saves.
   util::ThreadCpuTimer setup_cpu;
   const auto shared_overlaps = detail::shared_overlap_kmers(contigs, options.k);
-  const double my_setup = setup_cpu.seconds();
+  mine.setup = setup_cpu.seconds();
 
   // Loop 1 over this rank's chunks (chunked round robin or dynamic
   // self-scheduling), OpenMP inside for the static schemes.
@@ -409,7 +382,7 @@ GffResult run_hybrid(simpi::Context& ctx, const std::vector<seq::Sequence>& cont
       detail::harvest_welds(contigs[i], shared_overlaps, read_counter, options, out);
     });
   };
-  const double my_loop1 =
+  mine.loop1 =
       options.distribution == Distribution::kDynamic
           ? timed_dynamic_loop(ctx, kDynamicCounterLoop1, options, contigs.size(), loop1_body,
                                "gff.loop1")
@@ -425,36 +398,37 @@ GffResult run_hybrid(simpi::Context& ctx, const std::vector<seq::Sequence>& cont
   }
 
   // Weld exchange (paper Section III.B pools with Allgatherv; owner mode
-  // hash-routes each weld to the owner of its smallest core k-mer). The
-  // packed-strings wire format survives concatenation, so owner receipts —
-  // one packed buffer per source rank — unpack with the same pool reader.
-  std::vector<std::vector<std::byte>> dest_parts;
+  // hash-routes each weld to the owner of its smallest core k-mer with the
+  // blocking alltoallv). The packed-strings wire format survives
+  // concatenation, so owner receipts — one packed buffer per source rank —
+  // unpack with the same pool reader. pool_wait is the growth of the
+  // exchange collective's CommStats wait_seconds row, so it compares the
+  // modes directly; the bytes moved are counted on the same row.
+  const simpi::CommOp exchange_op =
+      owner_mode ? simpi::CommOp::kAlltoallv : simpi::CommOp::kAllgatherv;
+  const double wait_before = ctx.comm_stats().of(exchange_op).wait_seconds;
+  std::vector<std::byte> received;
   if (owner_mode) {
     std::vector<std::vector<std::string>> by_owner(static_cast<std::size_t>(ctx.size()));
     for (auto& weld : my_welds) {
       const int owner = detail::weld_owner(weld, options.k, ctx.size());
       by_owner[static_cast<std::size_t>(owner)].push_back(std::move(weld));
     }
+    std::vector<std::vector<std::byte>> dest_parts;
     dest_parts.reserve(by_owner.size());
     for (const auto& group : by_owner) dest_parts.push_back(simpi::pack_strings(group));
-  } else {
-    dest_parts.push_back(simpi::pack_strings(my_welds));
-  }
-  auto weld_moved = exchange(ctx, options.sharding, std::move(dest_parts));
-  const double my_pool_wait = weld_moved.wait;
-  timing.weld_bytes_contributed = std::move(weld_moved.bytes_contributed);
-  if (owner_mode) {
-    for (const std::uint64_t b : timing.weld_bytes_contributed) {
-      timing.weld_bytes_routed += b;
+    for (const auto& part : ctx.alltoallv(dest_parts)) {
+      received.insert(received.end(), part.begin(), part.end());
     }
   } else {
-    timing.weld_bytes_pooled = weld_moved.data.size();
+    received = ctx.allgatherv(simpi::pack_strings(my_welds));
   }
+  mine.pool_wait = ctx.comm_stats().of(exchange_op).wait_seconds - wait_before;
 
   // Pooled mode: `welds` is the global deduplicated pool, identical on
   // every rank. Owner mode: only this rank's owned shard — the dedup is
   // still global, because identical welds always land on the same owner.
-  auto welds = detail::dedup_welds(simpi::unpack_string_pool(weld_moved.data));
+  auto welds = detail::dedup_welds(simpi::unpack_string_pool(received));
   const auto weld_cores = detail::index_weld_cores(welds, options.k);
 
   // Loop 2. Pooled mode scans this rank's chunks against the full pool;
@@ -471,17 +445,16 @@ GffResult run_hybrid(simpi::Context& ctx, const std::vector<seq::Sequence>& cont
                                                weld_cores, options, out);
                    });
   };
-  double my_loop2 = 0.0;
   if (owner_mode) {
     const std::vector<IndexRange> all{IndexRange{0, contigs.size()}};
-    my_loop2 = timed_parallel_loop(all, threads, options.model_threads_per_rank,
-                                   loop2_body, "gff.loop2");
+    mine.loop2 = timed_parallel_loop(all, threads, options.model_threads_per_rank,
+                                     loop2_body, "gff.loop2");
   } else if (options.distribution == Distribution::kDynamic) {
-    my_loop2 = timed_dynamic_loop(ctx, kDynamicCounterLoop2, options, contigs.size(),
-                                  loop2_body, "gff.loop2");
+    mine.loop2 = timed_dynamic_loop(ctx, kDynamicCounterLoop2, options, contigs.size(),
+                                    loop2_body, "gff.loop2");
   } else {
-    my_loop2 = timed_parallel_loop(my_ranges, threads, options.model_threads_per_rank,
-                                   loop2_body, "gff.loop2");
+    mine.loop2 = timed_parallel_loop(my_ranges, threads, options.model_threads_per_rank,
+                                     loop2_body, "gff.loop2");
   }
 
   std::vector<std::pair<std::int32_t, std::int32_t>> my_matches;
@@ -489,24 +462,13 @@ GffResult run_hybrid(simpi::Context& ctx, const std::vector<seq::Sequence>& cont
     my_matches.insert(my_matches.end(), part.begin(), part.end());
   }
 
-  // Per-rank loop times for the Figure 7 min/max curves, plus the shared
-  // scalar reductions; runs after the strategy-specific tail has finished
-  // communicating so comm_seconds captures everything.
-  const auto reduce_timing = [&] {
-    timing.loop1.seconds = ctx.allgatherv(std::vector<double>{my_loop1});
-    timing.loop2.seconds = ctx.allgatherv(std::vector<double>{my_loop2});
-    timing.setup_seconds = ctx.allreduce_max(my_setup);
-    timing.pool_wait_seconds = ctx.allreduce_max(my_pool_wait);
-    timing.comm_seconds = ctx.allreduce_max(ctx.comm_seconds() - comm_before);
-  };
-
+  GffResult result;
   if (owner_mode) {
     // Matches are complete per owned weld (every contig was scanned here),
     // so pair derivation is purely local, and the pairs never leave their
     // owner: components are agreed through the distributed union-find.
     // Scaffold pairs enter the edge set once, on rank 0 — the DSU takes
     // the union of all ranks' edges.
-    GffResult result;
     util::ThreadCpuTimer fin_cpu;
     std::vector<ContigPair> local_pairs =
         detail::pairs_from_matches(welds.size(), std::move(my_matches));
@@ -515,41 +477,44 @@ GffResult run_hybrid(simpi::Context& ctx, const std::vector<seq::Sequence>& cont
     }
     DsuStats dsu;
     result.components = distributed_components(ctx, contigs.size(), local_pairs, &dsu);
-    const double my_finalize = fin_cpu.seconds();
-    timing.dsu_rounds = ctx.allreduce_max(dsu.rounds);
-    timing.dsu_edge_bytes_routed = ctx.allreduce_sum(dsu.edge_bytes_routed);
-    timing.finalize_seconds = ctx.allreduce_max(my_finalize);
-    reduce_timing();
-    result.timing = std::move(timing);
-    return result;
+    mine.finalize = fin_cpu.seconds();
+    mine.dsu_rounds = dsu.rounds;
+  } else {
+    // Pool the pairing indices as a flat integer array (substantially less
+    // data than loop 1's strings, as the paper notes).
+    std::vector<std::int32_t> my_match_ints;
+    my_match_ints.reserve(my_matches.size() * 2);
+    for (const auto& [weld, contig] : my_matches) {
+      my_match_ints.push_back(weld);
+      my_match_ints.push_back(contig);
+    }
+    const auto pooled_ints = ctx.allgatherv(my_match_ints);
+    if (pooled_ints.size() % 2 != 0) {
+      throw std::logic_error("GraphFromFasta: malformed pooled match array");
+    }
+    std::vector<std::pair<std::int32_t, std::int32_t>> matches;
+    matches.reserve(pooled_ints.size() / 2);
+    for (std::size_t i = 0; i < pooled_ints.size(); i += 2) {
+      matches.emplace_back(pooled_ints[i], pooled_ints[i + 1]);
+    }
+    result = finalize(contigs, std::move(welds), std::move(matches), extra_pairs,
+                      &mine.finalize);
   }
-
-  // Pool the pairing indices as a flat integer array (substantially less
-  // data than loop 1's strings, as the paper notes).
-  std::vector<std::int32_t> my_match_ints;
-  my_match_ints.reserve(my_matches.size() * 2);
-  for (const auto& [weld, contig] : my_matches) {
-    my_match_ints.push_back(weld);
-    my_match_ints.push_back(contig);
+  // The timing's one collective. comm is read before it, so comm_seconds
+  // counts the stage's traffic and not this bookkeeping; the loop times
+  // stay per rank for the Figure 7 min/max curves, every scalar is the max.
+  mine.comm = ctx.comm_seconds() - comm_before;
+  GffTiming& timing = result.timing;
+  for (const RankTiming& r : ctx.allgather(mine)) {
+    timing.loop1.seconds.push_back(r.loop1);
+    timing.loop2.seconds.push_back(r.loop2);
+    timing.setup_seconds = std::max(timing.setup_seconds, r.setup);
+    timing.finalize_seconds = std::max(timing.finalize_seconds, r.finalize);
+    timing.pool_wait_seconds = std::max(timing.pool_wait_seconds, r.pool_wait);
+    timing.comm_seconds = std::max(timing.comm_seconds, r.comm);
+    timing.dsu_rounds = std::max(timing.dsu_rounds, r.dsu_rounds);
   }
-  std::vector<std::vector<std::int32_t>> match_part;
-  match_part.push_back(std::move(my_match_ints));
-  auto match_moved = exchange(ctx, ShardingStrategy::kPooled, std::move(match_part));
-  timing.match_bytes_contributed = std::move(match_moved.bytes_contributed);
-  timing.match_bytes_pooled = match_moved.data.size() * sizeof(std::int32_t);
-  const auto& pooled_ints = match_moved.data;
-  if (pooled_ints.size() % 2 != 0) {
-    throw std::logic_error("GraphFromFasta: malformed pooled match array");
-  }
-  std::vector<std::pair<std::int32_t, std::int32_t>> matches;
-  matches.reserve(pooled_ints.size() / 2);
-  for (std::size_t i = 0; i < pooled_ints.size(); i += 2) {
-    matches.emplace_back(pooled_ints[i], pooled_ints[i + 1]);
-  }
-
-  reduce_timing();
-  return finalize(contigs, std::move(welds), std::move(matches), extra_pairs,
-                  std::move(timing));
+  return result;
 }
 
 }  // namespace trinity::chrysalis

@@ -114,25 +114,10 @@ struct GffTiming {
   double setup_seconds = 0.0;     ///< non-parallel: shared-overlap map build
   double finalize_seconds = 0.0;  ///< non-parallel: dedup, pairing, clustering
   double comm_seconds = 0.0;      ///< max modeled communication over ranks
-
-  // Communication volume of the two pooling Allgathervs (hybrid runs only;
-  // zero / empty for shared-memory runs). "Contributed" is what each rank
-  // put in; "pooled" is the flat payload every rank received back — the
-  // quantity docs/OBSERVABILITY.md calls pooled bytes. Under
-  // ShardingStrategy::kOwner nothing is pooled: weld_bytes_contributed
-  // holds each rank's owner-routed bytes instead, and the pooled totals and
-  // match counters stay zero (matches never leave their owner).
-  std::vector<std::uint64_t> weld_bytes_contributed;   ///< per rank, loop 1
-  std::uint64_t weld_bytes_pooled = 0;                 ///< packed weld pool size
-  std::vector<std::uint64_t> match_bytes_contributed;  ///< per rank, loop 2
-  std::uint64_t match_bytes_pooled = 0;                ///< pooled match-int array size
-
-  // Owner-computes accounting (ShardingStrategy::kOwner only; zero for
-  // kPooled and shared-memory runs). docs/OBSERVABILITY.md "sharding
-  // counters" documents all three.
-  std::uint64_t weld_bytes_routed = 0;     ///< total alltoallv-routed weld bytes
-  int dsu_rounds = 0;                      ///< max boundary-exchange rounds over ranks
-  std::uint64_t dsu_edge_bytes_routed = 0; ///< total DSU boundary-edge bytes
+  /// Max over ranks of the union-find's boundary-exchange rounds
+  /// (ShardingStrategy::kOwner only; zero otherwise). The bytes every
+  /// collective moved are counted once, in the ranks' simpi::CommStats.
+  int dsu_rounds = 0;
 
   /// Max over ranks of the wall blocked in the weld exchange: the growth of
   /// the exchange collective's CommStats wait_seconds row (allgatherv under
@@ -169,7 +154,8 @@ GffResult run_shared(const std::vector<seq::Sequence>& contigs,
 
 /// Hybrid simpi+OpenMP GraphFromFasta. Collective: every rank of the world
 /// must call it with identical inputs. All ranks return the same GffResult
-/// (the paper pools welds and pairs onto every rank).
+/// (the paper pools welds and pairs onto every rank). The timing costs one
+/// collective: each rank's record is allgathered once, at the end.
 GffResult run_hybrid(simpi::Context& ctx, const std::vector<seq::Sequence>& contigs,
                      const kmer::KmerCounter& read_counter,
                      const GraphFromFastaOptions& options,

@@ -255,6 +255,17 @@ double concatenate_outputs(const std::vector<std::string>& inputs, const std::st
   return wall.seconds();
 }
 
+/// One rank's share of R2TTiming: the record run_hybrid allgathers once,
+/// at the stage's end, and reduces field by field.
+struct RankTiming {
+  double setup = 0.0;
+  double loop = 0.0;
+  double concat = 0.0;  ///< rank 0's concatenation, or this rank's collective write
+  double comm = 0.0;
+  std::uint64_t chunks = 0;
+  std::uint64_t reads = 0;
+};
+
 void sort_by_read_index(std::vector<ReadAssignment>& assignments) {
   std::sort(assignments.begin(), assignments.end(),
             [](const ReadAssignment& a, const ReadAssignment& b) {
@@ -302,11 +313,11 @@ R2TResult run_hybrid(simpi::Context& ctx, const std::vector<seq::Sequence>& cont
   // converted this to a hybrid implementation yet" — paper, Section V.B).
   std::vector<ReadAssignment> my_assignments;
   StreamStats stream;
-  double my_setup = 0.0;
+  RankTiming mine;
   {
     util::ThreadCpuTimer setup_cpu;
     const auto bundle_of = build_bundle_kmer_map(contigs, components, options.k);
-    my_setup = setup_cpu.seconds();
+    mine.setup = setup_cpu.seconds();
     stream = options.strategy == R2TStrategy::kRedundantStreaming
                  ? stream_owned_chunks(reads_path, bundle_of, options, threads, ctx.size(),
                                        ctx.rank(), my_assignments)
@@ -314,10 +325,12 @@ R2TResult run_hybrid(simpi::Context& ctx, const std::vector<seq::Sequence>& cont
                                        my_assignments);
   }  // the vote map is freed before the output is written and gathered
   result.parse = stream.parse;
+  mine.loop = stream.loop_seconds;
+  mine.chunks = stream.chunks;
+  mine.reads = my_assignments.size();
 
   // Output: per-rank files + master concatenation (the paper's scheme) or
   // a collective ordered write (its MPI-I/O future work).
-  double concat_seconds = 0.0;
   if (!output_dir.empty()) {
     sort_by_read_index(my_assignments);
     result.merged_output_path = output_dir + "/readsToComponents.out.tsv";
@@ -330,11 +343,8 @@ R2TResult run_hybrid(simpi::Context& ctx, const std::vector<seq::Sequence>& cont
         for (int r = 0; r < ctx.size(); ++r) {
           inputs.push_back(rank_output_path(output_dir, r));
         }
-        concat_seconds = concatenate_outputs(inputs, result.merged_output_path);
+        mine.concat = concatenate_outputs(inputs, result.merged_output_path);
       }
-      std::vector<double> concat_wire{concat_seconds};
-      ctx.bcast(concat_wire, 0);
-      concat_seconds = concat_wire[0];
     } else {
       // Collective write: serialize locally, then one shared-file write.
       // Synchronize first so the timer measures the write itself, not the
@@ -344,13 +354,12 @@ R2TResult run_hybrid(simpi::Context& ctx, const std::vector<seq::Sequence>& cont
       std::ostringstream body;
       for (const auto& a : my_assignments) put_assignment(body, a);
       simpi::write_file_ordered(ctx, result.merged_output_path, body.str());
-      concat_seconds = ctx.allreduce_max(wall.seconds());
+      mine.concat = wall.seconds();
     }
   }
 
   // Gather assignments at rank 0, which returns the full, sorted result;
   // the other ranks return none (as DistributedBowtieResult::records).
-  const std::uint64_t my_reads = my_assignments.size();
   {
     const auto parts = ctx.gatherv(my_assignments, 0);
     my_assignments = std::vector<ReadAssignment>();
@@ -363,16 +372,18 @@ R2TResult run_hybrid(simpi::Context& ctx, const std::vector<seq::Sequence>& cont
     sort_by_read_index(result.assignments);
   }
 
-  result.timing.setup_seconds = ctx.allreduce_max(my_setup);
-  result.timing.main_loop.seconds = ctx.allgatherv(std::vector<double>{stream.loop_seconds});
-  result.timing.rank_chunks = ctx.allgatherv(std::vector<std::uint64_t>{stream.chunks});
-  result.timing.rank_reads = ctx.allgatherv(std::vector<std::uint64_t>{my_reads});
-  for (const auto reads : result.timing.rank_reads) {
-    result.timing.assignment_bytes_contributed.push_back(reads * sizeof(ReadAssignment));
-    result.timing.assignment_bytes_pooled += reads * sizeof(ReadAssignment);
+  // The timing's one collective. comm is read before it, so comm_seconds
+  // counts the stage's traffic and not this bookkeeping.
+  mine.comm = ctx.comm_seconds() - comm_before;
+  R2TTiming& timing = result.timing;
+  for (const RankTiming& r : ctx.allgather(mine)) {
+    timing.main_loop.seconds.push_back(r.loop);
+    timing.rank_chunks.push_back(r.chunks);
+    timing.rank_reads.push_back(r.reads);
+    timing.setup_seconds = std::max(timing.setup_seconds, r.setup);
+    timing.concat_seconds = std::max(timing.concat_seconds, r.concat);
+    timing.comm_seconds = std::max(timing.comm_seconds, r.comm);
   }
-  result.timing.concat_seconds = concat_seconds;
-  result.timing.comm_seconds = ctx.allreduce_max(ctx.comm_seconds() - comm_before);
   return result;
 }
 

@@ -104,14 +104,12 @@ struct R2TTiming {
   double concat_seconds = 0.0;  ///< per-rank file concatenation at rank 0
   double comm_seconds = 0.0;    ///< max modeled communication over ranks
 
-  // Work distribution and final-pooling volume (size 1 vectors for
-  // shared-memory runs). Chunk counts expose the modulo distribution's
-  // remainder imbalance directly; byte fields mirror GffTiming's
-  // contributed/pooled split for the assignment Gatherv to rank 0.
+  // Work distribution (size 1 vectors for shared-memory runs). Chunk
+  // counts expose the modulo distribution's remainder imbalance directly;
+  // rank r gathers rank_reads[r] ReadAssignments to rank 0, and the ranks'
+  // CommStats gatherv rows count those bytes.
   std::vector<std::uint64_t> rank_chunks;  ///< chunks each rank processed
   std::vector<std::uint64_t> rank_reads;   ///< reads each rank assigned
-  std::vector<std::uint64_t> assignment_bytes_contributed;  ///< per rank
-  std::uint64_t assignment_bytes_pooled = 0;  ///< full payload gathered at rank 0
 
   [[nodiscard]] double total_seconds() const {
     return setup_seconds + main_loop.max() + concat_seconds + comm_seconds;
@@ -146,7 +144,8 @@ R2TResult run_shared(const std::vector<seq::Sequence>& contigs, const ComponentS
                      const std::string& output_dir = "");
 
 /// Hybrid simpi+OpenMP ReadsToTranscripts. Collective over the world;
-/// every rank must see the same file and options.
+/// every rank must see the same file and options. The timing costs one
+/// collective: each rank's record is allgathered once, at the end.
 R2TResult run_hybrid(simpi::Context& ctx, const std::vector<seq::Sequence>& contigs,
                      const ComponentSet& components, const std::string& reads_path,
                      const ReadsToTranscriptsOptions& options,

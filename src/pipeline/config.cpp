@@ -395,13 +395,6 @@ Config& Config::parse_json_text(std::string_view text, const std::string& origin
   return *this;
 }
 
-Config Config::from_json(const std::string& path) {
-  Config cfg("trinity", "Trinity pipeline configuration");
-  cfg.with_pipeline();
-  cfg.parse_json_file(path);
-  return cfg;
-}
-
 std::string Config::help_text() const {
   std::ostringstream out;
   out << "usage: " << program_ << " [options]";

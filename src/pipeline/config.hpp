@@ -98,9 +98,6 @@ class Config {
   /// Same, from in-memory text; `origin` labels errors (a path or "<cli>").
   Config& parse_json_text(std::string_view text, const std::string& origin);
 
-  /// One-call form with the full pipeline flag set, read from a JSON file.
-  [[nodiscard]] static Config from_json(const std::string& path);
-
   // --- results -------------------------------------------------------------
 
   [[nodiscard]] bool help_requested() const { return help_requested_; }
@@ -124,7 +121,7 @@ class Config {
   [[nodiscard]] simpi::FaultPlan fault_plan() const;
 
   /// Current values (set or default) of every declared flag, as a JSON
-  /// object with canonical names — from_json(to_json()) round-trips.
+  /// object with canonical names — parse_json_file round-trips it.
   [[nodiscard]] util::Json to_json() const;
 
  private:

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iomanip>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 
@@ -103,19 +104,11 @@ util::Json gff_json(const PipelineOptions& options, const chrysalis::GffTiming& 
   out.set("setup_s", t.setup_seconds);
   out.set("finalize_s", t.finalize_seconds);
   out.set("comm_s", t.comm_seconds);
-  out.set("weld_bytes_contributed", int_array(t.weld_bytes_contributed));
-  out.set("weld_bytes_pooled", static_cast<std::int64_t>(t.weld_bytes_pooled));
-  out.set("match_bytes_contributed", int_array(t.match_bytes_contributed));
-  out.set("match_bytes_pooled", static_cast<std::int64_t>(t.match_bytes_pooled));
   out.set("pool_wait_s", t.pool_wait_seconds);
-  // Additive fields (readers ignore unknown keys): gff_sharding always;
-  // owner-routing counters only under the owner strategy, so pooled-mode
-  // documents are unchanged.
   out.set("gff_sharding", to_string(options.gff_sharding));
+  // The union-find runs only under the owner strategy.
   if (options.gff_sharding == chrysalis::ShardingStrategy::kOwner) {
-    out.set("weld_bytes_routed", static_cast<std::int64_t>(t.weld_bytes_routed));
     out.set("dsu_rounds", t.dsu_rounds);
-    out.set("dsu_edge_bytes_routed", static_cast<std::int64_t>(t.dsu_edge_bytes_routed));
   }
   return out;
 }
@@ -148,8 +141,6 @@ util::Json r2t_json(const chrysalis::R2TTiming& t) {
   out.set("comm_s", t.comm_seconds);
   out.set("rank_chunks", int_array(t.rank_chunks));
   out.set("rank_reads", int_array(t.rank_reads));
-  out.set("assignment_bytes_contributed", int_array(t.assignment_bytes_contributed));
-  out.set("assignment_bytes_pooled", static_cast<std::int64_t>(t.assignment_bytes_pooled));
   return out;
 }
 
@@ -311,32 +302,36 @@ void summarize_report(const util::Json& report, std::ostream& out) {
     }
   }
 
-  // Chrysalis pooling volumes (the paper's Section III.B/III.C traffic).
+  // Chrysalis traffic per operation (the paper's Section III.B/III.C
+  // pooling), summed over ranks from the comm[] rows every schema carries.
   // Absent from the server's minimal v4 terminal reports (no run happened).
   const util::Json* chrysalis_section = report.find("chrysalis");
   if (chrysalis_section == nullptr) return;
-  const auto sum_ints = [](const util::Json& arr) {
-    std::int64_t total = 0;
-    for (const auto& v : arr.items()) total += v.as_int();
-    return total;
-  };
+  out << "\nchrysalis traffic (per op, summed over ranks):\n";
+  for (const auto& stage : comm) {
+    std::map<std::string, simpi::OpStats> ops;
+    for (const auto& rank : stage.at("ranks").items()) {
+      for (const auto& [name, op] : rank.at("ops").members()) {
+        auto& total = ops[name];
+        total.calls += static_cast<std::uint64_t>(op.at("calls").as_int());
+        total.bytes_sent += static_cast<std::uint64_t>(op.at("bytes_sent").as_int());
+        total.bytes_received += static_cast<std::uint64_t>(op.at("bytes_received").as_int());
+      }
+    }
+    out << "  " << stage.at("stage").as_string() << ':';
+    for (const auto& [name, total] : ops) {
+      out << ' ' << name << ' ' << total.calls << "x " << total.bytes_sent << " B -> "
+          << total.bytes_received << " B;";
+    }
+    out << '\n';
+  }
   const auto& gff = chrysalis_section->at("graph_from_fasta");
   const auto& r2t = chrysalis_section->at("reads_to_transcripts");
-  out << "\nchrysalis pooling:\n"
-      << "  graph_from_fasta welds:   " << sum_ints(gff.at("weld_bytes_contributed"))
-      << " B contributed -> " << gff.at("weld_bytes_pooled").as_int() << " B pooled\n"
-      << "  graph_from_fasta matches: " << sum_ints(gff.at("match_bytes_contributed"))
-      << " B contributed -> " << gff.at("match_bytes_pooled").as_int() << " B pooled\n"
-      << "  reads_to_transcripts:     " << sum_ints(r2t.at("assignment_bytes_contributed"))
-      << " B contributed -> " << r2t.at("assignment_bytes_pooled").as_int() << " B pooled\n";
-  // Additive gff_sharding/owner-routing fields; reports from before the
-  // owner-computes strategy simply lack them.
+  // gff_sharding and dsu_rounds are additive; older reports lack them.
   if (const util::Json* sharding = gff.find("gff_sharding")) {
     out << "  graph_from_fasta sharding: " << sharding->as_string();
-    if (const util::Json* routed = gff.find("weld_bytes_routed")) {
-      out << " (" << routed->as_int() << " B welds routed, "
-          << gff.at("dsu_edge_bytes_routed").as_int() << " B dsu edges, "
-          << gff.at("dsu_rounds").as_int() << " dsu round(s))";
+    if (const util::Json* rounds = gff.find("dsu_rounds")) {
+      out << " (" << rounds->as_int() << " dsu round(s))";
     }
     out << '\n';
   }

@@ -39,9 +39,12 @@ namespace trinity::pipeline {
 /// removes GraphFromFasta's overlap-credit seconds: owner sharding routes
 /// welds with the blocking alltoallv, so no compute hides behind the exchange.
 /// v7 removes ReadsToTranscripts' `r2t_mode` and `index_*` fields with the
-/// index mode: the vote map is built for every run. v1-v6 reports keep
-/// loading unchanged.
-inline constexpr int kReportSchemaVersion = 7;
+/// index mode: the vote map is built for every run. v8 removes the
+/// Chrysalis byte ledgers (GraphFromFasta's weld, match and union-find edge
+/// bytes, ReadsToTranscripts' assignment bytes) and the hybrid phases'
+/// communication counters: the comm[] rows count every byte once. v1-v7
+/// reports keep loading unchanged.
+inline constexpr int kReportSchemaVersion = 8;
 
 /// Builds the report document from a finished run. Pure: no I/O.
 [[nodiscard]] util::Json build_run_report(const PipelineOptions& options,
@@ -56,8 +59,8 @@ void write_run_report(const std::string& path, const util::Json& report);
 [[nodiscard]] util::Json load_run_report(const std::string& path);
 
 /// Human-readable digest of a report: per-stage imbalance table (max/mean
-/// rank virtual time, skew ratio, bytes sent/received, wait time) plus the
-/// Chrysalis pooling volumes. This is what `trinity_report` prints.
+/// rank virtual time, skew ratio, bytes sent/received, wait time) plus each
+/// hybrid stage's per-op traffic. This is what `trinity_report` prints.
 void summarize_report(const util::Json& report, std::ostream& out);
 
 /// Rolls many run reports up into one per-tenant accounting document —

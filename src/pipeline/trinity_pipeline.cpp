@@ -27,12 +27,6 @@
 
 namespace trinity::pipeline {
 
-std::uint64_t StageCommMetrics::total_bytes_received(simpi::CommOp op) const {
-  std::uint64_t total = 0;
-  for (const auto& r : ranks) total += r.comm.of(op).bytes_received;
-  return total;
-}
-
 double PipelineResult::chrysalis_virtual_seconds() const {
   return bowtie_timing.total_seconds() + gff_timing.total_seconds() +
          r2t_timing.total_seconds();
@@ -79,21 +73,12 @@ constexpr const char* kComponentsFile = "components.txt";
 constexpr const char* kAssignmentsFile = "readsToComponents.out.tsv";
 constexpr const char* kTranscriptsFile = "Trinity.fa";
 
-/// Records a hybrid stage's per-rank results (replacing any earlier
-/// attempt's entry, so a retried stage reports its final attempt) and
-/// annotates the open trace phase with the headline counters
-/// docs/OBSERVABILITY.md defines.
+/// Records a hybrid stage's per-rank results, the run report's comm[]
+/// section (replacing any earlier attempt's entry, so a retried stage
+/// reports its final attempt).
 void record_stage_comm(const PipelineOptions& options, PipelineResult& result,
-                       util::ResourceTrace& trace, const std::string& stage,
-                       std::vector<simpi::RankResult> ranks) {
+                       const std::string& stage, std::vector<simpi::RankResult> ranks) {
   StageCommMetrics metrics{stage, std::move(ranks)};
-  std::uint64_t sent = 0, received = 0;
-  double wait = 0.0;
-  for (const auto& r : metrics.ranks) {
-    sent += r.comm.total_bytes_sent();
-    received += r.comm.total_bytes_received();
-    wait += r.comm.total_wait_seconds();
-  }
   // CommStats bridge (docs/OBSERVABILITY.md "Live metrics"): per-rank
   // bytes/wait become live counters at the hybrid stage's end, so an
   // external scraper sees rank-level communication skew while the job's
@@ -118,16 +103,6 @@ void record_stage_comm(const PipelineOptions& options, PipelineResult& result,
           .inc(r.comm.total_wait_seconds());
     }
   }
-  trace.counter("skew_ratio", metrics.skew_ratio());
-  trace.counter("comm_bytes_sent", static_cast<double>(sent));
-  trace.counter("comm_bytes_received", static_cast<double>(received));
-  trace.counter("comm_wait_s", wait);
-  trace.counter(
-      "allgatherv_bytes_received",
-      static_cast<double>(metrics.total_bytes_received(simpi::CommOp::kAllgatherv)));
-  trace.counter(
-      "alltoallv_bytes_received",
-      static_cast<double>(metrics.total_bytes_received(simpi::CommOp::kAlltoallv)));
   for (auto& m : result.stage_comm) {
     if (m.stage == stage) {
       m = std::move(metrics);
@@ -141,7 +116,8 @@ void record_stage_comm(const PipelineOptions& options, PipelineResult& result,
 ///
 /// Each stage declares its input/output artifacts and two bodies: compute
 /// (run the stage, writing its outputs) and load (rebuild the in-memory
-/// products from the outputs of a previous run). The driver decides per
+/// products from the outputs of a previous run; empty where only a later
+/// stage's compute body reads them, which then loads them itself). The driver decides per
 /// stage whether to resume or execute, retries aborted simpi worlds, and
 /// commits a manifest record after each completed stage. It hashes each
 /// artifact once per run: a stage's outputs when it executes or resumes,
@@ -492,6 +468,11 @@ PipelineResult run_pipeline_impl(const std::vector<seq::Sequence>& reads,
   counter_options.num_threads = options.omp_threads;
   kmer::KmerCounter counter(counter_options);
   std::vector<kmer::KmerCount> counts;
+  // A resumed stage loads nothing: its products stay on disk until the
+  // body of an executing reader loads them (guarded by these flags, since
+  // a retry runs that body again). A fully resumed run reads neither.
+  bool counted = false;  // counter and counts hold this run's k-mer counts
+  bool aligned = false;  // sam holds this run's alignments
   driver.stage(
       "jellyfish", {kReadsFile}, {kKmersFile},
       [&] {
@@ -503,16 +484,15 @@ PipelineResult run_pipeline_impl(const std::vector<seq::Sequence>& reads,
         counter.add_sequences(reads);
         counts = counter.dump();
         kmer::write_dump_binary(work_dir + "/" + kKmersFile, counts, options.k);
+        counted = true;
       },
-      [&] {
-        counts = kmer::read_dump_binary(work_dir + "/" + kKmersFile, options.k);
-        counter.add_counts(counts);
-      });
+      [&] {});
 
   // --- Inchworm: greedy contigs ---------------------------------------------
   driver.stage(
       "inchworm", {kKmersFile}, {kContigsFile},
       [&] {
+        if (!counted) counts = kmer::read_dump_binary(work_dir + "/" + kKmersFile, options.k);
         inchworm::InchwormOptions iw;
         iw.k = options.k;
         iw.min_kmer_count = options.min_kmer_count;
@@ -565,36 +545,42 @@ PipelineResult run_pipeline_impl(const std::vector<seq::Sequence>& reads,
                 }
               },
               options.comm, driver.fault_for("chrysalis.bowtie"));
-          record_stage_comm(options, result, trace, "chrysalis.bowtie", std::move(rank_results));
+          record_stage_comm(options, result, "chrysalis.bowtie", std::move(rank_results));
         }
+        aligned = true;
       },
-      [&] {
-        // write_sam's @SQ header lists the contigs in index order, so the
-        // parsed target ids already match; the name map guards against a
-        // hand-edited file that still hashes clean (impossible) or future
-        // format drift.
-        auto sam_file = align::read_sam(work_dir + "/" + kSamFile);
-        std::unordered_map<std::string, std::int32_t> id_of;
-        for (std::size_t i = 0; i < result.contigs.size(); ++i) {
-          id_of.emplace(result.contigs[i].name, static_cast<std::int32_t>(i));
-        }
-        for (auto& r : sam_file.records) {
-          if (!r.aligned()) continue;
-          const auto it = id_of.find(r.target_name);
-          if (it == id_of.end()) {
-            throw std::runtime_error("resume: bowtie.sam references unknown contig " +
-                                     r.target_name);
-          }
-          r.target_id = it->second;
-        }
-        sam = std::move(sam_file.records);
-      });
+      [&] {});
 
+  // Scaffolding is the SAM records' only reader. When Bowtie resumed,
+  // GraphFromFasta's body derives the pairs from bowtie.sam instead.
   std::vector<chrysalis::ContigPair> scaffold;
-  if (options.bowtie_scaffolding) {
+  bool scaffolded = !options.bowtie_scaffolding;
+  if (aligned && !scaffolded) {
     scaffold = chrysalis::scaffold_pairs(sam, result.contigs, chrysalis::ScaffoldOptions{});
+    scaffolded = true;
   }
   sam = std::vector<align::SamRecord>();
+  const auto load_sam = [&] {
+    // write_sam's @SQ header lists the contigs in index order, so the
+    // parsed target ids already match; the name map guards against a
+    // hand-edited file that still hashes clean (impossible) or future
+    // format drift.
+    auto sam_file = align::read_sam(work_dir + "/" + kSamFile);
+    std::unordered_map<std::string, std::int32_t> id_of;
+    for (std::size_t i = 0; i < result.contigs.size(); ++i) {
+      id_of.emplace(result.contigs[i].name, static_cast<std::int32_t>(i));
+    }
+    for (auto& r : sam_file.records) {
+      if (!r.aligned()) continue;
+      const auto it = id_of.find(r.target_name);
+      if (it == id_of.end()) {
+        throw std::runtime_error("resume: bowtie.sam references unknown contig " +
+                                 r.target_name);
+      }
+      r.target_id = it->second;
+    }
+    return std::move(sam_file.records);
+  };
 
   chrysalis::GraphFromFastaOptions gff;
   gff.k = options.k;
@@ -608,6 +594,16 @@ PipelineResult run_pipeline_impl(const std::vector<seq::Sequence>& reads,
   driver.stage(
       "chrysalis.graph_from_fasta", {kContigsFile, kKmersFile, kSamFile}, {kComponentsFile},
       [&] {
+        if (!counted) {
+          counter = kmer::KmerCounter(counter_options);
+          counter.add_counts(kmer::read_dump_binary(work_dir + "/" + kKmersFile, options.k));
+          counted = true;
+        }
+        if (!scaffolded) {
+          scaffold = chrysalis::scaffold_pairs(load_sam(), result.contigs,
+                                               chrysalis::ScaffoldOptions{});
+          scaffolded = true;
+        }
         if (options.nranks == 1) {
           auto r = chrysalis::run_shared(result.contigs, counter, gff, scaffold);
           result.components = std::move(r.components);
@@ -623,7 +619,7 @@ PipelineResult run_pipeline_impl(const std::vector<seq::Sequence>& reads,
                 }
               },
               options.comm, driver.fault_for("chrysalis.graph_from_fasta"));
-          record_stage_comm(options, result, trace, "chrysalis.graph_from_fasta",
+          record_stage_comm(options, result, "chrysalis.graph_from_fasta",
                             std::move(rank_results));
         }
         chrysalis::write_components(work_dir + "/" + kComponentsFile, result.components);
@@ -668,7 +664,7 @@ PipelineResult run_pipeline_impl(const std::vector<seq::Sequence>& reads,
                 }
               },
               options.comm, driver.fault_for("chrysalis.reads_to_transcripts"));
-          record_stage_comm(options, result, trace, "chrysalis.reads_to_transcripts",
+          record_stage_comm(options, result, "chrysalis.reads_to_transcripts",
                             std::move(rank_results));
         }
         trace.counter("parse_quarantined", static_cast<double>(r2t_parse.records_quarantined()));

@@ -267,8 +267,6 @@ struct StageCommMetrics {
 
   /// Max-over-mean rank virtual time: 1.0 = perfectly balanced.
   [[nodiscard]] double skew_ratio() const { return simpi::skew_ratio(ranks); }
-  /// Bytes received by one operation, summed over ranks.
-  [[nodiscard]] std::uint64_t total_bytes_received(simpi::CommOp op) const;
 };
 
 /// Everything a run produces, including the per-stage timings each figure

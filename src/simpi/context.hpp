@@ -109,20 +109,6 @@ class Context {
     return out;
   }
 
-  /// Sends a single value.
-  template <typename T>
-  void send_value(int dest, int tag, const T& v) {
-    send(dest, tag, std::span<const T>(&v, 1));
-  }
-
-  /// Receives a single value.
-  template <typename T>
-  T recv_value(int source, int tag) {
-    auto v = recv<T>(source, tag);
-    if (v.size() != 1) throw std::runtime_error("simpi: recv_value count mismatch");
-    return v[0];
-  }
-
   // --- collectives ----------------------------------------------------------
   // All collectives must be entered by every rank in the same program order.
 

@@ -17,7 +17,7 @@
 namespace trinity::util {
 
 /// A named scalar attached to a phase by the code running inside it, e.g.
-/// "allgatherv_bytes" or "skew_ratio". Counters carry whatever quantity a
+/// "checkpoint_bytes" or "parse_quarantined". Counters carry whatever quantity a
 /// stage wants to surface in the trace next to its time/memory row.
 struct PhaseCounter {
   std::string name;

@@ -29,13 +29,18 @@ std::vector<seq::Sequence> make_contigs(std::size_t n, std::size_t len, std::uin
   return out;
 }
 
+/// align_all on a one-read batch: the aligner's single-read view.
+SamRecord align_one(const SeedExtendAligner& aligner, seq::Sequence read) {
+  return aligner.align_all({std::move(read)}).at(0);
+}
+
 TEST(AlignerTest, ExactReadPlacedAtTruePosition) {
   const auto contigs = make_contigs(5, 500, 100);
   const ContigIndex index(contigs, AlignerOptions{});
   const SeedExtendAligner aligner(index);
 
   const seq::Sequence read{"r", contigs[2].bases.substr(137, 80)};
-  const auto rec = aligner.align_read(read);
+  const auto rec = align_one(aligner, read);
   ASSERT_TRUE(rec.aligned());
   EXPECT_EQ(rec.target_name, "contig2");
   EXPECT_EQ(rec.pos, 137u);
@@ -50,7 +55,7 @@ TEST(AlignerTest, ReverseStrandReadDetected) {
 
   const seq::Sequence read{"r",
                            seq::reverse_complement(contigs[1].bases.substr(50, 70))};
-  const auto rec = aligner.align_read(read);
+  const auto rec = align_one(aligner, read);
   ASSERT_TRUE(rec.aligned());
   EXPECT_EQ(rec.target_name, "contig1");
   EXPECT_EQ(rec.pos, 50u);
@@ -67,7 +72,7 @@ TEST(AlignerTest, MismatchesWithinBudgetCounted) {
 
   std::string bases = contigs[0].bases.substr(100, 80);
   bases[40] = bases[40] == 'A' ? 'C' : 'A';  // middle; seeds at ends stay exact
-  const auto rec = aligner.align_read({"r", bases});
+  const auto rec = align_one(aligner, {"r", bases});
   ASSERT_TRUE(rec.aligned());
   EXPECT_EQ(rec.mismatches, 1);
   EXPECT_EQ(rec.pos, 100u);
@@ -85,7 +90,7 @@ TEST(AlignerTest, OverBudgetReadIsUnaligned) {
   for (const std::size_t p : {25u, 45u, 65u}) {
     bases[p] = bases[p] == 'A' ? 'C' : 'A';
   }
-  const auto rec = aligner.align_read({"r", bases});
+  const auto rec = align_one(aligner, {"r", bases});
   EXPECT_FALSE(rec.aligned());
 }
 
@@ -93,7 +98,7 @@ TEST(AlignerTest, ForeignReadIsUnaligned) {
   const auto contigs = make_contigs(4, 400, 500);
   const ContigIndex index(contigs, AlignerOptions{});
   const SeedExtendAligner aligner(index);
-  const auto rec = aligner.align_read({"alien", random_dna(80, 999999)});
+  const auto rec = align_one(aligner, {"alien", random_dna(80, 999999)});
   EXPECT_FALSE(rec.aligned());
 }
 
@@ -101,7 +106,7 @@ TEST(AlignerTest, ReadShorterThanSeedIsUnaligned) {
   const auto contigs = make_contigs(1, 200, 600);
   const ContigIndex index(contigs, AlignerOptions{});
   const SeedExtendAligner aligner(index);
-  EXPECT_FALSE(aligner.align_read({"tiny", "ACGT"}).aligned());
+  EXPECT_FALSE(align_one(aligner, {"tiny", "ACGT"}).aligned());
 }
 
 TEST(AlignerTest, AlignAllPreservesOrder) {

@@ -243,8 +243,10 @@ TEST_P(GffHybrid, OwnerShardingMatchesSharedMemoryRun) {
   auto options = test_options();
   const auto expected = run_shared(s.contigs, counter, options);
   options.sharding = ShardingStrategy::kOwner;
-  simpi::run(nranks, [&](simpi::Context& ctx) {
+  int dsu_rounds = 0;
+  const auto ranks = simpi::run(nranks, [&](simpi::Context& ctx) {
     const auto result = run_hybrid(ctx, s.contigs, counter, options);
+    if (ctx.rank() == 0) dsu_rounds = result.timing.dsu_rounds;
     // Owner-computes keeps welds/pairs distributed (the result leaves them
     // empty) but the clustering must be byte-identical on every rank.
     EXPECT_EQ(result.components.component_of, expected.components.component_of);
@@ -255,14 +257,20 @@ TEST_P(GffHybrid, OwnerShardingMatchesSharedMemoryRun) {
     }
     EXPECT_TRUE(result.welds.empty());
     EXPECT_TRUE(result.pairs.empty());
-    // Routed-traffic counters replace the pooled ones.
-    EXPECT_EQ(result.timing.weld_bytes_pooled, 0u);
-    EXPECT_EQ(result.timing.match_bytes_pooled, 0u);
-    if (nranks > 1) {
-      EXPECT_GT(result.timing.weld_bytes_routed, 0u);
-      EXPECT_GE(result.timing.dsu_rounds, 0);
-    }
   });
+  // Welds are routed, never pooled: every rank's alltoallv row carries
+  // them, and the allgatherv row holds only the union-find's reductions
+  // (one per round, the fixed-point check, the verification) plus the
+  // timing record.
+  for (const auto& r : ranks) {
+    if (nranks > 1) {
+      EXPECT_GT(r.comm.of(simpi::CommOp::kAlltoallv).bytes_sent, 0u) << "rank " << r.rank;
+    }
+    EXPECT_EQ(r.comm.of(simpi::CommOp::kReduce).calls,
+              static_cast<std::uint64_t>(dsu_rounds) + 2) << "rank " << r.rank;
+    EXPECT_EQ(r.comm.of(simpi::CommOp::kAllgatherv).calls,
+              r.comm.of(simpi::CommOp::kReduce).calls + 1) << "rank " << r.rank;
+  }
 }
 
 TEST_P(GffHybrid, OwnerShardingWorksUnderDynamicDistribution) {
@@ -362,26 +370,19 @@ TEST(GffOwner, EveryCountedAlltoallvIsAFaultPoint) {
   auto options = test_options();
   options.sharding = ShardingStrategy::kOwner;
   const auto run_owner = [&](simpi::FaultPlan plan) {
-    std::vector<std::uint64_t> weld_bytes;
-    auto ranks = simpi::run(
+    return simpi::run(
         kRanks,
-        [&](simpi::Context& ctx) {
-          const auto result = run_hybrid(ctx, s.contigs, counter, options);
-          if (ctx.rank() == 0) weld_bytes = result.timing.weld_bytes_contributed;
-        },
-        {}, std::move(plan));
-    return std::make_pair(std::move(ranks), std::move(weld_bytes));
+        [&](simpi::Context& ctx) { (void)run_hybrid(ctx, s.contigs, counter, options); }, {},
+        std::move(plan));
   };
 
-  const auto [ranks, weld_bytes] = run_owner({});
-  ASSERT_EQ(weld_bytes.size(), static_cast<std::size_t>(kRanks));
+  const auto ranks = run_owner({});
   for (const auto& r : ranks) {
-    const std::uint64_t routed = weld_bytes[static_cast<std::size_t>(r.rank)];
+    const std::uint64_t routed = r.comm.of(simpi::CommOp::kAlltoallv).bytes_sent;
     ASSERT_GT(routed, 0u) << "rank " << r.rank;
-    EXPECT_GE(r.comm.of(simpi::CommOp::kAlltoallv).bytes_sent, routed) << "rank " << r.rank;
-    // Every other row moves only small control payloads (counts, timings,
-    // reductions). A row repeating the routed welds would carry the parts
-    // sent to the two other ranks, about two thirds of the routed bytes.
+    // Every other row moves only small control payloads (the reductions
+    // and the timing record). A row repeating the routed welds would carry
+    // the parts sent to the two other ranks, about two thirds of them.
     std::uint64_t other = r.comm.total_bytes_sent();
     other -= r.comm.of(simpi::CommOp::kAlltoallv).bytes_sent;
     EXPECT_LT(other * 2, routed) << "rank " << r.rank << ": " << other << " other bytes";

@@ -237,9 +237,11 @@ TEST_P(R2THybrid, MatchesSharedMemoryRun) {
                    (output == R2TOutputMode::kCollective ? "collective" : "concat"));
       options.output_mode = output;
       const TempDir out("r2t_hybrid_out");
-      simpi::run(nranks, [&](simpi::Context& ctx) {
+      std::vector<std::uint64_t> rank_reads;
+      const auto ranks = simpi::run(nranks, [&](simpi::Context& ctx) {
         const auto result =
             run_hybrid(ctx, f.contigs, f.components, dir.file("reads.fa"), options, out.str());
+        if (ctx.rank() == 0) rank_reads = result.timing.rank_reads;
         if (ctx.rank() == 0) {
           EXPECT_TRUE(same_assignments(result.assignments, expected.assignments));
         } else {
@@ -249,8 +251,20 @@ TEST_P(R2THybrid, MatchesSharedMemoryRun) {
         std::uint64_t classified = 0;
         for (const auto c : result.timing.rank_chunks) classified += c;
         EXPECT_EQ(classified, chunks);
-        EXPECT_EQ(result.timing.assignment_bytes_pooled, n * sizeof(ReadAssignment));
       });
+      // Every read is gathered to rank 0 exactly once. A non-root rank's
+      // gatherv bytes less its allgatherv bytes (each allgatherv runs a
+      // gatherv of its contribution) are its assignment records.
+      std::uint64_t gathered = rank_reads.at(0);
+      for (int r = 1; r < nranks; ++r) {
+        const auto& comm = ranks[static_cast<std::size_t>(r)].comm;
+        const std::uint64_t records = comm.of(simpi::CommOp::kGatherv).bytes_sent -
+                                      comm.of(simpi::CommOp::kAllgatherv).bytes_sent;
+        EXPECT_EQ(records, rank_reads.at(static_cast<std::size_t>(r)) * sizeof(ReadAssignment))
+            << "rank " << r;
+        gathered += rank_reads.at(static_cast<std::size_t>(r));
+      }
+      EXPECT_EQ(gathered, n);
       EXPECT_EQ(read_file(out.file("readsToComponents.out.tsv")), expected_tsv);
       // The merged file is the only output: no per-rank part survives it.
       std::vector<std::string> left;

@@ -1,7 +1,7 @@
 // trinity::Config — the unified flag/JSON parsing path (pipeline/config.hpp).
 //
 // Pins the API-redesign contract: CLI and JSON land in the same validated
-// values, to_json()/from_json round-trips, every pipeline_options()
+// values, to_json()/parse_json_text round-trips, every pipeline_options()
 // validation error is a typed ConfigError naming the field, unknown
 // flags/keys are rejected rather than silently defaulted, and the old
 // spellings (--nprocs, --model-threads, --trace-file, --r2t-mode,

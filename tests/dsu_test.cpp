@@ -160,26 +160,27 @@ TEST(DistributedComponentsTest, StatsCountRoutedEdges) {
   std::vector<ContigPair> chain;
   for (std::int32_t i = 0; i + 1 < 32; ++i) chain.push_back({i, i + 1});
   std::vector<DsuStats> stats(4);
-  simpi::run(4, [&](simpi::Context& ctx) {
+  const auto ranks = simpi::run(4, [&](simpi::Context& ctx) {
     std::vector<ContigPair> mine;
     for (std::size_t i = 0; i < chain.size(); ++i) {
       if (static_cast<int>(i % 4) == ctx.rank()) mine.push_back(chain[i]);
     }
     distributed_components(ctx, 32, mine, &stats[static_cast<std::size_t>(ctx.rank())]);
   });
-  std::uint64_t edges = 0;
-  std::uint64_t bytes = 0;
-  int rounds = 0;
-  for (const auto& s : stats) {
-    edges += s.edges_routed;
-    bytes += s.edge_bytes_routed;
-    rounds = std::max(rounds, s.rounds);
-  }
-  // A 4-rank chain cannot resolve without at least one boundary exchange,
-  // and the byte counter is defined as sizeof(ContigPair) per routed edge.
+  // A 4-rank chain cannot resolve without at least one boundary exchange.
+  // Every rank counts the same rounds, and the edges they routed are
+  // counted on the CommStats alltoallv row.
+  const int rounds = stats[0].rounds;
   EXPECT_GE(rounds, 1);
-  EXPECT_GT(edges, 0u);
-  EXPECT_EQ(bytes, edges * sizeof(ContigPair));
+  std::uint64_t routed = 0;
+  for (const auto& r : ranks) {
+    EXPECT_EQ(stats[static_cast<std::size_t>(r.rank)].rounds, rounds);
+    routed += r.comm.of(simpi::CommOp::kAlltoallv).bytes_sent;
+    // One reduction per round, the fixed-point check that ends the rounds,
+    // and the verification of the final labels.
+    EXPECT_EQ(r.comm.of(simpi::CommOp::kReduce).calls, static_cast<std::uint64_t>(rounds) + 2);
+  }
+  EXPECT_GT(routed, 0u);
 }
 
 TEST(DistributedComponentsTest, OutOfRangePairThrows) {

@@ -170,6 +170,44 @@ TEST(PipelineCheckpoint, ResumeSkipsEveryValidStage) {
   EXPECT_EQ(slurp(dir.file("Trinity.fa")), transcripts);
 }
 
+TEST(PipelineCheckpoint, FullResumeReadsNoIntermediateProduct) {
+  // A resumed stage loads nothing; only an executing reader loads its
+  // inputs. Replace kmers.bin and bowtie.sam with files no loader accepts
+  // (a dump cut mid-record, a SAM record naming an unknown contig) and
+  // re-record their hashes: a fully resumed run must never read them.
+  const TempDir dir("ckpt_resume_lazy");
+  const auto& data = shared_dataset();
+  auto options = small_options(dir.str());
+  run_pipeline(data.reads.reads, options);
+  const std::string transcripts = slurp(dir.file("Trinity.fa"));
+
+  std::filesystem::resize_file(dir.file("kmers.bin"),
+                               std::filesystem::file_size(dir.file("kmers.bin")) - 3);
+  {
+    std::ofstream sam(dir.file("bowtie.sam"), std::ios::app);
+    sam << "r_unknown\t0\tno_such_contig\t1\t255\t10M\t*\t0\t0\t*\t*\tNM:i:0\n";
+  }
+  auto manifest = checkpoint::RunManifest::load(dir.file(kManifestFileName));
+  for (const auto& stage : kAllStages) {
+    auto record = *manifest.find(stage);
+    for (auto* artifacts : {&record.inputs, &record.outputs}) {
+      for (auto& a : *artifacts) {
+        if (a.path == "kmers.bin" || a.path == "bowtie.sam") {
+          a = checkpoint::capture_artifact(dir.str(), a.path);
+        }
+      }
+    }
+    manifest.upsert(record);
+  }
+  manifest.commit();
+
+  options.resume = true;
+  const auto result = run_pipeline(data.reads.reads, options);
+  EXPECT_TRUE(result.stages_executed.empty());
+  EXPECT_EQ(result.stages_resumed, kAllStages);
+  EXPECT_EQ(slurp(dir.file("Trinity.fa")), transcripts);
+}
+
 TEST(PipelineCheckpoint, ResumeWithoutManifestRunsEverything) {
   const TempDir dir("ckpt_resume_cold");
   auto options = small_options(dir.str());
@@ -235,10 +273,14 @@ TEST(PipelineCheckpoint, ConsumerInputDriftRerunsFromTheConsumer) {
   manifest.upsert(record);
   manifest.commit();
 
+  const std::string transcripts = slurp(dir.file("Trinity.fa"));
   options.resume = true;
   const auto result = run_pipeline(data.reads.reads, options);
   EXPECT_EQ(result.stages_resumed, stages_until(kAllStages, 4));
   EXPECT_EQ(result.stages_executed, stages_from(kAllStages, 4));
+  // GraphFromFasta loaded the resumed stages' k-mer counts and alignments
+  // from disk and clustered as the first run did.
+  EXPECT_EQ(slurp(dir.file("Trinity.fa")), transcripts);
 }
 
 TEST(PipelineCheckpoint, RecordOmittingAnOutputRerunsThatStage) {

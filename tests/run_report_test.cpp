@@ -1,7 +1,7 @@
 // The JSON run report end to end: a hybrid pipeline run must emit a
 // document that round-trips through the parser, declares the supported
-// schema version, and whose per-stage Allgatherv byte counts and
-// max/mean rank-time imbalance agree with the in-memory PipelineResult.
+// schema version, and whose per-stage, per-op byte counts and max/mean
+// rank-time imbalance agree with the in-memory PipelineResult.
 // docs/OBSERVABILITY.md documents every field asserted here.
 
 #include <gtest/gtest.h>
@@ -127,51 +127,56 @@ TEST_F(RunReportTest, ImbalanceFieldsAreConsistent) {
   }
 }
 
-TEST_F(RunReportTest, AllgathervBytesMatchChrysalisPooling) {
-  const util::Json* gff_stage = nullptr;
-  for (const auto& stage : report_->at("comm").items()) {
-    if (stage.at("stage").as_string() == "chrysalis.graph_from_fasta") gff_stage = &stage;
+/// The named stage's comm[] entry, or null.
+const util::Json* comm_stage(const util::Json& report, const std::string& name) {
+  for (const auto& stage : report.at("comm").items()) {
+    if (stage.at("stage").as_string() == name) return &stage;
   }
+  return nullptr;
+}
+
+/// One rank's counter for `op` ("calls", "bytes_sent", ...); 0 when the
+/// rank never entered the op (zero-call rows are omitted).
+std::int64_t op_field(const util::Json& rank, const char* op, const char* field) {
+  const util::Json* row = rank.at("ops").find(op);
+  return row == nullptr ? 0 : row->at(field).as_int();
+}
+
+TEST_F(RunReportTest, AllgathervBytesMatchChrysalisPooling) {
+  const util::Json* gff_stage = comm_stage(*report_, "chrysalis.graph_from_fasta");
   ASSERT_NE(gff_stage, nullptr);
 
-  const auto& gff = report_->at("chrysalis").at("graph_from_fasta");
-  const std::int64_t pooled =
-      gff.at("weld_bytes_pooled").as_int() + gff.at("match_bytes_pooled").as_int();
+  // Every pooled GraphFromFasta collective (the weld pool, the match pool
+  // and the timing allgather) is entered by every rank, and each rank
+  // receives the concatenation of all contributions: a pool is exactly its
+  // contributions, on every rank.
   std::int64_t contributed = 0;
-  for (const auto& v : gff.at("weld_bytes_contributed").items()) contributed += v.as_int();
-  for (const auto& v : gff.at("match_bytes_contributed").items()) contributed += v.as_int();
-  EXPECT_EQ(contributed, pooled);  // a pool is exactly its contributions
-
-  // Every rank logically receives each pooled concatenation; the stage also
-  // runs bookkeeping allgathervs (timing, the byte counters themselves), so
-  // the recorded volume is at least the two pools.
   for (const auto& rank : gff_stage->at("ranks").items()) {
-    const util::Json* ag = rank.at("ops").find("allgatherv");
-    ASSERT_NE(ag, nullptr);
-    EXPECT_GT(ag->at("calls").as_int(), 0);
-    EXPECT_GE(ag->at("bytes_received").as_int(), pooled);
+    EXPECT_GT(op_field(rank, "allgatherv", "calls"), 0);
+    contributed += op_field(rank, "allgatherv", "bytes_sent");
+  }
+  EXPECT_GT(contributed, 0);
+  for (const auto& rank : gff_stage->at("ranks").items()) {
+    EXPECT_EQ(op_field(rank, "allgatherv", "bytes_received"), contributed);
   }
 
-  // The in-memory accessors agree with the document.
+  // The in-memory RankResults agree with the document.
   const auto metrics =
       std::find_if(result_->stage_comm.begin(), result_->stage_comm.end(),
                    [](const auto& m) { return m.stage == "chrysalis.graph_from_fasta"; });
   ASSERT_NE(metrics, result_->stage_comm.end());
-  std::int64_t json_received = 0;
-  for (const auto& rank : gff_stage->at("ranks").items()) {
-    json_received += rank.at("ops").at("allgatherv").at("bytes_received").as_int();
+  std::int64_t in_memory = 0;
+  for (const auto& r : metrics->ranks) {
+    in_memory += static_cast<std::int64_t>(r.comm.of(simpi::CommOp::kAllgatherv).bytes_sent);
   }
-  EXPECT_EQ(static_cast<std::int64_t>(
-                metrics->total_bytes_received(simpi::CommOp::kAllgatherv)),
-            json_received);
+  EXPECT_EQ(in_memory, contributed);
   EXPECT_NEAR(metrics->skew_ratio(), gff_stage->at("skew_ratio").as_double(), 1e-9);
 }
 
 TEST_F(RunReportTest, GffShardingIsRecordedAdditively) {
-  // Pooled run: the strategy is named, but no owner-mode counters.
+  // Pooled run: the strategy is named, but the union-find never ran.
   const auto& gff = report_->at("chrysalis").at("graph_from_fasta");
   EXPECT_EQ(gff.at("gff_sharding").as_string(), "pooled");
-  EXPECT_EQ(gff.find("weld_bytes_routed"), nullptr);
   EXPECT_EQ(gff.find("dsu_rounds"), nullptr);
 }
 
@@ -185,41 +190,87 @@ TEST(RunReportStandalone2, OwnerShardingEmitsRoutedCountersAndAlltoallvRow) {
 
   const auto& gff = report.at("chrysalis").at("graph_from_fasta");
   EXPECT_EQ(gff.at("gff_sharding").as_string(), "owner");
-  EXPECT_GT(gff.at("weld_bytes_routed").as_int(), 0);
   EXPECT_GE(gff.at("dsu_rounds").as_int(), 0);
-  ASSERT_NE(gff.find("dsu_edge_bytes_routed"), nullptr);
-  // The pooled counters stay zero: nothing was replicated in loop 2.
-  EXPECT_EQ(gff.at("weld_bytes_pooled").as_int(), 0);
-  EXPECT_EQ(gff.at("match_bytes_pooled").as_int(), 0);
 
-  // The stage comm section carries the new alltoallv row with the routed
-  // traffic, and the allgatherv row shrinks to bookkeeping reductions.
-  const util::Json* gff_stage = nullptr;
-  for (const auto& stage : report.at("comm").items()) {
-    if (stage.at("stage").as_string() == "chrysalis.graph_from_fasta") gff_stage = &stage;
-  }
+  // The stage comm section carries the alltoallv row with the routed
+  // traffic; nothing is replicated, so the allgatherv row holds only the
+  // small reductions and the timing record, less than the routed bytes.
+  const util::Json* gff_stage = comm_stage(report, "chrysalis.graph_from_fasta");
   ASSERT_NE(gff_stage, nullptr);
-  std::int64_t a2a_received = 0;
   for (const auto& rank : gff_stage->at("ranks").items()) {
-    const util::Json* a2a = rank.at("ops").find("alltoallv");
-    ASSERT_NE(a2a, nullptr);
-    EXPECT_GT(a2a->at("calls").as_int(), 0);
-    a2a_received += a2a->at("bytes_received").as_int();
+    EXPECT_GT(op_field(rank, "alltoallv", "calls"), 0);
+    EXPECT_GT(op_field(rank, "alltoallv", "bytes_received"), 0);
+    EXPECT_LT(op_field(rank, "allgatherv", "bytes_received"),
+              op_field(rank, "alltoallv", "bytes_received"));
   }
-  EXPECT_GT(a2a_received, 0);
+}
+
+TEST(RunReportStandalone2, EachHybridStageCostsOneTimingCollective) {
+  const TempDir dir("run_report_calls");
+  const auto data = tiny_dataset();
+  auto options = small_options(dir.str(), 3);
+  options.gff_sharding = chrysalis::ShardingStrategy::kOwner;
+  const auto result = run_pipeline(data.reads.reads, options);
+  const util::Json report = load_run_report(result.report_path);
+
+  // Bowtie and ReadsToTranscripts reduce nothing: their timing is one
+  // allgather of each rank's record, and no other allgatherv runs there.
+  for (const char* name : {"chrysalis.bowtie", "chrysalis.reads_to_transcripts"}) {
+    const util::Json* stage = comm_stage(report, name);
+    ASSERT_NE(stage, nullptr) << name;
+    for (const auto& rank : stage->at("ranks").items()) {
+      EXPECT_EQ(op_field(rank, "reduce", "calls"), 0) << name;
+      EXPECT_EQ(op_field(rank, "allgatherv", "calls"), 1) << name;
+    }
+  }
+  // GraphFromFasta's only reductions are the union-find's own: one per
+  // boundary-exchange round, the fixed-point check that ends the rounds
+  // and the verification. Each runs on an allgather, and the timing adds
+  // one more.
+  const std::int64_t rounds =
+      report.at("chrysalis").at("graph_from_fasta").at("dsu_rounds").as_int();
+  const util::Json* gff_stage = comm_stage(report, "chrysalis.graph_from_fasta");
+  ASSERT_NE(gff_stage, nullptr);
+  for (const auto& rank : gff_stage->at("ranks").items()) {
+    EXPECT_EQ(op_field(rank, "reduce", "calls"), rounds + 2);
+    EXPECT_EQ(op_field(rank, "allgatherv", "calls"), rounds + 3);
+  }
+  // The phase counters no longer repeat comm[].
+  for (const auto& phase : report.at("phases").items()) {
+    for (const char* gone : {"skew_ratio", "comm_bytes_sent", "comm_bytes_received",
+                             "comm_wait_s", "allgatherv_bytes_received",
+                             "alltoallv_bytes_received"}) {
+      EXPECT_EQ(phase.at("counters").find(gone), nullptr)
+          << phase.at("name").as_string() << ": " << gone;
+    }
+  }
 }
 
 TEST_F(RunReportTest, ReadsToTranscriptsChunkAccounting) {
   const auto& r2t = report_->at("chrysalis").at("reads_to_transcripts");
-  std::int64_t chunks = 0, reads = 0, contributed = 0;
+  std::int64_t chunks = 0, reads = 0;
   for (const auto& v : r2t.at("rank_chunks").items()) chunks += v.as_int();
   for (const auto& v : r2t.at("rank_reads").items()) reads += v.as_int();
-  for (const auto& v : r2t.at("assignment_bytes_contributed").items()) {
-    contributed += v.as_int();
-  }
   EXPECT_GT(chunks, 0);
   EXPECT_EQ(reads, static_cast<std::int64_t>(result_->assignments.size()));
-  EXPECT_EQ(contributed, r2t.at("assignment_bytes_pooled").as_int());
+
+  // The assignments travel to rank 0 on gatherv. Each allgatherv also runs
+  // a gatherv of its contribution, so a non-root rank's gatherv bytes less
+  // its allgatherv bytes are exactly its assignment records, and rank 0
+  // receives everything the others sent.
+  const util::Json* stage = comm_stage(*report_, "chrysalis.reads_to_transcripts");
+  ASSERT_NE(stage, nullptr);
+  const auto& ranks = stage->at("ranks").items();
+  std::int64_t gathered = 0;
+  for (std::size_t r = 1; r < ranks.size(); ++r) {
+    const std::int64_t sent = op_field(ranks[r], "gatherv", "bytes_sent");
+    EXPECT_EQ(sent - op_field(ranks[r], "allgatherv", "bytes_sent"),
+              r2t.at("rank_reads").items().at(r).as_int() *
+                  static_cast<std::int64_t>(sizeof(chrysalis::ReadAssignment)))
+        << "rank " << r;
+    gathered += sent;
+  }
+  EXPECT_EQ(op_field(ranks.at(0), "gatherv", "bytes_received"), gathered);
 }
 
 TEST_F(RunReportTest, ManifestRecordsPointAtReport) {
@@ -237,6 +288,7 @@ TEST_F(RunReportTest, SummaryMentionsEveryStage) {
   EXPECT_NE(text.find("chrysalis.graph_from_fasta"), std::string::npos);
   EXPECT_NE(text.find("skew"), std::string::npos);
   EXPECT_NE(text.find("chunks per rank"), std::string::npos);
+  EXPECT_NE(text.find("chrysalis traffic"), std::string::npos);
 }
 
 TEST(RunReportStandalone, EmitReportOffWritesNothing) {
@@ -338,6 +390,52 @@ TEST(RunReportStandalone, LoaderAcceptsEveryOlderSchemaVersion) {
     const util::Json loaded = load_run_report(path);
     EXPECT_EQ(loaded.at("schema_version").as_int(), version) << path;
   }
+}
+
+TEST(RunReportStandalone, SummarizesSchemaSevenReport) {
+  // A schema-7 report as the previous writer emitted it: byte ledgers in
+  // the chrysalis section and comm counters on the phase. The summary now
+  // reads the comm[] rows and ignores the ledgers.
+  const TempDir dir("run_report_v7");
+  const std::string path = dir.file("v7.json");
+  {
+    std::ofstream out(path);
+    out << R"({"schema_version": 7, "generator": "trinity_pipeline", "nranks": 2,
+  "model_threads_per_rank": 4, "options_fingerprint": "00000000000000aa",
+  "stages_executed": ["chrysalis.graph_from_fasta"], "stages_resumed": [],
+  "stage_retries": 0, "io_retries": 0,
+  "phases": [{"name": "chrysalis.graph_from_fasta", "start_s": 0.0, "wall_s": 0.5,
+    "cpu_s": 0.9, "rss_before_b": 1, "rss_after_b": 2, "rss_peak_b": 3,
+    "counters": {"skew_ratio": 1.2, "comm_bytes_sent": 300, "comm_bytes_received": 900,
+      "comm_wait_s": 0.01, "allgatherv_bytes_received": 600}}],
+  "comm": [{"stage": "chrysalis.graph_from_fasta", "nranks": 2, "max_virtual_s": 0.6,
+    "mean_virtual_s": 0.5, "skew_ratio": 1.2, "ranks": [
+      {"rank": 0, "cpu_s": 0.4, "comm_s": 0.2, "virtual_s": 0.6,
+       "ops": {"allgatherv": {"calls": 14, "bytes_sent": 100, "bytes_received": 300,
+                              "wait_s": 0.0}}},
+      {"rank": 1, "cpu_s": 0.3, "comm_s": 0.1, "virtual_s": 0.4,
+       "ops": {"allgatherv": {"calls": 14, "bytes_sent": 200, "bytes_received": 300,
+                              "wait_s": 0.01}}}]}],
+  "chrysalis": {
+    "graph_from_fasta": {"loop1_s": [0.1, 0.2], "loop2_s": [0.1, 0.1], "setup_s": 0.01,
+      "finalize_s": 0.02, "comm_s": 0.2, "weld_bytes_contributed": [60, 140],
+      "weld_bytes_pooled": 200, "match_bytes_contributed": [8, 8],
+      "match_bytes_pooled": 16, "pool_wait_s": 0.01, "gff_sharding": "pooled"},
+    "reads_to_transcripts": {"main_loop_s": [0.3, 0.3], "setup_s": 0.1, "concat_s": 0.0,
+      "comm_s": 0.0, "rank_chunks": [2, 1], "rank_reads": [20, 10],
+      "assignment_bytes_contributed": [480, 240], "assignment_bytes_pooled": 720}}}
+)";
+  }
+  const util::Json report = load_run_report(path);
+  std::ostringstream out;
+  summarize_report(report, out);
+  const std::string text = out.str();
+  EXPECT_NE(text.find("schema 7"), std::string::npos);
+  EXPECT_NE(text.find("chrysalis.graph_from_fasta: allgatherv 28x 300 B -> 600 B;"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("graph_from_fasta sharding: pooled"), std::string::npos);
+  EXPECT_NE(text.find("chunks per rank: 2 1"), std::string::npos);
 }
 
 /// A minimal synthetic report: one phase, one comm stage with a single

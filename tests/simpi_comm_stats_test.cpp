@@ -48,9 +48,9 @@ TEST(CommStats, RecvWaitMeasuresBlockedTime) {
   const auto results = run(2, [](Context& ctx) {
     if (ctx.rank() == 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      ctx.send_value<std::int32_t>(1, 0, 42);
+      ctx.send(1, 0, std::vector<std::int32_t>{42});
     } else {
-      (void)ctx.recv_value<std::int32_t>(0, 0);
+      (void)ctx.recv<std::int32_t>(0, 0);
     }
   });
   // Rank 1 sat blocked for the sender's 50 ms nap; allow generous

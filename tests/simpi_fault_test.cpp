@@ -191,9 +191,9 @@ TEST(SimpiFault, KillInsideSend) {
                    [&](Context& ctx) {
                      try {
                        if (ctx.rank() == 1) {
-                         ctx.send_value<int>(0, 0, 7);
+                         ctx.send(0, 0, std::vector<int>{7});
                        } else {
-                         (void)ctx.recv_value<int>(1, 0);
+                         (void)ctx.recv<int>(1, 0);
                        }
                      } catch (const AbortedError&) {
                        aborted.fetch_add(1);

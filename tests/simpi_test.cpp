@@ -21,11 +21,11 @@ namespace {
 TEST(SimpiP2P, PingPong) {
   run(2, [](Context& ctx) {
     if (ctx.rank() == 0) {
-      ctx.send_value<int>(1, 0, 41);
-      EXPECT_EQ(ctx.recv_value<int>(1, 1), 42);
+      ctx.send(1, 0, std::vector<int>{41});
+      EXPECT_EQ(ctx.recv<int>(1, 1).at(0), 42);
     } else {
-      const int v = ctx.recv_value<int>(0, 0);
-      ctx.send_value<int>(0, 1, v + 1);
+      const int v = ctx.recv<int>(0, 0).at(0);
+      ctx.send(0, 1, std::vector<int>{v + 1});
     }
   });
 }
@@ -33,9 +33,9 @@ TEST(SimpiP2P, PingPong) {
 TEST(SimpiP2P, MessagesFromOneSourceArriveInOrder) {
   run(2, [](Context& ctx) {
     if (ctx.rank() == 0) {
-      for (int i = 0; i < 50; ++i) ctx.send_value<int>(1, 3, i);
+      for (int i = 0; i < 50; ++i) ctx.send(1, 3, std::vector<int>{i});
     } else {
-      for (int i = 0; i < 50; ++i) EXPECT_EQ(ctx.recv_value<int>(0, 3), i);
+      for (int i = 0; i < 50; ++i) EXPECT_EQ(ctx.recv<int>(0, 3).at(0), i);
     }
   });
 }
@@ -43,12 +43,12 @@ TEST(SimpiP2P, MessagesFromOneSourceArriveInOrder) {
 TEST(SimpiP2P, TagsSelectMessages) {
   run(2, [](Context& ctx) {
     if (ctx.rank() == 0) {
-      ctx.send_value<int>(1, 5, 55);
-      ctx.send_value<int>(1, 4, 44);
+      ctx.send(1, 5, std::vector<int>{55});
+      ctx.send(1, 4, std::vector<int>{44});
     } else {
       // Receive in the opposite order of sending: tag matching must hold.
-      EXPECT_EQ(ctx.recv_value<int>(0, 4), 44);
-      EXPECT_EQ(ctx.recv_value<int>(0, 5), 55);
+      EXPECT_EQ(ctx.recv<int>(0, 4).at(0), 44);
+      EXPECT_EQ(ctx.recv<int>(0, 5).at(0), 55);
     }
   });
 }
@@ -63,7 +63,7 @@ TEST(SimpiP2P, AnySourceReceivesFromEveryRank) {
       }
       EXPECT_EQ(sources, (std::set<int>{1, 2, 3}));
     } else {
-      ctx.send_value<int>(0, 9, ctx.rank());
+      ctx.send(0, 9, std::vector<int>{ctx.rank()});
     }
   });
 }
@@ -85,17 +85,17 @@ TEST(SimpiP2P, VectorPayloadRoundTrips) {
 TEST(SimpiP2P, NegativeUserTagRejected) {
   run(2, [](Context& ctx) {
     if (ctx.rank() == 0) {
-      EXPECT_THROW(ctx.send_value<int>(1, -1, 0), std::invalid_argument);
-      ctx.send_value<int>(1, 0, 1);  // unblock the peer
+      EXPECT_THROW(ctx.send(1, -1, std::vector<int>{0}), std::invalid_argument);
+      ctx.send(1, 0, std::vector<int>{1});  // unblock the peer
     } else {
-      ctx.recv_value<int>(0, 0);
+      (void)ctx.recv<int>(0, 0);
     }
   });
 }
 
 TEST(SimpiP2P, OutOfRangeDestinationRejected) {
   run(1, [](Context& ctx) {
-    EXPECT_THROW(ctx.send_value<int>(5, 0, 0), std::out_of_range);
+    EXPECT_THROW(ctx.send(5, 0, std::vector<int>{0}), std::out_of_range);
   });
 }
 
@@ -302,16 +302,6 @@ TEST(SimpiP2P, TypedRecvSizeMismatchThrows) {
       ctx.send_bytes(1, 0, payload);
     } else {
       EXPECT_THROW((void)ctx.recv<std::int32_t>(0, 0), std::runtime_error);
-    }
-  });
-}
-
-TEST(SimpiP2P, RecvValueCountMismatchThrows) {
-  run(2, [](Context& ctx) {
-    if (ctx.rank() == 0) {
-      ctx.send(1, 0, std::vector<int>{1, 2, 3});
-    } else {
-      EXPECT_THROW((void)ctx.recv_value<int>(0, 0), std::runtime_error);
     }
   });
 }

@@ -263,8 +263,8 @@ TEST(SimpiWaitSpanTest, WaitSpanTotalsMatchCommStats) {
         data.assign(256, 7);
       }
       ctx.bcast(data, 0);
-      ctx.send_value(ctx.rank() == 0 ? 1 : 0, /*tag=*/5, ctx.rank());
-      (void)ctx.recv_value<int>(ctx.rank() == 0 ? 1 : 0, /*tag=*/5);
+      ctx.send(ctx.rank() == 0 ? 1 : 0, /*tag=*/5, std::vector<int>{ctx.rank()});
+      (void)ctx.recv<int>(ctx.rank() == 0 ? 1 : 0, /*tag=*/5);
       ctx.barrier();
     });
   }
