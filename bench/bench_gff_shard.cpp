@@ -115,10 +115,11 @@ int main(int argc, char** argv) {
                      nranks);
         return 1;
       }
+      // One rank moves no bytes in either mode: 0/0 reads as parity.
       const double reduction =
           best.total_bytes > 0
               ? static_cast<double>(pooled.total_bytes) / static_cast<double>(best.total_bytes)
-              : 0.0;
+              : (pooled.total_bytes == 0 ? 1.0 : 0.0);
       std::printf("%6d %8s | %12.3f | %12llu %12llu %12llu | %9.3f | %8.2fx\n", nranks,
                   mode, best.virtual_wall, static_cast<unsigned long long>(best.total_bytes),
                   static_cast<unsigned long long>(best.allgatherv_bytes),

@@ -105,8 +105,13 @@
 #      stage-file loaders, corrupt headers and ids that used to index out
 #      of bounds), where
 #      sanitizers earn their keep.
+#  15. ThreadSanitizer build (build-tsan/, -fsanitize=thread) running the
+#      simpi (collectives, fault injection, CommStats, extensions), union-
+#      find, trace, metrics and serve test binaries with OMP_NUM_THREADS=1
+#      (libgomp is not instrumented, so OpenMP code stays out of scope) and
+#      TSAN_OPTIONS=halt_on_error=1: any data-race report fails the gate.
 #
-# Usage: scripts/check.sh [--skip-sanitize]
+# Usage: scripts/check.sh [--skip-sanitize]  (skips steps 14 and 15)
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -370,6 +375,18 @@ for t in checkpoint_test simpi_fault_test simpi_test simpi_extensions_test dsu_t
          chrysalis_gff_test chrysalis_r2t_test simpi_comm_stats_test; do
     echo "-- $t (ASan+UBSan)"
     ./build-asan/tests/"$t"
+done
+
+echo "== TSan: simpi + dsu + trace + obs + serve tests =="
+tsan_tests="simpi_test simpi_fault_test simpi_comm_stats_test simpi_extensions_test \
+    dsu_test trace_test obs_test serve_test"
+cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_CXX_FLAGS=-fsanitize=thread -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread >/dev/null
+# shellcheck disable=SC2086 # one target name per word
+cmake --build build-tsan -j "$jobs" --target $tsan_tests
+for t in $tsan_tests; do
+    echo "-- $t (TSan)"
+    OMP_NUM_THREADS=1 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/"$t"
 done
 
 echo "== all checks passed =="

@@ -468,7 +468,7 @@ simpi::FaultPlan Config::fault_plan() const {
   const std::string op = get_string("fault-op");
   if (!op.empty()) {
     try {
-      fault.op = simpi::fault_op_from_string(op);
+      fault.op = simpi::comm_op_from_string(op);
     } catch (const std::exception&) {
       throw ConfigError("fault-op",
                         "must be one of barrier, bcast, gatherv, allgatherv, alltoallv, "

@@ -42,9 +42,12 @@ namespace trinity::pipeline {
 /// index mode: the vote map is built for every run. v8 removes the
 /// Chrysalis byte ledgers (GraphFromFasta's weld, match and union-find edge
 /// bytes, ReadsToTranscripts' assignment bytes) and the hybrid phases'
-/// communication counters: the comm[] rows count every byte once. v1-v7
-/// reports keep loading unchanged.
-inline constexpr int kReportSchemaVersion = 8;
+/// communication counters: the comm[] rows count every byte once. v9 keeps
+/// the shape but counts each op on its own row, and only the bytes that
+/// crossed between ranks (before it, allgatherv and reduce rows held
+/// logical payload on top of inner gatherv/bcast rows, and alltoallv
+/// counted its own slot). v1-v8 reports keep loading unchanged.
+inline constexpr int kReportSchemaVersion = 9;
 
 /// Builds the report document from a finished run. Pure: no I/O.
 [[nodiscard]] util::Json build_run_report(const PipelineOptions& options,

@@ -125,9 +125,8 @@ util::Json job_spec_to_json(const JobSpec& spec) {
   util::Json doc = cfg.to_json();
   doc.set("max-attempts", spec.options.retry.max_attempts);
   doc.set("fault-rank", spec.options.fault.rank);
-  doc.set("fault-op", spec.options.fault.op == simpi::FaultOp::kNone
-                          ? std::string()
-                          : std::string(simpi::to_string(spec.options.fault.op)));
+  const auto& fault_op = spec.options.fault.op;
+  doc.set("fault-op", fault_op ? std::string(simpi::to_string(*fault_op)) : std::string());
   doc.set("fault-at", spec.options.fault.at_entry);
   return doc;
 }

@@ -1,5 +1,8 @@
 #include "simpi/comm_stats.hpp"
 
+#include <stdexcept>
+#include <string>
+
 namespace trinity::simpi {
 
 const char* to_string(CommOp op) {
@@ -14,6 +17,14 @@ const char* to_string(CommOp op) {
     case CommOp::kReduce: return "reduce";
   }
   return "unknown";
+}
+
+CommOp comm_op_from_string(std::string_view name) {
+  for (std::size_t i = 0; i < kNumCommOps; ++i) {
+    const auto op = static_cast<CommOp>(i);
+    if (name == to_string(op)) return op;
+  }
+  throw std::invalid_argument("unknown comm op: " + std::string(name));
 }
 
 std::uint64_t CommStats::total_calls() const {
@@ -38,11 +49,6 @@ double CommStats::total_wait_seconds() const {
   double total = 0.0;
   for (const auto& s : ops) total += s.wait_seconds;
   return total;
-}
-
-CommStats& CommStats::operator+=(const CommStats& other) {
-  for (std::size_t i = 0; i < kNumCommOps; ++i) ops[i] += other.ops[i];
-  return *this;
 }
 
 }  // namespace trinity::simpi

@@ -35,36 +35,32 @@ int Context::size() const { return world_.size(); }
 
 const CommCostModel& Context::cost_model() const { return world_.cost_model(); }
 
-void Context::raw_send(int dest, int tag, std::span<const std::byte> bytes) {
+void Context::raw_send(int dest, int tag, std::span<const std::byte> bytes, CommOp op) {
   world_.check_abort();
   Message msg;
   msg.source = rank_;
   msg.tag = tag;
   msg.payload.assign(bytes.begin(), bytes.end());
   world_.mailbox(dest).deliver(std::move(msg));
-}
-
-Message Context::raw_recv(int source, int tag) {
-  try {
-    return world_.mailbox(rank_).receive(source, tag);
-  } catch (const MailboxAborted&) {
-    throw AbortedError();
-  }
+  if (dest != rank_) stats_.of(op).bytes_sent += bytes.size();
 }
 
 Message Context::waited_recv(int source, int tag, CommOp op) {
   util::Timer wait;
-  Message msg = raw_recv(source, tag);
+  Message msg;
+  try {
+    msg = world_.mailbox(rank_).receive(source, tag);
+  } catch (const MailboxAborted&) {
+    throw AbortedError();
+  }
   // The wait sub-span duration is the *same* measured value added to
   // CommStats.wait_seconds, so per-rank wait-span totals in the trace
   // reconcile with the run report's comm counters exactly.
   const double waited = wait.seconds();
-  // An active WaitAttribution redirects the wait (row + span) to the outer
-  // collective; payload accounting stays on the transport op's row.
-  const CommOp wait_op = wait_override_.value_or(op);
-  stats_.of(wait_op).wait_seconds += waited;
-  stats_.of(op).bytes_received += msg.payload.size();
-  trace::completed_span(wait_span_name(wait_op), trace::kCatSimpi, waited);
+  auto& row = stats_.of(op);
+  row.wait_seconds += waited;
+  if (msg.source != rank_) row.bytes_received += msg.payload.size();
+  trace::completed_span(wait_span_name(op), trace::kCatSimpi, waited);
   return msg;
 }
 
@@ -76,11 +72,9 @@ void Context::send_bytes(int dest, int tag, std::span<const std::byte> bytes) {
     span.arg("bytes", static_cast<double>(bytes.size()));
     span.arg("dest", dest);
   }
-  fault_point(FaultOp::kSend);
-  auto& s = stats_.of(CommOp::kSend);
-  ++s.calls;
-  s.bytes_sent += bytes.size();
-  raw_send(dest, tag, bytes);
+  fault_point(CommOp::kSend);
+  ++stats_.of(CommOp::kSend).calls;
+  raw_send(dest, tag, bytes, CommOp::kSend);
   comm_seconds_ += cost_model().p2p_cost(bytes.size());
 }
 
@@ -91,14 +85,14 @@ Message Context::recv_bytes(int source, int tag) {
   }
   trace::SpanScope span("recv", trace::kCatSimpi);
   if (span) span.arg("source", source);
-  fault_point(FaultOp::kRecv);
+  fault_point(CommOp::kRecv);
   ++stats_.of(CommOp::kRecv).calls;
   return waited_recv(source, tag, CommOp::kRecv);
 }
 
 void Context::barrier() {
   trace::SpanScope span("barrier", trace::kCatSimpi);
-  fault_point(FaultOp::kBarrier);
+  fault_point(CommOp::kBarrier);
   auto& s = stats_.of(CommOp::kBarrier);
   ++s.calls;
   util::Timer wait;
@@ -109,7 +103,7 @@ void Context::barrier() {
   comm_seconds_ += cost_model().barrier_cost(size());
 }
 
-void Context::fault_point(FaultOp op) {
+void Context::fault_point(CommOp op) {
   const FaultPlan& plan = world_.fault_plan();
   if (!plan.enabled() || rank_ != plan.rank) return;
   const int entry = ++fault_entries_[static_cast<std::size_t>(op)];

@@ -23,7 +23,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -127,13 +126,11 @@ class Context {
 
   /// Allgatherv: every rank receives all ranks' contributions, concatenated
   /// in rank order. Mirrors the paper's pooling of packed weld sequences and
-  /// pair-index arrays after each GraphFromFasta loop. `counts_out`, when
-  /// non-null, receives each rank's element count.
+  /// pair-index arrays after each GraphFromFasta loop.
   template <typename T>
-  std::vector<T> allgatherv(const std::vector<T>& local,
-                            std::vector<std::size_t>* counts_out = nullptr);
+  std::vector<T> allgatherv(const std::vector<T>& local);
 
-  /// Allgather of a single value per rank.
+  /// Allgather of a single value per rank (counted as an allgatherv).
   template <typename T>
   std::vector<T> allgather(const T& v);
 
@@ -142,19 +139,13 @@ class Context {
   /// parts received, indexed by source rank. The owner-computes exchange
   /// primitive: where allgatherv replicates every rank's contribution onto
   /// every rank, alltoallv routes each candidate only to the rank that owns
-  /// its key, so the per-rank volume stays O(total/nranks). Counted on the
-  /// kAlltoallv row (see simpi/comm_stats.hpp); transfers are direct
-  /// point-to-point, so the row is both logical and transport.
+  /// its key, so the per-rank volume stays O(total/nranks).
   template <typename T>
   std::vector<std::vector<T>> alltoallv(const std::vector<std::vector<T>>& send_parts);
 
-  /// Reduction over one value per rank; result valid on every rank.
+  /// Sum over one value per rank; result valid on every rank.
   template <typename T>
   T allreduce_sum(T v);
-  template <typename T>
-  T allreduce_max(T v);
-  template <typename T>
-  T allreduce_min(T v);
 
   // --- virtual time and communication accounting ----------------------------
 
@@ -180,48 +171,36 @@ class Context {
  private:
   friend class World;
 
-  // Internal transfers used by collectives: no cost accrual (the collective
-  // charges its own modeled cost once).
-  void raw_send(int dest, int tag, std::span<const std::byte> bytes);
-  Message raw_recv(int source, int tag);
-
-  /// raw_recv plus accounting: the blocked wall time and the payload size
-  /// are added to `op`'s wait_seconds / bytes_received. Callers count the
-  /// op's own call and any sent bytes themselves. While a WaitAttribution
-  /// guard is active, only the *wait* (row and "<op>.wait" span) is
-  /// redirected to the guard's op; bytes stay on `op`'s row.
+  // The two transport primitives, and the only places bytes are counted:
+  // raw_send adds the payload to `op`'s bytes_sent, waited_recv adds it to
+  // `op`'s bytes_received and the blocked wall to its wait_seconds (and
+  // records the "<op>.wait" span). A part a rank sends to itself moves
+  // nothing and counts nothing. Callers count the op's call and charge its
+  // modeled cost.
+  void raw_send(int dest, int tag, std::span<const std::byte> bytes, CommOp op);
   Message waited_recv(int source, int tag, CommOp op);
 
-  /// Scoped wait re-attribution for layered collectives: the blocking
-  /// allgatherv runs on gatherv + bcast, whose transport rows must keep
-  /// their calls/bytes (comm_stats.hpp documents the layering), but the
-  /// blocked wall belongs to the collective the caller issued, where
-  /// GraphFromFasta's pool_wait accounting reads it.
-  class WaitAttribution {
-   public:
-    WaitAttribution(Context& ctx, CommOp op) : ctx_(ctx), saved_(ctx.wait_override_) {
-      ctx_.wait_override_ = op;
-    }
-    ~WaitAttribution() { ctx_.wait_override_ = saved_; }
-    WaitAttribution(const WaitAttribution&) = delete;
-    WaitAttribution& operator=(const WaitAttribution&) = delete;
-
-   private:
-    Context& ctx_;
-    std::optional<CommOp> saved_;
-  };
+  // Collective bodies, counted on the caller's row `op`, so allgatherv and
+  // allreduce_sum reuse them without entering the public bcast/gatherv.
+  // Each charges its modeled cost.
+  template <typename T>
+  void bcast_on(std::vector<T>& data, int root, CommOp op);
+  template <typename T>
+  std::vector<std::vector<T>> gatherv_on(const std::vector<T>& local, int root, CommOp op);
+  /// Gather at rank 0, then broadcast the concatenation.
+  template <typename T>
+  std::vector<T> allgatherv_on(const std::vector<T>& local, CommOp op);
 
   /// Fault-injection hook, called on entry to every costed simpi operation.
   /// Counts the entry and throws RankFaultError when this rank is the
   /// world's FaultPlan victim and the trigger condition is met.
-  void fault_point(FaultOp op);
+  void fault_point(CommOp op);
 
   World& world_;
   int rank_;
   double comm_seconds_ = 0.0;
   CommStats stats_;  ///< per-op calls/bytes/wait, exposed via comm_stats()
-  std::optional<CommOp> wait_override_;  ///< active WaitAttribution target
-  std::array<int, kNumFaultOps> fault_entries_{};  ///< per-op entry counts
+  std::array<int, kNumCommOps> fault_entries_{};  ///< per-op entry counts
   util::ThreadCpuTimer cpu_clock_;  ///< virtual-time base for FaultPlan triggers
 };
 
@@ -295,43 +274,27 @@ namespace detail {
 /// never collide with user tags (which must be >= 0).
 inline constexpr int kTagBcast = -2;
 inline constexpr int kTagGather = -3;
-inline constexpr int kTagReduce = -4;
 inline constexpr int kTagAlltoallv = -40;
 }  // namespace detail
 
 template <typename T>
-void Context::bcast(std::vector<T>& data, int root) {
+void Context::bcast_on(std::vector<T>& data, int root, CommOp op) {
   static_assert(std::is_trivially_copyable_v<T>);
-  trace::SpanScope span("bcast", trace::kCatSimpi);
-  if (span) {
-    span.arg("bytes", static_cast<double>(data.size() * sizeof(T)));
-    span.arg("root", root);
-  }
-  fault_point(FaultOp::kBcast);
-  ++stats_.of(CommOp::kBcast).calls;
   if (rank_ == root) {
     for (int r = 0; r < size(); ++r) {
       if (r == root) continue;
-      raw_send(r, detail::kTagBcast, std::as_bytes(std::span<const T>(data)));
+      raw_send(r, detail::kTagBcast, std::as_bytes(std::span<const T>(data)), op);
     }
-    stats_.of(CommOp::kBcast).bytes_sent +=
-        data.size() * sizeof(T) * static_cast<std::size_t>(size() - 1);
   } else {
-    detail::unpack_payload(waited_recv(root, detail::kTagBcast, CommOp::kBcast), data, "bcast");
+    detail::unpack_payload(waited_recv(root, detail::kTagBcast, op), data, "bcast");
   }
   comm_seconds_ += cost_model().collective_cost(size(), data.size() * sizeof(T));
 }
 
 template <typename T>
-std::vector<std::vector<T>> Context::gatherv(const std::vector<T>& local, int root) {
+std::vector<std::vector<T>> Context::gatherv_on(const std::vector<T>& local, int root,
+                                                CommOp op) {
   static_assert(std::is_trivially_copyable_v<T>);
-  trace::SpanScope span("gatherv", trace::kCatSimpi);
-  if (span) {
-    span.arg("bytes", static_cast<double>(local.size() * sizeof(T)));
-    span.arg("root", root);
-  }
-  fault_point(FaultOp::kGatherv);
-  ++stats_.of(CommOp::kGatherv).calls;
   std::size_t total_bytes = local.size() * sizeof(T);
   std::vector<std::vector<T>> out;
   if (rank_ == root) {
@@ -339,51 +302,62 @@ std::vector<std::vector<T>> Context::gatherv(const std::vector<T>& local, int ro
     out[static_cast<std::size_t>(root)] = local;
     for (int r = 0; r < size(); ++r) {
       if (r == root) continue;
-      const Message msg = waited_recv(r, detail::kTagGather, CommOp::kGatherv);
+      const Message msg = waited_recv(r, detail::kTagGather, op);
       detail::unpack_payload(msg, out[static_cast<std::size_t>(r)], "gatherv");
       total_bytes += msg.payload.size();
     }
   } else {
-    raw_send(root, detail::kTagGather, std::as_bytes(std::span<const T>(local)));
-    stats_.of(CommOp::kGatherv).bytes_sent += local.size() * sizeof(T);
+    raw_send(root, detail::kTagGather, std::as_bytes(std::span<const T>(local)), op);
   }
   comm_seconds_ += cost_model().collective_cost(size(), total_bytes);
   return out;
 }
 
 template <typename T>
-std::vector<T> Context::allgatherv(const std::vector<T>& local,
-                                   std::vector<std::size_t>* counts_out) {
-  // Gather at rank 0, then broadcast the concatenation and the counts.
-  // The modeled cost is charged inside gatherv/bcast; the kAllgatherv row
-  // records the LOGICAL payload (contribution sent, pooled result
-  // received), with transport counted by the inner ops. Blocked wall is
-  // re-attributed to the allgatherv row (WaitAttribution), where
-  // GraphFromFasta's pool_wait accounting reads it.
-  trace::SpanScope span("allgatherv", trace::kCatSimpi);
-  if (span) span.arg("bytes", static_cast<double>(local.size() * sizeof(T)));
-  fault_point(FaultOp::kAllgatherv);
-  ++stats_.of(CommOp::kAllgatherv).calls;
-  stats_.of(CommOp::kAllgatherv).bytes_sent += local.size() * sizeof(T);
-  const WaitAttribution wait_as_allgatherv(*this, CommOp::kAllgatherv);
-  auto parts = gatherv(local, 0);
+std::vector<T> Context::allgatherv_on(const std::vector<T>& local, CommOp op) {
+  auto parts = gatherv_on(local, 0, op);
   std::vector<T> flat;
-  std::vector<std::uint64_t> counts;
   if (rank_ == 0) {
-    counts.reserve(parts.size());
     std::size_t total = 0;
     for (const auto& p : parts) total += p.size();
     flat.reserve(total);
-    for (const auto& p : parts) {
-      counts.push_back(p.size());
-      flat.insert(flat.end(), p.begin(), p.end());
-    }
+    for (const auto& p : parts) flat.insert(flat.end(), p.begin(), p.end());
   }
-  bcast(flat, 0);
-  bcast(counts, 0);
-  stats_.of(CommOp::kAllgatherv).bytes_received += flat.size() * sizeof(T);
-  if (counts_out) counts_out->assign(counts.begin(), counts.end());
+  bcast_on(flat, 0, op);
   return flat;
+}
+
+template <typename T>
+void Context::bcast(std::vector<T>& data, int root) {
+  trace::SpanScope span("bcast", trace::kCatSimpi);
+  if (span) {
+    span.arg("bytes", static_cast<double>(data.size() * sizeof(T)));
+    span.arg("root", root);
+  }
+  fault_point(CommOp::kBcast);
+  ++stats_.of(CommOp::kBcast).calls;
+  bcast_on(data, root, CommOp::kBcast);
+}
+
+template <typename T>
+std::vector<std::vector<T>> Context::gatherv(const std::vector<T>& local, int root) {
+  trace::SpanScope span("gatherv", trace::kCatSimpi);
+  if (span) {
+    span.arg("bytes", static_cast<double>(local.size() * sizeof(T)));
+    span.arg("root", root);
+  }
+  fault_point(CommOp::kGatherv);
+  ++stats_.of(CommOp::kGatherv).calls;
+  return gatherv_on(local, root, CommOp::kGatherv);
+}
+
+template <typename T>
+std::vector<T> Context::allgatherv(const std::vector<T>& local) {
+  trace::SpanScope span("allgatherv", trace::kCatSimpi);
+  if (span) span.arg("bytes", static_cast<double>(local.size() * sizeof(T)));
+  fault_point(CommOp::kAllgatherv);
+  ++stats_.of(CommOp::kAllgatherv).calls;
+  return allgatherv_on(local, CommOp::kAllgatherv);
 }
 
 template <typename T>
@@ -403,75 +377,38 @@ std::vector<std::vector<T>> Context::alltoallv(
   for (const auto& part : send_parts) sent_bytes += part.size() * sizeof(T);
   trace::SpanScope span("alltoallv", trace::kCatSimpi);
   if (span) span.arg("bytes", static_cast<double>(sent_bytes));
-  fault_point(FaultOp::kAlltoallv);
-  auto& row = stats_.of(CommOp::kAlltoallv);
-  ++row.calls;
-  row.bytes_sent += sent_bytes;
+  fault_point(CommOp::kAlltoallv);
+  ++stats_.of(CommOp::kAlltoallv).calls;
   // Sends are buffered, so posting the whole row before receiving cannot
   // deadlock; receives in rank order keep the matching deterministic.
   for (int r = 0; r < size(); ++r) {
     if (r == rank_) continue;
     const auto& part = send_parts[static_cast<std::size_t>(r)];
-    raw_send(r, detail::kTagAlltoallv, std::as_bytes(std::span<const T>(part)));
+    raw_send(r, detail::kTagAlltoallv, std::as_bytes(std::span<const T>(part)),
+             CommOp::kAlltoallv);
   }
   std::vector<std::vector<T>> received(static_cast<std::size_t>(size()));
   received[static_cast<std::size_t>(rank_)] = send_parts[static_cast<std::size_t>(rank_)];
-  std::size_t recv_bytes =
-      received[static_cast<std::size_t>(rank_)].size() * sizeof(T);
-  row.bytes_received += recv_bytes;  // own part; waited_recv adds the remote ones
+  std::size_t recv_bytes = received[static_cast<std::size_t>(rank_)].size() * sizeof(T);
   for (int r = 0; r < size(); ++r) {
     if (r == rank_) continue;
     const Message msg = waited_recv(r, detail::kTagAlltoallv, CommOp::kAlltoallv);
     detail::unpack_payload(msg, received[static_cast<std::size_t>(r)], "alltoallv");
     recv_bytes += msg.payload.size();
   }
+  // The modeled cost prices the whole send and receive rows, own slot too.
   comm_seconds_ += cost_model().collective_cost(size(), sent_bytes + recv_bytes);
   return received;
 }
 
-namespace detail {
-/// Logical-payload accounting shared by the allreduce family: one element
-/// contributed, nranks elements observed (transport in the inner ops).
-template <typename T>
-void count_reduce(CommStats& stats, std::size_t nranks) {
-  auto& rd = stats.of(CommOp::kReduce);
-  ++rd.calls;
-  rd.bytes_sent += sizeof(T);
-  rd.bytes_received += nranks * sizeof(T);
-}
-}  // namespace detail
-
 template <typename T>
 T Context::allreduce_sum(T v) {
   trace::SpanScope span("allreduce_sum", trace::kCatSimpi);
-  fault_point(FaultOp::kReduce);
-  detail::count_reduce<T>(stats_, static_cast<std::size_t>(size()));
-  const auto all = allgather(v);
+  fault_point(CommOp::kReduce);
+  ++stats_.of(CommOp::kReduce).calls;
   T acc{};
-  for (const T& x : all) acc += x;
+  for (const T& x : allgatherv_on(std::vector<T>{v}, CommOp::kReduce)) acc += x;
   return acc;
-}
-
-template <typename T>
-T Context::allreduce_max(T v) {
-  trace::SpanScope span("allreduce_max", trace::kCatSimpi);
-  fault_point(FaultOp::kReduce);
-  detail::count_reduce<T>(stats_, static_cast<std::size_t>(size()));
-  const auto all = allgather(v);
-  T best = all.front();
-  for (const T& x : all) best = x > best ? x : best;
-  return best;
-}
-
-template <typename T>
-T Context::allreduce_min(T v) {
-  trace::SpanScope span("allreduce_min", trace::kCatSimpi);
-  fault_point(FaultOp::kReduce);
-  detail::count_reduce<T>(stats_, static_cast<std::size_t>(size()));
-  const auto all = allgather(v);
-  T best = all.front();
-  for (const T& x : all) best = x < best ? x : best;
-  return best;
 }
 
 }  // namespace trinity::simpi

@@ -2,30 +2,6 @@
 
 namespace trinity::simpi {
 
-const char* to_string(FaultOp op) {
-  switch (op) {
-    case FaultOp::kNone: return "none";
-    case FaultOp::kBarrier: return "barrier";
-    case FaultOp::kBcast: return "bcast";
-    case FaultOp::kGatherv: return "gatherv";
-    case FaultOp::kAllgatherv: return "allgatherv";
-    case FaultOp::kAlltoallv: return "alltoallv";
-    case FaultOp::kReduce: return "reduce";
-    case FaultOp::kSend: return "send";
-    case FaultOp::kRecv: return "recv";
-  }
-  return "unknown";
-}
-
-FaultOp fault_op_from_string(std::string_view name) {
-  for (const FaultOp op :
-       {FaultOp::kBarrier, FaultOp::kBcast, FaultOp::kGatherv, FaultOp::kAllgatherv,
-        FaultOp::kAlltoallv, FaultOp::kReduce, FaultOp::kSend, FaultOp::kRecv}) {
-    if (name == to_string(op)) return op;
-  }
-  throw std::invalid_argument("unknown fault op: " + std::string(name));
-}
-
 void FaultPlan::arm() {
   if (!fires_remaining) {
     fires_remaining = std::make_shared<std::atomic<int>>(max_fires);

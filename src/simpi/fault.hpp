@@ -4,8 +4,9 @@
 // Validating checkpoint/restart needs a way to make a rank die the way
 // real MPI jobs die: mid-collective, while every other rank is blocked on
 // it. A FaultPlan designates one victim rank and a trigger — the Nth entry
-// into a given operation, or the first simpi call after K virtual seconds
-// — and the victim throws RankFaultError at that point. The world then
+// into a given operation (counting only the caller's own calls to that op,
+// never the steps of another collective), or the first simpi call after K
+// virtual seconds — and the victim throws RankFaultError at that point. The world then
 // aborts exactly as it does for any rank failure: every other rank's
 // blocked call raises AbortedError instead of deadlocking, and
 // simpi::run() rethrows the RankFaultError as the root cause.
@@ -16,38 +17,14 @@
 // high to model a persistent fault and exercise retry exhaustion.
 
 #include <atomic>
-#include <cstddef>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
-#include <string_view>
+
+#include "simpi/comm_stats.hpp"
 
 namespace trinity::simpi {
-
-/// Operations a fault can be attached to. Collective entries count per
-/// operation per rank; note the layered collectives (allgatherv runs on
-/// gatherv + bcast, allreduce on allgatherv) also advance their inner
-/// operations' counters.
-enum class FaultOp : int {
-  kNone = 0,
-  kBarrier,
-  kBcast,
-  kGatherv,
-  kAllgatherv,
-  kAlltoallv,
-  kReduce,  ///< the allreduce family
-  kSend,
-  kRecv,
-};
-
-inline constexpr std::size_t kNumFaultOps = 9;
-
-[[nodiscard]] const char* to_string(FaultOp op);
-
-/// Parses a FaultOp name ("barrier", "bcast", "gatherv", "allgatherv",
-/// "alltoallv", "reduce", "send", "recv"); throws std::invalid_argument on
-/// anything else. Used by the CLI flags of the examples and benches.
-[[nodiscard]] FaultOp fault_op_from_string(std::string_view name);
 
 /// Thrown by the victim rank when its fault fires. Deliberately NOT
 /// derived from AbortedError: run() must report it as the root cause, not
@@ -61,13 +38,13 @@ class RankFaultError : public std::runtime_error {
 /// disabled and cost one predicted branch per simpi call.
 struct FaultPlan {
   int rank = -1;                        ///< victim rank; -1 disables the plan
-  FaultOp op = FaultOp::kNone;          ///< operation the trigger counts
+  std::optional<CommOp> op;             ///< operation the trigger counts
   int at_entry = 1;                     ///< fire on the Nth entry (1-based)
   double after_virtual_seconds = -1.0;  ///< alternative trigger; < 0 disables
   int max_fires = 1;                    ///< total fires across world launches
 
   [[nodiscard]] bool enabled() const {
-    return rank >= 0 && (op != FaultOp::kNone || after_virtual_seconds >= 0.0);
+    return rank >= 0 && (op.has_value() || after_virtual_seconds >= 0.0);
   }
 
   /// Allocates the shared fire budget. Idempotent; called automatically

@@ -15,12 +15,6 @@ std::uint64_t SharedCounter::fetch_add(std::uint64_t delta) {
   return prev;
 }
 
-std::uint64_t SharedCounter::load() {
-  const std::uint64_t v = ctx_.world_counter(id_).load(std::memory_order_relaxed);
-  ctx_.charge(2.0 * ctx_.cost_model().latency_seconds);
-  return v;
-}
-
 void SharedCounter::reset(std::uint64_t value) {
   ctx_.world_counter(id_).store(value, std::memory_order_relaxed);
   ctx_.charge(2.0 * ctx_.cost_model().latency_seconds);

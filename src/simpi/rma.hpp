@@ -28,9 +28,6 @@ class SharedCounter {
   /// (MPI_Fetch_and_op with MPI_SUM). Charges one RMA round trip.
   std::uint64_t fetch_add(std::uint64_t delta = 1);
 
-  /// Reads the current value without modifying it. Charges one round trip.
-  [[nodiscard]] std::uint64_t load();
-
   /// Resets the counter to `value`. NOT collective; callers must ensure no
   /// concurrent fetch_add is in flight (e.g. reset between barriers).
   void reset(std::uint64_t value = 0);

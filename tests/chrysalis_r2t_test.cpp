@@ -252,14 +252,13 @@ TEST_P(R2THybrid, MatchesSharedMemoryRun) {
         for (const auto c : result.timing.rank_chunks) classified += c;
         EXPECT_EQ(classified, chunks);
       });
-      // Every read is gathered to rank 0 exactly once. A non-root rank's
-      // gatherv bytes less its allgatherv bytes (each allgatherv runs a
-      // gatherv of its contribution) are its assignment records.
+      // Every read is gathered to rank 0 exactly once, on the stage's one
+      // gatherv: a non-root rank's gatherv bytes are its assignment records.
       std::uint64_t gathered = rank_reads.at(0);
       for (int r = 1; r < nranks; ++r) {
         const auto& comm = ranks[static_cast<std::size_t>(r)].comm;
-        const std::uint64_t records = comm.of(simpi::CommOp::kGatherv).bytes_sent -
-                                      comm.of(simpi::CommOp::kAllgatherv).bytes_sent;
+        EXPECT_EQ(comm.of(simpi::CommOp::kGatherv).calls, 1u) << "rank " << r;
+        const std::uint64_t records = comm.of(simpi::CommOp::kGatherv).bytes_sent;
         EXPECT_EQ(records, rank_reads.at(static_cast<std::size_t>(r)) * sizeof(ReadAssignment))
             << "rank " << r;
         gathered += rank_reads.at(static_cast<std::size_t>(r));

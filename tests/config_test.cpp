@@ -372,7 +372,7 @@ TEST(ConfigFault, PlanDisabledByDefaultAndDerivedFromFlags) {
                                             "--fault-at", "2"})
                          .fault_plan();
   EXPECT_TRUE(at_op.enabled());
-  EXPECT_EQ(at_op.op, simpi::FaultOp::kGatherv);
+  EXPECT_EQ(at_op.op, simpi::CommOp::kGatherv);
   EXPECT_EQ(at_op.at_entry, 2);
 }
 

@@ -169,18 +169,21 @@ TEST(DistributedComponentsTest, StatsCountRoutedEdges) {
   });
   // A 4-rank chain cannot resolve without at least one boundary exchange.
   // Every rank counts the same rounds, and the edges they routed are
-  // counted on the CommStats alltoallv row.
+  // counted on the CommStats alltoallv row: each byte one rank sent,
+  // another received.
   const int rounds = stats[0].rounds;
   EXPECT_GE(rounds, 1);
-  std::uint64_t routed = 0;
+  std::uint64_t routed = 0, delivered = 0;
   for (const auto& r : ranks) {
     EXPECT_EQ(stats[static_cast<std::size_t>(r.rank)].rounds, rounds);
     routed += r.comm.of(simpi::CommOp::kAlltoallv).bytes_sent;
+    delivered += r.comm.of(simpi::CommOp::kAlltoallv).bytes_received;
     // One reduction per round, the fixed-point check that ends the rounds,
     // and the verification of the final labels.
     EXPECT_EQ(r.comm.of(simpi::CommOp::kReduce).calls, static_cast<std::uint64_t>(rounds) + 2);
   }
   EXPECT_GT(routed, 0u);
+  EXPECT_EQ(routed, delivered);
 }
 
 TEST(DistributedComponentsTest, OutOfRangePairThrows) {

@@ -581,7 +581,7 @@ TEST(PipelineSharding, FaultInsideAlltoallvIsRetried) {
   auto options = small_options(dir.str(), /*nranks=*/3);
   options.gff_sharding = chrysalis::ShardingStrategy::kOwner;
   options.fault.rank = 1;
-  options.fault.op = simpi::FaultOp::kAlltoallv;
+  options.fault.op = simpi::CommOp::kAlltoallv;
   options.fault.at_entry = 1;
   options.fault_stage = "chrysalis.graph_from_fasta";
   const auto result = run_pipeline(data.reads.reads, options);

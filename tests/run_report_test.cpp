@@ -10,9 +10,11 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 
 #include "checkpoint/manifest.hpp"
+#include "obs/metrics.hpp"
 #include "pipeline/run_report.hpp"
 #include "pipeline/trinity_pipeline.hpp"
 #include "sim/transcriptome.hpp"
@@ -146,19 +148,31 @@ TEST_F(RunReportTest, AllgathervBytesMatchChrysalisPooling) {
   const util::Json* gff_stage = comm_stage(*report_, "chrysalis.graph_from_fasta");
   ASSERT_NE(gff_stage, nullptr);
 
-  // Every pooled GraphFromFasta collective (the weld pool, the match pool
-  // and the timing allgather) is entered by every rank, and each rank
-  // receives the concatenation of all contributions: a pool is exactly its
-  // contributions, on every rank.
-  std::int64_t contributed = 0;
-  for (const auto& rank : gff_stage->at("ranks").items()) {
-    EXPECT_GT(op_field(rank, "allgatherv", "calls"), 0);
-    contributed += op_field(rank, "allgatherv", "bytes_sent");
+  // Every pooled GraphFromFasta allgatherv (the weld pool, the match pool
+  // and the timing allgather) gathers the contributions at rank 0, which
+  // sends the pool back to every other rank. So every non-root rank
+  // receives the same pool bytes, rank 0 sends that pool once per peer and
+  // receives exactly what the others contributed, and the row conserves
+  // bytes over the ranks.
+  const auto& ranks = gff_stage->at("ranks").items();
+  ASSERT_EQ(ranks.size(), static_cast<std::size_t>(kRanks));
+  const std::int64_t pool = op_field(ranks[1], "allgatherv", "bytes_received");
+  EXPECT_GT(pool, 0);
+  std::int64_t contributed = 0, sent = 0, received = 0;
+  for (std::size_t r = 0; r < ranks.size(); ++r) {
+    EXPECT_GT(op_field(ranks[r], "allgatherv", "calls"), 0);
+    for (const char* inner : {"gatherv", "bcast"}) {
+      EXPECT_EQ(op_field(ranks[r], inner, "calls"), 0) << inner;
+    }
+    sent += op_field(ranks[r], "allgatherv", "bytes_sent");
+    received += op_field(ranks[r], "allgatherv", "bytes_received");
+    if (r == 0) continue;
+    EXPECT_EQ(op_field(ranks[r], "allgatherv", "bytes_received"), pool) << "rank " << r;
+    contributed += op_field(ranks[r], "allgatherv", "bytes_sent");
   }
-  EXPECT_GT(contributed, 0);
-  for (const auto& rank : gff_stage->at("ranks").items()) {
-    EXPECT_EQ(op_field(rank, "allgatherv", "bytes_received"), contributed);
-  }
+  EXPECT_EQ(op_field(ranks[0], "allgatherv", "bytes_sent"), (kRanks - 1) * pool);
+  EXPECT_EQ(op_field(ranks[0], "allgatherv", "bytes_received"), contributed);
+  EXPECT_EQ(sent, received);
 
   // The in-memory RankResults agree with the document.
   const auto metrics =
@@ -169,7 +183,7 @@ TEST_F(RunReportTest, AllgathervBytesMatchChrysalisPooling) {
   for (const auto& r : metrics->ranks) {
     in_memory += static_cast<std::int64_t>(r.comm.of(simpi::CommOp::kAllgatherv).bytes_sent);
   }
-  EXPECT_EQ(in_memory, contributed);
+  EXPECT_EQ(in_memory, sent);
   EXPECT_NEAR(metrics->skew_ratio(), gff_stage->at("skew_ratio").as_double(), 1e-9);
 }
 
@@ -194,7 +208,7 @@ TEST(RunReportStandalone2, OwnerShardingEmitsRoutedCountersAndAlltoallvRow) {
 
   // The stage comm section carries the alltoallv row with the routed
   // traffic; nothing is replicated, so the allgatherv row holds only the
-  // small reductions and the timing record, less than the routed bytes.
+  // timing record, less than the routed bytes.
   const util::Json* gff_stage = comm_stage(report, "chrysalis.graph_from_fasta");
   ASSERT_NE(gff_stage, nullptr);
   for (const auto& rank : gff_stage->at("ranks").items()) {
@@ -225,15 +239,18 @@ TEST(RunReportStandalone2, EachHybridStageCostsOneTimingCollective) {
   }
   // GraphFromFasta's only reductions are the union-find's own: one per
   // boundary-exchange round, the fixed-point check that ends the rounds
-  // and the verification. Each runs on an allgather, and the timing adds
-  // one more.
+  // and the verification. Each counts on the reduce row alone, so the
+  // timing allgather is the stage's only allgatherv, and no stage calls
+  // gatherv or bcast on its own except the pipeline's result transfers.
   const std::int64_t rounds =
       report.at("chrysalis").at("graph_from_fasta").at("dsu_rounds").as_int();
   const util::Json* gff_stage = comm_stage(report, "chrysalis.graph_from_fasta");
   ASSERT_NE(gff_stage, nullptr);
   for (const auto& rank : gff_stage->at("ranks").items()) {
     EXPECT_EQ(op_field(rank, "reduce", "calls"), rounds + 2);
-    EXPECT_EQ(op_field(rank, "allgatherv", "calls"), rounds + 3);
+    EXPECT_EQ(op_field(rank, "allgatherv", "calls"), 1);
+    EXPECT_EQ(op_field(rank, "gatherv", "calls"), 0);
+    EXPECT_EQ(op_field(rank, "bcast", "calls"), 0);
   }
   // The phase counters no longer repeat comm[].
   for (const auto& phase : report.at("phases").items()) {
@@ -246,6 +263,66 @@ TEST(RunReportStandalone2, EachHybridStageCostsOneTimingCollective) {
   }
 }
 
+// Every byte one rank sends, another receives: at 4 ranks, under both
+// sharding strategies, each comm[] stage's rows sum to as many bytes sent
+// as received over the ranks, and the live per-stage byte counters agree.
+TEST(RunReportStandalone2, EveryStageConservesBytesAtFourRanks) {
+  const auto data = tiny_dataset();
+  for (const auto sharding :
+       {chrysalis::ShardingStrategy::kPooled, chrysalis::ShardingStrategy::kOwner}) {
+    const TempDir dir("run_report_conserve");
+    obs::MetricsRegistry registry;
+    auto options = small_options(dir.str(), 4);
+    options.gff_sharding = sharding;
+    options.metrics = &registry;
+    const auto result = run_pipeline(data.reads.reads, options);
+    const util::Json report = load_run_report(result.report_path);
+    const char* mode = chrysalis::to_string(sharding);
+
+    std::map<std::string, std::int64_t> report_sent;
+    ASSERT_FALSE(report.at("comm").items().empty());
+    for (const auto& stage : report.at("comm").items()) {
+      const std::string name = stage.at("stage").as_string();
+      std::map<std::string, std::pair<std::int64_t, std::int64_t>> rows;
+      for (const auto& rank : stage.at("ranks").items()) {
+        for (const auto& [op, row] : rank.at("ops").members()) {
+          rows[op].first += row.at("bytes_sent").as_int();
+          rows[op].second += row.at("bytes_received").as_int();
+        }
+      }
+      std::int64_t sent = 0, received = 0;
+      for (const auto& [op, bytes] : rows) {
+        if (op != "send" && op != "recv") {
+          EXPECT_EQ(bytes.first, bytes.second) << mode << ' ' << name << ' ' << op;
+        }
+        sent += bytes.first;
+        received += bytes.second;
+      }
+      EXPECT_EQ(sent, received) << mode << ' ' << name;
+      report_sent[name] = sent;
+    }
+
+    const auto snapshot = registry.snapshot();
+    const auto* family = snapshot.find_family("trinity_comm_stage_bytes_total");
+    ASSERT_NE(family, nullptr) << mode;
+    std::map<std::string, std::map<std::string, double>> live;  // stage -> direction
+    for (const auto& series : family->series) {
+      std::string stage, direction;
+      for (const auto& [key, value] : series.labels) {
+        if (key == "stage") stage = value;
+        if (key == "direction") direction = value;
+      }
+      live[stage][direction] += series.value;
+    }
+    EXPECT_EQ(live.size(), report_sent.size()) << mode;
+    for (const auto& [stage, by_direction] : live) {
+      EXPECT_EQ(by_direction.at("sent"), by_direction.at("received")) << mode << ' ' << stage;
+      EXPECT_EQ(by_direction.at("sent"), static_cast<double>(report_sent[stage]))
+          << mode << ' ' << stage;
+    }
+  }
+}
+
 TEST_F(RunReportTest, ReadsToTranscriptsChunkAccounting) {
   const auto& r2t = report_->at("chrysalis").at("reads_to_transcripts");
   std::int64_t chunks = 0, reads = 0;
@@ -254,17 +331,17 @@ TEST_F(RunReportTest, ReadsToTranscriptsChunkAccounting) {
   EXPECT_GT(chunks, 0);
   EXPECT_EQ(reads, static_cast<std::int64_t>(result_->assignments.size()));
 
-  // The assignments travel to rank 0 on gatherv. Each allgatherv also runs
-  // a gatherv of its contribution, so a non-root rank's gatherv bytes less
-  // its allgatherv bytes are exactly its assignment records, and rank 0
-  // receives everything the others sent.
+  // The assignments travel to rank 0 on the stage's one gatherv, so a
+  // non-root rank's gatherv bytes are exactly its assignment records, and
+  // rank 0 receives everything the others sent.
   const util::Json* stage = comm_stage(*report_, "chrysalis.reads_to_transcripts");
   ASSERT_NE(stage, nullptr);
   const auto& ranks = stage->at("ranks").items();
   std::int64_t gathered = 0;
   for (std::size_t r = 1; r < ranks.size(); ++r) {
     const std::int64_t sent = op_field(ranks[r], "gatherv", "bytes_sent");
-    EXPECT_EQ(sent - op_field(ranks[r], "allgatherv", "bytes_sent"),
+    EXPECT_EQ(op_field(ranks[r], "gatherv", "calls"), 1) << "rank " << r;
+    EXPECT_EQ(sent,
               r2t.at("rank_reads").items().at(r).as_int() *
                   static_cast<std::int64_t>(sizeof(chrysalis::ReadAssignment)))
         << "rank " << r;

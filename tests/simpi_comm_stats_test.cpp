@@ -1,13 +1,14 @@
 // Per-rank communication accounting: exact call/byte counts for every
-// costed operation, the layered-collective bookkeeping (allgatherv on top
-// of gatherv + bcast), blocked-wait measurement, and the skew ratio the
-// run report derives from it. The expected numbers here restate the
-// counting semantics documented in simpi/comm_stats.hpp and
-// docs/OBSERVABILITY.md — if one of these tests breaks, the docs are
-// stale too.
+// costed operation, each on its own row with only the bytes that crossed
+// between ranks (so every row conserves bytes over a world), blocked-wait
+// measurement, and the skew ratio the run report derives from it. The
+// expected numbers here restate the counting semantics documented in
+// simpi/comm_stats.hpp and docs/OBSERVABILITY.md — if one of these tests
+// breaks, the docs are stale too.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <thread>
@@ -105,7 +106,7 @@ TEST(CommStats, GathervCountsContributionsAndRootReceipts) {
   EXPECT_EQ(op(results, 2, CommOp::kGatherv).bytes_sent, 12u);
 }
 
-TEST(CommStats, AllgathervLogicalAndTransportRows) {
+TEST(CommStats, AllgathervCountsOnItsOwnRow) {
   // 2 ranks; rank 0 contributes {1} (4 B), rank 1 contributes {2, 3} (8 B).
   // Pooled result: 3 int32 = 12 B on every rank.
   const auto results = run(2, [](Context& ctx) {
@@ -119,38 +120,94 @@ TEST(CommStats, AllgathervLogicalAndTransportRows) {
     EXPECT_EQ(flat, (std::vector<std::int32_t>{1, 2, 3}));
   });
 
-  // Logical row: contribution sent, pooled concatenation received.
-  for (int r = 0; r < 2; ++r) {
-    EXPECT_EQ(op(results, r, CommOp::kAllgatherv).calls, 1u) << r;
-    EXPECT_EQ(op(results, r, CommOp::kAllgatherv).bytes_received, 12u) << r;
-  }
-  EXPECT_EQ(op(results, 0, CommOp::kAllgatherv).bytes_sent, 4u);
+  // Rank 1's 8 B travel to rank 0, then the 12 B concatenation travels back;
+  // rank 0's own 4 B never leave it until the concatenation does.
+  for (int r = 0; r < 2; ++r) EXPECT_EQ(op(results, r, CommOp::kAllgatherv).calls, 1u) << r;
+  EXPECT_EQ(op(results, 0, CommOp::kAllgatherv).bytes_sent, 12u);
+  EXPECT_EQ(op(results, 0, CommOp::kAllgatherv).bytes_received, 8u);
   EXPECT_EQ(op(results, 1, CommOp::kAllgatherv).bytes_sent, 8u);
+  EXPECT_EQ(op(results, 1, CommOp::kAllgatherv).bytes_received, 12u);
 
-  // Transport rows: the inner gatherv at rank 0 moves rank 1's 8 B...
-  EXPECT_EQ(op(results, 0, CommOp::kGatherv).calls, 1u);
-  EXPECT_EQ(op(results, 1, CommOp::kGatherv).calls, 1u);
-  EXPECT_EQ(op(results, 1, CommOp::kGatherv).bytes_sent, 8u);
-  EXPECT_EQ(op(results, 0, CommOp::kGatherv).bytes_received, 8u);
-  // ...and the two bcasts (flat 12 B, then the 2 x uint64 counts = 16 B)
-  // fan out from rank 0 to the single peer.
-  EXPECT_EQ(op(results, 0, CommOp::kBcast).calls, 2u);
-  EXPECT_EQ(op(results, 1, CommOp::kBcast).calls, 2u);
-  EXPECT_EQ(op(results, 0, CommOp::kBcast).bytes_sent, 28u);  // 12 + 16
-  EXPECT_EQ(op(results, 1, CommOp::kBcast).bytes_received, 28u);
+  // No other row moves: the gather and broadcast steps are not calls.
+  for (int r = 0; r < 2; ++r) {
+    const CommStats& all = results[static_cast<std::size_t>(r)].comm;
+    EXPECT_EQ(all.total_calls(), 1u) << r;
+    EXPECT_EQ(all.total_bytes_sent(), all.of(CommOp::kAllgatherv).bytes_sent) << r;
+  }
 }
 
-TEST(CommStats, AllreduceCountsLogicalElements) {
+TEST(CommStats, AllreduceCountsOnItsOwnRow) {
   const auto results = run(3, [](Context& ctx) {
     const auto sum = ctx.allreduce_sum<std::int64_t>(ctx.rank() + 1);
     EXPECT_EQ(sum, 6);
   });
+  // Ranks 1 and 2 each send one element to rank 0, which sends the 3-element
+  // pool back to each of them.
+  constexpr std::uint64_t kElem = sizeof(std::int64_t);
+  EXPECT_EQ(op(results, 0, CommOp::kReduce).bytes_sent, 2 * 3 * kElem);
+  EXPECT_EQ(op(results, 0, CommOp::kReduce).bytes_received, 2 * kElem);
+  for (int r = 1; r < 3; ++r) {
+    EXPECT_EQ(op(results, r, CommOp::kReduce).bytes_sent, kElem) << r;
+    EXPECT_EQ(op(results, r, CommOp::kReduce).bytes_received, 3 * kElem) << r;
+  }
   for (int r = 0; r < 3; ++r) {
     EXPECT_EQ(op(results, r, CommOp::kReduce).calls, 1u) << r;
-    EXPECT_EQ(op(results, r, CommOp::kReduce).bytes_sent, sizeof(std::int64_t)) << r;
-    EXPECT_EQ(op(results, r, CommOp::kReduce).bytes_received, 3 * sizeof(std::int64_t)) << r;
-    // Transport for the inner allgather shows up in its own rows.
-    EXPECT_EQ(op(results, r, CommOp::kAllgatherv).calls, 1u) << r;
+    EXPECT_EQ(results[static_cast<std::size_t>(r)].comm.total_calls(), 1u) << r;
+  }
+}
+
+// The one counting rule as a property: for every op at P = 1..4 with uneven
+// contributions, each row's bytes summed over ranks are conserved (sent =
+// received), and a 1-rank world records zero bytes on every row.
+TEST(CommStats, EveryOpConservesBytesAcrossRanks) {
+  const auto uneven = [](int rank, int salt) {
+    return std::vector<std::int32_t>(static_cast<std::size_t>(3 * rank + salt), rank);
+  };
+  for (int nranks = 1; nranks <= 4; ++nranks) {
+    const auto results = run(nranks, [&](Context& ctx) {
+      const int me = ctx.rank();
+      const int peers = ctx.size();
+      // Point-to-point: a ring plus a message to self.
+      ctx.send((me + 1) % peers, 1, uneven(me, 2));
+      ctx.send(me, 2, uneven(me, 1));
+      (void)ctx.recv<std::int32_t>((me + peers - 1) % peers, 1);
+      (void)ctx.recv<std::int32_t>(me, 2);
+      std::vector<std::int32_t> data;
+      if (me == peers - 1) data = uneven(me, 5);
+      ctx.bcast(data, peers - 1);
+      (void)ctx.gatherv(uneven(me, 1), peers / 2);
+      (void)ctx.allgatherv(uneven(me, me % 2));
+      (void)ctx.allgather(static_cast<std::int64_t>(me));
+      std::vector<std::vector<std::int32_t>> parts;
+      for (int d = 0; d < peers; ++d) parts.push_back(uneven(me, d));
+      (void)ctx.alltoallv(parts);
+      (void)ctx.allreduce_sum(static_cast<std::uint64_t>(me));
+    });
+    std::array<std::uint64_t, kNumCommOps> sent{}, received{};
+    for (const auto& r : results) {
+      for (std::size_t i = 0; i < kNumCommOps; ++i) {
+        sent[i] += r.comm.ops[i].bytes_sent;
+        received[i] += r.comm.ops[i].bytes_received;
+      }
+    }
+    const auto at = [](CommOp which) { return static_cast<std::size_t>(which); };
+    // Point-to-point pairs rows: a send's bytes are received on the recv row.
+    EXPECT_EQ(sent[at(CommOp::kSend)], received[at(CommOp::kRecv)]) << nranks;
+    EXPECT_EQ(received[at(CommOp::kSend)], 0u) << nranks;
+    EXPECT_EQ(sent[at(CommOp::kRecv)], 0u) << nranks;
+    for (const CommOp which : {CommOp::kBarrier, CommOp::kBcast, CommOp::kGatherv,
+                               CommOp::kAllgatherv, CommOp::kAlltoallv, CommOp::kReduce}) {
+      EXPECT_EQ(sent[at(which)], received[at(which)])
+          << to_string(which) << " at " << nranks << " rank(s)";
+    }
+    for (std::size_t i = 0; i < kNumCommOps; ++i) {
+      if (nranks == 1) {
+        EXPECT_EQ(sent[i], 0u) << to_string(static_cast<CommOp>(i));
+      } else if (static_cast<CommOp>(i) != CommOp::kBarrier &&
+                 static_cast<CommOp>(i) != CommOp::kRecv) {
+        EXPECT_GT(sent[i], 0u) << to_string(static_cast<CommOp>(i)) << " at " << nranks;
+      }
+    }
   }
 }
 
@@ -163,12 +220,6 @@ TEST(CommStats, TotalsSumOverOps) {
   EXPECT_EQ(stats.total_bytes_sent(), 100u);
   EXPECT_EQ(stats.total_bytes_received(), 100u);
   EXPECT_DOUBLE_EQ(stats.total_wait_seconds(), 0.75);
-
-  CommStats other;
-  other.of(CommOp::kSend) = {1, 50, 0, 0.0};
-  stats += other;
-  EXPECT_EQ(stats.of(CommOp::kSend).calls, 3u);
-  EXPECT_EQ(stats.total_bytes_sent(), 150u);
 }
 
 TEST(CommStats, ContextExposesLiveCounters) {

@@ -18,7 +18,7 @@ namespace {
 constexpr int kRanks = 4;
 constexpr int kVictim = 2;
 
-FaultPlan kill_at(FaultOp op, int at_entry = 1, int rank = kVictim) {
+FaultPlan kill_at(CommOp op, int at_entry = 1, int rank = kVictim) {
   FaultPlan plan;
   plan.rank = rank;
   plan.op = op;
@@ -55,14 +55,14 @@ void expect_world_dies(const FaultPlan& plan, const std::function<void(Context&)
 // --- one kill per collective -----------------------------------------------------
 
 TEST(SimpiFault, KillInsideBarrier) {
-  expect_world_dies(kill_at(FaultOp::kBarrier), [](Context& ctx) {
+  expect_world_dies(kill_at(CommOp::kBarrier), [](Context& ctx) {
     ctx.barrier();
     ctx.barrier();  // survivors of entry 1 block here until the abort
   });
 }
 
 TEST(SimpiFault, KillInsideBcast) {
-  expect_world_dies(kill_at(FaultOp::kBcast), [](Context& ctx) {
+  expect_world_dies(kill_at(CommOp::kBcast), [](Context& ctx) {
     std::vector<int> data(8, ctx.rank());
     ctx.bcast(data, 0);
     ctx.barrier();
@@ -70,7 +70,7 @@ TEST(SimpiFault, KillInsideBcast) {
 }
 
 TEST(SimpiFault, KillInsideGatherv) {
-  expect_world_dies(kill_at(FaultOp::kGatherv), [](Context& ctx) {
+  expect_world_dies(kill_at(CommOp::kGatherv), [](Context& ctx) {
     const std::vector<int> local(static_cast<std::size_t>(ctx.rank() + 1), ctx.rank());
     (void)ctx.gatherv(local, 0);
     ctx.barrier();
@@ -78,7 +78,7 @@ TEST(SimpiFault, KillInsideGatherv) {
 }
 
 TEST(SimpiFault, KillInsideAllgatherv) {
-  expect_world_dies(kill_at(FaultOp::kAllgatherv), [](Context& ctx) {
+  expect_world_dies(kill_at(CommOp::kAllgatherv), [](Context& ctx) {
     const std::vector<int> local(4, ctx.rank());
     (void)ctx.allgatherv(local);
     ctx.barrier();
@@ -86,7 +86,7 @@ TEST(SimpiFault, KillInsideAllgatherv) {
 }
 
 TEST(SimpiFault, KillInsideAlltoallv) {
-  expect_world_dies(kill_at(FaultOp::kAlltoallv), [](Context& ctx) {
+  expect_world_dies(kill_at(CommOp::kAlltoallv), [](Context& ctx) {
     std::vector<std::vector<int>> parts(static_cast<std::size_t>(ctx.size()));
     for (auto& p : parts) p.assign(3, ctx.rank());
     (void)ctx.alltoallv(parts);
@@ -95,7 +95,7 @@ TEST(SimpiFault, KillInsideAlltoallv) {
 }
 
 TEST(SimpiFault, KillInsideReduce) {
-  expect_world_dies(kill_at(FaultOp::kReduce), [](Context& ctx) {
+  expect_world_dies(kill_at(CommOp::kReduce), [](Context& ctx) {
     (void)ctx.allreduce_sum(ctx.rank());
     ctx.barrier();
   });
@@ -116,19 +116,34 @@ TEST(SimpiFault, EntryCountPicksTheNthCall) {
                      } catch (const AbortedError&) {
                      }
                    },
-                   {}, kill_at(FaultOp::kBarrier, 3)),
+                   {}, kill_at(CommOp::kBarrier, 3)),
                RankFaultError);
   EXPECT_EQ(completed_barriers.load(), kRanks);
 }
 
-TEST(SimpiFault, LayeredCollectivesAdvanceInnerCounters) {
-  // allgatherv is built on gatherv + bcast, so a gatherv-triggered fault
-  // fires inside an allgatherv call too.
-  expect_world_dies(kill_at(FaultOp::kGatherv), [](Context& ctx) {
-    const std::vector<int> local(1, ctx.rank());
-    (void)ctx.allgatherv(local);
-    ctx.barrier();
-  });
+TEST(SimpiFault, CollectivesAdvanceOnlyTheirOwnCounter) {
+  // allgatherv and allreduce_sum move their data with gather and broadcast
+  // steps, but those steps are not calls to gatherv or bcast: a plan on
+  // either op's first entry waits for the caller's own first call.
+  for (const CommOp op : {CommOp::kGatherv, CommOp::kBcast}) {
+    std::atomic<int> victim_reached{0};
+    expect_world_dies(kill_at(op), [&](Context& ctx) {
+      const std::vector<int> local(static_cast<std::size_t>(ctx.rank()) + 1, ctx.rank());
+      const auto pooled = ctx.allgatherv(local);
+      EXPECT_EQ(pooled.size(), static_cast<std::size_t>(kRanks * (kRanks + 1) / 2));
+      EXPECT_EQ(ctx.allreduce_sum(1), kRanks);
+      (void)ctx.allgather(ctx.rank());
+      if (ctx.rank() == kVictim) victim_reached.fetch_add(1);
+      std::vector<int> data(3, ctx.rank());
+      if (op == CommOp::kGatherv) {
+        (void)ctx.gatherv(data, 0);
+      } else {
+        ctx.bcast(data, 0);
+      }
+      ctx.barrier();
+    });
+    EXPECT_EQ(victim_reached.load(), 1) << to_string(op);
+  }
 }
 
 TEST(SimpiFault, VirtualTimeTriggerFiresOnNextCall) {
@@ -150,14 +165,14 @@ TEST(SimpiFault, DisabledPlanIsInert) {
 TEST(SimpiFault, NonVictimRanksNeverFire) {
   // A plan aimed at a rank that does not exist in this world never fires.
   const auto results =
-      run(2, [](Context& ctx) { ctx.barrier(); }, {}, kill_at(FaultOp::kBarrier, 1, 3));
+      run(2, [](Context& ctx) { ctx.barrier(); }, {}, kill_at(CommOp::kBarrier, 1, 3));
   EXPECT_EQ(results.size(), 2u);
 }
 
 // --- transient-fault budget ------------------------------------------------------
 
 TEST(SimpiFault, ArmedPlanFiresOnceAcrossRelaunches) {
-  FaultPlan plan = kill_at(FaultOp::kBarrier);
+  FaultPlan plan = kill_at(CommOp::kBarrier);
   plan.arm();  // retry-driver posture: one budget across launches
   const auto body = [](Context& ctx) { ctx.barrier(); };
   EXPECT_THROW(run(kRanks, body, {}, plan), RankFaultError);
@@ -167,14 +182,14 @@ TEST(SimpiFault, ArmedPlanFiresOnceAcrossRelaunches) {
 }
 
 TEST(SimpiFault, UnarmedPlanGetsFreshBudgetPerWorld) {
-  const FaultPlan plan = kill_at(FaultOp::kBarrier);  // never armed by us
+  const FaultPlan plan = kill_at(CommOp::kBarrier);  // never armed by us
   const auto body = [](Context& ctx) { ctx.barrier(); };
   EXPECT_THROW(run(kRanks, body, {}, plan), RankFaultError);
   EXPECT_THROW(run(kRanks, body, {}, plan), RankFaultError);  // fires again
 }
 
 TEST(SimpiFault, MaxFiresModelsPersistentFaults) {
-  FaultPlan plan = kill_at(FaultOp::kBarrier);
+  FaultPlan plan = kill_at(CommOp::kBarrier);
   plan.max_fires = 2;
   plan.arm();
   const auto body = [](Context& ctx) { ctx.barrier(); };
@@ -199,7 +214,7 @@ TEST(SimpiFault, KillInsideSend) {
                        aborted.fetch_add(1);
                      }
                    },
-                   {}, kill_at(FaultOp::kSend, 1, 1)),
+                   {}, kill_at(CommOp::kSend, 1, 1)),
                RankFaultError);
   EXPECT_EQ(aborted.load(), 1);
 }
@@ -207,13 +222,16 @@ TEST(SimpiFault, KillInsideSend) {
 // --- CLI parsing -----------------------------------------------------------------
 
 TEST(SimpiFault, OpNamesRoundTrip) {
-  for (const FaultOp op : {FaultOp::kBarrier, FaultOp::kBcast, FaultOp::kGatherv,
-                           FaultOp::kAllgatherv, FaultOp::kAlltoallv, FaultOp::kReduce,
-                           FaultOp::kSend, FaultOp::kRecv}) {
-    EXPECT_EQ(fault_op_from_string(to_string(op)), op);
+  for (std::size_t i = 0; i < kNumCommOps; ++i) {
+    const auto op = static_cast<CommOp>(i);
+    EXPECT_EQ(comm_op_from_string(to_string(op)), op);
   }
-  EXPECT_THROW((void)fault_op_from_string("warp-core-breach"), std::invalid_argument);
-  EXPECT_THROW((void)fault_op_from_string("none"), std::invalid_argument);
+  for (const char* name :
+       {"barrier", "bcast", "gatherv", "allgatherv", "alltoallv", "reduce", "send", "recv"}) {
+    EXPECT_STREQ(to_string(comm_op_from_string(name)), name);
+  }
+  EXPECT_THROW((void)comm_op_from_string("warp-core-breach"), std::invalid_argument);
+  EXPECT_THROW((void)comm_op_from_string("none"), std::invalid_argument);
 }
 
 }  // namespace

@@ -159,12 +159,9 @@ TEST_P(SimpiCollectives, AllgathervConcatenatesInRankOrder) {
   const int nranks = GetParam();
   run(nranks, [&](Context& ctx) {
     std::vector<int> local{ctx.rank() * 100, ctx.rank() * 100 + 1};
-    std::vector<std::size_t> counts;
-    const auto all = ctx.allgatherv(local, &counts);
+    const auto all = ctx.allgatherv(local);
     ASSERT_EQ(all.size(), static_cast<std::size_t>(2 * nranks));
-    ASSERT_EQ(counts.size(), static_cast<std::size_t>(nranks));
     for (int r = 0; r < nranks; ++r) {
-      EXPECT_EQ(counts[static_cast<std::size_t>(r)], 2u);
       EXPECT_EQ(all[static_cast<std::size_t>(2 * r)], r * 100);
       EXPECT_EQ(all[static_cast<std::size_t>(2 * r) + 1], r * 100 + 1);
     }
@@ -189,10 +186,8 @@ TEST_P(SimpiCollectives, ReductionsMatchSerialOracle) {
   run(nranks, [&](Context& ctx) {
     const int sum = ctx.allreduce_sum(ctx.rank() + 1);
     EXPECT_EQ(sum, nranks * (nranks + 1) / 2);
-    EXPECT_EQ(ctx.allreduce_max(ctx.rank()), nranks - 1);
-    EXPECT_EQ(ctx.allreduce_min(ctx.rank()), 0);
-    EXPECT_DOUBLE_EQ(ctx.allreduce_max(static_cast<double>(ctx.rank()) * 0.5),
-                     static_cast<double>(nranks - 1) * 0.5);
+    EXPECT_DOUBLE_EQ(ctx.allreduce_sum(static_cast<double>(ctx.rank()) * 0.5),
+                     static_cast<double>(nranks * (nranks - 1)) * 0.25);
   });
 }
 
