@@ -13,6 +13,7 @@
 // also restores a realistic per-item cost — the production Chrysalis
 // kernels are far heavier than this reproduction's hash-based ones.
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -25,6 +26,7 @@
 #include "seq/fasta.hpp"
 #include "sim/transcriptome.hpp"
 #include "simpi/context.hpp"
+#include "util/json.hpp"
 #include "util/log.hpp"
 
 namespace trinity::bench {
@@ -145,9 +147,10 @@ class CsvSink {
 /// Optional JSON sink: when --json <path> is given, a bench also writes its
 /// results as one machine-readable document,
 ///   {"bench": "<name>", "series": [{...}, ...]}
-/// — one series entry per measured configuration, scalar fields only. The
-/// CSV sink stays the plotting format; JSON is for the driver scripts that
-/// compare runs (scripts/check.sh and CI-style regression diffing).
+/// — one series entry per measured configuration, scalar fields only,
+/// serialized by util::Json. The CSV sink stays the plotting format; JSON
+/// is for the scripts that compare runs (scripts/check.sh and CI-style
+/// regression diffing).
 class JsonSink {
  public:
   JsonSink(const Config& cfg, std::string bench) : bench_(std::move(bench)) {
@@ -157,46 +160,31 @@ class JsonSink {
 
   ~JsonSink() {
     if (!out_.is_open()) return;
-    out_ << "{\"bench\":\"" << escape(bench_) << "\",\"series\":[";
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-      out_ << (i ? "," : "") << '{' << entries_[i] << '}';
-    }
-    out_ << "]}\n";
+    util::Json series = util::Json::array();
+    for (auto& entry : entries_) series.push_back(std::move(entry));
+    util::Json doc = util::Json::object();
+    doc.set("bench", bench_);
+    doc.set("series", std::move(series));
+    out_ << doc.dump() << '\n';
   }
 
-  void begin_entry() { entries_.emplace_back(); }
-  void field(const char* name, const std::string& value) {
-    append(name, '"' + escape(value) + '"');
-  }
+  void begin_entry() { entries_.push_back(util::Json::object()); }
+  void field(const char* name, const std::string& value) { set(name, value); }
+  /// JSON has no inf or NaN: a non-finite value is written as null.
   void field(const char* name, double value) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    append(name, buf);
+    set(name, std::isfinite(value) ? util::Json(value) : util::Json());
   }
-  void field(const char* name, std::int64_t value) { append(name, std::to_string(value)); }
-  void field(const char* name, bool value) { append(name, value ? "true" : "false"); }
+  void field(const char* name, std::int64_t value) { set(name, value); }
+  void field(const char* name, bool value) { set(name, value); }
 
  private:
-  static std::string escape(const std::string& s) {
-    std::string out;
-    for (const char c : s) {
-      if (c == '"' || c == '\\') out += '\\';
-      out += c;
-    }
-    return out;
-  }
-  void append(const char* name, const std::string& rendered) {
-    if (entries_.empty()) entries_.emplace_back();
-    auto& entry = entries_.back();
-    if (!entry.empty()) entry += ',';
-    entry += '"';
-    entry += name;
-    entry += "\":";
-    entry += rendered;
+  void set(const char* name, util::Json value) {
+    if (entries_.empty()) begin_entry();
+    entries_.back().set(name, std::move(value));
   }
 
   std::string bench_;
-  std::vector<std::string> entries_;
+  std::vector<util::Json> entries_;
   std::ofstream out_;
 };
 

@@ -7,8 +7,7 @@
 //                  [--ranks N] [--k 25] [--min-kmer-count 2]
 //                  [--work-dir DIR]
 //                  [--gff-distribution crr|block|dynamic]
-//                  [--r2t-strategy redundant|master-slave]
-//                  [--r2t-output concat|collective] [--bowtie-split targets|reads]
+//                  [--r2t-strategy redundant|master-slave] [--bowtie-split targets|reads]
 //                  [--min-node-support N] [--require-paired-support]
 //
 // With --ranks 1 (default) this is the original OpenMP-only Trinity path;

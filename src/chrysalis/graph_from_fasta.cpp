@@ -195,21 +195,14 @@ std::vector<ContigPair> pairs_from_matches(
 
 namespace {
 
-std::size_t effective_chunk_size(const GraphFromFastaOptions& options, std::size_t num_items,
-                                 int nranks) {
-  return options.chunk_size > 0
-             ? options.chunk_size
-             : ChunkedRoundRobin::default_chunk_size(num_items, nranks,
-                                                     options.model_threads_per_rank);
-}
-
 std::vector<IndexRange> ranges_for_rank(const GraphFromFastaOptions& options,
                                         std::size_t num_items, int rank, int nranks) {
   if (options.distribution == Distribution::kBlock) {
     const BlockDistribution dist(num_items, nranks);
     return {dist.block_for(rank)};
   }
-  const std::size_t chunk = effective_chunk_size(options, num_items, nranks);
+  const std::size_t chunk =
+      ChunkedRoundRobin::default_chunk_size(num_items, nranks, options.model_threads_per_rank);
   return ChunkedRoundRobin(num_items, nranks, chunk).chunks_for(rank);
 }
 
@@ -220,7 +213,8 @@ template <typename Body>
 double timed_dynamic_loop(simpi::Context& ctx, int counter_id,
                           const GraphFromFastaOptions& options, std::size_t num_items,
                           Body&& body, const char* trace_name = nullptr) {
-  const std::size_t chunk = effective_chunk_size(options, num_items, ctx.size());
+  const std::size_t chunk = ChunkedRoundRobin::default_chunk_size(
+      num_items, ctx.size(), options.model_threads_per_rank);
   const std::size_t num_chunks = (num_items + chunk - 1) / chunk;
   ctx.barrier();
   simpi::SharedCounter counter(ctx, counter_id);

@@ -84,7 +84,6 @@ enum class ShardingStrategy {
 struct GraphFromFastaOptions {
   int k = 25;                        ///< k-mer size; weld length is 2k
   std::uint32_t min_weld_support = 2;  ///< read count every weld k-mer needs
-  std::size_t chunk_size = 0;        ///< 0 = paper's proportional default
   int omp_threads = 0;               ///< real OpenMP threads (0 = auto)
   int model_threads_per_rank = 16;   ///< simulated threads per node
   Distribution distribution = Distribution::kChunkedRoundRobin;

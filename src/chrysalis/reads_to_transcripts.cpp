@@ -6,14 +6,12 @@
 #include <cerrno>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 #include "chrysalis/parallel_loop.hpp"
 #include "io/io_file.hpp"
 #include "seq/fasta.hpp"
 #include "seq/kmer.hpp"
-#include "simpi/file_io.hpp"
 #include "simpi/pack.hpp"
 #include "util/timer.hpp"
 
@@ -42,18 +40,6 @@ kmer::FlatKmerIndex<std::int32_t> build_bundle_kmer_map(
   }
   return bundle_of;
 }
-
-namespace {
-
-/// The one spelling of a readsToComponents.out.tsv line, for every sink
-/// the rows go to (a BufferedWriter file or a collective-write slice).
-template <typename Sink>
-void put_assignment(Sink& out, const ReadAssignment& a) {
-  out << a.read_index << '\t' << a.component << '\t' << a.shared_kmers << '\t'
-      << a.region_begin << '\t' << a.region_end << '\n';
-}
-
-}  // namespace
 
 namespace detail {
 
@@ -101,7 +87,10 @@ ReadAssignment assign_read(const seq::Sequence& read, std::int64_t read_index,
 void write_assignments(const std::string& path,
                        const std::vector<ReadAssignment>& assignments) {
   io::BufferedWriter out(path);
-  for (const auto& a : assignments) put_assignment(out, a);
+  for (const auto& a : assignments) {
+    out << a.read_index << '\t' << a.component << '\t' << a.shared_kmers << '\t'
+        << a.region_begin << '\t' << a.region_end << '\n';
+  }
   out.close();
 }
 
@@ -260,7 +249,7 @@ double concatenate_outputs(const std::vector<std::string>& inputs, const std::st
 struct RankTiming {
   double setup = 0.0;
   double loop = 0.0;
-  double concat = 0.0;  ///< rank 0's concatenation, or this rank's collective write
+  double concat = 0.0;  ///< rank 0's cat of the per-rank files; 0 on the others
   double comm = 0.0;
   std::uint64_t chunks = 0;
   std::uint64_t reads = 0;
@@ -329,32 +318,16 @@ R2TResult run_hybrid(simpi::Context& ctx, const std::vector<seq::Sequence>& cont
   mine.chunks = stream.chunks;
   mine.reads = my_assignments.size();
 
-  // Output: per-rank files + master concatenation (the paper's scheme) or
-  // a collective ordered write (its MPI-I/O future work).
+  // Output: the paper's per-rank files, concatenated by rank 0.
   if (!output_dir.empty()) {
     sort_by_read_index(my_assignments);
     result.merged_output_path = output_dir + "/readsToComponents.out.tsv";
-    if (options.output_mode == R2TOutputMode::kPerRankConcat) {
-      const std::string my_path = rank_output_path(output_dir, ctx.rank());
-      detail::write_assignments(my_path, my_assignments);
-      ctx.barrier();
-      if (ctx.rank() == 0) {
-        std::vector<std::string> inputs;
-        for (int r = 0; r < ctx.size(); ++r) {
-          inputs.push_back(rank_output_path(output_dir, r));
-        }
-        mine.concat = concatenate_outputs(inputs, result.merged_output_path);
-      }
-    } else {
-      // Collective write: serialize locally, then one shared-file write.
-      // Synchronize first so the timer measures the write itself, not the
-      // wait for slower ranks still in their loops.
-      ctx.barrier();
-      util::Timer wall;
-      std::ostringstream body;
-      for (const auto& a : my_assignments) put_assignment(body, a);
-      simpi::write_file_ordered(ctx, result.merged_output_path, body.str());
-      mine.concat = wall.seconds();
+    detail::write_assignments(rank_output_path(output_dir, ctx.rank()), my_assignments);
+    ctx.barrier();
+    if (ctx.rank() == 0) {
+      std::vector<std::string> inputs;
+      for (int r = 0; r < ctx.size(); ++r) inputs.push_back(rank_output_path(output_dir, r));
+      mine.concat = concatenate_outputs(inputs, result.merged_output_path);
     }
   }
 

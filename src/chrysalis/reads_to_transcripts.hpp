@@ -53,17 +53,10 @@ enum class R2TStrategy {
   kMasterSlave,         ///< the discarded attempt: rank 0 reads, sends chunks
 };
 
-/// How the hybrid run produces its merged output file.
-enum class R2TOutputMode {
-  /// The paper's scheme: one file per rank, concatenated by the master
-  /// with "a simple cat command".
-  kPerRankConcat,
-  /// The paper's future work ("exploring MPI-I/O for RNA-Seq data"):
-  /// every rank writes its slice directly into the shared output file at
-  /// its rank-order offset (MPI_File_write_at_all style), eliminating the
-  /// concatenation step entirely.
-  kCollective,
-};
+// perfbench compile shim that nothing in src/ reads; the benchmark PR of
+// ROADMAP item 7 deletes it. The hybrid output is always the paper's
+// per-rank files, concatenated by rank 0.
+enum class R2TOutputMode { kPerRankConcat };
 
 /// ReadsToTranscripts parameters.
 struct ReadsToTranscriptsOptions {
@@ -75,13 +68,14 @@ struct ReadsToTranscriptsOptions {
   /// Cost-model calibration for benchmarks; see
   /// GraphFromFastaOptions::kernel_repeats. Leave at 1 for normal use.
   int kernel_repeats = 1;
-  R2TOutputMode output_mode = R2TOutputMode::kPerRankConcat;
   /// How the streaming reader treats malformed records (strict throws
   /// io::ParseError, tolerant/repair quarantine and continue — see
   /// seq/fasta.hpp). All ranks must use the same policy: quarantining
   /// changes read indices, so a mixed world would disagree on assignments.
   seq::ParsePolicy parse_policy = seq::ParsePolicy::kStrict;
 
+  // perfbench compile shim that nothing in src/ reads; ROADMAP item 7 deletes it.
+  R2TOutputMode output_mode = R2TOutputMode::kPerRankConcat;
   R2TMode mode = R2TMode::kVote;  // shim; the benchmark PR of ROADMAP item 7 deletes it
   IndexLifecycle index_lifecycle = IndexLifecycle::kAuto;  // shim; ROADMAP item 7 deletes it
   std::string index_path;  // shim, never read; the benchmark PR of ROADMAP item 7 deletes it
@@ -101,7 +95,7 @@ static_assert(std::is_trivially_copyable_v<ReadAssignment>);
 struct R2TTiming {
   double setup_seconds = 0.0;   ///< k-mer -> bundle map (OpenMP, not hybrid)
   PerRankTimes main_loop;       ///< the MPI-enabled streaming+assignment loop
-  double concat_seconds = 0.0;  ///< per-rank file concatenation at rank 0
+  double concat_seconds = 0.0;  ///< rank 0's cat of the per-rank files
   double comm_seconds = 0.0;    ///< max modeled communication over ranks
 
   // Work distribution (size 1 vectors for shared-memory runs). Chunk

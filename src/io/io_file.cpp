@@ -99,15 +99,6 @@ IoFile IoFile::create(const std::string& path) {
   return IoFile(fd, path);
 }
 
-IoFile IoFile::open_write(const std::string& path) {
-  trace::SpanScope span("io.open", trace::kCatIo);
-  if (span) span.set_detail(path);
-  fault_point(IoOp::kOpen, path);
-  const int fd = ::open(path.c_str(), O_WRONLY);
-  if (fd < 0) throw_errno("open", path, errno, "cannot open for writing");
-  return IoFile(fd, path);
-}
-
 IoFile IoFile::open_append(const std::string& path) {
   trace::SpanScope span("io.open", trace::kCatIo);
   if (span) span.set_detail(path);
@@ -117,8 +108,7 @@ IoFile IoFile::open_append(const std::string& path) {
   return IoFile(fd, path);
 }
 
-IoFile::IoFile(IoFile&& other) noexcept : fd_(other.fd_), path_(std::move(other.path_)),
-                                          bytes_written_(other.bytes_written_) {
+IoFile::IoFile(IoFile&& other) noexcept : fd_(other.fd_), path_(std::move(other.path_)) {
   other.fd_ = -1;
 }
 
@@ -127,7 +117,6 @@ IoFile& IoFile::operator=(IoFile&& other) noexcept {
     if (fd_ >= 0) ::close(fd_);
     fd_ = other.fd_;
     path_ = std::move(other.path_);
-    bytes_written_ = other.bytes_written_;
     other.fd_ = -1;
   }
   return *this;
@@ -153,7 +142,6 @@ void IoFile::write_all(std::string_view data) {
       const ssize_t n = ::write(fd_, data.data() + written, half - written);
       if (n < 0) break;
       written += static_cast<std::size_t>(n);
-      bytes_written_ += static_cast<std::uint64_t>(n);
     }
     throw IoError(IoErrorKind::kTransient, "write", path_, EIO,
                   "injected fault: short write (" + std::to_string(written) + " of " +
@@ -169,44 +157,6 @@ void IoFile::write_all(std::string_view data) {
                       std::to_string(data.size()) + " bytes");
     }
     written += static_cast<std::size_t>(n);
-    bytes_written_ += static_cast<std::uint64_t>(n);
-  }
-}
-
-void IoFile::pwrite_all(std::string_view data, std::uint64_t offset) {
-  trace::SpanScope span("io.write", trace::kCatIo);
-  if (span) {
-    span.arg("bytes", static_cast<double>(data.size()));
-    span.arg("offset", static_cast<double>(offset));
-    span.set_detail(path_);
-  }
-  const IoFaultKind fault = fault_point(IoOp::kWrite, path_);
-  if (fault == IoFaultKind::kShortWrite) {
-    const std::size_t half = data.size() / 2;
-    std::size_t written = 0;
-    while (written < half) {
-      const ssize_t n = ::pwrite(fd_, data.data() + written, half - written,
-                                 static_cast<off_t>(offset + written));
-      if (n < 0) break;
-      written += static_cast<std::size_t>(n);
-      bytes_written_ += static_cast<std::uint64_t>(n);
-    }
-    throw IoError(IoErrorKind::kTransient, "write", path_, EIO,
-                  "injected fault: short write (" + std::to_string(written) + " of " +
-                      std::to_string(data.size()) + " bytes at offset " +
-                      std::to_string(offset) + ")");
-  }
-  std::size_t written = 0;
-  while (written < data.size()) {
-    const ssize_t n = ::pwrite(fd_, data.data() + written, data.size() - written,
-                               static_cast<off_t>(offset + written));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw_errno("write", path_, errno,
-                  "positioned write failure at offset " + std::to_string(offset + written));
-    }
-    written += static_cast<std::size_t>(n);
-    bytes_written_ += static_cast<std::uint64_t>(n);
   }
 }
 

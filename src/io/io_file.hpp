@@ -1,9 +1,9 @@
 #pragma once
 // IoFile / IoFs: the storage shim every durable writer goes through.
 //
-// Production call sites (simpi::write_file_ordered, checkpoint manifest
-// commits, kmer partition spills, the FASTA/FASTQ writers) open, write,
-// fsync and rename through this layer instead of raw ofstream/syscalls.
+// Production call sites (checkpoint manifest commits, kmer partition
+// spills, the stage-file writers) open, write, fsync and rename through
+// this layer instead of raw ofstream/syscalls.
 // That buys two things at once:
 //
 //  1. Real failures become typed: every syscall error surfaces as an
@@ -69,9 +69,6 @@ class IoFile {
  public:
   /// O_CREAT|O_WRONLY|O_TRUNC with mode 0644.
   [[nodiscard]] static IoFile create(const std::string& path);
-  /// O_WRONLY on an existing file (used for offset writes into a
-  /// pre-sized shared file).
-  [[nodiscard]] static IoFile open_write(const std::string& path);
   /// O_CREAT|O_WRONLY|O_APPEND with mode 0644: the journal-writer shape.
   /// Every write_all lands at end-of-file in one syscall, so concurrent
   /// appenders interleave at record granularity, never mid-record.
@@ -88,10 +85,6 @@ class IoFile {
   /// leave the partial prefix on disk, then throw transient).
   void write_all(std::string_view data);
 
-  /// Positioned write of all of `data` at `offset` (pwrite loop); the
-  /// collective file output uses this for rank slices.
-  void pwrite_all(std::string_view data, std::uint64_t offset);
-
   void fsync();
 
   /// Closes the descriptor, reporting errors; idempotent.
@@ -99,15 +92,12 @@ class IoFile {
 
   [[nodiscard]] const std::string& path() const { return path_; }
   [[nodiscard]] bool is_open() const { return fd_ >= 0; }
-  /// Bytes successfully written through this handle (both write paths).
-  [[nodiscard]] std::uint64_t bytes_written() const { return bytes_written_; }
 
  private:
   IoFile(int fd, std::string path) : fd_(fd), path_(std::move(path)) {}
 
   int fd_ = -1;
   std::string path_;
-  std::uint64_t bytes_written_ = 0;
 };
 
 /// Text output to a fresh file through IoFile in bounded pieces: `<<`

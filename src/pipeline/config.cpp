@@ -69,7 +69,6 @@ struct Choice {
 
 using align::BowtieSplit;
 using chrysalis::Distribution;
-using chrysalis::R2TOutputMode;
 using chrysalis::R2TStrategy;
 using chrysalis::ShardingStrategy;
 using seq::ParsePolicy;
@@ -79,8 +78,6 @@ constexpr Choice<Distribution> kGffDistributions[] = {{"crr", Distribution::kChu
                                                       {"dynamic", Distribution::kDynamic}};
 constexpr Choice<R2TStrategy> kR2TStrategies[] = {
     {"redundant", R2TStrategy::kRedundantStreaming}, {"master-slave", R2TStrategy::kMasterSlave}};
-constexpr Choice<R2TOutputMode> kR2TOutputs[] = {{"concat", R2TOutputMode::kPerRankConcat},
-                                                 {"collective", R2TOutputMode::kCollective}};
 constexpr Choice<BowtieSplit> kBowtieSplits[] = {{"targets", BowtieSplit::kTargets},
                                                  {"reads", BowtieSplit::kReads}};
 // Spelled by their modules, which also parse them.
@@ -205,8 +202,6 @@ Config& Config::with_pipeline(const pipeline::PipelineOptions& defaults) {
          "; components are identical across both");
   choice("r2t-strategy", kR2TStrategies, defaults.r2t_strategy,
          "ReadsToTranscripts chunk distribution");
-  choice("r2t-output", kR2TOutputs, defaults.r2t_output_mode,
-         "hybrid ReadsToTranscripts output merge");
   choice("bowtie-split", kBowtieSplits, defaults.bowtie_split,
          "distributed Bowtie work split");
   flag_int("min-node-support", defaults.butterfly_min_node_support,
@@ -527,7 +522,6 @@ pipeline::PipelineOptions Config::pipeline_options() const {
     throw choice_error("gff-sharding", kGffShardings, sharding);
   }
   options.r2t_strategy = chosen("r2t-strategy", kR2TStrategies);
-  options.r2t_output_mode = chosen("r2t-output", kR2TOutputs);
   options.bowtie_split = chosen("bowtie-split", kBowtieSplits);
   options.butterfly_min_node_support =
       static_cast<std::uint32_t>(int_at_least("min-node-support", 0));

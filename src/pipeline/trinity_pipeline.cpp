@@ -636,7 +636,6 @@ PipelineResult run_pipeline_impl(const std::vector<seq::Sequence>& reads,
   r2t.model_threads_per_rank = options.model_threads_per_rank;
   r2t.kernel_repeats = options.r2t_kernel_repeats;
   r2t.strategy = options.r2t_strategy;
-  r2t.output_mode = options.r2t_output_mode;
   r2t.parse_policy = options.parse_policy;
 
   // Assigned (not merged) in the stage body: idempotent across retries.

@@ -115,6 +115,8 @@ struct PipelineOptions {
   /// fingerprint like the other strategy selections.
   chrysalis::ShardingStrategy gff_sharding = chrysalis::ShardingStrategy::kOwner;
   chrysalis::R2TStrategy r2t_strategy = chrysalis::R2TStrategy::kRedundantStreaming;
+  // perfbench compile shim that nothing in src/ reads; the benchmark PR of
+  // ROADMAP item 7 deletes it.
   chrysalis::R2TOutputMode r2t_output_mode = chrysalis::R2TOutputMode::kPerRankConcat;
   // perfbench compile shim; the benchmark PR of ROADMAP item 7 deletes it.
   // run_pipeline rejects kIndex with std::invalid_argument.

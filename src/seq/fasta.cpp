@@ -294,45 +294,17 @@ std::vector<Sequence> read_all(const std::string& path, ParsePolicy policy,
 }
 
 void write_fasta(const std::string& path, const std::vector<Sequence>& seqs, std::size_t wrap) {
-  std::string body;
+  io::BufferedWriter out(path);
   for (const auto& s : seqs) {
-    body += '>';
-    body += s.name;
-    body += '\n';
-    if (wrap == 0) {
-      body += s.bases;
-      body += '\n';
-    } else {
-      for (std::size_t i = 0; i < s.bases.size(); i += wrap) {
-        body.append(s.bases, i, wrap);
-        body += '\n';
-      }
-      if (s.bases.empty()) body += '\n';
+    out << '>' << s.name << '\n';
+    if (wrap == 0 || s.bases.empty()) {
+      out << s.bases << '\n';
+      continue;
     }
+    const std::string_view bases = s.bases;
+    for (std::size_t i = 0; i < bases.size(); i += wrap) out << bases.substr(i, wrap) << '\n';
   }
-  io::write_file(path, body);
-}
-
-void write_fastq(const std::string& path, const std::vector<Sequence>& seqs,
-                 char default_quality) {
-  std::string body;
-  for (const auto& s : seqs) {
-    if (s.has_quality() && s.quality.size() != s.bases.size()) {
-      throw std::runtime_error("write_fastq: quality length mismatch for '" + s.name + "'");
-    }
-    body += '@';
-    body += s.name;
-    body += '\n';
-    body += s.bases;
-    body += "\n+\n";
-    if (s.has_quality()) {
-      body += s.quality;
-    } else {
-      body.append(s.bases.size(), default_quality);
-    }
-    body += '\n';
-  }
-  io::write_file(path, body);
+  out.close();
 }
 
 std::size_t total_bases(const std::vector<Sequence>& seqs) {

@@ -103,14 +103,10 @@ std::vector<Sequence> read_all(const std::string& path,
                                ParsePolicy policy = ParsePolicy::kStrict,
                                io::ParseDiagnostics* diagnostics = nullptr);
 
-/// Writes sequences as FASTA with `wrap` columns per line (0 = no wrap).
-/// Throws io::IoError on storage failure.
+/// Writes sequences as FASTA with `wrap` columns per line (0 = no wrap),
+/// streamed through io::BufferedWriter. Throws io::IoError on storage
+/// failure.
 void write_fasta(const std::string& path, const std::vector<Sequence>& seqs,
                  std::size_t wrap = 0);
-
-/// Writes sequences as FASTQ. Records without a quality string get
-/// `default_quality` (Phred+33) for every base.
-void write_fastq(const std::string& path, const std::vector<Sequence>& seqs,
-                 char default_quality = 'F');
 
 }  // namespace trinity::seq

@@ -1,14 +1,10 @@
 // Tests for the future-work extensions of Chrysalis: dynamic
-// (self-scheduled) distribution, collective R2T output, and the read-split
-// Bowtie mode.
+// (self-scheduled) distribution and the read-split Bowtie mode.
 
 #include <gtest/gtest.h>
 
-#include <fstream>
-
 #include "align/mpi_bowtie.hpp"
 #include "chrysalis/graph_from_fasta.hpp"
-#include "chrysalis/reads_to_transcripts.hpp"
 #include "kmer/counter.hpp"
 #include "seq/fasta.hpp"
 #include "simpi/context.hpp"
@@ -17,7 +13,6 @@
 namespace trinity::chrysalis {
 namespace {
 
-using trinity::testing::TempDir;
 using trinity::testing::random_dna;
 using trinity::testing::tile_reads;
 
@@ -117,67 +112,14 @@ TEST(GffDynamic2, ChargesRmaCommunication) {
   const auto counter = make_counter(s.reads);
   auto options = gff_options();
   options.distribution = Distribution::kDynamic;
-  options.chunk_size = 1;  // many claims -> visible RMA cost
+  // One contig per chunk: many claims, so the RMA cost is visible.
+  EXPECT_EQ(ChunkedRoundRobin::default_chunk_size(s.contigs.size(), 2,
+                                                  options.model_threads_per_rank),
+            1u);
   simpi::run(2, [&](simpi::Context& ctx) {
     const auto result = run_hybrid(ctx, s.contigs, counter, options);
     EXPECT_GT(result.timing.comm_seconds, 0.0);
   });
-}
-
-// --- collective R2T output ------------------------------------------------------------
-
-TEST(R2TCollectiveOutput, FileMatchesConcatScheme) {
-  const TempDir dir_a("r2t_coll_a");
-  const TempDir dir_b("r2t_coll_b");
-  util::Rng rng(97);
-  std::vector<seq::Sequence> contigs;
-  std::vector<seq::Sequence> reads;
-  for (int c = 0; c < 4; ++c) {
-    contigs.push_back({"c" + std::to_string(c), random_dna(300, rng())});
-    for (int r = 0; r < 10; ++r) {
-      const auto pos = rng.uniform_below(240);
-      reads.push_back({"r" + std::to_string(c * 10 + r),
-                       contigs.back().bases.substr(pos, 60)});
-    }
-  }
-  const auto components = cluster_contigs(contigs.size(), {});
-  seq::write_fasta(dir_a.file("reads.fa"), reads);
-  seq::write_fasta(dir_b.file("reads.fa"), reads);
-
-  ReadsToTranscriptsOptions options;
-  options.k = kTestK;
-  options.max_mem_reads = 7;
-  options.model_threads_per_rank = 4;
-
-  auto read_file = [](const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    return std::string((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  };
-
-  std::string concat_content;
-  std::string collective_content;
-  simpi::run(3, [&](simpi::Context& ctx) {
-    auto concat_opts = options;
-    concat_opts.output_mode = R2TOutputMode::kPerRankConcat;
-    const auto a =
-        run_hybrid(ctx, contigs, components, dir_a.file("reads.fa"), concat_opts, dir_a.str());
-    auto coll_opts = options;
-    coll_opts.output_mode = R2TOutputMode::kCollective;
-    const auto b =
-        run_hybrid(ctx, contigs, components, dir_b.file("reads.fa"), coll_opts, dir_b.str());
-    if (ctx.rank() == 0) {
-      concat_content = read_file(a.merged_output_path);
-      collective_content = read_file(b.merged_output_path);
-    }
-    // Assignments identical regardless of output mode.
-    ASSERT_EQ(a.assignments.size(), b.assignments.size());
-    for (std::size_t i = 0; i < a.assignments.size(); ++i) {
-      EXPECT_EQ(a.assignments[i].component, b.assignments[i].component);
-    }
-  });
-  EXPECT_FALSE(concat_content.empty());
-  EXPECT_EQ(collective_content, concat_content);
 }
 
 }  // namespace

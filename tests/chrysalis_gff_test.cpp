@@ -206,6 +206,10 @@ TEST_P(GffHybrid, MatchesSharedMemoryRun) {
   const auto counter = make_counter(s.reads);
   const auto options = test_options();
   const auto expected = run_shared(s.contigs, counter, options);
+  // The scenario is small enough that every chunk holds one contig.
+  EXPECT_EQ(ChunkedRoundRobin::default_chunk_size(s.contigs.size(), nranks,
+                                                  options.model_threads_per_rank),
+            1u);
 
   simpi::run(nranks, [&](simpi::Context& ctx) {
     const auto result = run_hybrid(ctx, s.contigs, counter, options);
@@ -394,18 +398,6 @@ TEST(GffOwner, EveryCountedAlltoallvIsAFaultPoint) {
   last_entry.op = simpi::CommOp::kAlltoallv;
   last_entry.at_entry = static_cast<int>(calls);
   EXPECT_THROW(run_owner(last_entry), simpi::RankFaultError);
-}
-
-TEST(GffHybrid2, ExplicitChunkSizeRespected) {
-  const auto s = build_scenario(2, 3, 53);
-  const auto counter = make_counter(s.reads);
-  auto options = test_options();
-  options.chunk_size = 1;  // extreme: one contig per chunk
-  const auto expected = run_shared(s.contigs, counter, test_options());
-  simpi::run(3, [&](simpi::Context& ctx) {
-    const auto result = run_hybrid(ctx, s.contigs, counter, options);
-    EXPECT_EQ(result.components.component_of, expected.components.component_of);
-  });
 }
 
 TEST(GffOracle, ComponentsMatchBruteForceOverlapClustering) {

@@ -211,7 +211,7 @@ TEST_P(R2THybrid, MatchesSharedMemoryRun) {
   // chunk, a remainder chunk (51 = 7 x 7 + 2), an exact multiple (3 x 17),
   // the whole file in one chunk, and one more than the file. Rank 0 must
   // return run_shared's assignments and every other rank none; the merged
-  // file must hold run_shared's rows in rank order, under both outputs.
+  // file must hold run_shared's rows in rank order.
   const auto [nranks, strategy] = GetParam();
   const TempDir dir("r2t_hybrid");
   Fixture f = build_fixture(4, 12, 19);
@@ -232,46 +232,42 @@ TEST_P(R2THybrid, MatchesSharedMemoryRun) {
     const std::uint64_t chunks = (n + chunk - 1) / chunk;
 
     options.strategy = strategy;
-    for (const auto output : {R2TOutputMode::kPerRankConcat, R2TOutputMode::kCollective}) {
-      SCOPED_TRACE("max_mem_reads " + std::to_string(chunk) + ", " +
-                   (output == R2TOutputMode::kCollective ? "collective" : "concat"));
-      options.output_mode = output;
-      const TempDir out("r2t_hybrid_out");
-      std::vector<std::uint64_t> rank_reads;
-      const auto ranks = simpi::run(nranks, [&](simpi::Context& ctx) {
-        const auto result =
-            run_hybrid(ctx, f.contigs, f.components, dir.file("reads.fa"), options, out.str());
-        if (ctx.rank() == 0) rank_reads = result.timing.rank_reads;
-        if (ctx.rank() == 0) {
-          EXPECT_TRUE(same_assignments(result.assignments, expected.assignments));
-        } else {
-          EXPECT_TRUE(result.assignments.empty());
-        }
-        ASSERT_EQ(result.timing.main_loop.seconds.size(), static_cast<std::size_t>(nranks));
-        std::uint64_t classified = 0;
-        for (const auto c : result.timing.rank_chunks) classified += c;
-        EXPECT_EQ(classified, chunks);
-      });
-      // Every read is gathered to rank 0 exactly once, on the stage's one
-      // gatherv: a non-root rank's gatherv bytes are its assignment records.
-      std::uint64_t gathered = rank_reads.at(0);
-      for (int r = 1; r < nranks; ++r) {
-        const auto& comm = ranks[static_cast<std::size_t>(r)].comm;
-        EXPECT_EQ(comm.of(simpi::CommOp::kGatherv).calls, 1u) << "rank " << r;
-        const std::uint64_t records = comm.of(simpi::CommOp::kGatherv).bytes_sent;
-        EXPECT_EQ(records, rank_reads.at(static_cast<std::size_t>(r)) * sizeof(ReadAssignment))
-            << "rank " << r;
-        gathered += rank_reads.at(static_cast<std::size_t>(r));
+    SCOPED_TRACE("max_mem_reads " + std::to_string(chunk));
+    const TempDir out("r2t_hybrid_out");
+    std::vector<std::uint64_t> rank_reads;
+    const auto ranks = simpi::run(nranks, [&](simpi::Context& ctx) {
+      const auto result =
+          run_hybrid(ctx, f.contigs, f.components, dir.file("reads.fa"), options, out.str());
+      if (ctx.rank() == 0) rank_reads = result.timing.rank_reads;
+      if (ctx.rank() == 0) {
+        EXPECT_TRUE(same_assignments(result.assignments, expected.assignments));
+      } else {
+        EXPECT_TRUE(result.assignments.empty());
       }
-      EXPECT_EQ(gathered, n);
-      EXPECT_EQ(read_file(out.file("readsToComponents.out.tsv")), expected_tsv);
-      // The merged file is the only output: no per-rank part survives it.
-      std::vector<std::string> left;
-      for (const auto& entry : std::filesystem::directory_iterator(out.str())) {
-        left.push_back(entry.path().filename().string());
-      }
-      EXPECT_EQ(left, std::vector<std::string>{"readsToComponents.out.tsv"});
+      ASSERT_EQ(result.timing.main_loop.seconds.size(), static_cast<std::size_t>(nranks));
+      std::uint64_t classified = 0;
+      for (const auto c : result.timing.rank_chunks) classified += c;
+      EXPECT_EQ(classified, chunks);
+    });
+    // Every read is gathered to rank 0 exactly once, on the stage's one
+    // gatherv: a non-root rank's gatherv bytes are its assignment records.
+    std::uint64_t gathered = rank_reads.at(0);
+    for (int r = 1; r < nranks; ++r) {
+      const auto& comm = ranks[static_cast<std::size_t>(r)].comm;
+      EXPECT_EQ(comm.of(simpi::CommOp::kGatherv).calls, 1u) << "rank " << r;
+      const std::uint64_t records = comm.of(simpi::CommOp::kGatherv).bytes_sent;
+      EXPECT_EQ(records, rank_reads.at(static_cast<std::size_t>(r)) * sizeof(ReadAssignment))
+          << "rank " << r;
+      gathered += rank_reads.at(static_cast<std::size_t>(r));
     }
+    EXPECT_EQ(gathered, n);
+    EXPECT_EQ(read_file(out.file("readsToComponents.out.tsv")), expected_tsv);
+    // The merged file is the only output: no per-rank part survives it.
+    std::vector<std::string> left;
+    for (const auto& entry : std::filesystem::directory_iterator(out.str())) {
+      left.push_back(entry.path().filename().string());
+    }
+    EXPECT_EQ(left, std::vector<std::string>{"readsToComponents.out.tsv"});
   }
 }
 
@@ -282,19 +278,16 @@ TEST_P(R2THybrid, EmptyReadsFileYieldsNoAssignments) {
   std::ofstream(dir.file("reads.fa")).close();
   auto options = test_options();
   options.strategy = strategy;
-  for (const auto output : {R2TOutputMode::kPerRankConcat, R2TOutputMode::kCollective}) {
-    options.output_mode = output;
-    const TempDir out("r2t_hybrid_empty_out");
-    simpi::run(nranks, [&](simpi::Context& ctx) {
-      const auto result =
-          run_hybrid(ctx, f.contigs, f.components, dir.file("reads.fa"), options, out.str());
-      EXPECT_TRUE(result.assignments.empty());
-      for (const auto c : result.timing.rank_chunks) EXPECT_EQ(c, 0u);
-    });
-    std::ifstream merged(out.file("readsToComponents.out.tsv"));
-    EXPECT_TRUE(merged.good());
-    EXPECT_EQ(read_file(out.file("readsToComponents.out.tsv")), "");
-  }
+  const TempDir out("r2t_hybrid_empty_out");
+  simpi::run(nranks, [&](simpi::Context& ctx) {
+    const auto result =
+        run_hybrid(ctx, f.contigs, f.components, dir.file("reads.fa"), options, out.str());
+    EXPECT_TRUE(result.assignments.empty());
+    for (const auto c : result.timing.rank_chunks) EXPECT_EQ(c, 0u);
+  });
+  std::ifstream merged(out.file("readsToComponents.out.tsv"));
+  EXPECT_TRUE(merged.good());
+  EXPECT_EQ(read_file(out.file("readsToComponents.out.tsv")), "");
 }
 
 // The first six cases keep their original order; ranks 1-5 are covered

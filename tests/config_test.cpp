@@ -125,14 +125,17 @@ TEST(ConfigAliases, DeprecatedSpellingsAreRejected) {
   }
 }
 
-TEST(ConfigAliases, IndexModeFlagsAreRejected) {
-  // ReadsToTranscripts index mode is gone: both of its flags are unknown
-  // options on the CLI, in a --config file and in a JSON document.
-  const std::string path = ::testing::TempDir() + "/config_test_index_mode.json";
+TEST(ConfigAliases, RemovedR2TFlagsAreRejected) {
+  // ReadsToTranscripts index mode and its collective output are gone: their
+  // flags are unknown options on the CLI, in a --config file and in a JSON
+  // document.
+  const std::string path = ::testing::TempDir() + "/config_test_removed_r2t.json";
   for (const auto& [flag, value] :
        std::vector<std::pair<std::string, std::string>>{{"r2t-mode", "index"},
                                                         {"r2t-mode", "vote"},
-                                                        {"r2t-index", "auto"}}) {
+                                                        {"r2t-index", "auto"},
+                                                        {"r2t-output", "collective"},
+                                                        {"r2t-output", "concat"}}) {
     SCOPED_TRACE("--" + flag + " " + value);
     EXPECT_CONFIG_ERROR(parse(pipeline_cfg(), {"--" + flag, value}), flag);
     const std::string json = "{\"" + flag + "\": \"" + value + "\"}";
@@ -142,6 +145,7 @@ TEST(ConfigAliases, IndexModeFlagsAreRejected) {
   }
   std::remove(path.c_str());
   EXPECT_EQ(pipeline_cfg().help_text().find("r2t-index"), std::string::npos);
+  EXPECT_EQ(pipeline_cfg().help_text().find("r2t-output"), std::string::npos);
 }
 
 TEST(ConfigSharding, EverySpellingParsesToItsStrategy) {
@@ -240,7 +244,6 @@ TEST(ConfigPipeline, EveryValidationErrorNamesItsField) {
       {{"--trace-sample-interval-ms", "-1"}, "trace-sample-interval-ms"},
       {{"--gff-distribution", "dyn"}, "gff-distribution"},
       {{"--r2t-strategy", "master"}, "r2t-strategy"},
-      {{"--r2t-output", "mpiio"}, "r2t-output"},
       {{"--bowtie-split", "contigs"}, "bowtie-split"},
       {{"--gff-sharding", "overlap"}, "gff-sharding"},
       {{"--min-node-support", "-1"}, "min-node-support"},
@@ -274,7 +277,6 @@ TEST(ConfigPipeline, EnumAndTraceFlagsMapToOptions) {
         o.field = static_cast<decltype(pipeline::PipelineOptions::field)>(v);      \
       }
   using chrysalis::Distribution;
-  using chrysalis::R2TOutputMode;
   using chrysalis::R2TStrategy;
   using chrysalis::ShardingStrategy;
   const auto v = [](auto e) { return static_cast<int>(e); };
@@ -294,11 +296,6 @@ TEST(ConfigPipeline, EnumAndTraceFlagsMapToOptions) {
         {"master-slave", v(R2TStrategy::kMasterSlave)}},
        "redundant",
        CHOICE_FIELD(r2t_strategy)},
-      {"r2t-output",
-       {{"concat", v(R2TOutputMode::kPerRankConcat)},
-        {"collective", v(R2TOutputMode::kCollective)}},
-       "concat",
-       CHOICE_FIELD(r2t_output_mode)},
       {"bowtie-split",
        {{"targets", v(align::BowtieSplit::kTargets)}, {"reads", v(align::BowtieSplit::kReads)}},
        "targets",

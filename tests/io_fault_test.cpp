@@ -1,8 +1,7 @@
 // Unit tests for the fault-injecting I/O layer: the typed error taxonomy,
 // glob/plan matching and parsing, the IoFile fault semantics (ENOSPC, EIO,
 // short write, torn rename), atomic-commit behavior under injected
-// failures, manifest truncation tolerance, and rank attribution in the
-// collective file writer.
+// failures, and manifest truncation tolerance.
 
 #include <gtest/gtest.h>
 
@@ -16,8 +15,6 @@
 #include "io/error.hpp"
 #include "io/fault_plan.hpp"
 #include "io/io_file.hpp"
-#include "simpi/context.hpp"
-#include "simpi/file_io.hpp"
 #include "test_helpers.hpp"
 
 namespace trinity::io {
@@ -284,35 +281,6 @@ TEST(ManifestFaults, TruncationCorpusNeverCrashesTheLoader) {
     }
   }
   EXPECT_EQ(line_boundaries, 3u);
-}
-
-TEST(CollectiveWriteFaults, FailureNamesTheRankAndSlice) {
-  const TempDir dir("ordered_attr");
-  const std::string path = dir.file("shared.out");
-  ScopedFaultInjection fault(IoFaultPlan::parse("write:*shared.out:1:eio"));
-  try {
-    simpi::run(3, [&](simpi::Context& ctx) {
-      const std::string data(64, static_cast<char>('a' + ctx.rank()));
-      simpi::write_file_ordered(ctx, path, data);
-    });
-    FAIL() << "expected IoError";
-  } catch (const IoError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("rank "), std::string::npos) << what;
-    EXPECT_NE(what.find("slice ["), std::string::npos) << what;
-    EXPECT_TRUE(e.transient());
-  }
-}
-
-TEST(CollectiveWriteFaults, CleanCollectiveVerifiesLengthAndOrder) {
-  const TempDir dir("ordered_clean");
-  const std::string path = dir.file("shared.out");
-  simpi::run(4, [&](simpi::Context& ctx) {
-    const std::string data(static_cast<std::size_t>(ctx.rank()) + 1,
-                           static_cast<char>('a' + ctx.rank()));
-    simpi::write_file_ordered(ctx, path, data);
-  });
-  EXPECT_EQ(slurp(path), "abbcccdddd");
 }
 
 }  // namespace

@@ -169,7 +169,6 @@ TEST(PipelineIntegration, AlternativeStrategiesMatchDefaultOutput) {
   auto variant_options = small_options(dir_variant.str(), 3);
   variant_options.gff_distribution = chrysalis::Distribution::kDynamic;
   variant_options.r2t_strategy = chrysalis::R2TStrategy::kMasterSlave;
-  variant_options.r2t_output_mode = chrysalis::R2TOutputMode::kCollective;
   variant_options.bowtie_split = align::BowtieSplit::kReads;
   const auto variant = run_pipeline(data.reads.reads, variant_options);
 

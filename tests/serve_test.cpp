@@ -374,16 +374,20 @@ TEST(JobServer, ReportCarriesJobAttribution) {
   EXPECT_EQ(report.at("preemptions").as_int(), 0);
 }
 
-TEST(JobServer, IndexModeJobSpecIsRejected) {
-  // ReadsToTranscripts index mode is gone: a job spec naming either of its
-  // keys is an invalid spec whose error names the key, and nothing runs.
-  const TempDir root("serve_index_mode");
+TEST(JobServer, RemovedR2TJobSpecKeysAreRejected) {
+  // ReadsToTranscripts index mode and its collective output are gone: a job
+  // spec naming one of their keys is an invalid spec whose error names the
+  // key, and nothing runs.
+  const TempDir root("serve_removed_r2t");
   ServerOptions options;
   options.total_ranks = 2;
   options.root_dir = root.str();
   JobServer server(options);
   const std::vector<std::pair<std::string, std::string>> keys = {
-      {"r2t-mode", "r2t-mode"}, {"r2t-index", "r2t-index"}, {"r2t_mode", "r2t-mode"}};
+      {"r2t-mode", "r2t-mode"},
+      {"r2t-index", "r2t-index"},
+      {"r2t_mode", "r2t-mode"},
+      {"r2t-output", "r2t-output"}};
   for (const auto& [key, field] : keys) {
     SCOPED_TRACE(key);
     const std::string text = R"({"tenant": "alice", "reads": ")" + shared_reads_path() +

@@ -1,22 +1,16 @@
 // Tests for the simpi extensions: one-sided shared counters (the
-// MPI_Fetch_and_op analogue), collective ordered file output (the MPI-I/O
-// analogue), and the alltoallv collective.
+// MPI_Fetch_and_op analogue) and the alltoallv collective.
 
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <numeric>
 #include <set>
 
 #include "simpi/context.hpp"
-#include "simpi/file_io.hpp"
 #include "simpi/rma.hpp"
-#include "test_helpers.hpp"
 
 namespace trinity::simpi {
 namespace {
-
-using trinity::testing::TempDir;
 
 // --- SharedCounter --------------------------------------------------------------
 
@@ -91,70 +85,6 @@ TEST(SharedCounterTest, OperationsChargeCommTime) {
     counter.fetch_add(1);
     EXPECT_GT(ctx.comm_seconds(), before);
   });
-}
-
-// --- write_file_ordered -----------------------------------------------------------
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-}
-
-class CollectiveWrite : public ::testing::TestWithParam<int> {};
-
-TEST_P(CollectiveWrite, ConcatenatesInRankOrder) {
-  const int nranks = GetParam();
-  const TempDir dir("cwrite");
-  const std::string path = dir.file("out.bin");
-  run(nranks, [&](Context& ctx) {
-    const std::string mine = "rank" + std::to_string(ctx.rank()) + ";";
-    write_file_ordered(ctx, path, mine);
-  });
-  std::string expected;
-  for (int r = 0; r < nranks; ++r) expected += "rank" + std::to_string(r) + ";";
-  EXPECT_EQ(read_file(path), expected);
-}
-
-TEST_P(CollectiveWrite, HandlesUnequalAndEmptyContributions) {
-  const int nranks = GetParam();
-  const TempDir dir("cwrite2");
-  const std::string path = dir.file("out.bin");
-  run(nranks, [&](Context& ctx) {
-    // Odd ranks contribute nothing; even ranks contribute rank+1 bytes.
-    std::string mine;
-    if (ctx.rank() % 2 == 0) {
-      mine.assign(static_cast<std::size_t>(ctx.rank()) + 1, 'a' + static_cast<char>(ctx.rank()));
-    }
-    write_file_ordered(ctx, path, mine);
-  });
-  std::string expected;
-  for (int r = 0; r < nranks; r += 2) {
-    expected.append(static_cast<std::size_t>(r) + 1, 'a' + static_cast<char>(r));
-  }
-  EXPECT_EQ(read_file(path), expected);
-}
-
-INSTANTIATE_TEST_SUITE_P(WorldSizes, CollectiveWrite, ::testing::Values(1, 2, 3, 5, 8));
-
-TEST(CollectiveWriteEdge, OverwritesExistingFile) {
-  const TempDir dir("cwrite3");
-  const std::string path = dir.file("out.bin");
-  {
-    std::ofstream out(path);
-    out << "previous content that is much longer than the new content";
-  }
-  run(2, [&](Context& ctx) {
-    write_file_ordered(ctx, path, ctx.rank() == 0 ? "ab" : "cd");
-  });
-  EXPECT_EQ(read_file(path), "abcd");
-}
-
-TEST(CollectiveWriteEdge, UnwritableDirectoryThrows) {
-  EXPECT_THROW(run(2,
-                   [&](Context& ctx) {
-                     write_file_ordered(ctx, "/nonexistent_dir_xyz/file.bin", "data");
-                   }),
-               std::runtime_error);
 }
 
 // --- Context::alltoallv ------------------------------------------------------------

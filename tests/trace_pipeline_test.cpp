@@ -46,9 +46,6 @@ PipelineOptions traced_options(const std::string& work_dir, int nranks) {
   o.max_mem_reads = 500;
   o.trace_sample_interval_ms = 0;
   o.omp_threads = 2;
-  // Collective output: every rank pwrites its slice of the shared file, so
-  // the trace carries io spans for every rank, not just rank 0.
-  o.r2t_output_mode = chrysalis::R2TOutputMode::kCollective;
   o.trace_path = "trace.json";
   return o;
 }
@@ -91,6 +88,7 @@ TEST(TracePipelineTest, TracedHybridRunEmitsValidTraceFromAllLayers) {
   for (int r = 0; r < nranks; ++r) {
     EXPECT_TRUE(span_ranks["simpi"].count(r)) << "no simpi spans for rank " << r;
     EXPECT_TRUE(span_ranks["loop"].count(r)) << "no loop spans for rank " << r;
+    // Every rank writes its own ReadsToTranscripts part file.
     EXPECT_TRUE(span_ranks["io"].count(r)) << "no io spans for rank " << r;
   }
 

@@ -235,7 +235,9 @@ TEST(TimelineTest, ExportedEventsAreMonotonicPerTrack) {
     const std::pair<std::int64_t, std::int64_t> track{e.at("pid").as_int(),
                                                       e.at("tid").as_int()};
     auto it = last_per_track.find(track);
-    if (it != last_per_track.end()) EXPECT_GE(ts, it->second);
+    if (it != last_per_track.end()) {
+      EXPECT_GE(ts, it->second);
+    }
     last_per_track[track] = ts;
   }
 }
