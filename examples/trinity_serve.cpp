@@ -57,8 +57,8 @@ int main(int argc, char** argv) {
                  "live metrics registry + instrumentation (--no-metrics "
                  "removes every hook)")
       .flag_double("metrics-period-s", 1.0,
-                   "exporter cadence for <root>/metrics.prom and "
-                   "<root>/metrics.json (0 = no exporter thread)");
+                   "exporter cadence for <root>/metrics.prom "
+                   "(0 = no exporter thread)");
   try {
     cfg.parse_cli(argc, argv);
   } catch (const ConfigError& e) {
@@ -101,8 +101,7 @@ int main(int argc, char** argv) {
   std::cout << "serving over " << server.total_ranks() << " rank(s), root "
             << server.root_dir() << '\n';
   if (server.exporter() != nullptr) {
-    std::cout << "metrics: " << server.exporter()->prom_path() << " and "
-              << server.exporter()->json_path() << " every "
+    std::cout << "metrics: " << server.exporter()->prom_path() << " every "
               << options.metrics_export_period_s << "s (watch with trinity_top)\n";
   }
 

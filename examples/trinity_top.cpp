@@ -1,7 +1,8 @@
 // trinity_top: live one-screen status for a running trinity_serve instance.
 //
-// Tails `<root>/metrics.json` (the versioned snapshot obs::MetricsExporter
-// publishes atomically every cycle) and renders the server at a glance:
+// Tails `<root>/metrics.prom` (the Prometheus text snapshot
+// obs::MetricsExporter publishes atomically every cycle), reads it through
+// the strict exposition parser, and renders the server at a glance:
 // queue depth and age, in-flight jobs with their current pipeline stage
 // (derived from the trinity_job_stage_heartbeat gauges), admission and
 // terminal-outcome totals, retry/preemption/kill rates, and latency
@@ -14,15 +15,15 @@
 //   ./build/examples/trinity_serve --jobs jobs.jsonl --root /tmp/serve &
 //   ./build/examples/trinity_top --root /tmp/serve
 //
-// `--check-prom FILE` instead runs the strict Prometheus text parser over
-// FILE and exits 0/1; scripts/check.sh uses it to validate metrics.prom.
+// `--check-prom FILE` instead runs the same parser over FILE and exits 0/1;
+// scripts/check.sh uses it to validate metrics.prom.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -153,9 +154,9 @@ std::vector<ActiveJob> active_jobs(const MetricsSnapshot& snap) {
   return jobs;
 }
 
-void render(const MetricsSnapshot& snap, const std::string& json_path) {
+void render(const MetricsSnapshot& snap, const std::string& path) {
   std::printf("trinity_top — %s  (snapshot #%llu, server uptime %s)\n",
-              json_path.c_str(), static_cast<unsigned long long>(snap.sequence),
+              path.c_str(), static_cast<unsigned long long>(snap.sequence),
               fmt_seconds(snap.uptime_s).c_str());
 
   const double depth = snap.value_or("trinity_serve_queue_depth", {});
@@ -259,20 +260,27 @@ void render(const MetricsSnapshot& snap, const std::string& json_path) {
   std::fflush(stdout);
 }
 
-int check_prom(const std::string& path) {
+/// The one read path: the whole file through the strict exposition parser.
+/// Returns nullopt when the file cannot be opened; a malformed or torn file
+/// throws std::runtime_error carrying the parser's line-located message.
+std::optional<MetricsSnapshot> read_snapshot(const std::string& path) {
   std::ifstream in(path);
-  if (!in) {
-    std::cerr << "trinity_top: cannot open " << path << '\n';
-    return 1;
-  }
+  if (!in) return std::nullopt;
   std::ostringstream text;
   text << in.rdbuf();
+  return trinity::obs::parse_prometheus_text(text.str());
+}
+
+int check_prom(const std::string& path) {
   try {
-    const MetricsSnapshot snap =
-        trinity::obs::parse_prometheus_text(text.str());
+    const std::optional<MetricsSnapshot> snap = read_snapshot(path);
+    if (!snap) {
+      std::cerr << "trinity_top: cannot open " << path << '\n';
+      return 1;
+    }
     std::size_t series = 0;
-    for (const auto& f : snap.families) series += f.series.size();
-    std::cout << path << ": valid Prometheus exposition, " << snap.families.size()
+    for (const auto& f : snap->families) series += f.series.size();
+    std::cout << path << ": valid Prometheus exposition, " << snap->families.size()
               << " families, " << series << " series\n";
     return 0;
   } catch (const std::exception& e) {
@@ -286,9 +294,9 @@ int check_prom(const std::string& path) {
 int main(int argc, char** argv) {
   using namespace trinity;
   Config cfg("trinity_top",
-             "live one-screen serve status from <root>/metrics.json");
+             "live one-screen serve status from <root>/metrics.prom");
   cfg.usage("--root DIR [--iterations N] | --check-prom FILE")
-      .flag_string("root", "", "serve root holding metrics.json (required)")
+      .flag_string("root", "", "serve root holding metrics.prom (required)")
       .flag_int("iterations", 0, "render this many frames then exit (0 = forever)")
       .flag_double("period-s", 1.0, "refresh interval between frames")
       .flag_bool("clear", true,
@@ -314,7 +322,7 @@ int main(int argc, char** argv) {
     std::cerr << "trinity_top: --root DIR is required (see --help)\n";
     return 2;
   }
-  const std::string json_path = root + "/metrics.json";
+  const std::string snapshot_path = root + "/metrics.prom";
   const long long iterations = cfg.get_int("iterations");
   const double period_s = cfg.get_double("period-s");
   const bool clear = cfg.get_bool("clear");
@@ -325,26 +333,24 @@ int main(int argc, char** argv) {
       std::this_thread::sleep_for(
           std::chrono::duration<double>(std::max(0.05, period_s)));
     }
-    std::ifstream in(json_path);
-    if (!in) {
-      std::printf("trinity_top: waiting for %s ...\n", json_path.c_str());
+    std::optional<MetricsSnapshot> snap;
+    try {
+      snap = read_snapshot(snapshot_path);
+    } catch (const std::exception& e) {
+      // The exporter publishes atomically, so a parse failure means a torn
+      // rename (after which the exporter is degraded and writes no more) or
+      // a file it did not write. Surface it and keep tailing.
+      std::printf("trinity_top: %s: %s\n", snapshot_path.c_str(), e.what());
       std::fflush(stdout);
       continue;
     }
-    std::ostringstream text;
-    text << in.rdbuf();
-    MetricsSnapshot snap;
-    try {
-      snap = obs::snapshot_from_json(util::Json::parse(text.str()));
-    } catch (const std::exception& e) {
-      // The exporter publishes atomically, so a parse failure means a real
-      // schema problem, not a torn write. Surface it and keep tailing.
-      std::printf("trinity_top: %s: %s\n", json_path.c_str(), e.what());
+    if (!snap) {
+      std::printf("trinity_top: waiting for %s ...\n", snapshot_path.c_str());
       std::fflush(stdout);
       continue;
     }
     if (clear && rendered_any) std::printf("\033[H\033[2J");
-    render(snap, json_path);
+    render(*snap, snapshot_path);
     rendered_any = true;
   }
   return rendered_any ? 0 : 1;

@@ -48,6 +48,17 @@ bool sharding_from_string(const std::string& text, ShardingStrategy* out) {
   return true;
 }
 
+namespace {
+
+/// Canonical form of a weld: lexicographic min of the sequence and its
+/// reverse complement, so both strands hash identically.
+std::string canonical_weld(const std::string& weld) {
+  std::string rc = seq::reverse_complement(weld);
+  return weld <= rc ? weld : std::move(rc);
+}
+
+}  // namespace
+
 namespace detail {
 
 kmer::FlatKmerIndex<std::uint32_t> shared_overlap_kmers(const std::vector<seq::Sequence>& contigs,
@@ -77,11 +88,6 @@ kmer::FlatKmerIndex<std::uint32_t> shared_overlap_kmers(const std::vector<seq::S
     i = j;
   }
   return shared;
-}
-
-std::string canonical_weld(const std::string& weld) {
-  std::string rc = seq::reverse_complement(weld);
-  return weld <= rc ? weld : std::move(rc);
 }
 
 void harvest_welds(const seq::Sequence& contig,

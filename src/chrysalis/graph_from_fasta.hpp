@@ -197,10 +197,6 @@ void find_weld_matches(const seq::Sequence& contig, std::int32_t contig_id,
 kmer::FlatKmerIndex<std::uint32_t> shared_overlap_kmers(const std::vector<seq::Sequence>& contigs,
                                                         int k);
 
-/// Canonical form of a weld: lexicographic min of the sequence and its
-/// reverse complement, so both strands hash identically.
-std::string canonical_weld(const std::string& weld);
-
 /// Sorted, deduplicated copy of `welds`. Exposed so tests can assert the
 /// pooled weld set is independent of the order ranks' parts arrived in.
 std::vector<std::string> dedup_welds(std::vector<std::string> welds);

@@ -17,22 +17,15 @@ MetricsExporter::MetricsExporter(const MetricsRegistry* registry,
 MetricsExporter::~MetricsExporter() { stop(); }
 
 std::string MetricsExporter::prom_path() const {
-  return options_.dir + "/" + options_.prom_name;
-}
-
-std::string MetricsExporter::json_path() const {
-  return options_.dir + "/" + options_.json_name;
+  return options_.dir + "/metrics.prom";
 }
 
 bool MetricsExporter::export_now() {
   if (degraded_.load(std::memory_order_relaxed)) return false;
-  const MetricsSnapshot snap = registry_->snapshot();
-  const std::string prom = to_prometheus(snap);
-  const std::string json = to_json(snap).dump(2) + "\n";
+  const std::string prom = to_prometheus(registry_->snapshot());
   std::lock_guard<std::mutex> lock(publish_mu_);
   try {
     io::write_file_atomic(prom_path(), prom);
-    io::write_file_atomic(json_path(), json);
   } catch (const io::IoError& e) {
     if (!e.transient()) degraded_.store(true, std::memory_order_relaxed);
     return false;

@@ -1,11 +1,11 @@
 // Periodic snapshot publication.
 //
 // MetricsExporter owns one background thread that every `period_s` renders a
-// registry snapshot and publishes it as `<dir>/metrics.prom` (Prometheus
-// text) and `<dir>/metrics.json` (versioned JSON, tailed by trinity_top).
-// Both files go through io::write_file_atomic — write tmp, fsync, rename —
-// so a reader never observes a partial document and the io fault matrix
-// (ENOSPC, EIO, short write, torn rename) applies to the publish path.
+// registry snapshot as Prometheus text and publishes it as
+// `<dir>/metrics.prom`, the one file trinity_top tails. The write goes
+// through io::write_file_atomic — write tmp, fsync, rename — so a reader
+// never observes a partial document and the io fault matrix (ENOSPC, EIO,
+// short write, torn rename) applies to the publish path.
 //
 // Failure discipline mirrors the job journal: a transient IoError skips the
 // cycle (not counted in cycles(), retried next tick); a permanent IoError marks the exporter
@@ -26,10 +26,8 @@
 namespace trinity::obs {
 
 struct ExporterOptions {
-  std::string dir;           ///< directory the snapshot files land in
+  std::string dir;           ///< directory metrics.prom lands in
   double period_s = 1.0;     ///< export cadence
-  std::string prom_name = "metrics.prom";
-  std::string json_name = "metrics.json";
 };
 
 class MetricsExporter {
@@ -41,7 +39,7 @@ class MetricsExporter {
   MetricsExporter& operator=(const MetricsExporter&) = delete;
 
   /// One synchronous export cycle (also what the thread runs). Returns true
-  /// when both files were published. Safe to call concurrently with the
+  /// when the snapshot was published. Safe to call concurrently with the
   /// thread; publication is serialized internally.
   bool export_now();
 
@@ -55,8 +53,8 @@ class MetricsExporter {
   /// True once a permanent IoError disabled publication.
   bool degraded() const { return degraded_.load(std::memory_order_relaxed); }
 
+  /// `<dir>/metrics.prom`.
   std::string prom_path() const;
-  std::string json_path() const;
 
  private:
   void loop();

@@ -1,5 +1,6 @@
 #include "obs/exposition.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -8,6 +9,7 @@
 #include <map>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 namespace trinity::obs {
 namespace {
@@ -101,140 +103,95 @@ bool valid_label_name(const std::string& name) {
   return true;
 }
 
+void append_family(std::string& out, const FamilySnapshot& family) {
+  out += "# HELP " + family.name + " " + escape_help(family.help) + "\n";
+  out += "# TYPE " + family.name + " ";
+  out += to_string(family.kind);
+  out += "\n";
+  for (const SeriesSnapshot& series : family.series) {
+    if (family.kind != MetricKind::kHistogram) {
+      out += family.name;
+      append_labels(out, series.labels);
+      out += ' ';
+      out += format_value(series.value);
+      out += '\n';
+      continue;
+    }
+    std::uint64_t cumulative = 0;
+    for (std::size_t i = 0; i < series.hist.buckets.size(); ++i) {
+      cumulative += series.hist.buckets[i];
+      const std::string le = i < series.hist.bounds.size()
+                                 ? format_value(series.hist.bounds[i])
+                                 : std::string("+Inf");
+      out += family.name + "_bucket";
+      append_labels(out, series.labels, le.c_str());
+      out += ' ';
+      out += format_value(static_cast<double>(cumulative));
+      out += '\n';
+    }
+    out += family.name + "_sum";
+    append_labels(out, series.labels);
+    out += ' ';
+    out += format_value(series.hist.sum);
+    out += '\n';
+    out += family.name + "_count";
+    append_labels(out, series.labels);
+    out += ' ';
+    out += format_value(static_cast<double>(cumulative));
+    out += '\n';
+  }
+}
+
+// The snapshot header travels as two unlabelled gauges that close the
+// document; parse_prometheus_text() lifts them back out of the families.
+constexpr std::string_view kSequenceFamily = "trinity_metrics_snapshot_sequence";
+constexpr std::string_view kUptimeFamily = "trinity_metrics_uptime_seconds";
+
+FamilySnapshot header_gauge(std::string_view name, std::string_view help,
+                            double value) {
+  FamilySnapshot family;
+  family.name = std::string(name);
+  family.help = std::string(help);
+  family.kind = MetricKind::kGauge;
+  family.series.push_back({{}, value, {}});
+  return family;
+}
+
+/// Removes the header gauge `name` from `snap` and returns its value.
+double take_header_gauge(MetricsSnapshot& snap, std::string_view name) {
+  const auto it =
+      std::find_if(snap.families.begin(), snap.families.end(),
+                   [&](const FamilySnapshot& f) { return f.name == name; });
+  if (it == snap.families.end()) {
+    throw std::runtime_error("metrics.prom: missing " + std::string(name) +
+                             " (truncated document?)");
+  }
+  if (it->kind != MetricKind::kGauge || it->series.size() != 1 ||
+      !it->series.front().labels.empty()) {
+    throw std::runtime_error("metrics.prom: " + std::string(name) +
+                             " must be one unlabelled gauge sample");
+  }
+  const double value = it->series.front().value;
+  snap.families.erase(it);
+  return value;
+}
+
 }  // namespace
 
 std::string to_prometheus(const MetricsSnapshot& snapshot) {
   std::string out;
   for (const FamilySnapshot& family : snapshot.families) {
-    out += "# HELP " + family.name + " " + escape_help(family.help) + "\n";
-    out += "# TYPE " + family.name + " ";
-    out += to_string(family.kind);
-    out += "\n";
-    for (const SeriesSnapshot& series : family.series) {
-      if (family.kind != MetricKind::kHistogram) {
-        out += family.name;
-        append_labels(out, series.labels);
-        out += ' ';
-        out += format_value(series.value);
-        out += '\n';
-        continue;
-      }
-      std::uint64_t cumulative = 0;
-      for (std::size_t i = 0; i < series.hist.buckets.size(); ++i) {
-        cumulative += series.hist.buckets[i];
-        const std::string le = i < series.hist.bounds.size()
-                                   ? format_value(series.hist.bounds[i])
-                                   : std::string("+Inf");
-        out += family.name + "_bucket";
-        append_labels(out, series.labels, le.c_str());
-        out += ' ';
-        out += format_value(static_cast<double>(cumulative));
-        out += '\n';
-      }
-      out += family.name + "_sum";
-      append_labels(out, series.labels);
-      out += ' ';
-      out += format_value(series.hist.sum);
-      out += '\n';
-      out += family.name + "_count";
-      append_labels(out, series.labels);
-      out += ' ';
-      out += format_value(static_cast<double>(cumulative));
-      out += '\n';
-    }
+    append_family(out, family);
   }
+  append_family(out, header_gauge(kSequenceFamily,
+                                  "Sequence number of this snapshot on the "
+                                  "publishing registry.",
+                                  static_cast<double>(snapshot.sequence)));
+  append_family(out, header_gauge(kUptimeFamily,
+                                  "Seconds since the publishing registry was "
+                                  "created.",
+                                  snapshot.uptime_s));
   return out;
-}
-
-util::Json to_json(const MetricsSnapshot& snapshot) {
-  util::Json doc = util::Json::object();
-  doc.set("schema_version", util::Json(kMetricsSchemaVersion));
-  doc.set("sequence", util::Json(snapshot.sequence));
-  doc.set("uptime_s", util::Json(snapshot.uptime_s));
-  util::Json families = util::Json::array();
-  for (const FamilySnapshot& family : snapshot.families) {
-    util::Json fj = util::Json::object();
-    fj.set("name", util::Json(family.name));
-    fj.set("type", util::Json(to_string(family.kind)));
-    fj.set("help", util::Json(family.help));
-    util::Json series = util::Json::array();
-    for (const SeriesSnapshot& s : family.series) {
-      util::Json sj = util::Json::object();
-      util::Json labels = util::Json::object();
-      for (const auto& [k, v] : s.labels) labels.set(k, util::Json(v));
-      sj.set("labels", std::move(labels));
-      if (family.kind == MetricKind::kHistogram) {
-        util::Json bounds = util::Json::array();
-        for (const double b : s.hist.bounds) bounds.push_back(util::Json(b));
-        util::Json buckets = util::Json::array();
-        for (const std::uint64_t b : s.hist.buckets) {
-          buckets.push_back(util::Json(b));
-        }
-        sj.set("bounds", std::move(bounds));
-        sj.set("buckets", std::move(buckets));
-        sj.set("count", util::Json(s.hist.count()));
-        sj.set("sum", util::Json(s.hist.sum));
-      } else {
-        const double v = s.value;
-        if (v == std::floor(v) && std::abs(v) < 9.0e15) {
-          sj.set("value", util::Json(static_cast<std::int64_t>(v)));
-        } else {
-          sj.set("value", util::Json(v));
-        }
-      }
-      series.push_back(std::move(sj));
-    }
-    fj.set("series", std::move(series));
-    families.push_back(std::move(fj));
-  }
-  doc.set("families", std::move(families));
-  return doc;
-}
-
-MetricsSnapshot snapshot_from_json(const util::Json& doc) {
-  const std::int64_t version = doc.at("schema_version").as_int();
-  if (version != kMetricsSchemaVersion) {
-    throw std::runtime_error("unsupported metrics schema version " +
-                             std::to_string(version));
-  }
-  MetricsSnapshot snap;
-  snap.sequence = static_cast<std::uint64_t>(doc.at("sequence").as_int());
-  snap.uptime_s = doc.at("uptime_s").as_double();
-  for (const util::Json& fj : doc.at("families").items()) {
-    FamilySnapshot family;
-    family.name = fj.at("name").as_string();
-    family.help = fj.at("help").as_string();
-    const std::string& type = fj.at("type").as_string();
-    if (type == "counter") family.kind = MetricKind::kCounter;
-    else if (type == "gauge") family.kind = MetricKind::kGauge;
-    else if (type == "histogram") family.kind = MetricKind::kHistogram;
-    else throw std::runtime_error("unknown metric type " + type);
-    for (const util::Json& sj : fj.at("series").items()) {
-      SeriesSnapshot series;
-      for (const auto& [k, v] : sj.at("labels").members()) {
-        series.labels.emplace_back(k, v.as_string());
-      }
-      if (family.kind == MetricKind::kHistogram) {
-        for (const util::Json& b : sj.at("bounds").items()) {
-          series.hist.bounds.push_back(b.as_double());
-        }
-        for (const util::Json& b : sj.at("buckets").items()) {
-          series.hist.buckets.push_back(
-              static_cast<std::uint64_t>(b.as_int()));
-        }
-        if (series.hist.buckets.size() != series.hist.bounds.size() + 1) {
-          throw std::runtime_error("histogram bucket/bound size mismatch in " +
-                                   family.name);
-        }
-        series.hist.sum = sj.at("sum").as_double();
-      } else {
-        series.value = sj.at("value").as_double();
-      }
-      family.series.push_back(std::move(series));
-    }
-    snap.families.push_back(std::move(family));
-  }
-  return snap;
 }
 
 // --- text-format parser ------------------------------------------------------
@@ -531,6 +488,21 @@ MetricsSnapshot parse_prometheus_text(const std::string& text) {
     }
     snap.families[family_index.at(name)].series.push_back(std::move(series));
   }
+
+  // The format ends every line with '\n'; a last line without one is a
+  // document cut short, even when its prefix happens to parse.
+  if (!text.empty() && text.back() != '\n') {
+    throw std::runtime_error("metrics.prom line " + std::to_string(lineno) +
+                             ": no newline at end of document (truncated?)");
+  }
+  const double sequence = take_header_gauge(snap, kSequenceFamily);
+  if (!(sequence >= 0.0 && sequence < 0x1p64) ||
+      sequence != std::floor(sequence)) {
+    throw std::runtime_error("metrics.prom: " + std::string(kSequenceFamily) +
+                             " must be a non-negative integer");
+  }
+  snap.sequence = static_cast<std::uint64_t>(sequence);
+  snap.uptime_s = take_header_gauge(snap, kUptimeFamily);
   return snap;
 }
 

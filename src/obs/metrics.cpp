@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 
 namespace trinity::obs {
@@ -85,63 +84,6 @@ double HistogramSnapshot::quantile(double q) const {
   return bounds.empty() ? 0.0 : bounds.back();
 }
 
-namespace {
-
-bool labels_equal(const Labels& a, const Labels& b) { return a == b; }
-
-SeriesSnapshot* find_series(FamilySnapshot& family, const Labels& labels) {
-  for (auto& s : family.series) {
-    if (labels_equal(s.labels, labels)) return &s;
-  }
-  return nullptr;
-}
-
-}  // namespace
-
-void MetricsSnapshot::merge(const MetricsSnapshot& other) {
-  sequence = std::max(sequence, other.sequence);
-  uptime_s = std::max(uptime_s, other.uptime_s);
-  for (const FamilySnapshot& theirs : other.families) {
-    FamilySnapshot* mine = nullptr;
-    for (auto& f : families) {
-      if (f.name == theirs.name) { mine = &f; break; }
-    }
-    if (mine == nullptr) {
-      families.push_back(theirs);
-      continue;
-    }
-    if (mine->kind != theirs.kind) {
-      throw std::logic_error("merge kind mismatch for metric " + mine->name);
-    }
-    for (const SeriesSnapshot& series : theirs.series) {
-      SeriesSnapshot* existing = find_series(*mine, series.labels);
-      if (existing == nullptr) {
-        mine->series.push_back(series);
-        continue;
-      }
-      switch (mine->kind) {
-        case MetricKind::kCounter:
-          existing->value += series.value;
-          break;
-        case MetricKind::kGauge:
-          existing->value = series.value;  // last-writer-wins
-          break;
-        case MetricKind::kHistogram: {
-          if (existing->hist.bounds != series.hist.bounds) {
-            throw std::logic_error("merge bucket-layout mismatch for metric " +
-                                   mine->name);
-          }
-          for (std::size_t i = 0; i < existing->hist.buckets.size(); ++i) {
-            existing->hist.buckets[i] += series.hist.buckets[i];
-          }
-          existing->hist.sum += series.hist.sum;
-          break;
-        }
-      }
-    }
-  }
-}
-
 const FamilySnapshot* MetricsSnapshot::find_family(std::string_view name) const {
   for (const auto& f : families) {
     if (f.name == name) return &f;
@@ -154,7 +96,7 @@ const SeriesSnapshot* MetricsSnapshot::find(std::string_view name,
   const FamilySnapshot* family = find_family(name);
   if (family == nullptr) return nullptr;
   for (const auto& s : family->series) {
-    if (labels_equal(s.labels, labels)) return &s;
+    if (s.labels == labels) return &s;
   }
   return nullptr;
 }
@@ -215,7 +157,7 @@ MetricsRegistry::Series& MetricsRegistry::series(
   }
   Family& family = it->second;
   for (Series& s : family.series) {
-    if (labels_equal(s.labels, labels)) return s;
+    if (s.labels == labels) return s;
   }
   Series s;
   s.labels = std::move(labels);

@@ -8,10 +8,9 @@
 // hot path costs a handful of relaxed atomic ops and the disabled path (no
 // registry wired up) costs exactly one pointer test.
 //
-// Snapshots are mergeable: counters and histogram buckets add, gauges are
-// last-writer-wins. obs::MetricsExporter (exporter.hpp) periodically renders
-// snapshots to <root>/metrics.prom and <root>/metrics.json via atomic
-// write+rename; exposition.hpp holds the render/parse round-trip.
+// obs::MetricsExporter (exporter.hpp) periodically renders snapshots to
+// <root>/metrics.prom via atomic write+rename; exposition.hpp holds the
+// render/parse round-trip.
 
 #pragma once
 
@@ -47,12 +46,10 @@ class Counter {
   std::atomic<double> value_{0.0};
 };
 
-/// Point-in-time value; set() overwrites, add() adjusts (e.g. +1/-1 around a
-/// region for an in-flight count).
+/// Point-in-time value; set() overwrites.
 class Gauge {
  public:
   void set(double v) { value_.store(v, std::memory_order_relaxed); }
-  void add(double by) { value_.fetch_add(by, std::memory_order_relaxed); }
   /// Raise the gauge to at least `v` (peak tracking).
   void set_max(double v) {
     double cur = value_.load(std::memory_order_relaxed);
@@ -123,11 +120,6 @@ struct MetricsSnapshot {
   std::uint64_t sequence = 0;  ///< bumped per snapshot() call on one registry
   double uptime_s = 0.0;       ///< seconds since the registry was created
   std::vector<FamilySnapshot> families;
-
-  /// Fold `other` into this snapshot: counters and histogram buckets add,
-  /// gauges take the incoming value (last-writer-wins). Kind or bucket-layout
-  /// conflicts throw std::logic_error.
-  void merge(const MetricsSnapshot& other);
 
   const FamilySnapshot* find_family(std::string_view name) const;
   const SeriesSnapshot* find(std::string_view name, const Labels& labels) const;

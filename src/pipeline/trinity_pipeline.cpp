@@ -156,14 +156,7 @@ class StageDriver {
     // Cancellation point: every completed stage has already committed its
     // checkpoint, so stopping here loses no work — a resume run continues
     // from this exact boundary.
-    if (options_.deadline && options_.deadline->load(std::memory_order_acquire)) {
-      trace::instant("stage.deadline", trace::kCatPipeline, name);
-      throw DeadlineExceededError(name);
-    }
-    if (options_.preempt && options_.preempt->load(std::memory_order_acquire)) {
-      trace::instant("stage.preempt", trace::kCatPipeline, name);
-      throw PreemptedError(name);
-    }
+    throw_if_cancelled(name);
     publish_heartbeat(name);
     if (can_resume(name, outputs)) {
       trace_.phase(name + ".resumed", load);
@@ -262,15 +255,21 @@ class StageDriver {
                    name + ": injected hang " + std::to_string(options_.hang_seconds) + "s");
     util::Timer wall;
     while (wall.seconds() < options_.hang_seconds) {
-      if (options_.deadline && options_.deadline->load(std::memory_order_acquire)) {
-        trace::instant("stage.deadline", trace::kCatPipeline, name);
-        throw DeadlineExceededError(name);
-      }
-      if (options_.preempt && options_.preempt->load(std::memory_order_acquire)) {
-        trace::instant("stage.preempt", trace::kCatPipeline, name);
-        throw PreemptedError(name);
-      }
+      throw_if_cancelled(name);
       checkpoint::sleep_seconds(0.01);
+    }
+  }
+
+  /// Observes both cancellation tokens: a raised deadline or preempt flag
+  /// leaves a trace instant and throws the matching typed error.
+  void throw_if_cancelled(const std::string& name) const {
+    if (options_.deadline && options_.deadline->load(std::memory_order_acquire)) {
+      trace::instant("stage.deadline", trace::kCatPipeline, name);
+      throw DeadlineExceededError(name);
+    }
+    if (options_.preempt && options_.preempt->load(std::memory_order_acquire)) {
+      trace::instant("stage.preempt", trace::kCatPipeline, name);
+      throw PreemptedError(name);
     }
   }
 
@@ -303,7 +302,6 @@ class StageDriver {
   Execution execute_with_retry(const std::string& name, const std::function<void()>& compute) {
     const checkpoint::RetryPolicy& policy = options_.retry;
     for (int attempt = 1;; ++attempt) {
-      util::Timer wall;
       std::exception_ptr error;
       const std::string label = attempt == 1 ? name : name + ".retry" + std::to_string(attempt);
       // The phase must close even when the stage throws, so the aborted
@@ -316,7 +314,8 @@ class StageDriver {
           error = std::current_exception();
         }
       });
-      if (!error) return {wall.seconds(), attempt};
+      // The closed phase already measured this attempt's wall time.
+      if (!error) return {trace_.records().back().wall_seconds, attempt};
       try {
         std::rethrow_exception(error);
       } catch (const simpi::RankFaultError& e) {

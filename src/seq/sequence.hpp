@@ -16,7 +16,6 @@ struct Sequence {
   std::string quality;
 
   [[nodiscard]] std::size_t length() const { return bases.size(); }
-  [[nodiscard]] bool has_quality() const { return !quality.empty(); }
 };
 
 /// Total bases across a set of sequences.

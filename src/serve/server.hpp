@@ -123,9 +123,8 @@ struct ServerOptions {
   /// one pointer test); on, each update is a few relaxed atomics.
   bool metrics = true;
   /// Exporter cadence: every period the registry snapshot is published
-  /// atomically as <root>/metrics.prom (Prometheus text) and
-  /// <root>/metrics.json (versioned schema, tailed by trinity_top), with
-  /// one final export at shutdown. 0 disables the exporter thread;
+  /// atomically as <root>/metrics.prom (Prometheus text, tailed by
+  /// trinity_top), with one final export at shutdown. 0 disables the exporter thread;
   /// metrics_snapshot() stays available either way.
   double metrics_export_period_s = 1.0;
 };

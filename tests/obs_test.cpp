@@ -1,12 +1,14 @@
 // The obs subsystem: lock-light registry semantics (identity, type safety,
 // exact totals under concurrent writers, monotonic counters across
-// snapshots), histogram bucket boundaries and quantiles, snapshot merging,
-// the Prometheus/JSON exposition round-trip, and the exporter's atomic
-// publication under the io fault matrix — a failed publish cycle must never
-// leave a torn or half-written snapshot where a reader would accept it.
+// snapshots), histogram bucket boundaries and quantiles, the Prometheus
+// exposition round-trip (snapshot header included), and the exporter's
+// atomic publication of metrics.prom under the io fault matrix — a failed
+// publish cycle must never leave a torn or half-written snapshot where a
+// reader would accept it.
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -20,7 +22,6 @@
 #include "obs/exposition.hpp"
 #include "obs/metrics.hpp"
 #include "test_helpers.hpp"
-#include "util/json.hpp"
 
 namespace trinity::obs {
 namespace {
@@ -65,12 +66,12 @@ TEST(MetricsRegistry, KindAndBucketConflictsThrow) {
   EXPECT_THROW(Histogram({2.0, 1.0}), std::logic_error);
 }
 
-TEST(MetricsRegistry, GaugeSetAddAndPeak) {
+TEST(MetricsRegistry, GaugeSetAndPeak) {
   MetricsRegistry registry;
   Gauge& g = registry.gauge("trinity_gauge", "help");
   g.set(5.0);
-  g.add(2.0);
-  EXPECT_DOUBLE_EQ(g.value(), 7.0);
+  g.set(2.0);
+  EXPECT_DOUBLE_EQ(g.value(), 2.0);
   Gauge& peak = registry.gauge("trinity_peak", "help");
   peak.set_max(3.0);
   peak.set_max(1.0);  // lower value must not regress the peak
@@ -136,39 +137,6 @@ TEST(MetricsRegistry, CountersMonotonicAcrossSnapshotCycles) {
   }
   EXPECT_DOUBLE_EQ(last_value, 0.0 + 1.0 + 2.0 + 3.0 + 4.0);
   EXPECT_EQ(last_count, 5u);
-}
-
-// --- snapshot merge ---------------------------------------------------------------
-
-TEST(MetricsSnapshot, MergeAddsCountersAndBucketsGaugesLastWriterWins) {
-  MetricsRegistry a, b;
-  a.counter("trinity_c_total", "help", {{"rank", "0"}}).inc(3.0);
-  b.counter("trinity_c_total", "help", {{"rank", "0"}}).inc(4.0);
-  b.counter("trinity_c_total", "help", {{"rank", "1"}}).inc(7.0);
-  a.gauge("trinity_g", "help").set(1.0);
-  b.gauge("trinity_g", "help").set(9.0);
-  a.histogram("trinity_h_seconds", "help", {1.0, 2.0}).observe(0.5);
-  b.histogram("trinity_h_seconds", "help", {1.0, 2.0}).observe(1.5);
-
-  MetricsSnapshot merged = a.snapshot();
-  merged.merge(b.snapshot());
-  EXPECT_DOUBLE_EQ(merged.value_or("trinity_c_total", {{"rank", "0"}}), 7.0);
-  EXPECT_DOUBLE_EQ(merged.value_or("trinity_c_total", {{"rank", "1"}}), 7.0);
-  EXPECT_DOUBLE_EQ(merged.value_or("trinity_g", {}), 9.0);
-  const SeriesSnapshot* h = merged.find("trinity_h_seconds", {});
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->hist.count(), 2u);
-  EXPECT_EQ(h->hist.buckets[0], 1u);
-  EXPECT_EQ(h->hist.buckets[1], 1u);
-  EXPECT_DOUBLE_EQ(h->hist.sum, 2.0);
-
-  // Kind conflicts and bucket-layout conflicts must refuse to merge.
-  MetricsRegistry c;
-  c.gauge("trinity_c_total", "help", {{"rank", "0"}});
-  EXPECT_THROW(merged.merge(c.snapshot()), std::logic_error);
-  MetricsRegistry d;
-  d.histogram("trinity_h_seconds", "help", {5.0}).observe(0.1);
-  EXPECT_THROW(merged.merge(d.snapshot()), std::logic_error);
 }
 
 TEST(HistogramSnapshot, QuantileInterpolatesWithinBucket) {
@@ -282,18 +250,34 @@ TEST(Exposition, PrometheusParserRejectsMalformedDocuments) {
                std::runtime_error);
 }
 
-TEST(Exposition, JsonRoundTripAndSchemaVersionGate) {
+TEST(Exposition, PrometheusRoundTripKeepsSnapshotHeader) {
   MetricsRegistry registry;
-  const MetricsSnapshot snap = exposition_fixture(registry).snapshot();
-  util::Json doc = to_json(snap);
-  EXPECT_EQ(doc.at("schema_version").as_int(), kMetricsSchemaVersion);
-  const MetricsSnapshot parsed =
-      snapshot_from_json(util::Json::parse(doc.dump(2)));
-  EXPECT_EQ(parsed.sequence, snap.sequence);
-  expect_same_families(snap, parsed);
+  exposition_fixture(registry).snapshot();
+  MetricsSnapshot snap = registry.snapshot();  // sequence 2
+  snap.uptime_s = 1234.5678901234567;          // not a short decimal
+  const std::string text = to_prometheus(snap);
+  EXPECT_NE(text.find("\ntrinity_metrics_snapshot_sequence 2\n"),
+            std::string::npos) << text;
+  EXPECT_NE(text.find("# TYPE trinity_metrics_uptime_seconds gauge"),
+            std::string::npos) << text;
 
-  doc.set("schema_version", static_cast<std::int64_t>(kMetricsSchemaVersion + 1));
-  EXPECT_THROW(snapshot_from_json(doc), std::runtime_error);
+  const MetricsSnapshot parsed = parse_prometheus_text(text);
+  EXPECT_EQ(parsed.sequence, 2u);
+  EXPECT_EQ(parsed.uptime_s, snap.uptime_s);  // exact, not approximately
+  // The header gauges are lifted out, not left behind as families.
+  expect_same_families(snap, parsed);
+}
+
+TEST(Exposition, EveryPrefixOfADocumentIsRejected) {
+  // The header gauges close the document and the last line needs its
+  // newline, so wherever a torn write cuts, the strict parser refuses it.
+  MetricsRegistry registry;
+  const std::string text = to_prometheus(exposition_fixture(registry).snapshot());
+  ASSERT_NO_THROW(parse_prometheus_text(text));
+  for (std::size_t len = 0; len < text.size(); ++len) {
+    EXPECT_THROW(parse_prometheus_text(text.substr(0, len)), std::runtime_error)
+        << "prefix of " << len << " bytes parsed";
+  }
 }
 
 // --- exporter under the io fault matrix -------------------------------------------
@@ -306,9 +290,19 @@ TEST(MetricsExporter, ExportNowPublishesParseableFiles) {
   ASSERT_TRUE(exporter.export_now());
   const MetricsSnapshot prom = parse_prometheus_text(slurp(exporter.prom_path()));
   EXPECT_DOUBLE_EQ(prom.value_or("trinity_ops_total", {}), 5.0);
-  const MetricsSnapshot json =
-      snapshot_from_json(util::Json::parse(slurp(exporter.json_path())));
-  EXPECT_DOUBLE_EQ(json.value_or("trinity_ops_total", {}), 5.0);
+  EXPECT_EQ(prom.sequence, 1u);
+  exporter.stop();
+}
+
+TEST(MetricsExporter, PublishesOneFile) {
+  TempDir dir("obs_export_one");
+  MetricsRegistry registry;
+  registry.counter("trinity_ops_total", "help").inc(1.0);
+  MetricsExporter exporter(&registry, {dir.str(), /*period_s=*/60.0});
+  ASSERT_TRUE(exporter.export_now());
+  EXPECT_EQ(exporter.prom_path(), dir.str() + "/metrics.prom");
+  EXPECT_TRUE(std::filesystem::exists(dir.str() + "/metrics.prom"));
+  EXPECT_FALSE(std::filesystem::exists(dir.str() + "/metrics.json"));
   exporter.stop();
 }
 
@@ -382,11 +376,6 @@ TEST(MetricsExporter, TornRenameNeverPassesOffAPartialSnapshot) {
   EXPECT_TRUE(exporter.degraded());
   EXPECT_THROW(parse_prometheus_text(slurp(exporter.prom_path())),
                std::runtime_error);
-  // metrics.json is committed after metrics.prom, so the failed cycle never
-  // touched it: trinity_top keeps rendering the last complete snapshot.
-  const MetricsSnapshot json =
-      snapshot_from_json(util::Json::parse(slurp(exporter.json_path())));
-  EXPECT_DOUBLE_EQ(json.value_or("trinity_ops_total", {}), 1.0);
   exporter.stop();
 }
 
@@ -401,8 +390,7 @@ TEST(MetricsExporter, BackgroundThreadPublishesAndStopFlushesFinalTotals) {
   }
   exporter.stop();  // final export lands the terminal totals
   EXPECT_GE(exporter.cycles(), 1u);
-  const MetricsSnapshot snap =
-      snapshot_from_json(util::Json::parse(slurp(exporter.json_path())));
+  const MetricsSnapshot snap = parse_prometheus_text(slurp(exporter.prom_path()));
   EXPECT_DOUBLE_EQ(snap.value_or("trinity_ops_total", {}), 10.0);
 }
 

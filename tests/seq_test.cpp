@@ -356,7 +356,7 @@ TEST(FastqIO, QualityRoundTrips) {
   EXPECT_EQ(got[0].bases, "ACGT");
   EXPECT_EQ(got[0].quality, "FF#F");
   EXPECT_EQ(got[1].quality, "##");
-  EXPECT_TRUE(got[0].has_quality());
+  EXPECT_FALSE(got[0].quality.empty());
 }
 
 TEST(FastaIO, FastaRecordsHaveNoQuality) {
@@ -364,7 +364,7 @@ TEST(FastaIO, FastaRecordsHaveNoQuality) {
   write_fasta(dir.file("f.fa"), {{"a", "ACGT"}});
   const auto got = read_all(dir.file("f.fa"));
   ASSERT_EQ(got.size(), 1u);
-  EXPECT_FALSE(got[0].has_quality());
+  EXPECT_TRUE(got[0].quality.empty());
 }
 
 TEST(FastaIO, TotalBasesSums) {

@@ -241,16 +241,15 @@ TEST(ServeMetrics, SnapshotTotalsMatchRunReportsAndAccounting) {
             static_cast<double>(replayed));
 
   // --- the exporter's terminal snapshot ------------------------------------
-  // shutdown() flushes a final export: both files parse and agree with the
-  // in-memory totals.
+  // shutdown() flushes a final export: metrics.prom parses and agrees with
+  // the in-memory totals, and is the only snapshot file in the root.
   const obs::MetricsSnapshot prom =
       obs::parse_prometheus_text(slurp(server.exporter()->prom_path()));
   EXPECT_EQ(sum_counter(prom, "trinity_serve_jobs_total"), 5.0);
-  const obs::MetricsSnapshot json = obs::snapshot_from_json(
-      util::Json::parse(slurp(server.exporter()->json_path())));
-  EXPECT_EQ(sum_counter(json, "trinity_serve_jobs_total"), 5.0);
-  EXPECT_EQ(sum_counter(json, "trinity_serve_jobs_rejected_total"),
+  EXPECT_EQ(sum_counter(prom, "trinity_serve_jobs_rejected_total"),
             static_cast<double>(rejected));
+  EXPECT_GT(prom.sequence, 0u);
+  EXPECT_FALSE(std::filesystem::exists(root.str() + "/metrics.json"));
 }
 
 TEST(ServeMetrics, DisabledMetricsMeansNoRegistryAndNoExporter) {
@@ -266,7 +265,7 @@ TEST(ServeMetrics, DisabledMetricsMeansNoRegistryAndNoExporter) {
   server.drain();
   server.shutdown();
   EXPECT_EQ(server.jobs().front().state, JobState::kCompleted);
-  EXPECT_FALSE(std::filesystem::exists(root.str() + "/metrics.json"));
+  EXPECT_FALSE(std::filesystem::exists(root.str() + "/metrics.prom"));
   const obs::MetricsSnapshot snap = server.metrics_snapshot();
   EXPECT_TRUE(snap.families.empty());
 }

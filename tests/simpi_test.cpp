@@ -339,7 +339,7 @@ TEST(SimpiPack, PoolUnpacksConcatenatedFrames) {
 
 TEST(SimpiPack, TruncatedBufferThrows) {
   auto bytes = pack_strings({"ACGTACGT"});
-  bytes.resize(bytes.size() - 3);
+  bytes.erase(bytes.end() - 3, bytes.end());
   EXPECT_THROW(unpack_strings(bytes), std::runtime_error);
 
   // A length prefix so large that pos + len wraps past zero must still
