@@ -1,7 +1,9 @@
 // What input tolerance costs — parser throughput under each ParsePolicy
-// over a clean read file and a corrupted copy (a percentage of records
+// over a clean FASTQ read file, a corrupted copy (a percentage of records
 // damaged with the corpus categories: flipped headers, bad separators,
-// invalid bases, quality-length mismatches).
+// invalid bases, quality-length mismatches), and the clean reads as
+// single-line FASTA, the shape of the pipeline's own reads.fa that
+// ReadsToTranscripts streams.
 //
 // Strict mode over the corrupted file throws on the first malformed
 // record, so its "corrupted" row reports the failure location instead of
@@ -15,13 +17,14 @@
 
 #include "bench_common.hpp"
 #include "io/error.hpp"
+#include "seq/fasta.hpp"
 #include "util/timer.hpp"
 
 namespace {
 
 struct Measurement {
   std::string policy;
-  std::string input;  // "clean" or "corrupted"
+  std::string input;  // "clean", "corrupted" (FASTQ) or "clean-fasta"
   bool completed = false;
   double wall_seconds = 0.0;
   std::int64_t records_ok = 0;
@@ -99,6 +102,8 @@ int main(int argc, char** argv) {
   std::filesystem::create_directories(dir);
   const auto clean = write_reads(reads, dir + "/clean.fq", 0);
   const auto corrupted = write_reads(reads, dir + "/corrupted.fq", corrupt_every);
+  const std::string clean_fasta = dir + "/clean.fa";
+  seq::write_fasta(clean_fasta, reads);
   std::printf("workload: %zu reads; 1 in %zu records damaged in the corrupted copy\n\n",
               reads.size(), corrupt_every);
 
@@ -107,21 +112,22 @@ int main(int argc, char** argv) {
        {seq::ParsePolicy::kStrict, seq::ParsePolicy::kTolerant, seq::ParsePolicy::kRepair}) {
     series.push_back(measure(clean, "clean", policy));
     series.push_back(measure(corrupted, "corrupted", policy));
+    series.push_back(measure(clean_fasta, "clean-fasta", policy));
   }
 
-  std::printf("%-9s %-10s %10s %12s %10s %12s %9s\n", "policy", "input", "wall(s)",
+  std::printf("%-9s %-11s %10s %12s %10s %12s %9s\n", "policy", "input", "wall(s)",
               "reads/s", "ok", "quarantined", "repaired");
   for (const auto& m : series) {
     if (m.completed) {
       const double rate =
           m.wall_seconds > 0.0 ? static_cast<double>(m.records_ok) / m.wall_seconds : 0.0;
-      std::printf("%-9s %-10s %10.4f %12.0f %10lld %12lld %9lld\n", m.policy.c_str(),
+      std::printf("%-9s %-11s %10.4f %12.0f %10lld %12lld %9lld\n", m.policy.c_str(),
                   m.input.c_str(), m.wall_seconds, rate,
                   static_cast<long long>(m.records_ok),
                   static_cast<long long>(m.quarantined),
                   static_cast<long long>(m.repaired));
     } else {
-      std::printf("%-9s %-10s %10.4f   ParseError: %s\n", m.policy.c_str(), m.input.c_str(),
+      std::printf("%-9s %-11s %10.4f   ParseError: %s\n", m.policy.c_str(), m.input.c_str(),
                   m.wall_seconds, m.error.c_str());
     }
   }

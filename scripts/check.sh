@@ -90,7 +90,8 @@
 #      GCC 12's -O3 -Wrestrict false positive on `const char* +
 #      std::string&&` (inside char_traits.h) fires in ten test files.
 #  14. ASan+UBSan build (-DTRINITY_SANITIZE=ON) running the checkpoint, io,
-#      simpi (CommStats included), trace, config, flat-index, k-mer
+#      sequence (FASTA/FASTQ reader and parse policies), simpi (CommStats
+#      included), trace, config, flat-index, k-mer
 #      (counter, Inchworm, de Bruijn, aligner), stage-file loader
 #      (components, Butterfly), GraphFromFasta and ReadsToTranscripts
 #      (hybrid drivers over simpi ranks and OpenMP threads), serve and
@@ -105,7 +106,8 @@
 #      exporter thread snapshots them; for the SW kernels, unaligned AVX2
 #      loads and stores past each anti-diagonal's last row; for the
 #      stage-file loaders, corrupt headers and ids that used to index out
-#      of bounds), where
+#      of bounds; for the FASTA reader, pointer arithmetic over its raw
+#      block buffer), where
 #      sanitizers earn their keep.
 #  15. ThreadSanitizer build (build-tsan/, -fsanitize=thread) running the
 #      simpi (collectives, fault injection, CommStats, extensions), union-
@@ -348,18 +350,18 @@ if [ "${1:-}" = "--skip-sanitize" ]; then
     exit 0
 fi
 
-echo "== ASan+UBSan: checkpoint + io + simpi + trace + config + flat index + k-mer + serve + obs + sw + stage-file + chrysalis tests =="
+echo "== ASan+UBSan: checkpoint + io + seq + simpi + trace + config + flat index + k-mer + serve + obs + sw + stage-file + chrysalis tests =="
 cmake -B build-asan -S . -DTRINITY_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-asan -j "$jobs" --target \
     checkpoint_test simpi_fault_test simpi_test simpi_extensions_test dsu_test \
-    pipeline_checkpoint_test io_fault_test seq_parse_policy_test trace_test \
+    pipeline_checkpoint_test io_fault_test seq_test seq_parse_policy_test trace_test \
     config_test flat_index_test kmer_test inchworm_test debruijn_test align_test \
     serve_test serve_fault_test \
     serve_recovery_test serve_watchdog_test obs_test serve_metrics_test \
     sw_test sw_kernel_test validate_test components_io_test butterfly_test \
     chrysalis_gff_test chrysalis_r2t_test simpi_comm_stats_test
 for t in checkpoint_test simpi_fault_test simpi_test simpi_extensions_test dsu_test \
-         pipeline_checkpoint_test io_fault_test seq_parse_policy_test trace_test \
+         pipeline_checkpoint_test io_fault_test seq_test seq_parse_policy_test trace_test \
          config_test flat_index_test kmer_test inchworm_test debruijn_test align_test \
          serve_test serve_fault_test \
          serve_recovery_test serve_watchdog_test obs_test serve_metrics_test \

@@ -3,9 +3,12 @@
 #include <omp.h>
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cstdio>
+#include <exception>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
 
 #include "chrysalis/parallel_loop.hpp"
@@ -13,6 +16,7 @@
 #include "seq/fasta.hpp"
 #include "seq/kmer.hpp"
 #include "simpi/pack.hpp"
+#include "trace/span_recorder.hpp"
 #include "util/timer.hpp"
 
 namespace trinity::chrysalis {
@@ -114,50 +118,128 @@ struct StreamStats {
   io::ParseDiagnostics parse;  ///< empty on ranks that never read the file
 };
 
-/// Classifies one in-memory chunk with an OpenMP team, appending to
-/// `assignments` and charging the modeled loop seconds to `stats`.
-void classify_chunk(const std::vector<seq::Sequence>& chunk, std::int64_t base_index,
-                    const kmer::FlatKmerIndex<std::int32_t>& bundle_of,
-                    const ReadsToTranscriptsOptions& options, int real_threads,
-                    std::vector<ReadAssignment>& assignments, StreamStats& stats) {
-  const std::size_t offset = assignments.size();
-  assignments.resize(offset + chunk.size());
-  const std::vector<IndexRange> all{IndexRange{0, chunk.size()}};
-  stats.loop_seconds += timed_parallel_loop(
-      all, real_threads, options.model_threads_per_rank,
-      [&](std::size_t i) {
-        const std::int64_t read_index = base_index + static_cast<std::int64_t>(i);
+/// One in-memory chunk of reads and the file index of its first read.
+struct Chunk {
+  std::vector<seq::Sequence> reads;
+  std::int64_t base_index = 0;
+};
+
+/// The one chunk loop. `next_owned(chunk)` fills `chunk` with the next
+/// chunk this rank classifies, empty at the end of the stream, and charges
+/// to `stats` what of its own CPU the model counts. One OpenMP region
+/// serves the whole stream: while the team classifies chunk i with a
+/// dynamic `omp for`, its master thread (the rank's own thread) pulls chunk
+/// i+1 into the other buffer and then joins the loop, so the team never
+/// waits on a serial parse and at most two chunks are in memory. A team of
+/// one (a hybrid rank's default) has nothing to overlap the pull with: it
+/// classifies chunk i, frees it and then pulls chunk i+1, holding one
+/// chunk. The team's classification CPU is divided by
+/// model_threads_per_rank (the parallel_loop.hpp rule). An exception from
+/// `next_owned` ends the loop after the chunk in flight and is rethrown
+/// once the region has closed.
+template <typename Source>
+void classify_stream(Source&& next_owned, const kmer::FlatKmerIndex<std::int32_t>& bundle_of,
+                     const ReadsToTranscriptsOptions& options, int real_threads,
+                     std::vector<ReadAssignment>& assignments, StreamStats& stats) {
+  std::array<Chunk, 2> chunks;
+  next_owned(chunks[0]);
+  bool stop = chunks[0].reads.empty();
+  std::size_t offset = assignments.size();
+  assignments.resize(offset + chunks[0].reads.size());
+  std::exception_ptr error;
+  double pull_cpu = 0.0;  // the master's CPU inside next_owned
+  double team_cpu = 0.0;
+  const bool traced = trace::enabled();
+  const int trace_rank = traced ? trace::current_rank() : -1;
+#pragma omp parallel num_threads(real_threads) reduction(+ : team_cpu)
+  {
+    util::ThreadCpuTimer cpu;
+    const int tid = omp_get_thread_num();
+    const bool read_ahead = omp_get_num_threads() > 1;
+    std::size_t cur = 0;
+    const auto pull_next = [&] {
+      util::ThreadCpuTimer pull;
+      try {
+        next_owned(chunks[1 - cur]);
+      } catch (...) {
+        error = std::current_exception();
+      }
+      pull_cpu += pull.seconds();
+    };
+    for (std::int64_t chunk_no = 0; !stop; ++chunk_no) {
+      if (tid == 0 && read_ahead) pull_next();
+      Chunk& chunk = chunks[cur];
+      std::optional<trace::SpanScope> span;
+      if (traced) span.emplace("r2t.chunk", trace::kCatLoop, trace_rank, tid);
+      std::int64_t items = 0;
+      const auto size = static_cast<std::int64_t>(chunk.reads.size());
+#pragma omp for schedule(dynamic)
+      for (std::int64_t i = 0; i < size; ++i) {
+        const auto& read = chunk.reads[static_cast<std::size_t>(i)];
+        const std::int64_t read_index = chunk.base_index + i;
         // kernel_repeats: see the options doc; extra iterations are discarded.
         for (int rep = 1; rep < options.kernel_repeats; ++rep) {
-          (void)detail::assign_read(chunk[i], read_index, bundle_of, options.k);
+          (void)detail::assign_read(read, read_index, bundle_of, options.k);
         }
-        assignments[offset + i] =
-            detail::assign_read(chunk[i], read_index, bundle_of, options.k);
-      },
-      "r2t.chunk");
-  ++stats.chunks;
+        assignments[offset + static_cast<std::size_t>(i)] =
+            detail::assign_read(read, read_index, bundle_of, options.k);
+        ++items;
+      }
+      if (span) {
+        span->arg("chunk", static_cast<double>(chunk_no));
+        span->arg("items", static_cast<double>(items));
+        span.reset();
+      }
+      if (!read_ahead) {
+        chunk.reads = std::vector<seq::Sequence>();
+        pull_next();
+      }
+      cur = 1 - cur;
+#pragma omp single
+      {
+        ++stats.chunks;
+        stop = error != nullptr || chunks[cur].reads.empty();
+        offset = assignments.size();
+        assignments.resize(offset + chunks[cur].reads.size());
+      }
+    }
+    team_cpu += cpu.seconds();
+  }
+  if (error) std::rethrow_exception(error);
+  stats.loop_seconds +=
+      (team_cpu - pull_cpu) / static_cast<double>(std::max(options.model_threads_per_rank, 1));
 }
 
-/// The one reader loop: streams the reads file on the calling thread in
-/// chunks of max_mem_reads and hands each (chunk, chunk_index, base_index)
-/// to `visit`, which classifies the chunks its rank owns and skips or
-/// sends the rest. The read CPU is charged to `stats`, as the paper's
-/// redundant streaming pays it for the whole file on every rank.
-template <typename Visit>
-void for_each_chunk(const std::string& reads_path, const ReadsToTranscriptsOptions& options,
-                    StreamStats& stats, Visit&& visit) {
-  seq::FastaReader reader(reads_path, options.parse_policy);
-  std::int64_t base_index = 0;
-  for (std::int64_t chunk_index = 0;; ++chunk_index) {
+/// The reads file as chunks of max_mem_reads, numbered from 0. The parse
+/// CPU is charged to the main loop undivided: redundant streaming pays it
+/// for the whole file on every rank.
+class ChunkReader {
+ public:
+  ChunkReader(const std::string& path, const ReadsToTranscriptsOptions& options)
+      : reader_(path, options.parse_policy), max_reads_(options.max_mem_reads) {}
+
+  /// Replaces `chunk` with the next chunk, empty at the end of the file,
+  /// and returns its index.
+  std::int64_t next(Chunk& chunk, StreamStats& stats) {
     util::ThreadCpuTimer read_cpu;
-    const auto chunk = reader.read_chunk(options.max_mem_reads);
+    // Free the last chunk, storage included, before parsing the next
+    // (assigning `{}` would keep the vector's capacity).
+    chunk.reads = std::vector<seq::Sequence>();
+    chunk.reads = reader_.read_chunk(max_reads_);
     stats.loop_seconds += read_cpu.seconds();
-    if (chunk.empty()) break;
-    visit(chunk, chunk_index, base_index);
-    base_index += static_cast<std::int64_t>(chunk.size());
+    chunk.base_index = base_index_;
+    base_index_ += static_cast<std::int64_t>(chunk.reads.size());
+    return index_++;
   }
-  stats.parse = reader.diagnostics();
-}
+
+  [[nodiscard]] const io::ParseDiagnostics& diagnostics() const { return reader_.diagnostics(); }
+
+ private:
+  seq::FastaReader reader_;
+  std::size_t max_reads_;
+  std::int64_t index_ = 0;
+  std::int64_t base_index_ = 0;
+};
 
 /// Classifies the chunks whose index is congruent to `offset` modulo
 /// `stride` and skips the rest: (1, 0) for run_shared, (size, rank) for
@@ -168,19 +250,19 @@ StreamStats stream_owned_chunks(const std::string& reads_path,
                                 int stride, int offset,
                                 std::vector<ReadAssignment>& assignments) {
   StreamStats stats;
-  for_each_chunk(reads_path, options, stats,
-                 [&](const std::vector<seq::Sequence>& chunk, std::int64_t chunk_index,
-                     std::int64_t base_index) {
-                   if (chunk_index % stride != offset) return;
-                   classify_chunk(chunk, base_index, bundle_of, options, threads, assignments,
-                                  stats);
-                 });
+  ChunkReader reader(reads_path, options);
+  const auto next_owned = [&](Chunk& chunk) {
+    while (reader.next(chunk, stats) % stride != offset && !chunk.reads.empty()) {
+    }
+  };
+  classify_stream(next_owned, bundle_of, options, threads, assignments, stats);
+  stats.parse = reader.diagnostics();
   return stats;
 }
 
 /// Master/slave ablation: rank 0 reads, classifies chunk 0 mod P and
 /// ships the others round-robin; an empty payload is the end-of-stream
-/// sentinel.
+/// sentinel. Only rank 0's read CPU is charged, not the shipping.
 StreamStats master_slave_chunks(simpi::Context& ctx, const std::string& reads_path,
                                 const kmer::FlatKmerIndex<std::int32_t>& bundle_of,
                                 const ReadsToTranscriptsOptions& options,
@@ -188,33 +270,32 @@ StreamStats master_slave_chunks(simpi::Context& ctx, const std::string& reads_pa
   constexpr int kChunkTag = 7;
   StreamStats stats;
   if (ctx.rank() != 0) {
-    for (;;) {
-      const auto msg = ctx.recv_bytes(0, kChunkTag);
-      const auto wire = simpi::unpack_strings(msg.payload);
-      if (wire.empty()) break;
-      const std::int64_t base_index = std::stoll(wire.front());
-      std::vector<seq::Sequence> chunk(wire.size() - 1);
-      for (std::size_t i = 1; i < wire.size(); ++i) chunk[i - 1].bases = wire[i];
-      classify_chunk(chunk, base_index, bundle_of, options, threads, assignments, stats);
-    }
+    const auto receive = [&](Chunk& chunk) {
+      auto wire = simpi::unpack_strings(ctx.recv_bytes(0, kChunkTag).payload);
+      chunk.reads.clear();
+      if (wire.empty()) return;
+      chunk.base_index = std::stoll(wire.front());
+      chunk.reads.resize(wire.size() - 1);
+      for (std::size_t i = 1; i < wire.size(); ++i) chunk.reads[i - 1].bases = std::move(wire[i]);
+    };
+    classify_stream(receive, bundle_of, options, threads, assignments, stats);
     return stats;
   }
-  for_each_chunk(
-      reads_path, options, stats,
-      [&](const std::vector<seq::Sequence>& chunk, std::int64_t chunk_index,
-          std::int64_t base_index) {
-        const int dest = static_cast<int>(chunk_index % ctx.size());
-        if (dest == 0) {
-          classify_chunk(chunk, base_index, bundle_of, options, threads, assignments, stats);
-          return;
-        }
-        std::vector<std::string> wire;
-        wire.reserve(chunk.size() + 1);
-        wire.push_back(std::to_string(base_index));
-        for (const auto& read : chunk) wire.push_back(read.bases);
-        ctx.send_bytes(dest, kChunkTag, simpi::pack_strings(wire));
-      });
+  ChunkReader reader(reads_path, options);
+  const auto next_owned = [&](Chunk& chunk) {
+    for (;;) {
+      const int dest = static_cast<int>(reader.next(chunk, stats) % ctx.size());
+      if (dest == 0 || chunk.reads.empty()) return;
+      std::vector<std::string> wire;
+      wire.reserve(chunk.reads.size() + 1);
+      wire.push_back(std::to_string(chunk.base_index));
+      for (auto& read : chunk.reads) wire.push_back(std::move(read.bases));
+      ctx.send_bytes(dest, kChunkTag, simpi::pack_strings(wire));
+    }
+  };
+  classify_stream(next_owned, bundle_of, options, threads, assignments, stats);
   for (int r = 1; r < ctx.size(); ++r) ctx.send_bytes(r, kChunkTag, simpi::pack_strings({}));
+  stats.parse = reader.diagnostics();
   return stats;
 }
 

@@ -35,7 +35,7 @@ namespace trinity::pipeline {
 /// pipeline run — quarantined, deadline-killed, hung, or permanently
 /// failed — so the ledger is reconstructible for every terminal job.
 /// v5 removes the two ReadsToTranscripts read-prefetch counters (hidden
-/// parse and blocked wait seconds): the chunk loop is synchronous. v6
+/// parse and blocked wait seconds) with the prefetch thread that kept them. v6
 /// removes GraphFromFasta's overlap-credit seconds: owner sharding routes
 /// welds with the blocking alltoallv, so no compute hides behind the exchange.
 /// v7 removes ReadsToTranscripts' `r2t_mode` and `index_*` fields with the

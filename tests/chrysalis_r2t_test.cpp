@@ -5,13 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
+#include <optional>
 
 #include "chrysalis/components.hpp"
 #include "chrysalis/reads_to_transcripts.hpp"
+#include "io/error.hpp"
 #include "seq/dna.hpp"
 #include "seq/fasta.hpp"
 #include "simpi/context.hpp"
@@ -179,6 +183,134 @@ bool same_assignments(const std::vector<ReadAssignment>& a,
                       const std::vector<ReadAssignment>& b) {
   return a.size() == b.size() &&
          (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(ReadAssignment)) == 0);
+}
+
+TEST(R2TShared, TeamSizeAndChunkSizeGiveByteIdenticalOutput) {
+  // The chunk loop with a team of one (classify, then parse) and of 2-4
+  // (parse the next chunk while the team classifies), over chunks of one
+  // read, a remainder chunk, the pipeline's 5,000 and more than the file:
+  // the assignments and readsToComponents.out.tsv equal the 1-thread run's.
+  const TempDir dir("r2t_teams");
+  Fixture f = build_fixture(4, 1300, 43);
+  seq::write_fasta(dir.file("reads.fa"), f.reads);
+  std::ofstream(dir.file("empty.fa")).close();
+  const std::size_t n = f.reads.size();
+  ASSERT_GT(n, 5000u);
+
+  const TempDir ref_dir("r2t_teams_ref");
+  auto ref_options = test_options();
+  ref_options.omp_threads = 1;
+  const auto reference =
+      run_shared(f.contigs, f.components, dir.file("reads.fa"), ref_options, ref_dir.str());
+  ASSERT_EQ(reference.assignments.size(), n);
+  const std::string reference_tsv = read_file(reference.merged_output_path);
+
+  for (const int threads : {1, 2, 3, 4}) {
+    for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}, std::size_t{5000}, n + 1}) {
+      SCOPED_TRACE("threads " + std::to_string(threads) + ", max_mem_reads " +
+                   std::to_string(chunk));
+      auto options = test_options(chunk);
+      options.omp_threads = threads;
+      const TempDir out("r2t_teams_out");
+      const auto result =
+          run_shared(f.contigs, f.components, dir.file("reads.fa"), options, out.str());
+      EXPECT_TRUE(same_assignments(result.assignments, reference.assignments));
+      EXPECT_EQ(read_file(result.merged_output_path), reference_tsv);
+      EXPECT_EQ(result.timing.rank_chunks, std::vector<std::uint64_t>{(n + chunk - 1) / chunk});
+      EXPECT_EQ(result.parse.records_ok, n);
+
+      const TempDir empty_out("r2t_teams_empty");
+      const auto empty =
+          run_shared(f.contigs, f.components, dir.file("empty.fa"), options, empty_out.str());
+      EXPECT_TRUE(empty.assignments.empty());
+      EXPECT_EQ(empty.timing.rank_chunks, std::vector<std::uint64_t>{0});
+      EXPECT_EQ(read_file(empty.merged_output_path), "");
+    }
+  }
+}
+
+TEST(R2TShared, HugeChunkLimitMatchesSmallChunks) {
+  // max_mem_reads accepts any value >= 1; the largest is one chunk holding
+  // the whole file, not an allocation failure before the first read.
+  const TempDir dir("r2t_huge_chunk");
+  Fixture f = build_fixture(3, 9, 47);
+  seq::write_fasta(dir.file("reads.fa"), f.reads);
+  const TempDir small_dir("r2t_huge_chunk_small");
+  const TempDir huge_dir("r2t_huge_chunk_huge");
+  const auto small =
+      run_shared(f.contigs, f.components, dir.file("reads.fa"), test_options(7), small_dir.str());
+  const auto huge = run_shared(
+      f.contigs, f.components, dir.file("reads.fa"),
+      test_options(static_cast<std::size_t>(std::numeric_limits<std::int64_t>::max())),
+      huge_dir.str());
+  EXPECT_TRUE(same_assignments(huge.assignments, small.assignments));
+  EXPECT_EQ(read_file(huge.merged_output_path), read_file(small.merged_output_path));
+  EXPECT_EQ(huge.timing.rank_chunks, std::vector<std::uint64_t>{1});
+}
+
+/// `reads` as FASTA text, with a '!' in the sequence of each read listed
+/// in `bad`.
+std::string fasta_with_bad_reads(const std::vector<seq::Sequence>& reads,
+                                 const std::vector<std::size_t>& bad) {
+  std::string body;
+  for (std::size_t i = 0; i < reads.size(); ++i) {
+    std::string bases = reads[i].bases;
+    if (std::find(bad.begin(), bad.end(), i) != bad.end()) bases[10] = '!';
+    body += ">" + reads[i].name + "\n" + bases + "\n";
+  }
+  return body;
+}
+
+TEST(R2TShared, StrictParseErrorInThirdChunkSurfacesFromEveryTeamSize) {
+  // Read 16 is in chunk 2 (chunks of 7): the team is classifying chunk 1
+  // while its master parses chunk 2. The ParseError must leave run_shared
+  // (not std::terminate) with the location a 1-thread run reports.
+  const TempDir dir("r2t_strict_chunk");
+  Fixture f = build_fixture(4, 12, 53);
+  std::ofstream(dir.file("reads.fa"), std::ios::binary) << fasta_with_bad_reads(f.reads, {16});
+  std::optional<io::ParseError> first;
+  for (const int threads : {1, 2, 3, 4}) {
+    auto options = test_options(7);
+    options.omp_threads = threads;
+    try {
+      static_cast<void>(run_shared(f.contigs, f.components, dir.file("reads.fa"), options));
+      ADD_FAILURE() << "expected ParseError at " << threads << " threads";
+    } catch (const io::ParseError& e) {
+      EXPECT_EQ(e.category(), io::ParseCategory::kInvalidCharacter);
+      EXPECT_EQ(e.path(), dir.file("reads.fa"));
+      EXPECT_EQ(e.line(), 34u);  // read 16's sequence line
+      if (!first) first = e;
+      EXPECT_EQ(e.line(), first->line()) << threads << " threads";
+      EXPECT_EQ(e.byte_offset(), first->byte_offset()) << threads << " threads";
+    }
+  }
+}
+
+TEST(R2TShared, TolerantParseCountsMatchAcrossTeamSizes) {
+  // Four quarantined reads across chunks 0, 2 and 5, and a leading blank
+  // line: R2TResult::parse and the assignments equal the 1-thread run's.
+  const TempDir dir("r2t_tolerant");
+  Fixture f = build_fixture(4, 12, 59);
+  std::ofstream(dir.file("reads.fa"), std::ios::binary)
+      << "\n" << fasta_with_bad_reads(f.reads, {0, 16, 17, 40});
+  std::optional<R2TResult> reference;
+  for (const int threads : {1, 2, 3, 4}) {
+    auto options = test_options(7);
+    options.omp_threads = threads;
+    options.parse_policy = seq::ParsePolicy::kTolerant;
+    const auto result = run_shared(f.contigs, f.components, dir.file("reads.fa"), options);
+    EXPECT_EQ(result.parse.of(io::ParseCategory::kInvalidCharacter), 4u);
+    EXPECT_EQ(result.parse.records_ok, f.reads.size() - 4);
+    EXPECT_EQ(result.parse.blank_lines, 1u);
+    if (!reference) {
+      reference = result;
+      continue;
+    }
+    EXPECT_EQ(result.parse.quarantined, reference->parse.quarantined) << threads;
+    EXPECT_EQ(result.parse.records_ok, reference->parse.records_ok) << threads;
+    EXPECT_EQ(result.parse.crlf_lines, reference->parse.crlf_lines) << threads;
+    EXPECT_TRUE(same_assignments(result.assignments, reference->assignments)) << threads;
+  }
 }
 
 /// The merged readsToComponents.out.tsv of a `nranks` world: each rank's

@@ -3,10 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <vector>
 
+#include "io/error.hpp"
 #include "seq/dna.hpp"
 #include "seq/fasta.hpp"
 #include "seq/kmer.hpp"
@@ -370,6 +373,210 @@ TEST(FastaIO, FastaRecordsHaveNoQuality) {
 TEST(FastaIO, TotalBasesSums) {
   const std::vector<Sequence> seqs{{"a", "ACGT"}, {"b", "GG"}};
   EXPECT_EQ(total_bases(seqs), 6u);
+}
+
+TEST(FastaIO, HugeChunkLimitReadsWholeFile) {
+  // Any max_mem_reads the config accepts is a valid limit: read_chunk must
+  // not size its vector from the limit before a record is read.
+  const TempDir dir("huge_chunk");
+  write_fasta(dir.file("h.fa"), {{"a", "ACGT"}, {"b", "GG"}});
+  FastaReader reader(dir.file("h.fa"));
+  const auto chunk = reader.read_chunk(std::numeric_limits<std::size_t>::max());
+  ASSERT_EQ(chunk.size(), 2u);
+  EXPECT_EQ(chunk[0].bases, "ACGT");
+  EXPECT_EQ(chunk[1].bases, "GG");
+  EXPECT_TRUE(reader.read_chunk(std::numeric_limits<std::size_t>::max()).empty());
+}
+
+// --- reading across block edges ------------------------------------------------------
+//
+// The reader pulls FastaReader::kBlockSize bytes at a time. Every file below
+// is larger than one block, so lines, CRLF pairs and records straddle its
+// edges.
+
+constexpr std::size_t kBlock = FastaReader::kBlockSize;
+
+std::string write_text(const TempDir& dir, const std::string& name, const std::string& body) {
+  const std::string path = dir.file(name);
+  std::ofstream(path, std::ios::binary) << body;
+  return path;
+}
+
+TEST(FastaBlocks, SequenceLineLongerThanABlock) {
+  const TempDir dir("block_long");
+  const std::string long_bases = random_dna(2 * kBlock + 123, 5);
+  const auto path = write_text(
+      dir, "l.fa", ">long x\n" + long_bases + "\n>short\nAC\n>tail\n" + long_bases + "\n");
+  io::ParseDiagnostics diag;
+  const auto got = read_all(path, ParsePolicy::kStrict, &diag);
+  ASSERT_EQ(got.size(), 3u);
+  EXPECT_EQ(got[0].name, "long");
+  EXPECT_EQ(got[0].bases, long_bases);
+  EXPECT_EQ(got[1].name, "short");
+  EXPECT_EQ(got[1].bases, "AC");
+  EXPECT_EQ(got[2].bases, long_bases);
+  EXPECT_EQ(diag.records_ok, 3u);
+}
+
+TEST(FastaBlocks, CrlfSplitAcrossBlocksIsOneLine) {
+  // The first sequence line's '\r' is the block's last byte and its '\n'
+  // the next block's first: one CRLF line, and every later line is
+  // numbered and located as if there were no edge.
+  const TempDir dir("block_crlf");
+  const std::string first = random_dna(kBlock - 5, 6);
+  const std::string body = ">a\r\n" + first + "\r\n>b\r\nACGT\r\n>c\r\nAC!T\r\n";
+  ASSERT_EQ(body[kBlock - 1], '\r');
+  ASSERT_EQ(body[kBlock], '\n');
+  const auto path = write_text(dir, "c.fa", body);
+
+  io::ParseDiagnostics diag;
+  const auto got = read_all(path, ParsePolicy::kTolerant, &diag);
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0].bases, first);
+  EXPECT_EQ(got[1].bases, "ACGT");
+  EXPECT_EQ(diag.crlf_lines, 6u);
+  EXPECT_EQ(diag.blank_lines, 0u);
+  EXPECT_EQ(diag.of(io::ParseCategory::kInvalidCharacter), 1u);
+
+  try {
+    static_cast<void>(read_all(path));
+    FAIL() << "expected ParseError";
+  } catch (const io::ParseError& e) {
+    EXPECT_EQ(e.line(), 6u);
+    EXPECT_EQ(e.byte_offset(), kBlock + 15);  // after "\n>b\r\nACGT\r\n>c\r\n"
+  }
+}
+
+TEST(FastaBlocks, LastLineWithoutNewline) {
+  const TempDir dir("block_nonl");
+  const std::string bases = random_dna(kBlock + 10, 7);
+  const auto fa = read_all(write_text(dir, "n.fa", ">a\nAC\n>b\n" + bases));
+  ASSERT_EQ(fa.size(), 2u);
+  EXPECT_EQ(fa[1].bases, bases);
+
+  const std::string quality(bases.size(), 'F');
+  const auto fq = read_all(write_text(dir, "n.fq", "@a\n" + bases + "\n+\n" + quality));
+  ASSERT_EQ(fq.size(), 1u);
+  EXPECT_EQ(fq[0].bases, bases);
+  EXPECT_EQ(fq[0].quality, quality);
+}
+
+TEST(FastaBlocks, FastqRecordsStraddleBlockEdges) {
+  // Records of every length from 1 to 300 bases cycle over more than two
+  // blocks, so each of the four record lines lands on an edge somewhere.
+  const TempDir dir("block_fq");
+  util::Rng rng(8);
+  std::vector<Sequence> expected;
+  std::string body;
+  for (std::size_t i = 0; body.size() < 2 * kBlock + 1000; ++i) {
+    Sequence rec{std::to_string(i), random_dna(1 + i % 300, i)};
+    rec.quality.resize(rec.bases.size());
+    for (char& q : rec.quality) q = static_cast<char>('!' + rng.uniform_below(40));
+    body += "@" + rec.name + " extra\n" + rec.bases + "\n+\n" + rec.quality + "\n";
+    expected.push_back(std::move(rec));
+  }
+  io::ParseDiagnostics diag;
+  const auto got = read_all(write_text(dir, "s.fq", body), ParsePolicy::kStrict, &diag);
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].name, expected[i].name);
+    EXPECT_EQ(got[i].bases, expected[i].bases) << i;
+    EXPECT_EQ(got[i].quality, expected[i].quality) << i;
+  }
+  EXPECT_EQ(diag.records_ok, expected.size());
+}
+
+/// `count` FASTA records ">r%05d" of 100 bases, 109 bytes each; record
+/// `bad` carries a '!' in its sequence line.
+std::string fixed_width_fasta(std::size_t count, std::size_t bad) {
+  std::string body;
+  for (std::size_t i = 0; i < count; ++i) {
+    char name[16];
+    std::snprintf(name, sizeof(name), ">r%05zu\n", i);
+    std::string bases = random_dna(100, i + 1);
+    if (i == bad) bases[50] = '!';
+    body += name + bases + "\n";
+  }
+  return body;
+}
+
+TEST(FastaBlocks, StrictErrorPastTheFirstBlockIsLocated) {
+  // Record 12000's sequence line: line 2 * 12000 + 2, offset 12000 * 109 + 8
+  // (the location the getline reader reported).
+  const TempDir dir("block_strict");
+  const auto path = write_text(dir, "s.fa", fixed_width_fasta(12100, 12000));
+  try {
+    static_cast<void>(read_all(path));
+    FAIL() << "expected ParseError";
+  } catch (const io::ParseError& e) {
+    EXPECT_EQ(e.category(), io::ParseCategory::kInvalidCharacter);
+    EXPECT_EQ(e.path(), path);
+    EXPECT_EQ(e.line(), 24002u);
+    EXPECT_EQ(e.byte_offset(), 1308008u);
+    EXPECT_GT(e.byte_offset(), kBlock);
+    EXPECT_NE(std::string(e.what()).find("invalid character '!' in sequence data"),
+              std::string::npos);
+  }
+}
+
+TEST(FastaBlocks, CorruptedFastqCountsUnderEveryPolicy) {
+  // bench_parse_tolerance's corrupted-file shape: every 100th record is
+  // damaged, rotating through a flipped header, a bad separator, an
+  // invalid base and a short quality line. 4,000 records of 150 bases
+  // span several blocks; the counts are the getline reader's.
+  const TempDir dir("block_corrupt");
+  std::string body;
+  for (std::size_t i = 0; i < 4000; ++i) {
+    std::string header = "@read" + std::to_string(i);
+    std::string bases = random_dna(150, i + 11);
+    char sep = '+';
+    std::string quality(bases.size(), 'F');
+    if (i % 100 == 99) {
+      switch ((i / 100) % 4) {
+        case 0: header[0] = 'B'; break;
+        case 1: sep = 'x'; break;
+        case 2: bases[bases.size() / 2] = '!'; break;
+        case 3: quality.pop_back(); break;
+      }
+    }
+    body += header + "\n" + bases + "\n" + sep + "\n" + quality + "\n";
+  }
+  ASSERT_GT(body.size(), 4 * kBlock);
+  const auto path = write_text(dir, "c.fq", body);
+
+  io::ParseDiagnostics tolerant;
+  EXPECT_EQ(read_all(path, ParsePolicy::kTolerant, &tolerant).size(), 3960u);
+  EXPECT_EQ(tolerant.records_ok, 3960u);
+  EXPECT_EQ(tolerant.records_repaired, 0u);
+  for (const auto category :
+       {io::ParseCategory::kMissingHeader, io::ParseCategory::kBadSeparator,
+        io::ParseCategory::kInvalidCharacter, io::ParseCategory::kQualityLengthMismatch}) {
+    EXPECT_EQ(tolerant.of(category), 10u) << io::to_string(category);
+  }
+  EXPECT_EQ(tolerant.of(io::ParseCategory::kTruncatedRecord), 0u);
+
+  io::ParseDiagnostics repair;
+  EXPECT_EQ(read_all(path, ParsePolicy::kRepair, &repair).size(), 3980u);
+  EXPECT_EQ(repair.records_ok, 3980u);
+  EXPECT_EQ(repair.records_repaired, 20u);
+  EXPECT_EQ(repair.of(io::ParseCategory::kMissingHeader), 10u);
+  EXPECT_EQ(repair.of(io::ParseCategory::kBadSeparator), 10u);
+  EXPECT_EQ(repair.records_quarantined(), 20u);
+}
+
+TEST(FastaBlocks, ReadFailureIsATypedIoError) {
+  // A path that opens but cannot be read (a directory) fails on the first
+  // read with a typed error instead of reading as an empty file.
+  const TempDir dir("block_dir");
+  FastaReader reader(dir.str());
+  try {
+    static_cast<void>(reader.next());
+    FAIL() << "expected IoError";
+  } catch (const io::IoError& e) {
+    EXPECT_EQ(e.op(), "read");
+    EXPECT_EQ(e.path(), dir.str());
+    EXPECT_FALSE(e.transient());
+  }
 }
 
 }  // namespace
