@@ -94,7 +94,9 @@
 #      included), trace, config, flat-index, k-mer
 #      (counter, Inchworm, de Bruijn, aligner), stage-file loader
 #      (components, Butterfly), GraphFromFasta and ReadsToTranscripts
-#      (hybrid drivers over simpi ranks and OpenMP threads), serve and
+#      (hybrid drivers over simpi ranks and OpenMP threads; the dynamic
+#      distribution's RMA claims and the read-split Bowtie in the
+#      extensions binary; the distribution arithmetic), serve and
 #      Smith–Waterman/validation test binaries — the
 #      subsystems that throw across thread and collective boundaries (and,
 #      for the trace recorder, publish buffers across threads; for the flat
@@ -359,14 +361,16 @@ cmake --build build-asan -j "$jobs" --target \
     serve_test serve_fault_test \
     serve_recovery_test serve_watchdog_test obs_test serve_metrics_test \
     sw_test sw_kernel_test validate_test components_io_test butterfly_test \
-    chrysalis_gff_test chrysalis_r2t_test simpi_comm_stats_test
+    chrysalis_gff_test chrysalis_r2t_test chrysalis_extensions_test \
+    chrysalis_distribution_test simpi_comm_stats_test
 for t in checkpoint_test simpi_fault_test simpi_test simpi_extensions_test dsu_test \
          pipeline_checkpoint_test io_fault_test seq_test seq_parse_policy_test trace_test \
          config_test flat_index_test kmer_test inchworm_test debruijn_test align_test \
          serve_test serve_fault_test \
          serve_recovery_test serve_watchdog_test obs_test serve_metrics_test \
          sw_test sw_kernel_test validate_test components_io_test butterfly_test \
-         chrysalis_gff_test chrysalis_r2t_test simpi_comm_stats_test; do
+         chrysalis_gff_test chrysalis_r2t_test chrysalis_extensions_test \
+         chrysalis_distribution_test simpi_comm_stats_test; do
     echo "-- $t (ASan+UBSan)"
     ./build-asan/tests/"$t"
 done

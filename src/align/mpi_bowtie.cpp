@@ -5,6 +5,7 @@
 #include <tuple>
 #include <type_traits>
 
+#include "chrysalis/distribution.hpp"
 #include "fasplit/fasplit.hpp"
 #include "util/timer.hpp"
 
@@ -113,17 +114,12 @@ DistributedBowtieResult distributed_bowtie(simpi::Context& ctx,
   if (split == BowtieSplit::kReads) {
     // No serial split phase: the read partition is index arithmetic, and
     // every rank aligns its block against the full (replicated) index.
-    const std::size_t n = reads.size();
-    const auto nranks = static_cast<std::size_t>(ctx.size());
-    const auto rank = static_cast<std::size_t>(ctx.rank());
-    const std::size_t base = n / nranks;
-    const std::size_t extra = n % nranks;
-    const std::size_t begin = rank * base + std::min(rank, extra);
-    const std::size_t end = begin + base + (rank < extra ? 1 : 0);
+    const auto block =
+        chrysalis::BlockDistribution(reads.size(), ctx.size()).block_for(ctx.rank());
 
     util::ThreadCpuTimer align_timer;
     const ContigIndex index(contigs, options);
-    wire = align_to_wire(index, reads, begin, end, nullptr);
+    wire = align_to_wire(index, reads, block.begin, block.end, nullptr);
     align_cpu = align_timer.seconds();
   } else {
     // Phase 1 — serial target split on rank 0 (the PyFasta step of Fig 10).

@@ -16,15 +16,20 @@ std::size_t ChunkedRoundRobin::num_chunks() const {
 
 std::vector<IndexRange> ChunkedRoundRobin::chunks_for(int rank) const {
   std::vector<IndexRange> out;
-  const std::size_t chunks = num_chunks();
-  for (std::size_t c = static_cast<std::size_t>(rank); c < chunks;
-       c += static_cast<std::size_t>(nranks_)) {
-    IndexRange r;
-    r.begin = c * chunk_size_;
-    r.end = std::min(r.begin + chunk_size_, num_items_);  // tail clip
-    out.push_back(r);
+  for (std::size_t c = 0; c < num_chunks(); ++c) {
+    if (owner_of(c, nranks_) == rank) out.push_back(chunk(c));
   }
   return out;
+}
+
+IndexRange ChunkedRoundRobin::chunk(std::size_t index) const {
+  if (index >= num_chunks()) return {};
+  const std::size_t begin = index * chunk_size_;
+  return {begin, std::min(begin + chunk_size_, num_items_)};  // tail clip
+}
+
+int ChunkedRoundRobin::owner_of(std::size_t index, int nranks) {
+  return static_cast<int>(index % static_cast<std::size_t>(nranks));
 }
 
 std::size_t ChunkedRoundRobin::default_chunk_size(std::size_t num_items, int nranks,

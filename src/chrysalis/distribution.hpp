@@ -40,6 +40,13 @@ class ChunkedRoundRobin {
   /// The chunks owned by `rank`, in increasing index order.
   [[nodiscard]] std::vector<IndexRange> chunks_for(int rank) const;
 
+  /// Chunk `index`, clipped at the tail; empty past the last chunk.
+  [[nodiscard]] IndexRange chunk(std::size_t index) const;
+
+  /// The rank that owns chunk `index` of any chunked stream: index mod
+  /// nranks, the paper's rule.
+  static int owner_of(std::size_t index, int nranks);
+
   /// Total number of chunks (including the possibly short tail chunk).
   [[nodiscard]] std::size_t num_chunks() const;
 

@@ -1,8 +1,7 @@
 #include "chrysalis/graph_from_fasta.hpp"
 
-#include <omp.h>
-
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -201,50 +200,44 @@ std::vector<ContigPair> pairs_from_matches(
 
 namespace {
 
-std::vector<IndexRange> ranges_for_rank(const GraphFromFastaOptions& options,
-                                        std::size_t num_items, int rank, int nranks) {
-  if (options.distribution == Distribution::kBlock) {
-    const BlockDistribution dist(num_items, nranks);
-    return {dist.block_for(rank)};
-  }
-  const std::size_t chunk =
-      ChunkedRoundRobin::default_chunk_size(num_items, nranks, options.model_threads_per_rank);
-  return ChunkedRoundRobin(num_items, nranks, chunk).chunks_for(rank);
+/// One loop-2 match: (weld id, contig id).
+using Match = std::pair<std::int32_t, std::int32_t>;
+
+/// A loop's pull for chunk_loop: the next chunk this rank processes, an
+/// empty range at the end. Called once per chunk, not per item.
+using ChunkPull = std::function<void(IndexRange&)>;
+
+/// Yields `ranges` in order, then an empty range.
+ChunkPull walk(std::vector<IndexRange> ranges) {
+  return [ranges = std::move(ranges), next = std::size_t{0}](IndexRange& chunk) mutable {
+    chunk = next < ranges.size() ? ranges[next++] : IndexRange{};
+  };
 }
 
-/// Dynamic self-scheduling loop: ranks claim chunks from a shared RMA
-/// counter until the chunk space is exhausted. Returns this rank's modeled
-/// loop seconds. Collective (barriers bracket the counter reset).
-template <typename Body>
-double timed_dynamic_loop(simpi::Context& ctx, int counter_id,
-                          const GraphFromFastaOptions& options, std::size_t num_items,
-                          Body&& body, const char* trace_name = nullptr) {
-  const std::size_t chunk = ChunkedRoundRobin::default_chunk_size(
-      num_items, ctx.size(), options.model_threads_per_rank);
-  const std::size_t num_chunks = (num_items + chunk - 1) / chunk;
+/// This rank's chunks of a loop over `num_items` under
+/// options.distribution: its chunked round robin chunks, its block, or the
+/// chunks it claims from the shared RMA counter `counter_id` (each claim
+/// charges one modeled RMA round trip). Collective under kDynamic: the
+/// counter is reset between barriers.
+ChunkPull owned_chunks(simpi::Context& ctx, int counter_id, const GraphFromFastaOptions& options,
+                       std::size_t num_items) {
+  const int nranks = ctx.size();
+  const ChunkedRoundRobin chunks(
+      num_items, nranks,
+      ChunkedRoundRobin::default_chunk_size(num_items, nranks, options.model_threads_per_rank));
+  if (options.distribution == Distribution::kBlock) {
+    return walk({BlockDistribution(num_items, nranks).block_for(ctx.rank())});
+  }
+  if (options.distribution == Distribution::kChunkedRoundRobin) {
+    return walk(chunks.chunks_for(ctx.rank()));
+  }
   ctx.barrier();
   simpi::SharedCounter counter(ctx, counter_id);
   if (ctx.rank() == 0) counter.reset(0);
   ctx.barrier();
-
-  const bool traced = trace_name != nullptr && trace::enabled();
-  util::ThreadCpuTimer cpu;
-  for (;;) {
-    const std::uint64_t c = counter.fetch_add(1);
-    if (c >= num_chunks) break;
-    const std::size_t begin = static_cast<std::size_t>(c) * chunk;
-    const std::size_t end = std::min(begin + chunk, num_items);
-    // One span per claimed chunk: the self-scheduling claim pattern is the
-    // point of this loop, so make each claim visible on the rank's track.
-    std::optional<trace::SpanScope> span;
-    if (traced) {
-      span.emplace(trace_name, trace::kCatLoop);
-      span->arg("chunk", static_cast<double>(c));
-      span->arg("items", static_cast<double>(end - begin));
-    }
-    for (std::size_t i = begin; i < end; ++i) body(i);
-  }
-  return cpu.seconds() / static_cast<double>(std::max(options.model_threads_per_rank, 1));
+  return [chunks, counter](IndexRange& chunk) mutable {
+    chunk = chunks.chunk(static_cast<std::size_t>(counter.fetch_add(1)));
+  };
 }
 
 /// Counter ids for the dynamic loops; reset between uses under barriers.
@@ -261,6 +254,28 @@ void run_calibrated(int repeats, Sink& sink, Kernel&& kernel) {
     kernel(scratch);
   }
   kernel(sink);
+}
+
+/// Runs `kernel(contig_index, out)` over the contigs of the chunks `pull`
+/// yields, through chunk_loop with one output part per OpenMP thread, and
+/// returns the parts concatenated. `*seconds` receives the loop's modeled
+/// seconds.
+template <typename T, typename Kernel>
+std::vector<T> contig_loop(ChunkPull pull, int threads, const GraphFromFastaOptions& options,
+                           const char* trace_name, double* seconds, Kernel&& kernel) {
+  std::vector<std::vector<T>> parts(static_cast<std::size_t>(std::max(threads, 1)));
+  *seconds = chunk_loop<IndexRange>(
+      threads, options.model_threads_per_rank, trace_name, pull,
+      [&](const IndexRange& chunk, std::size_t i, int tid) {
+        run_calibrated(options.kernel_repeats, parts[static_cast<std::size_t>(tid)],
+                       [&](std::vector<T>& out) { kernel(chunk.begin + i, out); });
+      });
+  std::vector<T> out;
+  for (auto& part : parts) {
+    out.insert(out.end(), std::make_move_iterator(part.begin()),
+               std::make_move_iterator(part.end()));
+  }
+  return out;
 }
 
 /// One rank's share of GffTiming: the record run_hybrid allgathers once,
@@ -305,51 +320,31 @@ GffResult run_shared(const std::vector<seq::Sequence>& contigs,
   const auto shared_overlaps = detail::shared_overlap_kmers(contigs, options.k);
   timing.setup_seconds = setup_cpu.seconds();
 
-  // Loop 1 — weld harvest, OpenMP dynamic over all contigs.
-  std::vector<std::vector<std::string>> weld_parts(
-      static_cast<std::size_t>(std::max(threads, 1)));
-  const std::vector<IndexRange> all{IndexRange{0, contigs.size()}};
-  const double loop1 = timed_parallel_loop(
-      all, threads, options.model_threads_per_rank,
-      [&](std::size_t i) {
-        auto& sink = weld_parts[static_cast<std::size_t>(omp_get_thread_num())];
-        run_calibrated(options.kernel_repeats, sink, [&](std::vector<std::string>& out) {
-          detail::harvest_welds(contigs[i], shared_overlaps, read_counter, options, out);
-        });
-      },
-      "gff.loop1");
+  // Loop 1 — weld harvest, OpenMP dynamic over all contigs as one chunk.
+  const IndexRange all{0, contigs.size()};
+  double loop1 = 0.0;
+  auto welds = contig_loop<std::string>(
+      walk({all}), threads, options, "gff.loop1", &loop1,
+      [&](std::size_t c, std::vector<std::string>& out) {
+        detail::harvest_welds(contigs[c], shared_overlaps, read_counter, options, out);
+      });
   timing.loop1.seconds = {loop1};
 
   util::ThreadCpuTimer mid_cpu;
-  std::vector<std::string> welds;
-  for (auto& part : weld_parts) {
-    welds.insert(welds.end(), std::make_move_iterator(part.begin()),
-                 std::make_move_iterator(part.end()));
-  }
   welds = detail::dedup_welds(std::move(welds));
   const auto weld_cores = detail::index_weld_cores(welds, options.k);
   timing.finalize_seconds += mid_cpu.seconds();
 
-  // Loop 2 — weld matching, OpenMP dynamic over all contigs.
-  std::vector<std::vector<std::pair<std::int32_t, std::int32_t>>> match_parts(
-      static_cast<std::size_t>(std::max(threads, 1)));
-  const double loop2 = timed_parallel_loop(
-      all, threads, options.model_threads_per_rank,
-      [&](std::size_t i) {
-        auto& sink = match_parts[static_cast<std::size_t>(omp_get_thread_num())];
-        run_calibrated(options.kernel_repeats, sink,
-                       [&](std::vector<std::pair<std::int32_t, std::int32_t>>& out) {
-                         detail::find_weld_matches(contigs[i], static_cast<std::int32_t>(i),
-                                                   weld_cores, options, out);
-                       });
-      },
-      "gff.loop2");
+  // Loop 2 — weld matching, OpenMP dynamic over all contigs as one chunk.
+  double loop2 = 0.0;
+  auto matches = contig_loop<Match>(
+      walk({all}), threads, options, "gff.loop2", &loop2,
+      [&](std::size_t c, std::vector<Match>& out) {
+        detail::find_weld_matches(contigs[c], static_cast<std::int32_t>(c), weld_cores, options,
+                                  out);
+      });
   timing.loop2.seconds = {loop2};
 
-  std::vector<std::pair<std::int32_t, std::int32_t>> matches;
-  for (auto& part : match_parts) {
-    matches.insert(matches.end(), part.begin(), part.end());
-  }
   auto result = finalize(contigs, std::move(welds), std::move(matches), extra_pairs,
                          &timing.finalize_seconds);
   result.timing = std::move(timing);
@@ -371,31 +366,14 @@ GffResult run_hybrid(simpi::Context& ctx, const std::vector<seq::Sequence>& cont
   const auto shared_overlaps = detail::shared_overlap_kmers(contigs, options.k);
   mine.setup = setup_cpu.seconds();
 
-  // Loop 1 over this rank's chunks (chunked round robin or dynamic
-  // self-scheduling), OpenMP inside for the static schemes.
-  const auto my_ranges = ranges_for_rank(options, contigs.size(), ctx.rank(), ctx.size());
-  std::vector<std::vector<std::string>> weld_parts(
-      static_cast<std::size_t>(std::max(threads, 1)));
-  auto loop1_body = [&](std::size_t i) {
-    auto& sink = weld_parts[static_cast<std::size_t>(omp_get_thread_num())];
-    run_calibrated(options.kernel_repeats, sink, [&](std::vector<std::string>& out) {
-      detail::harvest_welds(contigs[i], shared_overlaps, read_counter, options, out);
-    });
-  };
-  mine.loop1 =
-      options.distribution == Distribution::kDynamic
-          ? timed_dynamic_loop(ctx, kDynamicCounterLoop1, options, contigs.size(), loop1_body,
-                               "gff.loop1")
-          : timed_parallel_loop(my_ranges, threads, options.model_threads_per_rank,
-                                loop1_body, "gff.loop1");
+  // Loop 1 over this rank's chunks under options.distribution.
+  auto my_welds = contig_loop<std::string>(
+      owned_chunks(ctx, kDynamicCounterLoop1, options, contigs.size()), threads, options,
+      "gff.loop1", &mine.loop1, [&](std::size_t c, std::vector<std::string>& out) {
+        detail::harvest_welds(contigs[c], shared_overlaps, read_counter, options, out);
+      });
 
   const bool owner_mode = options.sharding == ShardingStrategy::kOwner;
-
-  std::vector<std::string> my_welds;
-  for (auto& part : weld_parts) {
-    my_welds.insert(my_welds.end(), std::make_move_iterator(part.begin()),
-                    std::make_move_iterator(part.end()));
-  }
 
   // Weld exchange (paper Section III.B pools with Allgatherv; owner mode
   // hash-routes each weld to the owner of its smallest core k-mer with the
@@ -435,32 +413,13 @@ GffResult run_hybrid(simpi::Context& ctx, const std::vector<seq::Sequence>& cont
   // owner mode scans EVERY contig against only the owned welds (the
   // partition is by weld, not by contig — per-rank work is the owned share
   // of the match volume).
-  std::vector<std::vector<std::pair<std::int32_t, std::int32_t>>> match_parts(
-      static_cast<std::size_t>(std::max(threads, 1)));
-  auto loop2_body = [&](std::size_t i) {
-    auto& sink = match_parts[static_cast<std::size_t>(omp_get_thread_num())];
-    run_calibrated(options.kernel_repeats, sink,
-                   [&](std::vector<std::pair<std::int32_t, std::int32_t>>& out) {
-                     detail::find_weld_matches(contigs[i], static_cast<std::int32_t>(i),
-                                               weld_cores, options, out);
-                   });
-  };
-  if (owner_mode) {
-    const std::vector<IndexRange> all{IndexRange{0, contigs.size()}};
-    mine.loop2 = timed_parallel_loop(all, threads, options.model_threads_per_rank,
-                                     loop2_body, "gff.loop2");
-  } else if (options.distribution == Distribution::kDynamic) {
-    mine.loop2 = timed_dynamic_loop(ctx, kDynamicCounterLoop2, options, contigs.size(),
-                                    loop2_body, "gff.loop2");
-  } else {
-    mine.loop2 = timed_parallel_loop(my_ranges, threads, options.model_threads_per_rank,
-                                     loop2_body, "gff.loop2");
-  }
-
-  std::vector<std::pair<std::int32_t, std::int32_t>> my_matches;
-  for (auto& part : match_parts) {
-    my_matches.insert(my_matches.end(), part.begin(), part.end());
-  }
+  auto my_matches = contig_loop<Match>(
+      owner_mode ? walk({IndexRange{0, contigs.size()}})
+                 : owned_chunks(ctx, kDynamicCounterLoop2, options, contigs.size()),
+      threads, options, "gff.loop2", &mine.loop2, [&](std::size_t c, std::vector<Match>& out) {
+        detail::find_weld_matches(contigs[c], static_cast<std::int32_t>(c), weld_cores, options,
+                                  out);
+      });
 
   GffResult result;
   if (owner_mode) {
@@ -492,7 +451,7 @@ GffResult run_hybrid(simpi::Context& ctx, const std::vector<seq::Sequence>& cont
     if (pooled_ints.size() % 2 != 0) {
       throw std::logic_error("GraphFromFasta: malformed pooled match array");
     }
-    std::vector<std::pair<std::int32_t, std::int32_t>> matches;
+    std::vector<Match> matches;
     matches.reserve(pooled_ints.size() / 2);
     for (std::size_t i = 0; i < pooled_ints.size(); i += 2) {
       matches.emplace_back(pooled_ints[i], pooled_ints[i + 1]);

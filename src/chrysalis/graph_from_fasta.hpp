@@ -18,13 +18,10 @@
 //    instead routes each weld to a hash-owner with alltoallv and merges
 //    components through the distributed union-find (dsu.hpp).
 //
-// Virtual-time accounting: each loop measures the CPU work its OpenMP team
-// actually performed (per-thread CPU clocks summed), then divides by
-// `model_threads_per_rank` — the per-node thread count being simulated (16
-// in the paper). Intra-node dynamic scheduling divides work almost evenly
-// (the paper's own premise), so the quotient is the modeled per-rank loop
-// time; imbalance *across* ranks is preserved exactly because each rank's
-// work is measured, not modeled.
+// Both loops of both drivers run through chunk_loop (parallel_loop.hpp):
+// the distribution only chooses which chunks a rank pulls, and the loop's
+// one virtual-time rule divides the team's measured CPU by
+// `model_threads_per_rank` (16 in the paper).
 
 #include <cstdint>
 #include <string>
@@ -49,9 +46,9 @@ enum class Distribution {
   /// future work ("in the future, we might experiment with a dynamic
   /// partitioning strategy to reduce this load imbalance"). Each rank
   /// claims the next chunk with an atomic fetch-and-op; chunk claims cost
-  /// one modeled RMA round trip each. In this mode the per-rank kernel
-  /// runs on the rank thread (intra-node threading is represented by
-  /// model_threads_per_rank, as everywhere else).
+  /// one modeled RMA round trip each, charged as communication and not as
+  /// loop CPU. A team larger than one claims chunk i+1 while it runs
+  /// chunk i.
   kDynamic,
 };
 

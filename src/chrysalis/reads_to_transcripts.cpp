@@ -1,22 +1,17 @@
 #include "chrysalis/reads_to_transcripts.hpp"
 
-#include <omp.h>
-
 #include <algorithm>
-#include <array>
 #include <cerrno>
 #include <cstdio>
-#include <exception>
 #include <fstream>
-#include <optional>
 #include <stdexcept>
 
+#include "chrysalis/distribution.hpp"
 #include "chrysalis/parallel_loop.hpp"
 #include "io/io_file.hpp"
 #include "seq/fasta.hpp"
 #include "seq/kmer.hpp"
 #include "simpi/pack.hpp"
-#include "trace/span_recorder.hpp"
 #include "util/timer.hpp"
 
 namespace trinity::chrysalis {
@@ -118,96 +113,50 @@ struct StreamStats {
   io::ParseDiagnostics parse;  ///< empty on ranks that never read the file
 };
 
-/// One in-memory chunk of reads and the file index of its first read.
+/// One in-memory chunk of reads, the file index of its first read, and the
+/// reads.size() slots its assignments go to.
 struct Chunk {
   std::vector<seq::Sequence> reads;
   std::int64_t base_index = 0;
+  ReadAssignment* out = nullptr;
+  [[nodiscard]] std::size_t size() const { return reads.size(); }
 };
 
-/// The one chunk loop. `next_owned(chunk)` fills `chunk` with the next
-/// chunk this rank classifies, empty at the end of the stream, and charges
-/// to `stats` what of its own CPU the model counts. One OpenMP region
-/// serves the whole stream: while the team classifies chunk i with a
-/// dynamic `omp for`, its master thread (the rank's own thread) pulls chunk
-/// i+1 into the other buffer and then joins the loop, so the team never
-/// waits on a serial parse and at most two chunks are in memory. A team of
-/// one (a hybrid rank's default) has nothing to overlap the pull with: it
-/// classifies chunk i, frees it and then pulls chunk i+1, holding one
-/// chunk. The team's classification CPU is divided by
-/// model_threads_per_rank (the parallel_loop.hpp rule). An exception from
-/// `next_owned` ends the loop after the chunk in flight and is rethrown
-/// once the region has closed.
+/// Classifies every chunk `next_owned` yields through chunk_loop and
+/// returns the assignments in chunk order. `next_owned(chunk)` fills
+/// `chunk` with the next chunk this rank classifies, empty at the end of
+/// the stream, and charges to `stats` what of its own CPU the model
+/// counts. Each pull gives its chunk a part of its own for the
+/// assignments, so the master never moves storage the team is writing.
 template <typename Source>
-void classify_stream(Source&& next_owned, const kmer::FlatKmerIndex<std::int32_t>& bundle_of,
-                     const ReadsToTranscriptsOptions& options, int real_threads,
-                     std::vector<ReadAssignment>& assignments, StreamStats& stats) {
-  std::array<Chunk, 2> chunks;
-  next_owned(chunks[0]);
-  bool stop = chunks[0].reads.empty();
-  std::size_t offset = assignments.size();
-  assignments.resize(offset + chunks[0].reads.size());
-  std::exception_ptr error;
-  double pull_cpu = 0.0;  // the master's CPU inside next_owned
-  double team_cpu = 0.0;
-  const bool traced = trace::enabled();
-  const int trace_rank = traced ? trace::current_rank() : -1;
-#pragma omp parallel num_threads(real_threads) reduction(+ : team_cpu)
-  {
-    util::ThreadCpuTimer cpu;
-    const int tid = omp_get_thread_num();
-    const bool read_ahead = omp_get_num_threads() > 1;
-    std::size_t cur = 0;
-    const auto pull_next = [&] {
-      util::ThreadCpuTimer pull;
-      try {
-        next_owned(chunks[1 - cur]);
-      } catch (...) {
-        error = std::current_exception();
-      }
-      pull_cpu += pull.seconds();
-    };
-    for (std::int64_t chunk_no = 0; !stop; ++chunk_no) {
-      if (tid == 0 && read_ahead) pull_next();
-      Chunk& chunk = chunks[cur];
-      std::optional<trace::SpanScope> span;
-      if (traced) span.emplace("r2t.chunk", trace::kCatLoop, trace_rank, tid);
-      std::int64_t items = 0;
-      const auto size = static_cast<std::int64_t>(chunk.reads.size());
-#pragma omp for schedule(dynamic)
-      for (std::int64_t i = 0; i < size; ++i) {
-        const auto& read = chunk.reads[static_cast<std::size_t>(i)];
-        const std::int64_t read_index = chunk.base_index + i;
+std::vector<ReadAssignment> classify_owned(Source&& next_owned,
+                                           const kmer::FlatKmerIndex<std::int32_t>& bundle_of,
+                                           const ReadsToTranscriptsOptions& options,
+                                           int real_threads, StreamStats& stats) {
+  std::vector<std::vector<ReadAssignment>> parts;
+  const auto pull = [&](Chunk& chunk) {
+    next_owned(chunk);
+    if (chunk.reads.empty()) return;
+    ++stats.chunks;
+    chunk.out = parts.emplace_back(chunk.reads.size()).data();
+  };
+  stats.loop_seconds += chunk_loop<Chunk>(
+      real_threads, options.model_threads_per_rank, "r2t.chunk", pull,
+      [&](const Chunk& chunk, std::size_t i, int /*tid*/) {
+        const auto& read = chunk.reads[i];
+        const std::int64_t read_index = chunk.base_index + static_cast<std::int64_t>(i);
         // kernel_repeats: see the options doc; extra iterations are discarded.
         for (int rep = 1; rep < options.kernel_repeats; ++rep) {
           (void)detail::assign_read(read, read_index, bundle_of, options.k);
         }
-        assignments[offset + static_cast<std::size_t>(i)] =
-            detail::assign_read(read, read_index, bundle_of, options.k);
-        ++items;
-      }
-      if (span) {
-        span->arg("chunk", static_cast<double>(chunk_no));
-        span->arg("items", static_cast<double>(items));
-        span.reset();
-      }
-      if (!read_ahead) {
-        chunk.reads = std::vector<seq::Sequence>();
-        pull_next();
-      }
-      cur = 1 - cur;
-#pragma omp single
-      {
-        ++stats.chunks;
-        stop = error != nullptr || chunks[cur].reads.empty();
-        offset = assignments.size();
-        assignments.resize(offset + chunks[cur].reads.size());
-      }
-    }
-    team_cpu += cpu.seconds();
-  }
-  if (error) std::rethrow_exception(error);
-  stats.loop_seconds +=
-      (team_cpu - pull_cpu) / static_cast<double>(std::max(options.model_threads_per_rank, 1));
+        chunk.out[i] = detail::assign_read(read, read_index, bundle_of, options.k);
+      });
+  std::size_t total = 0;
+  for (const auto& part : parts) total += part.size();
+  std::vector<ReadAssignment> assignments;
+  assignments.reserve(total);
+  for (const auto& part : parts) assignments.insert(assignments.end(), part.begin(), part.end());
+  return assignments;
 }
 
 /// The reads file as chunks of max_mem_reads, numbered from 0. The parse
@@ -220,7 +169,7 @@ class ChunkReader {
 
   /// Replaces `chunk` with the next chunk, empty at the end of the file,
   /// and returns its index.
-  std::int64_t next(Chunk& chunk, StreamStats& stats) {
+  std::size_t next(Chunk& chunk, StreamStats& stats) {
     util::ThreadCpuTimer read_cpu;
     // Free the last chunk, storage included, before parsing the next
     // (assigning `{}` would keep the vector's capacity).
@@ -237,7 +186,7 @@ class ChunkReader {
  private:
   seq::FastaReader reader_;
   std::size_t max_reads_;
-  std::int64_t index_ = 0;
+  std::size_t index_ = 0;
   std::int64_t base_index_ = 0;
 };
 
@@ -252,10 +201,11 @@ StreamStats stream_owned_chunks(const std::string& reads_path,
   StreamStats stats;
   ChunkReader reader(reads_path, options);
   const auto next_owned = [&](Chunk& chunk) {
-    while (reader.next(chunk, stats) % stride != offset && !chunk.reads.empty()) {
+    while (ChunkedRoundRobin::owner_of(reader.next(chunk, stats), stride) != offset &&
+           !chunk.reads.empty()) {
     }
   };
-  classify_stream(next_owned, bundle_of, options, threads, assignments, stats);
+  assignments = classify_owned(next_owned, bundle_of, options, threads, stats);
   stats.parse = reader.diagnostics();
   return stats;
 }
@@ -278,13 +228,13 @@ StreamStats master_slave_chunks(simpi::Context& ctx, const std::string& reads_pa
       chunk.reads.resize(wire.size() - 1);
       for (std::size_t i = 1; i < wire.size(); ++i) chunk.reads[i - 1].bases = std::move(wire[i]);
     };
-    classify_stream(receive, bundle_of, options, threads, assignments, stats);
+    assignments = classify_owned(receive, bundle_of, options, threads, stats);
     return stats;
   }
   ChunkReader reader(reads_path, options);
   const auto next_owned = [&](Chunk& chunk) {
     for (;;) {
-      const int dest = static_cast<int>(reader.next(chunk, stats) % ctx.size());
+      const int dest = ChunkedRoundRobin::owner_of(reader.next(chunk, stats), ctx.size());
       if (dest == 0 || chunk.reads.empty()) return;
       std::vector<std::string> wire;
       wire.reserve(chunk.reads.size() + 1);
@@ -293,7 +243,7 @@ StreamStats master_slave_chunks(simpi::Context& ctx, const std::string& reads_pa
       ctx.send_bytes(dest, kChunkTag, simpi::pack_strings(wire));
     }
   };
-  classify_stream(next_owned, bundle_of, options, threads, assignments, stats);
+  assignments = classify_owned(next_owned, bundle_of, options, threads, stats);
   for (int r = 1; r < ctx.size(); ++r) ctx.send_bytes(r, kChunkTag, simpi::pack_strings({}));
   stats.parse = reader.diagnostics();
   return stats;

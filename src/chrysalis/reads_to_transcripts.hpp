@@ -20,15 +20,13 @@
 // The first, discarded design — a master rank reading and distributing
 // chunks to slaves — is kept as an ablation (Strategy::kMasterSlave).
 //
-// One chunk loop serves every strategy: a single OpenMP region per
-// stream, in which the rank's own thread parses (or, on a master/slave
-// slave, receives) chunk i+1 while the team classifies chunk i, then joins
-// the classification; a team of one classifies chunk i first, so it holds
-// one chunk. The read CPU is charged to the main loop undivided,
-// as redundant streaming incurs it; the team's classification CPU is
-// divided by model_threads_per_rank. One engine classifies reads: the
-// k-mer -> bundle vote map, built for every run as the paper's serial
-// setup region.
+// Every strategy streams through chunk_loop (parallel_loop.hpp), the loop
+// GraphFromFasta runs too: the rank's own thread parses (or, on a
+// master/slave slave, receives) chunk i+1 while the team classifies chunk
+// i; a team of one classifies chunk i first, so it holds one chunk. The
+// read CPU is charged to the main loop undivided, as redundant streaming
+// incurs it. One engine classifies reads: the k-mer -> bundle vote map,
+// built for every run as the paper's serial setup region.
 
 #include <cstdint>
 #include <string>

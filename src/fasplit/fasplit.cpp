@@ -67,15 +67,4 @@ std::vector<std::string> split_fasta_file(const std::string& fasta_path,
   return paths;
 }
 
-double imbalance(const Partition& partition) {
-  if (partition.part_bases.empty()) return 0.0;
-  const std::size_t max_bases =
-      *std::max_element(partition.part_bases.begin(), partition.part_bases.end());
-  const std::size_t total =
-      std::accumulate(partition.part_bases.begin(), partition.part_bases.end(), std::size_t{0});
-  if (total == 0) return 0.0;
-  const double mean = static_cast<double>(total) / static_cast<double>(partition.part_bases.size());
-  return static_cast<double>(max_bases) / mean;
-}
-
 }  // namespace trinity::fasplit

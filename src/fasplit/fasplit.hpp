@@ -41,8 +41,4 @@ std::vector<seq::Sequence> extract_part(const std::vector<seq::Sequence>& seqs,
 std::vector<std::string> split_fasta_file(const std::string& fasta_path,
                                           const std::string& out_prefix, int parts);
 
-/// Imbalance ratio of a partition: max part bases / mean part bases.
-/// 1.0 is perfect balance; empty partitions yield 0.
-double imbalance(const Partition& partition);
-
 }  // namespace trinity::fasplit

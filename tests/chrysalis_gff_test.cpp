@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
+#include <string>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 
@@ -15,6 +18,7 @@
 #include "seq/dna.hpp"
 #include "simpi/context.hpp"
 #include "test_helpers.hpp"
+#include "trace/span_recorder.hpp"
 
 namespace trinity::chrysalis {
 namespace {
@@ -313,6 +317,100 @@ TEST_P(GffHybrid, EveryStrategyAgreesWithScaffoldPairs) {
 }
 
 INSTANTIATE_TEST_SUITE_P(WorldSizes, GffHybrid, ::testing::Values(1, 2, 3, 4, 6));
+
+// --- OpenMP teams inside ranks -------------------------------------------------------
+
+using TeamCase = std::tuple<Distribution, ShardingStrategy, int, int>;  // ranks, omp_threads
+
+class GffTeams : public ::testing::TestWithParam<TeamCase> {};
+
+TEST_P(GffTeams, MatchesSharedMemoryRun) {
+  // A team larger than one runs chunk i while its master pulls chunk i+1 —
+  // for kDynamic, claims it from the shared counter — so a rank may hold a
+  // claimed chunk its team has not started. Components must not depend on
+  // it. One contig per chunk gives every rank several chunks to pull.
+  const auto [distribution, sharding, nranks, omp_threads] = GetParam();
+  const auto s = build_scenario(6, 8, 67);
+  const auto counter = make_counter(s.reads);
+  const auto expected = run_shared(s.contigs, counter, test_options());
+  auto options = test_options();
+  options.distribution = distribution;
+  options.sharding = sharding;
+  options.omp_threads = omp_threads;
+  ASSERT_EQ(ChunkedRoundRobin::default_chunk_size(s.contigs.size(), nranks,
+                                                  options.model_threads_per_rank),
+            1u);
+  simpi::run(nranks, [&](simpi::Context& ctx) {
+    const auto result = run_hybrid(ctx, s.contigs, counter, options);
+    EXPECT_EQ(result.components.component_of, expected.components.component_of);
+    if (sharding == ShardingStrategy::kPooled) {
+      EXPECT_EQ(result.welds, expected.welds);
+      EXPECT_EQ(result.pairs, expected.pairs);
+    }
+  });
+}
+
+const char* distribution_name(Distribution d) {
+  switch (d) {
+    case Distribution::kChunkedRoundRobin: return "crr";
+    case Distribution::kBlock: return "block";
+    case Distribution::kDynamic: return "dynamic";
+  }
+  return "?";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, GffTeams,
+    ::testing::Combine(::testing::Values(Distribution::kChunkedRoundRobin, Distribution::kBlock,
+                                         Distribution::kDynamic),
+                       ::testing::Values(ShardingStrategy::kPooled, ShardingStrategy::kOwner),
+                       ::testing::Values(1, 2, 4), ::testing::Values(1, 3)),
+    [](const ::testing::TestParamInfo<TeamCase>& info) {
+      return std::string(distribution_name(std::get<0>(info.param))) + "_" +
+             to_string(std::get<1>(info.param)) + "_r" + std::to_string(std::get<2>(info.param)) +
+             "_t" + std::to_string(std::get<3>(info.param));
+    });
+
+TEST(GffTrace, EveryLoopSpanCarriesChunkAndItems) {
+  // One span per chunk per OpenMP thread: summed over a loop's spans, the
+  // items are the contigs it ran — each contig once in loop 1 and in pooled
+  // loop 2, every contig on every rank in owner loop 2.
+  constexpr int kRanks = 3;
+  const auto s = build_scenario(4, 6, 83);
+  const auto counter = make_counter(s.reads);
+  const auto n = static_cast<double>(s.contigs.size());
+  for (const auto distribution :
+       {Distribution::kChunkedRoundRobin, Distribution::kBlock, Distribution::kDynamic}) {
+    for (const auto sharding : {ShardingStrategy::kPooled, ShardingStrategy::kOwner}) {
+      SCOPED_TRACE(std::string(distribution_name(distribution)) + " " + to_string(sharding));
+      auto options = test_options();
+      options.distribution = distribution;
+      options.sharding = sharding;
+      options.omp_threads = 2;
+      trace::SpanRecorder recorder;
+      {
+        trace::ScopedRecording recording(&recorder);
+        simpi::run(kRanks, [&](simpi::Context& ctx) {
+          (void)run_hybrid(ctx, s.contigs, counter, options);
+        });
+      }
+      std::map<std::string, double> items;
+      for (const auto& ev : recorder.drain()) {
+        if (ev.category != trace::kCatLoop) continue;
+        std::map<std::string, double> args;
+        for (const auto& arg : ev.args) args[arg.name] = arg.value;
+        EXPECT_EQ(args.size(), 2u) << ev.name;
+        EXPECT_EQ(args.count("chunk"), 1u) << ev.name;
+        ASSERT_EQ(args.count("items"), 1u) << ev.name;
+        EXPECT_GE(ev.rank, 0) << ev.name;
+        items[ev.name] += args["items"];
+      }
+      EXPECT_EQ(items["gff.loop1"], n);
+      EXPECT_EQ(items["gff.loop2"], sharding == ShardingStrategy::kOwner ? kRanks * n : n);
+      EXPECT_EQ(items.size(), 2u);
+    }
+  }
+}
 
 // --- weld arrival-order independence ----------------------------------------------
 

@@ -19,7 +19,9 @@
 #include "seq/dna.hpp"
 #include "seq/fasta.hpp"
 #include "simpi/context.hpp"
+#include "simpi/fault.hpp"
 #include "test_helpers.hpp"
+#include "trace/span_recorder.hpp"
 
 namespace trinity::chrysalis {
 namespace {
@@ -454,6 +456,64 @@ TEST(R2THybrid2, ConcatenatedFileHoldsAllReads) {
       EXPECT_GE(result.timing.concat_seconds, 0.0);
     }
   });
+}
+
+TEST(R2THybrid2, EveryChunkSpanCarriesChunkAndItems) {
+  // One r2t.chunk span per chunk per OpenMP thread: summed over every
+  // rank's spans, the items are the reads, each classified once.
+  const TempDir dir("r2t_trace");
+  Fixture f = build_fixture(4, 12, 61);
+  seq::write_fasta(dir.file("reads.fa"), f.reads);
+  for (const auto strategy : {R2TStrategy::kRedundantStreaming, R2TStrategy::kMasterSlave}) {
+    auto options = test_options(7);
+    options.strategy = strategy;
+    options.omp_threads = 2;
+    trace::SpanRecorder recorder;
+    {
+      trace::ScopedRecording recording(&recorder);
+      simpi::run(3, [&](simpi::Context& ctx) {
+        (void)run_hybrid(ctx, f.contigs, f.components, dir.file("reads.fa"), options);
+      });
+    }
+    double items = 0.0;
+    for (const auto& ev : recorder.drain()) {
+      if (ev.category != trace::kCatLoop) continue;
+      EXPECT_EQ(ev.name, "r2t.chunk");
+      ASSERT_EQ(ev.args.size(), 2u);
+      EXPECT_EQ(ev.args[0].name, "chunk");
+      EXPECT_EQ(ev.args[1].name, "items");
+      items += ev.args[1].value;
+    }
+    EXPECT_EQ(items, static_cast<double>(f.reads.size()));
+  }
+}
+
+TEST(R2THybrid2, SlaveRecvFaultSurfacesAsRankFault) {
+  // Master/slave at two OpenMP threads: a slave's first receive runs before
+  // the team forks, the later ones on its master while the team classifies.
+  // A rank fault on any of them must leave simpi::run as the typed
+  // RankFaultError, not std::terminate from inside the OpenMP region.
+  const TempDir dir("r2t_slave_fault");
+  Fixture f = build_fixture(4, 12, 67);
+  seq::write_fasta(dir.file("reads.fa"), f.reads);
+  auto options = test_options(7);  // 51 reads: chunks 1, 3, 5 and 7 go to rank 1
+  options.strategy = R2TStrategy::kMasterSlave;
+  options.omp_threads = 2;
+  for (int entry = 1; entry <= 5; ++entry) {  // four chunks and the end sentinel
+    SCOPED_TRACE("recv entry " + std::to_string(entry));
+    simpi::FaultPlan plan;
+    plan.rank = 1;
+    plan.op = simpi::CommOp::kRecv;
+    plan.at_entry = entry;
+    EXPECT_THROW(simpi::run(
+                     2,
+                     [&](simpi::Context& ctx) {
+                       (void)run_hybrid(ctx, f.contigs, f.components, dir.file("reads.fa"),
+                                        options);
+                     },
+                     {}, std::move(plan)),
+                 simpi::RankFaultError);
+  }
 }
 
 TEST(R2TEdge, EmptyReadsFile) {
