@@ -18,6 +18,7 @@
 // exchange's pool_wait_s, so the owner mode's traffic reduction is directly
 // diffable.
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -35,6 +36,22 @@ double op_wait(const std::vector<trinity::simpi::RankResult>& ranks,
   return total;
 }
 
+/// One trial's measurements of a (ranks, sharding) configuration.
+struct Trial {
+  double loop1_max, loop1_min, loop2_max, loop2_min, total;
+  double comm_wait, ag_wait, a2a_wait, pool_wait, skew;
+};
+
+/// The median over trials of one measurement (the mean of the middle two
+/// for an even count).
+double median_of(const std::vector<Trial>& trials, double Trial::*field) {
+  std::vector<double> v;
+  for (const auto& t : trials) v.push_back(t.*field);
+  std::sort(v.begin(), v.end());
+  const std::size_t mid = v.size() / 2;
+  return v.size() % 2 == 1 ? v[mid] : 0.5 * (v[mid - 1] + v[mid]);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -42,7 +59,7 @@ int main(int argc, char** argv) {
   auto cfg = bench::bench_config("bench_fig07_gff_scaling", "Figure 7: hybrid GraphFromFasta scaling (sugarbeet workload)");
   cfg.flag_int("genes", 400, "genes to simulate (scales the dataset)");
   cfg.flag_int("kernel-repeats", 100, "per-item kernel repeats (cost-model calibration)");
-  cfg.flag_int("trials", 2, "trials per configuration (minimum kept)");
+  cfg.flag_int("trials", 3, "trials per configuration (each row reports their median)");
   int parse_exit = 0;
   if (!bench::parse_or_exit(cfg, argc, argv, &parse_exit)) return parse_exit;
   const auto genes = static_cast<std::size_t>(cfg.get_int("genes"));
@@ -69,6 +86,7 @@ int main(int argc, char** argv) {
               "sharding", "loop1_max", "loop1_min", "loop2_max", "loop2_min", "total(s)",
               "speedup", "comm(B)", "ag_wait", "skew");
   const int trials = static_cast<int>(cfg.get_int("trials"));
+  if (trials < 1) throw ConfigError("trials", "must be at least 1");
   double base_total = 0.0;
   for (const int nranks : {1, 2, 4, 8, 16, 24}) {
     std::vector<std::int32_t> reference_components;  // from the pooled run
@@ -76,13 +94,11 @@ int main(int argc, char** argv) {
          {chrysalis::ShardingStrategy::kPooled, chrysalis::ShardingStrategy::kOwner}) {
       options.sharding = sharding;
       const char* mode = chrysalis::to_string(sharding);
-      // Best of N trials: rank threads oversubscribe the 2-core host, and a
-      // descheduled thread's CPU clock picks up scheduler noise; the minimum
-      // is the least-contaminated measurement.
-      chrysalis::GffTiming timing;
+      // Median of N trials: rank threads oversubscribe the host, and a
+      // descheduled thread's CPU clock picks up scheduler noise in either
+      // direction. The communication volume is the same in every trial.
+      std::vector<Trial> samples;
       bench::CommSummary comm;
-      double ag_wait = 0.0;
-      double a2a_wait = 0.0;
       std::vector<std::int32_t> components;
       for (int trial = 0; trial < trials; ++trial) {
         chrysalis::GffTiming t;
@@ -94,14 +110,16 @@ int main(int argc, char** argv) {
             c = r.components.component_of;
           }
         });
-        if (trial == 0 || t.total_seconds() < timing.total_seconds()) {
-          timing = t;
-          comm = bench::summarize_comm(ranks);
-          ag_wait = op_wait(ranks, simpi::CommOp::kAllgatherv);
-          a2a_wait = op_wait(ranks, simpi::CommOp::kAlltoallv);
-        }
+        comm = bench::summarize_comm(ranks);
+        samples.push_back({t.loop1.max(), t.loop1.min(), t.loop2.max(), t.loop2.min(),
+                           t.total_seconds(), comm.wait_seconds,
+                           op_wait(ranks, simpi::CommOp::kAllgatherv),
+                           op_wait(ranks, simpi::CommOp::kAlltoallv), t.pool_wait_seconds,
+                           comm.skew});
         components = std::move(c);
       }
+      const auto med = [&](double Trial::*field) { return median_of(samples, field); };
+      const double total = med(&Trial::total);
       // Owner-sharding the weld exchange may not change the clustering:
       // both modes are asserted bit-identical on the contig -> component
       // table.
@@ -113,34 +131,34 @@ int main(int argc, char** argv) {
                      mode, nranks);
         return 1;
       }
-      if (nranks == 1 && sharding == chrysalis::ShardingStrategy::kPooled) {
-        base_total = timing.total_seconds();
-      }
+      if (nranks == 1 && sharding == chrysalis::ShardingStrategy::kPooled) base_total = total;
       std::printf(
           "%6d %8s | %11.3f %11.3f | %11.3f %11.3f | %11.3f | %7.2fx | %10llu %9.3f %6.2f\n",
-          nranks, mode, timing.loop1.max(), timing.loop1.min(), timing.loop2.max(),
-          timing.loop2.min(), timing.total_seconds(), base_total / timing.total_seconds(),
-          static_cast<unsigned long long>(comm.bytes_received), ag_wait, comm.skew);
-      csv.row(nranks, mode, timing.loop1.max(), timing.loop1.min(), timing.loop2.max(),
-              timing.loop2.min(), timing.total_seconds(),
-              base_total / timing.total_seconds(), comm.bytes_received, ag_wait, a2a_wait,
-              comm.skew);
+          nranks, mode, med(&Trial::loop1_max), med(&Trial::loop1_min),
+          med(&Trial::loop2_max), med(&Trial::loop2_min), total, base_total / total,
+          static_cast<unsigned long long>(comm.bytes_received), med(&Trial::ag_wait),
+          med(&Trial::skew));
+      csv.row(nranks, mode, med(&Trial::loop1_max), med(&Trial::loop1_min),
+              med(&Trial::loop2_max), med(&Trial::loop2_min), total, base_total / total,
+              comm.bytes_received, med(&Trial::ag_wait), med(&Trial::a2a_wait),
+              med(&Trial::skew));
       json.begin_entry();
       json.field("nodes", static_cast<std::int64_t>(nranks));
       json.field("sharding", std::string(mode));
-      json.field("loop1_max", timing.loop1.max());
-      json.field("loop1_min", timing.loop1.min());
-      json.field("loop2_max", timing.loop2.max());
-      json.field("loop2_min", timing.loop2.min());
-      json.field("total_s", timing.total_seconds());
-      json.field("speedup", base_total / timing.total_seconds());
+      json.field("trials", static_cast<std::int64_t>(trials));
+      json.field("loop1_max", med(&Trial::loop1_max));
+      json.field("loop1_min", med(&Trial::loop1_min));
+      json.field("loop2_max", med(&Trial::loop2_max));
+      json.field("loop2_min", med(&Trial::loop2_min));
+      json.field("total_s", total);
+      json.field("speedup", base_total / total);
       json.field("comm_bytes_sent", static_cast<std::int64_t>(comm.bytes_sent));
       json.field("comm_bytes_received", static_cast<std::int64_t>(comm.bytes_received));
-      json.field("comm_wait_s", comm.wait_seconds);
-      json.field("allgatherv_wait_s", ag_wait);
-      json.field("alltoallv_wait_s", a2a_wait);
-      json.field("pool_wait_s", timing.pool_wait_seconds);
-      json.field("skew_ratio", comm.skew);
+      json.field("comm_wait_s", med(&Trial::comm_wait));
+      json.field("allgatherv_wait_s", med(&Trial::ag_wait));
+      json.field("alltoallv_wait_s", med(&Trial::a2a_wait));
+      json.field("pool_wait_s", med(&Trial::pool_wait));
+      json.field("skew_ratio", med(&Trial::skew));
     }
   }
   std::printf("\npaper: loops speed up ~8-12x over the node range; total GraphFromFasta\n"

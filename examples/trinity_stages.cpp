@@ -65,7 +65,10 @@ int stage_jellyfish(const Config& cfg, int k) {
   kmer::CounterOptions o;
   o.k = k;
   kmer::KmerCounter counter(o);
-  counter.add_sequences(reads);
+  // Only the k-mers the later stages keep at their default thresholds, as
+  // run_pipeline counts: the same reads give the same kmers.bin.
+  counter.count_solid(reads, std::min(inchworm::InchwormOptions{}.min_kmer_count,
+                                      chrysalis::GraphFromFastaOptions{}.min_weld_support));
   const auto counts = counter.dump();
   std::string out = cfg.get_string("out");
   if (out.empty()) out = "kmers.bin";
@@ -101,11 +104,10 @@ int stage_chrysalis(const Config& cfg, int k) {
 
   kmer::CounterOptions copt;
   copt.k = k;
-  kmer::KmerCounter counter(copt);
-  counter.add_sequences(reads);
-
   chrysalis::GraphFromFastaOptions gff;
   gff.k = k;
+  kmer::KmerCounter counter(copt);
+  counter.count_solid(reads, gff.min_weld_support);  // the welds read no other k-mer
   const std::string sharding = cfg.get_string("gff-sharding");
   if (!chrysalis::sharding_from_string(sharding, &gff.sharding)) {
     throw ConfigError("gff-sharding",

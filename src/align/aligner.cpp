@@ -97,20 +97,6 @@ Placement SeedExtendAligner::place(const std::string& bases) const {
   return best;
 }
 
-SamRecord SeedExtendAligner::record_of(const seq::Sequence& read, const Placement& p) const {
-  SamRecord out;
-  out.read_name = read.name;
-  out.read_length = read.bases.size();
-  if (p.aligned()) {
-    out.target_id = p.target_id;
-    out.target_name = index_.contigs()[static_cast<std::size_t>(p.target_id)].name;
-    out.pos = p.pos;
-    out.reverse_strand = p.reverse_strand;
-    out.mismatches = p.mismatches;
-  }
-  return out;
-}
-
 int SeedExtendAligner::team_size() const {
   const int requested = index_.options().num_threads;
   return requested > 0 ? requested : omp_get_max_threads();
@@ -129,12 +115,36 @@ void SeedExtendAligner::place_all(const std::vector<seq::Sequence>& reads, std::
   }
 }
 
+std::vector<Placement> SeedExtendAligner::place_reads(
+    const std::vector<seq::Sequence>& reads) const {
+  std::vector<Placement> out(reads.size());
+  place_all(reads, 0, reads.size(),
+            [&](int, std::size_t i, const Placement& p) { out[i] = p; });
+  return out;
+}
+
 std::vector<SamRecord> SeedExtendAligner::align_all(
     const std::vector<seq::Sequence>& reads) const {
+  return sam_records(reads, place_reads(reads), index_.contigs());
+}
+
+std::vector<SamRecord> sam_records(const std::vector<seq::Sequence>& reads,
+                                   const std::vector<Placement>& placements,
+                                   const std::vector<seq::Sequence>& contigs) {
   std::vector<SamRecord> out(reads.size());
-  place_all(reads, 0, reads.size(), [&](int, std::size_t i, const Placement& p) {
-    out[i] = record_of(reads[i], p);
-  });
+  for (std::size_t i = 0; i < reads.size(); ++i) {
+    const Placement& p = placements[i];
+    SamRecord& r = out[i];
+    r.read_name = reads[i].name;
+    r.read_length = reads[i].bases.size();
+    if (p.aligned()) {
+      r.target_id = p.target_id;
+      r.target_name = contigs[static_cast<std::size_t>(p.target_id)].name;
+      r.pos = p.pos;
+      r.reverse_strand = p.reverse_strand;
+      r.mismatches = p.mismatches;
+    }
+  }
   return out;
 }
 

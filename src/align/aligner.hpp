@@ -101,6 +101,11 @@ class SeedExtendAligner {
   /// id, then lower position, then forward strand.
   [[nodiscard]] std::vector<SamRecord> align_all(const std::vector<seq::Sequence>& reads) const;
 
+  /// The placements behind align_all, one per read in input order: what a
+  /// caller keeps while the index lives, to build the records (sam_records)
+  /// after freeing it.
+  [[nodiscard]] std::vector<Placement> place_reads(const std::vector<seq::Sequence>& reads) const;
+
   /// Receives one read's placement: the OpenMP thread that aligned it
   /// (0 <= thread < team_size()), the read's index, and the placement.
   using PlacementSink = std::function<void(int thread, std::size_t read, const Placement&)>;
@@ -122,11 +127,15 @@ class SeedExtendAligner {
   /// Tries all seed positions of `bases` on one strand, updating `best`.
   void align_strand(const std::string& bases, bool reverse, Placement& best) const;
 
-  /// `p` as a SAM record of `read`.
-  [[nodiscard]] SamRecord record_of(const seq::Sequence& read, const Placement& p) const;
-
   const ContigIndex& index_;
 };
+
+/// The SAM records of `reads` from their placements (place_reads) against
+/// `contigs`, the index's contig set: align_all's result, built without
+/// the index.
+[[nodiscard]] std::vector<SamRecord> sam_records(const std::vector<seq::Sequence>& reads,
+                                                 const std::vector<Placement>& placements,
+                                                 const std::vector<seq::Sequence>& contigs);
 
 /// Writes records as a SAM file with @HD/@SQ headers over the index's
 /// contigs. Unaligned records get the 0x4 flag. Writes through

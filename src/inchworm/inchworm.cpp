@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "seq/dna.hpp"
 #include "util/hash.hpp"
@@ -14,21 +15,26 @@ void Inchworm::load_counts(const std::vector<kmer::KmerCount>& counts) {
   const auto survivors = std::count_if(counts.begin(), counts.end(), [&](const auto& kc) {
     return kc.count >= options_.min_kmer_count;  // error prune
   });
-  dict_ = kmer::FlatKmerIndex<Entry>(static_cast<std::size_t>(survivors));
+  dict_ = kmer::FlatKmerIndex<std::uint32_t>(static_cast<std::size_t>(survivors));
   for (const auto& kc : counts) {
-    if (kc.count >= options_.min_kmer_count) dict_[kc.code].count += kc.count;
+    if (kc.count < options_.min_kmer_count) continue;
+    std::uint32_t& count = dict_[kc.code];
+    if (kc.count >= kUsed - count) {
+      throw std::overflow_error("Inchworm: k-mer " + std::to_string(kc.code) +
+                                " reaches a count of 2^31, beyond the dictionary's 31 bits");
+    }
+    count += kc.count;
   }
 }
 
 std::uint32_t Inchworm::available_count(seq::KmerCode literal) const {
-  const auto it = dict_.find(codec_.canonical(literal));
-  if (it == dict_.end() || it->second.used) return 0;
-  return it->second.count;
+  const std::uint32_t* word = dict_.lookup(codec_.canonical(literal));
+  // A used word (top bit set) is no longer available.
+  return word == nullptr || (*word & kUsed) != 0 ? 0 : *word;
 }
 
 void Inchworm::mark_used(seq::KmerCode literal) {
-  const auto it = dict_.find(codec_.canonical(literal));
-  if (it != dict_.end()) it->second.used = true;
+  if (std::uint32_t* word = dict_.lookup(codec_.canonical(literal))) *word |= kUsed;
 }
 
 namespace {
@@ -79,7 +85,7 @@ std::vector<seq::Sequence> Inchworm::assemble() {
   // Seed order: decreasing abundance, code as a deterministic tiebreak.
   std::vector<std::pair<seq::KmerCode, std::uint32_t>> seeds;
   seeds.reserve(dict_.size());
-  for (const auto& [code, entry] : dict_) seeds.emplace_back(code, entry.count);
+  for (const auto& [code, count] : dict_) seeds.emplace_back(code, count);
   const std::uint64_t salt = options_.tie_break_seed;
   auto tie_key = [salt](seq::KmerCode code) {
     return salt == 0 ? static_cast<std::uint64_t>(code) : mix_tie(code, salt);
@@ -91,9 +97,9 @@ std::vector<seq::Sequence> Inchworm::assemble() {
 
   std::vector<seq::Sequence> contigs;
   for (const auto& [code, count] : seeds) {
-    const auto it = dict_.find(code);
-    if (it == dict_.end() || it->second.used) continue;
-    it->second.used = true;
+    std::uint32_t& word = *dict_.lookup(code);
+    if ((word & kUsed) != 0) continue;
+    word |= kUsed;
 
     std::string contig = codec_.decode(code);
     extend_right(contig);

@@ -52,7 +52,8 @@ class Inchworm {
   explicit Inchworm(InchwormOptions options);
 
   /// Loads the dictionary from dumped counts, pruning error k-mers.
-  /// Codes must be canonical for the same k as the options.
+  /// Codes must be canonical for the same k as the options. Throws
+  /// std::overflow_error when a k-mer's count reaches 2^31.
   void load_counts(const std::vector<kmer::KmerCount>& counts);
 
   /// Runs the greedy assembly, returning contigs named "iworm_<n>" in
@@ -63,10 +64,9 @@ class Inchworm {
   [[nodiscard]] const InchwormStats& stats() const { return stats_; }
 
  private:
-  struct Entry {
-    std::uint32_t count = 0;
-    bool used = false;
-  };
+  /// A dictionary word holds the count in its low 31 bits and the used
+  /// flag in the top bit.
+  static constexpr std::uint32_t kUsed = std::uint32_t{1} << 31;
 
   /// Count lookup through canonicalization; 0 when absent or used.
   std::uint32_t available_count(seq::KmerCode literal) const;
@@ -79,7 +79,7 @@ class Inchworm {
 
   InchwormOptions options_;
   seq::KmerCodec codec_;
-  kmer::FlatKmerIndex<Entry> dict_;
+  kmer::FlatKmerIndex<std::uint32_t> dict_;
   InchwormStats stats_;
 };
 

@@ -1,6 +1,7 @@
 #include "kmer/counter.hpp"
 
 #include "io/io_file.hpp"
+#include "util/hash.hpp"
 
 #include <omp.h>
 
@@ -17,6 +18,45 @@ namespace {
 // Reads per counting block: bounds the per-thread partition buffers, which
 // would otherwise hold every k-mer occurrence of the input.
 constexpr std::size_t kBlockReads = 16384;
+
+// count_solid's filter bits per k-mer window scanned. When no code repeats
+// (a window per distinct code), up to ~15% of the codes pass the two-probe
+// filter as false positives; at RNA-seq coverage, under 1% do.
+constexpr std::size_t kFilterBitsPerWindow = 4;
+
+/// count_solid's per-partition Bloom filter: a power-of-two bit array
+/// probed at two positions taken from one mix of the code. That mix is
+/// independent of mix_kmer_code, which picks the partition and the table
+/// slot.
+class SeenFilter {
+ public:
+  explicit SeenFilter(std::size_t min_bits) {
+    std::size_t bits = 64;
+    while (bits < min_bits) bits *= 2;
+    words_.assign(bits / 64, 0);
+    mask_ = bits - 1;
+  }
+
+  /// Marks `code` seen. True when both its bits were already set: always
+  /// for a code marked before, and for a few codes that were not.
+  bool test_and_set(seq::KmerCode code) {
+    const std::uint64_t h = util::mix64(code);
+    return set(h & mask_) & set((h >> 32) & mask_);
+  }
+
+ private:
+  /// Sets one bit; true when it was already set.
+  bool set(std::uint64_t bit) {
+    std::uint64_t& word = words_[bit >> 6];
+    const std::uint64_t m = std::uint64_t{1} << (bit & 63);
+    const bool was = (word & m) != 0;
+    word |= m;
+    return was;
+  }
+
+  std::vector<std::uint64_t> words_;
+  std::uint64_t mask_ = 0;
+};
 }  // namespace
 
 KmerCounter::KmerCounter(CounterOptions options)
@@ -30,7 +70,8 @@ void KmerCounter::add_counts(const std::vector<KmerCount>& counts) {
   for (const auto& kc : counts) partitions_[partition_of(kc.code)][kc.code] += kc.count;
 }
 
-void KmerCounter::add_sequences(const std::vector<seq::Sequence>& seqs) {
+template <typename Fold>
+void KmerCounter::walk_blocks(const std::vector<seq::Sequence>& seqs, const Fold& fold) {
   const int threads = thread_count();
   const std::size_t nparts = partitions_.size();
   // buffers[t * nparts + p]: the codes thread t found for partition p in
@@ -54,11 +95,60 @@ void KmerCounter::add_sequences(const std::vector<seq::Sequence>& seqs) {
       for (std::size_t p = 0; p < nparts; ++p) {
         for (int t = 0; t < threads; ++t) {
           auto& buffer = buffers[static_cast<std::size_t>(t) * nparts + p];
-          for (const seq::KmerCode code : buffer) ++partitions_[p][code];
+          fold(p, buffer);
           buffer.clear();
         }
       }
     }
+  }
+}
+
+void KmerCounter::add_sequences(const std::vector<seq::Sequence>& seqs) {
+  walk_blocks(seqs, [&](std::size_t p, const std::vector<seq::KmerCode>& codes) {
+    for (const seq::KmerCode code : codes) ++partitions_[p][code];
+  });
+}
+
+void KmerCounter::count_solid(const std::vector<seq::Sequence>& seqs, std::uint32_t min_count) {
+  partitions_.assign(partitions_.size(), FlatKmerIndex<std::uint32_t>());
+  if (min_count <= 1) {
+    add_sequences(seqs);
+    return;
+  }
+  // The windows scanned bound the distinct codes: each filter gets
+  // kFilterBitsPerWindow bits per window of its partition's share.
+  std::size_t windows = 0;
+  for (const auto& s : seqs) windows += codec_.window_count(s.bases);
+  std::vector<SeenFilter> filters(partitions_.size(),
+                                  SeenFilter(kFilterBitsPerWindow * windows / partitions_.size()));
+
+  // Pass 1: a code's second sighting (or a false positive) makes it a key.
+  walk_blocks(seqs, [&](std::size_t p, const std::vector<seq::KmerCode>& codes) {
+    for (const seq::KmerCode code : codes) {
+      if (filters[p].test_and_set(code)) partitions_[p].emplace(code, 0);
+    }
+  });
+  filters = std::vector<SeenFilter>();
+
+  // Pass 2: exact counts over the keys only.
+  walk_blocks(seqs, [&](std::size_t p, const std::vector<seq::KmerCode>& codes) {
+    for (const seq::KmerCode code : codes) {
+      if (std::uint32_t* count = partitions_[p].lookup(code)) ++*count;
+    }
+  });
+
+  // Drop the keys below the threshold, each partition into a table sized
+  // to its survivors.
+#pragma omp parallel for schedule(dynamic, 1) num_threads(thread_count())
+  for (std::size_t p = 0; p < partitions_.size(); ++p) {
+    const auto& all = partitions_[p];
+    std::size_t kept = 0;
+    for (const auto& [code, count] : all) kept += count >= min_count;
+    FlatKmerIndex<std::uint32_t> solid(kept);
+    for (const auto& [code, count] : all) {
+      if (count >= min_count) solid.emplace(code, count);
+    }
+    partitions_[p] = std::move(solid);
   }
 }
 

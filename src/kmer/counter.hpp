@@ -10,6 +10,15 @@
 // binary dump format and its loader complete it. Counts are over canonical
 // k-mers (min of a k-mer and its reverse complement); CounterOptions can
 // switch that off to count literal strands.
+//
+// count_solid keeps the singletons, two thirds of the distinct k-mers of
+// an RNA-seq read set and dropped by every consumer at the default
+// thresholds, out of the tables altogether. It runs the same block walk
+// twice (HipMer's Bloom-filter first pass): pass 1 folds each code into a
+// per-partition Bloom filter and gives a code a table key only when the
+// filter has already seen it; pass 2 counts exactly over those keys, and
+// keys below the threshold (Bloom false positives among them, whose count
+// ends at 1) are dropped.
 
 #include <cstdint>
 #include <string>
@@ -43,6 +52,13 @@ class KmerCounter {
   /// repeatedly (counts accumulate). The result does not depend on the
   /// thread count. Not safe to call concurrently with any other method.
   void add_sequences(const std::vector<seq::Sequence>& seqs);
+
+  /// Replaces the contents with the k-mers of `seqs` that occur at least
+  /// `min_count` times, at their exact counts: afterwards every query and
+  /// dump() equal those of a fresh counter after add_sequences(seqs) and
+  /// then dump(min_count). A min_count of 0 or 1 is that plain count. The
+  /// result does not depend on the thread count.
+  void count_solid(const std::vector<seq::Sequence>& seqs, std::uint32_t min_count);
 
   /// Merges pre-counted (k-mer, count) records — rebuilding a counter from
   /// a dump file, e.g. when a checkpointed pipeline resumes past its
@@ -78,6 +94,13 @@ class KmerCounter {
     return static_cast<std::size_t>(mix_kmer_code(code) >> (64 - kPartitionBits));
   }
   [[nodiscard]] int thread_count() const;
+
+  /// The block walk behind add_sequences and count_solid: for each block
+  /// of reads, buffers the block's codes per thread and partition, then
+  /// calls fold(p, codes) for every partition p and thread buffer, with
+  /// each partition folded by exactly one thread.
+  template <typename Fold>
+  void walk_blocks(const std::vector<seq::Sequence>& seqs, const Fold& fold);
 
   CounterOptions options_;
   seq::KmerCodec codec_;

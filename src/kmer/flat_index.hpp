@@ -168,6 +168,9 @@ class FlatKmerIndex {
     const std::size_t slot = locate_const(code);
     return slot < keys_.size() ? &values_[slot] : nullptr;
   }
+  [[nodiscard]] V* lookup(seq::KmerCode code) {
+    return const_cast<V*>(std::as_const(*this).lookup(code));
+  }
 
  private:
   // Load factor ceiling: linear probing degrades sharply past ~0.8; 0.7

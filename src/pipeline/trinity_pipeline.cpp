@@ -9,6 +9,10 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "align/sam_io.hpp"
 #include "checkpoint/fingerprint.hpp"
 #include "io/io_file.hpp"
@@ -72,6 +76,18 @@ constexpr const char* kSamFile = "bowtie.sam";
 constexpr const char* kComponentsFile = "components.txt";
 constexpr const char* kAssignmentsFile = "readsToComponents.out.tsv";
 constexpr const char* kTranscriptsFile = "Trinity.fa";
+
+/// Returns the heap pages freed so far to the OS. The driver calls it
+/// before each executing stage: hybrid stages allocate on simpi rank
+/// threads and OpenMP workers, each in a malloc arena of its own, and an
+/// arena keeps the pages of its freed blocks resident until it is
+/// trimmed. Without it, a 4-rank run's later stages carried 40-60 MB that
+/// no object held.
+void release_free_memory() {
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
+}
 
 /// Records a hybrid stage's per-rank results, the run report's comm[]
 /// section (replacing any earlier attempt's entry, so a retried stage
@@ -166,6 +182,7 @@ class StageDriver {
     }
     chain_valid_ = false;  // everything downstream recomputes too
     if (name == options_.hang_stage && options_.hang_seconds > 0.0) hang_in_stage(name);
+    release_free_memory();
     const Execution exec = execute_with_retry(name, compute);
     result_.stages_executed.push_back(name);
     if (options_.metrics != nullptr) {
@@ -475,12 +492,11 @@ PipelineResult run_pipeline_impl(const std::vector<seq::Sequence>& reads,
   driver.stage(
       "jellyfish", {kReadsFile}, {kKmersFile},
       [&] {
-        // Rebuild the counter on entry: the retry driver may run this body
-        // again (e.g. after a transient I/O failure on the dump), and
-        // re-adding the reads to a populated counter would double every
-        // count.
-        counter = kmer::KmerCounter(counter_options);
-        counter.add_sequences(reads);
+        // Only the k-mers some consumer keeps: Inchworm prunes below
+        // min_kmer_count and a weld needs min_weld_support. count_solid
+        // replaces the counter's contents, so a retry of this body (e.g.
+        // after a transient I/O failure on the dump) counts afresh.
+        counter.count_solid(reads, std::min(options.min_kmer_count, options.min_weld_support));
         counts = counter.dump();
         kmer::write_dump_binary(work_dir + "/" + kKmersFile, counts, options.k);
         counted = true;
@@ -523,9 +539,18 @@ PipelineResult run_pipeline_impl(const std::vector<seq::Sequence>& reads,
       [&] {
         if (options.nranks == 1) {
           util::ThreadCpuTimer cpu;
-          const align::ContigIndex index(result.contigs, aligner_options);
-          const align::SeedExtendAligner aligner(index);
-          sam = aligner.align_all(reads);
+          // The records are built once the index (and its copy of the
+          // contigs) is gone and its pages are back with the OS: while it
+          // lives, a read holds a Placement. Left in malloc's free lists,
+          // those pages did not take the records, whose ~20 MB then came
+          // on top of the index's peak.
+          std::vector<align::Placement> placements;
+          {
+            const align::ContigIndex index(result.contigs, aligner_options);
+            placements = align::SeedExtendAligner(index).place_reads(reads);
+          }
+          release_free_memory();
+          sam = align::sam_records(reads, placements, result.contigs);
           // One node with model_threads_per_rank threads: the aligner loop is
           // embarrassingly parallel, so model the division directly.
           result.bowtie_timing.align_seconds_max = result.bowtie_timing.align_seconds_min =

@@ -129,6 +129,40 @@ TEST(AlignerTest, AlignAllPreservesOrder) {
   }
 }
 
+TEST(AlignerTest, RecordsBuiltAfterTheIndexIsFreedMatchAlignAll) {
+  const auto contigs = make_contigs(3, 500, 700);
+  std::vector<seq::Sequence> reads;
+  for (int i = 0; i < 60; ++i) {
+    std::string bases = contigs[static_cast<std::size_t>(i % 3)].bases.substr(
+        static_cast<std::size_t>(i) * 7, 50);
+    if (i % 4 == 1) bases = seq::reverse_complement(bases);
+    if (i % 5 == 2) bases = std::string(50, 'N');  // unaligned
+    reads.push_back({"r" + std::to_string(i), std::move(bases)});
+  }
+  std::vector<Placement> placements;
+  {
+    const ContigIndex index(contigs, AlignerOptions{});
+    placements = SeedExtendAligner(index).place_reads(reads);
+  }
+  const auto records = sam_records(reads, placements, contigs);
+
+  const ContigIndex index(contigs, AlignerOptions{});
+  const auto expected = SeedExtendAligner(index).align_all(reads);
+  ASSERT_EQ(records.size(), expected.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    SCOPED_TRACE(reads[i].name);
+    EXPECT_EQ(records[i].read_name, expected[i].read_name);
+    EXPECT_EQ(records[i].target_id, expected[i].target_id);
+    EXPECT_EQ(records[i].target_name, expected[i].target_name);
+    EXPECT_EQ(records[i].pos, expected[i].pos);
+    EXPECT_EQ(records[i].reverse_strand, expected[i].reverse_strand);
+    EXPECT_EQ(records[i].mismatches, expected[i].mismatches);
+    EXPECT_EQ(records[i].read_length, expected[i].read_length);
+  }
+  EXPECT_FALSE(records[2].aligned());
+  EXPECT_TRUE(records[1].aligned() && records[1].reverse_strand);
+}
+
 TEST(AlignerTest, HyperRepetitiveSeedsSuppressed) {
   // A poly-A contig makes one seed with hundreds of hits; the index must
   // suppress it rather than explode.

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
 
 #include "inchworm/inchworm.hpp"
 #include "seq/dna.hpp"
@@ -241,6 +242,23 @@ TEST(InchwormTest, LoadCountsMergesDuplicates) {
   const auto contigs = assembler.assemble();
   ASSERT_EQ(contigs.size(), 1u);
   EXPECT_EQ(contigs[0].bases.size(), 15u);
+}
+
+TEST(InchwormTest, CountsUpTo31BitsLoadAndAReachingCountThrows) {
+  // The dictionary keeps the used flag in a count word's top bit.
+  const seq::KmerCodec codec(15);
+  const auto code = codec.canonical(*codec.encode(random_dna(15, 5)));
+  constexpr std::uint32_t kMax = (std::uint32_t{1} << 31) - 1;
+  Inchworm largest(small_opts());
+  largest.load_counts({{code, kMax}});
+  const auto contigs = largest.assemble();  // a seed, not a used k-mer
+  ASSERT_EQ(contigs.size(), 1u);
+  EXPECT_EQ(contigs[0].bases.size(), 15u);
+
+  Inchworm summed(small_opts());
+  EXPECT_THROW(summed.load_counts({{code, kMax}, {code, 1}}), std::overflow_error);
+  Inchworm single(small_opts());
+  EXPECT_THROW(single.load_counts({{code, kMax + 1}}), std::overflow_error);
 }
 
 }  // namespace

@@ -255,6 +255,90 @@ TEST(KmerCounterTest, RepeatedAddsAndAddCountsAccumulate) {
   for (const auto& kc : once) EXPECT_EQ(counter.count_of(kc.code), 3 * kc.count);
 }
 
+/// Reads of 40-100 bases drawn from a few random transcripts, either
+/// strand, one base in fifty substituted: k-mer counts from 1 to a few
+/// hundred, as in an RNA-seq read set.
+std::vector<seq::Sequence> sampled_reads(std::size_t n, std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<std::string> transcripts;
+  for (int t = 0; t < 6; ++t) transcripts.push_back(random_dna(300 + rng.uniform_below(400), rng()));
+  std::vector<seq::Sequence> reads;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::string& source = transcripts[rng.uniform_below(transcripts.size())];
+    const std::size_t length = 40 + rng.uniform_below(61);
+    std::string bases = source.substr(rng.uniform_below(source.size() - length + 1), length);
+    if (rng.uniform_below(2) == 0) bases = seq::reverse_complement(bases);
+    for (auto& c : bases) {
+      if (rng.uniform_below(50) == 0) c = "ACGT"[rng.uniform_below(4)];
+    }
+    reads.push_back({"r" + std::to_string(i), std::move(bases)});
+  }
+  return reads;
+}
+
+TEST(KmerCounterTest, SolidCountMatchesTheThresholdedFullCount) {
+  // More reads than one counting block, so both passes walk two blocks.
+  const auto reads = sampled_reads(20000, 17);
+  for (const bool canonical : {true, false}) {
+    CounterOptions o = opts(21, canonical);
+    o.num_threads = 1;
+    KmerCounter full(o);
+    full.add_sequences(reads);
+    for (const std::uint32_t t : {2u, 3u, 5u}) {
+      const auto expected = full.dump(t);
+      ASSERT_FALSE(expected.empty());
+      ASSERT_LT(expected.size(), full.distinct());
+      for (int threads = 1; threads <= 4; ++threads) {
+        SCOPED_TRACE((canonical ? "canonical, t=" : "strand-aware, t=") + std::to_string(t) +
+                     ", " + std::to_string(threads) + " threads");
+        o.num_threads = threads;
+        KmerCounter solid(o);
+        solid.count_solid(reads, t);
+        EXPECT_TRUE(same_records(solid.dump(t), expected));
+        // Nothing below the threshold is kept, so the full dump is the same.
+        EXPECT_TRUE(same_records(solid.dump(), expected));
+        EXPECT_EQ(solid.distinct(), expected.size());
+        for (const auto& [code, count] : full.dump()) {
+          ASSERT_EQ(solid.count_of(code), count >= t ? count : 0u);
+        }
+      }
+    }
+  }
+}
+
+TEST(KmerCounterTest, AllDistinctKmersLeaveNothingSolid) {
+  // Every window distinct: the Bloom filter passes its false positives to
+  // the table, and pass 2 finds each of them only once.
+  std::vector<seq::Sequence> reads;
+  for (int i = 0; i < 3000; ++i) {
+    reads.push_back({"r" + std::to_string(i), random_dna(100, 1000 + static_cast<std::uint64_t>(i))});
+  }
+  KmerCounter full(opts(25));
+  full.add_sequences(reads);
+  ASSERT_TRUE(full.dump(2).empty());
+  KmerCounter solid(opts_threads(25, 4));
+  solid.count_solid(reads, 2);
+  EXPECT_TRUE(solid.dump().empty());
+  EXPECT_EQ(solid.distinct(), 0u);
+  EXPECT_EQ(solid.total(), 0u);
+}
+
+TEST(KmerCounterTest, SolidCountReplacesTheContents) {
+  const auto reads = sampled_reads(2000, 23);
+  KmerCounter full(opts_threads(21, 2));
+  full.add_sequences(reads);
+  KmerCounter counter(opts_threads(21, 2));
+  counter.add_sequences(reads);
+  counter.count_solid(reads, 2);  // a retry of a stage counts afresh
+  counter.count_solid(reads, 2);
+  EXPECT_TRUE(same_records(counter.dump(), full.dump(2)));
+  // A threshold of 1 (or 0) keeps every k-mer: the plain count.
+  for (const std::uint32_t t : {0u, 1u}) {
+    counter.count_solid(reads, t);
+    EXPECT_TRUE(same_records(counter.dump(), full.dump()));
+  }
+}
+
 TEST(KmerDumpTest, BinaryRoundTrip) {
   const TempDir dir("bdump");
   KmerCounter counter(opts(25));

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "checkpoint/manifest.hpp"
+#include "kmer/counter.hpp"
 #include "pipeline/trinity_pipeline.hpp"
 #include "sim/transcriptome.hpp"
 #include "test_helpers.hpp"
@@ -485,6 +486,73 @@ TEST(PipelineCheckpoint, KilledInReadsToTranscriptsResumesByteIdentical) {
   EXPECT_EQ(result.stages_executed, stages_from(kAllStages, 5));
   for (const auto& name : outputs) {
     EXPECT_EQ(slurp(dir.file(name)), slurp(baseline_dir.file(name))) << name;
+  }
+}
+
+// --- the solid k-mer dump ---------------------------------------------------------
+
+/// The bytes of kmers.bin as the full counter over `reads` writes them,
+/// filtered to count >= min_count.
+std::string full_dump_bytes(const std::vector<seq::Sequence>& reads, std::uint32_t min_count,
+                            const std::string& path) {
+  kmer::CounterOptions o;
+  o.k = small_options("").k;
+  kmer::KmerCounter counter(o);
+  counter.add_sequences(reads);
+  kmer::write_dump_binary(path, counter.dump(min_count), o.k);
+  return slurp(path);
+}
+
+TEST(PipelineSolidKmers, DumpHoldsOnlyTheKmersEveryConsumerKeeps) {
+  const TempDir dir("solid_dump");
+  const auto& reads = shared_dataset().reads.reads;
+  run_pipeline(reads, small_options(dir.str()));
+  EXPECT_EQ(slurp(dir.file("kmers.bin")), full_dump_bytes(reads, 2, dir.file("full2.bin")));
+}
+
+TEST(PipelineSolidKmers, ThresholdOfOneWritesTheFullDump) {
+  const auto& reads = shared_dataset().reads.reads;
+  for (const bool weld : {false, true}) {
+    const TempDir dir(weld ? "solid_weld1" : "solid_kmer1");
+    auto options = small_options(dir.str());
+    (weld ? options.min_weld_support : options.min_kmer_count) = 1;
+    run_pipeline(reads, options);
+    EXPECT_EQ(slurp(dir.file("kmers.bin")), full_dump_bytes(reads, 1, dir.file("full1.bin")))
+        << (weld ? "min_weld_support" : "min_kmer_count") << " = 1";
+  }
+}
+
+TEST(PipelineSolidKmers, ResumingPastJellyfishFromEitherDumpReproducesTranscripts) {
+  // Every stage after Jellyfish reruns from kmers.bin: once from the solid
+  // dump this run wrote, once from the full dump an older run wrote (its
+  // hash re-recorded, as that run's manifest would hold it).
+  const auto& reads = shared_dataset().reads.reads;
+  for (const bool full : {false, true}) {
+    const TempDir dir(full ? "solid_resume_full" : "solid_resume_solid");
+    auto options = small_options(dir.str());
+    run_pipeline(reads, options);
+    const std::string transcripts = slurp(dir.file("Trinity.fa"));
+    if (full) {
+      full_dump_bytes(reads, 1, dir.file("kmers.bin"));
+      auto manifest = checkpoint::RunManifest::load(dir.file(kManifestFileName));
+      for (const auto& stage : kAllStages) {
+        auto record = *manifest.find(stage);
+        for (auto* artifacts : {&record.inputs, &record.outputs}) {
+          for (auto& a : *artifacts) {
+            if (a.path == "kmers.bin") a = checkpoint::capture_artifact(dir.str(), a.path);
+          }
+        }
+        manifest.upsert(record);
+      }
+      manifest.commit();
+    }
+    std::filesystem::remove(dir.file("inchworm.fa"));
+
+    options.resume = true;
+    const auto result = run_pipeline(reads, options);
+    EXPECT_EQ(result.stages_resumed, stages_until(kAllStages, 2)) << (full ? "full" : "solid");
+    EXPECT_EQ(result.stages_executed, stages_from(kAllStages, 2)) << (full ? "full" : "solid");
+    EXPECT_EQ(slurp(dir.file("Trinity.fa")), transcripts) << (full ? "full" : "solid");
   }
 }
 
