@@ -17,19 +17,10 @@
 //                PipelineOptions::trace_path set), load that Chrome trace
 //                and append the critical-path analysis (per-stage critical
 //                rank, per-rank blocked time, top-5 spans) to the summary
-//   --aggregate  treat the positional argument as a DIRECTORY, load every
-//                run_report.json under it recursively (a trinity_serve root
-//                with its per-tenant/per-job work dirs), and print the
-//                per-tenant roll-up table instead — jobs, wall/CPU seconds,
-//                communication bytes, retries, preemptions, worst skew.
-//                Combines with --json to emit the aggregate document.
 
-#include <algorithm>
 #include <exception>
-#include <filesystem>
 #include <iostream>
 #include <string>
-#include <vector>
 
 #include "pipeline/config.hpp"
 #include "pipeline/run_report.hpp"
@@ -48,46 +39,15 @@ std::string resolve_trace_path(const std::string& report_path,
   return report_path.substr(0, slash + 1) + trace_file;
 }
 
-// Every run_report.json under `root`, sorted by path so the aggregate is
-// deterministic regardless of directory iteration order.
-std::vector<std::string> find_reports(const std::string& root) {
-  std::vector<std::string> paths;
-  for (const auto& entry : std::filesystem::recursive_directory_iterator(root)) {
-    if (entry.is_regular_file() && entry.path().filename() == "run_report.json") {
-      paths.push_back(entry.path().string());
-    }
-  }
-  std::sort(paths.begin(), paths.end());
-  return paths;
-}
-
-int aggregate_main(const std::string& root, bool as_json) {
-  using namespace trinity;
-  std::vector<util::Json> reports;
-  for (const auto& path : find_reports(root)) {
-    reports.push_back(pipeline::load_run_report(path));
-  }
-  const util::Json aggregate = pipeline::aggregate_run_reports(reports);
-  if (as_json) {
-    std::cout << aggregate.dump() << '\n';
-  } else {
-    pipeline::summarize_aggregate(aggregate, std::cout);
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace trinity;
   Config cfg("trinity_report", "summarize the JSON run report a pipeline run emits");
-  cfg.usage("<run_report.json | --aggregate dir>")
+  cfg.usage("<run_report.json>")
       .flag_bool("json", false, "re-emit the parsed report compactly instead of the summary")
       .flag_bool("trace", false,
-                 "load the report's trace_file and append the critical-path analysis")
-      .flag_bool("aggregate", false,
-                 "recursively roll every run_report.json under the given "
-                 "directory into one per-tenant table");
+                 "load the report's trace_file and append the critical-path analysis");
   try {
     cfg.parse_cli(argc, argv);
   } catch (const ConfigError& e) {
@@ -100,7 +60,6 @@ int main(int argc, char** argv) {
   }
   const std::string path = cfg.positional().front();
   try {
-    if (cfg.get_bool("aggregate")) return aggregate_main(path, cfg.get_bool("json"));
     const util::Json report = pipeline::load_run_report(path);
     if (cfg.get_bool("json")) {
       std::cout << report.dump() << '\n';

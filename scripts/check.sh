@@ -39,85 +39,72 @@
 #      reverse complement it replaced on one canonical pass over the reads
 #      (--min-walk-speedup 2.0, equal window counts and checksums enforced
 #      by the bench), recording the run in BENCH_kmer_index.json.
-#   7. Serve gate (docs/SERVING.md): a two-tenant batch where one tenant's
-#      job carries an injected rank crash — both jobs must complete through
-#      admission + scheduling with a clean drain, the clean tenant's
-#      transcripts must be byte-identical to a fault-free control run, and
-#      the post-hoc aggregate must rebuild the per-tenant ledger from the
-#      run-report artifacts. The run exports live metrics: the final
-#      metrics.prom must pass the strict Prometheus parser (trinity_top
-#      --check-prom) and the trinity_top dashboard, which reads the same
-#      file through that parser, must show both jobs completed;
-#      bench_obs_overhead then gates the metrics-on cost
-#      of the serve batch workload under 2% (min of 8 repeats of a 16-job
-#      batch per mode, the modes alternating which runs first).
-#   8. Serve-recovery gate (docs/SERVING.md "Reliability"): a served job is
-#      SIGKILLed mid-run, the server is restarted over the same root with
-#      the same jobs file — the duplicate submission must be rejected, the
-#      journaled job must be recovered and complete with transcripts
-#      byte-identical to the control run, and the journal must hold exactly
-#      one terminal record for it.
-#   9. GFF sharding gate (docs/CONFIG.md --gff-sharding): bench_gff_shard
+#   7. GFF sharding gate (docs/CONFIG.md --gff-sharding): bench_gff_shard
 #      must show owner-computes producing byte-identical components to the
 #      pooled path at 1/2/4/8 ranks while cutting total communication
 #      payload by at least --min-bytes-reduction at >= 4 ranks, recording
 #      the run in BENCH_gff_shard.json.
-#  10. Smith–Waterman gate (ROADMAP item 2): bench_sw must show the
+#   8. Smith–Waterman gate (ROADMAP item 2): bench_sw must show the
 #      library's Section-IV validation (score both strands in linear memory,
 #      AVX2 where available, trace back only where a category reads it) at
 #      least 5x faster than the scalar full-traceback baseline on the
 #      Figure 4-6 presets, with identical CategoryCounts and
 #      ReferenceComparison (enforced by the bench itself), recording the run
 #      in BENCH_sw.json.
-#  11. Checkpoint hashing gate (docs/OBSERVABILITY.md checkpoint_bytes):
+#   9. Checkpoint hashing gate (docs/OBSERVABILITY.md checkpoint_bytes):
 #      on a fresh checkpointed run, bench_checkpoint_overhead must find the
 #      summed checkpoint_bytes phase counters equal to the distinct
 #      artifact bytes (each artifact hashed once, enforced by the bench
 #      itself), and the run's hashing at least 5x faster than byte-serial
 #      FNV-1a over every manifest record's inputs and outputs, the scheme
 #      it replaced (--min-hash-speedup 5).
-#  12. Memory gate (ROADMAP item 3): sugarbeet_like at its own 400 genes is
+#  10. Memory gate (ROADMAP item 3): sugarbeet_like at its own 400 genes is
 #      assembled by assemble_fasta at 1 and at 4 ranks, each in a fresh
 #      process; the largest phase rss_peak_b in each run_report.json must
 #      stay within 1.3x (1 rank) and 1.9x (4 ranks) of the jellyfish
 #      phase's. Every later stage's table is then sized to what it reads
 #      and each stage's data is gone once its last reader is done; the
 #      tables sized to total bases failed both bounds (1.55x / 2.93x).
-#  13. Warning gate: every trinity_* library target under src/, every bench
+#  11. Kill-and-resume gate (docs/ROBUSTNESS.md): assemble_fasta runs step
+#      10's reads at 1 rank and is SIGKILLed as soon as run_manifest.jsonl
+#      holds the committed jellyfish record. The process must have died by
+#      the signal (exit status 137; a run that finished first fails the
+#      gate). A --resume re-launch must report jellyfish in stages_resumed
+#      and write a Trinity.fa byte-identical to step 10's never-killed
+#      1-rank run.
+#  12. Warning gate: every trinity_* library target under src/, every bench
 #      and every example builds with -Werror in a Release build dir of its
 #      own (build-werror/), where GCC's -O3 flow warnings
 #      (-Wstringop-overflow, -Wrestrict) fire. Tests are not built here:
 #      GCC 12's -O3 -Wrestrict false positive on `const char* +
 #      std::string&&` (inside char_traits.h) fires in ten test files.
-#  14. ASan+UBSan build (-DTRINITY_SANITIZE=ON) running the checkpoint, io,
+#  13. ASan+UBSan build (-DTRINITY_SANITIZE=ON) running the checkpoint, io,
 #      sequence (FASTA/FASTQ reader and parse policies), simpi (CommStats
-#      included), trace, config, flat-index, k-mer
-#      (counter, Inchworm, de Bruijn, aligner), stage-file loader
+#      included), trace, config, util (the JSON parser's depth cap),
+#      flat-index, k-mer (counter, Inchworm, de Bruijn, aligner), stage-file loader
 #      (components, Butterfly), GraphFromFasta and ReadsToTranscripts
 #      (hybrid drivers over simpi ranks and OpenMP threads; the dynamic
 #      distribution's RMA claims and the read-split Bowtie in the
-#      extensions binary; the distribution arithmetic), serve and
+#      extensions binary; the distribution arithmetic) and
 #      Smith–Waterman/validation test binaries — the
 #      subsystems that throw across thread and collective boundaries (and,
 #      for the trace recorder, publish buffers across threads; for the flat
 #      index, raw-storage placement news; for the k-mer counter, OpenMP
-#      threads filling per-partition buffers; for the serve layer, preempt
-#      and deadline tokens, the journal, and rank leases across
-#      scheduler/watchdog/worker threads; for the metrics layer, relaxed-
-#      atomic instruments hammered by every serve thread while the
-#      exporter thread snapshots them; for the SW kernels, unaligned AVX2
-#      loads and stores past each anti-diagonal's last row; for the
-#      stage-file loaders, corrupt headers and ids that used to index out
-#      of bounds; for the FASTA reader, pointer arithmetic over its raw
-#      block buffer), where
-#      sanitizers earn their keep.
-#  15. ThreadSanitizer build (build-tsan/, -fsanitize=thread) running the
+#      threads filling per-partition buffers; for the JSON parser, a
+#      recursive descent over hostile nesting; for the SW kernels,
+#      unaligned AVX2 loads and stores past each anti-diagonal's last row;
+#      for the stage-file loaders, corrupt headers and ids that used to
+#      index out of bounds; for the FASTA reader, pointer arithmetic over
+#      its raw block buffer), where sanitizers earn their keep.
+#  14. ThreadSanitizer build (build-tsan/, -fsanitize=thread) running the
 #      simpi (collectives, fault injection, CommStats, extensions), union-
-#      find, trace, metrics and serve test binaries with OMP_NUM_THREADS=1
-#      (libgomp is not instrumented, so OpenMP code stays out of scope) and
-#      TSAN_OPTIONS=halt_on_error=1: any data-race report fails the gate.
+#      find and trace test binaries — rank threads exchanging through
+#      mailboxes and RMA windows, and the span recorder's per-thread
+#      buffers — with OMP_NUM_THREADS=1 (libgomp is not instrumented, so
+#      OpenMP code stays out of scope) and TSAN_OPTIONS=halt_on_error=1: any
+#      data-race report fails the gate.
 #
-# Usage: scripts/check.sh [--skip-sanitize]  (skips steps 14 and 15)
+# Usage: scripts/check.sh [--skip-sanitize]  (skips steps 13 and 14)
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -230,75 +217,6 @@ echo "== k-mer index: flat index vs unordered_map, partitioned vs striped counti
     --threads 4 --min-count-speedup 1.5 --min-walk-speedup 2.0 \
     --json "$repo_root/BENCH_kmer_index.json"
 
-echo "== serve: multi-tenant isolation under an injected fault =="
-serve_dir=/tmp/trinity_check_serve
-rm -rf "$serve_dir"
-mkdir -p "$serve_dir"
-# Seed a small dataset: the pipeline's write_input stage leaves reads.fa
-# in the work dir, which the served jobs then share as their input.
-./build/examples/quickstart --genes 8 --ranks 2 --work-dir "$serve_dir/seed" >/dev/null
-reads=$serve_dir/seed/reads.fa
-# Control: tenant B alone, fault-free.
-printf '{"tenant": "tenant-b", "job-id": "clean", "reads": "%s", "ranks": 2, "k": 15, "omp-threads": 1}\n' \
-    "$reads" > "$serve_dir/control.jsonl"
-./build/examples/trinity_serve --jobs "$serve_dir/control.jsonl" \
-    --root "$serve_dir/control" --total-ranks 4 \
-    | grep -q 'drain complete: 1 completed, 0 failed'
-# Scenario: tenant A's job kills rank 1 mid-Chrysalis (retried inside its
-# own work dir by the pipeline's retry driver); tenant B runs concurrently.
-{
-    printf '{"tenant": "tenant-a", "job-id": "crashy", "reads": "%s", "ranks": 2, "k": 15, "omp-threads": 1, "fault-rank": 1, "fault-stage": "chrysalis.graph_from_fasta", "max-attempts": 3}\n' "$reads"
-    printf '{"tenant": "tenant-b", "job-id": "clean", "reads": "%s", "ranks": 2, "k": 15, "omp-threads": 1}\n' "$reads"
-} > "$serve_dir/jobs.jsonl"
-./build/examples/trinity_serve --jobs "$serve_dir/jobs.jsonl" \
-    --root "$serve_dir/faulted" --total-ranks 4 --metrics-period-s 0.25 \
-    | grep -q 'drain complete: 2 completed, 0 failed'
-# Isolation: tenant B's transcripts are byte-identical to the control run.
-cmp "$serve_dir/control/tenant-b/clean/Trinity.fa" \
-    "$serve_dir/faulted/tenant-b/clean/Trinity.fa"
-# The ledger is reconstructible from the run-report artifacts alone.
-./build/examples/trinity_report --aggregate "$serve_dir/faulted" | grep -q 'tenant-a'
-# Live telemetry: the exporter's final flush left a well-formed
-# metrics.prom — it must pass the strict Prometheus parser, and the
-# dashboard rendered from it must show both jobs completed.
-./build/examples/trinity_top --check-prom "$serve_dir/faulted/metrics.prom" \
-    | grep -q 'valid Prometheus exposition'
-./build/examples/trinity_top --root "$serve_dir/faulted" --iterations 1 --no-clear \
-    | grep -q 'outcomes: 2 ok'
-echo "serve ok"
-
-echo "== metrics overhead: serve A/B with exporter on (budget 2%) =="
-./build/bench/bench_obs_overhead --jobs 16 --repeats 8 --genes 8 \
-    --iters 5000000 --budget 0.02
-
-echo "== serve recovery: SIGKILL mid-job, restart, byte-identical resume =="
-rec_root=$serve_dir/recovery
-# The same clean job, wedged for 3 s inside inchworm so the kill reliably
-# lands mid-run with committed checkpoints behind it (hang injection is
-# scheduling-only: it does not change the outputs or the fingerprint).
-printf '{"tenant": "tenant-b", "job-id": "clean", "reads": "%s", "ranks": 2, "k": 15, "omp-threads": 1, "hang-stage": "inchworm", "hang-seconds": 3}\n' \
-    "$reads" > "$serve_dir/recovery.jsonl"
-./build/examples/trinity_serve --jobs "$serve_dir/recovery.jsonl" \
-    --root "$rec_root" --total-ranks 4 > "$serve_dir/recovery_first.log" 2>&1 &
-serve_pid=$!
-sleep 1  # mid-hang: the journal holds submit+dispatch, the manifest the early stages
-kill -9 "$serve_pid"
-wait "$serve_pid" 2>/dev/null || true
-# Restart over the same root with the same jobs file: the duplicate
-# submission must be rejected, the journaled job recovered and finished.
-./build/examples/trinity_serve --jobs "$serve_dir/recovery.jsonl" \
-    --root "$rec_root" --total-ranks 4 > "$serve_dir/recovery_second.log"
-grep -q 'reject \[invalid_spec\].*duplicate job id' "$serve_dir/recovery_second.log"
-grep -q 'drain complete: 1 completed, 0 failed' "$serve_dir/recovery_second.log"
-grep -q '1 recovered' "$serve_dir/recovery_second.log"
-# Byte-identical to the never-killed control run.
-cmp "$serve_dir/control/tenant-b/clean/Trinity.fa" \
-    "$rec_root/tenant-b/clean/Trinity.fa"
-# Exactly one terminal journal record: recovery re-dispatched the job, it
-# did not double-complete it.
-[ "$(grep -c '"complete"' "$rec_root/journal.jsonl")" -eq 1 ]
-echo "serve recovery ok"
-
 echo "== gff sharding: owner-computes vs pooled (BENCH_gff_shard.json) =="
 ./build/bench/bench_gff_shard --genes 120 --kernel-repeats 10 --trials 1 \
     --min-bytes-reduction 1.5 --json "$repo_root/BENCH_gff_shard.json"
@@ -337,6 +255,41 @@ for ranks, bound in ((1, 1.3), (4, 1.9)):
 sys.exit(1 if failed else 0)
 PY
 
+echo "== kill and resume: SIGKILL a 1-rank run after jellyfish, resume byte-identically =="
+kill_dir=/tmp/trinity_check_kill_resume
+rm -rf "$kill_dir"
+mkdir -p "$kill_dir"
+./build/examples/assemble_fasta /tmp/trinity_bench_fig02/reads.fa --ranks 1 \
+    --work-dir "$kill_dir/wd" --out "$kill_dir/first.fa" >"$kill_dir/first.log" 2>&1 &
+kill_pid=$!
+# The manifest is replaced by an atomic rename per committed stage, so a
+# match is a complete jellyfish record. Stop polling if the run exits.
+while kill -0 "$kill_pid" 2>/dev/null &&
+    ! grep -q '"stage":"jellyfish"' "$kill_dir/wd/run_manifest.jsonl" 2>/dev/null; do
+    sleep 0.01
+done
+kill -9 "$kill_pid" 2>/dev/null || true
+kill_status=0
+wait "$kill_pid" || kill_status=$?
+if [ "$kill_status" -ne 137 ]; then
+    echo "kill and resume: expected the first run to die by SIGKILL (status 137), got" \
+         "$kill_status: $(tail -n 3 "$kill_dir/first.log")" >&2
+    exit 1
+fi
+./build/examples/assemble_fasta /tmp/trinity_bench_fig02/reads.fa --ranks 1 \
+    --work-dir "$kill_dir/wd" --out "$kill_dir/resumed.fa" --resume >/dev/null
+python3 - "$kill_dir/wd/run_report.json" <<'PY'
+import json
+import sys
+
+with open(sys.argv[1]) as f:
+    resumed = json.load(f)["stages_resumed"]
+print(f"resumed stages: {', '.join(resumed)}")
+sys.exit(0 if "jellyfish" in resumed else 1)
+PY
+cmp "$mem_dir/r1/Trinity.fa" "$kill_dir/wd/Trinity.fa"
+echo "kill and resume ok"
+
 echo "== warnings: src/ libraries, benches and examples build with -Werror (Release, build-werror/) =="
 libs=$(sed -n 's/^add_library(\(trinity_[a-z_]*\).*/\1/p' src/*/CMakeLists.txt)
 bins=$(sed -n 's/^trinity_add_\(bench\|example\)(\([a-z0-9_]*\).*/\2/p
@@ -352,32 +305,28 @@ if [ "${1:-}" = "--skip-sanitize" ]; then
     exit 0
 fi
 
-echo "== ASan+UBSan: checkpoint + io + seq + simpi + trace + config + flat index + k-mer + serve + obs + sw + stage-file + chrysalis tests =="
+echo "== ASan+UBSan: checkpoint + io + seq + simpi + trace + config + util + flat index + k-mer + sw + stage-file + chrysalis tests =="
 cmake -B build-asan -S . -DTRINITY_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-asan -j "$jobs" --target \
     checkpoint_test simpi_fault_test simpi_test simpi_extensions_test dsu_test \
     pipeline_checkpoint_test io_fault_test seq_test seq_parse_policy_test trace_test \
-    config_test flat_index_test kmer_test inchworm_test debruijn_test align_test \
-    serve_test serve_fault_test \
-    serve_recovery_test serve_watchdog_test obs_test serve_metrics_test \
+    config_test util_test flat_index_test kmer_test inchworm_test debruijn_test align_test \
     sw_test sw_kernel_test validate_test components_io_test butterfly_test \
     chrysalis_gff_test chrysalis_r2t_test chrysalis_extensions_test \
     chrysalis_distribution_test simpi_comm_stats_test
 for t in checkpoint_test simpi_fault_test simpi_test simpi_extensions_test dsu_test \
          pipeline_checkpoint_test io_fault_test seq_test seq_parse_policy_test trace_test \
-         config_test flat_index_test kmer_test inchworm_test debruijn_test align_test \
-         serve_test serve_fault_test \
-         serve_recovery_test serve_watchdog_test obs_test serve_metrics_test \
-         sw_test sw_kernel_test validate_test components_io_test butterfly_test \
+         config_test util_test flat_index_test kmer_test inchworm_test debruijn_test \
+         align_test sw_test sw_kernel_test validate_test components_io_test butterfly_test \
          chrysalis_gff_test chrysalis_r2t_test chrysalis_extensions_test \
          chrysalis_distribution_test simpi_comm_stats_test; do
     echo "-- $t (ASan+UBSan)"
     ./build-asan/tests/"$t"
 done
 
-echo "== TSan: simpi + dsu + trace + obs + serve tests =="
+echo "== TSan: simpi + dsu + trace tests =="
 tsan_tests="simpi_test simpi_fault_test simpi_comm_stats_test simpi_extensions_test \
-    dsu_test trace_test obs_test serve_test"
+    dsu_test trace_test"
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS=-fsanitize=thread -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread >/dev/null
 # shellcheck disable=SC2086 # one target name per word

@@ -10,8 +10,8 @@
 // under, the input and output artifacts with content hashes, and
 // completion status — one JSON object per line, committed atomically by
 // writing a temporary file and renaming it over the manifest path. Lines
-// are built and read through util::Json, the codec the run report and the
-// serve journal use; hashes and fingerprints are 16-digit hex strings.
+// are built and read through util::Json, the codec the run report and
+// --config files use; hashes and fingerprints are 16-digit hex strings.
 //
 // Loading is deliberately tolerant: a truncated or corrupt line (the
 // signature of a crash mid-write on a filesystem without atomic rename)

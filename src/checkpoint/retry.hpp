@@ -8,7 +8,6 @@
 // tests retry instantly; production callers set initial_backoff_seconds.
 
 #include <algorithm>
-#include <cstdint>
 
 namespace trinity::checkpoint {
 
@@ -17,11 +16,6 @@ struct RetryPolicy {
   double initial_backoff_seconds = 0.0;  ///< sleep after the first failure
   double backoff_multiplier = 2.0;     ///< growth per additional failure
   double max_backoff_seconds = 30.0;   ///< backoff ceiling
-  /// Jitter spread as a fraction of the exponential delay: the jittered
-  /// backoff lands in [delay * (1 - jitter), delay * (1 + jitter)],
-  /// decorrelating retry herds (the serve layer's requeue path uses this;
-  /// 0 keeps the stage driver's deterministic schedule).
-  double jitter_fraction = 0.0;
 
   /// Backoff to sleep after `failed_attempts` consecutive failures (>= 1).
   [[nodiscard]] double backoff_for(int failed_attempts) const {
@@ -30,11 +24,6 @@ struct RetryPolicy {
     for (int i = 1; i < failed_attempts; ++i) delay *= backoff_multiplier;
     return std::min(delay, max_backoff_seconds);
   }
-
-  /// backoff_for with deterministic jitter: `seed` (e.g. a job-id hash
-  /// mixed with the attempt number) picks the point inside the jitter
-  /// window, so tests replay exactly while distinct jobs decorrelate.
-  [[nodiscard]] double jittered_backoff_for(int failed_attempts, std::uint64_t seed) const;
 };
 
 /// Sleeps the calling thread; no-op for non-positive durations.

@@ -99,15 +99,6 @@ IoFile IoFile::create(const std::string& path) {
   return IoFile(fd, path);
 }
 
-IoFile IoFile::open_append(const std::string& path) {
-  trace::SpanScope span("io.open", trace::kCatIo);
-  if (span) span.set_detail(path);
-  fault_point(IoOp::kOpen, path);
-  const int fd = ::open(path.c_str(), O_CREAT | O_WRONLY | O_APPEND, 0644);
-  if (fd < 0) throw_errno("open", path, errno, "cannot open for append");
-  return IoFile(fd, path);
-}
-
 IoFile::IoFile(IoFile&& other) noexcept : fd_(other.fd_), path_(std::move(other.path_)) {
   other.fd_ = -1;
 }

@@ -69,10 +69,6 @@ class IoFile {
  public:
   /// O_CREAT|O_WRONLY|O_TRUNC with mode 0644.
   [[nodiscard]] static IoFile create(const std::string& path);
-  /// O_CREAT|O_WRONLY|O_APPEND with mode 0644: the journal-writer shape.
-  /// Every write_all lands at end-of-file in one syscall, so concurrent
-  /// appenders interleave at record granularity, never mid-record.
-  [[nodiscard]] static IoFile open_append(const std::string& path);
 
   IoFile(IoFile&& other) noexcept;
   IoFile& operator=(IoFile&& other) noexcept;

@@ -222,12 +222,6 @@ Config& Config::with_pipeline(const pipeline::PipelineOptions& defaults) {
   with_fault_flags();
   flag_string("fault-stage", defaults.fault_stage,
               "stage whose simpi world receives the fault");
-  flag_string("hang-stage", defaults.hang_stage,
-              "stage that wedges for --hang-seconds before computing "
-              "(watchdog testing; empty disables)");
-  flag_double("hang-seconds", defaults.hang_seconds,
-              "injected in-stage hang duration, cancellable via the "
-              "preempt/deadline tokens");
   choice("parse-policy", kParsePolicies, defaults.parse_policy, "malformed-input handling");
   flag_bool("report", defaults.emit_report, "write <work-dir>/run_report.json");
   flag_string("report-path", defaults.report_path,
@@ -535,11 +529,6 @@ pipeline::PipelineOptions Config::pipeline_options() const {
   options.retry.max_attempts = static_cast<int>(int_at_least("max-attempts", 1));
   options.fault = fault_plan();
   options.fault_stage = get_string("fault-stage");
-  options.hang_stage = get_string("hang-stage");
-  options.hang_seconds = get_double("hang-seconds");
-  if (options.hang_seconds < 0.0) {
-    throw ConfigError("hang-seconds", "must be >= 0");
-  }
 
   const std::string policy = get_string("parse-policy");
   try {

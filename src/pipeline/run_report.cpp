@@ -9,7 +9,6 @@
 #include <stdexcept>
 
 #include "io/io_file.hpp"
-#include "util/stats.hpp"
 
 namespace trinity::pipeline {
 
@@ -153,22 +152,6 @@ util::Json build_run_report(const PipelineOptions& options, const PipelineResult
   report.set("nranks", options.nranks);
   report.set("model_threads_per_rank", options.model_threads_per_rank);
   report.set("options_fingerprint", hex64(result.options_fingerprint));
-  // Additive schema-3 fields: job attribution, present only when the run
-  // belongs to a job server dispatch (docs/SERVING.md). Standalone runs
-  // omit all three, so v2 consumers see an unchanged document.
-  if (!options.job_id.empty() || !options.tenant.empty()) {
-    report.set("job_id", options.job_id);
-    report.set("tenant", options.tenant);
-    report.set("preemptions", options.preemptions);
-    // Schema v4: dispatch count, terminal outcome, and whether this run
-    // was re-admitted from a crashed server's journal. A report written
-    // here always describes a run that finished — non-completed outcomes
-    // (quarantined, deadline_exceeded, hung, failed) are stamped by the
-    // job server's minimal terminal reports instead.
-    report.set("attempts", options.attempts);
-    report.set("outcome", "completed");
-    report.set("recovered", options.recovered);
-  }
   report.set("stages_executed", string_array(result.stages_executed));
   report.set("stages_resumed", string_array(result.stages_resumed));
   report.set("stage_retries", result.stage_retries);
@@ -231,18 +214,6 @@ void summarize_report(const util::Json& report, std::ostream& out) {
     }
     return s.empty() ? std::string("(none)") : s;
   };
-  // Schema v3 job attribution; absent for standalone runs.
-  if (const util::Json* job_id = report.find("job_id")) {
-    out << "job:             " << job_id->as_string() << " (tenant "
-        << report.at("tenant").as_string() << ", " << report.at("preemptions").as_int()
-        << " preemption(s))\n";
-    // Schema v4 dispatch history; absent in v3 reports.
-    if (const util::Json* outcome = report.find("outcome")) {
-      out << "outcome:         " << outcome->as_string() << " after "
-          << report.at("attempts").as_int() << " attempt(s)"
-          << (report.at("recovered").as_bool() ? ", recovered from journal" : "") << '\n';
-    }
-  }
   out << "stages executed: " << join(report.at("stages_executed")) << '\n';
   out << "stages resumed:  " << join(report.at("stages_resumed")) << '\n';
   out << "stage retries:   " << report.at("stage_retries").as_int() << '\n';
@@ -304,7 +275,8 @@ void summarize_report(const util::Json& report, std::ostream& out) {
 
   // Chrysalis traffic per operation (the paper's Section III.B/III.C
   // pooling), summed over ranks from the comm[] rows every schema carries.
-  // Absent from the server's minimal v4 terminal reports (no run happened).
+  // Absent from v4 job-server terminal reports written for jobs that ended
+  // without a pipeline run.
   const util::Json* chrysalis_section = report.find("chrysalis");
   if (chrysalis_section == nullptr) return;
   out << "\nchrysalis traffic (per op, summed over ranks):\n";
@@ -339,160 +311,6 @@ void summarize_report(const util::Json& report, std::ostream& out) {
     out << "  reads_to_transcripts chunks per rank:";
     for (const auto& v : r2t.at("rank_chunks").items()) out << ' ' << v.as_int();
     out << '\n';
-  }
-}
-
-util::Json aggregate_run_reports(const std::vector<util::Json>& reports) {
-  struct TenantTotals {
-    std::int64_t jobs = 0;
-    double wall_s = 0.0;
-    double cpu_s = 0.0;
-    std::int64_t comm_bytes_sent = 0;
-    std::int64_t comm_bytes_received = 0;
-    std::int64_t stage_retries = 0;
-    std::int64_t io_retries = 0;
-    std::int64_t preemptions = 0;
-    double max_skew = 1.0;
-    // Schema v4 reliability rollup: total dispatches, job-level retries
-    // (dispatches beyond each job's first), and terminal kill reasons.
-    // A tenant with outsized attempts/quarantines relative to its job
-    // count is the poison-tenant signature operators scan for.
-    std::int64_t attempts = 0;
-    std::int64_t job_retries = 0;
-    std::int64_t quarantined = 0;
-    std::int64_t deadline_kills = 0;
-    std::int64_t hung_kills = 0;
-    std::int64_t recovered = 0;
-    // Per-job wall seconds (sum of the job's phases), for the latency
-    // quantile columns. Jobs with no phases (e.g. killed before any stage
-    // finished) contribute nothing rather than a misleading 0s sample.
-    std::vector<double> job_walls;
-  };
-  // Insertion order preserved so the table is deterministic for a given
-  // report order (the aggregate caller sorts its directory scan).
-  std::vector<std::pair<std::string, TenantTotals>> tenants;
-  auto totals_for = [&](const std::string& tenant) -> TenantTotals& {
-    for (auto& [name, totals] : tenants) {
-      if (name == tenant) return totals;
-    }
-    tenants.emplace_back(tenant, TenantTotals{});
-    return tenants.back().second;
-  };
-
-  for (const auto& report : reports) {
-    const util::Json* tenant_field = report.find("tenant");
-    TenantTotals& t = totals_for(
-        tenant_field != nullptr && !tenant_field->as_string().empty()
-            ? tenant_field->as_string()
-            : std::string("-"));
-    ++t.jobs;
-    double job_wall = 0.0;
-    const auto& phases = report.at("phases").items();
-    for (const auto& phase : phases) {
-      job_wall += phase.at("wall_s").as_double();
-      t.cpu_s += phase.at("cpu_s").as_double();
-    }
-    t.wall_s += job_wall;
-    if (!phases.empty()) t.job_walls.push_back(job_wall);
-    for (const auto& stage : report.at("comm").items()) {
-      const double skew = stage.at("skew_ratio").as_double();
-      t.max_skew = skew > t.max_skew ? skew : t.max_skew;
-      for (const auto& rank : stage.at("ranks").items()) {
-        for (const auto& member : rank.at("ops").members()) {
-          t.comm_bytes_sent += member.second.at("bytes_sent").as_int();
-          t.comm_bytes_received += member.second.at("bytes_received").as_int();
-        }
-      }
-    }
-    t.stage_retries += report.at("stage_retries").as_int();
-    if (const util::Json* io_retries = report.find("io_retries")) {
-      t.io_retries += io_retries->as_int();
-    }
-    if (const util::Json* preemptions = report.find("preemptions")) {
-      t.preemptions += preemptions->as_int();
-    }
-    if (const util::Json* attempts = report.find("attempts")) {
-      t.attempts += attempts->as_int();
-      t.job_retries += attempts->as_int() > 1 ? attempts->as_int() - 1 : 0;
-    }
-    if (const util::Json* outcome = report.find("outcome")) {
-      const std::string& o = outcome->as_string();
-      if (o == "quarantined") ++t.quarantined;
-      else if (o == "deadline_exceeded") ++t.deadline_kills;
-      else if (o == "hung") ++t.hung_kills;
-    }
-    if (const util::Json* recovered = report.find("recovered")) {
-      if (recovered->as_bool()) ++t.recovered;
-    }
-  }
-
-  util::Json out = util::Json::object();
-  out.set("reports", static_cast<std::int64_t>(reports.size()));
-  util::Json rows = util::Json::array();
-  for (auto& [name, t] : tenants) {
-    util::Json row = util::Json::object();
-    row.set("tenant", name);
-    row.set("jobs", t.jobs);
-    row.set("wall_s", t.wall_s);
-    row.set("cpu_s", t.cpu_s);
-    std::sort(t.job_walls.begin(), t.job_walls.end());
-    row.set("wall_p50_s", util::percentile(t.job_walls, 0.50));
-    row.set("wall_p95_s", util::percentile(t.job_walls, 0.95));
-    row.set("wall_p99_s", util::percentile(t.job_walls, 0.99));
-    row.set("comm_bytes_sent", t.comm_bytes_sent);
-    row.set("comm_bytes_received", t.comm_bytes_received);
-    row.set("stage_retries", t.stage_retries);
-    row.set("io_retries", t.io_retries);
-    row.set("preemptions", t.preemptions);
-    row.set("max_skew", t.max_skew);
-    row.set("attempts", t.attempts);
-    row.set("job_retries", t.job_retries);
-    row.set("quarantined", t.quarantined);
-    row.set("deadline_kills", t.deadline_kills);
-    row.set("hung_kills", t.hung_kills);
-    row.set("recovered", t.recovered);
-    rows.push_back(std::move(row));
-  }
-  out.set("tenants", std::move(rows));
-  return out;
-}
-
-void summarize_aggregate(const util::Json& aggregate, std::ostream& out) {
-  out << "aggregated " << aggregate.at("reports").as_int() << " run report(s)\n\n";
-  const auto& tenants = aggregate.at("tenants").items();
-  if (tenants.empty()) {
-    out << "no reports found\n";
-    return;
-  }
-  out << std::left << std::setw(16) << "tenant" << std::right << std::setw(6) << "jobs"
-      << std::setw(11) << "wall(s)" << std::setw(11) << "cpu(s)" << std::setw(9)
-      << "p50(s)" << std::setw(9) << "p95(s)" << std::setw(9) << "p99(s)"
-      << std::setw(14)
-      << "sent(B)" << std::setw(14) << "recv(B)" << std::setw(9) << "retries"
-      << std::setw(9) << "io-rtr" << std::setw(9) << "preempt" << std::setw(9)
-      << "skew" << std::setw(9) << "att" << std::setw(9) << "job-rtr" << std::setw(9) << "quar"
-      << std::setw(9) << "ddl" << std::setw(9) << "hung" << std::setw(9) << "recov"
-      << '\n';
-  for (const auto& row : tenants) {
-    out << std::left << std::setw(16) << row.at("tenant").as_string() << std::right
-        << std::setw(6) << row.at("jobs").as_int() << std::fixed << std::setprecision(3)
-        << std::setw(11) << row.at("wall_s").as_double() << std::setw(11)
-        << row.at("cpu_s").as_double() << std::setw(9)
-        << row.at("wall_p50_s").as_double() << std::setw(9)
-        << row.at("wall_p95_s").as_double() << std::setw(9)
-        << row.at("wall_p99_s").as_double() << std::setw(14)
-        << row.at("comm_bytes_sent").as_int() << std::setw(14)
-        << row.at("comm_bytes_received").as_int() << std::setw(9)
-        << row.at("stage_retries").as_int() << std::setw(9)
-        << row.at("io_retries").as_int() << std::setw(9)
-        << row.at("preemptions").as_int() << std::setprecision(2) << std::setw(9)
-        << row.at("max_skew").as_double() << std::setw(9)
-        << row.at("attempts").as_int() << std::setw(9)
-        << row.at("job_retries").as_int() << std::setw(9)
-        << row.at("quarantined").as_int() << std::setw(9)
-        << row.at("deadline_kills").as_int() << std::setw(9)
-        << row.at("hung_kills").as_int() << std::setw(9)
-        << row.at("recovered").as_int() << '\n';
   }
 }
 

@@ -27,13 +27,11 @@ namespace trinity::pipeline {
 /// Version of the run-report schema this library writes. Must match the
 /// "Schema version" stated in docs/OBSERVABILITY.md (enforced by
 /// scripts/check.sh) and the "schema_version" field of every emitted
-/// report (enforced by run_report_test). v3 adds the optional job
-/// attribution fields `job_id` / `tenant` / `preemptions` (present only
-/// for trinity_serve job runs); v4 extends that job block with
-/// `attempts` / `outcome` / `recovered`, and lets the job server write a
-/// minimal report (empty phases/comm) for jobs that ended without a
-/// pipeline run — quarantined, deadline-killed, hung, or permanently
-/// failed — so the ledger is reconstructible for every terminal job.
+/// report (enforced by run_report_test). v3 added the optional job
+/// attribution fields `job_id` / `tenant` / `preemptions`, and v4 extended
+/// that job block with `attempts` / `outcome` / `recovered` plus minimal
+/// reports (empty phases/comm, no chrysalis section) for jobs that ended
+/// without a pipeline run; both belonged to the job server.
 /// v5 removes the two ReadsToTranscripts read-prefetch counters (hidden
 /// parse and blocked wait seconds) with the prefetch thread that kept them. v6
 /// removes GraphFromFasta's overlap-credit seconds: owner sharding routes
@@ -46,8 +44,10 @@ namespace trinity::pipeline {
 /// the shape but counts each op on its own row, and only the bytes that
 /// crossed between ranks (before it, allgatherv and reduce rows held
 /// logical payload on top of inner gatherv/bcast rows, and alltoallv
-/// counted its own slot). v1-v8 reports keep loading unchanged.
-inline constexpr int kReportSchemaVersion = 9;
+/// counted its own slot). v10 removes the v3/v4 job block with the job
+/// server that wrote it; no report written now carries it. v1-v9 reports
+/// keep loading unchanged (the summarizer ignores their job fields).
+inline constexpr int kReportSchemaVersion = 10;
 
 /// Builds the report document from a finished run. Pure: no I/O.
 [[nodiscard]] util::Json build_run_report(const PipelineOptions& options,
@@ -65,21 +65,5 @@ void write_run_report(const std::string& path, const util::Json& report);
 /// rank virtual time, skew ratio, bytes sent/received, wait time) plus each
 /// hybrid stage's per-op traffic. This is what `trinity_report` prints.
 void summarize_report(const util::Json& report, std::ostream& out);
-
-/// Rolls many run reports up into one per-tenant accounting document —
-/// the `trinity_report --aggregate` view over a trinity_serve root dir.
-/// Reports without v3 job attribution land under the tenant "-". Pure:
-/// callers load the reports (load_run_report) and pass the parsed trees.
-/// The result is a JSON object:
-///   {"reports": N, "tenants": [{"tenant", "jobs", "wall_s", "cpu_s",
-///    "comm_bytes_sent", "comm_bytes_received", "stage_retries",
-///    "io_retries", "preemptions", "max_skew"}, ...]}
-/// where wall_s sums the reports' phase walls, comm bytes sum every
-/// comm[].ranks[].ops row, and max_skew is the worst comm[] skew_ratio
-/// seen across the tenant's reports (1.0 when no hybrid stage ran).
-[[nodiscard]] util::Json aggregate_run_reports(const std::vector<util::Json>& reports);
-
-/// Prints the aggregate as a per-tenant table.
-void summarize_aggregate(const util::Json& aggregate, std::ostream& out);
 
 }  // namespace trinity::pipeline

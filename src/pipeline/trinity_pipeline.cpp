@@ -16,7 +16,6 @@
 #include "align/sam_io.hpp"
 #include "checkpoint/fingerprint.hpp"
 #include "io/io_file.hpp"
-#include "obs/metrics.hpp"
 #include "pipeline/run_report.hpp"
 #include "trace/chrome_trace.hpp"
 #include "trace/span_recorder.hpp"
@@ -92,33 +91,9 @@ void release_free_memory() {
 /// Records a hybrid stage's per-rank results, the run report's comm[]
 /// section (replacing any earlier attempt's entry, so a retried stage
 /// reports its final attempt).
-void record_stage_comm(const PipelineOptions& options, PipelineResult& result,
-                       const std::string& stage, std::vector<simpi::RankResult> ranks) {
+void record_stage_comm(PipelineResult& result, const std::string& stage,
+                       std::vector<simpi::RankResult> ranks) {
   StageCommMetrics metrics{stage, std::move(ranks)};
-  // CommStats bridge (docs/OBSERVABILITY.md "Live metrics"): per-rank
-  // bytes/wait become live counters at the hybrid stage's end, so an
-  // external scraper sees rank-level communication skew while the job's
-  // later stages are still running.
-  if (options.metrics != nullptr) {
-    for (const auto& r : metrics.ranks) {
-      const std::string rank = std::to_string(r.rank);
-      options.metrics
-          ->counter("trinity_comm_stage_bytes_total",
-                    "Bytes moved by a hybrid stage, per rank and direction",
-                    {{"stage", stage}, {"rank", rank}, {"direction", "sent"}})
-          .inc(static_cast<double>(r.comm.total_bytes_sent()));
-      options.metrics
-          ->counter("trinity_comm_stage_bytes_total",
-                    "Bytes moved by a hybrid stage, per rank and direction",
-                    {{"stage", stage}, {"rank", rank}, {"direction", "received"}})
-          .inc(static_cast<double>(r.comm.total_bytes_received()));
-      options.metrics
-          ->counter("trinity_comm_stage_wait_seconds_total",
-                    "Wall seconds a rank spent blocked in communication",
-                    {{"stage", stage}, {"rank", rank}})
-          .inc(r.comm.total_wait_seconds());
-    }
-  }
   for (auto& m : result.stage_comm) {
     if (m.stage == stage) {
       m = std::move(metrics);
@@ -169,11 +144,6 @@ class StageDriver {
   void stage(const std::string& name, const std::vector<std::string>& inputs,
              const std::vector<std::string>& outputs,
              const std::function<void()>& compute, const std::function<void()>& load) {
-    // Cancellation point: every completed stage has already committed its
-    // checkpoint, so stopping here loses no work — a resume run continues
-    // from this exact boundary.
-    throw_if_cancelled(name);
-    publish_heartbeat(name);
     if (can_resume(name, outputs)) {
       trace_.phase(name + ".resumed", load);
       result_.stages_resumed.push_back(name);
@@ -181,36 +151,11 @@ class StageDriver {
       return;
     }
     chain_valid_ = false;  // everything downstream recomputes too
-    if (name == options_.hang_stage && options_.hang_seconds > 0.0) hang_in_stage(name);
     release_free_memory();
     const Execution exec = execute_with_retry(name, compute);
     result_.stages_executed.push_back(name);
-    if (options_.metrics != nullptr) {
-      options_.metrics
-          ->histogram("trinity_stage_duration_seconds",
-                      "Wall seconds per executed pipeline stage",
-                      obs::latency_buckets_s(), {{"stage", name}})
-          .observe(exec.wall_seconds);
-    }
     if (options_.checkpoint) record(name, inputs, outputs, exec);
     sync_trace();
-  }
-
-  /// Live stage-progress heartbeat (docs/OBSERVABILITY.md "Live metrics"):
-  /// on entering each stage boundary the job publishes the registry's
-  /// uptime clock under {tenant, job, stage}. A reader (trinity_top)
-  /// derives the job's current stage as its most recent heartbeat and the
-  /// heartbeat's age from the snapshot's own uptime — no wall-clock
-  /// agreement needed.
-  void publish_heartbeat(const std::string& name) {
-    if (options_.metrics == nullptr || options_.job_id.empty()) return;
-    options_.metrics
-        ->gauge("trinity_job_stage_heartbeat",
-                "Registry-uptime seconds at the job's last entry into a stage",
-                {{"tenant", options_.tenant},
-                 {"job", options_.job_id},
-                 {"stage", name}})
-        .set(options_.metrics->uptime_s());
   }
 
   /// Stage-end trace maintenance: synthesizes one pipeline-category span
@@ -264,32 +209,6 @@ class StageDriver {
   }
 
  private:
-  /// The injected wedge: sleep inside the stage (no manifest progress)
-  /// while polling both cancellation tokens, so the watchdog's cancel is
-  /// observed within one poll interval rather than at stage end.
-  void hang_in_stage(const std::string& name) {
-    trace::instant("stage.hang", trace::kCatPipeline,
-                   name + ": injected hang " + std::to_string(options_.hang_seconds) + "s");
-    util::Timer wall;
-    while (wall.seconds() < options_.hang_seconds) {
-      throw_if_cancelled(name);
-      checkpoint::sleep_seconds(0.01);
-    }
-  }
-
-  /// Observes both cancellation tokens: a raised deadline or preempt flag
-  /// leaves a trace instant and throws the matching typed error.
-  void throw_if_cancelled(const std::string& name) const {
-    if (options_.deadline && options_.deadline->load(std::memory_order_acquire)) {
-      trace::instant("stage.deadline", trace::kCatPipeline, name);
-      throw DeadlineExceededError(name);
-    }
-    if (options_.preempt && options_.preempt->load(std::memory_order_acquire)) {
-      trace::instant("stage.preempt", trace::kCatPipeline, name);
-      throw PreemptedError(name);
-    }
-  }
-
   bool can_resume(const std::string& name, const std::vector<std::string>& outputs) {
     if (!options_.resume || !chain_valid_) return false;
     const checkpoint::StageRecord* record = manifest_.find(name);
@@ -569,7 +488,7 @@ PipelineResult run_pipeline_impl(const std::vector<seq::Sequence>& reads,
                 }
               },
               options.comm, driver.fault_for("chrysalis.bowtie"));
-          record_stage_comm(options, result, "chrysalis.bowtie", std::move(rank_results));
+          record_stage_comm(result, "chrysalis.bowtie", std::move(rank_results));
         }
         aligned = true;
       },
@@ -643,8 +562,7 @@ PipelineResult run_pipeline_impl(const std::vector<seq::Sequence>& reads,
                 }
               },
               options.comm, driver.fault_for("chrysalis.graph_from_fasta"));
-          record_stage_comm(options, result, "chrysalis.graph_from_fasta",
-                            std::move(rank_results));
+          record_stage_comm(result, "chrysalis.graph_from_fasta", std::move(rank_results));
         }
         chrysalis::write_components(work_dir + "/" + kComponentsFile, result.components);
       },
@@ -687,8 +605,7 @@ PipelineResult run_pipeline_impl(const std::vector<seq::Sequence>& reads,
                 }
               },
               options.comm, driver.fault_for("chrysalis.reads_to_transcripts"));
-          record_stage_comm(options, result, "chrysalis.reads_to_transcripts",
-                            std::move(rank_results));
+          record_stage_comm(result, "chrysalis.reads_to_transcripts", std::move(rank_results));
         }
         trace.counter("parse_quarantined", static_cast<double>(r2t_parse.records_quarantined()));
         trace.counter("parse_repaired", static_cast<double>(r2t_parse.records_repaired));

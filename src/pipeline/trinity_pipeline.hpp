@@ -22,10 +22,7 @@
 // (simpi::AbortedError / RankFaultError); `fault` + `fault_stage` inject
 // such failures for testing.
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -42,49 +39,7 @@
 #include "simpi/fault.hpp"
 #include "util/resource_trace.hpp"
 
-namespace trinity::obs {
-class MetricsRegistry;
-}  // namespace trinity::obs
-
 namespace trinity::pipeline {
-
-/// Thrown out of run_pipeline when the run's preempt token (see
-/// PipelineOptions::preempt) was set: the pipeline stopped at the next
-/// stage boundary, after every completed stage was checkpointed. A
-/// re-launch with `resume = true` continues from exactly that boundary —
-/// the mechanism trinity_serve uses for priority preemption
-/// (checkpoint -> requeue -> resume).
-class PreemptedError : public std::runtime_error {
- public:
-  explicit PreemptedError(std::string stage)
-      : std::runtime_error("pipeline preempted before stage '" + stage + "'"),
-        stage_(std::move(stage)) {}
-
-  /// The stage the pipeline was about to run when it stopped.
-  [[nodiscard]] const std::string& stage() const { return stage_; }
-
- private:
-  std::string stage_;
-};
-
-/// Thrown out of run_pipeline when the run's deadline token (see
-/// PipelineOptions::deadline) was set: the serve watchdog decided the job
-/// ran past its deadline or stopped making progress. Like preemption, the
-/// pipeline stops at the next cancellation point with every completed
-/// stage checkpointed — but the server treats this as a terminal kill
-/// (DeadlineExceeded/Hung outcome), not a requeue.
-class DeadlineExceededError : public std::runtime_error {
- public:
-  explicit DeadlineExceededError(std::string stage)
-      : std::runtime_error("pipeline deadline exceeded before stage '" + stage + "'"),
-        stage_(std::move(stage)) {}
-
-  /// The stage the pipeline was about to run when it was cancelled.
-  [[nodiscard]] const std::string& stage() const { return stage_; }
-
- private:
-  std::string stage_;
-};
 
 /// Whole-pipeline configuration.
 struct PipelineOptions {
@@ -160,35 +115,6 @@ struct PipelineOptions {
   /// leaving the checkpoints for a `resume = true` re-launch.
   io::IoFaultPlan io_fault;
 
-  // --- preemption (job-server cancellation points) ----------------------------
-
-  /// Cooperative cancellation token. When non-null and set to true, the
-  /// run stops at the next stage boundary by throwing PreemptedError —
-  /// after every completed stage committed its checkpoint, so a
-  /// `resume = true` re-launch continues from that exact boundary. Stage
-  /// boundaries are the only cancellation points: a stage that already
-  /// started runs to completion (its simpi world is never torn down
-  /// mid-collective). Null (the default) disables preemption entirely.
-  /// Scheduling-only: excluded from the options fingerprint.
-  std::shared_ptr<std::atomic<bool>> preempt;
-
-  /// Deadline/watchdog cancellation token, same cooperative contract as
-  /// `preempt` but a different verdict: when set, the run throws
-  /// DeadlineExceededError at the next cancellation point (stage
-  /// boundaries, and the injected-hang poll loop below). The serve
-  /// watchdog sets it for jobs past their `deadline-s` or hung past
-  /// `hang-timeout-s`. Scheduling-only: excluded from the fingerprint.
-  std::shared_ptr<std::atomic<bool>> deadline;
-
-  /// Injected wedge (testing the watchdog): when `hang_stage` names a
-  /// stage, the run sleeps `hang_seconds` inside that stage — after its
-  /// boundary checks, before its compute, with no manifest progress — in
-  /// small increments that poll both cancellation tokens. Models a stage
-  /// stuck on a dead mount or a livelocked collective while staying
-  /// cancellable. Scheduling-only; disabled by default.
-  std::string hang_stage;
-  double hang_seconds = 0.0;
-
   // --- input robustness -------------------------------------------------------
 
   /// How FASTA/FASTQ readers treat malformed records (seq/fasta.hpp):
@@ -205,35 +131,6 @@ struct PipelineOptions {
   bool emit_report = true;
   /// Report destination; empty means `<work_dir>/run_report.json`.
   std::string report_path;
-  /// Job attribution (run-report schema v3, docs/OBSERVABILITY.md and
-  /// docs/SERVING.md): when a run belongs to a trinity_serve job, the
-  /// server stamps the job id, the owning tenant, and how many times the
-  /// job was preempted before this dispatch. Purely observational — the
-  /// fields flow into run_report.json (and from there into the per-tenant
-  /// accounting roll-up) and never affect results or the options
-  /// fingerprint. Empty/zero (the default) for standalone runs, and the
-  /// report fields are omitted then.
-  std::string job_id;
-  std::string tenant;
-  int preemptions = 0;
-  /// Which dispatch of the job this run is, 1-based (run-report schema v4):
-  /// incremented by the serve retry loop each time a transient job failure
-  /// requeues the job. 1 for standalone runs and first dispatches.
-  int attempts = 1;
-  /// True when this dispatch resumed work journaled by a previous server
-  /// process (run-report schema v4): the job was re-admitted from the
-  /// on-disk journal after a crash/restart, not submitted to this process.
-  bool recovered = false;
-
-  /// Live metrics registry (docs/OBSERVABILITY.md "Live metrics"). When
-  /// set, StageDriver publishes a per-job stage-progress heartbeat gauge
-  /// and a per-stage duration histogram at stage boundaries, and the
-  /// hybrid stages bridge their per-rank CommStats into counters. The
-  /// serve layer points this at the server's registry; null (the default)
-  /// removes every hook. The registry must outlive the run.
-  /// Scheduling-only: excluded from the options fingerprint.
-  obs::MetricsRegistry* metrics = nullptr;
-
   /// Distributed span tracing (docs/OBSERVABILITY.md "Distributed trace"):
   /// empty (the default) disables tracing entirely — instrumented code
   /// collapses to one atomic load per hook. Non-empty installs a

@@ -20,8 +20,8 @@ namespace trinity::util {
 inline constexpr std::uint64_t kGoldenGamma = 0x9e3779b97f4a7c15ULL;
 
 /// The splitmix64 finalizer: a full-avalanche bijection of one word. The
-/// RNG seeder, the k-mer table hash, retry jitter and the salted assembly
-/// tie-breaks all mix through it.
+/// RNG seeder, the k-mer table hash and the salted assembly tie-breaks all
+/// mix through it.
 [[nodiscard]] constexpr std::uint64_t mix64(std::uint64_t z) {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;

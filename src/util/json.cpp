@@ -92,8 +92,18 @@ class Parser {
     skip_ws();
     char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        // The parser recurses once per container; bounding the depth keeps
+        // a hostile document from overflowing the stack.
+        if (depth_ == Json::kMaxDepth) {
+          error("nesting deeper than " + std::to_string(Json::kMaxDepth) + " levels");
+        }
+        ++depth_;
+        Json value = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return value;
+      }
       case '"': return Json(parse_string());
       case 't':
         if (consume_literal("true")) return Json(true);
@@ -236,6 +246,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< containers open at pos_
 };
 
 }  // namespace

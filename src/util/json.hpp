@@ -1,12 +1,13 @@
 #pragma once
 // A minimal JSON document tree with a parser and a serializer.
 //
-// The run report (docs/OBSERVABILITY.md), the checkpoint manifest, the
-// serve journal and --config files are all written and read back through
+// The run report (docs/OBSERVABILITY.md), the checkpoint manifest,
+// --config files and Chrome traces are all written and read back through
 // this one codec. It is the smallest dependency-free implementation that
 // closes that loop: a value tree (null/bool/number/string/array/object), a strict
-// recursive-descent parser, and a deterministic serializer (object members
-// keep insertion order, so dump(parse(dump(x))) == dump(x)).
+// recursive-descent parser (nesting capped at Json::kMaxDepth), and a
+// deterministic serializer (object members keep insertion order, so
+// dump(parse(dump(x))) == dump(x)).
 //
 // Numbers remember whether they were integral: counters (calls, bytes) are
 // 64-bit and must round-trip exactly, while timings are doubles. Integers
@@ -76,8 +77,12 @@ class Json {
   /// indent >= 0 pretty-prints with that many spaces per level.
   [[nodiscard]] std::string dump(int indent = -1) const;
 
+  /// Deepest container nesting parse() accepts; one more level is an error.
+  static constexpr int kMaxDepth = 256;
+
   /// Strict parse of a complete JSON document (trailing non-whitespace is
-  /// an error). Throws std::runtime_error with an offset on malformed text.
+  /// an error). Throws std::runtime_error with an offset on malformed text,
+  /// including arrays/objects nested deeper than kMaxDepth.
   [[nodiscard]] static Json parse(std::string_view text);
 
  private:

@@ -103,16 +103,6 @@ TTestResult welch_t_test(const std::vector<double>& a, const std::vector<double>
   return r;
 }
 
-double percentile(const std::vector<double>& xs, double q) {
-  if (xs.empty()) return 0.0;
-  q = std::min(1.0, std::max(0.0, q));
-  const double pos = q * static_cast<double>(xs.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(pos);
-  if (lo + 1 >= xs.size()) return xs.back();
-  const double frac = pos - static_cast<double>(lo);
-  return xs[lo] + (xs[lo + 1] - xs[lo]) * frac;
-}
-
 std::size_t n50(std::vector<std::size_t> lengths) {
   if (lengths.empty()) return 0;
   std::sort(lengths.begin(), lengths.end(), std::greater<>());

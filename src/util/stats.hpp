@@ -33,11 +33,6 @@ struct TTestResult {
 /// the default (non-significant) result.
 TTestResult welch_t_test(const std::vector<double>& a, const std::vector<double>& b);
 
-/// Quantile of a sample by linear interpolation between order statistics
-/// (the common "type 7" estimator). `xs` must be sorted ascending; `q` is
-/// clamped to [0, 1]. Empty input returns 0.
-double percentile(const std::vector<double>& xs, double q);
-
 /// N50 of a set of lengths: the largest L such that contigs of length >= L
 /// cover at least half of the total bases. Standard assembly quality metric.
 std::size_t n50(std::vector<std::size_t> lengths);

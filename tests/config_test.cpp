@@ -5,7 +5,8 @@
 // validation error is a typed ConfigError naming the field, unknown
 // flags/keys are rejected rather than silently defaulted, and the old
 // spellings (--nprocs, --model-threads, --trace-file, --r2t-mode,
-// --r2t-index) are unknown options like any other.
+// --r2t-index, --hang-stage, --hang-seconds) are unknown options like any
+// other.
 
 #include "pipeline/config.hpp"
 
@@ -117,6 +118,8 @@ TEST(ConfigAliases, DeprecatedSpellingsAreRejected) {
   EXPECT_CONFIG_ERROR(parse(pipeline_cfg(), {"--nprocs", "6"}), "nprocs");
   EXPECT_CONFIG_ERROR(parse(pipeline_cfg(), {"--model-threads", "8"}), "model-threads");
   EXPECT_CONFIG_ERROR(parse(pipeline_cfg(), {"--trace-file", "t.json"}), "trace-file");
+  EXPECT_CONFIG_ERROR(parse(pipeline_cfg(), {"--hang-stage", "inchworm"}), "hang-stage");
+  EXPECT_CONFIG_ERROR(parse(pipeline_cfg(), {"--hang-seconds", "3"}), "hang-seconds");
   try {
     (void)parse(pipeline_cfg(), {"--nprocs", "6"});
     FAIL() << "expected --nprocs to be rejected";
@@ -215,6 +218,26 @@ TEST(ConfigJson, RejectsUnknownKeysNonScalarsAndMalformedText) {
   EXPECT_CONFIG_ERROR(pipeline_cfg().parse_json_text("{not json", "<t>"), "config");
   EXPECT_CONFIG_ERROR(pipeline_cfg().parse_json_text("[1,2]", "<t>"), "config");
   EXPECT_CONFIG_ERROR(pipeline_cfg().parse_json_file("/nonexistent/config.json"), "config");
+}
+
+TEST(ConfigJson, DeeplyNestedConfigFileIsMalformedJson) {
+  // A --config file of nested arrays fails with the typed config error
+  // (it used to overflow the parser's stack).
+  const std::string path = ::testing::TempDir() + "/config_test_nested.json";
+  std::ofstream(path) << std::string(100000, '[') << std::string(100000, ']');
+  try {
+    (void)parse(pipeline_cfg(), {"--config", path});
+    FAIL() << "expected a nested --config file to be rejected";
+  } catch (const ConfigError& e) {
+    EXPECT_EQ(e.field(), "config");
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind("config error: --config: malformed JSON in " + path +
+                             ": json: nesting deeper than",
+                         0),
+              0u)
+        << what;
+  }
+  std::remove(path.c_str());
 }
 
 TEST(ConfigJson, ConfigFlagPreloadsAndCliOverrides) {

@@ -345,6 +345,43 @@ TEST(JsonTest, MalformedDocumentsThrow) {
   EXPECT_THROW((void)Json::parse("nul"), std::runtime_error);
 }
 
+// The parser recurses once per container, so nesting is capped: a document
+// exactly kMaxDepth deep parses, one level more is the typed json: error,
+// and a 100,000-deep one (which used to overflow the stack) fails the same
+// way.
+TEST(JsonTest, NestingDepthIsCapped) {
+  const auto nested = [](int depth, char open, char close) {
+    return std::string(static_cast<std::size_t>(depth), open) +
+           std::string(static_cast<std::size_t>(depth), close);
+  };
+  const Json deepest = Json::parse(nested(Json::kMaxDepth, '[', ']'));
+  const Json* inner = &deepest;
+  int depth = 1;
+  while (!inner->items().empty()) {
+    inner = &inner->items().front();
+    ++depth;
+  }
+  EXPECT_EQ(depth, Json::kMaxDepth);
+
+  std::string objects;
+  for (int i = 0; i < Json::kMaxDepth - 1; ++i) objects += R"({"a":)";
+  objects += "{}" + std::string(Json::kMaxDepth - 1, '}');
+  EXPECT_NO_THROW((void)Json::parse(objects));
+
+  const std::string expected =
+      "json: nesting deeper than " + std::to_string(Json::kMaxDepth) + " levels";
+  for (const std::string& text :
+       {nested(Json::kMaxDepth + 1, '[', ']'), R"({"a":)" + objects + "}",
+        std::string(100000, '[')}) {
+    try {
+      (void)Json::parse(text);
+      FAIL() << "expected a nesting error for a " << text.size() << "-byte document";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(expected, 0), 0u) << e.what();
+    }
+  }
+}
+
 TEST(JsonTest, BuildersFindAndAt) {
   Json obj = Json::object();
   obj.set("a", 1);
